@@ -23,8 +23,8 @@ reads += gen_reads(g, 2, 900, 0.01, seed=2)  # long tail
 short, long_ = split_by_length(reads)
 print(f"reads: {len(short.reads)} short + {len(long_.reads)} long")
 
-res_s, trace_s = batch_align(g, short, trace=True)
-res_l, trace_l = batch_align(g, long_, trace=True)
+res_s, trace_s = batch_align(g, short)
+res_l, trace_l = batch_align(g, long_)
 print(f"short batch -> {trace_s.mode} over {trace_s.groups} groups")
 print(f"long batch  -> {trace_l.mode}, {trace_l.rounds} rounds")
 

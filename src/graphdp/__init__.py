@@ -4,7 +4,8 @@ The package pairs two exact engines with an analytic hardware model:
 
 * a recursive partitioned all-pairs shortest path engine built on
   tile-sized Floyd-Warshall closures and min-plus merges, and
-* a windowed bit-parallel sequence-to-graph matcher for base-labelled DAGs,
+* a bit-parallel sequence-to-graph matcher for base-labelled DAGs (a
+  read-parallel production scorer and a windowed device-fidelity kernel),
 
 plus a partitioner, a parameterized cost/energy model for an in-memory
 accelerator, sensitivity sweeps, a workload planner, and a CLI.
@@ -62,6 +63,7 @@ from .s2g import (
     MODE_LONG,
     MODE_SHORT,
     AlignResult,
+    align_read_parallel,
     align_reference,
     align_windowed,
     batch_align,

@@ -15,15 +15,13 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
 from .apsp import export_distances, recursive_apsp
 from .costmodel import (
-    HbmParams,
     ModelError,
-    PcmParams,
     arithmetic_intensity,
     model_fw_block,
     model_mp_merge,
@@ -52,6 +50,7 @@ from .planner import (
     DescriptorError,
     PlanError,
     WorkloadDescriptor,
+    device_params,
     execute,
     load_descriptor,
     lower,
@@ -117,20 +116,11 @@ def _parse_sizes(text: str) -> list:
 
 def _device(config_path: str | None):
     """Resolve device parameters from an optional JSON override file."""
-    pcm, hbm = PcmParams(), HbmParams()
+    doc = None
     if config_path:
         with open(config_path) as fh:
             doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise UsageError("config must be a JSON object")
-        try:
-            if "pcm" in doc:
-                pcm = replace(pcm, **doc["pcm"])
-            if "hbm" in doc:
-                hbm = replace(hbm, **doc["hbm"])
-        except TypeError as e:
-            raise UsageError(f"unknown device field: {e}") from e
-    return pcm, hbm
+    return device_params(doc)
 
 
 def _outdir(args) -> str:
@@ -330,15 +320,21 @@ def cmd_s2g(args) -> int:
     )
 
     if sweep_ws:
-        # scores must not move with the window width; cycles may
+        # the device-fidelity kernel must reproduce, at every swept width,
+        # the production score, lowest end node and derived window count
+        by_id = dict(reads)
         rows = []
         for Wi in sweep_ws:
             oi = _s2g_run(g, reads, args.mode, Wi, hbm, args.seed, args.threads, True)
             for rid in ids:
-                if oi["s2g"][rid].score_max != results[rid].score_max:
+                want = oi["s2g"][rid]
+                got = align_windowed(g, by_id[rid], W=Wi)
+                seen = (got.score_max, got.lowest_end, got.windows)
+                expected = (want.score_max, want.lowest_end, want.windows)
+                if seen != expected:
                     print(
-                        f"FAIL read {rid}: score moved between W={args.W} "
-                        f"and W={Wi}"
+                        f"FAIL read {rid}: windowed kernel at W={Wi} gives "
+                        f"(score, end, windows) {seen}, want {expected}"
                     )
                     return EXIT_VERIFY
             rep = oi["cost"]

@@ -10,7 +10,7 @@ the engine outputs by construction, and optionally attaches a cost report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .apsp import recursive_apsp
 from .costmodel import (
@@ -108,15 +108,47 @@ class WorkloadDescriptor:
             raise DescriptorError(f"unknown mapping request {self.mode!r}")
 
 
-def _device_params(section: dict | None):
-    """Apply JSON deltas on top of the device defaults."""
-    pcm = hbm = None
-    if section:
-        if "pcm" in section:
-            pcm = replace(PcmParams(), **section["pcm"])
-        if "hbm" in section:
-            hbm = replace(HbmParams(), **section["hbm"])
-    return pcm, hbm
+def device_params(section) -> tuple:
+    """(PcmParams, HbmParams): the device defaults with JSON overrides,
+    ``{"pcm": {...}, "hbm": {...}}``, applied.
+
+    The one parser for device overrides, shared by descriptors and the CLI's
+    ``--config``; every malformed section or field raises DescriptorError.
+    """
+    if section is None:
+        section = {}
+    if not isinstance(section, dict):
+        raise DescriptorError("device overrides must be a JSON object")
+    unknown = sorted(set(section) - {"pcm", "hbm"})
+    if unknown:
+        raise DescriptorError(f"unknown device section {unknown[0]!r}")
+    params = []
+    for name, cls in (("pcm", PcmParams), ("hbm", HbmParams)):
+        overrides = section.get(name, {})
+        if not isinstance(overrides, dict):
+            raise DescriptorError(f"device.{name} must be a JSON object")
+        for key, value in overrides.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DescriptorError(f"device.{name}.{key} must be a number")
+        try:
+            params.append(cls(**overrides))
+        except (TypeError, ValueError) as e:
+            raise DescriptorError(f"bad device.{name} override: {e}") from e
+    return tuple(params)
+
+
+def _int_field(doc: dict, name: str, default: int) -> int:
+    try:
+        return int(doc.get(name, default))
+    except (TypeError, ValueError) as e:
+        raise DescriptorError(f"descriptor field {name!r}: {e}") from e
+
+
+def _path_field(doc: dict, name: str) -> str:
+    value = doc[name]
+    if not isinstance(value, str):
+        raise DescriptorError(f"descriptor field {name!r} must be a file path")
+    return value
 
 
 def load_descriptor(doc: dict | str) -> WorkloadDescriptor:
@@ -131,27 +163,27 @@ def load_descriptor(doc: dict | str) -> WorkloadDescriptor:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DescriptorError("descriptor must be an object with a 'kind'")
     kind = doc["kind"]
-    pcm, hbm = _device_params(doc.get("device"))
+    pcm, hbm = device_params(doc.get("device"))
     common = dict(
-        seed=int(doc.get("seed", 0)),
-        threads=int(doc.get("threads", 1)),
+        seed=_int_field(doc, "seed", 0),
+        threads=_int_field(doc, "threads", 1),
         pcm=pcm,
         hbm=hbm,
     )
     try:
         if kind == "apsp":
-            g = load_edge_list(doc["graph"])
+            g = load_edge_list(_path_field(doc, "graph"))
             return WorkloadDescriptor(
-                "apsp", g, max_tile=int(doc.get("max_tile", 1024)), **common
+                "apsp", g, max_tile=_int_field(doc, "max_tile", 1024), **common
             )
         if kind == "s2g":
-            g = load_genome_graph(doc["graph"])
-            reads = load_fasta(doc["reads"])
+            g = load_genome_graph(_path_field(doc, "graph"))
+            reads = load_fasta(_path_field(doc, "reads"))
             return WorkloadDescriptor(
                 "s2g",
                 g,
                 reads=reads,
-                W=int(doc.get("W", 128)),
+                W=_int_field(doc, "W", 128),
                 mode=doc.get("mode", "auto"),
                 **common,
             )

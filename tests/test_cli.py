@@ -161,6 +161,19 @@ def test_s2g_verify_failure_names_read_and_exits_1(tmp_path, monkeypatch, capsys
     assert "FAIL read r" in capsys.readouterr().out
 
 
+def test_s2g_w_sweep_windowed_mismatch_exits_1(tmp_path, monkeypatch, capsys):
+    gfa, reads = _gen_inputs(tmp_path, reads=3, read_len=60)
+    real = cli.align_windowed
+    monkeypatch.setattr(
+        cli, "align_windowed",
+        lambda g, q, W: replace(real(g, q, W=W), windows=real(g, q, W=W).windows + 1),
+    )
+    rc = run("s2g", "--graph", gfa, "--reads", reads, "--W-sweep", "32,64",
+             "--out", tmp_path / "o")
+    assert rc == 1
+    assert "FAIL read r" in capsys.readouterr().out
+
+
 def test_s2g_model_reports_throughput(tmp_path):
     gfa, reads = _gen_inputs(tmp_path, reads=4)
     out = tmp_path / "o"
@@ -249,6 +262,30 @@ def test_plan_without_inputs_is_usage_error(tmp_path):
     assert run("plan", "--out", tmp_path) == 2
 
 
+def test_plan_bad_descriptor_fields_exit_2(tmp_path, capsys):
+    assert run("gen", "er", "--n", 40, "--p", 0.05, "--out", tmp_path) == 0
+    good = {"kind": "apsp", "graph": str(tmp_path / "graph.edges")}
+    desc = tmp_path / "d.json"
+    desc.write_text(json.dumps(good))
+    assert run("plan", "--desc", desc, "--out", tmp_path) == 0
+    capsys.readouterr()
+    for bad in (
+        {"device": {"pcm": {"bogus": 1}}},
+        {"device": {"pcm": 5}},
+        {"seed": "x"},
+        {"device": 5},
+        {"device": {"gpu": {}}},
+        {"device": {"hbm": {"channels": "16"}}},
+        {"device": {"pcm": {"unit_dim": 1000}}},
+        {"max_tile": [1]},
+        {"graph": 0},
+    ):
+        desc.write_text(json.dumps({**good, **bad}))
+        assert run("plan", "--desc", desc, "--out", tmp_path) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
+
+
 # ---------------------------------------------------------------------------
 # config overrides, determinism, exit codes
 # ---------------------------------------------------------------------------
@@ -266,10 +303,12 @@ def test_config_overrides_device_params(tmp_path):
 
 def test_config_unknown_field_is_usage_error(tmp_path):
     cfgp = tmp_path / "dev.json"
-    cfgp.write_text(json.dumps({"pcm": {"no_such_knob": 1}}))
     assert run("gen", "er", "--n", 40, "--p", 0.05, "--out", tmp_path) == 0
-    assert run("apsp", "--graph", tmp_path / "graph.edges",
-               "--config", cfgp, "--out", tmp_path) == 2
+    for bad in ({"pcm": {"no_such_knob": 1}}, {"pcm": 5}, [1],
+                {"hbm": {"stream_efficiency": "x"}}):
+        cfgp.write_text(json.dumps(bad))
+        assert run("apsp", "--graph", tmp_path / "graph.edges",
+                   "--config", cfgp, "--out", tmp_path) == 2, bad
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -56,6 +56,13 @@ def walk_query(g, length, seed):
     return "".join(out)
 
 
+def batch_results(g, queries, W=128):
+    """batch_align results in query order (read ids sort like the list)."""
+    reads = [(f"r{j:04d}", q) for j, q in enumerate(queries)]
+    results, _ = batch_align(g, ReadBatch(reads, "short"), W=W)
+    return results
+
+
 def longest_path_nodes(g):
     lp = np.ones(g.n, dtype=np.int64)
     for v in g.topo_order[::-1]:
@@ -120,6 +127,7 @@ def test_bubble_act_scores_and_states():
 def test_match_may_start_mid_graph():
     assert align_windowed(chain("ACGT"), "CG", W=8).score_max == 2
     assert align_reference(chain("ACGT"), "CG").score_max == 2
+    assert batch_results(chain("ACGT"), ["CG"], W=8)[0].score_max == 2
 
 
 def test_no_matching_char_scores_zero():
@@ -132,16 +140,17 @@ def test_single_node_single_char():
     g = genome_graph("A", [])
     assert align_reference(g, "A").score_max == 1
     assert align_windowed(g, "A", W=8).score_max == 1
+    assert batch_results(g, ["A"], W=8)[0].score_max == 1
 
 
 def test_three_window_chain_carries():
     q = walk_query(chain("ACGT" * 75), 300, seed=0)  # the chain itself
     g = chain("ACGT" * 75)
     q = "ACGT" * 75
-    res = align_windowed(g, q, W=128)
-    assert res.score_max == 300
-    assert res.windows == 3
-    assert res.end_nodes.tolist() == [299]
+    for res in (align_windowed(g, q, W=128), batch_results(g, [q])[0]):
+        assert res.score_max == 300
+        assert res.windows == 3
+        assert res.end_nodes.tolist() == [299]
 
 
 def test_empty_query_rejected():
@@ -149,6 +158,18 @@ def test_empty_query_rejected():
         align_windowed(bubble(), "")
     with pytest.raises(AlignmentError):
         align_reference(bubble(), "")
+    with pytest.raises(AlignmentError):
+        batch_results(bubble(), ["ACT", ""])
+
+
+def test_batch_rejects_chars_outside_alphabet():
+    # the bad char sits past where the match dies, so only a check of the
+    # whole query catches it
+    for q in ("ACGTXX", "TTTTTTTTTX", "acg"):
+        with pytest.raises(AlphabetError):
+            batch_results(chain("AAAA"), ["ACT", q], W=4)
+        with pytest.raises(AlphabetError):
+            align_reference(chain("AAAA"), q)
 
 
 def test_bad_carry_mode_rejected():
@@ -160,13 +181,16 @@ def test_n_never_matches_either_side():
     g = chain("ANA")
     assert align_windowed(g, "ANA", W=8).score_max == 1
     assert align_reference(g, "ANA").score_max == 1
+    assert [r.score_max for r in batch_results(g, ["ANA", "NA", "N"], W=8)] == [
+        1, 0, 0
+    ]
 
 
 def test_early_exit_stops_windows():
     g = chain("A" * 12)
-    res = align_windowed(g, "T" * 24, W=8)  # k would be 3
-    assert res.score_max == 0
-    assert res.windows == 1
+    for res in (align_windowed(g, "T" * 24, W=8), batch_results(g, ["T" * 24], W=8)[0]):
+        assert res.score_max == 0  # k would be 3
+        assert res.windows == 1
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +212,61 @@ def test_windowed_equals_oracle_random_cases():
             got = align_windowed(g, q, W=W)
             assert got.score_max == want.score_max, (seed, W)
             assert got.end_nodes.tolist() == want.end_nodes.tolist(), (seed, W)
+
+
+def with_ns_and_sources(g, seed, n_count=3, sources=3):
+    """Copy of g with some bases set to 'N' and some nodes cut off from all
+    their predecessors."""
+    rng = np.random.default_rng(seed)
+    bases = bytearray(g.bases.tobytes())
+    for v in rng.choice(g.n, size=n_count, replace=False):
+        bases[v] = ord("N")
+    cut = set(rng.choice(np.arange(1, g.n), size=sources, replace=False).tolist())
+    edges = [
+        (int(u), v)
+        for v in range(g.n)
+        if v not in cut
+        for u in g.pred_idx[g.pred_ptr[v] : g.pred_ptr[v + 1]]
+    ]
+    return genome_graph(bases.decode(), edges)
+
+
+def test_batch_align_matches_oracle_and_windowed_counts():
+    # word boundaries (63/64/65/129 reads), mixed lengths in one word, N in
+    # reads and nodes, source nodes, zero scores, reads longer than any path
+    for seed, size in enumerate((63, 64, 65, 129)):
+        g = with_ns_and_sources(random_genome_dag(40, seed + 300, span=4), seed)
+        longest = longest_path_nodes(g)
+        rng = np.random.default_rng(seed + 400)
+        queries = []
+        for j in range(size):
+            kind = j % 5
+            length = int(rng.integers(1, 70))
+            if kind == 0:
+                q = walk_query(g, length, seed * 1000 + j)
+            elif kind == 1:
+                q = "".join(rng.choice(list("ACGTN"), size=length))
+            elif kind == 2:
+                q = "N" + walk_query(g, length, seed * 1000 + j)
+            elif kind == 3:
+                q = walk_query(g, 10 * g.n, seed * 1000 + j)
+                q += "".join(rng.choice(list("ACGT"), size=longest + 5 - len(q)))
+            else:
+                q = walk_query(g, length, seed * 1000 + j)[:-1] + "N"
+            queries.append(q)
+        assert len({len(q) for q in queries[:64]}) > 1  # mixed in one word
+        for W in (1, 7, 64, 128, 256):
+            got = batch_results(g, queries, W=W)
+            assert len(got) == size
+            for q, res in zip(queries, got):
+                want = align_reference(g, q)
+                assert res.score_max == want.score_max, (seed, W, q)
+                assert res.end_nodes.tolist() == want.end_nodes.tolist(), (seed, W, q)
+                ref = align_windowed(g, q, W=W)
+                assert (res.windows, res.self_updates, res.hop_updates) == (
+                    ref.windows, ref.self_updates, ref.hop_updates
+                ), (seed, W, q)
+        assert any(r.score_max == 0 for r in got)
 
 
 def test_window_width_invariance():
