@@ -37,7 +37,6 @@ from .graphs import (
 )
 from .minplus import (
     DistanceBlock,
-    close_block,
     floyd_warshall_dense,
     min_plus_merge,
     min_plus_product,

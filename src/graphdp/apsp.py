@@ -101,7 +101,7 @@ def _close_components(
 
     def close_one(c: int) -> tuple:
         ids = part.component(c)
-        d = np.full((ids.size, ids.size), INF_SENTINEL, dtype=np.int64)
+        d = np.full((ids.size, ids.size), INF_SENTINEL, dtype=np.uint32)
         np.fill_diagonal(d, 0)
         sel = (comp_src == c) & (comp_dst == c)
         if sel.any():
@@ -122,7 +122,9 @@ class ApspResult:
 
     ``dist`` is the full matrix in dense mode and ``None`` in lazy mode;
     lazy mode answers same-component pairs from the exact component blocks
-    and cross-component pairs through the level-0 boundary closure.
+    and cross-component pairs through the level-0 boundary closure.  All
+    stored distances are ``uint32``; only the lazy three-term sum widens to
+    ``int64``.
     """
 
     n: int
@@ -155,7 +157,8 @@ class ApspResult:
         row = blk1.data[np.searchsorted(blk1.ids, u), blk1.local(b1)]
         col = blk2.data[blk2.local(b2), np.searchsorted(blk2.ids, v)]
         mid = xb0.data[np.ix_(xb0.local(b1), xb0.local(b2))]
-        best = int((row[:, None] + mid + col[None, :]).min())
+        # three stored terms can reach 3 * INF_SENTINEL, past uint32
+        best = int((row.astype(np.int64)[:, None] + mid + col[None, :]).min())
         return min(best, INF_SENTINEL)
 
     def to_dense(self) -> np.ndarray:
@@ -168,7 +171,7 @@ def _assemble_level(
     m: int, blocks: dict, bset, xb_block: DistanceBlock | None, threads, trace, level
 ) -> np.ndarray:
     """All-pairs matrix over one level's full vertex set."""
-    out = np.full((m, m), INF_SENTINEL, dtype=np.int64)
+    out = np.full((m, m), INF_SENTINEL, dtype=np.uint32)
     np.fill_diagonal(out, 0)
     for blk in blocks.values():
         out[np.ix_(blk.ids, blk.ids)] = blk.data
@@ -307,7 +310,7 @@ def export_distances(result: ApspResult, path: str, fmt: str = "bin") -> None:
         with open(path, "wb") as fh:
             fh.write(DIST_MAGIC)
             fh.write(struct.pack("<I", result.n))
-            fh.write(dist.astype("<u4").tobytes())
+            fh.write(dist.astype("<u4", copy=False).tobytes())
     elif fmt == "tsv":
         if result.n > TSV_LIMIT:
             raise ApspError(f"tsv export capped at {TSV_LIMIT} vertices")

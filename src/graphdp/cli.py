@@ -698,13 +698,12 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except UnicodeDecodeError as e:
+        # a byte the text loaders (edge list, GFA, FASTA, JSON) cannot decode
+        print(f"error: input is not valid text: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphError, ModelError, PlanError, DescriptorError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as e:
+    except (UsageError, GraphError, ModelError, PlanError, DescriptorError,
+            OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

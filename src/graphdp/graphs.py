@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -64,13 +65,14 @@ class WeightedGraph:
 
     Edges are stored as three parallel arrays (``src``, ``dst``, ``w``).
     Undirected inputs are represented by storing both arcs.  Weights are
-    bounded by ``MAX_WEIGHT`` so a single saturating add cannot wrap.
+    bounded by ``max_weight`` (``MAX_WEIGHT`` for input graphs).
     """
 
     n: int
     src: np.ndarray
     dst: np.ndarray
     w: np.ndarray
+    max_weight: ClassVar[int] = MAX_WEIGHT
 
     def __post_init__(self) -> None:
         self.src = np.asarray(self.src, dtype=np.int64)
@@ -85,8 +87,8 @@ class WeightedGraph:
             hi = max(self.src.max(), self.dst.max())
             if lo < 0 or hi >= self.n:
                 raise GraphError(f"vertex id out of range [0, {self.n})")
-            if self.w.min() < 0 or self.w.max() > MAX_WEIGHT:
-                raise GraphError(f"weights must lie in [0, {MAX_WEIGHT}]")
+            if self.w.min() < 0 or self.w.max() > self.max_weight:
+                raise GraphError(f"weights must lie in [0, {self.max_weight}]")
             loops = self.src == self.dst
             if np.any(self.w[loops] > 0):
                 raise GraphError("self-loop with positive weight (self distance is 0)")

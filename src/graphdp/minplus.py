@@ -1,22 +1,30 @@
 """Min-plus (tropical) kernels over saturating 32-bit distance blocks.
 
-All kernels operate on dense ``int64`` matrices whose entries lie in
-``[0, INF_SENTINEL]``; the sentinel means "unreachable".  Sums may
-transiently exceed the sentinel inside a candidate computation, but every
-stored entry is the minimum of an in-range incumbent and a candidate, so
-stored values never exceed the sentinel (saturation by construction).
-Writes follow a strict-improvement discipline: an entry changes only when
-the candidate is strictly smaller, so ties keep the incumbent and repeated
-closure passes are byte-stable.
+All kernels store and compute in ``uint32`` on dense matrices whose entries
+lie in ``[0, INF_SENTINEL]``; the sentinel (2^31-1) means "unreachable".
+``uint32`` arithmetic is exact here: a candidate is the sum of two stored
+values, at most 2 * (2^31-1) = 2^32-2, so it never wraps, and every stored
+entry is the minimum of an in-range incumbent and a candidate, so stored
+values never exceed the sentinel (saturation by construction).  Inputs in
+any other dtype are range-checked in that dtype before the cast, so an
+out-of-range value is rejected instead of wrapping.  Writes follow a
+strict-improvement discipline: an entry changes only when the candidate is
+strictly smaller, so ties keep the incumbent and repeated closure passes
+are byte-stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import INF_SENTINEL
+
+
+# the closure builds each pivot's candidates one strip of rows at a time,
+# in a buffer of this many cells (256 KiB) that stays in cache
+_FW_STRIP_CELLS = 1 << 16
 
 
 class NegativeEntryError(ValueError):
@@ -47,15 +55,18 @@ class DistanceBlock:
     """Square distance matrix over an explicit vertex id set.
 
     ``ids[i]`` is the global vertex behind row/column ``i``.  The diagonal
-    is identically zero and entries are saturating 32-bit values stored in
-    int64 for overflow-free arithmetic.
+    is identically zero and entries are stored as ``uint32`` in
+    ``[0, INF_SENTINEL]``: the sum of two entries is at most 2^32-2, so
+    min-plus candidates never wrap, and every entry a kernel stores is the
+    minimum of an in-range incumbent and a candidate.  Data in another dtype
+    is range-checked before it is cast.
     """
 
     data: np.ndarray
     ids: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.int64)
+        self.data = _as_distances(self.data)
         self.ids = np.asarray(self.ids, dtype=np.int64)
         if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
             raise BlockShapeError("block data must be square")
@@ -77,19 +88,33 @@ class DistanceBlock:
         return order[pos]
 
     def validate(self) -> None:
-        if np.any(self.data < 0):
-            raise NegativeEntryError("negative distance entry")
-        if np.any(self.data > INF_SENTINEL):
-            raise BlockShapeError("entry above the saturation sentinel")
+        _check_range(self.data)
         if np.any(np.diagonal(self.data) != 0):
             raise BlockShapeError("diagonal must be zero")
+
+
+def _check_range(d: np.ndarray) -> None:
+    """Entries must lie in [0, INF_SENTINEL], tested in ``d``'s own dtype."""
+    if d.size == 0:
+        return
+    if d.dtype.kind != "u" and d.min() < 0:
+        raise NegativeEntryError("negative distance entry")
+    if d.max() > INF_SENTINEL:
+        raise BlockShapeError("entry above the saturation sentinel")
+
+
+def _as_distances(d) -> np.ndarray:
+    """``d`` as ``uint32``, range-checked before the cast so that no
+    out-of-range value can wrap into range."""
+    d = np.asarray(d)
+    _check_range(d)
+    return d.astype(np.uint32, copy=False)
 
 
 def _check_square_nonneg(d: np.ndarray) -> None:
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise BlockShapeError("distance matrix must be square")
-    if np.any(d < 0):
-        raise NegativeEntryError("negative distance entry")
+    _check_range(d)
     if np.any(np.diagonal(d) != 0):
         raise BlockShapeError("diagonal must be zero before closure")
 
@@ -113,25 +138,32 @@ def fw_panel_step(d: np.ndarray, k: int, trace: list | None = None) -> PanelTrac
 def floyd_warshall_dense(d: np.ndarray, trace: list | None = None) -> np.ndarray:
     """Exact all-pairs closure of a dense non-negative distance matrix.
 
-    Works on a copy.  When ``trace`` is given, every pivot appends a
-    :class:`PanelTrace` (this costs one extra comparison pass per pivot);
-    otherwise the fast path runs plain fused min-updates.
+    The one closure kernel: component close, re-close and the top closure
+    all call it.  Works on a ``uint32`` copy of ``d`` (entries must lie in
+    ``[0, INF_SENTINEL]``) and returns it.  When ``trace`` is given, every
+    pivot appends a :class:`PanelTrace` (this costs one extra comparison
+    pass per pivot); otherwise the fast path runs min-updates strip by strip
+    through one reused candidate buffer.  Strips change no value: row and
+    column ``k`` are fixed points of pivot ``k``.
     """
+    d = np.asarray(d)
     _check_square_nonneg(d)
-    out = np.array(d, dtype=np.int64, copy=True)
+    out = np.array(d, dtype=np.uint32)
     n = out.shape[0]
     if trace is None:
+        rows = max(1, _FW_STRIP_CELLS // max(n, 1))
+        cand = np.empty((min(rows, n), n), dtype=np.uint32)
         for k in range(n):
-            np.minimum(out, out[:, k, None] + out[None, k, :], out=out)
+            pivot_row = out[None, k, :]
+            for r0 in range(0, n, rows):
+                strip = out[r0 : r0 + rows]
+                c = cand[: strip.shape[0]]
+                np.add(strip[:, k, None], pivot_row, out=c)
+                np.minimum(strip, c, out=strip)
     else:
         for k in range(n):
             fw_panel_step(out, k, trace)
     return out
-
-
-def close_block(block: DistanceBlock, trace: list | None = None) -> DistanceBlock:
-    """Floyd-Warshall closure of a :class:`DistanceBlock` (new block)."""
-    return DistanceBlock(floyd_warshall_dense(block.data, trace), block.ids.copy())
 
 
 def restrict(block: DistanceBlock, global_ids: np.ndarray) -> DistanceBlock:
@@ -165,12 +197,21 @@ def inject(db: DistanceBlock, boundary: np.ndarray, d: DistanceBlock) -> Distanc
 
 
 def min_plus_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tropical matrix product: out[i,j] = min_k a[i,k] + b[k,j]."""
-    if a.shape[1] != b.shape[0]:
+    """Tropical matrix product: out[i,j] = min_k a[i,k] + b[k,j].
+
+    Entries of ``a`` and ``b`` must lie in ``[0, INF_SENTINEL]``.  The
+    result is ``uint32``, starts at the sentinel (so it saturates there) and
+    is built through one reused candidate buffer.
+    """
+    a = _as_distances(a)
+    b = _as_distances(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise BlockShapeError("inner dimensions differ")
-    out = np.full((a.shape[0], b.shape[1]), INF_SENTINEL, dtype=np.int64)
+    out = np.full((a.shape[0], b.shape[1]), INF_SENTINEL, dtype=np.uint32)
+    cand = np.empty_like(out)
     for k in range(a.shape[1]):
-        np.minimum(out, a[:, k, None] + b[None, k, :], out=out)
+        np.add(a[:, k, None], b[None, k, :], out=cand)
+        np.minimum(out, cand, out=out)
     return out
 
 
@@ -188,15 +229,15 @@ def min_plus_merge(
 
     with m ranging over d1's rows and n over d2's columns.  Empty boundary
     on either side yields an all-INF result (the components cannot reach
-    each other through the closed boundary set).
+    each other through the closed boundary set).  The result is ``uint32``
+    and saturates at the sentinel.
     """
     b1 = np.asarray(b1, dtype=np.int64)
     b2 = np.asarray(b2, dtype=np.int64)
     m, n = d1.dim, d2.dim
     if b1.size == 0 or b2.size == 0:
-        return np.full((m, n), INF_SENTINEL, dtype=np.int64)
+        return np.full((m, n), INF_SENTINEL, dtype=np.uint32)
     left = d1.data[:, d1.local(b1)]
     mid = db.data[np.ix_(db.local(b1), db.local(b2))]
     right = d2.data[d2.local(b2), :]
-    out = min_plus_product(min_plus_product(left, mid), right)
-    return np.minimum(out, INF_SENTINEL)
+    return min_plus_product(min_plus_product(left, mid), right)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GraphError, WeightedGraph
+from .graphs import INF_SENTINEL, GraphError, WeightedGraph
 from .minplus import DistanceBlock
 
 DEFAULT_IMBALANCE = 0.1
@@ -241,6 +241,15 @@ def _dedupe_min(n: int, src, dst, w) -> tuple:
     return src[first], dst[first], w[first]
 
 
+class BoundaryGraph(WeightedGraph):
+    """A level's exact boundary graph.  Its virtual edges carry closed
+    distances, which can exceed an input graph's ``MAX_WEIGHT`` (a path of
+    two ``MAX_WEIGHT`` arcs is ``INF_SENTINEL - 1`` long) but stay below
+    the sentinel."""
+
+    max_weight = INF_SENTINEL - 1
+
+
 def build_boundary_graph(
     g: WeightedGraph,
     p: Partition,
@@ -280,7 +289,7 @@ def build_boundary_graph(
         blk = intra[c]
         ix = blk.local(b)
         sub = blk.data[np.ix_(ix, ix)]
-        ii, jj = np.nonzero((sub < np.int64(2**31 - 1)) & ~np.eye(b.size, dtype=bool))
+        ii, jj = np.nonzero((sub < INF_SENTINEL) & ~np.eye(b.size, dtype=bool))
         src_parts.append(lookup[b[ii]])
         dst_parts.append(lookup[b[jj]])
         w_parts.append(sub[ii, jj])
@@ -291,7 +300,7 @@ def build_boundary_graph(
         np.concatenate(dst_parts),
         np.concatenate(w_parts),
     )
-    return WeightedGraph(union.size, src, dst, w)
+    return BoundaryGraph(union.size, src, dst, w)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .graphs import (
     load_genome_graph,
     split_by_length,
 )
-from .partition import build_hierarchy
+from .partition import PartitionHierarchy, build_hierarchy
 from .s2g import MODE_LONG, MODE_SHORT, batch_align
 
 TILE_MATRIX = "matrix"
@@ -216,8 +216,14 @@ class Stage:
 
 @dataclass
 class ExecutionPlan:
+    """Ordered stages plus what lowering computed for execute() to reuse:
+    the apsp partition hierarchy and the s2g ``(ReadBatch, mapping)`` list.
+    Neither is part of the plan document (``to_json``)."""
+
     workload: WorkloadDescriptor
     stages: list = field(default_factory=list)
+    hierarchy: PartitionHierarchy | None = None
+    batches: list = field(default_factory=list)
 
     def validate(self) -> None:
         """Dataflow must be acyclic (inputs precede) and tile-specialized."""
@@ -314,7 +320,7 @@ def _lower_apsp(w: WorkloadDescriptor) -> ExecutionPlan:
                 [f"assembled.L{li}"],
             )
         )
-    plan = ExecutionPlan(w, stages)
+    plan = ExecutionPlan(w, stages, hierarchy=hier)
     plan.validate()
     return plan
 
@@ -345,9 +351,8 @@ def _lower_s2g(w: WorkloadDescriptor) -> ExecutionPlan:
                 mapping=mapping,
             )
         )
-    plan = ExecutionPlan(w, stages)
+    plan = ExecutionPlan(w, stages, batches=batches)
     plan.validate()
-    plan._batches = batches  # lowered read split, reused by execute
     return plan
 
 
@@ -374,20 +379,13 @@ def execute(plan: ExecutionPlan, cost_model_on: bool = False) -> dict:
     plan.validate()
     w = plan.workload
     if w.kind == "apsp":
-        hier = _run_stage(
-            plan.stages[0].id,
-            build_hierarchy,
-            w.graph,
-            max_tile=w.max_tile,
-            seed=w.seed,
-        )
         first_matrix = next(s.id for s in plan.stages if s.tile == TILE_MATRIX)
         res = _run_stage(
             first_matrix,
             recursive_apsp,
             w.graph,
             max_tile=w.max_tile,
-            hierarchy=hier,
+            hierarchy=plan.hierarchy,
             seed=w.seed,
             threads=w.threads,
         )
@@ -400,7 +398,7 @@ def execute(plan: ExecutionPlan, cost_model_on: bool = False) -> dict:
     traces = []
     cost = CostReport()
     for st, (batch, mapping) in zip(
-        [s for s in plan.stages if s.kind == K_ALIGN], plan._batches
+        [s for s in plan.stages if s.kind == K_ALIGN], plan.batches
     ):
         aligned, bt = _run_stage(
             st.id, batch_align, w.graph, batch, mode=mapping, W=w.W

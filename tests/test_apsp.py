@@ -9,18 +9,15 @@ from graphdp.apsp import (
     recursive_apsp,
 )
 from graphdp.graphs import (
+    MAX_WEIGHT,
     WeightedGraph,
-    distance_init,
     gen_clustered,
     gen_er,
     gen_nws,
 )
-from graphdp.minplus import INF_SENTINEL, floyd_warshall_dense
+from graphdp.minplus import INF_SENTINEL
 from graphdp.partition import build_hierarchy
-
-
-def fw_oracle(g):
-    return floyd_warshall_dense(distance_init(g))
+from oracles import dijkstra_oracle as fw_oracle
 
 
 def complete_graph(n, w=1):
@@ -198,3 +195,58 @@ def test_lazy_export_requires_dense():
     res = recursive_apsp(g, max_tile=8, mode="lazy")
     with pytest.raises(ApspError):
         export_distances(res, "/tmp/never.bin")
+
+
+# ---------------------------------------------------------------------------
+# uint32 storage and saturation at the sentinel
+# ---------------------------------------------------------------------------
+
+
+def max_weight_chain(n):
+    """Undirected path of MAX_WEIGHT arcs: sums of two stay finite at
+    INF - 1, sums of three or more cross 2^31 - 1 and saturate."""
+    edges = [(i, i + 1, MAX_WEIGHT) for i in range(n - 1)]
+    return WeightedGraph.from_edges(n, edges + [(b, a, w) for a, b, w in edges])
+
+
+@pytest.mark.parametrize("tile", [2, 3, 4, 5, 6, 8, 16])
+def test_max_weight_chain_saturates_at_every_tile(tile):
+    # closed intra-component distances above MAX_WEIGHT become boundary
+    # graph edges, so the recursion must carry them too
+    g = max_weight_chain(12)
+    res = recursive_apsp(g, max_tile=tile, seed=0)
+    want = fw_oracle(g)
+    assert np.array_equal(res.to_dense(), want)
+    assert want[0, 2] == INF_SENTINEL - 1 and want[0, 3] == INF_SENTINEL
+    lazy = recursive_apsp(g, max_tile=tile, mode="lazy", seed=0)
+    got = np.array([[lazy.query(u, v) for v in range(g.n)] for u in range(g.n)])
+    assert np.array_equal(got, want)
+
+
+def test_lazy_query_on_near_sentinel_blocks_equals_dense():
+    # a ring of clusters joined by MAX_WEIGHT bridges: one bridge gives a
+    # finite distance above MAX_WEIGHT, two or more saturate, and the lazy
+    # query's three-term sums reach past 2^32, which must not wrap
+    size = 10
+    base = gen_clustered(6, size, seed=6)
+    bridge = base.src // size != base.dst // size
+    g = WeightedGraph(base.n, base.src, base.dst, np.where(bridge, MAX_WEIGHT, base.w))
+    dense = recursive_apsp(g, max_tile=16, mode="dense", seed=0)
+    lazy = recursive_apsp(g, max_tile=16, mode="lazy", seed=0)
+    assert lazy.hierarchy.levels[0].partition.k >= 2
+    got = np.array([[lazy.query(u, v) for v in range(g.n)] for u in range(g.n)])
+    assert np.array_equal(got, dense.to_dense())
+    assert np.array_equal(got, fw_oracle(g))
+    assert (got > MAX_WEIGHT).any() and (got < INF_SENTINEL).any()
+
+
+def test_dense_result_is_uint32_and_loads_back_as_int64(tmp_path):
+    g = gen_er(40, 0.08, seed=4)
+    res = recursive_apsp(g, max_tile=16)
+    assert res.to_dense().dtype == np.uint32
+    for fmt in ("bin", "tsv"):
+        path = tmp_path / f"d.{fmt}"
+        export_distances(res, str(path), fmt=fmt)
+        back = load_distances(str(path))
+        assert back.dtype == np.int64
+        assert np.array_equal(back, res.to_dense())

@@ -120,6 +120,14 @@ def test_apsp_missing_graph_file_is_usage_error(tmp_path):
                "--out", tmp_path) == 2
 
 
+def test_apsp_undecodable_edge_list_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"# n=3\n0\t1\t5\n1\t2\t\xff\n")
+    assert run("apsp", "--graph", path, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # s2g
 # ---------------------------------------------------------------------------
@@ -188,6 +196,26 @@ def test_s2g_forced_short_on_long_reads_is_usage_error(tmp_path):
     gfa, reads = _gen_inputs(tmp_path, bases=3000, reads=2, read_len=400)
     assert run("s2g", "--graph", gfa, "--reads", reads, "--mode", "short",
                "--out", tmp_path / "o") == 2
+
+
+def test_s2g_undecodable_gfa_is_usage_error(tmp_path, capsys):
+    gfa, reads = _gen_inputs(tmp_path, reads=2, read_len=60)
+    bad = tmp_path / "bad.gfa"
+    bad.write_bytes(open(gfa, "rb").read().replace(b"\tA", b"\t\xff", 1))
+    assert run("s2g", "--graph", bad, "--reads", reads,
+               "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_s2g_undecodable_reads_is_usage_error(tmp_path, capsys):
+    gfa, _ = _gen_inputs(tmp_path, reads=2, read_len=60)
+    bad = tmp_path / "bad.fa"
+    bad.write_bytes(b">r0\nAC\xff\xfeGT\n")
+    assert run("s2g", "--graph", gfa, "--reads", bad,
+               "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

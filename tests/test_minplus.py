@@ -1,21 +1,25 @@
 """Min-plus kernel tests.
 
 The independent oracle for closures is all-pairs Dijkstra from
-scipy.sparse.csgraph, run on the same adjacency; the Floyd-Warshall
-implementation under test never feeds the oracle.
+scipy.sparse.csgraph (``oracles.dijkstra_oracle``), run on the same arcs;
+the Floyd-Warshall implementation under test never feeds the oracle.
 """
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
-from graphdp.graphs import INF_SENTINEL, distance_init, gen_er, gen_nws
+from graphdp.graphs import (
+    INF_SENTINEL,
+    MAX_WEIGHT,
+    WeightedGraph,
+    distance_init,
+    gen_er,
+    gen_nws,
+)
 from graphdp.minplus import (
     BlockShapeError,
     DistanceBlock,
     NegativeEntryError,
-    close_block,
     floyd_warshall_dense,
     fw_panel_step,
     inject,
@@ -23,19 +27,7 @@ from graphdp.minplus import (
     min_plus_product,
     restrict,
 )
-
-
-def dijkstra_oracle(g) -> np.ndarray:
-    """All-pairs Dijkstra distances as saturating int64."""
-    mat = sp.csr_matrix(
-        (g.w.astype(np.float64), (g.src, g.dst)), shape=(g.n, g.n)
-    )
-    dist = dijkstra(mat, directed=True)
-    out = np.full((g.n, g.n), INF_SENTINEL, dtype=np.int64)
-    finite = np.isfinite(dist)
-    out[finite] = dist[finite].astype(np.int64)
-    np.fill_diagonal(out, 0)
-    return out
+from oracles import dijkstra_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +184,9 @@ def test_inject_lowers_entries_and_reclose_is_exact():
     blk = DistanceBlock(floyd_warshall_dense(local), ids)
     true_pairs = DistanceBlock(whole, np.arange(g.n))
     inject(true_pairs, ids, blk)
-    reclosed = close_block(blk)
-    assert np.array_equal(reclosed.data, whole[np.ix_(ids, ids)])
-    assert np.all(reclosed.data <= blk.data)
+    reclosed = floyd_warshall_dense(blk.data)
+    assert np.array_equal(reclosed, whole[np.ix_(ids, ids)])
+    assert np.all(reclosed <= blk.data)
 
 
 def test_inject_empty_boundary_noop():
@@ -262,3 +254,103 @@ def test_entries_never_exceed_sentinel():
     assert out.max() <= INF
     # the sum of two long finite paths saturates rather than wrapping
     assert out[0, 2] == INF  # (INF-1) + (INF-1) > INF, incumbent INF kept
+
+
+# ---------------------------------------------------------------------------
+# uint32 storage and saturation at the sentinel
+# ---------------------------------------------------------------------------
+
+
+def _fw_int64(d):
+    """Reference closure in int64, where no sum of stored values can wrap."""
+    out = np.array(d, dtype=np.int64)
+    for k in range(out.shape[0]):
+        np.minimum(out, out[:, k, None] + out[None, k, :], out=out)
+    return np.minimum(out, INF_SENTINEL)
+
+
+def _product_int64(a, b):
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    return np.minimum((a[:, :, None] + b[None, :, :]).min(axis=1), INF_SENTINEL)
+
+
+def _near_sentinel(rng, shape):
+    """Entries drawn from small values, MAX_WEIGHT, INF-1/INF-2 and INF."""
+    pool = np.array(
+        [0, 1, 2, 5, MAX_WEIGHT - 1, MAX_WEIGHT, MAX_WEIGHT + 1,
+         INF_SENTINEL - 2, INF_SENTINEL - 1, INF_SENTINEL],
+        dtype=np.int64,
+    )
+    return pool[rng.integers(0, pool.size, size=shape)]
+
+
+def test_closures_are_uint32_and_keep_the_input():
+    g = gen_er(30, 0.1, seed=2)
+    d = distance_init(g)
+    before = d.copy()
+    out = floyd_warshall_dense(d)
+    assert out.dtype == np.uint32
+    assert np.array_equal(d, before) and d.dtype == np.int64
+    assert floyd_warshall_dense(out) is not out
+    assert min_plus_product(d, d).dtype == np.uint32
+    assert DistanceBlock(d, np.arange(g.n)).data.dtype == np.uint32
+
+
+def test_max_weight_chain_saturates_in_fw():
+    # 0 -> 1 -> ... -> 5, every arc MAX_WEIGHT = 2^30 - 1: two arcs sum to
+    # INF - 1 (still finite), three or more cross 2^31 - 1 and saturate
+    n = 6
+    g = WeightedGraph.from_edges(n, [(i, i + 1, MAX_WEIGHT) for i in range(n - 1)])
+    out = floyd_warshall_dense(distance_init(g))
+    assert out[0, 1] == MAX_WEIGHT
+    assert out[0, 2] == 2 * MAX_WEIGHT == INF_SENTINEL - 1
+    assert np.all(out[0, 3:] == INF_SENTINEL)
+    assert np.all(out[np.tril_indices(n, -1)] == INF_SENTINEL)
+    assert np.array_equal(out, dijkstra_oracle(g))
+
+
+def test_sentinel_plus_sentinel_does_not_wrap():
+    # INF + INF = 2^32 - 2 fits in uint32; a wrap would read as a short path
+    INF = INF_SENTINEL
+    d = np.full((5, 5), INF, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    assert np.array_equal(floyd_warshall_dense(d), d)
+    a = np.full((3, 4), INF, dtype=np.int64)
+    assert np.all(min_plus_product(a, a.T) == INF)
+    near = np.array([[INF - 1, INF], [0, 1]], dtype=np.int64)
+    assert min_plus_product(near, near).tolist() == [[INF, INF], [1, 2]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_near_sentinel_kernels_match_int64(seed):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 7, 33):
+        d = _near_sentinel(rng, (n, n))
+        np.fill_diagonal(d, 0)
+        assert np.array_equal(floyd_warshall_dense(d), _fw_int64(d))
+        trace = []
+        assert np.array_equal(floyd_warshall_dense(d, trace), _fw_int64(d))
+        a = _near_sentinel(rng, (n, 5))
+        b = _near_sentinel(rng, (5, n + 1))
+        assert np.array_equal(min_plus_product(a, b), _product_int64(a, b))
+
+
+def test_out_of_range_int64_inputs_rejected():
+    # 2^33 casts to uint32 as 0 and 2^32 + 3 as 3: both must be refused
+    # before the cast, not closed as short distances
+    for bad in (INF_SENTINEL + 1, 2**32 + 3, 2**33):
+        d = np.array([[0, bad], [1, 0]], dtype=np.int64)
+        with pytest.raises(BlockShapeError):
+            floyd_warshall_dense(d)
+        with pytest.raises(BlockShapeError):
+            min_plus_product(d, d)
+        with pytest.raises(BlockShapeError):
+            DistanceBlock(d, np.arange(2))
+    neg = np.array([[0, -1], [1, 0]], dtype=np.int64)
+    with pytest.raises(NegativeEntryError):
+        min_plus_product(neg, neg)
+    with pytest.raises(NegativeEntryError):
+        DistanceBlock(neg, np.arange(2))
+    with pytest.raises(BlockShapeError):
+        floyd_warshall_dense(np.array([[0, 2**32 - 1], [1, 0]], dtype=np.uint32))

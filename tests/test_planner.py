@@ -178,6 +178,27 @@ def test_apsp_plan_matches_direct_engine():
     assert np.array_equal(out["apsp"].dist, direct.dist)
 
 
+def test_apsp_execute_reuses_the_lowered_hierarchy(monkeypatch):
+    import graphdp.apsp
+    import graphdp.planner
+
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args[0].n)
+        return build_hierarchy(*args, **kwargs)
+
+    monkeypatch.setattr(graphdp.planner, "build_hierarchy", counting)
+    monkeypatch.setattr(graphdp.apsp, "build_hierarchy", counting)
+    g = gen_er(150, 0.03, seed=8)
+    plan = lower(WorkloadDescriptor("apsp", g, max_tile=64))
+    assert builds == [g.n]
+    out = execute(plan)
+    assert builds == [g.n]
+    assert out["apsp"].hierarchy is plan.hierarchy
+    assert "hierarchy" not in json.loads(plan.to_json())
+
+
 def test_s2g_plan_matches_direct_engine():
     g, reads = genome_case()
     w = WorkloadDescriptor("s2g", g, reads=reads, W=32)
