@@ -844,6 +844,12 @@ def sweep_tile_size(
     """
     if not Ns:
         raise ValidationError("no tile sizes to sweep")
+    # every N is checked before the first (costly) hierarchy build
+    for N in Ns:
+        if N < 2 or N & (N - 1):
+            raise ValidationError(f"tile size {N} must be a power of two >= 2")
+    if len(set(Ns)) != len(Ns):
+        raise ValidationError(f"duplicate tile sizes in {list(Ns)}")
     p = p or PcmParams()
     if g is None:
         g = make_tile_workload(seed)

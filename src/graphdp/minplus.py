@@ -72,6 +72,9 @@ class DistanceBlock:
             raise BlockShapeError("block data must be square")
         if self.ids.shape != (self.data.shape[0],):
             raise BlockShapeError("ids length must match block dimension")
+        # blocks built from components and boundary unions have sorted ids,
+        # which ``local`` can search without sorting them first
+        self._ids_increasing = bool(np.all(self.ids[1:] > self.ids[:-1]))
 
     @property
     def dim(self) -> int:
@@ -79,13 +82,17 @@ class DistanceBlock:
 
     def local(self, global_ids: np.ndarray) -> np.ndarray:
         """Map global vertex ids to local row indices (all must be present)."""
-        order = np.argsort(self.ids, kind="stable")
-        pos = np.searchsorted(self.ids[order], global_ids)
-        if np.any(pos >= self.ids.size) or np.any(
-            self.ids[order][np.minimum(pos, self.ids.size - 1)] != global_ids
+        if self._ids_increasing:
+            order, keys = None, self.ids
+        else:
+            order = np.argsort(self.ids, kind="stable")
+            keys = self.ids[order]
+        pos = np.searchsorted(keys, global_ids)
+        if np.any(pos >= keys.size) or np.any(
+            keys[np.minimum(pos, keys.size - 1)] != global_ids
         ):
             raise BlockShapeError("vertex id not present in block")
-        return order[pos]
+        return pos if order is None else order[pos]
 
     def validate(self) -> None:
         _check_range(self.data)

@@ -83,13 +83,27 @@ class BoundarySet:
 
 
 def _undirected_csr(g: WeightedGraph):
-    us = np.concatenate([g.src, g.dst])
-    ud = np.concatenate([g.dst, g.src])
-    order = np.argsort(us, kind="stable")
+    """Symmetrised adjacency: ``ptr`` (int64, ``n + 1`` entries) and ``adj``.
+
+    Vertex ``v``'s neighbours are ``adj[ptr[v]:ptr[v + 1]]``: the heads of
+    its out-arcs, then the tails of its in-arcs, each in arc order.  ``adj``
+    holds int32 indices when ``n`` fits, which halves the largest buffers.
+    """
+    m = g.src.size
+    idx = np.int32 if g.n <= np.iinfo(np.int32).max else np.int64
+    ends = np.empty(2 * m, dtype=idx)
+    ends[:m] = g.src
+    ends[m:] = g.dst
+    order = np.argsort(ends, kind="stable")
+    # the same buffer, refilled with the other endpoint of each arc
+    ends[:m] = g.dst
+    ends[m:] = g.src
+    adj = ends[order]
+    del ends, order
     ptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.add.at(ptr, us + 1, 1)
-    np.cumsum(ptr, out=ptr)
-    return ptr, ud[order]
+    deg = np.bincount(g.src, minlength=g.n) + np.bincount(g.dst, minlength=g.n)
+    np.cumsum(deg, out=ptr[1:])
+    return ptr, adj
 
 
 def _size_cap(n: int, k: int, imbalance: float) -> int:
@@ -114,6 +128,18 @@ def kway_partition(
     Refinement passes move boundary vertices when that strictly reduces the
     number of cut edges without breaking the ``ceil(n/k)*(1+imbalance)``
     size cap.  Deterministic for a fixed seed.
+
+    A region queues each vertex at most once: the vertex is stamped with
+    the region id when it enters the queue.  This gives the assignment that
+    a queue taking every unassigned neighbour, duplicates included, would
+    give.  The queue is FIFO and only the growing region assigns, so a
+    vertex is assigned when its first entry is popped and every later entry
+    would be skipped: assignments follow first-discovery order either way.
+    The spill keeps the same first entries in the same order, and a later
+    duplicate could never become a seed, because the first entry is
+    reached earlier and either seeds the vertex or finds it assigned.  The
+    stamp is the region id, not a flag, so a vertex spilled by one region
+    can still be queued by the next.
     """
     n = g.n
     if not 1 <= k <= max(n, 1):
@@ -123,20 +149,26 @@ def kway_partition(
     if k == n:
         return Partition(n, k, np.arange(n, dtype=np.int64))
 
-    ptr, adj = _undirected_csr(g)
+    # plain lists in the loops: numpy scalar indexing costs several times
+    # a list's; neighbour slices become lists only when a vertex is visited
+    ptr_np, adj = _undirected_csr(g)
+    ptr = ptr_np.tolist()
     rng = np.random.default_rng(seed)
-    assign = np.full(n, -1, dtype=np.int64)
-    sizes = np.zeros(k, dtype=np.int64)
+    assign = [-1] * n
+    sizes = [0] * k
     base, rem = divmod(n, k)
-    targets = np.full(k, base, dtype=np.int64)
-    targets[:rem] += 1
+    targets = [base + 1] * rem + [base] * (k - rem)
     cap = _size_cap(n, k, imbalance)
 
     perm = rng.permutation(n)
     rank = np.empty(n, dtype=np.int64)
     rank[perm] = np.arange(n)
-    # restart key: degree first, shuffled rank second
-    seed_key = np.diff(ptr) * np.int64(n) + rank
+    # restart order: degree first, shuffled rank second (keys are unique)
+    restarts = np.argsort(np.diff(ptr_np) * np.int64(n) + rank).tolist()
+    next_restart = 0
+    # the region that last queued each vertex, k once it is assigned: during
+    # growth, "unassigned and not yet queued by region c" is queued[u] < c
+    queued = [-1] * n
     spill: deque = deque()
     for c in range(k):
         seed_v = -1
@@ -146,36 +178,39 @@ def kway_partition(
                 seed_v = cand
                 break
         if seed_v < 0:
-            key = np.where(assign < 0, seed_key, np.iinfo(np.int64).max)
-            seed_v = int(np.argmin(key))
-            if assign[seed_v] >= 0:
+            while next_restart < n and assign[restarts[next_restart]] >= 0:
+                next_restart += 1
+            if next_restart == n:
                 break
+            seed_v = restarts[next_restart]
+        queued[seed_v] = c
         dq = deque([seed_v])
-        while dq and sizes[c] < targets[c]:
+        size, target = 0, targets[c]
+        while dq and size < target:
             v = dq.popleft()
-            if assign[v] >= 0:
-                continue
             assign[v] = c
-            sizes[c] += 1
-            for u in adj[ptr[v] : ptr[v + 1]]:
-                if assign[u] < 0:
-                    dq.append(int(u))
-        spill.extend(int(v) for v in dq if assign[v] < 0)
+            queued[v] = k
+            size += 1
+            for u in adj[ptr[v] : ptr[v + 1]].tolist():
+                if queued[u] < c:
+                    queued[u] = c
+                    dq.append(u)
+        sizes[c] = size
+        spill.extend(dq)
 
     # attach leftovers: prefer the smallest adjacent region with room,
     # fall back to the globally smallest region with room
-    pending = deque(int(v) for v in range(n) if assign[v] < 0)
+    pending = deque(v for v in range(n) if assign[v] < 0)
     stalled = 0
     while pending:
         v = pending.popleft()
         best = -1
-        for u in adj[ptr[v] : ptr[v + 1]]:
+        for u in adj[ptr[v] : ptr[v + 1]].tolist():
             c = assign[u]
             if c >= 0 and sizes[c] < cap and (best < 0 or sizes[c] < sizes[best]):
-                best = int(c)
+                best = c
         if best < 0 and stalled >= len(pending) + 1:
-            room = np.nonzero(sizes < cap)[0]
-            best = int(room[np.argmin(sizes[room])])
+            best = min((s, c) for c, s in enumerate(sizes) if s < cap)[1]
         if best < 0:
             pending.append(v)
             stalled += 1
@@ -186,16 +221,17 @@ def kway_partition(
 
     for _ in range(max(0, refine_passes)):
         moved = False
-        cross = assign[g.src] != assign[g.dst]
+        assign_np = np.array(assign, dtype=np.int64)
+        cross = assign_np[g.src] != assign_np[g.dst]
         border = np.unique(np.concatenate([g.src[cross], g.dst[cross]]))
-        for v in border:
-            v = int(v)
-            c = int(assign[v])
+        for v in border.tolist():
+            c = assign[v]
             if sizes[c] <= 1:
                 continue
             counts: dict[int, int] = {}
-            for u in adj[ptr[v] : ptr[v + 1]]:
-                counts[int(assign[u])] = counts.get(int(assign[u]), 0) + 1
+            for u in adj[ptr[v] : ptr[v + 1]].tolist():
+                cu = assign[u]
+                counts[cu] = counts.get(cu, 0) + 1
             own = counts.get(c, 0)
             best_c, best_gain = -1, 0
             for cc in sorted(counts):
@@ -212,7 +248,7 @@ def kway_partition(
         if not moved:
             break
 
-    return Partition(n, k, assign)
+    return Partition(n, k, np.array(assign, dtype=np.int64))
 
 
 def find_boundary(g: WeightedGraph, p: Partition) -> BoundarySet:
@@ -226,7 +262,8 @@ def find_boundary(g: WeightedGraph, p: Partition) -> BoundarySet:
 
 
 def _dedupe_min(n: int, src, dst, w) -> tuple:
-    """Collapse parallel arcs keeping the minimum weight."""
+    """Collapse parallel arcs keeping the minimum weight; arcs come back
+    sorted by ``(src, dst)``."""
     if len(src) == 0:
         z = np.zeros(0, dtype=np.int64)
         return z, z.copy(), z.copy()
@@ -234,6 +271,9 @@ def _dedupe_min(n: int, src, dst, w) -> tuple:
     dst = np.asarray(dst, dtype=np.int64)
     w = np.asarray(w, dtype=np.int64)
     key = src * n + dst
+    if np.all(key[1:] > key[:-1]):
+        # already sorted with no parallel arcs: the sort below is the identity
+        return src, dst, w
     order = np.lexsort((w, key))
     key, src, dst, w = key[order], src[order], dst[order], w[order]
     first = np.ones(key.size, dtype=bool)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 
 import graphdp.cli as cli
+import graphdp.costmodel as costmodel
 from graphdp.apsp import load_distances
 from graphdp.cli import main
 from graphdp.graphs import (
@@ -253,6 +254,17 @@ def test_sweep_pe_and_sram_emit_curves(tmp_path):
 def test_sweep_bad_list_is_usage_error(tmp_path):
     assert run("sweep", "pe", "--counts", "a,b", "--out", tmp_path) == 2
     assert run("sweep", "sram", "--caps", "512K..32K", "--out", tmp_path) == 2
+
+
+def test_sweep_tilesize_bad_sizes_exit_2_before_building(tmp_path, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("hierarchy built before the tile sizes were checked")
+
+    monkeypatch.setattr(costmodel, "build_hierarchy", no_build)
+    for Ns in ("3", "2048,3", "2048,2048", "0", "1", "-4", "256,512,256"):
+        assert run("sweep", "tilesize", "--Ns", Ns, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------

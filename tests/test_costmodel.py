@@ -391,8 +391,14 @@ def test_tile_workload_shape():
     assert 1.9e6 < g.src.size < 2.1e6
 
 
-def test_tile_sweep_ratios():
-    rows = sweep_tile_size([256, 512, 1024, 2048])
+@pytest.fixture(scope="module")
+def tile_sweep_rows():
+    # the default sweep builds four hierarchies; both tests read one run
+    return sweep_tile_size([256, 512, 1024, 2048])
+
+
+def test_tile_sweep_ratios(tile_sweep_rows):
+    rows = tile_sweep_rows
     lat = {N: r for N, r, _ in rows}
     assert lat[1024] == 1.0
     for N, want in ((256, 2.41), (512, 1.28), (2048, 2.29)):
@@ -401,8 +407,8 @@ def test_tile_sweep_ratios():
     assert lat[256] > lat[512] > lat[1024] < lat[2048]
 
 
-def test_tile_sweep_energy_monotone_in_tile():
-    rows = sweep_tile_size([256, 512, 1024, 2048])
+def test_tile_sweep_energy_monotone_in_tile(tile_sweep_rows):
+    rows = tile_sweep_rows
     en = [e for _, _, e in rows]
     assert all(b > a for a, b in zip(en, en[1:]))
 

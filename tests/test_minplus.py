@@ -242,6 +242,20 @@ def test_block_local_lookup():
     assert blk.local(np.array([2, 40, 7])).tolist() == [1, 2, 0]
     with pytest.raises(BlockShapeError):
         blk.local(np.array([3]))
+    # sorted ids take the search-only path; both paths agree with a scan
+    rng = np.random.default_rng(4)
+    ids = rng.choice(1000, size=50, replace=False)
+    for block_ids in (np.sort(ids), ids, ids[::-1]):
+        blk = DistanceBlock(np.zeros((50, 50), dtype=np.int64), block_ids)
+        want = rng.permutation(block_ids)[:20]
+        got = blk.local(want)
+        assert block_ids[got].tolist() == want.tolist()
+        for missing in ([1000], [-1], [want[0], 1001]):
+            with pytest.raises(BlockShapeError):
+                blk.local(np.array(missing))
+    # repeated ids are not increasing: the first occurrence in sorted order
+    blk = DistanceBlock(np.zeros((3, 3), dtype=np.int64), np.array([5, 5, 9]))
+    assert blk.local(np.array([9, 5])).tolist() == [2, 0]
 
 
 def test_entries_never_exceed_sentinel():

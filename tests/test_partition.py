@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphdp.costmodel import make_tile_workload
 from graphdp.graphs import WeightedGraph, distance_init, gen_clustered, gen_er
 from graphdp.minplus import INF_SENTINEL, DistanceBlock, floyd_warshall_dense
 from graphdp.partition import (
@@ -15,6 +16,7 @@ from graphdp.partition import (
     kway_partition,
     load_partition,
 )
+from oracles import kway_reference
 
 
 def _size_cap(n, k, imbalance=0.1):
@@ -127,6 +129,60 @@ def test_kway_refinement_does_not_hurt():
     rough = kway_partition(g, 5, seed=2, refine_passes=0)
     fine = kway_partition(g, 5, seed=2, refine_passes=2)
     assert _cut_edges(g, fine.assign) <= _cut_edges(g, rough.assign)
+
+
+def _disjoint_union(parts, isolated):
+    """The graphs of ``parts`` side by side, then ``isolated`` bare vertices."""
+    srcs, dsts, ws, n = [], [], [], 0
+    for g in parts:
+        srcs.append(g.src + n)
+        dsts.append(g.dst + n)
+        ws.append(g.w)
+        n += g.n
+    return WeightedGraph(
+        n + isolated, np.concatenate(srcs), np.concatenate(dsts), np.concatenate(ws)
+    )
+
+
+def _reference_corpus():
+    for seed in range(3):
+        # sparse ER graphs fall apart into pieces, which forces restarts
+        yield f"er-sparse-{seed}", gen_er(240, 0.006, seed=seed), seed
+        yield f"er-dense-{seed}", gen_er(90, 0.06, seed=seed), seed
+        yield f"clustered-{seed}", gen_clustered(6, 16, seed, groups=2), seed
+        yield (
+            f"disconnected-{seed}",
+            _disjoint_union(
+                [gen_er(40, 0.08, seed=seed), path_graph(23), two_cliques(9)], 7
+            ),
+            seed,
+        )
+    yield "path", path_graph(101), 0
+    yield "ring-of-cliques", ring_of_cliques(7, 5), 1
+
+
+def test_kway_matches_reference_on_corpus():
+    # the production partitioner returns the reference's assignment exactly
+    calls = 0
+    for name, g, seed in _reference_corpus():
+        n = g.n
+        for k in sorted({2, 3, 7, n // 5, n // 3, n // 2}):
+            for imbalance in (0.0, 0.1):
+                for refine_passes in (0, 2):
+                    kw = dict(seed=seed, imbalance=imbalance, refine_passes=refine_passes)
+                    got = kway_partition(g, k, **kw).assign
+                    want = kway_reference(g, k, **kw).assign
+                    assert np.array_equal(got, want), (name, k, kw)
+                    calls += 1
+    assert calls > 300
+
+
+def test_kway_matches_reference_on_tile_workload():
+    # the tile sweep's level-0 call at N=1024
+    g = make_tile_workload(0)
+    got = kway_partition(g, 128, seed=0, imbalance=0.0).assign
+    want = kway_reference(g, 128, seed=0, imbalance=0.0).assign
+    assert np.array_equal(got, want)
 
 
 def test_kway_rejects_bad_k():
