@@ -1,6 +1,9 @@
 """Recursive partitioned closure on a random graph, checked against the
 dense reference and queried pair by pair."""
 
+import os
+import tempfile
+
 import numpy as np
 
 from graphdp import (
@@ -29,7 +32,9 @@ for u, v in [(0, 1), (0, 599), (17, 403)]:
     d = res.query(u, v)
     print(f"  dist({u}, {v}) = {'unreachable' if d == INF_SENTINEL else d}")
 
-export_distances(res, "/tmp/demo_dist.bin")
-back = load_distances("/tmp/demo_dist.bin")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "dist.bin")
+    export_distances(res, path)
+    back = load_distances(path)
 assert np.array_equal(back, want)
 print("binary export round-trips")

@@ -14,10 +14,8 @@ accelerator, sensitivity sweeps, a workload planner, and a CLI.
 from .graphs import (
     INF_SENTINEL,
     WeightedGraph,
-    CsrGraph,
     GenomeGraph,
     ReadBatch,
-    build_csr,
     gen_er,
     gen_nws,
     gen_clustered,
@@ -55,7 +53,6 @@ from .apsp import (
     ExecutionTrace,
     export_distances,
     load_distances,
-    query_distance,
     recursive_apsp,
 )
 from .s2g import (

@@ -60,7 +60,8 @@ class MergeEvent:
 
 @dataclass
 class ExecutionTrace:
-    """What the engine actually did, for planners and cost models."""
+    """The matrix-tile events of one run, as :func:`schedule` lists them,
+    for planners and cost models."""
 
     depth: int = 0
     mode: str = ""
@@ -83,6 +84,59 @@ class ExecutionTrace:
         }
 
 
+def choose_mode(
+    n: int, mode: str = "auto", dense_limit: int = DENSE_LIMIT_DEFAULT
+) -> str:
+    """The materialization of a run over ``n`` vertices: ``"auto"`` is dense
+    up to ``dense_limit`` vertices and lazy beyond."""
+    if mode not in ("auto", "dense", "lazy"):
+        raise ApspError(f"unknown mode {mode!r}")
+    if mode == "auto":
+        return "dense" if n <= dense_limit else "lazy"
+    return mode
+
+
+def schedule(hierarchy: PartitionHierarchy, mode: str) -> ExecutionTrace:
+    """The matrix-tile events of a run over ``hierarchy``, in engine order.
+
+    They follow from component sizes and boundary sets alone.  Upward,
+    every component of every level closes, then the last level's boundary
+    graph closes as the top, unless it is empty.  Downward, from the top
+    level to the base, each component with a boundary gets its boundary
+    pairs injected and re-closes, in component order, and every ordered
+    pair of such components merges; the base level merges only in dense
+    mode.  A level without boundary vertices does neither, so an empty top
+    needs no special case.
+    """
+    levels = hierarchy.levels
+    depth = hierarchy.depth
+    top = int(levels[-1].boundary_ids.size)
+    trace = ExecutionTrace(
+        depth=depth, mode=mode, oversized_top=top > hierarchy.max_tile
+    )
+    for li, lv in enumerate(levels):
+        for d in lv.partition.sizes().tolist():
+            trace.fw_events.append(FwEvent(li, d, "close"))
+    if top:
+        trace.fw_events.append(FwEvent(depth, top, "top"))
+    for li in range(depth - 1, -1, -1):
+        lv = levels[li]
+        sizes = lv.partition.sizes().tolist()
+        per = lv.boundaries.per_component
+        bsizes = {c: int(per[c].size) for c in sorted(per)}
+        for c, b in bsizes.items():
+            trace.fw_events.append(FwEvent(li, sizes[c], "reclose"))
+            trace.inject_pairs += b * b
+        if li or mode == "dense":
+            for c1, b1 in bsizes.items():
+                for c2, b2 in bsizes.items():
+                    if c1 != c2 and b1 and b2:
+                        trace.merge_events.append(
+                            MergeEvent(li, sizes[c1], sizes[c2], b1, b2)
+                        )
+    return trace
+
+
 def _pmap(fn, items, threads: int) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
@@ -91,9 +145,7 @@ def _pmap(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _close_components(
-    g: WeightedGraph, part, threads: int, trace: ExecutionTrace, level: int
-) -> dict:
+def _close_components(g: WeightedGraph, part, threads: int) -> dict:
     """FW-close every component's induced subgraph."""
     assign = part.assign
     comp_src = assign[g.src]
@@ -110,10 +162,7 @@ def _close_components(
             np.minimum.at(d, (ls, ld), g.w[sel])
         return c, DistanceBlock(floyd_warshall_dense(d), ids)
 
-    blocks = dict(_pmap(close_one, range(part.k), threads))
-    for c in range(part.k):
-        trace.fw_events.append(FwEvent(level, blocks[c].dim, "close"))
-    return blocks
+    return dict(_pmap(close_one, range(part.k), threads))
 
 
 @dataclass
@@ -168,7 +217,7 @@ class ApspResult:
 
 
 def _assemble_level(
-    m: int, blocks: dict, bset, xb_block: DistanceBlock | None, threads, trace, level
+    m: int, blocks: dict, bset, xb_block: DistanceBlock | None, threads
 ) -> np.ndarray:
     """All-pairs matrix over one level's full vertex set."""
     out = np.full((m, m), INF_SENTINEL, dtype=np.uint32)
@@ -193,11 +242,7 @@ def _assemble_level(
         return c1, c2, cross
 
     for c1, c2, cross in _pmap(merge_one, pairs, threads):
-        blk1, blk2 = blocks[c1], blocks[c2]
-        out[np.ix_(blk1.ids, blk2.ids)] = cross
-        trace.merge_events.append(
-            MergeEvent(level, blk1.dim, blk2.dim, bset.of(c1).size, bset.of(c2).size)
-        )
+        out[np.ix_(blocks[c1].ids, blocks[c2].ids)] = cross
     return out
 
 
@@ -219,17 +264,14 @@ def recursive_apsp(
     closure and answers pairs on demand (for graphs whose full matrix is
     not worth holding), ``"auto"`` picks dense up to ``dense_limit``
     vertices.  ``threads`` parallelizes independent component closures and
-    merges; results are identical for any thread count.
+    merges; results are identical for any thread count.  The result's
+    ``trace`` is :func:`schedule` of the hierarchy used.
     """
-    if mode not in ("auto", "dense", "lazy"):
-        raise ApspError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "dense" if g.n <= dense_limit else "lazy"
+    mode = choose_mode(g.n, mode, dense_limit)
     if hierarchy is None:
         hierarchy = build_hierarchy(g, max_tile, k_fn=k_fn, seed=seed, strict=strict)
     levels = hierarchy.levels
     depth = hierarchy.depth
-    trace = ExecutionTrace(depth=depth, mode=mode)
 
     # upward: close components, condense boundaries, repeat
     level_blocks: list[dict] = []
@@ -237,7 +279,7 @@ def recursive_apsp(
     for lidx, lv in enumerate(levels):
         if cur.n != lv.partition.n:
             raise ApspError("hierarchy does not match graph")
-        blocks = _close_components(cur, lv.partition, threads, trace, lidx)
+        blocks = _close_components(cur, lv.partition, threads)
         level_blocks.append(blocks)
         if lv.boundary_ids.size:
             cur = build_boundary_graph(cur, lv.partition, lv.boundaries, blocks)
@@ -245,11 +287,9 @@ def recursive_apsp(
             cur = WeightedGraph.from_edges(0, [])
 
     # top closure: the last boundary graph, dense (oversized if truncated)
-    trace.oversized_top = cur.n > hierarchy.max_tile
     if cur.n:
         top_ids = levels[-1].boundary_ids
         xb_top = DistanceBlock(floyd_warshall_dense(distance_init(cur)), top_ids)
-        trace.fw_events.append(FwEvent(depth, cur.n, "top"))
     else:
         xb_top = None
 
@@ -272,26 +312,19 @@ def recursive_apsp(
                 return c
 
             _pmap(reinject, items, threads)
-            for c in items:
-                trace.fw_events.append(FwEvent(lidx, blocks[c].dim, "reclose"))
-                trace.inject_pairs += int(lv.boundaries.of(c).size) ** 2
         if lidx == 0:
             break
-        below = _assemble_level(
-            lv.partition.n, blocks, lv.boundaries, cur_xb, threads, trace, lidx
-        )
+        below = _assemble_level(lv.partition.n, blocks, lv.boundaries, cur_xb, threads)
         xb[lidx - 1] = DistanceBlock(below, levels[lidx - 1].boundary_ids)
 
     dist = None
     if mode == "dense":
         dist = _assemble_level(
-            g.n, level_blocks[0], levels[0].boundaries, xb[0], threads, trace, 0
+            g.n, level_blocks[0], levels[0].boundaries, xb[0], threads
         )
-    return ApspResult(g.n, mode, hierarchy, trace, dist, level_blocks, xb)
-
-
-def query_distance(result: ApspResult, u: int, v: int) -> int:
-    return result.query(u, v)
+    return ApspResult(
+        g.n, mode, hierarchy, schedule(hierarchy, mode), dist, level_blocks, xb
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .costmodel import (
     working_set_bytes,
 )
 from .graphs import (
+    INF_SENTINEL,
     GraphError,
     distance_init,
     dump_edge_list,
@@ -262,7 +263,7 @@ def cmd_apsp(args) -> int:
     )
 
     if args.verify:
-        want = floyd_warshall_dense(distance_init(g))
+        want = _dijkstra_distances(g)
         got = res.to_dense()
         bad = np.argwhere(got != want)
         if bad.size:
@@ -509,6 +510,28 @@ def cmd_plan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _dijkstra_distances(g) -> np.ndarray:
+    """All-pairs distances by scipy's Dijkstra, the verification oracle.
+
+    It shares no kernel with the engine, which closes every tile with
+    Floyd-Warshall.  Parallel arcs collapse to their minimum first, because
+    a sparse matrix sums duplicate entries; float64 sums are exact below
+    2^53, and unreachable pairs and sums past the sentinel both clamp to
+    ``INF_SENTINEL``.  scipy is imported here, on the verify path only.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    order = np.lexsort((g.w, g.dst, g.src))
+    src, dst, w = g.src[order], g.dst[order], g.w[order]
+    first = np.ones(src.size, dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    mat = csr_matrix(
+        (w[first].astype(np.float64), (src[first], dst[first])), shape=(g.n, g.n)
+    )
+    return np.minimum(dijkstra(mat, directed=True), INF_SENTINEL).astype(np.int64)
+
+
 def _suite_apsp(seed: int, threads: int):
     rng = np.random.default_rng(seed)
     cases = []
@@ -523,8 +546,7 @@ def _suite_apsp(seed: int, threads: int):
     for i, g in enumerate(cases):
         res = recursive_apsp(g, max_tile=64 if i % 2 else 128, seed=seed,
                              threads=threads)
-        want = floyd_warshall_dense(distance_init(g))
-        if not np.array_equal(res.to_dense(), want):
+        if not np.array_equal(res.to_dense(), _dijkstra_distances(g)):
             bad += 1
     return f"{len(cases) - bad}/{len(cases)} graphs", bad == 0
 
@@ -548,7 +570,7 @@ def _suite_boundary(seed: int):
             )
         gb = build_boundary_graph(g, p, bs, intra)
         got = floyd_warshall_dense(distance_init(gb))
-        want = floyd_warshall_dense(distance_init(g))[np.ix_(bs.union, bs.union)]
+        want = _dijkstra_distances(g)[np.ix_(bs.union, bs.union)]
         checked += 1
         if not np.array_equal(got, want):
             bad += 1
@@ -650,7 +672,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--max-tile", type=int, default=1024)
     a.add_argument("--fmt", choices=["bin", "tsv"], default="bin")
     a.add_argument("--verify", action="store_true",
-                   help="cross-check against the dense closure")
+                   help="cross-check against Dijkstra")
     a.add_argument("--model", action="store_true", help="attach cost report")
     a.set_defaults(fn=cmd_apsp)
 
@@ -697,6 +719,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if args.seed < 0:
+            # every command seeds numpy generators, which reject negatives
+            raise UsageError(f"--seed {args.seed} must be non-negative")
         return args.fn(args)
     except UnicodeDecodeError as e:
         # a byte the text loaders (edge list, GFA, FASTA, JSON) cannot decode

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .apsp import ExecutionTrace
+from .apsp import ExecutionTrace, MergeEvent, schedule
 from .graphs import WeightedGraph
 from .minplus import PanelTrace
 from .partition import PartitionHierarchy, build_hierarchy
@@ -208,19 +208,11 @@ class CostReport:
 # ---------------------------------------------------------------------------
 
 
-def _perm_cycles(rows: int, p: PcmParams, overlap: bool) -> int:
-    bursts = math.ceil(rows / p.burst_rows)
-    if overlap:
-        return bursts * (1 + 10)  # 1-cycle read + 10-cycle write per burst
-    return rows * 11
-
-
 def model_fw_block(
     dim: int,
     pivots: int | None = None,
     trace=None,
     p: PcmParams | None = None,
-    overlap: bool = True,
 ) -> CostReport:
     """One crossbar unit closing a dim x dim block over the given pivots.
 
@@ -245,7 +237,8 @@ def model_fw_block(
 
     add_c = p.add_cycles_per_bit * p.bits
     sub_c = p.sub_cycles_per_bit * p.bits
-    perm_c = _perm_cycles(dim, p, overlap)
+    # pipelined bursts: a 1-cycle read and a 10-cycle write each
+    perm_c = math.ceil(dim / p.burst_rows) * (1 + 10)
     cycles = pivots * (add_c + sub_c + perm_c)
     clock = p.clock_hz * p.derate(dim)
     wall = cycles / clock
@@ -349,6 +342,20 @@ def _blocked_fw(dim: int, p: PcmParams) -> CostReport:
     )
 
 
+def _fw_cost(dim: int, p: PcmParams) -> CostReport:
+    """One closure event: blocked past the unit dimension, one block within."""
+    return _blocked_fw(dim, p) if dim > p.unit_dim else model_fw_block(dim, p=p)
+
+
+def _merge_cost(ev: MergeEvent, p: PcmParams) -> tuple:
+    """One merge event as two tree passes: its rows through the left
+    boundary, then through the right one."""
+    return (
+        _mp_split(ev.rows * ev.right_boundary, ev.left_boundary, p),
+        _mp_split(ev.rows * ev.cols, ev.right_boundary, p),
+    )
+
+
 def _makespan(durations: list, workers: int) -> float:
     """LPT greedy schedule length for independent tasks."""
     if not durations:
@@ -374,7 +381,8 @@ def model_recursive_apsp(
     Boundary-matrix staging between levels streams at HBM bandwidth and
     overlaps compute (latency takes the max); the base level is assumed
     warm in the crossbars unless ``include_cold_load`` adds the cold-tier
-    stream.  Energies and byte counters are summed.
+    stream.  Energies and byte counters are summed.  A closure wider than
+    the unit is priced as a blocked closure, as the tile sweep prices it.
     """
     p = p or PcmParams()
     if not isinstance(trace, ExecutionTrace):
@@ -398,13 +406,10 @@ def model_recursive_apsp(
 
     for (level, kind), dims in sorted(by_level_fw.items()):
         if kind == "top":
-            if dims[0] > p.unit_dim:
-                rep = _blocked_fw(dims[0], p)
-            else:
-                rep = model_fw_block(dims[0], p=p)
+            rep = _fw_cost(dims[0], p)
             add_phase("top.fw", rep, rep.wall_time_s)
             continue
-        reps = [model_fw_block(d, p=p) for d in dims if d > 0]
+        reps = [_fw_cost(d, p) for d in dims if d > 0]
         if not reps:
             continue
         agg = CostReport()
@@ -417,10 +422,7 @@ def model_recursive_apsp(
         reps = []
         stage_bytes = 0.0
         for ev in events:
-            # two tree passes: rows through the left boundary, then through
-            # the right one
-            reps.append(_mp_split(ev.rows * ev.right_boundary, ev.left_boundary, p))
-            reps.append(_mp_split(ev.rows * ev.cols, ev.right_boundary, p))
+            reps.extend(_merge_cost(ev, p))
             stage_bytes += ev.rows * ev.cols * (p.bits // 8)
         agg = CostReport()
         for r in reps:
@@ -786,47 +788,31 @@ def _tile_params(p: PcmParams, N: int) -> PcmParams:
     return replace(p, unit_dim=N, burst_rows=max(1, N // 32))
 
 
-def _hierarchy_cost(g: WeightedGraph, hier: PartitionHierarchy, N: int, p: PcmParams):
+def _hierarchy_cost(hier: PartitionHierarchy, N: int, p: PcmParams):
     """Matrix-die latency and energy for one tile size.
 
-    Two pools: closure work (block FW at every level, upward and downward,
-    plus the top) spreads over the on-die units, whose count scales as
-    (1024/N)^2 at constant area, with the clock derated past the 1024
-    design point.  Boundary assembly (cross-component merge rows at levels
-    above the base) drains through the die-level merge lanes, a fixed
-    fixture, so its latency tracks boundary volume rather than unit count.
+    Prices the engine's lazy-mode schedule of ``hier`` in two pools:
+    closure work (component closes, the top and re-closes) spreads over the
+    on-die units, whose count scales as (1024/N)^2 at constant area, with
+    the clock derated past the 1024 design point.  Boundary assembly
+    (cross-component merges at levels above the base) drains through the
+    die-level merge lanes, a fixed fixture, so its latency tracks boundary
+    volume rather than unit count.
     """
     pn = _tile_params(p, N)
     units = p.total_units * (1024.0 / N) ** 2
+    trace = schedule(hier, "lazy")
     close_cycles = 0.0
     merge_cycles = 0.0
     energy = 0.0
-
-    for lv in hier.levels:
-        for d in lv.partition.sizes():
-            rep = model_fw_block(int(d), p=pn)
-            close_cycles += 2 * rep.cycles
-            energy += 2 * rep.energy_j
-    for li in range(1, hier.depth):
-        lv = hier.levels[li]
-        bset = lv.boundaries
-        comps = range(lv.partition.k)
-        sizes = lv.partition.sizes()
-        dims = {c: int(sizes[c]) for c in comps}
-        bs = {c: int(bset.of(c).size) for c in comps}
-        for c1 in comps:
-            for c2 in comps:
-                if c1 == c2 or bs[c1] == 0 or bs[c2] == 0:
-                    continue
-                rep = _mp_split(dims[c1] * bs[c2], min(bs[c1], MP_TREE_INPUTS), pn)
-                rep2 = _mp_split(dims[c1] * dims[c2], min(bs[c2], MP_TREE_INPUTS), pn)
-                merge_cycles += rep.cycles + rep2.cycles
-                energy += rep.energy_j + rep2.energy_j
-    top = hier.top_boundary_graph.n
-    if top:
-        rep = _blocked_fw(top, pn) if top > N else model_fw_block(top, p=pn)
+    for ev in trace.fw_events:
+        rep = _fw_cost(ev.dim, pn)
         close_cycles += rep.cycles
         energy += rep.energy_j
+    for ev in trace.merge_events:
+        for rep in _merge_cost(ev, pn):
+            merge_cycles += rep.cycles
+            energy += rep.energy_j
 
     clock = p.clock_hz * pn.derate(N)
     wall = close_cycles / (units * clock) + merge_cycles / (p.merge_drain_lanes * clock)
@@ -862,7 +848,7 @@ def sweep_tile_size(
             seed=seed,
             imbalance=0.0,
         )
-        points[int(N)] = _hierarchy_cost(g, hier, int(N), p)
+        points[int(N)] = _hierarchy_cost(hier, int(N), p)
     if 1024 in points:
         base = points[1024]
     else:

@@ -34,10 +34,6 @@ class GraphError(ValueError):
     """Malformed graph input (bad ids, bad weights, bad structure)."""
 
 
-class DuplicateEdgeError(GraphError):
-    """Same (src, dst) arc given twice."""
-
-
 class CycleError(GraphError):
     """A graph that must be acyclic contains a cycle."""
 
@@ -109,52 +105,6 @@ class WeightedGraph:
         """Iterate (src, dst, w) tuples in storage order."""
         for u, v, wt in zip(self.src, self.dst, self.w):
             yield int(u), int(v), int(wt)
-
-
-@dataclass
-class CsrGraph:
-    """Compressed sparse row view of a :class:`WeightedGraph`.
-
-    ``col`` is strictly increasing within each row (duplicates are rejected
-    at build time, so the invariant is structural).
-    """
-
-    n: int
-    rowptr: np.ndarray
-    col: np.ndarray
-    val: np.ndarray
-
-    def to_dense(self) -> np.ndarray:
-        """Dense adjacency; absent arcs (including the diagonal) read INF."""
-        d = np.full((self.n, self.n), INF_SENTINEL, dtype=np.int64)
-        for i in range(self.n):
-            d[i, self.col[self.rowptr[i] : self.rowptr[i + 1]]] = self.val[
-                self.rowptr[i] : self.rowptr[i + 1]
-            ]
-        return d
-
-    def out_neighbors(self, u: int):
-        s, e = self.rowptr[u], self.rowptr[u + 1]
-        return self.col[s:e], self.val[s:e]
-
-
-def build_csr(g: WeightedGraph) -> CsrGraph:
-    """Sort arcs into CSR form; a repeated (src, dst) pair is an error."""
-    order = np.lexsort((g.dst, g.src))
-    src = g.src[order]
-    dst = g.dst[order]
-    val = g.w[order]
-    if src.size > 1:
-        same = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-        if np.any(same):
-            i = int(np.argmax(same))
-            raise DuplicateEdgeError(
-                f"duplicate arc ({int(src[i])}, {int(dst[i])})"
-            )
-    rowptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.add.at(rowptr, src + 1, 1)
-    np.cumsum(rowptr, out=rowptr)
-    return CsrGraph(g.n, rowptr, dst, val)
 
 
 def graph_to_dense(g: WeightedGraph) -> np.ndarray:
@@ -352,12 +302,11 @@ def load_edge_list(path: str) -> WeightedGraph:
     n = n_hint
     if n < 0:
         n = (max(max(src), max(dst)) + 1) if src else 0
-    return WeightedGraph(
-        n,
-        np.asarray(src, dtype=np.int64),
-        np.asarray(dst, dtype=np.int64),
-        np.asarray(w, dtype=np.int64),
-    )
+    try:
+        cols = [np.asarray(col, dtype=np.int64) for col in (src, dst, w)]
+    except OverflowError as exc:
+        raise FormatError("edge field outside the 64-bit integer range") from exc
+    return WeightedGraph(n, *cols)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +390,11 @@ class GenomeGraph:
 
 def genome_graph(bases: str, edges) -> GenomeGraph:
     """Build a :class:`GenomeGraph` from a base string and (u, v) edge pairs."""
-    b = np.frombuffer(bases.encode("ascii"), dtype=np.uint8).copy()
+    try:
+        raw = bases.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise AlphabetError(f"base {bases[exc.start]!r} not in ACGTN") from exc
+    b = np.frombuffer(raw, dtype=np.uint8).copy()
     bad = ~np.isin(b, np.frombuffer(DNA_ALPHABET, dtype=np.uint8))
     if np.any(bad):
         raise AlphabetError(f"base {chr(b[int(np.argmax(bad))])!r} not in ACGTN")
@@ -703,14 +656,17 @@ def load_fasta(path: str) -> list:
     name = None
     chunks: list[str] = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith(">"):
                 if name is not None:
                     records.append((name, "".join(chunks)))
-                name = line[1:].split()[0]
+                words = line[1:].split()
+                if not words:
+                    raise FormatError(f"line {lineno}: FASTA header without a name")
+                name = words[0]
                 chunks = []
             else:
                 if name is None:

@@ -553,44 +553,3 @@ def build_hierarchy(
         level += 1
 
     return PartitionHierarchy(levels, max_tile, truncated)
-
-
-# ---------------------------------------------------------------------------
-# Partition dump format: "vertex<TAB>component", '#' comments.
-# ---------------------------------------------------------------------------
-
-
-def dump_partition(p: Partition, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# n={p.n} k={p.k}\n")
-        for v in range(p.n):
-            fh.write(f"{v}\t{p.assign[v]}\n")
-
-
-def load_partition(path: str) -> Partition:
-    n_hint = k_hint = -1
-    pairs = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if tok.startswith("n="):
-                        n_hint = int(tok[2:])
-                    elif tok.startswith("k="):
-                        k_hint = int(tok[2:])
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise PartitionError(f"line {lineno}: expected vertex<TAB>component")
-            pairs[int(parts[0])] = int(parts[1])
-    n = n_hint if n_hint >= 0 else (max(pairs) + 1 if pairs else 0)
-    assign = np.full(n, -1, dtype=np.int64)
-    for v, c in pairs.items():
-        assign[v] = c
-    if np.any(assign < 0):
-        raise PartitionError("missing vertex assignment")
-    k = k_hint if k_hint >= 0 else int(assign.max()) + 1
-    return Partition(n, k, assign)

@@ -10,9 +10,10 @@ the engine outputs by construction, and optionally attaches a cost report.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .apsp import recursive_apsp
+from .apsp import choose_mode, recursive_apsp, schedule
 from .costmodel import (
     CostReport,
     HbmParams,
@@ -106,6 +107,8 @@ class WorkloadDescriptor:
             raise DescriptorError(f"unknown workload kind {self.kind!r}")
         if self.mode not in ("auto", "short", "long"):
             raise DescriptorError(f"unknown mapping request {self.mode!r}")
+        if self.seed < 0:
+            raise DescriptorError(f"seed {self.seed} must be non-negative")
 
 
 def device_params(section) -> tuple:
@@ -140,7 +143,7 @@ def device_params(section) -> tuple:
 def _int_field(doc: dict, name: str, default: int) -> int:
     try:
         return int(doc.get(name, default))
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise DescriptorError(f"descriptor field {name!r}: {e}") from e
 
 
@@ -255,71 +258,50 @@ class ExecutionPlan:
 
 
 def _lower_apsp(w: WorkloadDescriptor) -> ExecutionPlan:
+    """One matrix stage per event of the engine's schedule, plus one inject
+    per level that re-closes; stage ids number each kind per level in event
+    order.
+
+    Data items: ``blocks.L{l}`` holds level l's closed components and
+    ``closure.L{l}`` the closure over its boundary vertices, which the top
+    closure or the merges one level up produce; ``injected.L{l}`` and
+    ``reclosed.L{l}`` hold the blocks after injection and re-closure, and
+    ``dist`` the dense result.
+    """
     hier = build_hierarchy(w.graph, max_tile=w.max_tile, seed=w.seed)
+    trace = schedule(hier, choose_mode(w.graph.n))
     stages = [Stage("s0.partition", K_PARTITION, TILE_HOST, ["graph"], ["hier"])]
-    for li, lv in enumerate(hier.levels):
-        for c in range(lv.partition.k):
-            stages.append(
-                Stage(
-                    f"L{li}.close.c{c}",
-                    K_FW_CLOSE,
-                    TILE_MATRIX,
-                    ["hier"],
-                    [f"block.L{li}.c{c}"],
-                )
-            )
-    # downward: per level one boundary closure, one inject, pairwise merge
-    # candidates, and one fold through the comparator tree
-    for li in range(hier.depth - 1, -1, -1):
-        lv = hier.levels[li]
-        bsizes = [lv.boundaries.of(c).size for c in range(lv.partition.k)]
-        if not sum(bsizes):
+    numbered: Counter = Counter()
+
+    def add(kind, level, name, inputs, outputs):
+        i = numbered[level, name]
+        numbered[level, name] += 1
+        stages.append(Stage(f"L{level}.{name}.{i}", kind, TILE_MATRIX, inputs, outputs))
+
+    for ev in trace.fw_events:
+        inputs = ["hier"] + ([f"blocks.L{ev.level - 1}"] if ev.level else [])
+        if ev.kind == "close":
+            add(K_FW_CLOSE, ev.level, "close", inputs, [f"blocks.L{ev.level}"])
+        elif ev.kind == "top":
+            add(K_BOUNDARY_FW, ev.level, "top", inputs, [f"closure.L{ev.level - 1}"])
+    recloses = Counter(ev.level for ev in trace.fw_events if ev.kind == "reclose")
+    merges = Counter(ev.level for ev in trace.merge_events)
+    for li in range(trace.depth - 1, -1, -1):
+        if not recloses[li]:
             continue
-        blocks = [f"block.L{li}.c{c}" for c in range(lv.partition.k)]
-        above = [f"assembled.L{li + 1}"] if li + 1 < hier.depth else []
-        stages.append(
-            Stage(
-                f"L{li}.boundary_fw",
-                K_BOUNDARY_FW,
-                TILE_MATRIX,
-                ["hier"] + blocks + above,
-                [f"closure.L{li}"],
-            )
+        # below an empty top, the upper level's blocks are this level's
+        # boundary closure as they stand
+        closure = (
+            f"closure.L{li}"
+            if li == trace.depth - 1 or merges[li + 1]
+            else f"blocks.L{li + 1}"
         )
-        stages.append(
-            Stage(
-                f"L{li}.inject",
-                K_INJECT,
-                TILE_MATRIX,
-                [f"closure.L{li}"] + blocks,
-                [f"injected.L{li}"],
-            )
-        )
-        cands = []
-        for c1 in range(lv.partition.k):
-            for c2 in range(c1 + 1, lv.partition.k):
-                if bsizes[c1] == 0 or bsizes[c2] == 0:
-                    continue
-                name = f"cand.L{li}.c{c1}-c{c2}"
-                stages.append(
-                    Stage(
-                        f"L{li}.merge.c{c1}-c{c2}",
-                        K_MERGE,
-                        TILE_MATRIX,
-                        [f"injected.L{li}"],
-                        [name],
-                    )
-                )
-                cands.append(name)
-        stages.append(
-            Stage(
-                f"L{li}.fold",
-                K_MERGE,
-                TILE_MATRIX,
-                [f"injected.L{li}"] + cands,
-                [f"assembled.L{li}"],
-            )
-        )
+        add(K_INJECT, li, "inject", [closure, f"blocks.L{li}"], [f"injected.L{li}"])
+        for _ in range(recloses[li]):
+            add(K_FW_CLOSE, li, "reclose", [f"injected.L{li}"], [f"reclosed.L{li}"])
+        merged = f"closure.L{li - 1}" if li else "dist"
+        for _ in range(merges[li]):
+            add(K_MERGE, li, "merge", [f"reclosed.L{li}", closure], [merged])
     plan = ExecutionPlan(w, stages, hierarchy=hier)
     plan.validate()
     return plan

@@ -9,6 +9,9 @@ kernel against itself.
 moved off numpy scalars: a BFS over numpy arrays that queues a vertex once
 per discovery.  It is slow and kept only to pin the production partitioner
 to the same assignments.
+
+``disjoint_copies`` lays copies of a graph side by side, a disconnected
+input whose hierarchy levels can cut no arc.
 """
 
 import math
@@ -18,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from graphdp.graphs import INF_SENTINEL
+from graphdp.graphs import INF_SENTINEL, WeightedGraph
 from graphdp.partition import (
     DEFAULT_IMBALANCE,
     DEFAULT_REFINE_PASSES,
@@ -45,6 +48,16 @@ def dijkstra_oracle(g) -> np.ndarray:
     )
     dist = dijkstra(mat, directed=True)
     return np.minimum(dist, INF_SENTINEL).astype(np.int64)
+
+
+def disjoint_copies(g, copies):
+    off = np.repeat(np.arange(copies) * g.n, g.src.size)
+    return WeightedGraph(
+        g.n * copies,
+        np.tile(g.src, copies) + off,
+        np.tile(g.dst, copies) + off,
+        np.tile(g.w, copies),
+    )
 
 
 def _undirected_csr_reference(g):

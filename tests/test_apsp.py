@@ -1,12 +1,16 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import graphdp.apsp as engine
 from graphdp.apsp import (
     ApspError,
     export_distances,
     load_distances,
-    query_distance,
     recursive_apsp,
+    schedule,
 )
 from graphdp.graphs import (
     MAX_WEIGHT,
@@ -18,6 +22,7 @@ from graphdp.graphs import (
 from graphdp.minplus import INF_SENTINEL
 from graphdp.partition import build_hierarchy
 from oracles import dijkstra_oracle as fw_oracle
+from oracles import disjoint_copies
 
 
 def complete_graph(n, w=1):
@@ -109,7 +114,7 @@ def test_lazy_query_same_and_cross_component():
     assert res.query(0, 0) == 0
     assert res.query(0, 2) == 5
     assert res.query(0, 3) == INF_SENTINEL
-    assert query_distance(res, 2, 0) == 5
+    assert res.query(2, 0) == 5
 
 
 def test_query_out_of_range_raises():
@@ -157,6 +162,109 @@ def test_trace_reflects_work():
     assert tr.counts()["merges"] == len(tr.merge_events) > 0
     for ev in tr.fw_events:
         assert ev.dim <= max(32, res.hierarchy.top_boundary_graph.n)
+
+
+# name: (graph, tile, the hierarchy shape the case stands for)
+SCHEDULE_CASES = {
+    "er": (lambda: gen_er(260, 0.02, seed=3), 64, lambda h: h.truncated),
+    "nws": (lambda: gen_nws(220, 4, 0.05, seed=4), 32, lambda h: h.depth > 3),
+    "clustered": (
+        lambda: gen_clustered(16, 32, seed=1, groups=2),
+        128,
+        lambda h: h.depth > 2 and not h.truncated,
+    ),
+    "disconnected": (
+        lambda: disjoint_copies(gen_clustered(4, 16, seed=0), 4),
+        32,
+        lambda h: h.depth == 2 and h.levels[-1].boundary_ids.size == 0,
+    ),
+    "isolated": (
+        lambda: gen_er(300, 0.002, seed=1),
+        32,
+        lambda h: h.depth == 2 and 0 < h.levels[-1].boundary_ids.size <= 32,
+    ),
+    "single_tile": (lambda: gen_er(40, 0.1, seed=6), 64, lambda h: h.depth == 1),
+}
+
+FW_SITES = {"close_one": "close", "reinject": "reclose", "recursive_apsp": "top"}
+
+
+def record_kernel_calls(monkeypatch) -> dict:
+    """Wrap the engine's Floyd-Warshall, merge and inject kernels.
+
+    Calls made inside one parallel map are logged in the order of the items
+    the map processes, so the log does not depend on thread timing.
+    """
+    log = {"fw": [], "merge": [], "inject": []}
+    local = threading.local()
+    real_fw, real_merge = engine.floyd_warshall_dense, engine.min_plus_merge
+    real_inject, real_pmap = engine.inject, engine._pmap
+
+    def note(kind, entry):
+        buf = getattr(local, "buf", None)
+        if buf is None:
+            log[kind].append(entry)
+        else:
+            buf.append((kind, entry))
+
+    def fw(d):
+        out = real_fw(d)
+        note("fw", (FW_SITES[sys._getframe(1).f_code.co_name], out.shape[0]))
+        return out
+
+    def merge(left, mid, right, b1, b2):
+        note("merge", (left.dim, right.dim, len(b1), len(b2)))
+        return real_merge(left, mid, right, b1, b2)
+
+    def inject(xb, b, blk):
+        note("inject", len(b))
+        return real_inject(xb, b, blk)
+
+    def pmap(fn, items, threads):
+        items = list(items)
+        bufs = [None] * len(items)
+
+        def run(i):
+            local.buf = []
+            try:
+                return fn(items[i])
+            finally:
+                bufs[i], local.buf = local.buf, None
+
+        out = real_pmap(run, range(len(items)), threads)
+        for buf in bufs:
+            for kind, entry in buf:
+                log[kind].append(entry)
+        return out
+
+    monkeypatch.setattr(engine, "floyd_warshall_dense", fw)
+    monkeypatch.setattr(engine, "min_plus_merge", merge)
+    monkeypatch.setattr(engine, "inject", inject)
+    monkeypatch.setattr(engine, "_pmap", pmap)
+    return log
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("mode", ["dense", "lazy"])
+@pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, threads):
+    make, tile, shape = SCHEDULE_CASES[case]
+    g = make()
+    log = record_kernel_calls(monkeypatch)
+    res = recursive_apsp(g, max_tile=tile, mode=mode, seed=0, threads=threads)
+    assert shape(res.hierarchy)
+    want = schedule(res.hierarchy, mode)
+    assert log["fw"] == [(ev.kind, ev.dim) for ev in want.fw_events]
+    assert log["merge"] == [
+        (ev.rows, ev.cols, ev.left_boundary, ev.right_boundary)
+        for ev in want.merge_events
+    ]
+    recloses = [ev.dim for ev in want.fw_events if ev.kind == "reclose"]
+    assert len(log["inject"]) == len(recloses)
+    assert sum(b * b for b in log["inject"]) == want.inject_pairs
+    assert res.trace == want
+    if mode == "dense":
+        assert np.array_equal(res.to_dense(), fw_oracle(g))
 
 
 def test_export_binary_roundtrip(tmp_path):

@@ -95,6 +95,29 @@ def test_apsp_exports_and_verifies(tmp_path, capsys):
     assert np.array_equal(got, floyd_warshall_dense(distance_init(g)))
 
 
+def test_verify_catches_a_faulty_closure_kernel(tmp_path, monkeypatch, capsys):
+    # a kernel that closes nothing, wherever the engine or the CLI calls it:
+    # the verify paths must not grade the engine with its own kernel
+    import graphdp.apsp
+    import graphdp.minplus
+
+    def no_closure(d):
+        return np.array(d, dtype=np.uint32)
+
+    for mod in (graphdp.minplus, graphdp.apsp, cli):
+        if hasattr(mod, "floyd_warshall_dense"):
+            monkeypatch.setattr(mod, "floyd_warshall_dense", no_closure)
+    assert run("gen", "er", "--n", 120, "--p", 0.04, "--seed", 9,
+               "--out", tmp_path) == 0
+    capsys.readouterr()
+    assert run("apsp", "--graph", tmp_path / "graph.edges", "--max-tile", 32,
+               "--verify", "--out", tmp_path) == 1
+    assert "FAIL (" in capsys.readouterr().out
+    assert run("verify", "--out", tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "FAIL apsp-exactness" in out and "FAIL boundary-soundness" in out
+
+
 def test_apsp_disconnected_renders_inf(tmp_path):
     g = WeightedGraph(3, np.array([0]), np.array([1]), np.array([7]))
     dump_edge_list(g, str(tmp_path / "g.edges"))

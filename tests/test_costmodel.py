@@ -49,11 +49,6 @@ def test_fw_block_full_closure_scales_with_pivots():
     assert rep.wall_time_s == pytest.approx(1024 * 480 / 500e6)
 
 
-def test_fw_block_unpipelined_permutation():
-    rep = model_fw_block(1024, pivots=1, overlap=False)
-    assert rep.phases["permute"].cycles == 1024 * 11
-
-
 def test_mp_merge_thirteen_cycles_per_row():
     for rows in (1, 64, 1024, 5000):
         rep = model_mp_merge(rows, 512)

@@ -9,12 +9,10 @@ from graphdp.graphs import (
     INF_SENTINEL,
     AlphabetError,
     CycleError,
-    DuplicateEdgeError,
     FormatError,
     GraphError,
     ReadLengthError,
     WeightedGraph,
-    build_csr,
     dump_edge_list,
     dump_fasta,
     gen_clustered,
@@ -33,7 +31,7 @@ from graphdp.graphs import (
 
 
 # ---------------------------------------------------------------------------
-# WeightedGraph and CSR
+# WeightedGraph and dense adjacency
 # ---------------------------------------------------------------------------
 
 
@@ -48,28 +46,6 @@ def test_graph_rejects_bad_ids_and_weights():
         WeightedGraph.from_edges(3, [(0, 1, INF_SENTINEL)])  # above MAX_WEIGHT
     with pytest.raises(GraphError):
         WeightedGraph.from_edges(3, [(1, 1, 5)])  # positive self-loop
-
-
-def test_csr_rejects_duplicate_arc():
-    g = WeightedGraph.from_edges(3, [(0, 1, 2), (0, 1, 7)])
-    with pytest.raises(DuplicateEdgeError):
-        build_csr(g)
-
-
-def test_csr_cols_strictly_increasing():
-    for seed in range(5):
-        g = gen_er(60, 0.2, seed=seed)
-        csr = build_csr(g)
-        for i in range(g.n):
-            row = csr.col[csr.rowptr[i] : csr.rowptr[i + 1]]
-            assert np.all(np.diff(row) > 0)
-
-
-def test_csr_dense_roundtrip_matches_adjacency():
-    # oracle: direct dense adjacency scatter from the edge arrays
-    for seed in range(8):
-        g = gen_er(40, 0.15, seed=seed)
-        assert np.array_equal(build_csr(g).to_dense(), graph_to_dense(g))
 
 
 def test_dense_missing_edges_read_inf():
@@ -112,7 +88,7 @@ def test_gen_er_deterministic_per_seed():
 def test_gen_er_no_self_loops_or_duplicates():
     g = gen_er(300, 0.05, seed=4)
     assert not np.any(g.src == g.dst)
-    build_csr(g)  # raises on duplicates
+    assert np.unique(g.src * g.n + g.dst).size == g.edge_count
 
 
 def test_gen_nws_contains_full_lattice():
@@ -395,4 +371,11 @@ def test_fasta_bad_leading_data(tmp_path):
     p = tmp_path / "bad.fa"
     p.write_text("ACGT\n")
     with pytest.raises(FormatError):
+        load_fasta(str(p))
+
+
+def test_fasta_header_without_name(tmp_path):
+    p = tmp_path / "bad.fa"
+    p.write_text(">r1\nACGT\n>\nAC\n")
+    with pytest.raises(FormatError, match="line 3"):
         load_fasta(str(p))

@@ -11,10 +11,8 @@ from graphdp.partition import (
     PartitionError,
     build_boundary_graph,
     build_hierarchy,
-    dump_partition,
     find_boundary,
     kway_partition,
-    load_partition,
 )
 from oracles import kway_reference
 
@@ -403,32 +401,3 @@ def test_hierarchy_stats_shape():
     st = h.stats()
     assert len(st["levels"]) == h.depth
     assert st["levels"][0]["n"] == g.n
-
-
-# ---------------------------------------------------------------------------
-# dump / load
-# ---------------------------------------------------------------------------
-
-
-def test_partition_roundtrip(tmp_path):
-    g = gen_er(40, 0.1, seed=6)
-    p = kway_partition(g, 5, seed=2)
-    path = tmp_path / "part.tsv"
-    dump_partition(p, str(path))
-    q = load_partition(str(path))
-    assert q.n == p.n and q.k == p.k
-    assert np.array_equal(q.assign, p.assign)
-
-
-def test_partition_load_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.tsv"
-    path.write_text("0 1\n")
-    with pytest.raises(PartitionError):
-        load_partition(str(path))
-
-
-def test_partition_load_rejects_gaps(tmp_path):
-    path = tmp_path / "gap.tsv"
-    path.write_text("# n=3 k=2\n0\t0\n2\t1\n")
-    with pytest.raises(PartitionError):
-        load_partition(str(path))

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from graphdp.apsp import recursive_apsp
-from graphdp.graphs import gen_er, gen_genome, gen_reads, parse_gfa
+from graphdp.costmodel import make_tile_workload
+from graphdp.graphs import gen_clustered, gen_er, gen_genome, gen_reads, parse_gfa
 from graphdp.partition import build_hierarchy
 from graphdp.planner import (
     DescriptorError,
     ExecutionPlan,
     K_ALIGN,
+    K_BOUNDARY_FW,
     K_FW_CLOSE,
+    K_INJECT,
     K_MERGE,
     K_PARTITION,
     PlanError,
@@ -25,6 +28,7 @@ from graphdp.planner import (
     select_mapping,
 )
 from graphdp.s2g import MODE_LONG, MODE_SHORT, batch_align
+from oracles import disjoint_copies
 
 
 def genome_case(bases=600, seed=5, n_reads=6, length=90):
@@ -63,30 +67,31 @@ def test_small_apsp_lowers_to_trivial_plan():
     assert kinds == [K_PARTITION, K_FW_CLOSE]
 
 
-def test_apsp_stage_count_matches_hierarchy():
-    from graphdp.costmodel import make_tile_workload
-
-    g = make_tile_workload(n=8192)
-    w = WorkloadDescriptor("apsp", g, max_tile=64)
-    plan = lower(w)
-    hier = build_hierarchy(g, max_tile=64, seed=0)
-    assert hier.depth == 3 and not hier.truncated
-    components = sum(lv.partition.k for lv in hier.levels)
-    levels_with_boundary = 0
-    pair_merges = 0
-    for lv in hier.levels:
-        bs = [lv.boundaries.of(c).size for c in range(lv.partition.k)]
-        if not sum(bs):
-            continue
-        levels_with_boundary += 1
-        pair_merges += sum(
-            1
-            for c1 in range(lv.partition.k)
-            for c2 in range(c1 + 1, lv.partition.k)
-            if bs[c1] and bs[c2]
-        )
-    matrix_stages = sum(1 for s in plan.stages if s.tile == TILE_MATRIX)
-    assert matrix_stages == components + 3 * levels_with_boundary + pair_merges
+@pytest.mark.parametrize(
+    "make, tile",
+    [
+        (lambda: make_tile_workload(n=8192), 64),
+        (lambda: gen_er(300, 0.002, seed=1), 32),
+        (lambda: gen_er(260, 0.02, seed=3), 64),
+        (lambda: gen_clustered(16, 32, seed=1, groups=2), 128),
+        # two levels whose top boundary is empty: the base level's closure
+        # is the upper level's blocks alone
+        (lambda: disjoint_copies(gen_clustered(4, 16, seed=0), 4), 32),
+    ],
+)
+def test_apsp_stage_count_matches_hierarchy(make, tile):
+    plan = lower(WorkloadDescriptor("apsp", make(), max_tile=tile))
+    plan.validate()
+    trace = execute(plan)["apsp"].trace
+    fw = trace.counts()["fw"]
+    want = {
+        K_PARTITION: 1,
+        K_FW_CLOSE: fw["close"] + fw.get("reclose", 0),
+        K_BOUNDARY_FW: fw.get("top", 0),
+        K_INJECT: len({ev.level for ev in trace.fw_events if ev.kind == "reclose"}),
+        K_MERGE: len(trace.merge_events),
+    }
+    assert plan.counts() == {kind: n for kind, n in want.items() if n}
 
 
 def test_plan_is_deterministic():
