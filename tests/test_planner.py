@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from graphdp.apsp import recursive_apsp
+from graphdp.apsp import choose_mode, recursive_apsp
 from graphdp.costmodel import make_tile_workload
 from graphdp.graphs import gen_clustered, gen_er, gen_genome, gen_reads, parse_gfa
 from graphdp.partition import build_hierarchy
@@ -67,6 +67,27 @@ def test_small_apsp_lowers_to_trivial_plan():
     assert kinds == [K_PARTITION, K_FW_CLOSE]
 
 
+def test_apsp_stage_count_matches_hierarchy():
+    g = make_tile_workload(n=8192)
+    plan = lower(WorkloadDescriptor("apsp", g, max_tile=64))
+    hier = build_hierarchy(g, max_tile=64, seed=0)
+    assert hier.depth == 3 and not hier.truncated
+    dense = choose_mode(g.n) == "dense"
+    want = sum(lv.partition.k for lv in hier.levels)
+    want += bool(hier.levels[-1].boundary_ids.size)
+    for li, lv in enumerate(hier.levels):
+        bs = [b.size for b in lv.boundaries.per_component.values()]
+        if not bs:
+            continue
+        # one inject, one re-close per component with a boundary, and a
+        # merge per ordered pair of non-empty boundaries
+        want += 1 + len(bs)
+        if li or dense:
+            want += sum(1 for b in bs if b) * (sum(1 for b in bs if b) - 1)
+    matrix_stages = sum(1 for s in plan.stages if s.tile == TILE_MATRIX)
+    assert matrix_stages == want
+
+
 @pytest.mark.parametrize(
     "make, tile",
     [
@@ -79,7 +100,7 @@ def test_small_apsp_lowers_to_trivial_plan():
         (lambda: disjoint_copies(gen_clustered(4, 16, seed=0), 4), 32),
     ],
 )
-def test_apsp_stage_count_matches_hierarchy(make, tile):
+def test_apsp_stage_count_matches_trace(make, tile):
     plan = lower(WorkloadDescriptor("apsp", make(), max_tile=tile))
     plan.validate()
     trace = execute(plan)["apsp"].trace
