@@ -1,5 +1,5 @@
 """Windowed bit-parallel alignment of reads against a base-labelled DAG:
-mode routing, window invariance, and path reconstruction."""
+mode routing and window invariance."""
 
 import numpy as np
 
@@ -12,7 +12,6 @@ from graphdp import (
     parse_gfa,
     split_by_length,
 )
-from graphdp.s2g import reconstruct_path
 
 gfa, ref = gen_genome(4000, 0.03, seed=9)
 g = parse_gfa(gfa)
@@ -35,8 +34,3 @@ for W in (8, 32, 128):
     got = align_windowed(g, q, W=W)
     assert got.score_max == ref_res.score_max  # width never changes scores
     print(f"  W={W:4d}: score {got.score_max}, ends {got.end_nodes[:3]}")
-
-path = reconstruct_path(g, q, align_windowed(g, q, trace=True))
-spelled = "".join(g.base(v) for v in path)
-assert spelled == q[: len(path)]
-print(f"reconstructed path spells the scored prefix ({len(path)} nodes)")

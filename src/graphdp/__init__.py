@@ -64,7 +64,6 @@ from .s2g import (
     align_windowed,
     batch_align,
     precompute_masks,
-    reconstruct_path,
 )
 from .costmodel import (
     CostReport,

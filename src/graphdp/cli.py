@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .apsp import export_distances, recursive_apsp
+from .apsp import DENSE_LIMIT_DEFAULT, choose_mode, export_distances, recursive_apsp
 from .costmodel import (
     ModelError,
     arithmetic_intensity,
@@ -69,6 +69,14 @@ DEFAULT_SRAM_CAPS = "32K..512K"
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``error:`` line and exit 2; its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +231,12 @@ def cmd_apsp(args) -> int:
     outdir = _outdir(args)
     pcm, _ = _device(args.config)
     g = load_edge_list(args.graph)
+    if choose_mode(g.n) != "dense":
+        # the exported distances (and --verify) need the dense matrix
+        raise UsageError(
+            f"apsp exports a dense matrix, so the graph must have at most "
+            f"{DENSE_LIMIT_DEFAULT} vertices, not n={g.n}"
+        )
     w = WorkloadDescriptor(
         "apsp",
         g,
@@ -638,7 +652,7 @@ def cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument(
@@ -647,7 +661,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--threads", type=int, default=1)
 
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="graphdp",
         description="Exact graph closures and read alignment with a device "
         "cost model.",

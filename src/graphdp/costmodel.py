@@ -21,12 +21,18 @@ import numpy as np
 
 from .apsp import ExecutionTrace, MergeEvent, schedule
 from .graphs import WeightedGraph
-from .minplus import PanelTrace
 from .partition import PartitionHierarchy, build_hierarchy
-from .s2g import MODE_LONG, SHORT_GROUP_COUNT, BatchTrace, classify_self_hop
+from .s2g import (
+    MODE_LONG,
+    MODE_SHORT,
+    SHORT_GROUP_COUNT,
+    BatchTrace,
+    classify_self_hop,
+    map_batch,
+)
 
 MP_TREE_INPUTS = 1024  # comparator tree width is a fixed structure
-DEFAULT_IMPROVE_FRAC = 0.1  # assumed strict-improvement rate without a trace
+DEFAULT_IMPROVE_FRAC = 0.1  # assumed strict-improvement rate
 KNUTH_HASH = 2654435761
 LINE_BYTES = 64
 
@@ -49,8 +55,6 @@ class PcmParams:
 
     read_energy_pj: float = 0.05
     write_energy_pj: float = 0.56
-    read_latency_ns: float = 2.0
-    write_latency_ns: float = 20.0
     clock_hz: float = 500e6
     unit_dim: int = 1024
     units_per_tile: int = 130
@@ -62,7 +66,6 @@ class PcmParams:
     burst_rows: int = 32  # permutation DMA burst height
     merge_drain_lanes: int = 13312  # die-level merge drain width, rows in flight
     hbm_bandwidth: float = 819.2e9  # B/s, staging stream
-    cold_bandwidth: float = 8e9  # B/s, cold-tier stream
 
     def __post_init__(self):
         for name in (
@@ -96,7 +99,6 @@ class HbmParams:
     """Traversal-tile device constants (PEs, banked SRAM, HBM channels)."""
 
     channels: int = 16
-    banks_per_channel: int = 32
     read_energy_pj: float = 0.4
     write_energy_pj: float = 0.45
     access_latency_ns: float = 15.0  # midpoint of the 10-20 ns range
@@ -105,10 +107,6 @@ class HbmParams:
     sram_banks: int = 32
     bank_access_cycles: int = 1
     pe_clock_hz: float = 1e9
-    srf_bits: int = 384
-    pattern_buffer_bytes: int = 256
-    tbm_bytes: int = 4096
-    bplu_width: int = 128
     hbm_bandwidth: float = 819.2e9  # B/s aggregate
     stream_efficiency: float = 0.5  # strided CSR bursts half-fill lines
 
@@ -209,29 +207,24 @@ class CostReport:
 
 
 def model_fw_block(
-    dim: int,
-    pivots: int | None = None,
-    trace=None,
-    p: PcmParams | None = None,
+    dim: int, pivots: int | None = None, p: PcmParams | None = None
 ) -> CostReport:
-    """One crossbar unit closing a dim x dim block over the given pivots.
+    """One crossbar unit closing a dim x dim block over the given pivots
+    (all ``dim`` of them by default).
 
     Per pivot: one bit-serial add (operand row + column), one subtract-
     compare against the incumbent, and a burst-pipelined permutation pass
     over all rows.  Energy convention per pivot: three full-block operand
     streams are read (two add inputs and the incumbent); only strict
-    improvements are written, taken from ``trace`` (a PanelTrace, a list of
-    them, or an int count) or estimated at DEFAULT_IMPROVE_FRAC without one.
+    improvements are written, estimated at DEFAULT_IMPROVE_FRAC of the cells.
     """
     p = p or PcmParams()
     if dim > p.unit_dim:
         raise CapacityError(f"block dim {dim} exceeds unit dim {p.unit_dim}")
     if dim < 0:
         raise ValidationError("negative dimension")
-    if isinstance(trace, PanelTrace):
-        trace = [trace]
     if pivots is None:
-        pivots = len(trace) if trace is not None and not isinstance(trace, int) else dim
+        pivots = dim
     if pivots == 0 or dim == 0:
         return CostReport()
 
@@ -243,12 +236,7 @@ def model_fw_block(
     clock = p.clock_hz * p.derate(dim)
     wall = cycles / clock
 
-    if isinstance(trace, int):
-        improved = trace
-    elif trace is not None:
-        improved = sum(t.improved for t in trace)
-    else:
-        improved = int(pivots * dim * dim * DEFAULT_IMPROVE_FRAC)
+    improved = int(pivots * dim * dim * DEFAULT_IMPROVE_FRAC)
     read_bits = 3.0 * pivots * dim * dim * p.bits
     write_bits = float(improved) * p.bits
     energy = (read_bits * p.read_energy_pj + write_bits * p.write_energy_pj) * 1e-12
@@ -370,9 +358,7 @@ def _makespan(durations: list, workers: int) -> float:
 
 
 def model_recursive_apsp(
-    trace: ExecutionTrace,
-    p: PcmParams | None = None,
-    include_cold_load: bool = False,
+    trace: ExecutionTrace, p: PcmParams | None = None
 ) -> CostReport:
     """Schedule a recursive-closure trace onto the matrix die.
 
@@ -380,9 +366,9 @@ def model_recursive_apsp(
     max over an LPT schedule); the top closure and per-level merges follow.
     Boundary-matrix staging between levels streams at HBM bandwidth and
     overlaps compute (latency takes the max); the base level is assumed
-    warm in the crossbars unless ``include_cold_load`` adds the cold-tier
-    stream.  Energies and byte counters are summed.  A closure wider than
-    the unit is priced as a blocked closure, as the tile sweep prices it.
+    warm in the crossbars.  Energies and byte counters are summed.  A
+    closure wider than the unit is priced as a blocked closure, as the tile
+    sweep prices it.
     """
     p = p or PcmParams()
     if not isinstance(trace, ExecutionTrace):
@@ -445,14 +431,6 @@ def model_recursive_apsp(
         )
         add_phase("inject", rep, rep.wall_time_s)
 
-    if include_cold_load:
-        base_dims = by_level_fw.get((0, "close"), [])
-        bytes_cold = float(sum(d * d for d in base_dims)) * (p.bits // 8)
-        rep = CostReport(
-            wall_time_s=bytes_cold / p.cold_bandwidth, hbm_bytes_regular=bytes_cold
-        )
-        add_phase("cold_load", rep, rep.wall_time_s)
-
     busy = sum(r.cycles for r in total.phases.values())
     total = replace(
         total,
@@ -495,11 +473,7 @@ def _bank_conflict_cycles(g, h: HbmParams) -> float:
     return cycles
 
 
-def model_traversal(
-    batch_trace: BatchTrace,
-    h: HbmParams | None = None,
-    mode: str | None = None,
-) -> CostReport:
+def model_traversal(batch_trace: BatchTrace, h: HbmParams | None = None) -> CostReport:
     """Latency/energy/traffic of one PU executing a batch trace.
 
     Compute: per window sweep, every node update costs 1 cycle (Self) or a
@@ -509,10 +483,6 @@ def model_traversal(
     irregular bytes with per-line HBM latency added to the wall.
     """
     h = h or HbmParams()
-    if mode is not None and mode != batch_trace.mode:
-        raise ValidationError(
-            f"trace was recorded in mode {batch_trace.mode!r}, not {mode!r}"
-        )
     g = getattr(batch_trace, "graph", None)
     if g is None:
         raise ValidationError("batch trace carries no graph reference")
@@ -589,39 +559,11 @@ def make_traversal_trace(g, read_lengths, W: int = 128, mode: str | None = None)
     Self/Hop split comes from the graph's static classification.  This is
     the modeling stand-in the sweeps use for large synthetic workloads.
     """
-    from .s2g import MODE_LONG, MODE_SHORT, BatchConfig
-
-    cfg = BatchConfig()
     if mode is None:
         mode = MODE_SHORT if max(read_lengths) <= 300 else MODE_LONG
-    self_n = int(classify_self_hop(g).sum())
+    ids = [f"r{j}" for j in range(len(read_lengths))]
     passes = [math.ceil(le / W) for le in read_lengths]
-    if mode == MODE_SHORT:
-        groups, gsize = cfg.short_groups, cfg.group_size
-        assignments = [
-            (f"r{j}", j % groups, (j // groups) % gsize)
-            for j in range(len(read_lengths))
-        ]
-    else:
-        groups, gsize = 1, cfg.pe_per_pu
-        assignments = [
-            (f"r{j}", 0, j % cfg.pe_per_pu) for j in range(len(read_lengths))
-        ]
-    rounds = math.ceil(len(read_lengths) / cfg.pe_per_pu) if read_lengths else 0
-    return BatchTrace(
-        mode=mode,
-        W=W,
-        nodes=g.n,
-        groups=groups,
-        group_size=gsize,
-        rounds=rounds,
-        assignments=assignments,
-        window_passes=passes,
-        read_lengths=list(read_lengths),
-        self_updates=self_n * sum(passes),
-        hop_updates=(g.n - self_n) * sum(passes),
-        graph=g,
-    )
+    return map_batch(g, mode, W, ids, read_lengths, passes)
 
 
 def _chain_genome(n: int, seed: int):

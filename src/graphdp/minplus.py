@@ -36,21 +36,6 @@ class BlockShapeError(ValueError):
 
 
 @dataclass
-class PanelTrace:
-    """One pivot step of a Floyd-Warshall closure, as seen by the cost model.
-
-    ``rows`` is the number of logical rows the permutation unit repacks for
-    this pivot (the full block height); ``improved`` is the population of
-    the strict-improvement mask, i.e. the number of cells actually written.
-    """
-
-    pivot: int
-    dim: int
-    rows: int
-    improved: int
-
-
-@dataclass
 class DistanceBlock:
     """Square distance matrix over an explicit vertex id set.
 
@@ -126,62 +111,29 @@ def _check_square_nonneg(d: np.ndarray) -> None:
         raise BlockShapeError("diagonal must be zero before closure")
 
 
-def fw_panel_step(d: np.ndarray, k: int, trace: list | None = None) -> PanelTrace:
-    """One Floyd-Warshall pivot: d[i,j] <- min(d[i,j], d[i,k] + d[k,j]).
-
-    Updates ``d`` in place under strict-improvement writes.  The pivot row
-    and column are fixed points (the diagonal is zero, so their candidates
-    tie and the incumbent stays).  Returns the per-pivot trace event.
-    """
-    cand = d[:, k, None] + d[None, k, :]
-    improved = cand < d
-    d[improved] = cand[improved]
-    ev = PanelTrace(pivot=k, dim=d.shape[0], rows=d.shape[0], improved=int(improved.sum()))
-    if trace is not None:
-        trace.append(ev)
-    return ev
-
-
-def floyd_warshall_dense(d: np.ndarray, trace: list | None = None) -> np.ndarray:
+def floyd_warshall_dense(d: np.ndarray) -> np.ndarray:
     """Exact all-pairs closure of a dense non-negative distance matrix.
 
     The one closure kernel: component close, re-close and the top closure
     all call it.  Works on a ``uint32`` copy of ``d`` (entries must lie in
-    ``[0, INF_SENTINEL]``) and returns it.  When ``trace`` is given, every
-    pivot appends a :class:`PanelTrace` (this costs one extra comparison
-    pass per pivot); otherwise the fast path runs min-updates strip by strip
-    through one reused candidate buffer.  Strips change no value: row and
-    column ``k`` are fixed points of pivot ``k``.
+    ``[0, INF_SENTINEL]``) and returns it.  Each pivot runs min-updates
+    strip by strip through one reused candidate buffer.  Strips change no
+    value: row and column ``k`` are fixed points of pivot ``k``.
     """
     d = np.asarray(d)
     _check_square_nonneg(d)
     out = np.array(d, dtype=np.uint32)
     n = out.shape[0]
-    if trace is None:
-        rows = max(1, _FW_STRIP_CELLS // max(n, 1))
-        cand = np.empty((min(rows, n), n), dtype=np.uint32)
-        for k in range(n):
-            pivot_row = out[None, k, :]
-            for r0 in range(0, n, rows):
-                strip = out[r0 : r0 + rows]
-                c = cand[: strip.shape[0]]
-                np.add(strip[:, k, None], pivot_row, out=c)
-                np.minimum(strip, c, out=strip)
-    else:
-        for k in range(n):
-            fw_panel_step(out, k, trace)
+    rows = max(1, _FW_STRIP_CELLS // max(n, 1))
+    cand = np.empty((min(rows, n), n), dtype=np.uint32)
+    for k in range(n):
+        pivot_row = out[None, k, :]
+        for r0 in range(0, n, rows):
+            strip = out[r0 : r0 + rows]
+            c = cand[: strip.shape[0]]
+            np.add(strip[:, k, None], pivot_row, out=c)
+            np.minimum(strip, c, out=strip)
     return out
-
-
-def restrict(block: DistanceBlock, global_ids: np.ndarray) -> DistanceBlock:
-    """Sub-block over the given global ids (order preserved).
-
-    Restriction of a closed block stays closed: triangle inequalities over a
-    subset are a subset of the original inequalities.
-    """
-    global_ids = np.asarray(global_ids, dtype=np.int64)
-    ix = block.local(global_ids)
-    return DistanceBlock(block.data[np.ix_(ix, ix)].copy(), global_ids.copy())
 
 
 def inject(db: DistanceBlock, boundary: np.ndarray, d: DistanceBlock) -> DistanceBlock:

@@ -103,6 +103,8 @@ class WorkloadDescriptor:
                 raise DescriptorError("s2g workload needs a genome graph")
             if not self.reads:
                 raise DescriptorError("s2g workload needs reads")
+            if self.W < 1:
+                raise DescriptorError(f"window width W={self.W} must be positive")
         else:
             raise DescriptorError(f"unknown workload kind {self.kind!r}")
         if self.mode not in ("auto", "short", "long"):

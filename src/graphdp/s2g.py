@@ -16,8 +16,7 @@ Three scorers compute it, sharing no kernel code:
   the graph in topological order; a node's word holds, at bit j, whether
   the prefix of global length (i-1)*W + j + 1 ends there, and prefixes
   crossing a window boundary continue through a one-bit predecessor carry.
-  It keeps the per-window log that ``reconstruct_path`` replays, and the
-  CLI's ``--W-sweep`` and the oracle suites check it.
+  The CLI's ``--W-sweep`` and the oracle suites check it.
 * ``align_reference`` is the independent oracle: a plain per-position
   boolean recurrence with no bit packing and no windows.
 
@@ -36,7 +35,7 @@ and the self/hop update counts are ``classify_self_hop`` counts times that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,23 +48,16 @@ from .graphs import (
 )
 
 DEFAULT_W = 128
-PRED_CARRY = "pred"
-SELF_CARRY = "self"
 
 # traversal-tile shape shared with the cost model defaults
 PE_PER_PU = 64
 SHORT_GROUP_COUNT = 16
-TBM_BYTES = 4096
 
 _ACGT = tuple(DNA_ALPHABET[:4])
 
 
 class AlignmentError(GraphError):
-    """Bad alignment request (empty query, width misuse, config mismatch)."""
-
-
-class TraceError(AlignmentError):
-    """Traceback asked for state that was never recorded (or evicted)."""
+    """Bad alignment request (empty query, width misuse, unknown mapping)."""
 
 
 @dataclass
@@ -96,32 +88,12 @@ def precompute_masks(segment: str, W: int) -> MaskTable:
 
 
 @dataclass
-class AlignTrace:
-    """Per-window state snapshots for traceback replay.
-
-    Mirrors a circular log with ``capacity_windows`` slots per node
-    (``tbm_bytes`` / (W/8) entries); older windows are evicted first, and a
-    replay that reaches an evicted window fails.
-    """
-
-    W: int
-    capacity_windows: int
-    logs: dict = field(default_factory=dict)
-
-    def record(self, window: int, states: list) -> None:
-        self.logs[window] = states
-        if len(self.logs) > self.capacity_windows:
-            del self.logs[min(self.logs)]
-
-
-@dataclass
 class AlignResult:
     score_max: int
     end_nodes: np.ndarray
     windows: int
     self_updates: int
     hop_updates: int
-    trace: AlignTrace | None = None
 
     @property
     def lowest_end(self) -> int:
@@ -142,28 +114,16 @@ def classify_self_hop(g: GenomeGraph) -> np.ndarray:
     return mask
 
 
-def align_windowed(
-    g: GenomeGraph,
-    q: str,
-    W: int = DEFAULT_W,
-    carry_mode: str = PRED_CARRY,
-    trace: bool = False,
-    tbm_bytes: int = TBM_BYTES,
-) -> AlignResult:
+def align_windowed(g: GenomeGraph, q: str, W: int = DEFAULT_W) -> AlignResult:
     """Score the longest exactly-matching query prefix over all graph paths.
 
-    ``carry_mode`` selects the inter-window carry source: ``"pred"`` takes
-    the OR of predecessor carries (the mode under which oracle equivalence
-    holds), ``"self"`` takes the node's own previous MSB (kept for fidelity
-    experiments; underestimates across window boundaries on chains).
-    Matches may start at any node: window 1 shifts in a constant 1.
+    A node's carry into the next window is the OR of its predecessors'
+    carries.  Matches may start at any node: window 1 shifts in a constant 1.
     """
     if not q:
         raise AlignmentError("empty query")
     if W < 1:
         raise AlignmentError("window width must be positive")
-    if carry_mode not in (PRED_CARRY, SELF_CARRY):
-        raise AlignmentError(f"unknown carry mode {carry_mode!r}")
 
     n = g.n
     order = g.topo_order.tolist()
@@ -175,7 +135,6 @@ def align_windowed(
     topbit = 1 << (W - 1)
 
     self_nodes = int(classify_self_hop(g).sum())
-    log = AlignTrace(W, max(1, tbm_bytes // max(1, W // 8))) if trace else None
 
     S = [0] * n
     C = [0] * n
@@ -185,23 +144,18 @@ def align_windowed(
     for i in range(1, k + 1):
         mt = precompute_masks(q[(i - 1) * W : i * W], W)
         masks = mt.masks
-        first = i == 1
-        use_pred = carry_mode == PRED_CARRY
         for v in order:
             lo, hi = pred_ptr[v], pred_ptr[v + 1]
             d_in = 0
-            c_in = 1 if first else (0 if use_pred else C[v])
+            c_in = 1 if i == 1 else 0  # every C is still 0 in window 1
             for t in range(lo, hi):
                 u = pred_idx[t]
                 d_in |= S[u]
-                if use_pred and not first:
-                    c_in |= C[u]
+                c_in |= C[u]
             S[v] = ((d_in << 1) | c_in) & masks.get(bases[v], 0) & wmask
         for v in range(n):
             C[v] = 1 if S[v] & topbit else 0
         processed = i
-        if log is not None:
-            log.record(i, list(S))
         base_len = (i - 1) * W
         for v in range(n):
             s = S[v]
@@ -221,7 +175,6 @@ def align_windowed(
         windows=processed,
         self_updates=self_nodes * processed,
         hop_updates=(n - self_nodes) * processed,
-        trace=log,
     )
 
 
@@ -264,7 +217,7 @@ def align_reference(g: GenomeGraph, q: str) -> AlignResult:
     end_nodes = (
         np.nonzero(ends)[0].astype(np.int64) if best else np.zeros(0, dtype=np.int64)
     )
-    return AlignResult(best, end_nodes, 0, 0, 0, None)
+    return AlignResult(best, end_nodes, 0, 0, 0)
 
 
 WORD_BITS = 64
@@ -383,16 +336,6 @@ MODE_LONG = "long-pipeline"
 
 
 @dataclass
-class BatchConfig:
-    pe_per_pu: int = PE_PER_PU
-    short_groups: int = SHORT_GROUP_COUNT
-
-    @property
-    def group_size(self) -> int:
-        return self.pe_per_pu // self.short_groups
-
-
-@dataclass
 class BatchTrace:
     """Mapping record for the cost model; carries no score information."""
 
@@ -414,23 +357,49 @@ class BatchTrace:
         return len(self.assignments)
 
 
+def map_batch(g, mode, W, read_ids, read_lengths, window_passes) -> BatchTrace:
+    """The BatchTrace of reads placed on one PU's PE_PER_PU PEs.
+
+    Short mode fans reads out round-robin over SHORT_GROUP_COUNT
+    independent PE groups; long mode streams them through one deep
+    pipeline.  Self/hop update counts are the graph's static
+    classification times the window passes.
+    """
+    if mode == MODE_SHORT:
+        groups, gsize = SHORT_GROUP_COUNT, PE_PER_PU // SHORT_GROUP_COUNT
+        assignments = [
+            (rid, j % groups, (j // groups) % gsize) for j, rid in enumerate(read_ids)
+        ]
+    else:
+        groups, gsize = 1, PE_PER_PU
+        assignments = [(rid, 0, j % PE_PER_PU) for j, rid in enumerate(read_ids)]
+    self_nodes = int(classify_self_hop(g).sum())
+    passes = sum(window_passes)
+    return BatchTrace(
+        mode=mode,
+        W=W,
+        nodes=g.n,
+        groups=groups,
+        group_size=gsize,
+        rounds=math.ceil(len(assignments) / PE_PER_PU),
+        assignments=assignments,
+        window_passes=list(window_passes),
+        read_lengths=list(read_lengths),
+        self_updates=self_nodes * passes,
+        hop_updates=(g.n - self_nodes) * passes,
+        graph=g,
+    )
+
+
 def batch_align(
-    g: GenomeGraph,
-    batch: ReadBatch,
-    mode: str | None = None,
-    W: int = DEFAULT_W,
-    config: BatchConfig | None = None,
+    g: GenomeGraph, batch: ReadBatch, mode: str | None = None, W: int = DEFAULT_W
 ) -> tuple:
     """Align every read; scores are mode-independent by construction.
 
-    Short mode fans reads out round-robin over independent PE groups; long
-    mode streams them through one deep pipeline.  Both produce identical
-    AlignResults (ordered by read id, from ``align_read_parallel``) and
-    differ only in the BatchTrace.
+    Both modes produce identical AlignResults (ordered by read id, from
+    ``align_read_parallel``) and differ only in the BatchTrace
+    (:func:`map_batch`).
     """
-    config = config or BatchConfig()
-    if config.pe_per_pu % config.short_groups:
-        raise AlignmentError("pe_per_pu must divide into short-mode groups")
     if mode is None:
         mode = MODE_SHORT if batch.length_class == "short" else MODE_LONG
     if mode not in (MODE_SHORT, MODE_LONG):
@@ -438,80 +407,19 @@ def batch_align(
 
     reads = sorted(batch.reads, key=lambda rs: rs[0])
     results = align_read_parallel(g, [seq for _, seq in reads], W=W)
-
-    assignments = []
-    if mode == MODE_SHORT:
-        groups = config.short_groups
-        gsize = config.group_size
-        for j, (rid, _) in enumerate(reads):
-            assignments.append((rid, j % groups, (j // groups) % gsize))
-        rounds = math.ceil(len(reads) / config.pe_per_pu) if reads else 0
-    else:
-        groups = 1
-        gsize = config.pe_per_pu
-        for j, (rid, _) in enumerate(reads):
-            assignments.append((rid, 0, j % config.pe_per_pu))
-        rounds = math.ceil(len(reads) / config.pe_per_pu) if reads else 0
-
-    bt = BatchTrace(
-        mode=mode,
-        W=W,
-        nodes=g.n,
-        groups=groups,
-        group_size=gsize,
-        rounds=rounds,
-        assignments=assignments,
-        window_passes=[r.windows for r in results],
-        read_lengths=[len(seq) for _, seq in reads],
-        self_updates=sum(r.self_updates for r in results),
-        hop_updates=sum(r.hop_updates for r in results),
-        graph=g,
+    bt = map_batch(
+        g,
+        mode,
+        W,
+        [rid for rid, _ in reads],
+        [len(seq) for _, seq in reads],
+        [r.windows for r in results],
     )
     return results, bt
 
 
-def reconstruct_path(g: GenomeGraph, q: str, result: AlignResult) -> list:
-    """Replay logged direction bits backwards into an explicit match path.
-
-    Greedy: start at the lowest-id end node, and at each earlier position
-    take the lowest-id predecessor whose logged state holds the bit.  The
-    returned path spells the matched prefix of ``q``.
-    """
-    if result.trace is None:
-        raise TraceError("alignment ran without trace recording")
-    if result.score_max < 1:
-        raise TraceError("score is zero, nothing to trace")
-    W = result.trace.W
-    logs = result.trace.logs
-    v = int(result.end_nodes[0])
-    path = [v]
-    pos = result.score_max
-    while pos > 1:
-        window = (pos - 2) // W + 1
-        bit = 1 << ((pos - 2) % W)
-        states = logs.get(window)
-        if states is None:
-            raise TraceError(f"window {window} evicted from the trace buffer")
-        nxt = -1
-        for t in range(g.pred_ptr[v], g.pred_ptr[v + 1]):
-            u = int(g.pred_idx[t])
-            if states[u] & bit:
-                nxt = u
-                break  # predecessor lists are sorted, lowest id wins
-        if nxt < 0:
-            raise TraceError(f"no predecessor witnesses position {pos - 1}")
-        v = nxt
-        path.append(v)
-        pos -= 1
-    path.reverse()
-    return path
-
-
-def dump_alignments(path: str, read_ids, results, paths=None) -> None:
-    """TSV: read_id, score_max, lowest end node (-1 if none), optional path."""
+def dump_alignments(path: str, read_ids, results) -> None:
+    """TSV: read_id, score_max, lowest end node (-1 if none)."""
     with open(path, "w") as fh:
-        for idx, (rid, res) in enumerate(zip(read_ids, results)):
-            row = f"{rid}\t{res.score_max}\t{res.lowest_end}"
-            if paths is not None:
-                row += "\t" + ",".join(str(v) for v in paths[idx])
-            fh.write(row + "\n")
+        for rid, res in zip(read_ids, results):
+            fh.write(f"{rid}\t{res.score_max}\t{res.lowest_end}\n")

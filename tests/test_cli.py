@@ -118,6 +118,26 @@ def test_verify_catches_a_faulty_closure_kernel(tmp_path, monkeypatch, capsys):
     assert "FAIL apsp-exactness" in out and "FAIL boundary-soundness" in out
 
 
+def test_apsp_over_dense_limit_exits_2_before_closing(tmp_path, monkeypatch, capsys):
+    # past 4,096 vertices the engine runs lazily and holds no dense matrix
+    # to export, so apsp refuses the graph before it closes anything
+    n = 4200
+    path = tmp_path / "ring.edges"
+    ring = WeightedGraph.from_edges(n, [(i, (i + 1) % n, 1) for i in range(n)])
+    dump_edge_list(ring, str(path))
+
+    def closure_kernel(d):
+        raise AssertionError("closure ran")
+
+    monkeypatch.setattr("graphdp.apsp.floyd_warshall_dense", closure_kernel)
+    assert run("apsp", "--graph", path, "--max-tile", 64, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "n=4200" in err and "4096" in err
+    assert run("plan", "--workload", "apsp", "--graph", path, "--max-tile", 64,
+               "--out", tmp_path) == 0
+
+
 def test_apsp_disconnected_renders_inf(tmp_path):
     g = WeightedGraph(3, np.array([0]), np.array([1]), np.array([7]))
     dump_edge_list(g, str(tmp_path / "g.edges"))
@@ -347,6 +367,16 @@ def test_plan_bad_descriptor_fields_exit_2(tmp_path, capsys):
         assert run("plan", "--desc", desc, "--out", tmp_path) == 2, bad
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
+    # a window width the aligner refuses is refused by plan as well
+    gfa, fa = _gen_inputs(tmp_path, bases=300, reads=2, read_len=40)
+    desc.write_text(json.dumps({"kind": "s2g", "graph": gfa, "reads": fa, "W": 0}))
+    for argv in (
+        ("plan", "--desc", desc),
+        ("s2g", "--graph", gfa, "--reads", fa, "--W", 0),
+    ):
+        assert run(*argv, "--out", tmp_path) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +423,18 @@ def test_reruns_are_byte_identical(tmp_path):
     assert before == after
 
 
-def test_unknown_subcommand_exits_2():
-    assert run("frobnicate") == 2
+def test_unknown_subcommand_exits_2(capsys):
+    # argparse's own errors print one line, like every other usage error
+    for argv in (
+        ("apsp", "--graph", "g", "--max-tile", "abc"),
+        ("apsp", "--max-tile", 64),
+        ("frobnicate",),
+    ):
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert run("apsp", "--help") == 0
+    assert "--max-tile" in capsys.readouterr().out
 
 
 def test_verify_command_all_suites_pass(tmp_path, capsys):

@@ -21,11 +21,9 @@ from graphdp.minplus import (
     DistanceBlock,
     NegativeEntryError,
     floyd_warshall_dense,
-    fw_panel_step,
     inject,
     min_plus_merge,
     min_plus_product,
-    restrict,
 )
 from oracles import dijkstra_oracle
 
@@ -102,51 +100,7 @@ def test_fw_disconnected_stays_inf():
 
 
 # ---------------------------------------------------------------------------
-# Panel steps and traces
-# ---------------------------------------------------------------------------
-
-
-def test_panel_steps_compose_to_full_closure():
-    g = gen_er(45, 0.1, seed=7)
-    d = distance_init(g)
-    work = d.copy()
-    for k in range(g.n):
-        fw_panel_step(work, k)
-    assert np.array_equal(work, floyd_warshall_dense(d))
-
-
-def test_panel_step_leaves_pivot_row_and_column():
-    g = gen_er(30, 0.2, seed=1)
-    d = distance_init(g)
-    before_row = d[5, :].copy()
-    before_col = d[:, 5].copy()
-    fw_panel_step(d, 5)
-    assert np.array_equal(d[5, :], before_row)
-    assert np.array_equal(d[:, 5], before_col)
-
-
-def test_panel_trace_counts_strict_improvements():
-    g = gen_er(35, 0.15, seed=4)
-    d = distance_init(g)
-    before = d.copy()
-    ev = fw_panel_step(d, 0)
-    assert ev.improved == int((d != before).sum())
-    assert ev.dim == ev.rows == g.n
-    # tie writes are suppressed: re-running the same pivot improves nothing
-    ev2 = fw_panel_step(d, 0)
-    assert ev2.improved == 0
-
-
-def test_full_trace_covers_all_pivots():
-    g = gen_er(25, 0.2, seed=9)
-    trace = []
-    traced = floyd_warshall_dense(distance_init(g), trace)
-    assert [ev.pivot for ev in trace] == list(range(g.n))
-    assert np.array_equal(traced, floyd_warshall_dense(distance_init(g)))
-
-
-# ---------------------------------------------------------------------------
-# Restriction, injection, merge
+# Injection, merge
 # ---------------------------------------------------------------------------
 
 
@@ -155,22 +109,6 @@ def _closed_block(g, ids=None):
     if ids is None:
         ids = np.arange(g.n)
     return DistanceBlock(d, ids)
-
-
-def test_restrict_picks_submatrix():
-    g = gen_er(20, 0.3, seed=5)
-    blk = _closed_block(g)
-    sub = restrict(blk, np.array([3, 7, 11]))
-    assert sub.ids.tolist() == [3, 7, 11]
-    assert sub.data[0, 1] == blk.data[3, 7]
-    assert sub.data[2, 0] == blk.data[11, 3]
-    sub.validate()  # closed blocks restrict to valid closed blocks
-
-
-def test_restrict_unknown_id_raises():
-    g = gen_er(10, 0.3, seed=5)
-    with pytest.raises(BlockShapeError):
-        restrict(_closed_block(g), np.array([99]))
 
 
 def test_inject_lowers_entries_and_reclose_is_exact():
@@ -231,8 +169,9 @@ def test_min_plus_merge_matches_brute_force():
 def test_min_plus_merge_empty_boundary_all_inf():
     g = gen_er(12, 0.3, seed=3)
     blk = _closed_block(g)
-    d1 = restrict(blk, np.arange(0, 6))
-    d2 = restrict(blk, np.arange(6, 12))
+    c1, c2 = np.arange(0, 6), np.arange(6, 12)
+    d1 = DistanceBlock(blk.data[np.ix_(c1, c1)], c1)
+    d2 = DistanceBlock(blk.data[np.ix_(c2, c2)], c2)
     out = min_plus_merge(d1, blk, d2, np.array([], dtype=np.int64), np.array([6]))
     assert np.all(out == INF_SENTINEL)
 
@@ -343,8 +282,6 @@ def test_near_sentinel_kernels_match_int64(seed):
         d = _near_sentinel(rng, (n, n))
         np.fill_diagonal(d, 0)
         assert np.array_equal(floyd_warshall_dense(d), _fw_int64(d))
-        trace = []
-        assert np.array_equal(floyd_warshall_dense(d, trace), _fw_int64(d))
         a = _near_sentinel(rng, (n, 5))
         b = _near_sentinel(rng, (5, n + 1))
         assert np.array_equal(min_plus_product(a, b), _product_int64(a, b))
