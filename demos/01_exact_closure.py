@@ -1,5 +1,5 @@
 """Recursive partitioned closure on a random graph, checked against the
-dense reference and queried pair by pair."""
+dense reference and read pair by pair."""
 
 import os
 import tempfile
@@ -20,16 +20,16 @@ g = gen_er(600, 0.01, seed=4)
 print(f"graph: n={g.n} arcs={g.edge_count}")
 
 res = recursive_apsp(g, max_tile=128, seed=0)
-print(f"closure: mode={res.mode} levels={res.trace.depth} "
+print(f"closure: mode={res.trace.mode} levels={res.trace.depth} "
       f"fw_events={len(res.trace.fw_events)} merges={len(res.trace.merge_events)}")
 
 # the engine is exact, not approximate
 want = floyd_warshall_dense(distance_init(g))
-assert np.array_equal(res.to_dense(), want)
+assert np.array_equal(res.dist, want)
 print("matches the dense closure entrywise")
 
 for u, v in [(0, 1), (0, 599), (17, 403)]:
-    d = res.query(u, v)
+    d = res.dist[u, v]
     print(f"  dist({u}, {v}) = {'unreachable' if d == INF_SENTINEL else d}")
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -4,17 +4,14 @@ with the cost model riding along without touching results."""
 import json
 
 from graphdp import WorkloadDescriptor, execute, gen_genome, gen_reads, lower, parse_gfa
-from graphdp.planner import select_mapping
 
 gfa, _ = gen_genome(2500, 0.02, seed=8)
 g = parse_gfa(gfa)
 reads = gen_reads(g, 6, 100, 0.02, seed=1) + gen_reads(g, 2, 600, 0.01, seed=2)
 
-print("mapping rule:", select_mapping(100), "/", select_mapping(600))
-
 w = WorkloadDescriptor("s2g", g, reads=reads, mode="auto")
 plan = lower(w)
-print(f"\nplan ({len(plan.stages)} stages):")
+print(f"plan ({len(plan.stages)} stages):")
 for st in plan.stages:
     extra = f" [{st.mapping}]" if st.mapping else ""
     print(f"  {st.id:14s} {st.kind:12s} on {st.tile}{extra}")

@@ -85,7 +85,6 @@ from .planner import (
     execute,
     load_descriptor,
     lower,
-    select_mapping,
 )
 
 __version__ = "0.1.0"

@@ -33,13 +33,13 @@ from .minplus import (
 )
 from .partition import PartitionHierarchy, build_boundary_graph, build_hierarchy
 
-DENSE_LIMIT_DEFAULT = 4096
+DENSE_LIMIT = 4096
 DIST_MAGIC = b"GDPD"
 TSV_LIMIT = 512
 
 
 class ApspError(GraphError):
-    """Engine misuse (bad mode, export constraints, stale result)."""
+    """Engine misuse (export constraints, stale hierarchy)."""
 
 
 @dataclass
@@ -84,16 +84,10 @@ class ExecutionTrace:
         }
 
 
-def choose_mode(
-    n: int, mode: str = "auto", dense_limit: int = DENSE_LIMIT_DEFAULT
-) -> str:
-    """The materialization of a run over ``n`` vertices: ``"auto"`` is dense
-    up to ``dense_limit`` vertices and lazy beyond."""
-    if mode not in ("auto", "dense", "lazy"):
-        raise ApspError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        return "dense" if n <= dense_limit else "lazy"
-    return mode
+def choose_mode(n: int) -> str:
+    """The schedule a device prices for ``n`` vertices: ``"dense"`` up to
+    ``DENSE_LIMIT``, ``"lazy"`` (no base-level merges) beyond it."""
+    return "dense" if n <= DENSE_LIMIT else "lazy"
 
 
 def schedule(hierarchy: PartitionHierarchy, mode: str) -> ExecutionTrace:
@@ -104,8 +98,9 @@ def schedule(hierarchy: PartitionHierarchy, mode: str) -> ExecutionTrace:
     graph closes as the top, unless it is empty.  Downward, from the top
     level to the base, each component with a boundary gets its boundary
     pairs injected and re-closes, in component order, and every ordered
-    pair of such components merges; the base level merges only in dense
-    mode.  A level without boundary vertices does neither, so an empty top
+    pair of such components merges.  The base level merges only in the
+    dense schedule, which the engine runs; the lazy schedule leaves them
+    out.  A level without boundary vertices does neither, so an empty top
     needs no special case.
     """
     levels = hierarchy.levels
@@ -167,53 +162,12 @@ def _close_components(g: WeightedGraph, part, threads: int) -> dict:
 
 @dataclass
 class ApspResult:
-    """Closed distances plus the artifacts needed to answer queries.
-
-    ``dist`` is the full matrix in dense mode and ``None`` in lazy mode;
-    lazy mode answers same-component pairs from the exact component blocks
-    and cross-component pairs through the level-0 boundary closure.  All
-    stored distances are ``uint32``; only the lazy three-term sum widens to
-    ``int64``.
-    """
+    """The closed ``uint32`` distance matrix and how it was computed."""
 
     n: int
-    mode: str
     hierarchy: PartitionHierarchy
     trace: ExecutionTrace
-    dist: np.ndarray | None
-    blocks: list
-    xb: list
-
-    def query(self, u: int, v: int) -> int:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ApspError(f"vertex pair ({u}, {v}) out of range")
-        if self.dist is not None:
-            return int(self.dist[u, v])
-        lv0 = self.hierarchy.levels[0]
-        c1 = int(lv0.partition.assign[u])
-        c2 = int(lv0.partition.assign[v])
-        blk1 = self.blocks[0][c1]
-        if c1 == c2:
-            iu = int(np.searchsorted(blk1.ids, u))
-            iv = int(np.searchsorted(blk1.ids, v))
-            return int(blk1.data[iu, iv])
-        blk2 = self.blocks[0][c2]
-        b1 = lv0.boundaries.of(c1)
-        b2 = lv0.boundaries.of(c2)
-        if b1.size == 0 or b2.size == 0 or self.xb[0] is None:
-            return INF_SENTINEL
-        xb0 = self.xb[0]
-        row = blk1.data[np.searchsorted(blk1.ids, u), blk1.local(b1)]
-        col = blk2.data[blk2.local(b2), np.searchsorted(blk2.ids, v)]
-        mid = xb0.data[np.ix_(xb0.local(b1), xb0.local(b2))]
-        # three stored terms can reach 3 * INF_SENTINEL, past uint32
-        best = int((row.astype(np.int64)[:, None] + mid + col[None, :]).min())
-        return min(best, INF_SENTINEL)
-
-    def to_dense(self) -> np.ndarray:
-        if self.dist is None:
-            raise ApspError("dense matrix not materialized in lazy mode")
-        return self.dist
+    dist: np.ndarray
 
 
 def _assemble_level(
@@ -250,28 +204,19 @@ def recursive_apsp(
     g: WeightedGraph,
     max_tile: int = 1024,
     hierarchy: PartitionHierarchy | None = None,
-    mode: str = "auto",
-    dense_limit: int = DENSE_LIMIT_DEFAULT,
     seed: int = 0,
     threads: int = 1,
-    k_fn=None,
-    strict: bool = False,
 ) -> ApspResult:
-    """Close all shortest-path distances of ``g`` recursively.
+    """Close all shortest-path distances of ``g`` recursively into the
+    dense n x n matrix.
 
-    ``mode`` selects the result materialization: ``"dense"`` builds the full
-    n x n matrix, ``"lazy"`` keeps exact component blocks and the boundary
-    closure and answers pairs on demand (for graphs whose full matrix is
-    not worth holding), ``"auto"`` picks dense up to ``dense_limit``
-    vertices.  ``threads`` parallelizes independent component closures and
-    merges; results are identical for any thread count.  The result's
-    ``trace`` is :func:`schedule` of the hierarchy used.
+    ``threads`` parallelizes independent component closures and merges;
+    results are identical for any thread count.  The result's ``trace`` is
+    the dense :func:`schedule` of the hierarchy used.
     """
-    mode = choose_mode(g.n, mode, dense_limit)
     if hierarchy is None:
-        hierarchy = build_hierarchy(g, max_tile, k_fn=k_fn, seed=seed, strict=strict)
+        hierarchy = build_hierarchy(g, max_tile, seed=seed)
     levels = hierarchy.levels
-    depth = hierarchy.depth
 
     # upward: close components, condense boundaries, repeat
     level_blocks: list[dict] = []
@@ -287,44 +232,30 @@ def recursive_apsp(
             cur = WeightedGraph.from_edges(0, [])
 
     # top closure: the last boundary graph, dense (oversized if truncated)
+    closure = None
     if cur.n:
-        top_ids = levels[-1].boundary_ids
-        xb_top = DistanceBlock(floyd_warshall_dense(distance_init(cur)), top_ids)
-    else:
-        xb_top = None
+        top = floyd_warshall_dense(distance_init(cur))
+        closure = DistanceBlock(top, levels[-1].boundary_ids)
 
-    # downward: inject boundary closure, re-close blocks, assemble the
-    # next closure one level down
-    xb: list[DistanceBlock | None] = [None] * depth
-    xb[depth - 1] = xb_top
-    for lidx in range(depth - 1, -1, -1):
+    # downward: inject the boundary closure, re-close blocks, assemble the
+    # closure one level down; the base level assembles the result
+    for lidx in range(hierarchy.depth - 1, -1, -1):
         lv = levels[lidx]
         blocks = level_blocks[lidx]
-        cur_xb = xb[lidx]
-        if cur_xb is not None:
-            items = sorted(lv.boundaries.per_component)
+        if closure is not None:
 
-            def reinject(c, _xb=cur_xb, _blocks=blocks, _lv=lv):
+            def reinject(c, _xb=closure, _blocks=blocks, _lv=lv):
                 b = _lv.boundaries.of(c)
                 blk = _blocks[c]
                 inject(_xb, b, blk)
                 blk.data = floyd_warshall_dense(blk.data)
                 return c
 
-            _pmap(reinject, items, threads)
-        if lidx == 0:
-            break
-        below = _assemble_level(lv.partition.n, blocks, lv.boundaries, cur_xb, threads)
-        xb[lidx - 1] = DistanceBlock(below, levels[lidx - 1].boundary_ids)
-
-    dist = None
-    if mode == "dense":
-        dist = _assemble_level(
-            g.n, level_blocks[0], levels[0].boundaries, xb[0], threads
-        )
-    return ApspResult(
-        g.n, mode, hierarchy, schedule(hierarchy, mode), dist, level_blocks, xb
-    )
+            _pmap(reinject, sorted(lv.boundaries.per_component), threads)
+        dist = _assemble_level(lv.partition.n, blocks, lv.boundaries, closure, threads)
+        if lidx:
+            closure = DistanceBlock(dist, levels[lidx - 1].boundary_ids)
+    return ApspResult(g.n, hierarchy, schedule(hierarchy, "dense"), dist)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +269,7 @@ def export_distances(result: ApspResult, path: str, fmt: str = "bin") -> None:
     Binary layout: 4-byte magic, u32 n, then n*n row-major u32 values.
     TSV (capped at 512 vertices) writes ``inf`` for unreachable pairs.
     """
-    dist = result.to_dense()
+    dist = result.dist
     if fmt == "bin":
         with open(path, "wb") as fh:
             fh.write(DIST_MAGIC)

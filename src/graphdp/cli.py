@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .apsp import DENSE_LIMIT_DEFAULT, choose_mode, export_distances, recursive_apsp
+from .apsp import DENSE_LIMIT, export_distances, recursive_apsp
 from .costmodel import (
     ModelError,
     arithmetic_intensity,
@@ -231,11 +231,11 @@ def cmd_apsp(args) -> int:
     outdir = _outdir(args)
     pcm, _ = _device(args.config)
     g = load_edge_list(args.graph)
-    if choose_mode(g.n) != "dense":
-        # the exported distances (and --verify) need the dense matrix
+    if g.n > DENSE_LIMIT:
+        # the engine builds, exports and verifies the dense n x n matrix
         raise UsageError(
             f"apsp exports a dense matrix, so the graph must have at most "
-            f"{DENSE_LIMIT_DEFAULT} vertices, not n={g.n}"
+            f"{DENSE_LIMIT} vertices, not n={g.n}"
         )
     w = WorkloadDescriptor(
         "apsp",
@@ -273,12 +273,12 @@ def cmd_apsp(args) -> int:
     )
     _emit_run(outdir, cfg)
     print(
-        f"apsp: n={g.n} mode={res.mode} depth={res.trace.depth} -> {dist_path}"
+        f"apsp: n={g.n} mode={res.trace.mode} depth={res.trace.depth} -> {dist_path}"
     )
 
     if args.verify:
         want = _dijkstra_distances(g)
-        got = res.to_dense()
+        got = res.dist
         bad = np.argwhere(got != want)
         if bad.size:
             u, v = (int(x) for x in bad[0])
@@ -560,7 +560,7 @@ def _suite_apsp(seed: int, threads: int):
     for i, g in enumerate(cases):
         res = recursive_apsp(g, max_tile=64 if i % 2 else 128, seed=seed,
                              threads=threads)
-        if not np.array_equal(res.to_dense(), _dijkstra_distances(g)):
+        if not np.array_equal(res.dist, _dijkstra_distances(g)):
             bad += 1
     return f"{len(cases) - bad}/{len(cases)} graphs", bad == 0
 

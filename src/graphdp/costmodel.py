@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .apsp import ExecutionTrace, MergeEvent, schedule
-from .graphs import WeightedGraph
+from .graphs import SHORT_READ_THRESHOLD, WeightedGraph
 from .partition import PartitionHierarchy, build_hierarchy
 from .s2g import (
     MODE_LONG,
@@ -560,7 +560,7 @@ def make_traversal_trace(g, read_lengths, W: int = 128, mode: str | None = None)
     the modeling stand-in the sweeps use for large synthetic workloads.
     """
     if mode is None:
-        mode = MODE_SHORT if max(read_lengths) <= 300 else MODE_LONG
+        mode = MODE_SHORT if max(read_lengths) <= SHORT_READ_THRESHOLD else MODE_LONG
     ids = [f"r{j}" for j in range(len(read_lengths))]
     passes = [math.ceil(le / W) for le in read_lengths]
     return map_batch(g, mode, W, ids, read_lengths, passes)
@@ -581,7 +581,7 @@ def _chain_genome(n: int, seed: int):
     return genome_graph(bases, edges)
 
 
-def default_pe_workload(h: HbmParams | None = None):
+def default_pe_workload():
     """Mixed short+long traversal workload for the PE-density sweep.
 
     Short reads run at W=32 (fine windows, many sweeps per read) so the
@@ -604,7 +604,7 @@ def sweep_pe_density(
     if not counts:
         raise ValidationError("no PE counts to sweep")
     h = h or HbmParams()
-    workload = workload if workload is not None else default_pe_workload(h)
+    workload = workload if workload is not None else default_pe_workload()
     rows = []
     for p_count in counts:
         hp = replace(h, pe_per_pu=int(p_count))
@@ -733,7 +733,7 @@ def _tile_params(p: PcmParams, N: int) -> PcmParams:
 def _hierarchy_cost(hier: PartitionHierarchy, N: int, p: PcmParams):
     """Matrix-die latency and energy for one tile size.
 
-    Prices the engine's lazy-mode schedule of ``hier`` in two pools:
+    Prices the lazy schedule of ``hier`` in two pools:
     closure work (component closes, the top and re-closes) spreads over the
     on-die units, whose count scales as (1024/N)^2 at constant area, with
     the clock derated past the 1024 design point.  Boundary assembly

@@ -32,14 +32,16 @@ class NegativeEntryError(ValueError):
 
 
 class BlockShapeError(ValueError):
-    """Malformed distance block (not square, id mismatch, bad diagonal)."""
+    """Malformed distance block (not square, ids not increasing or not
+    matching, bad diagonal)."""
 
 
 @dataclass
 class DistanceBlock:
     """Square distance matrix over an explicit vertex id set.
 
-    ``ids[i]`` is the global vertex behind row/column ``i``.  The diagonal
+    ``ids[i]`` is the global vertex behind row/column ``i``; ids strictly
+    increase, as components and boundary unions list them.  The diagonal
     is identically zero and entries are stored as ``uint32`` in
     ``[0, INF_SENTINEL]``: the sum of two entries is at most 2^32-2, so
     min-plus candidates never wrap, and every entry a kernel stores is the
@@ -57,9 +59,8 @@ class DistanceBlock:
             raise BlockShapeError("block data must be square")
         if self.ids.shape != (self.data.shape[0],):
             raise BlockShapeError("ids length must match block dimension")
-        # blocks built from components and boundary unions have sorted ids,
-        # which ``local`` can search without sorting them first
-        self._ids_increasing = bool(np.all(self.ids[1:] > self.ids[:-1]))
+        if np.any(self.ids[1:] <= self.ids[:-1]):
+            raise BlockShapeError("block ids must be strictly increasing")
 
     @property
     def dim(self) -> int:
@@ -67,17 +68,13 @@ class DistanceBlock:
 
     def local(self, global_ids: np.ndarray) -> np.ndarray:
         """Map global vertex ids to local row indices (all must be present)."""
-        if self._ids_increasing:
-            order, keys = None, self.ids
-        else:
-            order = np.argsort(self.ids, kind="stable")
-            keys = self.ids[order]
-        pos = np.searchsorted(keys, global_ids)
-        if np.any(pos >= keys.size) or np.any(
-            keys[np.minimum(pos, keys.size - 1)] != global_ids
+        ids = self.ids
+        pos = np.searchsorted(ids, global_ids)
+        if np.any(pos >= ids.size) or np.any(
+            ids[np.minimum(pos, ids.size - 1)] != global_ids
         ):
             raise BlockShapeError("vertex id not present in block")
-        return pos if order is None else order[pos]
+        return pos
 
     def validate(self) -> None:
         _check_range(self.data)

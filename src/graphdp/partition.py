@@ -41,7 +41,7 @@ class PartitionError(GraphError):
 
 
 class HierarchyError(GraphError):
-    """Boundary graph refused to shrink in strict mode."""
+    """Bad hierarchy request (a tile too small to split into)."""
 
 
 @dataclass
@@ -116,7 +116,6 @@ def kway_partition(
     k: int,
     seed: int = 0,
     imbalance: float = DEFAULT_IMBALANCE,
-    refine_passes: int = DEFAULT_REFINE_PASSES,
 ) -> Partition:
     """Balanced k-way partition by BFS region growing plus move refinement.
 
@@ -124,10 +123,10 @@ def kway_partition(
     peripheral start; the seeded shuffle breaks ties), and each later region
     seeds from the previous regions' frontier spill, so regions stay
     adjacent and a path graph tiles into contiguous runs.  Growth stops at
-    a balanced target; leftovers join the smallest adjacent region.
-    Refinement passes move boundary vertices when that strictly reduces the
-    number of cut edges without breaking the ``ceil(n/k)*(1+imbalance)``
-    size cap.  Deterministic for a fixed seed.
+    a balanced target; leftovers join the smallest adjacent region.  Up to
+    ``DEFAULT_REFINE_PASSES`` refinement passes move boundary vertices when
+    that strictly reduces the number of cut edges without breaking the
+    ``ceil(n/k)*(1+imbalance)`` size cap.  Deterministic for a fixed seed.
 
     A region queues each vertex at most once: the vertex is stamped with
     the region id when it enters the queue.  This gives the assignment that
@@ -219,7 +218,7 @@ def kway_partition(
         sizes[best] += 1
         stalled = 0
 
-    for _ in range(max(0, refine_passes)):
+    for _ in range(DEFAULT_REFINE_PASSES):
         moved = False
         assign_np = np.array(assign, dtype=np.int64)
         cross = assign_np[g.src] != assign_np[g.dst]
@@ -251,14 +250,19 @@ def kway_partition(
     return Partition(n, k, np.array(assign, dtype=np.int64))
 
 
+def _boundary_set(assign: np.ndarray, union: np.ndarray) -> BoundarySet:
+    """Split the sorted boundary vertices ``union`` by component."""
+    per = {}
+    for c in np.unique(assign[union]) if union.size else []:
+        per[int(c)] = union[assign[union] == c]
+    return BoundarySet(per, union)
+
+
 def find_boundary(g: WeightedGraph, p: Partition) -> BoundarySet:
     """Vertices incident to at least one cross-component edge, per component."""
     cross = p.assign[g.src] != p.assign[g.dst]
     verts = np.unique(np.concatenate([g.src[cross], g.dst[cross]]))
-    per = {}
-    for c in np.unique(p.assign[verts]) if verts.size else []:
-        per[int(c)] = verts[p.assign[verts] == c]
-    return BoundarySet(per, verts)
+    return _boundary_set(p.assign, verts)
 
 
 def _dedupe_min(n: int, src, dst, w) -> tuple:
@@ -459,7 +463,6 @@ def build_hierarchy(
     k_fn=None,
     seed: int = 0,
     imbalance: float = DEFAULT_IMBALANCE,
-    strict: bool = False,
 ) -> PartitionHierarchy:
     """Build the level structure for recursive tile-sized closure.
 
@@ -468,8 +471,7 @@ def build_hierarchy(
     stalls, the component count is halved once as a fallback, and if the
     boundary still does not shrink the hierarchy stops there (``truncated``
     set, the oversized top boundary graph is closed exactly in software by
-    the engine).  With ``strict=True`` a stall raises :class:`HierarchyError`
-    instead.  Every component at every level fits ``max_tile``.
+    the engine).  Every component at every level fits ``max_tile``.
     """
     if max_tile < 2:
         raise HierarchyError("max_tile must be at least 2")
@@ -506,10 +508,7 @@ def build_hierarchy(
             boundary = int(mask.sum())
 
         union = np.nonzero(mask)[0].astype(np.int64)
-        per = {}
-        for c in np.unique(part.assign[union]) if union.size else []:
-            per[int(c)] = union[part.assign[union] == c]
-        bset = BoundarySet(per, union)
+        bset = _boundary_set(part.assign, union)
 
         lookup = np.full(n, -1, dtype=np.int64)
         lookup[union] = np.arange(union.size)
@@ -521,7 +520,7 @@ def build_hierarchy(
         nxt_src = lookup[cross_src[keep]]
         nxt_dst = lookup[cross_dst[keep]]
         nxt_w = cross_w[keep]
-        nxt_groups = [lookup[b] for b in per.values() if b.size >= 2]
+        nxt_groups = [lookup[b] for b in bset.per_component.values() if b.size >= 2]
         # a group split across components keeps live virtual pairs between
         # those components (they are real edges of the next boundary graph),
         # so it survives as a group; every member is boundary by the split
@@ -540,11 +539,6 @@ def build_hierarchy(
         if union.size == 0 or union.size <= max_tile:
             break
         if union.size >= n:
-            if strict:
-                raise HierarchyError(
-                    f"boundary graph stopped shrinking at level {level} "
-                    f"({union.size} vertices)"
-                )
             truncated = True
             break
         n = union.size

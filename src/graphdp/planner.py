@@ -73,14 +73,6 @@ class StageError(PlanError):
         super().__init__(f"stage {stage_id} failed: {cause}")
 
 
-def select_mapping(read_len: int, threshold: int = SHORT_READ_THRESHOLD) -> str:
-    """Mapping mode by read length: grouped PEs up to the threshold
-    (inclusive), one deep pipeline beyond it."""
-    if read_len < 1:
-        raise DescriptorError(f"read length {read_len} out of range")
-    return MODE_SHORT if read_len <= threshold else MODE_LONG
-
-
 @dataclass
 class WorkloadDescriptor:
     kind: str  # "apsp" | "s2g"
@@ -103,6 +95,9 @@ class WorkloadDescriptor:
                 raise DescriptorError("s2g workload needs a genome graph")
             if not self.reads:
                 raise DescriptorError("s2g workload needs reads")
+            empty = [rid for rid, seq in self.reads if not seq]
+            if empty:
+                raise DescriptorError(f"read {empty[0]} is empty")
             if self.W < 1:
                 raise DescriptorError(f"window width W={self.W} must be positive")
         else:
@@ -222,8 +217,8 @@ class Stage:
 @dataclass
 class ExecutionPlan:
     """Ordered stages plus what lowering computed for execute() to reuse:
-    the apsp partition hierarchy and the s2g ``(ReadBatch, mapping)`` list.
-    Neither is part of the plan document (``to_json``)."""
+    the apsp partition hierarchy and the s2g ``ReadBatch`` of each align
+    stage.  Neither is part of the plan document (``to_json``)."""
 
     workload: WorkloadDescriptor
     stages: list = field(default_factory=list)
@@ -310,21 +305,21 @@ def _lower_apsp(w: WorkloadDescriptor) -> ExecutionPlan:
 
 
 def _lower_s2g(w: WorkloadDescriptor) -> ExecutionPlan:
+    """One align stage per read batch; a short batch maps onto grouped PEs,
+    a long one onto one deep pipeline."""
     stages = [Stage("s0.masks", K_MASK, TILE_HOST, ["graph"], ["masks"])]
     if w.mode == "auto":
-        short, long_ = split_by_length(w.reads)
-        batches = [(b, select_mapping(max(len(s) for _, s in b.reads)))
-                   for b in (short, long_) if b.reads]
+        batches = [b for b in split_by_length(w.reads) if b.reads]
     elif w.mode == "short":
         too_long = [r for r, s in w.reads if len(s) > SHORT_READ_THRESHOLD]
         if too_long:
             raise DescriptorError(
                 f"read {too_long[0]} too long for forced short mapping"
             )
-        batches = [(ReadBatch(list(w.reads), "short"), MODE_SHORT)]
+        batches = [ReadBatch(list(w.reads), "short")]
     else:
-        batches = [(ReadBatch(list(w.reads), "long"), MODE_LONG)]
-    for i, (batch, mapping) in enumerate(batches):
+        batches = [ReadBatch(list(w.reads), "long")]
+    for i, batch in enumerate(batches):
         stages.append(
             Stage(
                 f"align.{batch.length_class}",
@@ -332,7 +327,7 @@ def _lower_s2g(w: WorkloadDescriptor) -> ExecutionPlan:
                 TILE_TRAVERSAL,
                 ["graph", "reads", "masks"],
                 [f"scores.{i}"],
-                mapping=mapping,
+                mapping=MODE_SHORT if batch.length_class == "short" else MODE_LONG,
             )
         )
     plan = ExecutionPlan(w, stages, batches=batches)
@@ -381,11 +376,9 @@ def execute(plan: ExecutionPlan, cost_model_on: bool = False) -> dict:
     results = {}
     traces = []
     cost = CostReport()
-    for st, (batch, mapping) in zip(
-        [s for s in plan.stages if s.kind == K_ALIGN], plan.batches
-    ):
+    for st, batch in zip([s for s in plan.stages if s.kind == K_ALIGN], plan.batches):
         aligned, bt = _run_stage(
-            st.id, batch_align, w.graph, batch, mode=mapping, W=w.W
+            st.id, batch_align, w.graph, batch, mode=st.mapping, W=w.W
         )
         traces.append(bt)
         for (rid, _), r in zip(sorted(batch.reads, key=lambda rs: rs[0]), aligned):

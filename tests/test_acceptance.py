@@ -87,7 +87,7 @@ def test_apsp_exact_equivalence():
     for g, tile in cases:
         res = recursive_apsp(g, max_tile=tile, seed=0)
         want = dijkstra_oracle(g)
-        assert np.array_equal(res.to_dense(), want), (
+        assert np.array_equal(res.dist, want), (
             f"mismatch on n={g.n} tile={tile}"
         )
     dt = time.monotonic() - t0
@@ -298,10 +298,10 @@ def test_cli_determinism(tmp_path):
 
     # closure values must not depend on the partitioner seed or thread count
     g = gen_er(300, 0.02, seed=9)
-    base = recursive_apsp(g, max_tile=64, seed=0, threads=1).to_dense()
+    base = recursive_apsp(g, max_tile=64, seed=0, threads=1).dist
     for seed in (1, 2):
         for threads in (1, 4):
             got = recursive_apsp(g, max_tile=64, seed=seed, threads=threads)
-            assert np.array_equal(got.to_dense(), base)
+            assert np.array_equal(got.dist, base)
     print(f"PASS determinism: {len(cmds)} commands byte-identical on rerun; "
           "closure invariant over partitioner seeds and 1..4 threads")

@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +41,8 @@ def test_single_tile_degenerates_to_dense_fw():
 def test_two_disjoint_components_stay_inf():
     edges = [(0, 1, 2), (1, 0, 2), (2, 3, 5), (3, 2, 5)]
     g = WeightedGraph.from_edges(4, edges)
-    res = recursive_apsp(g, max_tile=2, k_fn=lambda n: 2)
+    hier = build_hierarchy(g, max_tile=2, k_fn=lambda n: 2)
+    res = recursive_apsp(g, hierarchy=hier)
     assert res.dist[0, 2] == INF_SENTINEL
     assert res.dist[3, 1] == INF_SENTINEL
     assert res.dist[0, 1] == 2
@@ -96,51 +98,6 @@ def test_deep_hierarchy_exact():
     assert hier.depth >= 2
     res = recursive_apsp(g, hierarchy=hier, max_tile=48)
     assert np.array_equal(res.dist, fw_oracle(g))
-
-
-def test_lazy_mode_matches_dense_on_all_pairs():
-    g = gen_clustered(5, 20, seed=8)
-    oracle = fw_oracle(g)
-    res = recursive_apsp(g, max_tile=24, mode="lazy", seed=0)
-    assert res.dist is None
-    got = np.array([[res.query(u, v) for v in range(g.n)] for u in range(g.n)])
-    assert np.array_equal(got, oracle)
-
-
-def test_lazy_query_same_and_cross_component():
-    edges = [(0, 1, 4), (1, 0, 4), (1, 2, 1), (2, 1, 1)]
-    g = WeightedGraph.from_edges(4, edges)  # vertex 3 isolated
-    res = recursive_apsp(g, max_tile=2, mode="lazy", k_fn=lambda n: 2)
-    assert res.query(0, 0) == 0
-    assert res.query(0, 2) == 5
-    assert res.query(0, 3) == INF_SENTINEL
-    assert res.query(2, 0) == 5
-
-
-def test_query_out_of_range_raises():
-    g = gen_er(10, 0.2, seed=0)
-    res = recursive_apsp(g, max_tile=16)
-    with pytest.raises(ApspError):
-        res.query(0, 10)
-    with pytest.raises(ApspError):
-        res.query(-1, 0)
-
-
-def test_auto_mode_respects_dense_limit():
-    g = gen_er(30, 0.1, seed=1)
-    res = recursive_apsp(g, max_tile=8, dense_limit=10)
-    assert res.mode == "lazy"
-    with pytest.raises(ApspError):
-        res.to_dense()
-    dense = recursive_apsp(g, max_tile=8, dense_limit=100)
-    assert dense.mode == "dense"
-    assert res.query(3, 17) == dense.dist[3, 17]
-
-
-def test_unknown_mode_rejected():
-    g = gen_er(10, 0.2, seed=0)
-    with pytest.raises(ApspError):
-        recursive_apsp(g, mode="sparse")
 
 
 def test_mismatched_hierarchy_rejected():
@@ -248,12 +205,14 @@ def record_kernel_calls(monkeypatch) -> dict:
 @pytest.mark.parametrize("mode", ["dense", "lazy"])
 @pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
 def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, threads):
+    # the engine runs the dense schedule; the lazy one, which the tile sweep
+    # and plans past the dense limit price, leaves out the base-level merges
     make, tile, shape = SCHEDULE_CASES[case]
     g = make()
     log = record_kernel_calls(monkeypatch)
-    res = recursive_apsp(g, max_tile=tile, mode=mode, seed=0, threads=threads)
+    res = recursive_apsp(g, max_tile=tile, seed=0, threads=threads)
     assert shape(res.hierarchy)
-    want = schedule(res.hierarchy, mode)
+    want = schedule(res.hierarchy, "dense")
     assert log["fw"] == [(ev.kind, ev.dim) for ev in want.fw_events]
     assert log["merge"] == [
         (ev.rows, ev.cols, ev.left_boundary, ev.right_boundary)
@@ -263,8 +222,11 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, thread
     assert len(log["inject"]) == len(recloses)
     assert sum(b * b for b in log["inject"]) == want.inject_pairs
     assert res.trace == want
-    if mode == "dense":
-        assert np.array_equal(res.to_dense(), fw_oracle(g))
+    assert np.array_equal(res.dist, fw_oracle(g))
+    if mode == "lazy":
+        upper = [ev for ev in want.merge_events if ev.level]
+        want = replace(want, mode="lazy", merge_events=upper)
+    assert schedule(res.hierarchy, mode) == want
 
 
 def test_export_binary_roundtrip(tmp_path):
@@ -298,13 +260,6 @@ def test_export_tsv_rejects_large(tmp_path):
         export_distances(res, str(tmp_path / "big.xyz"), fmt="xyz")
 
 
-def test_lazy_export_requires_dense():
-    g = gen_er(20, 0.1, seed=0)
-    res = recursive_apsp(g, max_tile=8, mode="lazy")
-    with pytest.raises(ApspError):
-        export_distances(res, "/tmp/never.bin")
-
-
 # ---------------------------------------------------------------------------
 # uint32 storage and saturation at the sentinel
 # ---------------------------------------------------------------------------
@@ -324,37 +279,31 @@ def test_max_weight_chain_saturates_at_every_tile(tile):
     g = max_weight_chain(12)
     res = recursive_apsp(g, max_tile=tile, seed=0)
     want = fw_oracle(g)
-    assert np.array_equal(res.to_dense(), want)
+    assert np.array_equal(res.dist, want)
     assert want[0, 2] == INF_SENTINEL - 1 and want[0, 3] == INF_SENTINEL
-    lazy = recursive_apsp(g, max_tile=tile, mode="lazy", seed=0)
-    got = np.array([[lazy.query(u, v) for v in range(g.n)] for u in range(g.n)])
-    assert np.array_equal(got, want)
 
 
-def test_lazy_query_on_near_sentinel_blocks_equals_dense():
+def test_near_sentinel_bridges_close_exactly():
     # a ring of clusters joined by MAX_WEIGHT bridges: one bridge gives a
-    # finite distance above MAX_WEIGHT, two or more saturate, and the lazy
-    # query's three-term sums reach past 2^32, which must not wrap
+    # finite distance above MAX_WEIGHT, two or more saturate, and the
+    # merges' sums through the boundary closure reach 2^32 - 2
     size = 10
     base = gen_clustered(6, size, seed=6)
     bridge = base.src // size != base.dst // size
     g = WeightedGraph(base.n, base.src, base.dst, np.where(bridge, MAX_WEIGHT, base.w))
-    dense = recursive_apsp(g, max_tile=16, mode="dense", seed=0)
-    lazy = recursive_apsp(g, max_tile=16, mode="lazy", seed=0)
-    assert lazy.hierarchy.levels[0].partition.k >= 2
-    got = np.array([[lazy.query(u, v) for v in range(g.n)] for u in range(g.n)])
-    assert np.array_equal(got, dense.to_dense())
-    assert np.array_equal(got, fw_oracle(g))
-    assert (got > MAX_WEIGHT).any() and (got < INF_SENTINEL).any()
+    res = recursive_apsp(g, max_tile=16, seed=0)
+    assert res.hierarchy.levels[0].partition.k >= 2
+    assert np.array_equal(res.dist, fw_oracle(g))
+    assert (res.dist > MAX_WEIGHT).any() and (res.dist < INF_SENTINEL).any()
 
 
 def test_dense_result_is_uint32_and_loads_back_as_int64(tmp_path):
     g = gen_er(40, 0.08, seed=4)
     res = recursive_apsp(g, max_tile=16)
-    assert res.to_dense().dtype == np.uint32
+    assert res.dist.dtype == np.uint32
     for fmt in ("bin", "tsv"):
         path = tmp_path / f"d.{fmt}"
         export_distances(res, str(path), fmt=fmt)
         back = load_distances(str(path))
         assert back.dtype == np.int64
-        assert np.array_equal(back, res.to_dense())
+        assert np.array_equal(back, res.dist)

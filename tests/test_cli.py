@@ -119,8 +119,8 @@ def test_verify_catches_a_faulty_closure_kernel(tmp_path, monkeypatch, capsys):
 
 
 def test_apsp_over_dense_limit_exits_2_before_closing(tmp_path, monkeypatch, capsys):
-    # past 4,096 vertices the engine runs lazily and holds no dense matrix
-    # to export, so apsp refuses the graph before it closes anything
+    # past 4,096 vertices the dense matrix the engine builds and exports is
+    # too large, so apsp refuses the graph before it closes anything
     n = 4200
     path = tmp_path / "ring.edges"
     ring = WeightedGraph.from_edges(n, [(i, (i + 1) % n, 1) for i in range(n)])
@@ -367,16 +367,22 @@ def test_plan_bad_descriptor_fields_exit_2(tmp_path, capsys):
         assert run("plan", "--desc", desc, "--out", tmp_path) == 2, bad
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
-    # a window width the aligner refuses is refused by plan as well
+    # a window width or an empty read the aligner refuses is refused by plan
+    # as well, even when other reads are fine
     gfa, fa = _gen_inputs(tmp_path, bases=300, reads=2, read_len=40)
-    desc.write_text(json.dumps({"kind": "s2g", "graph": gfa, "reads": fa, "W": 0}))
-    for argv in (
-        ("plan", "--desc", desc),
-        ("s2g", "--graph", gfa, "--reads", fa, "--W", 0),
-    ):
-        assert run(*argv, "--out", tmp_path) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    mixed, empty = tmp_path / "mixed.fa", tmp_path / "empty.fa"
+    mixed.write_text(">a\n>b\nACGTACGT\n")
+    empty.write_text(">a\n>b\n")
+    for reads, W in ((fa, 0), (mixed, 128), (empty, 128)):
+        doc = {"kind": "s2g", "graph": gfa, "reads": str(reads), "W": W}
+        desc.write_text(json.dumps(doc))
+        for argv in (
+            ("plan", "--desc", desc),
+            ("s2g", "--graph", gfa, "--reads", reads, "--W", W),
+        ):
+            assert run(*argv, "--out", tmp_path) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 # ---------------------------------------------------------------------------

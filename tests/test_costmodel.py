@@ -28,6 +28,7 @@ from graphdp.costmodel import (
     working_set_bytes,
 )
 from graphdp.graphs import ReadBatch, gen_er, gen_genome, genome_graph, parse_gfa
+from graphdp.partition import build_hierarchy
 from graphdp.s2g import batch_align
 
 
@@ -258,7 +259,7 @@ def test_two_equal_components_close_in_parallel():
     from graphdp.graphs import WeightedGraph
 
     g = WeightedGraph.from_edges(100, edges)
-    res = recursive_apsp(g, max_tile=64, k_fn=lambda n: 2)
+    res = recursive_apsp(g, hierarchy=build_hierarchy(g, 64, k_fn=lambda n: 2))
     both = model_recursive_apsp(res.trace)
     single = model_recursive_apsp(
         recursive_apsp(

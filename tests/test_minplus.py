@@ -177,24 +177,24 @@ def test_min_plus_merge_empty_boundary_all_inf():
 
 
 def test_block_local_lookup():
-    blk = DistanceBlock(np.zeros((3, 3), dtype=np.int64), np.array([7, 2, 40]))
-    assert blk.local(np.array([2, 40, 7])).tolist() == [1, 2, 0]
+    blk = DistanceBlock(np.zeros((3, 3), dtype=np.int64), np.array([2, 7, 40]))
+    assert blk.local(np.array([7, 40, 2])).tolist() == [1, 2, 0]
     with pytest.raises(BlockShapeError):
         blk.local(np.array([3]))
-    # sorted ids take the search-only path; both paths agree with a scan
+    # the search agrees with a scan
     rng = np.random.default_rng(4)
-    ids = rng.choice(1000, size=50, replace=False)
-    for block_ids in (np.sort(ids), ids, ids[::-1]):
-        blk = DistanceBlock(np.zeros((50, 50), dtype=np.int64), block_ids)
-        want = rng.permutation(block_ids)[:20]
-        got = blk.local(want)
-        assert block_ids[got].tolist() == want.tolist()
-        for missing in ([1000], [-1], [want[0], 1001]):
-            with pytest.raises(BlockShapeError):
-                blk.local(np.array(missing))
-    # repeated ids are not increasing: the first occurrence in sorted order
-    blk = DistanceBlock(np.zeros((3, 3), dtype=np.int64), np.array([5, 5, 9]))
-    assert blk.local(np.array([9, 5])).tolist() == [2, 0]
+    block_ids = np.sort(rng.choice(1000, size=50, replace=False))
+    blk = DistanceBlock(np.zeros((50, 50), dtype=np.int64), block_ids)
+    want = rng.permutation(block_ids)[:20]
+    got = blk.local(want)
+    assert block_ids[got].tolist() == want.tolist()
+    for missing in ([1000], [-1], [want[0], 1001]):
+        with pytest.raises(BlockShapeError):
+            blk.local(np.array(missing))
+    # unsorted and repeated ids are refused when the block is built
+    for bad in ([7, 2, 40], [5, 5, 9], block_ids[::-1]):
+        with pytest.raises(BlockShapeError):
+            DistanceBlock(np.zeros((len(bad),) * 2, dtype=np.int64), np.array(bad))
 
 
 def test_entries_never_exceed_sentinel():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphdp.apsp import schedule
 from graphdp.costmodel import make_tile_workload
 from graphdp.graphs import WeightedGraph, distance_init, gen_clustered, gen_er
 from graphdp.minplus import INF_SENTINEL, DistanceBlock, floyd_warshall_dense
@@ -122,10 +123,10 @@ def test_kway_two_cliques_zero_cut():
 
 
 def test_kway_refinement_does_not_hurt():
-    # the refined cut never exceeds the unrefined cut
+    # the refined cut never exceeds the reference's unrefined cut
     g = gen_er(120, 0.05, seed=9)
-    rough = kway_partition(g, 5, seed=2, refine_passes=0)
-    fine = kway_partition(g, 5, seed=2, refine_passes=2)
+    rough = kway_reference(g, 5, seed=2, refine_passes=0)
+    fine = kway_partition(g, 5, seed=2)
     assert _cut_edges(g, fine.assign) <= _cut_edges(g, rough.assign)
 
 
@@ -166,13 +167,12 @@ def test_kway_matches_reference_on_corpus():
         n = g.n
         for k in sorted({2, 3, 7, n // 5, n // 3, n // 2}):
             for imbalance in (0.0, 0.1):
-                for refine_passes in (0, 2):
-                    kw = dict(seed=seed, imbalance=imbalance, refine_passes=refine_passes)
-                    got = kway_partition(g, k, **kw).assign
-                    want = kway_reference(g, k, **kw).assign
-                    assert np.array_equal(got, want), (name, k, kw)
-                    calls += 1
-    assert calls > 300
+                kw = dict(seed=seed, imbalance=imbalance)
+                got = kway_partition(g, k, **kw).assign
+                want = kway_reference(g, k, **kw).assign
+                assert np.array_equal(got, want), (name, k, kw)
+                calls += 1
+    assert calls > 150
 
 
 def test_kway_matches_reference_on_tile_workload():
@@ -353,10 +353,13 @@ def test_hierarchy_stall_truncates_gracefully():
         assert lv.partition.sizes().max() <= 64
 
 
-def test_hierarchy_stall_raises_in_strict_mode():
-    g = complete_graph(200)
-    with pytest.raises(HierarchyError):
-        build_hierarchy(g, max_tile=64, seed=0, strict=True)
+def test_hierarchy_stall_leaves_an_oversized_top():
+    # the engine closes the stalled top directly, as one oversized event
+    h = build_hierarchy(complete_graph(200), max_tile=64, seed=0)
+    assert h.truncated
+    trace = schedule(h, "dense")
+    assert trace.oversized_top
+    assert [ev.dim for ev in trace.fw_events if ev.kind == "top"] == [200]
 
 
 def test_hierarchy_deterministic():

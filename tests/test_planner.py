@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from graphdp.apsp import choose_mode, recursive_apsp
+from graphdp.apsp import DENSE_LIMIT, choose_mode, recursive_apsp, schedule
 from graphdp.costmodel import make_tile_workload
 from graphdp.graphs import gen_clustered, gen_er, gen_genome, gen_reads, parse_gfa
 from graphdp.partition import build_hierarchy
@@ -25,7 +25,6 @@ from graphdp.planner import (
     execute,
     load_descriptor,
     lower,
-    select_mapping,
 )
 from graphdp.s2g import MODE_LONG, MODE_SHORT, batch_align
 from oracles import disjoint_copies
@@ -36,23 +35,6 @@ def genome_case(bases=600, seed=5, n_reads=6, length=90):
     g = parse_gfa(gfa)
     reads = gen_reads(g, n_reads, length, 0.02, seed=seed)
     return g, reads
-
-
-# ---------------------------------------------------------------------------
-# mapping selection
-# ---------------------------------------------------------------------------
-
-
-def test_select_mapping_thresholds():
-    assert select_mapping(100) == MODE_SHORT
-    assert select_mapping(300) == MODE_SHORT
-    assert select_mapping(301) == MODE_LONG
-    assert select_mapping(10_000) == MODE_LONG
-
-
-def test_select_mapping_rejects_nonpositive():
-    with pytest.raises(DescriptorError):
-        select_mapping(0)
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +83,14 @@ def test_apsp_stage_count_matches_hierarchy():
     ],
 )
 def test_apsp_stage_count_matches_trace(make, tile):
-    plan = lower(WorkloadDescriptor("apsp", make(), max_tile=tile))
+    g = make()
+    plan = lower(WorkloadDescriptor("apsp", g, max_tile=tile))
     plan.validate()
-    trace = execute(plan)["apsp"].trace
+    trace = schedule(plan.hierarchy, choose_mode(g.n))
+    if g.n <= DENSE_LIMIT:
+        # up to the limit the plan lists the events the engine runs; past it,
+        # the lazy schedule it prices
+        assert execute(plan)["apsp"].trace == trace
     fw = trace.counts()["fw"]
     want = {
         K_PARTITION: 1,
