@@ -84,6 +84,15 @@ class ExecutionTrace:
         }
 
 
+def check_dense(n: int) -> None:
+    """Refuse ``n`` vertices whose dense n x n matrix is too large."""
+    if n > DENSE_LIMIT:
+        raise ApspError(
+            f"apsp exports a dense matrix, so the graph must have at most "
+            f"{DENSE_LIMIT} vertices, not n={n}"
+        )
+
+
 def choose_mode(n: int) -> str:
     """The schedule a device prices for ``n`` vertices: ``"dense"`` up to
     ``DENSE_LIMIT``, ``"lazy"`` (no base-level merges) beyond it."""
@@ -212,8 +221,10 @@ def recursive_apsp(
 
     ``threads`` parallelizes independent component closures and merges;
     results are identical for any thread count.  The result's ``trace`` is
-    the dense :func:`schedule` of the hierarchy used.
+    the dense :func:`schedule` of the hierarchy used.  Graphs of more than
+    ``DENSE_LIMIT`` vertices raise :class:`ApspError`.
     """
+    check_dense(g.n)
     if hierarchy is None:
         hierarchy = build_hierarchy(g, max_tile, seed=seed)
     levels = hierarchy.levels

@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .apsp import DENSE_LIMIT, export_distances, recursive_apsp
+from .apsp import check_dense, export_distances, recursive_apsp
 from .costmodel import (
     ModelError,
     arithmetic_intensity,
@@ -231,12 +231,8 @@ def cmd_apsp(args) -> int:
     outdir = _outdir(args)
     pcm, _ = _device(args.config)
     g = load_edge_list(args.graph)
-    if g.n > DENSE_LIMIT:
-        # the engine builds, exports and verifies the dense n x n matrix
-        raise UsageError(
-            f"apsp exports a dense matrix, so the graph must have at most "
-            f"{DENSE_LIMIT} vertices, not n={g.n}"
-        )
+    # refuse before partitioning what the engine cannot close
+    check_dense(g.n)
     w = WorkloadDescriptor(
         "apsp",
         g,

@@ -7,6 +7,7 @@ import pytest
 
 import graphdp.apsp as engine
 from graphdp.apsp import (
+    DENSE_LIMIT,
     ApspError,
     export_distances,
     load_distances,
@@ -105,6 +106,17 @@ def test_mismatched_hierarchy_rejected():
     other = build_hierarchy(gen_er(40, 0.1, seed=0), max_tile=16)
     with pytest.raises(ApspError):
         recursive_apsp(g, hierarchy=other)
+
+
+def test_engine_refuses_graphs_past_dense_limit(monkeypatch):
+    # the engine builds the dense n x n matrix, so it refuses a graph past
+    # the limit before it partitions or closes anything
+    n = DENSE_LIMIT + 1
+    ring = WeightedGraph.from_edges(n, [(i, (i + 1) % n, 1) for i in range(n)])
+    monkeypatch.setattr(engine, "build_hierarchy", None)
+    monkeypatch.setattr(engine, "floyd_warshall_dense", None)
+    with pytest.raises(ApspError, match=f"n={n}"):
+        recursive_apsp(ring, max_tile=64)
 
 
 def test_trace_reflects_work():
@@ -209,6 +221,14 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, thread
     # and plans past the dense limit price, leaves out the base-level merges
     make, tile, shape = SCHEDULE_CASES[case]
     g = make()
+    if mode == "lazy":
+        hier = build_hierarchy(g, tile, seed=0)
+        assert shape(hier)
+        dense = schedule(hier, "dense")
+        upper = [ev for ev in dense.merge_events if ev.level]
+        want = replace(dense, mode="lazy", merge_events=upper)
+        assert schedule(hier, "lazy") == want
+        return
     log = record_kernel_calls(monkeypatch)
     res = recursive_apsp(g, max_tile=tile, seed=0, threads=threads)
     assert shape(res.hierarchy)
@@ -223,10 +243,6 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, thread
     assert sum(b * b for b in log["inject"]) == want.inject_pairs
     assert res.trace == want
     assert np.array_equal(res.dist, fw_oracle(g))
-    if mode == "lazy":
-        upper = [ev for ev in want.merge_events if ev.level]
-        want = replace(want, mode="lazy", merge_events=upper)
-    assert schedule(res.hierarchy, mode) == want
 
 
 def test_export_binary_roundtrip(tmp_path):

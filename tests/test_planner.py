@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from graphdp.apsp import DENSE_LIMIT, choose_mode, recursive_apsp, schedule
+from graphdp.apsp import choose_mode, recursive_apsp, schedule
 from graphdp.costmodel import make_tile_workload
 from graphdp.graphs import gen_clustered, gen_er, gen_genome, gen_reads, parse_gfa
 from graphdp.partition import build_hierarchy
@@ -86,11 +86,14 @@ def test_apsp_stage_count_matches_trace(make, tile):
     g = make()
     plan = lower(WorkloadDescriptor("apsp", g, max_tile=tile))
     plan.validate()
-    trace = schedule(plan.hierarchy, choose_mode(g.n))
-    if g.n <= DENSE_LIMIT:
-        # up to the limit the plan lists the events the engine runs; past it,
-        # the lazy schedule it prices
-        assert execute(plan)["apsp"].trace == trace
+    if choose_mode(g.n) == "dense":
+        trace = execute(plan)["apsp"].trace
+    else:
+        # past the dense limit the plan prices the lazy schedule, and the
+        # engine, which builds the dense matrix, refuses the graph
+        with pytest.raises(StageError, match=f"n={g.n}"):
+            execute(plan)
+        trace = schedule(plan.hierarchy, "lazy")
     fw = trace.counts()["fw"]
     want = {
         K_PARTITION: 1,
