@@ -1,5 +1,6 @@
-"""Recursive partitioned closure on a random graph, checked against the
-dense reference and read pair by pair."""
+"""Exact closure of a random graph, checked against the dense reference
+and read pair by pair, and the schedule the engine picks for it and for a
+clustered graph."""
 
 import os
 import tempfile
@@ -11,6 +12,7 @@ from graphdp import (
     distance_init,
     export_distances,
     floyd_warshall_dense,
+    gen_clustered,
     gen_er,
     load_distances,
     recursive_apsp,
@@ -38,3 +40,11 @@ with tempfile.TemporaryDirectory() as tmp:
     back = load_distances(path)
 assert np.array_equal(back, want)
 print("binary export round-trips")
+
+# a random graph has no small separators, so recursion would cost more than
+# the one closure above; clustered graphs recurse
+cg = gen_clustered(16, 40, seed=3, groups=4)
+cres = recursive_apsp(cg, max_tile=128, seed=0)
+assert np.array_equal(cres.dist, floyd_warshall_dense(distance_init(cg)))
+print(f"clustered n={cg.n}: mode={cres.trace.mode} levels={cres.trace.depth} "
+      f"merges={len(cres.trace.merge_events)}")

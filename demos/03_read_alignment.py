@@ -1,8 +1,6 @@
 """Windowed bit-parallel alignment of reads against a base-labelled DAG:
 mode routing and window invariance."""
 
-import numpy as np
-
 from graphdp import (
     align_reference,
     align_windowed,

@@ -6,7 +6,7 @@ from graphdp import (
     HbmParams,
     PcmParams,
     arithmetic_intensity,
-    gen_er,
+    gen_clustered,
     gen_genome,
     gen_reads,
     model_fw_block,
@@ -25,7 +25,7 @@ for name, rep in sorted(blk.phases.items()):
 print(f"  total    {blk.cycles:6.0f} cycles")
 
 # price a whole recursive closure from its trace
-g = gen_er(900, 0.008, seed=3)
+g = gen_clustered(20, 40, seed=3, groups=4)
 res = recursive_apsp(g, max_tile=256, seed=0)
 cost = model_recursive_apsp(res.trace, PcmParams())
 print(f"\nclosure of n={g.n}: {cost.wall_time_s * 1e6:.1f} us, "

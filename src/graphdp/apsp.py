@@ -10,9 +10,15 @@ distances are injected into each component block, the block is re-closed
 exit vertex and re-enters at its last), and cross-component pairs are
 filled by a min-plus merge through the boundary matrix.
 
+Recursion only pays when the graph has small separators.  A random graph
+has none: nearly every vertex is boundary, and the closures and merges cost
+more than one Floyd-Warshall of the whole graph.  :func:`choose_mode` counts
+the ops of the recursive schedule and, when they reach half of n^3, picks
+the ``"direct"`` schedule, one closure of the whole graph, instead.
+
 Results are exact on every pair: the produced distances equal a direct
 dense Floyd-Warshall closure of the whole graph, independent of partition
-quality, partition seed, or worker thread count.
+quality, partition seed, worker thread count, or schedule.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ from .minplus import (
 from .partition import PartitionHierarchy, build_boundary_graph, build_hierarchy
 
 DENSE_LIMIT = 4096
+# recursion ran at about half the ops per second of one large closure, so
+# the engine closes directly once recursion needs half of n^3 ops
+DIRECT_OPS_SHARE = 0.5
 DIST_MAGIC = b"GDPD"
 TSV_LIMIT = 512
 
@@ -93,26 +102,51 @@ def check_dense(n: int) -> None:
         )
 
 
-def choose_mode(n: int) -> str:
-    """The schedule a device prices for ``n`` vertices: ``"dense"`` up to
-    ``DENSE_LIMIT``, ``"lazy"`` (no base-level merges) beyond it."""
-    return "dense" if n <= DENSE_LIMIT else "lazy"
+def choose_mode(hierarchy: PartitionHierarchy) -> str:
+    """The schedule the engine runs and a device prices over ``hierarchy``.
+
+    Past ``DENSE_LIMIT`` vertices it is ``"lazy"`` (no base-level merges).
+    Otherwise it is ``"direct"`` when the dense schedule's op count (dim^3
+    per closure, rows * b2 * (b1 + cols) per merge) reaches
+    ``DIRECT_OPS_SHARE`` * n^3, and ``"dense"`` when recursion costs less.
+    A graph of one tile stays dense: that schedule is already one closure.
+    """
+    base = hierarchy.levels[0].partition
+    if base.n > DENSE_LIMIT:
+        return "lazy"
+    if base.k == 1:
+        return "dense"
+    trace = schedule(hierarchy, "dense")
+    ops = sum(ev.dim**3 for ev in trace.fw_events)
+    ops += sum(
+        ev.rows * ev.right_boundary * (ev.left_boundary + ev.cols)
+        for ev in trace.merge_events
+    )
+    return "direct" if ops >= DIRECT_OPS_SHARE * base.n**3 else "dense"
 
 
 def schedule(hierarchy: PartitionHierarchy, mode: str) -> ExecutionTrace:
     """The matrix-tile events of a run over ``hierarchy``, in engine order.
 
-    They follow from component sizes and boundary sets alone.  Upward,
-    every component of every level closes, then the last level's boundary
-    graph closes as the top, unless it is empty.  Downward, from the top
-    level to the base, each component with a boundary gets its boundary
-    pairs injected and re-closes, in component order, and every ordered
-    pair of such components merges.  The base level merges only in the
-    dense schedule, which the engine runs; the lazy schedule leaves them
+    The direct schedule is one top closure of the whole graph, with no
+    levels.  The others follow from component sizes and boundary sets
+    alone.  Upward, every component of every level closes, then the last
+    level's boundary graph closes as the top, unless it is empty.
+    Downward, from the top level to the base, each component with a
+    boundary gets its boundary pairs injected and re-closes, in component
+    order, and every ordered pair of such components merges.  The base
+    level merges only in the dense schedule; the lazy schedule leaves them
     out.  A level without boundary vertices does neither, so an empty top
     needs no special case.
     """
     levels = hierarchy.levels
+    if mode == "direct":
+        n = levels[0].partition.n
+        return ExecutionTrace(
+            mode=mode,
+            oversized_top=n > hierarchy.max_tile,
+            fw_events=[FwEvent(0, n, "top")],
+        )
     depth = hierarchy.depth
     top = int(levels[-1].boundary_ids.size)
     trace = ExecutionTrace(
@@ -221,20 +255,25 @@ def recursive_apsp(
 
     ``threads`` parallelizes independent component closures and merges;
     results are identical for any thread count.  The result's ``trace`` is
-    the dense :func:`schedule` of the hierarchy used.  Graphs of more than
-    ``DENSE_LIMIT`` vertices raise :class:`ApspError`.
+    the :func:`schedule` that :func:`choose_mode` picks for the hierarchy
+    used.  Graphs of more than ``DENSE_LIMIT`` vertices raise
+    :class:`ApspError`.
     """
     check_dense(g.n)
     if hierarchy is None:
         hierarchy = build_hierarchy(g, max_tile, seed=seed)
     levels = hierarchy.levels
+    if levels[0].partition.n != g.n:
+        raise ApspError("hierarchy does not match graph")
+    mode = choose_mode(hierarchy)
+    if mode == "direct":
+        dist = floyd_warshall_dense(distance_init(g))
+        return ApspResult(g.n, hierarchy, schedule(hierarchy, mode), dist)
 
     # upward: close components, condense boundaries, repeat
     level_blocks: list[dict] = []
     cur = g
-    for lidx, lv in enumerate(levels):
-        if cur.n != lv.partition.n:
-            raise ApspError("hierarchy does not match graph")
+    for lv in levels:
         blocks = _close_components(cur, lv.partition, threads)
         level_blocks.append(blocks)
         if lv.boundary_ids.size:
@@ -266,7 +305,7 @@ def recursive_apsp(
         dist = _assemble_level(lv.partition.n, blocks, lv.boundaries, closure, threads)
         if lidx:
             closure = DistanceBlock(dist, levels[lidx - 1].boundary_ids)
-    return ApspResult(g.n, hierarchy, schedule(hierarchy, "dense"), dist)
+    return ApspResult(g.n, hierarchy, schedule(hierarchy, mode), dist)
 
 
 # ---------------------------------------------------------------------------

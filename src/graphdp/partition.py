@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import INF_SENTINEL, GraphError, WeightedGraph
-from .minplus import DistanceBlock
 
 DEFAULT_IMBALANCE = 0.1
 DEFAULT_REFINE_PASSES = 2

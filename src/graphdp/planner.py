@@ -263,10 +263,11 @@ def _lower_apsp(w: WorkloadDescriptor) -> ExecutionPlan:
     ``closure.L{l}`` the closure over its boundary vertices, which the top
     closure or the merges one level up produce; ``injected.L{l}`` and
     ``reclosed.L{l}`` hold the blocks after injection and re-closure, and
-    ``dist`` the dense result.
+    ``dist`` the dense result, which the direct schedule's one closure
+    computes from the graph alone.
     """
     hier = build_hierarchy(w.graph, max_tile=w.max_tile, seed=w.seed)
-    trace = schedule(hier, choose_mode(w.graph.n))
+    trace = schedule(hier, choose_mode(hier))
     stages = [Stage("s0.partition", K_PARTITION, TILE_HOST, ["graph"], ["hier"])]
     numbered: Counter = Counter()
 
@@ -279,8 +280,10 @@ def _lower_apsp(w: WorkloadDescriptor) -> ExecutionPlan:
         inputs = ["hier"] + ([f"blocks.L{ev.level - 1}"] if ev.level else [])
         if ev.kind == "close":
             add(K_FW_CLOSE, ev.level, "close", inputs, [f"blocks.L{ev.level}"])
-        elif ev.kind == "top":
+        elif ev.kind == "top" and ev.level:
             add(K_BOUNDARY_FW, ev.level, "top", inputs, [f"closure.L{ev.level - 1}"])
+        elif ev.kind == "top":  # direct: the whole graph in one closure
+            add(K_BOUNDARY_FW, 0, "top", ["graph"], ["dist"])
     recloses = Counter(ev.level for ev in trace.fw_events if ev.kind == "reclose")
     merges = Counter(ev.level for ev in trace.merge_events)
     for li in range(trace.depth - 1, -1, -1):

@@ -5,9 +5,9 @@ as a checklist.  Tolerances and runtime budgets are stated inline; the
 exactness gates use zero tolerance.
 """
 
-import json
 import os
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -84,16 +84,23 @@ def test_apsp_exact_equivalence():
     t0 = time.monotonic()
     cases = _apsp_cases()
     assert len(cases) >= 200
+    modes = Counter()
     for g, tile in cases:
         res = recursive_apsp(g, max_tile=tile, seed=0)
         want = dijkstra_oracle(g)
         assert np.array_equal(res.dist, want), (
             f"mismatch on n={g.n} tile={tile}"
         )
+        if res.hierarchy.levels[0].partition.k > 1:
+            modes[res.trace.mode] += 1
+    # graphs without small separators close directly; the recursion must
+    # still carry a good share of the multi-tile graphs
+    assert modes["direct"] and modes["dense"] >= 60, modes
     dt = time.monotonic() - t0
     assert dt < 300.0
     print(f"PASS apsp exact equivalence: {len(cases)} graphs, "
-          f"zero mismatches, {dt:.0f}s")
+          f"zero mismatches, {modes['dense']} multi-tile recursive, "
+          f"{modes['direct']} direct, {dt:.0f}s")
 
 
 # ---------------------------------------------------------------------------

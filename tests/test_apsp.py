@@ -14,6 +14,7 @@ from graphdp.apsp import (
     recursive_apsp,
     schedule,
 )
+from graphdp.costmodel import PcmParams, _blocked_fw, model_recursive_apsp
 from graphdp.graphs import (
     MAX_WEIGHT,
     WeightedGraph,
@@ -25,11 +26,6 @@ from graphdp.minplus import INF_SENTINEL
 from graphdp.partition import build_hierarchy
 from oracles import dijkstra_oracle as fw_oracle
 from oracles import disjoint_copies
-
-
-def complete_graph(n, w=1):
-    edges = [(a, b, w) for a in range(n) for b in range(n) if a != b]
-    return WeightedGraph.from_edges(n, edges)
 
 
 def test_single_tile_degenerates_to_dense_fw():
@@ -70,24 +66,28 @@ def test_er_midsize_exact():
 
 
 def test_partition_seed_does_not_change_distances():
-    g = gen_clustered(6, 25, seed=9)
+    g = gen_clustered(10, 40, seed=9)
     base = recursive_apsp(g, max_tile=32, seed=0).dist
     for seed in (1, 2, 3):
-        assert np.array_equal(recursive_apsp(g, max_tile=32, seed=seed).dist, base)
+        res = recursive_apsp(g, max_tile=32, seed=seed)
+        assert res.trace.mode == "dense"
+        assert np.array_equal(res.dist, base)
 
 
 def test_thread_count_does_not_change_distances():
-    g = gen_clustered(8, 25, seed=5)
-    a = recursive_apsp(g, max_tile=32, seed=0, threads=1).dist
-    b = recursive_apsp(g, max_tile=32, seed=0, threads=4).dist
-    assert np.array_equal(a, b)
+    g = gen_clustered(10, 40, seed=5)
+    a = recursive_apsp(g, max_tile=32, seed=0, threads=1)
+    b = recursive_apsp(g, max_tile=32, seed=0, threads=4)
+    assert a.trace.mode == b.trace.mode == "dense"
+    assert np.array_equal(a.dist, b.dist)
 
 
 def test_truncated_hierarchy_still_exact():
-    # a complete graph defeats boundary shrinking; the oversized top is
-    # closed directly and the answers must stay exact
-    g = complete_graph(150, w=3)
-    res = recursive_apsp(g, max_tile=64, seed=0)
+    # the boundary of these clusters stops shrinking above the tile; the
+    # oversized top is closed whole and the answers must stay exact
+    g = gen_clustered(10, 40, seed=3)
+    res = recursive_apsp(g, max_tile=32, seed=0)
+    assert res.trace.mode == "dense"
     assert res.hierarchy.truncated
     assert res.trace.oversized_top
     assert np.array_equal(res.dist, fw_oracle(g))
@@ -98,6 +98,32 @@ def test_deep_hierarchy_exact():
     hier = build_hierarchy(g, max_tile=48, seed=1)
     assert hier.depth >= 2
     res = recursive_apsp(g, hierarchy=hier, max_tile=48)
+    assert res.trace.mode == "dense"
+    assert np.array_equal(res.dist, fw_oracle(g))
+
+
+# name: (graph, tile, the schedule the engine picks); the benchmark's
+# random graph, its three clustered instances and the corpus's small-world
+# graph whose level-0 boundary is about half of n
+MODE_CASES = {
+    "er1000": (lambda: gen_er(1000, 0.006, 1), 128, "direct"),
+    **{
+        f"clustered{s}": (lambda s=s: gen_clustered(32, 64, s, groups=4), 256, "dense")
+        for s in (3, 4, 5)
+    },
+    "nws2000": (lambda: gen_nws(2000, 6, 0.05, seed=72), 256, "dense"),
+}
+
+
+@pytest.mark.parametrize("case", list(MODE_CASES))
+def test_engine_recurses_only_when_recursion_costs_less(case):
+    # a random graph has no small separators, so recursion would cost more
+    # ops than one closure of the whole graph; clustered and small-world
+    # graphs recurse
+    make, tile, mode = MODE_CASES[case]
+    g = make()
+    res = recursive_apsp(g, max_tile=tile, seed=0)
+    assert res.trace.mode == mode
     assert np.array_equal(res.dist, fw_oracle(g))
 
 
@@ -120,9 +146,10 @@ def test_engine_refuses_graphs_past_dense_limit(monkeypatch):
 
 
 def test_trace_reflects_work():
-    g = gen_clustered(6, 25, seed=2)
+    g = gen_clustered(10, 40, seed=2)
     res = recursive_apsp(g, max_tile=32, seed=0)
     tr = res.trace
+    assert tr.mode == "dense"
     assert tr.depth == res.hierarchy.depth
     closes = [ev for ev in tr.fw_events if ev.kind == "close"]
     expect = sum(lv.partition.k for lv in res.hierarchy.levels)
@@ -133,26 +160,46 @@ def test_trace_reflects_work():
         assert ev.dim <= max(32, res.hierarchy.top_boundary_graph.n)
 
 
-# name: (graph, tile, the hierarchy shape the case stands for)
+# name: (graph, tile, the schedule the engine picks, the hierarchy shape
+# the case stands for)
 SCHEDULE_CASES = {
-    "er": (lambda: gen_er(260, 0.02, seed=3), 64, lambda h: h.truncated),
-    "nws": (lambda: gen_nws(220, 4, 0.05, seed=4), 32, lambda h: h.depth > 3),
+    "er": (lambda: gen_er(260, 0.004, seed=1), 64, "dense", lambda h: h.truncated),
+    "er_direct": (
+        lambda: gen_er(260, 0.02, seed=3),
+        64,
+        "direct",
+        lambda h: h.truncated,
+    ),
+    "nws": (
+        lambda: gen_nws(220, 4, 0.05, seed=4),
+        32,
+        "dense",
+        lambda h: h.depth > 3,
+    ),
     "clustered": (
         lambda: gen_clustered(16, 32, seed=1, groups=2),
         128,
+        "dense",
         lambda h: h.depth > 2 and not h.truncated,
     ),
     "disconnected": (
         lambda: disjoint_copies(gen_clustered(4, 16, seed=0), 4),
         32,
+        "dense",
         lambda h: h.depth == 2 and h.levels[-1].boundary_ids.size == 0,
     ),
     "isolated": (
         lambda: gen_er(300, 0.002, seed=1),
         32,
+        "dense",
         lambda h: h.depth == 2 and 0 < h.levels[-1].boundary_ids.size <= 32,
     ),
-    "single_tile": (lambda: gen_er(40, 0.1, seed=6), 64, lambda h: h.depth == 1),
+    "single_tile": (
+        lambda: gen_er(40, 0.1, seed=6),
+        64,
+        "dense",
+        lambda h: h.depth == 1,
+    ),
 }
 
 FW_SITES = {"close_one": "close", "reinject": "reclose", "recursive_apsp": "top"}
@@ -214,12 +261,15 @@ def record_kernel_calls(monkeypatch) -> dict:
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("mode", ["dense", "lazy"])
-@pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+@pytest.mark.parametrize(
+    "case, mode",
+    [(c, m) for c in sorted(SCHEDULE_CASES) for m in (SCHEDULE_CASES[c][2], "lazy")],
+)
 def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, threads):
-    # the engine runs the dense schedule; the lazy one, which the tile sweep
-    # and plans past the dense limit price, leaves out the base-level merges
-    make, tile, shape = SCHEDULE_CASES[case]
+    # the engine runs the dense or the direct schedule, as choose_mode
+    # picks; the lazy one, which the tile sweep and plans past the dense
+    # limit price, leaves out the base-level merges
+    make, tile, _, shape = SCHEDULE_CASES[case]
     g = make()
     if mode == "lazy":
         hier = build_hierarchy(g, tile, seed=0)
@@ -232,7 +282,8 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, thread
     log = record_kernel_calls(monkeypatch)
     res = recursive_apsp(g, max_tile=tile, seed=0, threads=threads)
     assert shape(res.hierarchy)
-    want = schedule(res.hierarchy, "dense")
+    assert res.trace.mode == mode
+    want = schedule(res.hierarchy, mode)
     assert log["fw"] == [(ev.kind, ev.dim) for ev in want.fw_events]
     assert log["merge"] == [
         (ev.rows, ev.cols, ev.left_boundary, ev.right_boundary)
@@ -243,6 +294,14 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, thread
     assert sum(b * b for b in log["inject"]) == want.inject_pairs
     assert res.trace == want
     assert np.array_equal(res.dist, fw_oracle(g))
+    if mode == "direct":
+        assert log["fw"] == [("top", g.n)]
+        assert log["merge"] == log["inject"] == []
+        # a closure wider than the unit is priced as a blocked closure
+        p = PcmParams(unit_dim=tile)
+        cost = model_recursive_apsp(res.trace, p)
+        assert list(cost.phases) == ["top.fw"]
+        assert cost.phases["top.fw"] == _blocked_fw(g.n, p)
 
 
 def test_export_binary_roundtrip(tmp_path):
@@ -291,9 +350,11 @@ def max_weight_chain(n):
 @pytest.mark.parametrize("tile", [2, 3, 4, 5, 6, 8, 16])
 def test_max_weight_chain_saturates_at_every_tile(tile):
     # closed intra-component distances above MAX_WEIGHT become boundary
-    # graph edges, so the recursion must carry them too
-    g = max_weight_chain(12)
+    # graph edges, so the recursion must carry them too; below tile 5 the
+    # chain's hierarchy stalls near n, and the engine closes it directly
+    g = max_weight_chain(24)
     res = recursive_apsp(g, max_tile=tile, seed=0)
+    assert res.trace.mode == ("direct" if tile < 5 else "dense")
     want = fw_oracle(g)
     assert np.array_equal(res.dist, want)
     assert want[0, 2] == INF_SENTINEL - 1 and want[0, 3] == INF_SENTINEL
@@ -303,11 +364,12 @@ def test_near_sentinel_bridges_close_exactly():
     # a ring of clusters joined by MAX_WEIGHT bridges: one bridge gives a
     # finite distance above MAX_WEIGHT, two or more saturate, and the
     # merges' sums through the boundary closure reach 2^32 - 2
-    size = 10
+    size = 12
     base = gen_clustered(6, size, seed=6)
     bridge = base.src // size != base.dst // size
     g = WeightedGraph(base.n, base.src, base.dst, np.where(bridge, MAX_WEIGHT, base.w))
     res = recursive_apsp(g, max_tile=16, seed=0)
+    assert res.trace.mode == "dense"
     assert res.hierarchy.levels[0].partition.k >= 2
     assert np.array_equal(res.dist, fw_oracle(g))
     assert (res.dist > MAX_WEIGHT).any() and (res.dist < INF_SENTINEL).any()

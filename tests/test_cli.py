@@ -1,14 +1,18 @@
 import json
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import graphdp.cli as cli
 import graphdp.costmodel as costmodel
 from graphdp.apsp import load_distances
-from graphdp.cli import main
+from graphdp.cli import UsageError, main
+from graphdp.costmodel import ValidationError
 from graphdp.graphs import (
+    GraphError,
     WeightedGraph,
     distance_init,
     dump_edge_list,
@@ -17,6 +21,7 @@ from graphdp.graphs import (
     load_genome_graph,
 )
 from graphdp.minplus import floyd_warshall_dense
+from graphdp.planner import DescriptorError, StageError
 
 
 def run(*argv):
@@ -441,6 +446,74 @@ def test_unknown_subcommand_exits_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     assert run("apsp", "--help") == 0
     assert "--max-tile" in capsys.readouterr().out
+
+
+# one command per error class that main catches: (input files, argv, the
+# exception that reaches main); "@" stands for the test's directory
+GFA = "S\ts1\tACGTACGTAC\nS\ts2\tGTTACA\nL\ts1\t+\ts2\t+\t0M\n"
+ERROR_CASES = {
+    "UsageError": (
+        {}, ["gen", "er", "--n", 10, "--p", 0.1, "--seed", -1], UsageError
+    ),
+    "GraphError": ({}, ["gen", "er", "--n", 0, "--p", 0.1], GraphError),
+    "ModelError": ({}, ["sweep", "tilesize", "--Ns", 3], ValidationError),
+    "PlanError": (
+        {"g.gfa": GFA, "r.fa": ">r\nACGTXX\n"},
+        ["s2g", "--graph", "@/g.gfa", "--reads", "@/r.fa"],
+        StageError,
+    ),
+    "DescriptorError": (
+        {"d.json": '{"kind": "fft"}'}, ["plan", "--desc", "@/d.json"], DescriptorError
+    ),
+    "OSError": ({}, ["apsp", "--graph", "@/none.edges"], FileNotFoundError),
+    "JSONDecodeError": (
+        {"c.json": "{"},
+        ["apsp", "--graph", "@/none.edges", "--config", "@/c.json"],
+        json.JSONDecodeError,
+    ),
+    "UnicodeDecodeError": (
+        {"g.edges": "0\t1\t\xff\n"},
+        ["apsp", "--graph", "@/g.edges"],
+        UnicodeDecodeError,
+    ),
+    "argparse": ({}, ["apsp", "--graph", "g", "--max-tile", "abc"], SystemExit),
+}
+
+
+def run_noting_exception(*argv) -> tuple:
+    """Exit code of ``main`` and the class of the first exception that
+    reached its frame."""
+    seen = []
+
+    def in_main(frame, event, arg):
+        if event == "exception" and not seen:
+            seen.append(arg[0])
+        return in_main
+
+    def on_call(frame, event, arg):
+        return in_main if frame.f_code is main.__code__ else None
+
+    old = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        rc = run(*argv)
+    finally:
+        sys.settrace(old)
+    return rc, seen[0] if seen else None
+
+
+@pytest.mark.parametrize("case", list(ERROR_CASES))
+def test_each_error_class_exits_2_with_one_line(case, tmp_path, capsys):
+    files, argv, raised = ERROR_CASES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode("latin-1"))
+    argv = [str(a).replace("@", str(tmp_path)) for a in argv]
+    rc, seen = run_noting_exception(*argv, "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert seen is raised
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_verify_command_all_suites_pass(tmp_path, capsys):

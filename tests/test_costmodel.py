@@ -10,12 +10,9 @@ from graphdp.costmodel import (
     DEFAULT_IMPROVE_FRAC,
     CostReport,
     HbmParams,
-    ModelError,
     PcmParams,
     ValidationError,
     arithmetic_intensity,
-    default_pe_workload,
-    default_sram_workload,
     make_tile_workload,
     make_traversal_trace,
     model_fw_block,

@@ -4,9 +4,8 @@ import pytest
 from graphdp.apsp import schedule
 from graphdp.costmodel import make_tile_workload
 from graphdp.graphs import WeightedGraph, distance_init, gen_clustered, gen_er
-from graphdp.minplus import INF_SENTINEL, DistanceBlock, floyd_warshall_dense
+from graphdp.minplus import DistanceBlock, floyd_warshall_dense
 from graphdp.partition import (
-    BoundarySet,
     HierarchyError,
     Partition,
     PartitionError,

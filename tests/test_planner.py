@@ -49,12 +49,27 @@ def test_small_apsp_lowers_to_trivial_plan():
     assert kinds == [K_PARTITION, K_FW_CLOSE]
 
 
+def test_direct_apsp_lowers_to_one_closure_of_the_graph():
+    # a random graph whose recursion would cost more than one closure
+    g = gen_er(260, 0.02, seed=3)
+    plan = lower(WorkloadDescriptor("apsp", g, max_tile=64))
+    assert choose_mode(plan.hierarchy) == "direct"
+    assert [(s.kind, s.inputs, s.outputs) for s in plan.stages] == [
+        (K_PARTITION, ["graph"], ["hier"]),
+        (K_BOUNDARY_FW, ["graph"], ["dist"]),
+    ]
+    res = execute(plan)["apsp"]
+    assert res.trace.mode == "direct"
+    assert res.hierarchy is plan.hierarchy
+
+
 def test_apsp_stage_count_matches_hierarchy():
     g = make_tile_workload(n=8192)
     plan = lower(WorkloadDescriptor("apsp", g, max_tile=64))
     hier = build_hierarchy(g, max_tile=64, seed=0)
     assert hier.depth == 3 and not hier.truncated
-    dense = choose_mode(g.n) == "dense"
+    # past the dense limit: the lazy schedule, without base-level merges
+    assert choose_mode(hier) == "lazy"
     want = sum(lv.partition.k for lv in hier.levels)
     want += bool(hier.levels[-1].boundary_ids.size)
     for li, lv in enumerate(hier.levels):
@@ -64,7 +79,7 @@ def test_apsp_stage_count_matches_hierarchy():
         # one inject, one re-close per component with a boundary, and a
         # merge per ordered pair of non-empty boundaries
         want += 1 + len(bs)
-        if li or dense:
+        if li:
             want += sum(1 for b in bs if b) * (sum(1 for b in bs if b) - 1)
     matrix_stages = sum(1 for s in plan.stages if s.tile == TILE_MATRIX)
     assert matrix_stages == want
@@ -75,7 +90,7 @@ def test_apsp_stage_count_matches_hierarchy():
     [
         (lambda: make_tile_workload(n=8192), 64),
         (lambda: gen_er(300, 0.002, seed=1), 32),
-        (lambda: gen_er(260, 0.02, seed=3), 64),
+        (lambda: gen_er(260, 0.004, seed=1), 64),
         (lambda: gen_clustered(16, 32, seed=1, groups=2), 128),
         # two levels whose top boundary is empty: the base level's closure
         # is the upper level's blocks alone
@@ -86,11 +101,12 @@ def test_apsp_stage_count_matches_trace(make, tile):
     g = make()
     plan = lower(WorkloadDescriptor("apsp", g, max_tile=tile))
     plan.validate()
-    if choose_mode(g.n) == "dense":
+    if choose_mode(plan.hierarchy) == "dense":
         trace = execute(plan)["apsp"].trace
     else:
         # past the dense limit the plan prices the lazy schedule, and the
         # engine, which builds the dense matrix, refuses the graph
+        assert choose_mode(plan.hierarchy) == "lazy"
         with pytest.raises(StageError, match=f"n={g.n}"):
             execute(plan)
         trace = schedule(plan.hierarchy, "lazy")
@@ -112,8 +128,9 @@ def test_plan_is_deterministic():
 
 
 def test_plan_dataflow_is_wired():
-    g = gen_er(300, 0.02, seed=4)
+    g = gen_er(260, 0.004, seed=0)
     plan = lower(WorkloadDescriptor("apsp", g, max_tile=64))
+    assert choose_mode(plan.hierarchy) == "dense"
     plan.validate()
     produced = {"graph", "reads"}
     for st in plan.stages:
