@@ -22,7 +22,7 @@ print(f"hierarchy: depth={hier.depth} truncated={hier.truncated}")
 for li, lv in enumerate(hier.levels):
     sizes = [lv.partition.component(c).size for c in range(lv.partition.k)]
     print(f"  level {li}: k={lv.partition.k} max_comp={max(sizes)} "
-          f"boundary={lv.boundary_ids.size}")
+          f"boundary={lv.boundaries.union.size}")
 
 # one level by hand: cut, close components, rebuild the boundary graph
 p = kway_partition(g, 6, seed=0)

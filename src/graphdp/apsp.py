@@ -74,7 +74,6 @@ class ExecutionTrace:
 
     depth: int = 0
     mode: str = ""
-    oversized_top: bool = False
     fw_events: list = field(default_factory=list)
     merge_events: list = field(default_factory=list)
     inject_pairs: int = 0
@@ -86,7 +85,6 @@ class ExecutionTrace:
         return {
             "depth": self.depth,
             "mode": self.mode,
-            "oversized_top": self.oversized_top,
             "fw": kinds,
             "merges": len(self.merge_events),
             "inject_pairs": self.inject_pairs,
@@ -142,16 +140,10 @@ def schedule(hierarchy: PartitionHierarchy, mode: str) -> ExecutionTrace:
     levels = hierarchy.levels
     if mode == "direct":
         n = levels[0].partition.n
-        return ExecutionTrace(
-            mode=mode,
-            oversized_top=n > hierarchy.max_tile,
-            fw_events=[FwEvent(0, n, "top")],
-        )
+        return ExecutionTrace(mode=mode, fw_events=[FwEvent(0, n, "top")])
     depth = hierarchy.depth
-    top = int(levels[-1].boundary_ids.size)
-    trace = ExecutionTrace(
-        depth=depth, mode=mode, oversized_top=top > hierarchy.max_tile
-    )
+    top = int(levels[-1].boundaries.union.size)
+    trace = ExecutionTrace(depth=depth, mode=mode)
     for li, lv in enumerate(levels):
         for d in lv.partition.sizes().tolist():
             trace.fw_events.append(FwEvent(li, d, "close"))
@@ -276,7 +268,7 @@ def recursive_apsp(
     for lv in levels:
         blocks = _close_components(cur, lv.partition, threads)
         level_blocks.append(blocks)
-        if lv.boundary_ids.size:
+        if lv.boundaries.union.size:
             cur = build_boundary_graph(cur, lv.partition, lv.boundaries, blocks)
         else:
             cur = WeightedGraph.from_edges(0, [])
@@ -285,7 +277,7 @@ def recursive_apsp(
     closure = None
     if cur.n:
         top = floyd_warshall_dense(distance_init(cur))
-        closure = DistanceBlock(top, levels[-1].boundary_ids)
+        closure = DistanceBlock(top, levels[-1].boundaries.union)
 
     # downward: inject the boundary closure, re-close blocks, assemble the
     # closure one level down; the base level assembles the result
@@ -304,7 +296,7 @@ def recursive_apsp(
             _pmap(reinject, sorted(lv.boundaries.per_component), threads)
         dist = _assemble_level(lv.partition.n, blocks, lv.boundaries, closure, threads)
         if lidx:
-            closure = DistanceBlock(dist, levels[lidx - 1].boundary_ids)
+            closure = DistanceBlock(dist, levels[lidx - 1].boundaries.union)
     return ApspResult(g.n, hierarchy, schedule(hierarchy, mode), dist)
 
 

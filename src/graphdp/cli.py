@@ -36,6 +36,7 @@ from .graphs import (
     distance_init,
     dump_edge_list,
     dump_fasta,
+    gen_clustered,
     gen_er,
     gen_genome,
     gen_nws,
@@ -548,17 +549,24 @@ def _suite_apsp(seed: int, threads: int):
     for i in range(6):
         n = int(rng.integers(30, 300))
         p = float(rng.uniform(0.01, 0.05))
-        cases.append(gen_er(n, p, seed + i))
+        cases.append((gen_er(n, p, seed + i), 64 if i % 2 else 128))
     for i in range(4):
         n = int(rng.integers(50, 250))
-        cases.append(gen_nws(n, 6, 0.1, seed + 100 + i))
-    bad = 0
-    for i, g in enumerate(cases):
-        res = recursive_apsp(g, max_tile=64 if i % 2 else 128, seed=seed,
-                             threads=threads)
+        cases.append((gen_nws(n, 6, 0.1, seed + 100 + i), 64 if i % 2 else 128))
+    # random graphs mostly close directly; these clusters recurse under
+    # nearly every partition seed, so the suite grades recursive runs
+    for s in (2, 5, 9):
+        g = gen_clustered(10, 40, seed=s)
+        cases += [(g, 32), (g, 64)]
+    bad = recursed = 0
+    for g, tile in cases:
+        res = recursive_apsp(g, max_tile=tile, seed=seed, threads=threads)
         if not np.array_equal(res.dist, _dijkstra_distances(g)):
             bad += 1
-    return f"{len(cases) - bad}/{len(cases)} graphs", bad == 0
+        if res.trace.mode == "dense" and res.hierarchy.levels[0].partition.k > 1:
+            recursed += 1
+    detail = f"{len(cases) - bad}/{len(cases)} graphs, {recursed} recursed"
+    return detail, bad == 0 and recursed > 0
 
 
 def _suite_boundary(seed: int):
@@ -732,6 +740,8 @@ def main(argv=None) -> int:
         if args.seed < 0:
             # every command seeds numpy generators, which reject negatives
             raise UsageError(f"--seed {args.seed} must be non-negative")
+        if args.threads < 1:
+            raise UsageError(f"--threads {args.threads} must be at least 1")
         return args.fn(args)
     except UnicodeDecodeError as e:
         # a byte the text loaders (edge list, GFA, FASTA, JSON) cannot decode

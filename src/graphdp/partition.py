@@ -8,20 +8,22 @@ engine, by closed intra-component distances).  Recursing on the boundary
 graph yields levels until the boundary graph fits a tile or stops
 shrinking.
 
-Hierarchy construction here is purely structural: virtual connectivity is
-tracked as "groups" (a component's boundary set is pairwise potentially
-connected) without computing any shortest paths.  Structural boundary
-sets therefore over-approximate the exact engine's boundary graphs (no
-reachability filtering), which is sound: extra boundary vertices add
-work, never wrong distances.  The shortest-path engine rebuilds each
-level's boundary graph with exact weights via :func:`build_boundary_graph`.
+Hierarchy construction here is purely structural: it reads arcs, never
+weights, and tracks virtual connectivity as "groups" (a component's
+boundary set is pairwise potentially connected) without computing any
+shortest paths.  A level keeps only its partition and boundary set.
+Structural boundary sets therefore over-approximate the exact engine's
+boundary graphs (no reachability filtering), which is sound: extra
+boundary vertices add work, never wrong distances.  The shortest-path
+engine builds each level's boundary graph with exact weights via
+:func:`build_boundary_graph`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -355,19 +357,13 @@ def build_boundary_graph(
 class HierarchyLevel:
     """One level: a partition of this level's graph and its boundary.
 
-    ``boundary_ids`` maps boundary-graph vertex index to this level's vertex
-    id (sorted ascending).  ``groups`` lists, for the next level, the sets of
-    next-level vertices that originate from one component's boundary (their
-    pairwise virtual connectivity), already relabelled to next-level indices.
-    ``boundary_graph`` is the structural surrogate used for partitioning the
-    next level; the exact engine rebuilds real weights.
+    The next level's vertex ``i`` is this level's vertex
+    ``boundaries.union[i]`` (sorted ascending), the index convention of
+    :func:`build_boundary_graph`.
     """
 
     partition: Partition
     boundaries: BoundarySet
-    boundary_graph: WeightedGraph
-    boundary_ids: np.ndarray
-    groups: list = field(default_factory=list)
 
 
 @dataclass
@@ -380,10 +376,6 @@ class PartitionHierarchy:
     def depth(self) -> int:
         return len(self.levels)
 
-    @property
-    def top_boundary_graph(self) -> WeightedGraph:
-        return self.levels[-1].boundary_graph
-
     def stats(self) -> dict:
         out = []
         for lv in self.levels:
@@ -393,7 +385,7 @@ class PartitionHierarchy:
                     "n": lv.partition.n,
                     "k": lv.partition.k,
                     "max_component": int(sizes.max()) if sizes.size else 0,
-                    "boundary": int(lv.boundary_ids.size),
+                    "boundary": int(lv.boundaries.union.size),
                 }
             )
         return {"levels": out, "truncated": self.truncated}
@@ -415,45 +407,27 @@ def _min_feasible_k(n: int, max_tile: int, imbalance: float) -> int:
     return k
 
 
-def _group_boundary_mask(n, cross_src, cross_dst, groups, assign) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    if cross_src.size:
-        cross = assign[cross_src] != assign[cross_dst]
-        mask[cross_src[cross]] = True
-        mask[cross_dst[cross]] = True
-    for grp in groups:
-        if grp.size >= 2:
-            comps = assign[grp]
-            if comps.min() != comps.max():
-                # the group spans >= 2 components, so every member has a
-                # potential virtual edge leaving its own component
-                mask[grp] = True
-    return mask
+def _structural_graph(n, src, dst, groups) -> WeightedGraph:
+    """Connectivity surrogate: the arcs plus clique/ring edges per group.
 
-
-def _structural_graph(n, cross_src, cross_dst, cross_w, groups) -> WeightedGraph:
-    """Connectivity surrogate: cross arcs plus clique/ring edges per group."""
-    srcs = [cross_src]
-    dsts = [cross_dst]
-    ws = [cross_w]
+    The partitioner reads no weights, so every arc weighs 0 (which keeps an
+    input graph's zero-weight self-loops valid).
+    """
+    srcs = [src]
+    dsts = [dst]
     for grp in groups:
         m = grp.size
-        if m < 2:
-            continue
         if m <= _CLIQUE_CAP:
             ii, jj = np.nonzero(~np.eye(m, dtype=bool))
             srcs.append(grp[ii])
             dsts.append(grp[jj])
-            ws.append(np.ones(ii.size, dtype=np.int64))
         else:
             nxt = np.roll(grp, -1)
             srcs.extend([grp, nxt])
             dsts.extend([nxt, grp])
-            ws.extend([np.ones(m, dtype=np.int64)] * 2)
-    src, dst, w = _dedupe_min(
-        n, np.concatenate(srcs), np.concatenate(dsts), np.concatenate(ws)
-    )
-    return WeightedGraph(n, src, dst, w)
+    src, dst = np.concatenate(srcs), np.concatenate(dsts)
+    w = np.zeros(src.size, dtype=np.int64)
+    return WeightedGraph(n, *_dedupe_min(n, src, dst, w))
 
 
 def build_hierarchy(
@@ -470,79 +444,65 @@ def build_hierarchy(
     stalls, the component count is halved once as a fallback, and if the
     boundary still does not shrink the hierarchy stops there (``truncated``
     set, the oversized top boundary graph is closed exactly in software by
-    the engine).  Every component at every level fits ``max_tile``.
+    the engine).  Every component at every level fits ``max_tile``.  Only
+    the arcs of ``g`` are read, never their weights.
     """
     if max_tile < 2:
         raise HierarchyError("max_tile must be at least 2")
     if k_fn is None:
         k_fn = default_branching(max_tile)
 
+    n = g.n
+    if n <= max_tile:
+        part = Partition(n, 1, np.zeros(n, dtype=np.int64))
+        bset = BoundarySet({}, np.zeros(0, dtype=np.int64))
+        return PartitionHierarchy([HierarchyLevel(part, bset)], max_tile)
+
     levels: list[HierarchyLevel] = []
     truncated = False
-    # current level's graph, as cross arcs + virtual groups
-    n = g.n
-    cross_src, cross_dst, cross_w = g.src, g.dst, g.w
+    # current level's graph, as arcs + groups of pairwise virtual connectivity
+    src, dst = g.src, g.dst
     groups: list[np.ndarray] = []
     level = 0
     while True:
-        if n <= max_tile:
-            part = Partition(n, 1, np.zeros(n, dtype=np.int64))
-            empty = np.zeros(0, dtype=np.int64)
-            bset = BoundarySet({}, empty)
-            gb = WeightedGraph.from_edges(0, [])
-            levels.append(HierarchyLevel(part, bset, gb, empty, []))
-            break
-
-        struct = _structural_graph(n, cross_src, cross_dst, cross_w, groups)
+        struct = _structural_graph(n, src, dst, groups)
         k_lo = _min_feasible_k(n, max_tile, imbalance)
         k = min(n, max(k_fn(n), k_lo))
-        part = kway_partition(struct, k, seed=seed + level, imbalance=imbalance)
-        mask = _group_boundary_mask(n, cross_src, cross_dst, groups, part.assign)
-        boundary = int(mask.sum())
-        if boundary >= n and k > k_lo:
-            # fallback: fewer, larger components cut fewer edges
-            k = max(k_lo, k // 2)
+        # when every vertex is boundary, fall back once to fewer, larger
+        # components, which cut fewer edges
+        for k in (k, max(k_lo, k // 2)):
             part = kway_partition(struct, k, seed=seed + level, imbalance=imbalance)
-            mask = _group_boundary_mask(n, cross_src, cross_dst, groups, part.assign)
-            boundary = int(mask.sum())
+            assign = part.assign
+            cut = assign[src] != assign[dst]
+            # a group spanning >= 2 components gives every member a
+            # potential virtual edge leaving its own component
+            split = [grp for grp in groups if assign[grp].min() != assign[grp].max()]
+            mask = np.zeros(n, dtype=bool)
+            mask[src[cut]] = True
+            mask[dst[cut]] = True
+            for grp in split:
+                mask[grp] = True
+            if mask.sum() < n or k <= k_lo:
+                break
 
         union = np.nonzero(mask)[0].astype(np.int64)
         bset = _boundary_set(part.assign, union)
+        levels.append(HierarchyLevel(part, bset))
 
-        lookup = np.full(n, -1, dtype=np.int64)
-        lookup[union] = np.arange(union.size)
-        keep = (
-            (part.assign[cross_src] != part.assign[cross_dst])
-            if cross_src.size
-            else np.zeros(0, dtype=bool)
-        )
-        nxt_src = lookup[cross_src[keep]]
-        nxt_dst = lookup[cross_dst[keep]]
-        nxt_w = cross_w[keep]
-        nxt_groups = [lookup[b] for b in bset.per_component.values() if b.size >= 2]
-        # a group split across components keeps live virtual pairs between
-        # those components (they are real edges of the next boundary graph),
-        # so it survives as a group; every member is boundary by the split
-        # rule, hence present in the next vertex set
-        for grp in groups:
-            if grp.size >= 2:
-                comps = part.assign[grp]
-                if comps.min() != comps.max():
-                    nxt_groups.append(lookup[grp])
-
-        gb = _structural_graph(union.size, nxt_src, nxt_dst, nxt_w, nxt_groups)
-        levels.append(
-            HierarchyLevel(part, bset, gb, union, [grp.copy() for grp in nxt_groups])
-        )
-
-        if union.size == 0 or union.size <= max_tile:
+        if union.size <= max_tile:
             break
         if union.size >= n:
             truncated = True
             break
+        lookup = np.full(n, -1, dtype=np.int64)
+        lookup[union] = np.arange(union.size)
+        src, dst = lookup[src[cut]], lookup[dst[cut]]
+        # a split group keeps live virtual pairs between components (they
+        # are real edges of the next boundary graph), so it survives as a
+        # group; every member is boundary, hence a next-level vertex
+        groups = [lookup[b] for b in bset.per_component.values() if b.size >= 2]
+        groups += [lookup[grp] for grp in split]
         n = union.size
-        cross_src, cross_dst, cross_w = nxt_src, nxt_dst, nxt_w
-        groups = nxt_groups
         level += 1
 
     return PartitionHierarchy(levels, max_tile, truncated)

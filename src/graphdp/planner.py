@@ -106,6 +106,8 @@ class WorkloadDescriptor:
             raise DescriptorError(f"unknown mapping request {self.mode!r}")
         if self.seed < 0:
             raise DescriptorError(f"seed {self.seed} must be non-negative")
+        if self.threads < 1:
+            raise DescriptorError(f"threads {self.threads} must be at least 1")
 
 
 def device_params(section) -> tuple:

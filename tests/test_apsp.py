@@ -89,7 +89,6 @@ def test_truncated_hierarchy_still_exact():
     res = recursive_apsp(g, max_tile=32, seed=0)
     assert res.trace.mode == "dense"
     assert res.hierarchy.truncated
-    assert res.trace.oversized_top
     assert np.array_equal(res.dist, fw_oracle(g))
 
 
@@ -157,7 +156,7 @@ def test_trace_reflects_work():
     assert any(ev.kind == "top" for ev in tr.fw_events)
     assert tr.counts()["merges"] == len(tr.merge_events) > 0
     for ev in tr.fw_events:
-        assert ev.dim <= max(32, res.hierarchy.top_boundary_graph.n)
+        assert ev.dim <= max(32, res.hierarchy.levels[-1].boundaries.union.size)
 
 
 # name: (graph, tile, the schedule the engine picks, the hierarchy shape
@@ -186,13 +185,13 @@ SCHEDULE_CASES = {
         lambda: disjoint_copies(gen_clustered(4, 16, seed=0), 4),
         32,
         "dense",
-        lambda h: h.depth == 2 and h.levels[-1].boundary_ids.size == 0,
+        lambda h: h.depth == 2 and h.levels[-1].boundaries.union.size == 0,
     ),
     "isolated": (
         lambda: gen_er(300, 0.002, seed=1),
         32,
         "dense",
-        lambda h: h.depth == 2 and 0 < h.levels[-1].boundary_ids.size <= 32,
+        lambda h: h.depth == 2 and 0 < h.levels[-1].boundaries.union.size <= 32,
     ),
     "single_tile": (
         lambda: gen_er(40, 0.1, seed=6),

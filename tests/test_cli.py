@@ -361,6 +361,7 @@ def test_plan_bad_descriptor_fields_exit_2(tmp_path, capsys):
         {"device": {"pcm": {"bogus": 1}}},
         {"device": {"pcm": 5}},
         {"seed": "x"},
+        {"threads": 0},
         {"device": 5},
         {"device": {"gpu": {}}},
         {"device": {"hbm": {"channels": "16"}}},
@@ -448,12 +449,16 @@ def test_unknown_subcommand_exits_2(capsys):
     assert "--max-tile" in capsys.readouterr().out
 
 
-# one command per error class that main catches: (input files, argv, the
-# exception that reaches main); "@" stands for the test's directory
+# one command per error class that main catches, and one per check main
+# makes itself: (input files, argv, the exception that reaches main); "@"
+# stands for the test's directory
 GFA = "S\ts1\tACGTACGTAC\nS\ts2\tGTTACA\nL\ts1\t+\ts2\t+\t0M\n"
 ERROR_CASES = {
     "UsageError": (
         {}, ["gen", "er", "--n", 10, "--p", 0.1, "--seed", -1], UsageError
+    ),
+    "UsageError-threads": (
+        {}, ["apsp", "--graph", "@/none.edges", "--threads", -3], UsageError
     ),
     "GraphError": ({}, ["gen", "er", "--n", 0, "--p", 0.1], GraphError),
     "ModelError": ({}, ["sweep", "tilesize", "--Ns", 3], ValidationError),
@@ -520,3 +525,6 @@ def test_verify_command_all_suites_pass(tmp_path, capsys):
     assert run("verify", "--seed", 5, "--out", tmp_path) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and "FAIL" not in out
+    # the exactness suite must grade recursive runs, not only direct ones
+    apsp = next(line for line in out.splitlines() if "apsp-exactness" in line)
+    assert int(apsp.split(", ")[1].split()[0]) >= 1, apsp

@@ -299,8 +299,7 @@ def test_hierarchy_small_graph_is_single_trivial_level():
     h = build_hierarchy(g, max_tile=64)
     assert h.depth == 1
     assert h.levels[0].partition.k == 1
-    assert h.levels[0].boundary_ids.size == 0
-    assert h.top_boundary_graph.n == 0
+    assert h.levels[0].boundaries.union.size == 0
     assert not h.truncated
 
 
@@ -310,19 +309,18 @@ def test_hierarchy_levels_chain_and_fit_tiles():
     assert h.depth >= 2
     for lv in h.levels:
         assert lv.partition.sizes().max() <= 48
-        assert np.all(np.diff(lv.boundary_ids) > 0)
-        assert lv.boundary_graph.n == lv.boundary_ids.size
+        assert np.all(np.diff(lv.boundaries.union) > 0)
     for i in range(h.depth - 1):
-        assert h.levels[i + 1].partition.n == h.levels[i].boundary_ids.size
+        assert h.levels[i + 1].partition.n == h.levels[i].boundaries.union.size
     if not h.truncated:
-        assert h.top_boundary_graph.n <= 48
+        assert h.levels[-1].boundaries.union.size <= 48
 
 
 def test_hierarchy_level0_boundary_is_exact():
     g = gen_clustered(8, 30, seed=3)
     h = build_hierarchy(g, max_tile=36, seed=0)
     exact = find_boundary(g, h.levels[0].partition)
-    assert np.array_equal(h.levels[0].boundary_ids, exact.union)
+    assert np.array_equal(h.levels[0].boundaries.union, exact.union)
     for c, verts in exact.per_component.items():
         assert np.array_equal(h.levels[0].boundaries.of(c), verts)
 
@@ -338,7 +336,7 @@ def test_hierarchy_upper_boundary_covers_exact_boundary():
         g, lvl0.partition, lvl0.boundaries, _close_components(g, lvl0.partition)
     )
     exact = find_boundary(real_gb, h.levels[1].partition)
-    assert np.all(np.isin(exact.union, h.levels[1].boundary_ids))
+    assert np.all(np.isin(exact.union, h.levels[1].boundaries.union))
 
 
 def test_hierarchy_stall_truncates_gracefully():
@@ -347,7 +345,7 @@ def test_hierarchy_stall_truncates_gracefully():
     h = build_hierarchy(g, max_tile=64, seed=0)
     assert h.truncated
     assert h.depth == 1
-    assert h.top_boundary_graph.n == 200
+    assert h.levels[-1].boundaries.union.size == 200
     for lv in h.levels:
         assert lv.partition.sizes().max() <= 64
 
@@ -357,7 +355,6 @@ def test_hierarchy_stall_leaves_an_oversized_top():
     h = build_hierarchy(complete_graph(200), max_tile=64, seed=0)
     assert h.truncated
     trace = schedule(h, "dense")
-    assert trace.oversized_top
     assert [ev.dim for ev in trace.fw_events if ev.kind == "top"] == [200]
 
 
@@ -368,7 +365,37 @@ def test_hierarchy_deterministic():
     assert h1.depth == h2.depth
     for a, b in zip(h1.levels, h2.levels):
         assert np.array_equal(a.partition.assign, b.partition.assign)
-        assert np.array_equal(a.boundary_ids, b.boundary_ids)
+        assert np.array_equal(a.boundaries.union, b.boundaries.union)
+
+
+@pytest.mark.parametrize(
+    "make, tile, truncated",
+    [
+        (lambda: gen_clustered(16, 32, seed=1, groups=2), 128, False),
+        (lambda: gen_er(260, 0.004, seed=1), 64, True),
+    ],
+    ids=["clustered", "er"],
+)
+def test_hierarchy_ignores_weights(make, tile, truncated):
+    # the hierarchy is structural: only the arcs decide it
+    g = make()
+    h = build_hierarchy(g, max_tile=tile, seed=0)
+    assert h.truncated == truncated and h.depth >= (1 if truncated else 3)
+    for w in (np.ones_like(g.w), 100 - g.w):
+        other = build_hierarchy(WeightedGraph(g.n, g.src, g.dst, w), tile, seed=0)
+        assert other.truncated == h.truncated and other.depth == h.depth
+        for a, b in zip(h.levels, other.levels):
+            assert np.array_equal(a.partition.assign, b.partition.assign)
+            want, got = a.boundaries.per_component, b.boundaries.per_component
+            assert want.keys() == got.keys()
+            for c, verts in want.items():
+                assert np.array_equal(got[c], verts)
+    # a zero-weight self-loop is a valid input arc of the structural graph
+    loop = np.zeros(1, dtype=np.int64)
+    looped = WeightedGraph(
+        g.n, np.r_[g.src, loop], np.r_[g.dst, loop], np.r_[g.w, loop]
+    )
+    assert build_hierarchy(looped, tile, seed=0).depth >= 1
 
 
 def test_hierarchy_path_tiles_contiguously():
@@ -377,7 +404,7 @@ def test_hierarchy_path_tiles_contiguously():
     g = path_graph(4 * tile)
     h = build_hierarchy(g, max_tile=tile, k_fn=lambda n: 4, imbalance=0.0, seed=0)
     assert h.levels[0].partition.k == 4
-    assert h.levels[0].boundary_ids.size <= 6
+    assert h.levels[0].boundaries.union.size <= 6
 
 
 def test_hierarchy_er5000_structure():
@@ -388,7 +415,7 @@ def test_hierarchy_er5000_structure():
     assert h.depth >= 1
     for lv in h.levels:
         assert lv.partition.sizes().max() <= 256
-    assert h.truncated or h.top_boundary_graph.n <= 256
+    assert h.truncated or h.levels[-1].boundaries.union.size <= 256
 
 
 def test_hierarchy_rejects_tiny_tile():

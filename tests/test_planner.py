@@ -71,7 +71,7 @@ def test_apsp_stage_count_matches_hierarchy():
     # past the dense limit: the lazy schedule, without base-level merges
     assert choose_mode(hier) == "lazy"
     want = sum(lv.partition.k for lv in hier.levels)
-    want += bool(hier.levels[-1].boundary_ids.size)
+    want += bool(hier.levels[-1].boundaries.union.size)
     for li, lv in enumerate(hier.levels):
         bs = [b.size for b in lv.boundaries.per_component.values()]
         if not bs:
