@@ -4,7 +4,7 @@ the severed boundary graph is safe to recurse on."""
 import numpy as np
 
 from graphdp import (
-    build_boundary_graph,
+    INF_SENTINEL,
     build_hierarchy,
     distance_init,
     find_boundary,
@@ -12,7 +12,6 @@ from graphdp import (
     gen_clustered,
     kway_partition,
 )
-from graphdp.minplus import DistanceBlock
 
 g = gen_clustered(24, 30, seed=2, groups=4)
 print(f"clustered graph: n={g.n} arcs={g.edge_count}")
@@ -24,19 +23,21 @@ for li, lv in enumerate(hier.levels):
     print(f"  level {li}: k={lv.partition.k} max_comp={max(sizes)} "
           f"boundary={lv.boundaries.union.size}")
 
-# one level by hand: cut, close components, rebuild the boundary graph
+# one level by hand: cut, close the component blocks in place, slice the
+# boundary graph out of the closed matrix
 p = kway_partition(g, 6, seed=0)
 bs = find_boundary(g, p)
 d0 = distance_init(g)
-intra = {}
 for c in range(p.k):
     ids = p.component(c)
-    intra[c] = DistanceBlock(floyd_warshall_dense(d0[np.ix_(ids, ids)]), ids)
-gb = build_boundary_graph(g, p, bs, intra)
-print(f"manual cut: k=6 boundary={bs.union.size} boundary_arcs={gb.edge_count}")
+    d0[np.ix_(ids, ids)] = floyd_warshall_dense(d0[np.ix_(ids, ids)])
+gb = d0[np.ix_(bs.union, bs.union)]
+# every finite entry off the (zero) diagonal is an arc of the boundary graph
+arcs = int(np.count_nonzero(gb < INF_SENTINEL)) - bs.union.size
+print(f"manual cut: k=6 boundary={bs.union.size} boundary_arcs={arcs}")
 
 # distances between boundary vertices survive the reduction exactly
-got = floyd_warshall_dense(distance_init(gb))
-want = floyd_warshall_dense(d0)[np.ix_(bs.union, bs.union)]
+got = floyd_warshall_dense(gb)
+want = floyd_warshall_dense(distance_init(g))[np.ix_(bs.union, bs.union)]
 assert np.array_equal(got, want)
 print("boundary-to-boundary distances are preserved exactly")

@@ -43,7 +43,6 @@ from .partition import (
     BoundarySet,
     Partition,
     PartitionHierarchy,
-    build_boundary_graph,
     build_hierarchy,
     find_boundary,
     kway_partition,

@@ -1,14 +1,19 @@
 """Exact all-pairs shortest paths by recursive partitioned closure.
 
-The graph is split into tile-sized components.  An upward pass closes each
-component with Floyd-Warshall and condenses the boundary vertices into a
-boundary graph, recursing until the boundary graph fits a tile (or stops
-shrinking, in which case the oversized top is closed directly).  A downward
-pass then distributes the exact top-level closure back out: boundary-pair
-distances are injected into each component block, the block is re-closed
-(now globally exact, since any path leaves a component through its first
-exit vertex and re-enters at its last), and cross-component pairs are
-filled by a min-plus merge through the boundary matrix.
+The graph is split into tile-sized components, and every level of the
+recursion is one dense ``uint32`` matrix.  Level 0 is the graph's distance
+seed.  An upward pass closes each component's block of the level matrix
+with Floyd-Warshall and writes it back; the ``[boundary, boundary]`` slice
+of the result, which holds the cross arcs and the closed intra-component
+distances, is the boundary graph and the next level's matrix.  Recursion
+continues until the boundary graph fits a tile (or stops shrinking, in
+which case the oversized top is closed directly).  A downward pass then
+distributes the exact top-level closure back out, level by level, in
+place: boundary-pair distances are injected into each component block,
+the block is re-closed (now globally exact, since any path leaves a
+component through its first exit vertex and re-enters at its last), and
+cross-component pairs are filled by a min-plus merge through the boundary
+matrix.  Level 0's matrix becomes the result.
 
 Recursion only pays when the graph has small separators.  A random graph
 has none: nearly every vertex is boundary, and the closures and merges cost
@@ -37,7 +42,7 @@ from .minplus import (
     inject,
     min_plus_merge,
 )
-from .partition import PartitionHierarchy, build_boundary_graph, build_hierarchy
+from .partition import PartitionHierarchy, build_hierarchy
 
 DENSE_LIMIT = 4096
 # recursion ran at about half the ops per second of one large closure, so
@@ -175,24 +180,15 @@ def _pmap(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _close_components(g: WeightedGraph, part, threads: int) -> dict:
-    """FW-close every component's induced subgraph."""
-    assign = part.assign
-    comp_src = assign[g.src]
-    comp_dst = assign[g.dst]
+def _close_components(d: np.ndarray, part, threads: int) -> None:
+    """FW-close every component's block of the level matrix ``d`` in place."""
 
-    def close_one(c: int) -> tuple:
+    def close_one(c: int) -> None:
         ids = part.component(c)
-        d = np.full((ids.size, ids.size), INF_SENTINEL, dtype=np.uint32)
-        np.fill_diagonal(d, 0)
-        sel = (comp_src == c) & (comp_dst == c)
-        if sel.any():
-            ls = np.searchsorted(ids, g.src[sel])
-            ld = np.searchsorted(ids, g.dst[sel])
-            np.minimum.at(d, (ls, ld), g.w[sel])
-        return c, DistanceBlock(floyd_warshall_dense(d), ids)
+        ix = np.ix_(ids, ids)
+        d[ix] = floyd_warshall_dense(d[ix])
 
-    return dict(_pmap(close_one, range(part.k), threads))
+    _pmap(close_one, range(part.k), threads)
 
 
 @dataclass
@@ -205,34 +201,37 @@ class ApspResult:
     dist: np.ndarray
 
 
-def _assemble_level(
-    m: int, blocks: dict, bset, xb_block: DistanceBlock | None, threads
-) -> np.ndarray:
-    """All-pairs matrix over one level's full vertex set."""
-    out = np.full((m, m), INF_SENTINEL, dtype=np.uint32)
-    np.fill_diagonal(out, 0)
-    for blk in blocks.values():
-        out[np.ix_(blk.ids, blk.ids)] = blk.data
+def _assemble_level(d: np.ndarray, lv, closure: np.ndarray, threads) -> None:
+    """Close the level matrix ``d`` exactly, in place.
 
-    if xb_block is None:
-        return out
-    comps = sorted(blocks)
-    pairs = [
-        (c1, c2)
-        for c1 in comps
-        for c2 in comps
-        if c1 != c2 and bset.of(c1).size and bset.of(c2).size
-    ]
+    ``d`` holds the closed component blocks and the cross arcs; ``closure``
+    is the exact closure of the level's boundary graph.  Each component
+    with a boundary gets its boundary pairs injected and re-closes; the
+    cross blocks between such components are overwritten by merges.  Cross
+    blocks of a component without a boundary hold no arc and stay
+    unreachable.
+    """
+    part, bset = lv.partition, lv.boundaries
+    xb = DistanceBlock(closure, bset.union)
+    comps = sorted(bset.per_component)
 
-    def merge_one(pair):
+    def reinject(c: int) -> DistanceBlock:
+        ids = part.component(c)
+        ix = np.ix_(ids, ids)
+        blk = inject(xb, bset.of(c), DistanceBlock(d[ix], ids))
+        blk.data = floyd_warshall_dense(blk.data)
+        d[ix] = blk.data
+        return blk
+
+    blocks = dict(zip(comps, _pmap(reinject, comps, threads)))
+
+    def merge_one(pair) -> None:
         c1, c2 = pair
         b1, b2 = bset.of(c1), bset.of(c2)
-        cross = min_plus_merge(blocks[c1], xb_block, blocks[c2], b1, b2)
-        return c1, c2, cross
+        cross = min_plus_merge(blocks[c1], xb, blocks[c2], b1, b2)
+        d[np.ix_(blocks[c1].ids, blocks[c2].ids)] = cross
 
-    for c1, c2, cross in _pmap(merge_one, pairs, threads):
-        out[np.ix_(blocks[c1].ids, blocks[c2].ids)] = cross
-    return out
+    _pmap(merge_one, [(c1, c2) for c1 in comps for c2 in comps if c1 != c2], threads)
 
 
 def recursive_apsp(
@@ -255,49 +254,39 @@ def recursive_apsp(
     if hierarchy is None:
         hierarchy = build_hierarchy(g, max_tile, seed=seed)
     levels = hierarchy.levels
-    if levels[0].partition.n != g.n:
+    part = levels[0].partition
+    if part.n != g.n:
+        raise ApspError("hierarchy does not match graph")
+    # the boundary slice keeps only arcs between boundary vertices, so every
+    # cross arc's ends must be in the level-0 boundary
+    cut = part.assign[g.src] != part.assign[g.dst]
+    ends = np.concatenate([g.src[cut], g.dst[cut]])
+    if not np.isin(ends, levels[0].boundaries.union).all():
         raise ApspError("hierarchy does not match graph")
     mode = choose_mode(hierarchy)
     if mode == "direct":
         dist = floyd_warshall_dense(distance_init(g))
         return ApspResult(g.n, hierarchy, schedule(hierarchy, mode), dist)
 
-    # upward: close components, condense boundaries, repeat
-    level_blocks: list[dict] = []
-    cur = g
+    # upward: close components in place; the boundary slice is the next level
+    mats = [distance_init(g)]
     for lv in levels:
-        blocks = _close_components(cur, lv.partition, threads)
-        level_blocks.append(blocks)
+        _close_components(mats[-1], lv.partition, threads)
+        u = lv.boundaries.union
+        mats.append(mats[-1][np.ix_(u, u)])
+
+    # top closure: the last boundary graph (oversized if truncated)
+    closure = mats.pop()
+    if closure.size:
+        closure = floyd_warshall_dense(closure)
+
+    # downward: each level closes exactly from the closure of the one above
+    for lv in reversed(levels):
+        d = mats.pop()
         if lv.boundaries.union.size:
-            cur = build_boundary_graph(cur, lv.partition, lv.boundaries, blocks)
-        else:
-            cur = WeightedGraph.from_edges(0, [])
-
-    # top closure: the last boundary graph, dense (oversized if truncated)
-    closure = None
-    if cur.n:
-        top = floyd_warshall_dense(distance_init(cur))
-        closure = DistanceBlock(top, levels[-1].boundaries.union)
-
-    # downward: inject the boundary closure, re-close blocks, assemble the
-    # closure one level down; the base level assembles the result
-    for lidx in range(hierarchy.depth - 1, -1, -1):
-        lv = levels[lidx]
-        blocks = level_blocks[lidx]
-        if closure is not None:
-
-            def reinject(c, _xb=closure, _blocks=blocks, _lv=lv):
-                b = _lv.boundaries.of(c)
-                blk = _blocks[c]
-                inject(_xb, b, blk)
-                blk.data = floyd_warshall_dense(blk.data)
-                return c
-
-            _pmap(reinject, sorted(lv.boundaries.per_component), threads)
-        dist = _assemble_level(lv.partition.n, blocks, lv.boundaries, closure, threads)
-        if lidx:
-            closure = DistanceBlock(dist, levels[lidx - 1].boundaries.union)
-    return ApspResult(g.n, hierarchy, schedule(hierarchy, mode), dist)
+            _assemble_level(d, lv, closure, threads)
+        closure = d
+    return ApspResult(g.n, hierarchy, schedule(hierarchy, mode), closure)
 
 
 # ---------------------------------------------------------------------------

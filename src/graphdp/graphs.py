@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -61,14 +60,13 @@ class WeightedGraph:
 
     Edges are stored as three parallel arrays (``src``, ``dst``, ``w``).
     Undirected inputs are represented by storing both arcs.  Weights are
-    bounded by ``max_weight`` (``MAX_WEIGHT`` for input graphs).
+    bounded by ``MAX_WEIGHT``.
     """
 
     n: int
     src: np.ndarray
     dst: np.ndarray
     w: np.ndarray
-    max_weight: ClassVar[int] = MAX_WEIGHT
 
     def __post_init__(self) -> None:
         self.src = np.asarray(self.src, dtype=np.int64)
@@ -83,8 +81,8 @@ class WeightedGraph:
             hi = max(self.src.max(), self.dst.max())
             if lo < 0 or hi >= self.n:
                 raise GraphError(f"vertex id out of range [0, {self.n})")
-            if self.w.min() < 0 or self.w.max() > self.max_weight:
-                raise GraphError(f"weights must lie in [0, {self.max_weight}]")
+            if self.w.min() < 0 or self.w.max() > MAX_WEIGHT:
+                raise GraphError(f"weights must lie in [0, {MAX_WEIGHT}]")
             loops = self.src == self.dst
             if np.any(self.w[loops] > 0):
                 raise GraphError("self-loop with positive weight (self distance is 0)")
@@ -108,9 +106,10 @@ class WeightedGraph:
 
 
 def graph_to_dense(g: WeightedGraph) -> np.ndarray:
-    """Dense adjacency of ``g``; parallel arcs keep the minimum weight."""
-    d = np.full((g.n, g.n), INF_SENTINEL, dtype=np.int64)
-    np.minimum.at(d, (g.src, g.dst), g.w)
+    """Dense ``uint32`` adjacency of ``g``; parallel arcs keep the minimum
+    weight.  Weights are at most ``MAX_WEIGHT``, so the cast is exact."""
+    d = np.full((g.n, g.n), INF_SENTINEL, dtype=np.uint32)
+    np.minimum.at(d, (g.src, g.dst), g.w.astype(np.uint32))
     return d
 
 

@@ -1,12 +1,12 @@
 """Graph partitioning and the multilevel boundary hierarchy.
 
-The hierarchy splits a graph into tile-sized components, extracts the
-vertices with cross-component edges, and condenses them into a boundary
-graph: cross edges survive verbatim, and each component contributes
-virtual edges among its own boundary vertices (weighted, in the exact
-engine, by closed intra-component distances).  Recursing on the boundary
-graph yields levels until the boundary graph fits a tile or stops
-shrinking.
+The hierarchy splits a graph into tile-sized components and extracts the
+vertices with cross-component edges.  Those vertices span the boundary
+graph, the next level's graph: cross edges survive verbatim, and each
+component contributes virtual edges among its own boundary vertices
+(weighted, in the exact engine, by closed intra-component distances).
+Recursing on the boundary graph yields levels until it fits a tile or
+stops shrinking.
 
 Hierarchy construction here is purely structural: it reads arcs, never
 weights, and tracks virtual connectivity as "groups" (a component's
@@ -15,8 +15,8 @@ shortest paths.  A level keeps only its partition and boundary set.
 Structural boundary sets therefore over-approximate the exact engine's
 boundary graphs (no reachability filtering), which is sound: extra
 boundary vertices add work, never wrong distances.  The shortest-path
-engine builds each level's boundary graph with exact weights via
-:func:`build_boundary_graph`.
+engine weighs each boundary graph by slicing it out of the level's dense
+matrix once the components are closed (:mod:`graphdp.apsp`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import INF_SENTINEL, GraphError, WeightedGraph
+from .graphs import GraphError, WeightedGraph
 
 DEFAULT_IMBALANCE = 0.1
 DEFAULT_REFINE_PASSES = 2
@@ -62,11 +62,6 @@ class Partition:
 
     def component(self, c: int) -> np.ndarray:
         return np.nonzero(self.assign == c)[0]
-
-    def components(self) -> list:
-        order = np.argsort(self.assign, kind="stable")
-        splits = np.searchsorted(self.assign[order], np.arange(1, self.k))
-        return [np.sort(part) for part in np.split(order, splits)]
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assign, minlength=self.k)
@@ -266,88 +261,6 @@ def find_boundary(g: WeightedGraph, p: Partition) -> BoundarySet:
     return _boundary_set(p.assign, verts)
 
 
-def _dedupe_min(n: int, src, dst, w) -> tuple:
-    """Collapse parallel arcs keeping the minimum weight; arcs come back
-    sorted by ``(src, dst)``."""
-    if len(src) == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.copy(), z.copy()
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    w = np.asarray(w, dtype=np.int64)
-    key = src * n + dst
-    if np.all(key[1:] > key[:-1]):
-        # already sorted with no parallel arcs: the sort below is the identity
-        return src, dst, w
-    order = np.lexsort((w, key))
-    key, src, dst, w = key[order], src[order], dst[order], w[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    return src[first], dst[first], w[first]
-
-
-class BoundaryGraph(WeightedGraph):
-    """A level's exact boundary graph.  Its virtual edges carry closed
-    distances, which can exceed an input graph's ``MAX_WEIGHT`` (a path of
-    two ``MAX_WEIGHT`` arcs is ``INF_SENTINEL - 1`` long) but stay below
-    the sentinel."""
-
-    max_weight = INF_SENTINEL - 1
-
-
-def build_boundary_graph(
-    g: WeightedGraph,
-    p: Partition,
-    boundaries: BoundarySet,
-    intra: dict,
-) -> WeightedGraph:
-    """Exact boundary graph: cross edges plus closed intra-distance edges.
-
-    Vertex ``i`` of the result is ``boundaries.union[i]`` (sorted ascending);
-    this index convention is shared with the shortest-path engine.  For each
-    component ``c``, ``intra[c]`` must be the Floyd-Warshall-closed
-    :class:`DistanceBlock` of the component's induced subgraph; every
-    ordered boundary pair with a finite closed distance becomes a virtual
-    edge.  Cross edges are copied from ``g``.  If a pair acquires both, the
-    minimum weight is kept.
-
-    Shortest distances between boundary vertices are preserved exactly:
-    any path decomposes into intra-component segments between boundary
-    vertices (covered by virtual edges) and cross edges.
-    """
-    union = boundaries.union
-    lookup = np.full(g.n, -1, dtype=np.int64)
-    lookup[union] = np.arange(union.size)
-
-    cross = p.assign[g.src] != p.assign[g.dst]
-    src_parts = [lookup[g.src[cross]]]
-    dst_parts = [lookup[g.dst[cross]]]
-    w_parts = [g.w[cross]]
-    if src_parts[0].size and (src_parts[0].min() < 0 or dst_parts[0].min() < 0):
-        raise PartitionError("cross edge endpoint missing from boundary set")
-
-    for c, b in boundaries.per_component.items():
-        if b.size < 2:
-            continue
-        if c not in intra:
-            raise PartitionError(f"missing intra block for component {c}")
-        blk = intra[c]
-        ix = blk.local(b)
-        sub = blk.data[np.ix_(ix, ix)]
-        ii, jj = np.nonzero((sub < INF_SENTINEL) & ~np.eye(b.size, dtype=bool))
-        src_parts.append(lookup[b[ii]])
-        dst_parts.append(lookup[b[jj]])
-        w_parts.append(sub[ii, jj])
-
-    src, dst, w = _dedupe_min(
-        union.size,
-        np.concatenate(src_parts),
-        np.concatenate(dst_parts),
-        np.concatenate(w_parts),
-    )
-    return BoundaryGraph(union.size, src, dst, w)
-
-
 # ---------------------------------------------------------------------------
 # Multilevel hierarchy
 # ---------------------------------------------------------------------------
@@ -357,9 +270,10 @@ def build_boundary_graph(
 class HierarchyLevel:
     """One level: a partition of this level's graph and its boundary.
 
-    The next level's vertex ``i`` is this level's vertex
-    ``boundaries.union[i]`` (sorted ascending), the index convention of
-    :func:`build_boundary_graph`.
+    The next level's graph is this level's boundary graph: its vertex ``i``
+    is this level's vertex ``boundaries.union[i]`` (sorted ascending), so
+    the engine takes its matrix as the closed level matrix's
+    ``[union, union]`` slice.
     """
 
     partition: Partition
@@ -408,7 +322,8 @@ def _min_feasible_k(n: int, max_tile: int, imbalance: float) -> int:
 
 
 def _structural_graph(n, src, dst, groups) -> WeightedGraph:
-    """Connectivity surrogate: the arcs plus clique/ring edges per group.
+    """Connectivity surrogate: the arcs plus clique/ring edges per group,
+    without parallel arcs and sorted by ``(src, dst)``.
 
     The partitioner reads no weights, so every arc weighs 0 (which keeps an
     input graph's zero-weight self-loops valid).
@@ -426,8 +341,10 @@ def _structural_graph(n, src, dst, groups) -> WeightedGraph:
             srcs.extend([grp, nxt])
             dsts.extend([nxt, grp])
     src, dst = np.concatenate(srcs), np.concatenate(dsts)
-    w = np.zeros(src.size, dtype=np.int64)
-    return WeightedGraph(n, *_dedupe_min(n, src, dst, w))
+    key = src * n + dst
+    if not np.all(key[1:] > key[:-1]):
+        src, dst = np.divmod(np.unique(key), n)
+    return WeightedGraph(n, src, dst, np.zeros(src.size, dtype=np.int64))
 
 
 def build_hierarchy(

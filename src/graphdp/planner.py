@@ -382,9 +382,7 @@ def execute(plan: ExecutionPlan, cost_model_on: bool = False) -> dict:
     traces = []
     cost = CostReport()
     for st, batch in zip([s for s in plan.stages if s.kind == K_ALIGN], plan.batches):
-        aligned, bt = _run_stage(
-            st.id, batch_align, w.graph, batch, mode=st.mapping, W=w.W
-        )
+        aligned, bt = _run_stage(st.id, batch_align, w.graph, batch, W=w.W)
         traces.append(bt)
         for (rid, _), r in zip(sorted(batch.reads, key=lambda rs: rs[0]), aligned):
             results[rid] = r

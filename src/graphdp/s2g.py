@@ -391,20 +391,15 @@ def map_batch(g, mode, W, read_ids, read_lengths, window_passes) -> BatchTrace:
     )
 
 
-def batch_align(
-    g: GenomeGraph, batch: ReadBatch, mode: str | None = None, W: int = DEFAULT_W
-) -> tuple:
+def batch_align(g: GenomeGraph, batch: ReadBatch, W: int = DEFAULT_W) -> tuple:
     """Align every read; scores are mode-independent by construction.
 
-    Both modes produce identical AlignResults (ordered by read id, from
+    A short batch maps short-parallel and a long one long-pipeline; both
+    produce identical AlignResults (ordered by read id, from
     ``align_read_parallel``) and differ only in the BatchTrace
     (:func:`map_batch`).
     """
-    if mode is None:
-        mode = MODE_SHORT if batch.length_class == "short" else MODE_LONG
-    if mode not in (MODE_SHORT, MODE_LONG):
-        raise AlignmentError(f"unknown mapping mode {mode!r}")
-
+    mode = MODE_SHORT if batch.length_class == "short" else MODE_LONG
     reads = sorted(batch.reads, key=lambda rs: rs[0])
     results = align_read_parallel(g, [seq for _, seq in reads], W=W)
     bt = map_batch(

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -75,9 +76,16 @@ def test_partition_seed_does_not_change_distances():
 
 
 def test_thread_count_does_not_change_distances():
+    # the workers write disjoint blocks of one shared level matrix; a short
+    # switch interval interleaves them as often as it can
     g = gen_clustered(10, 40, seed=5)
     a = recursive_apsp(g, max_tile=32, seed=0, threads=1)
-    b = recursive_apsp(g, max_tile=32, seed=0, threads=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        b = recursive_apsp(g, max_tile=32, seed=0, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
     assert a.trace.mode == b.trace.mode == "dense"
     assert np.array_equal(a.dist, b.dist)
 
@@ -126,11 +134,33 @@ def test_engine_recurses_only_when_recursion_costs_less(case):
     assert np.array_equal(res.dist, fw_oracle(g))
 
 
+@pytest.mark.parametrize("case", ["er1000", "clustered3"])
+def test_engine_peak_memory_stays_near_one_matrix(case):
+    # one dense uint32 matrix per level, closed in place, plus the copy a
+    # closure works on: the traced peak stays below 2.5 n x n matrices
+    make, tile, mode = MODE_CASES[case]
+    g = make()
+    hier = build_hierarchy(g, tile, seed=0)
+    tracemalloc.start()
+    try:
+        res = recursive_apsp(g, hierarchy=hier)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.trace.mode == mode
+    assert peak < 2.5 * 4 * g.n**2
+
+
 def test_mismatched_hierarchy_rejected():
     g = gen_er(30, 0.1, seed=0)
     other = build_hierarchy(gen_er(40, 0.1, seed=0), max_tile=16)
     with pytest.raises(ApspError):
         recursive_apsp(g, hierarchy=other)
+    # same vertex count, but g has cross arcs outside the other's boundary,
+    # which the boundary slice would drop
+    same_n = build_hierarchy(gen_er(30, 0.1, seed=1), max_tile=16)
+    with pytest.raises(ApspError):
+        recursive_apsp(g, hierarchy=same_n)
 
 
 def test_engine_refuses_graphs_past_dense_limit(monkeypatch):

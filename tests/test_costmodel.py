@@ -316,7 +316,7 @@ def test_recursive_model_rejects_non_trace():
 # ---------------------------------------------------------------------------
 
 
-def make_small_batch(mode=None, W=32, n=400, reads=8, length=120, seed=7):
+def make_small_batch(W=32, n=400, reads=8, length=120, seed=7):
     gfa, _ = gen_genome(n, 0.05, seed=seed)
     g = parse_gfa(gfa)
     rng = np.random.default_rng(seed)
@@ -324,7 +324,7 @@ def make_small_batch(mode=None, W=32, n=400, reads=8, length=120, seed=7):
     for i in range(reads):
         recs.append((f"r{i}", "".join(rng.choice(list("ACGT"), size=length))))
     batch = ReadBatch(recs, "short")
-    _, bt = batch_align(g, batch, mode=mode, W=W)
+    _, bt = batch_align(g, batch, W=W)
     return bt
 
 

@@ -51,6 +51,7 @@ def test_graph_rejects_bad_ids_and_weights():
 def test_dense_missing_edges_read_inf():
     g = WeightedGraph.from_edges(3, [(0, 1, 4)])
     d = graph_to_dense(g)
+    assert d.dtype == np.uint32
     assert d[0, 1] == 4
     assert d[1, 0] == INF_SENTINEL
     assert d[2, 2] == INF_SENTINEL  # adjacency, not distances

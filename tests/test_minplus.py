@@ -240,7 +240,7 @@ def _near_sentinel(rng, shape):
 
 def test_closures_are_uint32_and_keep_the_input():
     g = gen_er(30, 0.1, seed=2)
-    d = distance_init(g)
+    d = distance_init(g).astype(np.int64)
     before = d.copy()
     out = floyd_warshall_dense(d)
     assert out.dtype == np.uint32

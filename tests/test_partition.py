@@ -3,13 +3,18 @@ import pytest
 
 from graphdp.apsp import schedule
 from graphdp.costmodel import make_tile_workload
-from graphdp.graphs import WeightedGraph, distance_init, gen_clustered, gen_er
-from graphdp.minplus import DistanceBlock, floyd_warshall_dense
+from graphdp.graphs import (
+    INF_SENTINEL,
+    WeightedGraph,
+    distance_init,
+    gen_clustered,
+    gen_er,
+)
+from graphdp.minplus import floyd_warshall_dense
 from graphdp.partition import (
     HierarchyError,
     Partition,
     PartitionError,
-    build_boundary_graph,
     build_hierarchy,
     find_boundary,
     kway_partition,
@@ -24,15 +29,14 @@ def _size_cap(n, k, imbalance=0.1):
     return max(base, int(base * (1 + imbalance)))
 
 
-def _close_components(g, p):
-    """Per-component closed distance blocks of the induced subgraphs."""
+def _boundary_graph(g, p, bs):
+    """The exact boundary graph as a dense matrix: the ``[union, union]``
+    slice of the distance seed once every component block is closed."""
     d = distance_init(g)
-    blocks = {}
     for c in range(p.k):
         ids = p.component(c)
-        sub = d[np.ix_(ids, ids)]
-        blocks[c] = DistanceBlock(floyd_warshall_dense(sub), ids)
-    return blocks
+        d[np.ix_(ids, ids)] = floyd_warshall_dense(d[np.ix_(ids, ids)])
+    return d[np.ix_(bs.union, bs.union)]
 
 
 def _cut_edges(g, assign):
@@ -190,13 +194,6 @@ def test_kway_rejects_bad_k():
         kway_partition(g, 11)
 
 
-def test_partition_components_listing():
-    p = Partition(5, 2, np.array([0, 1, 0, 1, 0]))
-    comps = p.components()
-    assert np.array_equal(comps[0], [0, 2, 4])
-    assert np.array_equal(comps[1], [1, 3])
-
-
 # ---------------------------------------------------------------------------
 # find_boundary
 # ---------------------------------------------------------------------------
@@ -234,7 +231,7 @@ def test_path_graph_boundary_stays_small():
 
 
 # ---------------------------------------------------------------------------
-# build_boundary_graph
+# the boundary graph, sliced out of the closed level matrix
 # ---------------------------------------------------------------------------
 
 
@@ -247,8 +244,7 @@ def test_boundary_graph_preserves_boundary_distances():
         bs = find_boundary(g, p)
         if bs.union.size == 0:
             continue
-        gb = build_boundary_graph(g, p, bs, _close_components(g, p))
-        got = floyd_warshall_dense(distance_init(gb))
+        got = floyd_warshall_dense(_boundary_graph(g, p, bs))
         full = floyd_warshall_dense(distance_init(g))
         want = full[np.ix_(bs.union, bs.union)]
         assert np.array_equal(got, want)
@@ -259,34 +255,26 @@ def test_boundary_graph_vertex_convention_and_cross_edges():
     p = Partition(12, 3, np.repeat(np.arange(3), 4))
     bs = find_boundary(g, p)
     assert np.array_equal(bs.union, [0, 3, 4, 7, 8, 11])
-    gb = build_boundary_graph(g, p, bs, _close_components(g, p))
-    assert gb.n == 6
+    gb = _boundary_graph(g, p, bs)
+    assert gb.shape == (6, 6)
     # cross bridges keep their weight, intra pairs carry clique distance 1
-    w = {(u, v): wt for u, v, wt in gb.edges()}
     lookup = {int(x): i for i, x in enumerate(bs.union)}
-    assert w[(lookup[3], lookup[4])] == 2
-    assert w[(lookup[0], lookup[3])] == 1
-    assert gb.edge_count == 12
+    assert gb[lookup[3], lookup[4]] == 2
+    assert gb[lookup[0], lookup[3]] == 1
+    # 6 bridge arcs and 6 intra pairs off the zero diagonal
+    assert np.all(np.diagonal(gb) == 0)
+    assert np.count_nonzero(gb < INF_SENTINEL) - 6 == 12
 
 
 def test_boundary_graph_skips_unreachable_intra_pairs():
-    # component {0,1} has no 1->0 path, so no virtual edge appears for it
+    # component {0,1} has no 1->0 path, so its entry stays unreachable
     g = WeightedGraph.from_edges(3, [(0, 1, 4), (1, 2, 1), (2, 0, 1)])
     p = Partition(3, 2, np.array([0, 0, 1]))
     bs = find_boundary(g, p)
-    gb = build_boundary_graph(g, p, bs, _close_components(g, p))
-    pairs = {(u, v) for u, v, _ in gb.edges()}
+    gb = _boundary_graph(g, p, bs)
     lookup = {int(x): i for i, x in enumerate(bs.union)}
-    assert (lookup[0], lookup[1]) in pairs  # direct arc 0->1
-    assert (lookup[1], lookup[0]) not in pairs
-
-
-def test_boundary_graph_missing_block_raises():
-    g = ring_of_cliques()
-    p = Partition(12, 3, np.repeat(np.arange(3), 4))
-    bs = find_boundary(g, p)
-    with pytest.raises(PartitionError):
-        build_boundary_graph(g, p, bs, {})
+    assert gb[lookup[0], lookup[1]] == 4  # direct arc 0->1
+    assert gb[lookup[1], lookup[0]] == INF_SENTINEL
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +320,14 @@ def test_hierarchy_upper_boundary_covers_exact_boundary():
     h = build_hierarchy(g, max_tile=48, seed=1)
     assert h.depth >= 2
     lvl0 = h.levels[0]
-    real_gb = build_boundary_graph(
-        g, lvl0.partition, lvl0.boundaries, _close_components(g, lvl0.partition)
-    )
-    exact = find_boundary(real_gb, h.levels[1].partition)
-    assert np.all(np.isin(exact.union, h.levels[1].boundaries.union))
+    real_gb = _boundary_graph(g, lvl0.partition, lvl0.boundaries)
+    # the real boundary: ends of finite entries across level-1 components
+    assign = h.levels[1].partition.assign
+    ii, jj = np.nonzero(real_gb < INF_SENTINEL)
+    cross = assign[ii] != assign[jj]
+    exact = np.union1d(ii[cross], jj[cross])
+    assert exact.size
+    assert np.all(np.isin(exact, h.levels[1].boundaries.union))
 
 
 def test_hierarchy_stall_truncates_gracefully():

@@ -334,11 +334,13 @@ def test_batch_long_single_pipeline():
 
 
 def test_batch_modes_agree_on_scores():
+    # the same reads as a short and as a long batch: the mapping differs,
+    # the scores do not
     g = random_genome_dag(50, seed=77)
     reads = [(f"r{j}", walk_query(g, 30, seed=j)) for j in range(10)]
-    batch = ReadBatch(reads, "short")
-    res_a, _ = batch_align(g, batch, mode=MODE_SHORT)
-    res_b, _ = batch_align(g, batch, mode=MODE_LONG)
+    res_a, bt_a = batch_align(g, ReadBatch(reads, "short"))
+    res_b, bt_b = batch_align(g, ReadBatch(reads, "long"))
+    assert (bt_a.mode, bt_b.mode) == (MODE_SHORT, MODE_LONG)
     assert [r.score_max for r in res_a] == [r.score_max for r in res_b]
 
 
