@@ -23,13 +23,12 @@ the ``"direct"`` schedule, one closure of the whole graph, instead.
 
 Results are exact on every pair: the produced distances equal a direct
 dense Floyd-Warshall closure of the whole graph, independent of partition
-quality, partition seed, worker thread count, or schedule.
+quality, partition seed, or schedule.
 """
 
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,25 +171,6 @@ def schedule(hierarchy: PartitionHierarchy, mode: str) -> ExecutionTrace:
     return trace
 
 
-def _pmap(fn, items, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _close_components(d: np.ndarray, part, threads: int) -> None:
-    """FW-close every component's block of the level matrix ``d`` in place."""
-
-    def close_one(c: int) -> None:
-        ids = part.component(c)
-        ix = np.ix_(ids, ids)
-        d[ix] = floyd_warshall_dense(d[ix])
-
-    _pmap(close_one, range(part.k), threads)
-
-
 @dataclass
 class ApspResult:
     """The closed ``uint32`` distance matrix and how it was computed."""
@@ -201,7 +181,25 @@ class ApspResult:
     dist: np.ndarray
 
 
-def _assemble_level(d: np.ndarray, lv, closure: np.ndarray, threads) -> None:
+# the Floyd-Warshall call sites are close_one, reinject and recursive_apsp
+# (the top closure); tracing files closure time by the caller's name
+def close_one(d: np.ndarray, ids: np.ndarray) -> None:
+    """FW-close the block of the level matrix ``d`` on ``ids`` in place."""
+    ix = np.ix_(ids, ids)
+    d[ix] = floyd_warshall_dense(d[ix])
+
+
+def reinject(d: np.ndarray, xb: DistanceBlock, b, ids) -> DistanceBlock:
+    """Inject the boundary closure ``xb`` on ``b`` into the block of ``d``
+    on ``ids``, re-close it and write it back."""
+    ix = np.ix_(ids, ids)
+    blk = inject(xb, b, DistanceBlock(d[ix], ids))
+    blk.data = floyd_warshall_dense(blk.data)
+    d[ix] = blk.data
+    return blk
+
+
+def _assemble_level(d: np.ndarray, lv, closure: np.ndarray) -> None:
     """Close the level matrix ``d`` exactly, in place.
 
     ``d`` holds the closed component blocks and the cross arcs; ``closure``
@@ -213,25 +211,15 @@ def _assemble_level(d: np.ndarray, lv, closure: np.ndarray, threads) -> None:
     """
     part, bset = lv.partition, lv.boundaries
     xb = DistanceBlock(closure, bset.union)
-    comps = sorted(bset.per_component)
-
-    def reinject(c: int) -> DistanceBlock:
-        ids = part.component(c)
-        ix = np.ix_(ids, ids)
-        blk = inject(xb, bset.of(c), DistanceBlock(d[ix], ids))
-        blk.data = floyd_warshall_dense(blk.data)
-        d[ix] = blk.data
-        return blk
-
-    blocks = dict(zip(comps, _pmap(reinject, comps, threads)))
-
-    def merge_one(pair) -> None:
-        c1, c2 = pair
-        b1, b2 = bset.of(c1), bset.of(c2)
-        cross = min_plus_merge(blocks[c1], xb, blocks[c2], b1, b2)
-        d[np.ix_(blocks[c1].ids, blocks[c2].ids)] = cross
-
-    _pmap(merge_one, [(c1, c2) for c1 in comps for c2 in comps if c1 != c2], threads)
+    blocks = {
+        c: reinject(d, xb, bset.of(c), part.component(c))
+        for c in sorted(bset.per_component)
+    }
+    for c1, left in blocks.items():
+        for c2, right in blocks.items():
+            if c1 != c2:
+                cross = min_plus_merge(left, xb, right, bset.of(c1), bset.of(c2))
+                d[np.ix_(left.ids, right.ids)] = cross
 
 
 def recursive_apsp(
@@ -239,16 +227,14 @@ def recursive_apsp(
     max_tile: int = 1024,
     hierarchy: PartitionHierarchy | None = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> ApspResult:
     """Close all shortest-path distances of ``g`` recursively into the
     dense n x n matrix.
 
-    ``threads`` parallelizes independent component closures and merges;
-    results are identical for any thread count.  The result's ``trace`` is
-    the :func:`schedule` that :func:`choose_mode` picks for the hierarchy
-    used.  Graphs of more than ``DENSE_LIMIT`` vertices raise
-    :class:`ApspError`.
+    Components close, re-close and merge one after another, in schedule
+    order.  The result's ``trace`` is the :func:`schedule` that
+    :func:`choose_mode` picks for the hierarchy used.  Graphs of more than
+    ``DENSE_LIMIT`` vertices raise :class:`ApspError`.
     """
     check_dense(g.n)
     if hierarchy is None:
@@ -271,7 +257,8 @@ def recursive_apsp(
     # upward: close components in place; the boundary slice is the next level
     mats = [distance_init(g)]
     for lv in levels:
-        _close_components(mats[-1], lv.partition, threads)
+        for c in range(lv.partition.k):
+            close_one(mats[-1], lv.partition.component(c))
         u = lv.boundaries.union
         mats.append(mats[-1][np.ix_(u, u)])
 
@@ -284,7 +271,7 @@ def recursive_apsp(
     for lv in reversed(levels):
         d = mats.pop()
         if lv.boundaries.union.size:
-            _assemble_level(d, lv, closure, threads)
+            _assemble_level(d, lv, closure)
         closure = d
     return ApspResult(g.n, hierarchy, schedule(hierarchy, mode), closure)
 

@@ -158,7 +158,6 @@ def _base_cfg(args, command: str) -> dict:
     return {
         "command": command,
         "seed": args.seed,
-        "threads": args.threads,
         "out": args.out,
     }
 
@@ -240,7 +239,6 @@ def cmd_apsp(args) -> int:
         max_tile=args.max_tile,
         pcm=pcm,
         seed=args.seed,
-        threads=args.threads,
     )
     out = execute(lower(w), cost_model_on=args.model)
     res = out["apsp"]
@@ -292,10 +290,8 @@ def cmd_apsp(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _s2g_run(g, reads, mode, W, hbm, seed, threads, with_cost):
-    w = WorkloadDescriptor(
-        "s2g", g, reads=reads, W=W, mode=mode, hbm=hbm, seed=seed, threads=threads
-    )
+def _s2g_run(g, reads, mode, W, hbm, seed, with_cost):
+    w = WorkloadDescriptor("s2g", g, reads=reads, W=W, mode=mode, hbm=hbm, seed=seed)
     return execute(lower(w), cost_model_on=with_cost)
 
 
@@ -309,7 +305,7 @@ def cmd_s2g(args) -> int:
 
     sweep_ws = _parse_ints(args.W_sweep) if args.W_sweep else None
     out = _s2g_run(
-        g, reads, args.mode, args.W, hbm, args.seed, args.threads,
+        g, reads, args.mode, args.W, hbm, args.seed,
         args.model or sweep_ws is not None,
     )
     results = out["s2g"]
@@ -337,7 +333,7 @@ def cmd_s2g(args) -> int:
         by_id = dict(reads)
         rows = []
         for Wi in sweep_ws:
-            oi = _s2g_run(g, reads, args.mode, Wi, hbm, args.seed, args.threads, True)
+            oi = _s2g_run(g, reads, args.mode, Wi, hbm, args.seed, True)
             for rid in ids:
                 want = oi["s2g"][rid]
                 got = align_windowed(g, by_id[rid], W=Wi)
@@ -480,7 +476,6 @@ def cmd_plan(args) -> int:
             max_tile=args.max_tile,
             pcm=pcm,
             seed=args.seed,
-            threads=args.threads,
         )
     elif args.workload == "s2g":
         if not (args.graph and args.reads):
@@ -494,7 +489,6 @@ def cmd_plan(args) -> int:
             mode=args.mode,
             hbm=hbm,
             seed=args.seed,
-            threads=args.threads,
         )
     else:
         raise UsageError("plan requires --desc or --workload")
@@ -543,7 +537,7 @@ def _dijkstra_distances(g) -> np.ndarray:
     return np.minimum(dijkstra(mat, directed=True), INF_SENTINEL).astype(np.int64)
 
 
-def _suite_apsp(seed: int, threads: int):
+def _suite_apsp(seed: int):
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(6):
@@ -560,7 +554,7 @@ def _suite_apsp(seed: int, threads: int):
         cases += [(g, 32), (g, 64)]
     bad = recursed = 0
     for g, tile in cases:
-        res = recursive_apsp(g, max_tile=tile, seed=seed, threads=threads)
+        res = recursive_apsp(g, max_tile=tile, seed=seed)
         if not np.array_equal(res.dist, _dijkstra_distances(g)):
             bad += 1
         if res.trace.mode == "dense" and res.hierarchy.levels[0].partition.k > 1:
@@ -628,7 +622,7 @@ def _suite_roofline():
 
 def cmd_verify(args) -> int:
     suites = [
-        ("apsp-exactness", lambda: _suite_apsp(args.seed, args.threads)),
+        ("apsp-exactness", lambda: _suite_apsp(args.seed)),
         ("boundary-soundness", lambda: _suite_boundary(args.seed)),
         ("s2g-oracle", lambda: _suite_s2g(args.seed)),
         ("model-constants", lambda: _suite_constants()),
@@ -659,7 +653,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--config", default=None,
         help="JSON device overrides, e.g. {\"pcm\": {...}, \"hbm\": {...}}",
     )
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument(
+        "--threads", type=int, default=1,
+        help="ignored: the engine runs sequentially; kept for existing scripts",
+    )
 
     ap = _Parser(
         prog="graphdp",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,6 +49,14 @@ class ValidationError(ModelError):
     pass
 
 
+def _require_positive(params) -> None:
+    """Refuse a device constant that is not positive (or is NaN): the
+    models divide by rates, widths and counts."""
+    for f in fields(params):
+        if not getattr(params, f.name) > 0:
+            raise ValidationError(f"{f.name} must be positive")
+
+
 @dataclass
 class PcmParams:
     """Matrix-tile device constants (crossbar storage + bit-serial logic)."""
@@ -68,18 +76,7 @@ class PcmParams:
     hbm_bandwidth: float = 819.2e9  # B/s, staging stream
 
     def __post_init__(self):
-        for name in (
-            "read_energy_pj",
-            "write_energy_pj",
-            "clock_hz",
-            "unit_dim",
-            "units_per_tile",
-            "tiles_per_die",
-            "bits",
-            "burst_rows",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+        _require_positive(self)
         if self.unit_dim & (self.unit_dim - 1):
             raise ValidationError("unit_dim must be a power of two")
 
@@ -111,12 +108,11 @@ class HbmParams:
     stream_efficiency: float = 0.5  # strided CSR bursts half-fill lines
 
     def __post_init__(self):
+        _require_positive(self)
         if self.pe_per_pu % (self.pe_per_pu // SHORT_GROUP_COUNT or 1):
             raise ValidationError("pe_per_pu must divide into short-mode groups")
         if self.sram_banks & (self.sram_banks - 1):
             raise ValidationError("sram_banks must be a power of two")
-        if self.pe_per_pu <= 0 or self.channels <= 0:
-            raise ValidationError("pe and channel counts must be positive")
 
     @property
     def bw_per_pu(self) -> float:

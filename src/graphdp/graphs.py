@@ -494,6 +494,8 @@ def gen_genome(
     """
     if bases < 4:
         raise GraphError("need at least 4 bases")
+    if not 0.0 <= bubble_rate <= 1.0:
+        raise GraphError("bubble rate must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     alpha = "ACGT"
     ref = "".join(alpha[i] for i in rng.integers(0, 4, size=bases))
@@ -603,6 +605,10 @@ def gen_reads(
     """
     if length < 1:
         raise GraphError("read length must be positive")
+    if count < 0:
+        raise GraphError("read count must be non-negative")
+    if not 0.0 <= sub_rate <= 1.0:
+        raise GraphError("substitution rate must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     # longest path beginning at each node, by reverse topological sweep
     lp = np.ones(g.n, dtype=np.int64)

@@ -84,7 +84,6 @@ class WorkloadDescriptor:
     pcm: PcmParams | None = None
     hbm: HbmParams | None = None
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.kind == "apsp":
@@ -106,8 +105,6 @@ class WorkloadDescriptor:
             raise DescriptorError(f"unknown mapping request {self.mode!r}")
         if self.seed < 0:
             raise DescriptorError(f"seed {self.seed} must be non-negative")
-        if self.threads < 1:
-            raise DescriptorError(f"threads {self.threads} must be at least 1")
 
 
 def device_params(section) -> tuple:
@@ -153,25 +150,29 @@ def _path_field(doc: dict, name: str) -> str:
     return value
 
 
+_DESCRIPTOR_FIELDS = {
+    "kind", "graph", "reads", "max_tile", "W", "mode", "seed", "device"
+}
+
+
 def load_descriptor(doc: dict | str) -> WorkloadDescriptor:
     """Build a descriptor from a JSON document or a path to one.
 
     File references inside the document are loaded and validated here, so
-    a returned descriptor is always runnable.
+    a returned descriptor is always runnable.  A field the loader does not
+    read is refused rather than ignored.
     """
     if isinstance(doc, str):
         with open(doc) as fh:
             doc = json.load(fh)
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DescriptorError("descriptor must be an object with a 'kind'")
+    unknown = sorted(set(doc) - _DESCRIPTOR_FIELDS)
+    if unknown:
+        raise DescriptorError(f"unknown descriptor field {unknown[0]!r}")
     kind = doc["kind"]
     pcm, hbm = device_params(doc.get("device"))
-    common = dict(
-        seed=_int_field(doc, "seed", 0),
-        threads=_int_field(doc, "threads", 1),
-        pcm=pcm,
-        hbm=hbm,
-    )
+    common = dict(seed=_int_field(doc, "seed", 0), pcm=pcm, hbm=hbm)
     try:
         if kind == "apsp":
             g = load_edge_list(_path_field(doc, "graph"))
@@ -371,7 +372,6 @@ def execute(plan: ExecutionPlan, cost_model_on: bool = False) -> dict:
             max_tile=w.max_tile,
             hierarchy=plan.hierarchy,
             seed=w.seed,
-            threads=w.threads,
         )
         out = {"apsp": res}
         if cost_model_on:

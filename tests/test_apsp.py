@@ -1,5 +1,4 @@
 import sys
-import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -73,21 +72,6 @@ def test_partition_seed_does_not_change_distances():
         res = recursive_apsp(g, max_tile=32, seed=seed)
         assert res.trace.mode == "dense"
         assert np.array_equal(res.dist, base)
-
-
-def test_thread_count_does_not_change_distances():
-    # the workers write disjoint blocks of one shared level matrix; a short
-    # switch interval interleaves them as often as it can
-    g = gen_clustered(10, 40, seed=5)
-    a = recursive_apsp(g, max_tile=32, seed=0, threads=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        b = recursive_apsp(g, max_tile=32, seed=0, threads=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert a.trace.mode == b.trace.mode == "dense"
-    assert np.array_equal(a.dist, b.dist)
 
 
 def test_truncated_hierarchy_still_exact():
@@ -235,96 +219,74 @@ FW_SITES = {"close_one": "close", "reinject": "reclose", "recursive_apsp": "top"
 
 
 def record_kernel_calls(monkeypatch) -> dict:
-    """Wrap the engine's Floyd-Warshall, merge and inject kernels.
-
-    Calls made inside one parallel map are logged in the order of the items
-    the map processes, so the log does not depend on thread timing.
-    """
+    """Wrap the engine's Floyd-Warshall, merge and inject kernels and log
+    their calls in the order the engine makes them."""
     log = {"fw": [], "merge": [], "inject": []}
-    local = threading.local()
     real_fw, real_merge = engine.floyd_warshall_dense, engine.min_plus_merge
-    real_inject, real_pmap = engine.inject, engine._pmap
-
-    def note(kind, entry):
-        buf = getattr(local, "buf", None)
-        if buf is None:
-            log[kind].append(entry)
-        else:
-            buf.append((kind, entry))
+    real_inject = engine.inject
 
     def fw(d):
         out = real_fw(d)
-        note("fw", (FW_SITES[sys._getframe(1).f_code.co_name], out.shape[0]))
+        log["fw"].append((FW_SITES[sys._getframe(1).f_code.co_name], out.shape[0]))
         return out
 
     def merge(left, mid, right, b1, b2):
-        note("merge", (left.dim, right.dim, len(b1), len(b2)))
+        log["merge"].append((left.dim, right.dim, len(b1), len(b2)))
         return real_merge(left, mid, right, b1, b2)
 
     def inject(xb, b, blk):
-        note("inject", len(b))
+        log["inject"].append(len(b))
         return real_inject(xb, b, blk)
-
-    def pmap(fn, items, threads):
-        items = list(items)
-        bufs = [None] * len(items)
-
-        def run(i):
-            local.buf = []
-            try:
-                return fn(items[i])
-            finally:
-                bufs[i], local.buf = local.buf, None
-
-        out = real_pmap(run, range(len(items)), threads)
-        for buf in bufs:
-            for kind, entry in buf:
-                log[kind].append(entry)
-        return out
 
     monkeypatch.setattr(engine, "floyd_warshall_dense", fw)
     monkeypatch.setattr(engine, "min_plus_merge", merge)
     monkeypatch.setattr(engine, "inject", inject)
-    monkeypatch.setattr(engine, "_pmap", pmap)
     return log
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize(
     "case, mode",
     [(c, m) for c in sorted(SCHEDULE_CASES) for m in (SCHEDULE_CASES[c][2], "lazy")],
 )
-def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, threads):
+def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, runs):
     # the engine runs the dense or the direct schedule, as choose_mode
     # picks; the lazy one, which the tile sweep and plans past the dense
-    # limit price, leaves out the base-level merges
+    # limit price, leaves out the base-level merges.  The engine keeps no
+    # state between calls: a second run, on the hierarchy the first one
+    # built, makes the same calls and returns the same result
     make, tile, _, shape = SCHEDULE_CASES[case]
     g = make()
     if mode == "lazy":
-        hier = build_hierarchy(g, tile, seed=0)
-        assert shape(hier)
-        dense = schedule(hier, "dense")
-        upper = [ev for ev in dense.merge_events if ev.level]
-        want = replace(dense, mode="lazy", merge_events=upper)
-        assert schedule(hier, "lazy") == want
+        for _ in range(runs):
+            hier = build_hierarchy(g, tile, seed=0)
+            assert shape(hier)
+            dense = schedule(hier, "dense")
+            upper = [ev for ev in dense.merge_events if ev.level]
+            want = replace(dense, mode="lazy", merge_events=upper)
+            assert schedule(hier, "lazy") == want
         return
     log = record_kernel_calls(monkeypatch)
-    res = recursive_apsp(g, max_tile=tile, seed=0, threads=threads)
+    res = recursive_apsp(g, max_tile=tile, seed=0)
+    for _ in range(runs - 1):
+        again = recursive_apsp(g, max_tile=tile, hierarchy=res.hierarchy)
+        assert again.trace == res.trace
+        assert np.array_equal(again.dist, res.dist)
     assert shape(res.hierarchy)
     assert res.trace.mode == mode
     want = schedule(res.hierarchy, mode)
-    assert log["fw"] == [(ev.kind, ev.dim) for ev in want.fw_events]
+    assert log["fw"] == [(ev.kind, ev.dim) for ev in want.fw_events] * runs
     assert log["merge"] == [
         (ev.rows, ev.cols, ev.left_boundary, ev.right_boundary)
         for ev in want.merge_events
-    ]
+    ] * runs
     recloses = [ev.dim for ev in want.fw_events if ev.kind == "reclose"]
-    assert len(log["inject"]) == len(recloses)
-    assert sum(b * b for b in log["inject"]) == want.inject_pairs
+    assert len(log["inject"]) == len(recloses) * runs
+    assert sum(b * b for b in log["inject"]) == want.inject_pairs * runs
     assert res.trace == want
     assert np.array_equal(res.dist, fw_oracle(g))
     if mode == "direct":
-        assert log["fw"] == [("top", g.n)]
+        assert log["fw"] == [("top", g.n)] * runs
         assert log["merge"] == log["inject"] == []
         # a closure wider than the unit is priced as a blocked closure
         p = PcmParams(unit_dim=tile)

@@ -16,6 +16,7 @@ from graphdp.graphs import (
     WeightedGraph,
     distance_init,
     dump_edge_list,
+    gen_clustered,
     load_edge_list,
     load_fasta,
     load_genome_graph,
@@ -81,6 +82,9 @@ def test_gen_missing_params_is_usage_error(tmp_path):
 def test_gen_bad_params_is_usage_error(tmp_path):
     assert run("gen", "er", "--n", -5, "--p", 0.1, "--out", tmp_path) == 2
     assert run("gen", "er", "--n", 10, "--p", 1.5, "--out", tmp_path) == 2
+    for bad in (("--reads", -3), ("--reads", 2, "--sub-rate", 2),
+                ("--bubble-rate", 3)):
+        assert run("gen", "genome", "--bases", 100, *bad, "--out", tmp_path) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +166,21 @@ def test_apsp_model_emits_cost_reports(tmp_path):
     assert doc["cycles"] > 0
     cfg = json.loads((tmp_path / "run.json").read_text())
     assert cfg["device"]["pcm"]["unit_dim"] == 1024
+
+
+def test_threads_flag_is_accepted_and_ignored(tmp_path, capsys):
+    # --threads is kept for existing scripts; the engine runs sequentially,
+    # so every output file, run.json included, is the same for any count
+    graph = tmp_path / "g.edges"
+    dump_edge_list(gen_clustered(10, 40, seed=9), str(graph))
+    d = tmp_path / "w"
+    snaps = []
+    for threads in (1, 3):
+        assert run("apsp", "--graph", graph, "--max-tile", 32, "--model",
+                   "--threads", threads, "--out", d) == 0
+        assert "mode=dense" in capsys.readouterr().out
+        snaps.append({f: (d / f).read_bytes() for f in sorted(os.listdir(d))})
+    assert snaps[0] == snaps[1]
 
 
 def test_apsp_missing_graph_file_is_usage_error(tmp_path):
@@ -302,6 +321,7 @@ def test_sweep_pe_and_sram_emit_curves(tmp_path):
 def test_sweep_bad_list_is_usage_error(tmp_path):
     assert run("sweep", "pe", "--counts", "a,b", "--out", tmp_path) == 2
     assert run("sweep", "sram", "--caps", "512K..32K", "--out", tmp_path) == 2
+    assert run("sweep", "sram", "--caps", "0", "--out", tmp_path) == 2
 
 
 def test_sweep_tilesize_bad_sizes_exit_2_before_building(tmp_path, monkeypatch, capsys):
@@ -362,6 +382,8 @@ def test_plan_bad_descriptor_fields_exit_2(tmp_path, capsys):
         {"device": {"pcm": 5}},
         {"seed": "x"},
         {"threads": 0},
+        {"threads": 2},
+        {"bogus": 1},
         {"device": 5},
         {"device": {"gpu": {}}},
         {"device": {"hbm": {"channels": "16"}}},
@@ -410,7 +432,10 @@ def test_config_unknown_field_is_usage_error(tmp_path):
     cfgp = tmp_path / "dev.json"
     assert run("gen", "er", "--n", 40, "--p", 0.05, "--out", tmp_path) == 0
     for bad in ({"pcm": {"no_such_knob": 1}}, {"pcm": 5}, [1],
-                {"hbm": {"stream_efficiency": "x"}}):
+                {"hbm": {"stream_efficiency": "x"}},
+                # a zero rate or width used to divide by zero in a sweep
+                {"hbm": {"hbm_bandwidth": 0}}, {"hbm": {"stream_efficiency": 0}},
+                {"hbm": {"pe_clock_hz": 0}}, {"pcm": {"merge_drain_lanes": 0}}):
         cfgp.write_text(json.dumps(bad))
         assert run("apsp", "--graph", tmp_path / "graph.edges",
                    "--config", cfgp, "--out", tmp_path) == 2, bad

@@ -209,6 +209,14 @@ FOUND = {
     ),
     "gen_negative_seed": ({}, ["gen", "er", "--n", 10, "--p", 0.1, "--seed", -1]),
     "sweep_negative_seed": ({}, ["sweep", "tilesize", "--Ns", 256, "--seed", -1]),
+    "sweep_pe_zero_bandwidth": (
+        {"c.json": '{"hbm": {"hbm_bandwidth": 0}}'},
+        ["sweep", "pe", "--config", "@/c.json"],
+    ),
+    "sweep_tilesize_zero_drain_lanes": (
+        {"c.json": '{"pcm": {"merge_drain_lanes": 0}}'},
+        ["sweep", "tilesize", "--Ns", 256, "--config", "@/c.json"],
+    ),
 }
 
 

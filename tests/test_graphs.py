@@ -332,6 +332,21 @@ def test_gen_reads_too_long_raises():
         gen_reads(g, 1, 5, 0.0, seed=0)
 
 
+def test_gen_reads_rejects_bad_count_and_rate():
+    g = _chain("ACGT" * 10)
+    for count, rate in ((-3, 0.0), (2, -0.1), (2, 2.0), (2, math.nan)):
+        with pytest.raises(GraphError):
+            gen_reads(g, count, 5, rate, seed=0)
+    assert gen_reads(g, 0, 5, 1.0, seed=0) == []
+
+
+def test_gen_genome_rejects_bubble_rate_outside_unit_interval():
+    for rate in (-0.5, 3.0, math.nan):
+        with pytest.raises(GraphError):
+            gen_genome(100, rate, seed=0)
+    gen_genome(100, 1.0, seed=0)
+
+
 def test_gen_reads_on_bubbles_spell_paths():
     text, ref = gen_genome(300, 0.05, seed=5)
     g = parse_gfa(text)
