@@ -33,6 +33,7 @@ from .costmodel import (
 from .graphs import (
     INF_SENTINEL,
     GraphError,
+    check_read_params,
     distance_init,
     dump_edge_list,
     dump_fasta,
@@ -195,16 +196,19 @@ def cmd_gen(args) -> int:
         return EXIT_OK
 
     _require(args, ["bases"])
+    # everything that can be refused is refused before a file is written
+    check_read_params(args.reads, args.read_len, args.sub_rate)
     gfa, ref = gen_genome(args.bases, args.bubble_rate, args.seed)
+    g = parse_gfa(gfa)
+    reads = []
+    if args.reads:
+        reads = gen_reads(g, args.reads, args.read_len, args.sub_rate, args.seed)
     gfa_path = os.path.join(outdir, "graph.gfa")
     with open(gfa_path, "w") as fh:
         fh.write(gfa)
-    ref_path = os.path.join(outdir, "ref.fa")
-    dump_fasta([("ref", ref)], ref_path)
+    dump_fasta([("ref", ref)], os.path.join(outdir, "ref.fa"))
     outputs = ["graph.gfa", "ref.fa"]
-    g = parse_gfa(gfa)
-    if args.reads:
-        reads = gen_reads(g, args.reads, args.read_len, args.sub_rate, args.seed)
+    if reads:
         dump_fasta(reads, os.path.join(outdir, "reads.fa"))
         outputs.append("reads.fa")
     cfg.update(

@@ -589,6 +589,17 @@ def split_by_length(reads, threshold: int = SHORT_READ_THRESHOLD):
     )
 
 
+def check_read_params(count: int, length: int, sub_rate: float) -> None:
+    """Refuse a read count, length or substitution rate that
+    :func:`gen_reads` cannot sample."""
+    if length < 1:
+        raise GraphError("read length must be positive")
+    if count < 0:
+        raise GraphError("read count must be non-negative")
+    if not 0.0 <= sub_rate <= 1.0:
+        raise GraphError("substitution rate must lie in [0, 1]")
+
+
 def gen_reads(
     g: GenomeGraph,
     count: int,
@@ -603,12 +614,7 @@ def gen_reads(
     still admit a long-enough suffix.  Substitutions replace a base with a
     uniformly chosen different base at rate ``sub_rate``.
     """
-    if length < 1:
-        raise GraphError("read length must be positive")
-    if count < 0:
-        raise GraphError("read count must be non-negative")
-    if not 0.0 <= sub_rate <= 1.0:
-        raise GraphError("substitution rate must lie in [0, 1]")
+    check_read_params(count, length, sub_rate)
     rng = np.random.default_rng(seed)
     # longest path beginning at each node, by reverse topological sweep
     lp = np.ones(g.n, dtype=np.int64)

@@ -79,12 +79,22 @@ def test_gen_missing_params_is_usage_error(tmp_path):
     assert run("gen", "nws", "--n", 50, "--p", 0.1, "--out", tmp_path) == 2
 
 
-def test_gen_bad_params_is_usage_error(tmp_path):
+def test_gen_bad_params_is_usage_error(tmp_path, capsys):
     assert run("gen", "er", "--n", -5, "--p", 0.1, "--out", tmp_path) == 2
     assert run("gen", "er", "--n", 10, "--p", 1.5, "--out", tmp_path) == 2
-    for bad in (("--reads", -3), ("--reads", 2, "--sub-rate", 2),
-                ("--bubble-rate", 3)):
-        assert run("gen", "genome", "--bases", 100, *bad, "--out", tmp_path) == 2
+    # read parameters are checked whether or not reads are asked for, and
+    # before the genome files are written
+    for i, bad in enumerate((
+        ("--reads", -3), ("--reads", 2, "--sub-rate", 2), ("--bubble-rate", 3),
+        ("--sub-rate", 2), ("--sub-rate", -0.5), ("--read-len", 0),
+        ("--reads", 2, "--read-len", 0),
+    )):
+        out = tmp_path / f"genome{i}"
+        capsys.readouterr()
+        assert run("gen", "genome", "--bases", 100, *bad, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, bad
+        assert not any((out / f).exists() for f in ("graph.gfa", "ref.fa")), bad
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Static checks over the package, the tests and the demos."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,3 +37,47 @@ def test_no_unused_imports():
         for line, name in _unused_imports(tree):
             hits.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not hits, "imported but never used:\n" + "\n".join(hits)
+
+
+def _load_tracer():
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _fw_callers(path: Path) -> set:
+    """Module-level functions of ``path`` that call ``floyd_warshall_dense``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id == "floyd_warshall_dense"
+            for n in ast.walk(fn)
+        )
+    }
+
+
+def test_tracer_hooks_resolve():
+    # the benchmark's tracer times a layer by replacing the names it wraps;
+    # a name that moved or vanished drops that layer's time from the trace
+    tracer = _load_tracer()
+    # removed from graphdp.apsp together with the edge-list boundary graph;
+    # its wrap goes when the benchmark drops partition.boundary_graph_s
+    stale = {("graphdp.apsp", "build_boundary_graph")}
+    missing = {
+        (modname, attr)
+        for modname, attr, _, _ in tracer.WRAPS
+        if not hasattr(importlib.import_module(modname), attr)
+    }
+    assert missing <= stale, f"tracer wraps missing names: {sorted(missing - stale)}"
+
+    # Floyd-Warshall time is filed by the calling function's name
+    apsp = importlib.import_module("graphdp.apsp")
+    for site in tracer.FW_SITES:
+        assert inspect.isfunction(getattr(apsp, site, None)), site
+    assert _fw_callers(Path(apsp.__file__)) == set(tracer.FW_SITES)

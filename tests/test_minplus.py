@@ -17,6 +17,8 @@ from graphdp.graphs import (
     gen_nws,
 )
 from graphdp.minplus import (
+    _SPARSE_MAX_FINITE,
+    _SPARSE_MIN_DIM,
     BlockShapeError,
     DistanceBlock,
     NegativeEntryError,
@@ -24,8 +26,9 @@ from graphdp.minplus import (
     inject,
     min_plus_merge,
     min_plus_product,
+    _sparse_pivots,
 )
-from oracles import dijkstra_oracle
+from oracles import dijkstra_oracle, disjoint_copies
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +100,73 @@ def test_fw_disconnected_stays_inf():
     d = np.array([[0, INF], [INF, 0]], dtype=np.int64)
     out = floyd_warshall_dense(d)
     assert out[0, 1] == INF and out[1, 0] == INF
+
+
+# ---------------------------------------------------------------------------
+# Sparse pivot phase: inputs past the size floor and below the finite ceiling
+# ---------------------------------------------------------------------------
+
+
+def _strip_pivots(g):
+    """How many pivots the sparse phase leaves to the strip loop on the seed
+    of ``g``, which must lie past the phase's threshold."""
+    d = distance_init(g)
+    assert g.n >= _SPARSE_MIN_DIM
+    assert np.count_nonzero(d < INF_SENTINEL) < _SPARSE_MAX_FINITE * g.n**2
+    return _sparse_pivots(np.array(d, dtype=np.uint32)).size
+
+
+def test_sparse_phase_switching_partway_matches_oracle():
+    g = gen_er(600, 0.008, seed=5)
+    assert 0 < _strip_pivots(g) < g.n
+    assert np.array_equal(floyd_warshall_dense(distance_init(g)), dijkstra_oracle(g))
+
+
+def test_sparse_phase_finishes_a_tree_alone():
+    # a directed binary out-tree: every vertex reaches only its subtree, so
+    # no pivot ever covers a fifth of the matrix
+    n = 700
+    rng = np.random.default_rng(1)
+    v = np.arange(1, n)
+    g = WeightedGraph(n, (v - 1) // 2, v, rng.integers(1, 100, size=n - 1))
+    assert _strip_pivots(g) == 0
+    assert np.array_equal(floyd_warshall_dense(distance_init(g)), dijkstra_oracle(g))
+
+
+def test_sparse_phase_keeps_unreachable_pairs_at_sentinel():
+    one = gen_er(150, 0.03, seed=4)
+    g = disjoint_copies(one, 4)
+    _strip_pivots(g)
+    out = floyd_warshall_dense(distance_init(g))
+    assert np.array_equal(out, dijkstra_oracle(g))
+    for c in range(4):
+        rows = slice(c * one.n, (c + 1) * one.n)
+        assert np.array_equal(out[rows, rows], out[: one.n, : one.n])
+        assert np.count_nonzero(out[rows] < INF_SENTINEL) == np.count_nonzero(
+            out[rows, rows] < INF_SENTINEL
+        )
+
+
+def test_sparse_phase_saturates_a_max_weight_chain():
+    # two MAX_WEIGHT arcs sum to INF - 1; three or more saturate
+    n = _SPARSE_MIN_DIM + 88
+    g = WeightedGraph.from_edges(n, [(i, i + 1, MAX_WEIGHT) for i in range(n - 1)])
+    assert _strip_pivots(g) == 0
+    out = floyd_warshall_dense(distance_init(g))
+    assert np.array_equal(out, dijkstra_oracle(g))
+    assert out[0, 2] == INF_SENTINEL - 1
+    assert np.all(out[0, 3:] == INF_SENTINEL)
+    assert np.count_nonzero(out < INF_SENTINEL) == 3 * n - 3
+
+
+def test_sparse_phase_with_zero_weight_arcs():
+    er = gen_er(600, 0.007, seed=6)
+    rng = np.random.default_rng(6)
+    w = np.where(rng.random(er.w.size) < 0.3, 0, er.w)
+    g = WeightedGraph(er.n, er.src, er.dst, w)
+    assert np.count_nonzero(g.w == 0) > 0
+    _strip_pivots(g)
+    assert np.array_equal(floyd_warshall_dense(distance_init(g)), dijkstra_oracle(g))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +316,12 @@ def test_closures_are_uint32_and_keep_the_input():
     assert out.dtype == np.uint32
     assert np.array_equal(d, before) and d.dtype == np.int64
     assert floyd_warshall_dense(out) is not out
+    # past the threshold the sparse phase also works on its own copy
+    big = gen_er(600, 0.008, seed=5)
+    for seed in (distance_init(big).astype(np.int64), distance_init(big)):
+        kept = seed.copy()
+        assert floyd_warshall_dense(seed).dtype == np.uint32
+        assert np.array_equal(seed, kept) and seed.dtype == kept.dtype
     assert min_plus_product(d, d).dtype == np.uint32
     assert DistanceBlock(d, np.arange(g.n)).data.dtype == np.uint32
 
