@@ -22,8 +22,9 @@ print(f"reads: {len(short.reads)} short + {len(long_.reads)} long")
 
 res_s, trace_s = batch_align(g, short)
 res_l, trace_l = batch_align(g, long_)
-print(f"short batch -> {trace_s.mode} over {trace_s.groups} groups")
-print(f"long batch  -> {trace_l.mode}, {trace_l.rounds} rounds")
+for trace in (trace_s, trace_l):
+    print(f"{trace.reads} reads -> {trace.mode}, "
+          f"{sum(trace.window_passes)} window passes")
 
 rid, q = short.reads[0]
 ref_res = align_reference(g, q)

@@ -22,14 +22,7 @@ import numpy as np
 from .apsp import ExecutionTrace, MergeEvent, schedule
 from .graphs import SHORT_READ_THRESHOLD, WeightedGraph
 from .partition import PartitionHierarchy, build_hierarchy
-from .s2g import (
-    MODE_LONG,
-    MODE_SHORT,
-    SHORT_GROUP_COUNT,
-    BatchTrace,
-    classify_self_hop,
-    map_batch,
-)
+from .s2g import MODE_LONG, MODE_SHORT, BatchTrace, classify_self_hop
 
 MP_TREE_INPUTS = 1024  # comparator tree width is a fixed structure
 DEFAULT_IMPROVE_FRAC = 0.1  # assumed strict-improvement rate
@@ -109,8 +102,6 @@ class HbmParams:
 
     def __post_init__(self):
         _require_positive(self)
-        if self.pe_per_pu % (self.pe_per_pu // SHORT_GROUP_COUNT or 1):
-            raise ValidationError("pe_per_pu must divide into short-mode groups")
         if self.sram_banks & (self.sram_banks - 1):
             raise ValidationError("sram_banks must be a power of two")
 
@@ -442,6 +433,11 @@ def model_recursive_apsp(
 # ---------------------------------------------------------------------------
 
 
+# short mode places one read on each PE, in groups of this many PEs that
+# share one stream of the topology (the default 64 PEs make 16 groups)
+SHORT_GROUP_PES = 4
+
+
 def working_set_bytes(nodes: int, W: int) -> int:
     """Per-read live state in shared SRAM: one W-bit word per node.
 
@@ -473,16 +469,17 @@ def model_traversal(batch_trace: BatchTrace, h: HbmParams | None = None) -> Cost
     """Latency/energy/traffic of one PU executing a batch trace.
 
     Compute: per window sweep, every node update costs 1 cycle (Self) or a
-    bank-serialized read plus issue (Hop); sweeps spread over the PEs.
-    Traffic: topology and queries stream as regular bytes (graph once per
-    read group per round); state spills past the shared SRAM round-trip as
+    bank-serialized read plus issue (Hop); sweeps spread over the
+    ``h.pe_per_pu`` PEs.  Traffic: topology and queries stream as regular
+    bytes, the topology once per group load.  Short mode loads
+    SHORT_GROUP_PES reads into a PE group at a time, so a batch streams
+    the topology ceil(reads / SHORT_GROUP_PES) times whatever the PE
+    count; long-mode state fills the SRAM, so the topology re-streams on
+    every window sweep.  State spills past the shared SRAM round-trip as
     irregular bytes with per-line HBM latency added to the wall.
     """
     h = h or HbmParams()
-    g = getattr(batch_trace, "graph", None)
-    if g is None:
-        raise ValidationError("batch trace carries no graph reference")
-
+    g = batch_trace.graph
     passes = sum(batch_trace.window_passes)
     per_sweep = _bank_conflict_cycles(g, h)
     compute_cycles = per_sweep * passes
@@ -490,13 +487,11 @@ def model_traversal(batch_trace: BatchTrace, h: HbmParams | None = None) -> Cost
 
     topo_bytes = 4.0 * (g.pred_idx.size + g.n + 1) + g.n
     if batch_trace.mode == MODE_LONG:
-        # state fills the SRAM in long mode, so topology re-streams on
-        # every window sweep
-        group_streams = max(1, passes)
+        topo_streams = max(1, passes)
     else:
-        group_streams = max(1, batch_trace.groups) * max(1, batch_trace.rounds)
+        topo_streams = math.ceil(batch_trace.reads / SHORT_GROUP_PES)
     regular = (
-        topo_bytes * group_streams
+        topo_bytes * topo_streams
         + float(sum(batch_trace.read_lengths))
         + 16.0 * batch_trace.reads
     )
@@ -559,7 +554,7 @@ def make_traversal_trace(g, read_lengths, W: int = 128, mode: str | None = None)
         mode = MODE_SHORT if max(read_lengths) <= SHORT_READ_THRESHOLD else MODE_LONG
     ids = [f"r{j}" for j in range(len(read_lengths))]
     passes = [math.ceil(le / W) for le in read_lengths]
-    return map_batch(g, mode, W, ids, read_lengths, passes)
+    return BatchTrace(mode, W, g, ids, list(read_lengths), passes)
 
 
 def _chain_genome(n: int, seed: int):

@@ -125,12 +125,20 @@ def distance_init(g: WeightedGraph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_edge_params(p: float, w_max: int) -> None:
+    """Refuse an edge probability outside [0, 1] (or NaN) and a weight
+    ceiling outside [1, MAX_WEIGHT], before any edge is drawn."""
+    if not 0.0 <= p <= 1.0:
+        raise GraphError("p must lie in [0, 1]")
+    if not 1 <= w_max <= MAX_WEIGHT:
+        raise GraphError(f"w_max must lie in [1, {MAX_WEIGHT}]")
+
+
 def gen_er(n: int, p: float, seed: int, w_max: int = DEFAULT_W_MAX) -> WeightedGraph:
     """Directed Erdos-Renyi graph: each ordered pair is an arc with prob p."""
     if n <= 0:
         raise GraphError("n must be positive")
-    if not 0.0 <= p <= 1.0:
-        raise GraphError("p must lie in [0, 1]")
+    _check_edge_params(p, w_max)
     rng = np.random.default_rng(seed)
     srcs = []
     dsts = []
@@ -162,6 +170,7 @@ def gen_nws(
         raise GraphError("k must be positive and even")
     if n <= k:
         raise GraphError("n must exceed k")
+    _check_edge_params(p, w_max)
     rng = np.random.default_rng(seed)
     pairs = set()
     for d in range(1, k // 2 + 1):

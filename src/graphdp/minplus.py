@@ -16,13 +16,13 @@ The closure, :func:`floyd_warshall_dense`, has two phases.  Floyd-Warshall
 is exact in any pivot order, and pivot ``k`` can improve ``d[i, j]`` only
 where ``d[i, k]`` and ``d[k, j]`` are both finite: a candidate with a
 sentinel term is at least the sentinel, and no stored entry exceeds it, so
-it can never be strictly smaller.  A large input with few finite entries
-therefore starts with a sparse phase that pivots the vertex with the
-fewest finite rows times finite columns first and updates only that block,
-as fill-reducing orders do in sparse elimination.  Once the cheapest pivot
-left would cover a fifth of the matrix, or for any other input from the
-start, the strip loop pivots every row.  The closed distances are unique,
-so the result does not depend on which phase ran.
+it can never be strictly smaller.  A large input therefore starts with a
+sparse phase that pivots the vertex with the fewest finite rows times
+finite columns first and updates only that block, as fill-reducing orders
+do in sparse elimination.  Once the cheapest pivot left would cover a
+fifth of the matrix (on a dense input, at once), or for a small input
+from the start, the strip loop pivots every row.  The closed distances are
+unique, so the result does not depend on which phase ran.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ from .graphs import INF_SENTINEL
 # in a buffer of this many cells (256 KiB) that stays in cache
 _FW_STRIP_CELLS = 1 << 16
 
-# the sparse pivot phase runs on inputs of at least this dimension whose
-# finite share is below the ceiling, and hands its remaining pivots to the
-# strip loop once the cheapest covers the switch share of the n x n cells
+# the sparse pivot phase runs on inputs of at least this dimension, and
+# hands its remaining pivots to the strip loop once the cheapest covers the
+# switch share of the n x n cells
 _SPARSE_MIN_DIM = 512
-_SPARSE_MAX_FINITE = 0.1
 _SPARSE_SWITCH = 0.2
 
 
@@ -95,11 +94,6 @@ class DistanceBlock:
             raise BlockShapeError("vertex id not present in block")
         return pos
 
-    def validate(self) -> None:
-        _check_range(self.data)
-        if np.any(np.diagonal(self.data) != 0):
-            raise BlockShapeError("diagonal must be zero")
-
 
 def _check_range(d: np.ndarray) -> None:
     """Entries must lie in [0, INF_SENTINEL], tested in ``d``'s own dtype."""
@@ -138,13 +132,13 @@ def floyd_warshall_dense(d: np.ndarray) -> np.ndarray:
     ``d[k, j]`` are both finite: any other candidate is at least the
     sentinel, and every incumbent is at most the sentinel, so it never
     strictly improves.  Floyd-Warshall is exact in any pivot order.  So an
-    input of at least ``_SPARSE_MIN_DIM`` vertices whose finite share is
-    below ``_SPARSE_MAX_FINITE`` first runs a sparse phase (see
-    :func:`_sparse_pivots`): fewest-fill pivots first, each updating only
-    its finite rows and columns.  Every other input, and the pivots the
-    sparse phase leaves, run the strip loop: each pivot min-updates every
-    row, strip by strip through one reused candidate buffer.  Strips
-    change no value: row and column ``k`` are fixed points of pivot ``k``.
+    input of at least ``_SPARSE_MIN_DIM`` vertices first runs a sparse
+    phase (see :func:`_sparse_pivots`): fewest-fill pivots first, each
+    updating only its finite rows and columns.  Smaller inputs, and the
+    pivots the sparse phase leaves, run the strip loop: each pivot
+    min-updates every row, strip by strip through one reused candidate
+    buffer.  Strips change no value: row and column ``k`` are fixed points
+    of pivot ``k``.
     """
     d = np.asarray(d)
     _check_square_nonneg(d)
@@ -167,13 +161,12 @@ def _sparse_pivots(out: np.ndarray) -> np.ndarray:
     """Run the sparse pivot phase on the square ``uint32`` matrix ``out`` in
     place and return the pivots left for the strip loop, in id order.
 
-    Nothing is pivoted when the finite share is at least
-    ``_SPARSE_MAX_FINITE``.  Otherwise each step pivots the unpivoted vertex
-    with the fewest finite rows times finite columns, the lowest id on a
-    tie, and min-updates only that ``np.ix_`` block, in row strips of
-    ``_FW_STRIP_CELLS``.  The counts follow the entries the updates make
-    finite.  Once the cheapest pivot covers ``_SPARSE_SWITCH`` * n^2 cells,
-    the rest go to the strip loop, which does not gather and scatter.
+    Each step pivots the unpivoted vertex with the fewest finite rows times
+    finite columns, the lowest id on a tie, and min-updates only that
+    ``np.ix_`` block, in row strips of ``_FW_STRIP_CELLS``.  The counts
+    follow the entries the updates make finite.  Once the cheapest pivot
+    covers ``_SPARSE_SWITCH`` * n^2 cells, the rest go to the strip loop,
+    which does not gather and scatter; a dense input pivots nothing here.
     """
     n = out.shape[0]
     # finite entries per column (the rows pivot k reaches) and per row (its
@@ -185,8 +178,6 @@ def _sparse_pivots(out: np.ndarray) -> np.ndarray:
         fin = out[r0 : r0 + step] < INF_SENTINEL
         col_fin += fin.sum(axis=0)
         row_fin[r0 : r0 + step] = fin.sum(axis=1)
-    if row_fin.sum() >= _SPARSE_MAX_FINITE * n * n:
-        return np.arange(n)
     done = np.zeros(n, dtype=bool)
     switch = _SPARSE_SWITCH * n * n
     unset = np.iinfo(np.int64).max

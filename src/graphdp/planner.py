@@ -379,16 +379,14 @@ def execute(plan: ExecutionPlan, cost_model_on: bool = False) -> dict:
         return out
 
     results = {}
-    traces = []
     cost = CostReport()
     for st, batch in zip([s for s in plan.stages if s.kind == K_ALIGN], plan.batches):
         aligned, bt = _run_stage(st.id, batch_align, w.graph, batch, W=w.W)
-        traces.append(bt)
         for (rid, _), r in zip(sorted(batch.reads, key=lambda rs: rs[0]), aligned):
             results[rid] = r
         if cost_model_on:
             cost = cost + model_traversal(bt, w.hbm or HbmParams())
-    out = {"s2g": results, "traces": traces}
+    out = {"s2g": results}
     if cost_model_on:
         out["cost"] = cost
     return out

@@ -30,12 +30,17 @@ ceil(score/W) + 1, unless the query runs out first:
     windows = min(ceil(m/W), ceil(score/W) + 1)
 
 and the self/hop update counts are ``classify_self_hop`` counts times that.
+
+``batch_align`` scores one batch and returns, next to the results, a
+``BatchTrace`` of what the scorer knows about it: the mapping mode, W, the
+read ids and lengths and each read's window passes.  Where reads land on
+the traversal tile's PEs is the cost model's decision, not this module's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,10 +53,6 @@ from .graphs import (
 )
 
 DEFAULT_W = 128
-
-# traversal-tile shape shared with the cost model defaults
-PE_PER_PU = 64
-SHORT_GROUP_COUNT = 16
 
 _ACGT = tuple(DNA_ALPHABET[:4])
 
@@ -337,58 +338,36 @@ MODE_LONG = "long-pipeline"
 
 @dataclass
 class BatchTrace:
-    """Mapping record for the cost model; carries no score information."""
+    """What one batch asks of the traversal tile, for the cost model; it
+    carries no score information and no placement of reads on PEs.
+
+    ``read_ids``, ``read_lengths`` and ``window_passes`` run in the same
+    (read id) order.  Self/hop update counts are the graph's static
+    classification times the window passes.
+    """
 
     mode: str
     W: int
-    nodes: int
-    groups: int
-    group_size: int
-    rounds: int
-    assignments: list
-    window_passes: list
+    graph: GenomeGraph
+    read_ids: list
     read_lengths: list
-    self_updates: int
-    hop_updates: int
-    graph: GenomeGraph | None = None
+    window_passes: list
+    self_updates: int = field(init=False)
+    hop_updates: int = field(init=False)
+
+    def __post_init__(self):
+        self_nodes = int(classify_self_hop(self.graph).sum())
+        passes = sum(self.window_passes)
+        self.self_updates = self_nodes * passes
+        self.hop_updates = (self.graph.n - self_nodes) * passes
+
+    @property
+    def nodes(self) -> int:
+        return self.graph.n
 
     @property
     def reads(self) -> int:
-        return len(self.assignments)
-
-
-def map_batch(g, mode, W, read_ids, read_lengths, window_passes) -> BatchTrace:
-    """The BatchTrace of reads placed on one PU's PE_PER_PU PEs.
-
-    Short mode fans reads out round-robin over SHORT_GROUP_COUNT
-    independent PE groups; long mode streams them through one deep
-    pipeline.  Self/hop update counts are the graph's static
-    classification times the window passes.
-    """
-    if mode == MODE_SHORT:
-        groups, gsize = SHORT_GROUP_COUNT, PE_PER_PU // SHORT_GROUP_COUNT
-        assignments = [
-            (rid, j % groups, (j // groups) % gsize) for j, rid in enumerate(read_ids)
-        ]
-    else:
-        groups, gsize = 1, PE_PER_PU
-        assignments = [(rid, 0, j % PE_PER_PU) for j, rid in enumerate(read_ids)]
-    self_nodes = int(classify_self_hop(g).sum())
-    passes = sum(window_passes)
-    return BatchTrace(
-        mode=mode,
-        W=W,
-        nodes=g.n,
-        groups=groups,
-        group_size=gsize,
-        rounds=math.ceil(len(assignments) / PE_PER_PU),
-        assignments=assignments,
-        window_passes=list(window_passes),
-        read_lengths=list(read_lengths),
-        self_updates=self_nodes * passes,
-        hop_updates=(g.n - self_nodes) * passes,
-        graph=g,
-    )
+        return len(self.read_ids)
 
 
 def batch_align(g: GenomeGraph, batch: ReadBatch, W: int = DEFAULT_W) -> tuple:
@@ -396,16 +375,15 @@ def batch_align(g: GenomeGraph, batch: ReadBatch, W: int = DEFAULT_W) -> tuple:
 
     A short batch maps short-parallel and a long one long-pipeline; both
     produce identical AlignResults (ordered by read id, from
-    ``align_read_parallel``) and differ only in the BatchTrace
-    (:func:`map_batch`).
+    ``align_read_parallel``) and differ only in the BatchTrace's mode.
     """
     mode = MODE_SHORT if batch.length_class == "short" else MODE_LONG
     reads = sorted(batch.reads, key=lambda rs: rs[0])
     results = align_read_parallel(g, [seq for _, seq in reads], W=W)
-    bt = map_batch(
-        g,
+    bt = BatchTrace(
         mode,
         W,
+        g,
         [rid for rid, _ in reads],
         [len(seq) for _, seq in reads],
         [r.windows for r in results],

@@ -82,6 +82,18 @@ def test_gen_missing_params_is_usage_error(tmp_path):
 def test_gen_bad_params_is_usage_error(tmp_path, capsys):
     assert run("gen", "er", "--n", -5, "--p", 0.1, "--out", tmp_path) == 2
     assert run("gen", "er", "--n", 10, "--p", 1.5, "--out", tmp_path) == 2
+    for bad in (
+        ("nws", "--k", 2, "--p", 2), ("nws", "--k", 2, "--p", -0.5),
+        ("nws", "--k", 2, "--p", "nan"),
+        ("er", "--p", 0.1, "--w-max", 0), ("er", "--p", 0.1, "--w-max", -1),
+        ("er", "--p", 0.1, "--w-max", 2**31),
+        ("nws", "--k", 2, "--p", 0.1, "--w-max", 0),
+        ("nws", "--k", 2, "--p", 0.1, "--w-max", -1),
+    ):
+        capsys.readouterr()
+        assert run("gen", *bad, "--n", 10, "--out", tmp_path) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, bad
     # read parameters are checked whether or not reads are asked for, and
     # before the genome files are written
     for i, bad in enumerate((

@@ -350,6 +350,19 @@ def test_traversal_throughput_reported():
     assert thr == pytest.approx(bt.reads / rep.wall_time_s)
 
 
+def test_short_batch_streams_topology_once_per_group_load():
+    # 10 short reads fill ceil(10/4) = 3 loads of a four-PE group, however
+    # many PEs the unit has; only compute spreads over the PEs
+    g = parse_gfa(gen_genome(300, 0.05, seed=9)[0])
+    lens = [100 + i for i in range(10)]
+    bt = make_traversal_trace(g, lens, W=32)
+    topo_bytes = 4.0 * (g.pred_idx.size + g.n + 1) + g.n
+    want = math.ceil(10 / 4) * topo_bytes + sum(lens) + 16 * 10
+    for pe in (16, 64, 192):
+        rep = model_traversal(bt, HbmParams(pe_per_pu=pe))
+        assert rep.hbm_bytes_regular == want, pe
+
+
 def test_synthetic_trace_matches_engine_shape():
     g = parse_gfa(gen_genome(300, 0.05, seed=9)[0])
     rng = np.random.default_rng(9)
@@ -359,7 +372,9 @@ def test_synthetic_trace_matches_engine_shape():
     _, engine_bt = batch_align(g, ReadBatch(recs, "short"), W=32)
     synth = make_traversal_trace(g, [100] * 6, W=32)
     assert synth.mode == engine_bt.mode
-    assert synth.groups == engine_bt.groups
+    assert synth.read_ids == engine_bt.read_ids
+    assert synth.read_lengths == engine_bt.read_lengths
+    assert synth.nodes == engine_bt.nodes
     # synthesized passes assume no early exit, so they bound the engine's
     assert sum(synth.window_passes) >= sum(engine_bt.window_passes)
 

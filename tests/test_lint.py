@@ -81,3 +81,41 @@ def test_tracer_hooks_resolve():
     for site in tracer.FW_SITES:
         assert inspect.isfunction(getattr(apsp, site, None)), site
     assert _fw_callers(Path(apsp.__file__)) == set(tracer.FW_SITES)
+
+
+def test_tracer_describes_a_run(tmp_path):
+    # the traced benchmark reads counts out of the engines' results; a
+    # renamed field or a vanished hook shows here as a zero count
+    from graphdp.graphs import (
+        dump_edge_list,
+        dump_fasta,
+        gen_clustered,
+        gen_genome,
+        gen_reads,
+        parse_gfa,
+    )
+
+    dump_edge_list(gen_clustered(10, 40, seed=2), str(tmp_path / "g.edges"))
+    gfa, _ = gen_genome(600, 0.05, seed=2)
+    (tmp_path / "g.gfa").write_text(gfa)
+    dump_fasta(gen_reads(parse_gfa(gfa), 6, 80, 0.02, seed=2), str(tmp_path / "r.fa"))
+
+    tracer = _load_tracer()
+    tr = tracer.Tracer()
+    cli = importlib.import_module("graphdp.cli")
+    tr.install()
+    try:
+        rcs = [
+            cli.main(["apsp", "--graph", str(tmp_path / "g.edges"), "--max-tile",
+                      "32", "--model", "--out", str(tmp_path / "apsp")]),
+            cli.main(["s2g", "--graph", str(tmp_path / "g.gfa"), "--reads",
+                      str(tmp_path / "r.fa"), "--model", "--out", str(tmp_path / "s2g")]),
+        ]
+    finally:
+        tr.uninstall()
+    assert rcs == [0, 0]
+    m = tracer.rep_metrics(tr.take(), 32)
+    assert m["minplus.merge_calls"] > 0
+    assert m["apsp.fw_events.close"] > 0
+    assert m["s2g.node_windows"] > 0
+    assert m["s2g.self_updates"] + m["s2g.hop_updates"] > 0

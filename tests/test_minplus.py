@@ -17,7 +17,6 @@ from graphdp.graphs import (
     gen_nws,
 )
 from graphdp.minplus import (
-    _SPARSE_MAX_FINITE,
     _SPARSE_MIN_DIM,
     BlockShapeError,
     DistanceBlock,
@@ -103,17 +102,21 @@ def test_fw_disconnected_stays_inf():
 
 
 # ---------------------------------------------------------------------------
-# Sparse pivot phase: inputs past the size floor and below the finite ceiling
+# Sparse pivot phase: inputs past the size floor
 # ---------------------------------------------------------------------------
 
 
 def _strip_pivots(g):
     """How many pivots the sparse phase leaves to the strip loop on the seed
-    of ``g``, which must lie past the phase's threshold."""
-    d = distance_init(g)
+    of ``g``, which must lie past the phase's size floor."""
     assert g.n >= _SPARSE_MIN_DIM
-    assert np.count_nonzero(d < INF_SENTINEL) < _SPARSE_MAX_FINITE * g.n**2
-    return _sparse_pivots(np.array(d, dtype=np.uint32)).size
+    return _sparse_pivots(distance_init(g)).size
+
+
+def test_sparse_phase_hands_a_dense_input_straight_to_the_strip_loop():
+    # every pivot of a dense seed covers most of the matrix, past the switch
+    g = gen_er(_SPARSE_MIN_DIM, 0.9, seed=3)
+    assert _strip_pivots(g) == g.n
 
 
 def test_sparse_phase_switching_partway_matches_oracle():

@@ -315,10 +315,9 @@ def test_batch_short_round_robin():
     batch = ReadBatch(reads, "short")
     results, bt = batch_align(g, batch)
     assert bt.mode == MODE_SHORT
-    assert bt.groups == 16 and bt.group_size == 4
-    per_group = np.bincount([grp for _, grp, _ in bt.assignments], minlength=16)
-    assert per_group.tolist() == [4] * 16
-    assert bt.rounds == 1
+    assert bt.read_ids == [rid for rid, _ in reads]
+    assert bt.read_lengths == [4] * 64
+    assert bt.window_passes == [r.windows for r in results]
     assert len(results) == 64
     assert all(r.score_max == 4 for r in results)
 
@@ -328,9 +327,11 @@ def test_batch_long_single_pipeline():
     batch = ReadBatch([("long0", "ACGT" * 90)], "long")
     results, bt = batch_align(g, batch, W=128)
     assert bt.mode == MODE_LONG
-    assert bt.groups == 1
+    assert (bt.read_ids, bt.read_lengths) == (["long0"], [360])
     assert bt.window_passes == [results[0].windows]
     assert results[0].windows == 3  # ceil(360/128)
+    # every node but the first forwards from its predecessor, in 3 sweeps
+    assert (bt.self_updates, bt.hop_updates) == (399 * 3, 1 * 3)
 
 
 def test_batch_modes_agree_on_scores():
@@ -348,7 +349,8 @@ def test_batch_results_ordered_by_read_id():
     g = chain("ACGT")
     reads = [("b", "CG"), ("a", "ACGT"), ("c", "T")]
     results, bt = batch_align(g, ReadBatch(reads, "short"))
-    assert [rid for rid, _, _ in bt.assignments] == ["a", "b", "c"]
+    assert bt.read_ids == ["a", "b", "c"]
+    assert bt.read_lengths == [4, 2, 1]
     assert [r.score_max for r in results] == [4, 2, 1]
 
 
