@@ -325,40 +325,37 @@ def load_edge_list(path: str) -> WeightedGraph:
 def topo_sort(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Kahn's algorithm with a min-id heap, so the order is canonical.
 
-    Raises :class:`CycleError` naming one edge that closes a cycle.
+    When every arc runs from a lower to a higher id, that order is
+    ``arange(n)``: the smallest vertex left always has all its predecessors
+    placed.  Raises :class:`CycleError` naming one edge that closes a cycle.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    indeg = np.zeros(n, dtype=np.int64)
-    np.add.at(indeg, dst, 1)
+    if np.all(src < dst):
+        return np.arange(n, dtype=np.int64)
     order_ = np.lexsort((dst, src))
     s_sorted = src[order_]
     d_sorted = dst[order_]
-    rowptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(rowptr, s_sorted + 1, 1)
-    np.cumsum(rowptr, out=rowptr)
+    ptr = [0] + np.cumsum(np.bincount(s_sorted, minlength=n)).tolist()
+    succ = d_sorted.tolist()
+    indeg = np.bincount(dst, minlength=n).tolist()
 
-    heap = [int(v) for v in np.nonzero(indeg == 0)[0]]
-    heapq.heapify(heap)
-    out = np.empty(n, dtype=np.int64)
-    filled = 0
-    indeg = indeg.copy()
+    heap = [v for v in range(n) if indeg[v] == 0]
+    out = []
     while heap:
         u = heapq.heappop(heap)
-        out[filled] = u
-        filled += 1
-        for v in d_sorted[rowptr[u] : rowptr[u + 1]]:
+        out.append(u)
+        for v in succ[ptr[u] : ptr[u + 1]]:
             indeg[v] -= 1
             if indeg[v] == 0:
-                heapq.heappush(heap, int(v))
-    if filled != n:
-        stuck = indeg > 0
-        # any arc between two stuck vertices lies on (or feeds) a cycle
-        for u, v in zip(s_sorted, d_sorted):
-            if stuck[u] and stuck[v]:
-                raise CycleError(f"cycle through edge ({int(u)}, {int(v)})")
-        raise CycleError("cycle detected")
-    return out
+                heapq.heappush(heap, v)
+    if len(out) != n:
+        # a vertex left unplaced keeps an arc from another unplaced vertex,
+        # so some arc between two stuck vertices lies on (or feeds) a cycle
+        stuck = np.asarray(indeg) > 0
+        i = int(np.argmax(stuck[s_sorted] & stuck[d_sorted]))
+        raise CycleError(f"cycle through edge ({s_sorted[i]}, {d_sorted[i]})")
+    return np.asarray(out, dtype=np.int64)
 
 
 @dataclass
@@ -464,24 +461,31 @@ def parse_gfa(text: str) -> GenomeGraph:
         else:
             raise FormatError(f"line {lineno}: record type {tag!r} not supported")
 
-    # expand multi-character segments into per-base node chains
-    bases = []
-    first: dict[str, int] = {}
-    last: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    for name, seq in seg_seq.items():
-        first[name] = len(bases)
-        for i, ch in enumerate(seq):
-            if i > 0:
-                edges.append((len(bases) - 1, len(bases)))
-            bases.append(ch)
-        last[name] = len(bases) - 1
-    for frm, to in links:
-        if frm not in seg_seq or to not in seg_seq:
-            missing = frm if frm not in seg_seq else to
-            raise FormatError(f"link references unknown segment {missing!r}")
-        edges.append((last[frm], first[to]))
-    g = genome_graph("".join(bases), edges)
+    # expand each segment into a chain of per-base nodes; a link joins the
+    # last node of one segment to the first node of another
+    seg_index = {name: i for i, name in enumerate(seg_seq)}
+    try:
+        ends = np.array(
+            [(seg_index[frm], seg_index[to]) for frm, to in links], dtype=np.int64
+        ).reshape(-1, 2)
+    except KeyError as exc:
+        missing = exc.args[0]
+        raise FormatError(f"link references unknown segment {missing!r}") from None
+    if not seg_seq:
+        raise FormatError("no segments")
+    lengths = np.array([len(seq) for seq in seg_seq.values()], dtype=np.int64)
+    last = np.cumsum(lengths) - 1
+    first = last - lengths + 1
+    inner = np.ones(int(last[-1]) + 1, dtype=bool)
+    inner[first] = False
+    v = np.nonzero(inner)[0]
+    edges = np.concatenate(
+        [
+            np.column_stack((v - 1, v)),
+            np.column_stack((last[ends[:, 0]], first[ends[:, 1]])),
+        ]
+    )
+    g = genome_graph("".join(seg_seq.values()), edges)
     g.names = list(seg_seq)
     return g
 
@@ -625,28 +629,30 @@ def gen_reads(
     """
     check_read_params(count, length, sub_rate)
     rng = np.random.default_rng(seed)
+    ptr = g.succ_ptr.tolist()
+    succ_idx = g.succ_idx.tolist()
+    succs = [succ_idx[ptr[v] : ptr[v + 1]] for v in range(g.n)]
+    bases = g.bases.tobytes().decode("ascii")
     # longest path beginning at each node, by reverse topological sweep
-    lp = np.ones(g.n, dtype=np.int64)
-    for v in g.topo_order[::-1]:
-        s = g.succs(v)
-        if s.size:
-            lp[v] = 1 + lp[s].max()
-    starts = np.nonzero(lp >= length)[0]
-    if starts.size == 0:
+    lp = [1] * g.n
+    for v in reversed(g.topo_order.tolist()):
+        if succs[v]:
+            lp[v] = 1 + max([lp[u] for u in succs[v]])
+    starts = [v for v in range(g.n) if lp[v] >= length]
+    if not starts:
         raise ReadLengthError(
-            f"no path of length {length} (longest is {int(lp.max())})"
+            f"no path of length {length} (longest is {max(lp, default=0)})"
         )
     alpha = "ACGT"
     reads = []
     for r in range(count):
-        v = int(starts[rng.integers(0, starts.size)])
-        seq = [g.base(v)]
+        v = starts[rng.integers(0, len(starts))]
+        seq = [bases[v]]
         remaining = length - 1
         while remaining:
-            succ = g.succs(v)
-            ok = succ[lp[succ] >= remaining]
-            v = int(ok[rng.integers(0, ok.size)])
-            seq.append(g.base(v))
+            ok = [u for u in succs[v] if lp[u] >= remaining]
+            v = ok[rng.integers(0, len(ok))]
+            seq.append(bases[v])
             remaining -= 1
         if sub_rate > 0.0:
             for i in range(length):

@@ -298,6 +298,19 @@ def test_s2g_undecodable_gfa_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+def test_s2g_gfa_without_segments_is_usage_error(text, tmp_path, capsys):
+    gfa = tmp_path / "empty.gfa"
+    gfa.write_text(text)
+    reads = tmp_path / "r.fa"
+    reads.write_text(">r0\nACGT\n")
+    assert run("s2g", "--graph", gfa, "--reads", reads, "--model",
+               "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err == "error: no segments\n"
+    assert not (tmp_path / "o" / "model.json").exists()
+
+
 def test_s2g_undecodable_reads_is_usage_error(tmp_path, capsys):
     gfa, _ = _gen_inputs(tmp_path, reads=2, read_len=60)
     bad = tmp_path / "bad.fa"

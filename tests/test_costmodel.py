@@ -12,6 +12,7 @@ from graphdp.costmodel import (
     HbmParams,
     PcmParams,
     ValidationError,
+    _bank_conflict_cycles,
     arithmetic_intensity,
     make_tile_workload,
     make_traversal_trace,
@@ -27,6 +28,7 @@ from graphdp.costmodel import (
 from graphdp.graphs import ReadBatch, gen_er, gen_genome, genome_graph, parse_gfa
 from graphdp.partition import build_hierarchy
 from graphdp.s2g import batch_align
+from oracles import bank_conflict_reference
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +363,26 @@ def test_short_batch_streams_topology_once_per_group_load():
     for pe in (16, 64, 192):
         rep = model_traversal(bt, HbmParams(pe_per_pu=pe))
         assert rep.hbm_bytes_regular == want, pe
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        HbmParams(),
+        HbmParams(sram_banks=4, bank_access_cycles=1.37),
+        HbmParams(sram_banks=1, bank_access_cycles=0.1),
+    ],
+)
+def test_bank_conflict_cycles_match_the_node_loop(h):
+    graphs = [parse_gfa(gen_genome(b, 0.05, seed=s)[0]) for b, s in ((300, 1), (2000, 2))]
+    graphs += [genome_graph("", []), genome_graph("ACGT", [])]
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        n = int(rng.integers(2, 200))
+        u, v = rng.integers(0, n, size=(2, int(rng.integers(0, 4 * n))))
+        graphs.append(genome_graph("A" * n, np.column_stack((u, v))[u < v]))
+    for g in graphs:
+        assert _bank_conflict_cycles(g, h) == bank_conflict_reference(g, h)
 
 
 def test_synthetic_trace_matches_engine_shape():

@@ -28,6 +28,7 @@ from graphdp.graphs import (
     split_by_length,
     topo_sort,
 )
+from oracles import parse_gfa_reference, topo_reference
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +203,68 @@ def test_topo_sort_cycle_names_edge():
         topo_sort(3, src, dst)
 
 
+def _random_dag(rng, n, forward):
+    """Arcs from lower to higher id, with duplicates and (usually) isolated
+    vertices; relabelled by a random permutation unless ``forward``."""
+    m = int(rng.integers(0, 3 * n))
+    u = rng.integers(0, n, size=m)
+    v = rng.integers(0, n, size=m)
+    keep = u < v
+    src, dst = u[keep], v[keep]
+    dup = rng.integers(0, max(src.size, 1), size=src.size // 4)
+    src, dst = np.concatenate([src, src[dup]]), np.concatenate([dst, dst[dup]])
+    if not forward:
+        perm = rng.permutation(n)
+        src, dst = perm[src], perm[dst]
+    return src, dst
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_topo_sort_matches_reference_on_random_dags(forward):
+    rng = np.random.default_rng(5 if forward else 6)
+    for _ in range(60):
+        n = int(rng.integers(1, 120))
+        src, dst = _random_dag(rng, n, forward)
+        order = topo_sort(n, src, dst)
+        assert order.dtype == np.int64
+        np.testing.assert_array_equal(order, topo_reference(n, src, dst))
+    empty = np.zeros(0, dtype=np.int64)
+    assert topo_sort(0, empty, empty).tolist() == []
+    np.testing.assert_array_equal(topo_sort(3, empty, empty), [0, 1, 2])
+
+
+def test_topo_sort_cycle_text_matches_reference():
+    rng = np.random.default_rng(7)
+    cases = [
+        (1, [0], [0]),  # self-loop: src == dst is not a forward arc
+        (3, [0, 1, 2], [1, 2, 1]),  # backward arc behind forward ones
+        (4, [0, 1, 2, 3], [1, 2, 3, 0]),
+    ]
+    for _ in range(40):
+        n = int(rng.integers(2, 60))
+        src, dst = _random_dag(rng, n, forward=bool(rng.integers(0, 2)))
+        # reversing any arc closes a cycle; an arcless graph gets a self-loop
+        back = (0, 0)
+        if src.size:
+            i = int(rng.integers(0, src.size))
+            back = (dst[i], src[i])
+        at = int(rng.integers(0, src.size + 1))
+        cases.append((n, np.insert(src, at, back[0]), np.insert(dst, at, back[1])))
+    for n, src, dst in cases:
+        src, dst = np.asarray(src), np.asarray(dst)
+        want = _raised(topo_reference, n, src, dst)
+        assert want is not None and want[0] is CycleError
+        assert _raised(topo_sort, n, src, dst) == want
+
+
 # ---------------------------------------------------------------------------
 # Genome graphs and GFA subset
 # ---------------------------------------------------------------------------
@@ -235,11 +298,64 @@ def test_gfa_bubble_structure():
         "S\ta\tA\nS\tb\tC\nL\ta\t-\tb\t+\n",  # reverse orientation
         "S\ta\tA\nL\ta\t+\tmissing\t+\n",  # unknown segment
         "S\ta\tA\nS\ta\tC\n",  # duplicate segment id
+        "S\ta\n",  # S record without a sequence
+        "S\ta\t\n",  # empty sequence
+        "S\ta\tA\n\n  \nL\ta\t+\ta\n",  # short L record after blank lines
+        "S\ta\tA\nL\tgone\t+\tmissing\t+\n",  # the from-segment is named
+        "S\ta\tA\nL\ta\t+\ta\t+\nL\ta\t+\tgone\t+\n",  # after a good link
+        "L\ta\t+\tb\t+\n",  # links but no segments
     ],
 )
 def test_gfa_out_of_subset_rejected(text):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as exc:
         parse_gfa(text)
+    with pytest.raises(FormatError) as ref:
+        parse_gfa_reference(text)
+    assert str(exc.value) == str(ref.value)
+
+
+def _shuffled_segments(text, seed):
+    lines = text.splitlines()
+    segs = [line for line in lines if line.startswith("S")]
+    np.random.default_rng(seed).shuffle(segs)
+    return "\n".join(segs + [line for line in lines if not line.startswith("S")])
+
+
+def _same_graph(g, ref):
+    assert g.names == ref.names
+    for name in ("bases", "pred_ptr", "pred_idx", "succ_ptr", "succ_idx",
+                 "topo_order", "topo_pos"):
+        a, b = getattr(g, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("bases", [300, 2000, 5000])
+def test_parse_gfa_matches_reference_expansion(bases):
+    for seed in range(3):
+        text, _ = gen_genome(bases, 0.02, seed)
+        _same_graph(parse_gfa(text), parse_gfa_reference(text))
+        # segments listed out of topological order take the heap path
+        shuffled = _shuffled_segments(text, seed)
+        g = parse_gfa(shuffled)
+        assert not np.array_equal(g.topo_order, np.arange(g.n))
+        _same_graph(g, parse_gfa_reference(shuffled))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "S\ta\tAXG\nL\ta\t+\ta\t+\n",  # the alphabet is checked first
+        "S\ta\tAC\u00dfG\n",  # upper-cases to two characters
+        "S\ta\tA\nL\ta\t+\ta\t+\n",  # self-link on a 1-base segment
+        "S\ta\tACG\nS\tb\tT\nL\ta\t+\tb\t+\nL\tb\t+\ta\t+\n",  # backward link
+        "S\tb\tT\nS\ta\tACG\nL\ta\t+\tb\t+\nL\tb\t+\ta\t+\n",
+    ],
+)
+def test_gfa_alphabet_and_cycle_errors_match_reference(text):
+    want = _raised(parse_gfa_reference, text)
+    assert want is not None and want[0] is not FormatError
+    assert _raised(parse_gfa, text) == want
 
 
 def test_gfa_cycle_rejected():

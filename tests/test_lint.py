@@ -105,17 +105,22 @@ def test_tracer_describes_a_run(tmp_path):
     cli = importlib.import_module("graphdp.cli")
     tr.install()
     try:
-        rcs = [
-            cli.main(["apsp", "--graph", str(tmp_path / "g.edges"), "--max-tile",
-                      "32", "--model", "--out", str(tmp_path / "apsp")]),
-            cli.main(["s2g", "--graph", str(tmp_path / "g.gfa"), "--reads",
-                      str(tmp_path / "r.fa"), "--model", "--out", str(tmp_path / "s2g")]),
-        ]
+        rc_apsp = cli.main(["apsp", "--graph", str(tmp_path / "g.edges"),
+                            "--max-tile", "32", "--model", "--out", str(tmp_path / "apsp")])
+        apsp_spans = tr.take()
+        rc_s2g = cli.main(["s2g", "--graph", str(tmp_path / "g.gfa"), "--reads",
+                           str(tmp_path / "r.fa"), "--model", "--out", str(tmp_path / "s2g")])
+        s2g_spans = tr.take()
     finally:
         tr.uninstall()
-    assert rcs == [0, 0]
-    m = tracer.rep_metrics(tr.take(), 32)
+    assert [rc_apsp, rc_s2g] == [0, 0]
+    m = tracer.rep_metrics(apsp_spans, 32)
     assert m["minplus.merge_calls"] > 0
     assert m["apsp.fw_events.close"] > 0
+    m = tracer.rep_metrics(s2g_spans, None)
     assert m["s2g.node_windows"] > 0
     assert m["s2g.self_updates"] + m["s2g.hop_updates"] > 0
+    # an s2g run loads the GFA (cli.load_genome_graph) and the reads
+    # (cli.load_fasta); each is a graphs.load span
+    assert m["graphs.load_s"] > 0
+    assert sum(span[0] == "graphs.load" for span in s2g_spans) == 2
