@@ -674,9 +674,7 @@ def make_tile_workload(seed: int = 0, n: int = _TILE_WORKLOAD_N) -> WeightedGrap
     two-pair necks; at clique indices on the 16/32/64/128-clique grid the
     neck follows _gateway_profile, so tiling at N severs exactly the grid
     necks of scales >= N/256 and the boundary set shrinks as tiles grow
-    while recursion deepens as they shrink.  Vertex 0 loses half its clique
-    arcs so region growth seeds there and walks the chain, giving
-    deterministic block-aligned tiles at every power-of-two size.
+    while recursion deepens as they shrink.
     """
     rng = np.random.default_rng(seed)
     cliques = n // _CLIQUE
@@ -709,10 +707,6 @@ def make_tile_workload(seed: int = 0, n: int = _TILE_WORKLOAD_N) -> WeightedGrap
 
     src = np.concatenate(srcs)
     dst = np.concatenate(dsts)
-    # thin out vertex 0 so min-degree seeding starts the chain walk there
-    drop = (src == 0) & (dst >= 8) & (dst < _CLIQUE)
-    drop |= (dst == 0) & (src >= 8) & (src < _CLIQUE)
-    src, dst = src[~drop], dst[~drop]
     key = src * np.int64(n) + dst
     _, keep = np.unique(key, return_index=True)
     src, dst = src[keep], dst[keep]

@@ -383,15 +383,6 @@ class GenomeGraph:
         self.topo_pos = np.empty(self.n, dtype=np.int64)
         self.topo_pos[self.topo_order] = np.arange(self.n)
 
-    def preds(self, v: int) -> np.ndarray:
-        return self.pred_idx[self.pred_ptr[v] : self.pred_ptr[v + 1]]
-
-    def succs(self, v: int) -> np.ndarray:
-        return self.succ_idx[self.succ_ptr[v] : self.succ_ptr[v + 1]]
-
-    def base(self, v: int) -> str:
-        return chr(self.bases[v])
-
 
 def genome_graph(bases: str, edges) -> GenomeGraph:
     """Build a :class:`GenomeGraph` from a base string and (u, v) edge pairs."""

@@ -6,7 +6,9 @@ graph, the next level's graph: cross edges survive verbatim, and each
 component contributes virtual edges among its own boundary vertices
 (weighted, in the exact engine, by closed intra-component distances).
 Recursing on the boundary graph yields levels until it fits a tile or
-stops shrinking.
+stops shrinking.  ``kway_partition`` makes the components: size-capped
+label propagation finds clusters, which are packed into tile-capped parts
+and refined by moves that shrink the boundary.
 
 Hierarchy construction here is purely structural: it reads arcs, never
 weights, and tracks virtual connectivity as "groups" (a component's
@@ -21,8 +23,9 @@ matrix once the components are closed (:mod:`graphdp.apsp`).
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,6 @@ import numpy as np
 from .graphs import GraphError, WeightedGraph
 
 DEFAULT_IMBALANCE = 0.1
-DEFAULT_REFINE_PASSES = 2
 
 # groups up to this size materialize as full cliques in structural boundary
 # graphs; larger groups use bidirectional rings (connectivity surrogate)
@@ -78,16 +80,20 @@ class BoundarySet:
         return self.per_component.get(c, np.zeros(0, dtype=np.int64))
 
 
+def _index_dtype(n: int):
+    """int32 for indices below ``n`` when they fit, int64 otherwise."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
 def _undirected_csr(g: WeightedGraph):
     """Symmetrised adjacency: ``ptr`` (int64, ``n + 1`` entries) and ``adj``.
 
     Vertex ``v``'s neighbours are ``adj[ptr[v]:ptr[v + 1]]``: the heads of
     its out-arcs, then the tails of its in-arcs, each in arc order.  ``adj``
-    holds int32 indices when ``n`` fits, which halves the largest buffers.
+    holds ``_index_dtype(n)`` indices, which halves the largest buffers.
     """
     m = g.src.size
-    idx = np.int32 if g.n <= np.iinfo(np.int32).max else np.int64
-    ends = np.empty(2 * m, dtype=idx)
+    ends = np.empty(2 * m, dtype=_index_dtype(g.n))
     ends[:m] = g.src
     ends[m:] = g.dst
     order = np.argsort(ends, kind="stable")
@@ -107,143 +113,261 @@ def _size_cap(n: int, k: int, imbalance: float) -> int:
     return max(base, int(base * (1.0 + imbalance)))
 
 
+# rounds, at most, of label propagation, cluster merging and refinement;
+# label propagation and refinement also stop once a round changes under 1%
+# of the vertices
+_ROUNDS = 10
+
+
+def _heads(keys):
+    """Where each run of equal entries of ``keys`` starts."""
+    head = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return np.flatnonzero(head)
+
+
+def _fits(keys, room):
+    """Which entries fit: the first ``room[key]`` of each key, in order."""
+    order = np.argsort(keys, kind="stable")
+    s = keys[order]
+    ok = np.empty(keys.size, dtype=bool)
+    ok[order] = np.arange(s.size) - np.searchsorted(s, s) < room[s]
+    return ok
+
+
+def _label_propagation(ptr, adj, limit: int):
+    """Cluster labels by size-capped label propagation, unit affinities.
+
+    A vertex takes the label most frequent among its neighbours, of its own
+    and those with room: the larger cluster wins ties, then the lower label.
+    Labels start distinct, so round 1 takes the lowest id of each closed
+    neighbourhood.  Later rounds recount only the neighbours of movers, in
+    chunks whose ``(vertex, label)`` keys fit the label dtype.  A label
+    admits movers lowest id first, up to ``limit`` vertices.
+    """
+    n = ptr.size - 1
+    lab = np.arange(n, dtype=adj.dtype)
+    size = np.ones(n, dtype=np.int64)
+    verts = has = np.flatnonzero(np.diff(ptr))
+    want = np.minimum(np.minimum.reduceat(adj, ptr[has]), has) if has.size else has
+    step = max(1, np.iinfo(lab.dtype).max // n)
+    for _ in range(_ROUNDS):
+        moves = want != lab[verts]
+        verts, want = verts[moves], want[moves]
+        ok = _fits(want, limit - size)
+        verts, want = verts[ok], want[ok]
+        size += np.bincount(want, minlength=n) - np.bincount(lab[verts], minlength=n)
+        lab[verts] = want
+        if verts.size < max(1, n // 100):
+            break
+        mark = np.zeros(n, dtype=bool)
+        mark[verts] = True
+        verts = has[np.logical_or.reduceat(mark[adj], ptr[has])]
+        want = lab[verts]
+        for i in range(0, verts.size, step):
+            vs = verts[i : i + step]
+            lens = ptr[vs + 1] - ptr[vs]
+            at = np.arange(lens.sum()) + np.repeat(ptr[vs] - np.cumsum(lens) + lens, lens)
+            key = np.repeat(np.arange(vs.size, dtype=lab.dtype) * lab.dtype.type(n), lens)
+            key += lab[adj[at]]
+            key.sort()
+            head = _heads(key)
+            o, cand = np.divmod(key[head], n)
+            ok = (cand == want[i + o]) | (size[cand] < limit)
+            count = np.diff(head, append=key.size)[ok]
+            o, cand = o[ok], cand[ok]
+            score = (count * (n + 1) + size[cand]) * (n + 1) + n - cand
+            seg = _heads(o)
+            want[i + o[seg]] = n - np.maximum.reduceat(score, seg) % (n + 1)
+    return lab
+
+
+def _bundles(x, y, arcs, m: int):
+    """``arcs`` summed per cluster pair ``(x, y)``, ``x != y``, pairs sorted."""
+    keep = x != y
+    pair, inv = np.unique(x[keep] * m + y[keep], return_inverse=True)
+    return *np.divmod(pair, m), np.bincount(inv, arcs[keep]).astype(np.int64)
+
+
+def _merge_clusters(g: WeightedGraph, lab, limit: int):
+    """Clusters ``c`` numbered ``0..m-1``, ``m``, and their arc bundles.
+
+    Label propagation leaves a cluster in pieces where two labels met in
+    it.  So each round every cluster joins the one it shares the most arcs
+    with, among larger ones (size, then lower id) with room, unless that
+    one moves too or takes a heavier joiner.
+    """
+    _, c = np.unique(lab, return_inverse=True)
+    m = int(c.max()) + 1
+    ci = c.astype(_index_dtype(m))
+    cs, cd = ci[g.src], ci[g.dst]
+    cross = cs != cd
+    a, b = cs[cross].astype(np.int64), cd[cross].astype(np.int64)
+    del ci, cs, cd, cross
+    x, y, arcs = _bundles(np.r_[a, b], np.r_[b, a], np.ones(2 * a.size), m)
+    for _ in range(_ROUNDS):
+        size = np.bincount(c, minlength=m)
+        sx, sy = size[x], size[y]
+        ok = ((sy > sx) | ((sy == sx) & (y < x))) & (sx + sy <= limit)
+        a, b, w = x[ok], y[ok], arcs[ok]
+        best = np.lexsort((b, -w, a))
+        best = best[_heads(a[best])]
+        best = best[~np.isin(b[best], a[best])]
+        best = best[np.lexsort((a[best], -w[best], b[best]))]
+        best = best[_heads(b[best])]
+        if not best.size:
+            break
+        to = np.arange(m)
+        to[a[best]] = b[best]
+        _, to = np.unique(to, return_inverse=True)
+        m = int(to.max()) + 1
+        c = to[c]
+        x, y, arcs = _bundles(to[x], to[y], arcs, m)
+    return c, m, x, y, arcs
+
+
+def _heavy_order(m: int, x, y, arcs) -> list:
+    """Clusters in maximum spanning tree (Prim) order: next, the unvisited
+    cluster with the most arcs to one visited cluster, lowest id on ties.
+    A new tree starts at the unvisited cluster with the fewest neighbours."""
+    ptr = np.searchsorted(x, np.arange(m + 1)).tolist()
+    y, arcs = y.tolist(), arcs.tolist()
+    seen = [False] * m
+    order = []
+    for s in np.argsort(np.diff(ptr), kind="stable").tolist():
+        heap = [(0, s)]
+        while heap:
+            v = heapq.heappop(heap)[1]
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+                for i in range(ptr[v], ptr[v + 1]):
+                    if not seen[y[i]]:
+                        heapq.heappush(heap, (-arcs[i], y[i]))
+    return order
+
+
+def _pack(g: WeightedGraph, lab, k: int, cap: int, limit: int):
+    """Assignment packing the merged clusters of ``lab`` into ``k`` parts.
+
+    The clusters are laid out in ``_heavy_order``, each one's vertices in
+    id order, and the layout is cut into ``k`` runs within ``cap`` that
+    leave room for the rest.  A run ends at the cluster end nearest an
+    even share of the rest, the later one on ties, or, splitting a
+    cluster, at that share itself if no cluster end fits.
+    """
+    n = lab.size
+    c, m, x, y, arcs = _merge_clusters(g, lab, limit)
+    order = _heavy_order(m, x, y, arcs)
+    ends = np.cumsum(np.bincount(c, minlength=m)[order]).tolist()
+    cuts = [0]
+    for rest in range(k - 1, 0, -1):
+        lo = max(cuts[-1] + 1, n - rest * cap)
+        hi = min(cuts[-1] + cap, n - rest)
+        t = cuts[-1] + (n - cuts[-1]) / (rest + 1)
+        j = bisect.bisect_left(ends, t)
+        near = [e for e in ends[max(j - 1, 0) : j + 1] if lo <= e <= hi]
+        cuts.append(min(near, key=lambda e: (abs(e - t), -e)) if near else round(t))
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = np.arange(m)
+    assign = np.empty(n, dtype=np.int64)
+    assign[np.argsort(rank[c], kind="stable")] = np.repeat(
+        np.arange(k), np.diff(cuts + [n])
+    )
+    return assign
+
+
+def _outside(g: WeightedGraph, assign):
+    """Per vertex, its neighbour entries in another part."""
+    part = assign.astype(_index_dtype(assign.size))
+    cross = part[g.src] != part[g.dst]
+    n = assign.size
+    return np.bincount(g.src[cross], minlength=n) + np.bincount(
+        g.dst[cross], minlength=n
+    )
+
+
+def _refine(g: WeightedGraph, ptr, adj, assign, k: int, cap: int) -> None:
+    """Move boundary vertices to shrink the boundary, in place.
+
+    Moving ``v`` from part A to part B gains one if all its neighbours are
+    in B, one per neighbour in B whose only outside neighbour is ``v``, and
+    loses one per neighbour in A with none.  Each round moves every vertex
+    whose best positive gain beats its neighbours' (gain, then lower id),
+    within ``cap`` and leaving each source a vertex.  Moves two hops apart
+    can interfere, so a round that shrinks the boundary by under 1% of the
+    vertices is undone and ends the refinement: shaving a few vertices off
+    a boundary of nearly every vertex only adds a useless hierarchy level.
+    """
+    n = assign.size
+    ext = _outside(g, assign)
+    for _ in range(_ROUNDS):
+        cand = np.flatnonzero(ext)
+        lens = ptr[cand + 1] - ptr[cand]
+        at = np.arange(lens.sum()) + np.repeat(ptr[cand] - np.cumsum(lens) + lens, lens)
+        pair, mult = np.unique(np.repeat(cand, lens) * n + adj[at], return_counts=True)
+        v, u = np.divmod(pair, n)
+        v, u, mult = v[v != u], u[v != u], mult[v != u]
+        pv, pu = assign[v], assign[u]
+        deg = np.bincount(v, mult, minlength=n)
+        lose = np.bincount(v[(pu == pv) & (ext[u] == 0)], minlength=n)
+        out = pu != pv
+        key, inv = np.unique(v[out] * k + pu[out], return_inverse=True)
+        there = np.bincount(inv, mult[out])
+        freed = np.bincount(inv, ext[u[out]] == mult[out])
+        mv, to = np.divmod(key, k)
+        gain = ((deg[mv] == there) + freed - lose[mv]).astype(np.int64)
+        sizes = np.bincount(assign, minlength=k)
+        best = np.flatnonzero((gain > 0) & (sizes[to] < cap))
+        best = best[np.lexsort((to[best], -gain[best], mv[best]))]
+        best = best[_heads(mv[best])]
+        mv, to = mv[best], to[best]
+        prio = np.zeros(n, dtype=np.int64)
+        prio[mv] = gain[best] * (n + 1) + n - mv
+        rival = np.zeros(n, dtype=np.int64)
+        seg = _heads(v)
+        rival[v[seg]] = np.maximum.reduceat(prio[u], seg)
+        src = assign[mv]
+        ok = (prio[mv] > rival[mv]) & _fits(to, cap - sizes) & _fits(src, sizes - 1)
+        if not ok.any():
+            return
+        assign[mv[ok]] = to[ok]
+        new = _outside(g, assign)
+        if np.count_nonzero(new) > np.count_nonzero(ext) - max(1, n // 100):
+            assign[mv[ok]] = src[ok]
+            return
+        ext = new
+
+
 def kway_partition(
     g: WeightedGraph,
     k: int,
     seed: int = 0,
     imbalance: float = DEFAULT_IMBALANCE,
 ) -> Partition:
-    """Balanced k-way partition by BFS region growing plus move refinement.
+    """Balanced k-way partition: coarsen, pack, refine on boundary vertices.
 
-    The first region grows breadth-first from a minimum-degree vertex (a
-    peripheral start; the seeded shuffle breaks ties), and each later region
-    seeds from the previous regions' frontier spill, so regions stay
-    adjacent and a path graph tiles into contiguous runs.  Growth stops at
-    a balanced target; leftovers join the smallest adjacent region.  Up to
-    ``DEFAULT_REFINE_PASSES`` refinement passes move boundary vertices when
-    that strictly reduces the number of cut edges without breaking the
-    ``ceil(n/k)*(1+imbalance)`` size cap.  Deterministic for a fixed seed.
-
-    A region queues each vertex at most once: the vertex is stamped with
-    the region id when it enters the queue.  This gives the assignment that
-    a queue taking every unassigned neighbour, duplicates included, would
-    give.  The queue is FIFO and only the growing region assigns, so a
-    vertex is assigned when its first entry is popped and every later entry
-    would be skipped: assignments follow first-discovery order either way.
-    The spill keeps the same first entries in the same order, and a later
-    duplicate could never become a seed, because the first entry is
-    reached earlier and either seeds the vertex or finds it assigned.  The
-    stamp is the region id, not a flag, so a vertex spilled by one region
-    can still be queued by the next.
+    Label propagation coarsens the symmetrised graph into clusters of at
+    most half the ``ceil(n/k)*(1+imbalance)`` cap, whose pieces are then
+    merged.  ``_pack`` cuts the clusters, heavy bundles adjacent, into
+    ``k`` non-empty parts within the cap, splitting a cluster only where
+    no cluster end fits: with ``imbalance=0`` and ``k`` dividing ``n``,
+    every part has ``n/k`` vertices.  ``_refine`` then shrinks the
+    boundary (vertices with a neighbour in another part), which sizes
+    the level matrices and merges.  Only the arcs decide the result;
+    ``seed`` is kept for callers and changes nothing.
     """
     n = g.n
     if not 1 <= k <= max(n, 1):
         raise PartitionError(f"k={k} out of range [1, {n}]")
     if k == 1:
         return Partition(n, 1, np.zeros(n, dtype=np.int64))
-    if k == n:
-        return Partition(n, k, np.arange(n, dtype=np.int64))
-
-    # plain lists in the loops: numpy scalar indexing costs several times
-    # a list's; neighbour slices become lists only when a vertex is visited
-    ptr_np, adj = _undirected_csr(g)
-    ptr = ptr_np.tolist()
-    rng = np.random.default_rng(seed)
-    assign = [-1] * n
-    sizes = [0] * k
-    base, rem = divmod(n, k)
-    targets = [base + 1] * rem + [base] * (k - rem)
     cap = _size_cap(n, k, imbalance)
-
-    perm = rng.permutation(n)
-    rank = np.empty(n, dtype=np.int64)
-    rank[perm] = np.arange(n)
-    # restart order: degree first, shuffled rank second (keys are unique)
-    restarts = np.argsort(np.diff(ptr_np) * np.int64(n) + rank).tolist()
-    next_restart = 0
-    # the region that last queued each vertex, k once it is assigned: during
-    # growth, "unassigned and not yet queued by region c" is queued[u] < c
-    queued = [-1] * n
-    spill: deque = deque()
-    for c in range(k):
-        seed_v = -1
-        while spill:
-            cand = spill.popleft()
-            if assign[cand] < 0:
-                seed_v = cand
-                break
-        if seed_v < 0:
-            while next_restart < n and assign[restarts[next_restart]] >= 0:
-                next_restart += 1
-            if next_restart == n:
-                break
-            seed_v = restarts[next_restart]
-        queued[seed_v] = c
-        dq = deque([seed_v])
-        size, target = 0, targets[c]
-        while dq and size < target:
-            v = dq.popleft()
-            assign[v] = c
-            queued[v] = k
-            size += 1
-            for u in adj[ptr[v] : ptr[v + 1]].tolist():
-                if queued[u] < c:
-                    queued[u] = c
-                    dq.append(u)
-        sizes[c] = size
-        spill.extend(dq)
-
-    # attach leftovers: prefer the smallest adjacent region with room,
-    # fall back to the globally smallest region with room
-    pending = deque(v for v in range(n) if assign[v] < 0)
-    stalled = 0
-    while pending:
-        v = pending.popleft()
-        best = -1
-        for u in adj[ptr[v] : ptr[v + 1]].tolist():
-            c = assign[u]
-            if c >= 0 and sizes[c] < cap and (best < 0 or sizes[c] < sizes[best]):
-                best = c
-        if best < 0 and stalled >= len(pending) + 1:
-            best = min((s, c) for c, s in enumerate(sizes) if s < cap)[1]
-        if best < 0:
-            pending.append(v)
-            stalled += 1
-            continue
-        assign[v] = best
-        sizes[best] += 1
-        stalled = 0
-
-    for _ in range(DEFAULT_REFINE_PASSES):
-        moved = False
-        assign_np = np.array(assign, dtype=np.int64)
-        cross = assign_np[g.src] != assign_np[g.dst]
-        border = np.unique(np.concatenate([g.src[cross], g.dst[cross]]))
-        for v in border.tolist():
-            c = assign[v]
-            if sizes[c] <= 1:
-                continue
-            counts: dict[int, int] = {}
-            for u in adj[ptr[v] : ptr[v + 1]].tolist():
-                cu = assign[u]
-                counts[cu] = counts.get(cu, 0) + 1
-            own = counts.get(c, 0)
-            best_c, best_gain = -1, 0
-            for cc in sorted(counts):
-                if cc == c or sizes[cc] + 1 > cap:
-                    continue
-                gain = counts[cc] - own
-                if gain > best_gain:
-                    best_c, best_gain = cc, gain
-            if best_c >= 0:
-                assign[v] = best_c
-                sizes[c] -= 1
-                sizes[best_c] += 1
-                moved = True
-        if not moved:
-            break
-
-    return Partition(n, k, np.array(assign, dtype=np.int64))
+    limit = max(1, cap // 2)
+    ptr, adj = _undirected_csr(g)
+    assign = _pack(g, _label_propagation(ptr, adj, limit), k, cap, limit)
+    _refine(g, ptr, adj, assign, k, cap)
+    return Partition(n, k, assign)
 
 
 def _boundary_set(assign: np.ndarray, union: np.ndarray) -> BoundarySet:
@@ -256,9 +380,7 @@ def _boundary_set(assign: np.ndarray, union: np.ndarray) -> BoundarySet:
 
 def find_boundary(g: WeightedGraph, p: Partition) -> BoundarySet:
     """Vertices incident to at least one cross-component edge, per component."""
-    cross = p.assign[g.src] != p.assign[g.dst]
-    verts = np.unique(np.concatenate([g.src[cross], g.dst[cross]]))
-    return _boundary_set(p.assign, verts)
+    return _boundary_set(p.assign, np.flatnonzero(_outside(g, p.assign)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +502,6 @@ def build_hierarchy(
     # current level's graph, as arcs + groups of pairwise virtual connectivity
     src, dst = g.src, g.dst
     groups: list[np.ndarray] = []
-    level = 0
     while True:
         struct = _structural_graph(n, src, dst, groups)
         k_lo = _min_feasible_k(n, max_tile, imbalance)
@@ -388,7 +509,7 @@ def build_hierarchy(
         # when every vertex is boundary, fall back once to fewer, larger
         # components, which cut fewer edges
         for k in (k, max(k_lo, k // 2)):
-            part = kway_partition(struct, k, seed=seed + level, imbalance=imbalance)
+            part = kway_partition(struct, k, seed=seed, imbalance=imbalance)
             assign = part.assign
             cut = assign[src] != assign[dst]
             # a group spanning >= 2 components gives every member a
@@ -420,6 +541,5 @@ def build_hierarchy(
         groups = [lookup[b] for b in bset.per_component.values() if b.size >= 2]
         groups += [lookup[grp] for grp in split]
         n = union.size
-        level += 1
 
     return PartitionHierarchy(levels, max_tile, truncated)

@@ -176,7 +176,7 @@ def test_trace_reflects_work():
 # name: (graph, tile, the schedule the engine picks, the hierarchy shape
 # the case stands for)
 SCHEDULE_CASES = {
-    "er": (lambda: gen_er(260, 0.004, seed=1), 64, "dense", lambda h: h.truncated),
+    "er": (lambda: gen_er(260, 0.004, seed=3), 64, "dense", lambda h: h.truncated),
     "er_direct": (
         lambda: gen_er(260, 0.02, seed=3),
         64,
@@ -190,8 +190,8 @@ SCHEDULE_CASES = {
         lambda h: h.depth > 3,
     ),
     "clustered": (
-        lambda: gen_clustered(16, 32, seed=1, groups=2),
-        128,
+        lambda: gen_clustered(32, 16, seed=2, groups=4),
+        32,
         "dense",
         lambda h: h.depth > 2 and not h.truncated,
     ),
@@ -202,7 +202,7 @@ SCHEDULE_CASES = {
         lambda h: h.depth == 2 and h.levels[-1].boundaries.union.size == 0,
     ),
     "isolated": (
-        lambda: gen_er(300, 0.002, seed=1),
+        lambda: gen_er(300, 0.002, seed=2),
         32,
         "dense",
         lambda h: h.depth == 2 and 0 < h.levels[-1].boundaries.union.size <= 32,

@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -493,6 +494,36 @@ def test_reruns_are_byte_identical(tmp_path):
         assert run(*c) == 0
     after = {name: (d / name).read_bytes() for name in sorted(os.listdir(d))}
     assert before == after
+
+
+def _snapshot(d):
+    return {name: (d / name).read_bytes() for name in sorted(os.listdir(d))}
+
+
+def test_one_process_runs_commands_like_separate_ones(tmp_path, capsys):
+    # the parser is built once per process: two different commands run
+    # through one process's main write the files that separate processes
+    # write, and a bad command line after them still exits 2
+    g = tmp_path / "graph.edges"
+    dump_edge_list(gen_clustered(6, 12, seed=2), str(g))
+    d = tmp_path / "out"
+    cmds = [
+        ("gen", "er", "--n", 80, "--p", 0.05, "--seed", 5, "--out", d / "gen"),
+        ("apsp", "--graph", g, "--max-tile", 32, "--model", "--out", d / "apsp"),
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    separate = {}
+    for c in cmds:
+        argv = [sys.executable, "-m", "graphdp.cli", *map(str, c)]
+        subprocess.run(argv, env=env, check=True, capture_output=True)
+        separate[c[0]] = _snapshot(d / c[0])
+        for f in (d / c[0]).iterdir():
+            f.unlink()
+    for c in cmds:
+        assert run(*c) == 0
+        assert _snapshot(d / c[0]) == separate[c[0]]
+    assert run("apsp", "--graph", g, "--max-tile", "abc") == 2
+    assert capsys.readouterr().err.startswith("error: argument --max-tile")
 
 
 def test_unknown_subcommand_exits_2(capsys):
