@@ -21,7 +21,7 @@ from graphdp import (
 g = gen_er(600, 0.01, seed=4)
 print(f"graph: n={g.n} arcs={g.edge_count}")
 
-res = recursive_apsp(g, max_tile=128, seed=0)
+res = recursive_apsp(g, max_tile=128)
 print(f"closure: mode={res.trace.mode} levels={res.trace.depth} "
       f"fw_events={len(res.trace.fw_events)} merges={len(res.trace.merge_events)}")
 
@@ -44,7 +44,7 @@ print("binary export round-trips")
 # a random graph has no small separators, so recursion would cost more than
 # the one closure above; clustered graphs recurse
 cg = gen_clustered(16, 40, seed=3, groups=4)
-cres = recursive_apsp(cg, max_tile=128, seed=0)
+cres = recursive_apsp(cg, max_tile=128)
 assert np.array_equal(cres.dist, floyd_warshall_dense(distance_init(cg)))
 print(f"clustered n={cg.n}: mode={cres.trace.mode} levels={cres.trace.depth} "
       f"merges={len(cres.trace.merge_events)}")

@@ -16,7 +16,7 @@ from graphdp import (
 g = gen_clustered(24, 30, seed=2, groups=4)
 print(f"clustered graph: n={g.n} arcs={g.edge_count}")
 
-hier = build_hierarchy(g, max_tile=64, seed=0)
+hier = build_hierarchy(g, max_tile=64)
 print(f"hierarchy: depth={hier.depth} truncated={hier.truncated}")
 for li, lv in enumerate(hier.levels):
     sizes = [lv.partition.component(c).size for c in range(lv.partition.k)]
@@ -25,7 +25,7 @@ for li, lv in enumerate(hier.levels):
 
 # one level by hand: cut, close the component blocks in place, slice the
 # boundary graph out of the closed matrix
-p = kway_partition(g, 6, seed=0)
+p = kway_partition(g, 6)
 bs = find_boundary(g, p)
 d0 = distance_init(g)
 for c in range(p.k):

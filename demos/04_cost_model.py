@@ -26,7 +26,7 @@ print(f"  total    {blk.cycles:6.0f} cycles")
 
 # price a whole recursive closure from its trace
 g = gen_clustered(20, 40, seed=3, groups=4)
-res = recursive_apsp(g, max_tile=256, seed=0)
+res = recursive_apsp(g, max_tile=256)
 cost = model_recursive_apsp(res.trace, PcmParams())
 print(f"\nclosure of n={g.n}: {cost.wall_time_s * 1e6:.1f} us, "
       f"{cost.energy_j * 1e6:.2f} uJ, phases: "

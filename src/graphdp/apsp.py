@@ -23,7 +23,7 @@ the ``"direct"`` schedule, one closure of the whole graph, instead.
 
 Results are exact on every pair: the produced distances equal a direct
 dense Floyd-Warshall closure of the whole graph, independent of partition
-quality, partition seed, or schedule.
+quality or schedule.
 """
 
 from __future__ import annotations
@@ -226,7 +226,6 @@ def recursive_apsp(
     g: WeightedGraph,
     max_tile: int = 1024,
     hierarchy: PartitionHierarchy | None = None,
-    seed: int = 0,
 ) -> ApspResult:
     """Close all shortest-path distances of ``g`` recursively into the
     dense n x n matrix.
@@ -238,7 +237,7 @@ def recursive_apsp(
     """
     check_dense(g.n)
     if hierarchy is None:
-        hierarchy = build_hierarchy(g, max_tile, seed=seed)
+        hierarchy = build_hierarchy(g, max_tile)
     levels = hierarchy.levels
     part = levels[0].partition
     if part.n != g.n:
@@ -292,7 +291,7 @@ def export_distances(result: ApspResult, path: str, fmt: str = "bin") -> None:
         with open(path, "wb") as fh:
             fh.write(DIST_MAGIC)
             fh.write(struct.pack("<I", result.n))
-            fh.write(dist.astype("<u4", copy=False).tobytes())
+            dist.astype("<u4", copy=False).tofile(fh)
     elif fmt == "tsv":
         if result.n > TSV_LIMIT:
             raise ApspError(f"tsv export capped at {TSV_LIMIT} vertices")

@@ -1,9 +1,10 @@
 """Command-line harness: generators, engine drivers, sweeps, verification.
 
 Every command resolves its flags against defaults, runs deterministically
-for a given seed, and writes a ``run.json`` next to its data outputs with
-the fully resolved configuration.  Data payloads carry no timestamps, so a
-rerun with the same inputs is byte-identical.
+(``gen`` and ``verify`` draw from ``--seed``, nothing else does), and writes
+a ``run.json`` next to its data outputs with the fully resolved
+configuration.  Data payloads carry no timestamps, so a rerun with the same
+inputs is byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -243,7 +244,6 @@ def cmd_apsp(args) -> int:
         g,
         max_tile=args.max_tile,
         pcm=pcm,
-        seed=args.seed,
     )
     out = execute(lower(w), cost_model_on=args.model)
     res = out["apsp"]
@@ -295,8 +295,8 @@ def cmd_apsp(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _s2g_run(g, reads, mode, W, hbm, seed, with_cost):
-    w = WorkloadDescriptor("s2g", g, reads=reads, W=W, mode=mode, hbm=hbm, seed=seed)
+def _s2g_run(g, reads, mode, W, hbm, with_cost):
+    w = WorkloadDescriptor("s2g", g, reads=reads, W=W, mode=mode, hbm=hbm)
     return execute(lower(w), cost_model_on=with_cost)
 
 
@@ -310,8 +310,7 @@ def cmd_s2g(args) -> int:
 
     sweep_ws = _parse_ints(args.W_sweep) if args.W_sweep else None
     out = _s2g_run(
-        g, reads, args.mode, args.W, hbm, args.seed,
-        args.model or sweep_ws is not None,
+        g, reads, args.mode, args.W, hbm, args.model or sweep_ws is not None
     )
     results = out["s2g"]
     ids = sorted(results)
@@ -338,7 +337,7 @@ def cmd_s2g(args) -> int:
         by_id = dict(reads)
         rows = []
         for Wi in sweep_ws:
-            oi = _s2g_run(g, reads, args.mode, Wi, hbm, args.seed, True)
+            oi = _s2g_run(g, reads, args.mode, Wi, hbm, True)
             for rid in ids:
                 want = oi["s2g"][rid]
                 got = align_windowed(g, by_id[rid], W=Wi)
@@ -414,7 +413,7 @@ def cmd_sweep(args) -> int:
         cfg.update(Ns=Ns, device={"pcm": asdict(pcm)})
         rows = [
             (N, f"{lat:.6g}", f"{en:.6g}")
-            for N, lat, en in sweep_tile_size(Ns, p=pcm, seed=args.seed)
+            for N, lat, en in sweep_tile_size(Ns, p=pcm)
         ]
         _write_csv(
             path,
@@ -480,7 +479,6 @@ def cmd_plan(args) -> int:
             load_edge_list(args.graph),
             max_tile=args.max_tile,
             pcm=pcm,
-            seed=args.seed,
         )
     elif args.workload == "s2g":
         if not (args.graph and args.reads):
@@ -493,7 +491,6 @@ def cmd_plan(args) -> int:
             W=args.W,
             mode=args.mode,
             hbm=hbm,
-            seed=args.seed,
         )
     else:
         raise UsageError("plan requires --desc or --workload")
@@ -552,14 +549,14 @@ def _suite_apsp(seed: int):
     for i in range(4):
         n = int(rng.integers(50, 250))
         cases.append((gen_nws(n, 6, 0.1, seed + 100 + i), 64 if i % 2 else 128))
-    # random graphs mostly close directly; these clusters recurse under
-    # nearly every partition seed, so the suite grades recursive runs
+    # random graphs mostly close directly; these clusters recurse, so the
+    # suite grades recursive runs
     for s in (2, 5, 9):
         g = gen_clustered(10, 40, seed=s)
         cases += [(g, 32), (g, 64)]
     bad = recursed = 0
     for g, tile in cases:
-        res = recursive_apsp(g, max_tile=tile, seed=seed)
+        res = recursive_apsp(g, max_tile=tile)
         if not np.array_equal(res.dist, _dijkstra_distances(g)):
             bad += 1
         if res.trace.mode == "dense" and res.hierarchy.levels[0].partition.k > 1:
@@ -574,7 +571,7 @@ def _suite_boundary(seed: int):
     for i in range(6):
         n = int(rng.integers(80, 350))
         g = gen_er(n, float(rng.uniform(0.02, 0.05)), seed + 10 + i)
-        p = kway_partition(g, 3 + i % 3, seed=seed)
+        p = kway_partition(g, 3 + i % 3)
         bs = find_boundary(g, p)
         if bs.union.size == 0:
             continue
@@ -655,7 +652,11 @@ def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing a command
     line leaves it unchanged."""
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument(
+        "--seed", type=int, default=0,
+        help="seeds the generators of gen and verify; other commands record "
+        "it in run.json and draw nothing from it",
+    )
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument(
         "--config", default=None,
@@ -739,7 +740,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         if args.seed < 0:
-            # every command seeds numpy generators, which reject negatives
+            # gen and verify seed numpy generators, which reject negatives;
+            # every command refuses one alike
             raise UsageError(f"--seed {args.seed} must be non-negative")
         if args.threads < 1:
             raise UsageError(f"--threads {args.threads} must be at least 1")

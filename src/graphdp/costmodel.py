@@ -667,16 +667,16 @@ def _gateway_profile(c: int) -> list | None:
     return [(15, 0)]
 
 
-def make_tile_workload(seed: int = 0, n: int = _TILE_WORKLOAD_N) -> WeightedGraph:
+def make_tile_workload(n: int = _TILE_WORKLOAD_N) -> WeightedGraph:
     """Synthetic graph with planted community structure at every tile scale.
 
     A chain of 16-vertex cliques (most of the 2M arcs) is stitched by
     two-pair necks; at clique indices on the 16/32/64/128-clique grid the
     neck follows _gateway_profile, so tiling at N severs exactly the grid
     necks of scales >= N/256 and the boundary set shrinks as tiles grow
-    while recursion deepens as they shrink.
+    while recursion deepens as they shrink.  Only the arcs matter to the
+    sweep, so every arc weighs 0; the arcs come sorted by ``(src, dst)``.
     """
-    rng = np.random.default_rng(seed)
     cliques = n // _CLIQUE
     srcs = []
     dsts = []
@@ -707,11 +707,10 @@ def make_tile_workload(seed: int = 0, n: int = _TILE_WORKLOAD_N) -> WeightedGrap
 
     src = np.concatenate(srcs)
     dst = np.concatenate(dsts)
-    key = src * np.int64(n) + dst
-    _, keep = np.unique(key, return_index=True)
-    src, dst = src[keep], dst[keep]
-    w = rng.integers(1, 101, size=src.size, dtype=np.int64)
-    return WeightedGraph(n, src, dst, w)
+    # no arc repeats: clique arcs stay inside one clique, and each neck pair
+    # joins two consecutive cliques once per direction
+    src, dst = np.divmod(np.sort(src * np.int64(n) + dst), n)
+    return WeightedGraph(n, src, dst, np.zeros(src.size, dtype=np.int64))
 
 
 def _tile_params(p: PcmParams, N: int) -> PcmParams:
@@ -748,12 +747,10 @@ def _hierarchy_cost(hier: PartitionHierarchy, N: int, p: PcmParams):
 
     clock = p.clock_hz * pn.derate(N)
     wall = close_cycles / (units * clock) + merge_cycles / (p.merge_drain_lanes * clock)
-    return wall, energy, close_cycles, merge_cycles
+    return wall, energy
 
 
-def sweep_tile_size(
-    Ns, g: WeightedGraph | None = None, p: PcmParams | None = None, seed: int = 0
-):
+def sweep_tile_size(Ns, g: WeightedGraph | None = None, p: PcmParams | None = None):
     """Normalized latency and energy versus matrix unit size N.
 
     Builds the real partition hierarchy at each N (exact-cover component
@@ -770,14 +767,13 @@ def sweep_tile_size(
         raise ValidationError(f"duplicate tile sizes in {list(Ns)}")
     p = p or PcmParams()
     if g is None:
-        g = make_tile_workload(seed)
+        g = make_tile_workload()
     points = {}
     for N in Ns:
         hier = build_hierarchy(
             g,
             max_tile=int(N),
             k_fn=lambda n_, N=N: math.ceil(n_ / int(N)),
-            seed=seed,
             imbalance=0.0,
         )
         points[int(N)] = _hierarchy_cost(hier, int(N), p)
@@ -787,7 +783,7 @@ def sweep_tile_size(
         base = points[sorted(points)[len(points) // 2]]
     rows = [
         (N, wall / base[0], en / base[1] if base[1] else 0.0)
-        for N, (wall, en, _, _) in sorted(points.items())
+        for N, (wall, en) in sorted(points.items())
     ]
     return rows
 

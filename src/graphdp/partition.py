@@ -342,7 +342,6 @@ def _refine(g: WeightedGraph, ptr, adj, assign, k: int, cap: int) -> None:
 def kway_partition(
     g: WeightedGraph,
     k: int,
-    seed: int = 0,
     imbalance: float = DEFAULT_IMBALANCE,
 ) -> Partition:
     """Balanced k-way partition: coarsen, pack, refine on boundary vertices.
@@ -354,8 +353,7 @@ def kway_partition(
     no cluster end fits: with ``imbalance=0`` and ``k`` dividing ``n``,
     every part has ``n/k`` vertices.  ``_refine`` then shrinks the
     boundary (vertices with a neighbour in another part), which sizes
-    the level matrices and merges.  Only the arcs decide the result;
-    ``seed`` is kept for callers and changes nothing.
+    the level matrices and merges.  Only the arcs decide the result.
     """
     n = g.n
     if not 1 <= k <= max(n, 1):
@@ -473,7 +471,6 @@ def build_hierarchy(
     g: WeightedGraph,
     max_tile: int,
     k_fn=None,
-    seed: int = 0,
     imbalance: float = DEFAULT_IMBALANCE,
 ) -> PartitionHierarchy:
     """Build the level structure for recursive tile-sized closure.
@@ -509,7 +506,7 @@ def build_hierarchy(
         # when every vertex is boundary, fall back once to fewer, larger
         # components, which cut fewer edges
         for k in (k, max(k_lo, k // 2)):
-            part = kway_partition(struct, k, seed=seed, imbalance=imbalance)
+            part = kway_partition(struct, k, imbalance=imbalance)
             assign = part.assign
             cut = assign[src] != assign[dst]
             # a group spanning >= 2 components gives every member a

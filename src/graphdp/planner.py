@@ -83,7 +83,6 @@ class WorkloadDescriptor:
     mode: str = "auto"  # s2g only: auto | short | long
     pcm: PcmParams | None = None
     hbm: HbmParams | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind == "apsp":
@@ -103,8 +102,6 @@ class WorkloadDescriptor:
             raise DescriptorError(f"unknown workload kind {self.kind!r}")
         if self.mode not in ("auto", "short", "long"):
             raise DescriptorError(f"unknown mapping request {self.mode!r}")
-        if self.seed < 0:
-            raise DescriptorError(f"seed {self.seed} must be non-negative")
 
 
 def device_params(section) -> tuple:
@@ -151,7 +148,7 @@ def _path_field(doc: dict, name: str) -> str:
 
 
 _DESCRIPTOR_FIELDS = {
-    "kind", "graph", "reads", "max_tile", "W", "mode", "seed", "device"
+    "kind", "graph", "reads", "max_tile", "W", "mode", "device"
 }
 
 
@@ -172,7 +169,7 @@ def load_descriptor(doc: dict | str) -> WorkloadDescriptor:
         raise DescriptorError(f"unknown descriptor field {unknown[0]!r}")
     kind = doc["kind"]
     pcm, hbm = device_params(doc.get("device"))
-    common = dict(seed=_int_field(doc, "seed", 0), pcm=pcm, hbm=hbm)
+    common = dict(pcm=pcm, hbm=hbm)
     try:
         if kind == "apsp":
             g = load_edge_list(_path_field(doc, "graph"))
@@ -269,7 +266,7 @@ def _lower_apsp(w: WorkloadDescriptor) -> ExecutionPlan:
     ``dist`` the dense result, which the direct schedule's one closure
     computes from the graph alone.
     """
-    hier = build_hierarchy(w.graph, max_tile=w.max_tile, seed=w.seed)
+    hier = build_hierarchy(w.graph, max_tile=w.max_tile)
     trace = schedule(hier, choose_mode(hier))
     stages = [Stage("s0.partition", K_PARTITION, TILE_HOST, ["graph"], ["hier"])]
     numbered: Counter = Counter()
@@ -371,7 +368,6 @@ def execute(plan: ExecutionPlan, cost_model_on: bool = False) -> dict:
             w.graph,
             max_tile=w.max_tile,
             hierarchy=plan.hierarchy,
-            seed=w.seed,
         )
         out = {"apsp": res}
         if cost_model_on:

@@ -55,30 +55,21 @@ def test_exactness_across_topologies_and_tiles():
     cases.append((gen_clustered(6, 30, seed=3), 32))
     cases.append((gen_clustered(8, 25, seed=4), 64))
     for g, tile in cases:
-        res = recursive_apsp(g, max_tile=tile, seed=0)
+        res = recursive_apsp(g, max_tile=tile)
         assert np.array_equal(res.dist, fw_oracle(g)), f"n={g.n} tile={tile}"
 
 
 def test_er_midsize_exact():
     g = gen_er(700, 0.008, seed=7)
-    res = recursive_apsp(g, max_tile=128, seed=1)
+    res = recursive_apsp(g, max_tile=128)
     assert np.array_equal(res.dist, fw_oracle(g))
-
-
-def test_partition_seed_does_not_change_distances():
-    g = gen_clustered(10, 40, seed=9)
-    base = recursive_apsp(g, max_tile=32, seed=0).dist
-    for seed in (1, 2, 3):
-        res = recursive_apsp(g, max_tile=32, seed=seed)
-        assert res.trace.mode == "dense"
-        assert np.array_equal(res.dist, base)
 
 
 def test_truncated_hierarchy_still_exact():
     # the boundary of these clusters stops shrinking above the tile; the
     # oversized top is closed whole and the answers must stay exact
     g = gen_clustered(10, 40, seed=3)
-    res = recursive_apsp(g, max_tile=32, seed=0)
+    res = recursive_apsp(g, max_tile=32)
     assert res.trace.mode == "dense"
     assert res.hierarchy.truncated
     assert np.array_equal(res.dist, fw_oracle(g))
@@ -86,7 +77,7 @@ def test_truncated_hierarchy_still_exact():
 
 def test_deep_hierarchy_exact():
     g = gen_clustered(12, 40, seed=5)
-    hier = build_hierarchy(g, max_tile=48, seed=1)
+    hier = build_hierarchy(g, max_tile=48)
     assert hier.depth >= 2
     res = recursive_apsp(g, hierarchy=hier, max_tile=48)
     assert res.trace.mode == "dense"
@@ -113,7 +104,7 @@ def test_engine_recurses_only_when_recursion_costs_less(case):
     # graphs recurse
     make, tile, mode = MODE_CASES[case]
     g = make()
-    res = recursive_apsp(g, max_tile=tile, seed=0)
+    res = recursive_apsp(g, max_tile=tile)
     assert res.trace.mode == mode
     assert np.array_equal(res.dist, fw_oracle(g))
 
@@ -124,7 +115,7 @@ def test_engine_peak_memory_stays_near_one_matrix(case):
     # closure works on: the traced peak stays below 2.5 n x n matrices
     make, tile, mode = MODE_CASES[case]
     g = make()
-    hier = build_hierarchy(g, tile, seed=0)
+    hier = build_hierarchy(g, tile)
     tracemalloc.start()
     try:
         res = recursive_apsp(g, hierarchy=hier)
@@ -160,7 +151,7 @@ def test_engine_refuses_graphs_past_dense_limit(monkeypatch):
 
 def test_trace_reflects_work():
     g = gen_clustered(10, 40, seed=2)
-    res = recursive_apsp(g, max_tile=32, seed=0)
+    res = recursive_apsp(g, max_tile=32)
     tr = res.trace
     assert tr.mode == "dense"
     assert tr.depth == res.hierarchy.depth
@@ -259,7 +250,7 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, runs):
     g = make()
     if mode == "lazy":
         for _ in range(runs):
-            hier = build_hierarchy(g, tile, seed=0)
+            hier = build_hierarchy(g, tile)
             assert shape(hier)
             dense = schedule(hier, "dense")
             upper = [ev for ev in dense.merge_events if ev.level]
@@ -267,7 +258,7 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, runs):
             assert schedule(hier, "lazy") == want
         return
     log = record_kernel_calls(monkeypatch)
-    res = recursive_apsp(g, max_tile=tile, seed=0)
+    res = recursive_apsp(g, max_tile=tile)
     for _ in range(runs - 1):
         again = recursive_apsp(g, max_tile=tile, hierarchy=res.hierarchy)
         assert again.trace == res.trace
@@ -344,7 +335,7 @@ def test_max_weight_chain_saturates_at_every_tile(tile):
     # graph edges, so the recursion must carry them too; below tile 5 the
     # chain's hierarchy stalls near n, and the engine closes it directly
     g = max_weight_chain(24)
-    res = recursive_apsp(g, max_tile=tile, seed=0)
+    res = recursive_apsp(g, max_tile=tile)
     assert res.trace.mode == ("direct" if tile < 5 else "dense")
     want = fw_oracle(g)
     assert np.array_equal(res.dist, want)
@@ -359,7 +350,7 @@ def test_near_sentinel_bridges_close_exactly():
     base = gen_clustered(6, size, seed=6)
     bridge = base.src // size != base.dst // size
     g = WeightedGraph(base.n, base.src, base.dst, np.where(bridge, MAX_WEIGHT, base.w))
-    res = recursive_apsp(g, max_tile=16, seed=0)
+    res = recursive_apsp(g, max_tile=16)
     assert res.trace.mode == "dense"
     assert res.hierarchy.levels[0].partition.k >= 2
     assert np.array_equal(res.dist, fw_oracle(g))

@@ -417,6 +417,7 @@ def test_plan_bad_descriptor_fields_exit_2(tmp_path, capsys):
         {"device": {"pcm": {"bogus": 1}}},
         {"device": {"pcm": 5}},
         {"seed": "x"},
+        {"seed": 1},
         {"threads": 0},
         {"threads": 2},
         {"bogus": 1},

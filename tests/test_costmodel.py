@@ -450,7 +450,12 @@ def test_sram_sweep_regular_constant():
 def test_tile_workload_shape():
     g = make_tile_workload()
     assert g.n == 131072
-    assert 1.9e6 < g.src.size < 2.1e6
+    assert g.src.size == 1_999_682
+    # arcs come sorted and unique by (src, dst), and weigh nothing: the
+    # sweep reads only the arcs
+    key = g.src * g.n + g.dst
+    assert np.all(key[1:] > key[:-1])
+    assert not g.w.any()
 
 
 @pytest.fixture(scope="module")

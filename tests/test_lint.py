@@ -39,6 +39,44 @@ def test_no_unused_imports():
     assert not hits, "imported but never used:\n" + "\n".join(hits)
 
 
+def _unused_parameters(tree: ast.Module) -> list:
+    """(line, function, parameter) for each parameter its body never reads;
+    ``self``, ``cls`` and ``_``-prefixed names are exempt."""
+    hits = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs
+        params += [p for p in (a.vararg, a.kwarg) if p is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(fn, "name", "<lambda>")
+        hits += [
+            (fn.lineno, name, p.arg)
+            for p in params
+            if p.arg not in ("self", "cls")
+            and not p.arg.startswith("_")
+            and p.arg not in read
+        ]
+    return hits
+
+
+def test_no_unused_parameters():
+    # a parameter no body reads is a knob that changes nothing
+    hits = []
+    for path in sorted((ROOT / "src" / "graphdp").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for line, fn, arg in _unused_parameters(tree):
+            hits.append(f"{path.relative_to(ROOT)}:{line}: {fn}({arg})")
+    assert not hits, "parameters never read:\n" + "\n".join(hits)
+
+
 def _load_tracer():
     path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)

@@ -92,14 +92,14 @@ def ring_of_cliques(cliques=3, size=4, bridge_w=2):
 
 def test_kway_k1_puts_everything_in_one_component():
     g = gen_er(40, 0.1, seed=0)
-    p = kway_partition(g, 1, seed=0)
+    p = kway_partition(g, 1)
     assert p.k == 1
     assert np.all(p.assign == 0)
 
 
 def test_kway_kn_is_identity():
     g = gen_er(25, 0.1, seed=1)
-    p = kway_partition(g, 25, seed=0)
+    p = kway_partition(g, 25)
     assert np.array_equal(np.sort(p.assign), np.arange(25))
 
 
@@ -107,23 +107,23 @@ def test_kway_covers_all_vertices_and_respects_cap():
     for seed in range(4):
         g = gen_er(200, 0.03, seed=seed)
         for k in (3, 7, 16):
-            p = kway_partition(g, k, seed=seed)
+            p = kway_partition(g, k)
             sizes = p.sizes()
             assert sizes.sum() == 200
             assert sizes.min() >= 1
             assert sizes.max() <= _size_cap(200, k)
 
 
-def test_kway_deterministic_per_seed():
+def test_kway_deterministic():
     g = gen_er(150, 0.04, seed=7)
-    a = kway_partition(g, 6, seed=3).assign
-    b = kway_partition(g, 6, seed=3).assign
+    a = kway_partition(g, 6).assign
+    b = kway_partition(g, 6).assign
     assert np.array_equal(a, b)
 
 
 def test_kway_two_cliques_zero_cut():
     g = two_cliques(50)
-    p = kway_partition(g, 2, seed=0)
+    p = kway_partition(g, 2)
     assert _cut_edges(g, p.assign) == 0
     assert np.array_equal(p.sizes(), [50, 50])
 
@@ -144,34 +144,34 @@ def _disjoint_union(parts, isolated):
 def _reference_corpus():
     for seed in range(3):
         # sparse ER graphs fall apart into pieces and isolated vertices
-        yield f"er-sparse-{seed}", gen_er(240, 0.006, seed=seed), seed
-        yield f"er-dense-{seed}", gen_er(90, 0.06, seed=seed), seed
-        yield f"clustered-{seed}", gen_clustered(6, 16, seed, groups=2), seed
+        yield f"er-sparse-{seed}", gen_er(240, 0.006, seed=seed)
+        yield f"er-dense-{seed}", gen_er(90, 0.06, seed=seed)
+        yield f"clustered-{seed}", gen_clustered(6, 16, seed, groups=2)
         yield (
             f"disconnected-{seed}",
             _disjoint_union(
                 [gen_er(40, 0.08, seed=seed), path_graph(23), two_cliques(9)], 7
             ),
-            seed,
         )
-    yield "path", path_graph(101), 0
-    yield "ring-of-cliques", ring_of_cliques(7, 5), 1
+    yield "path", path_graph(101)
+    yield "ring-of-cliques", ring_of_cliques(7, 5)
 
 
 def test_kway_corpus_assigns_everything_within_the_cap():
     # every vertex lands in a non-empty part of at most the cap, which is
     # ceil(n/k) at imbalance 0, and a rerun gives the same assignment
     calls = 0
-    for name, g, seed in _reference_corpus():
+    for name, g in _reference_corpus():
         n = g.n
         for k in sorted({2, 3, 7, n // 5, n // 3, n // 2}):
             for imbalance in (0.0, 0.1):
-                kw = dict(seed=seed, imbalance=imbalance)
-                p = kway_partition(g, k, **kw)
+                p = kway_partition(g, k, imbalance=imbalance)
                 sizes = p.sizes()
-                assert sizes.sum() == n and sizes.min() >= 1, (name, k, kw)
-                assert sizes.max() <= _size_cap(n, k, imbalance), (name, k, kw)
-                assert np.array_equal(kway_partition(g, k, **kw).assign, p.assign)
+                case = (name, k, imbalance)
+                assert sizes.sum() == n and sizes.min() >= 1, case
+                assert sizes.max() <= _size_cap(n, k, imbalance), case
+                again = kway_partition(g, k, imbalance=imbalance)
+                assert np.array_equal(again.assign, p.assign)
                 calls += 1
     assert calls > 150
 
@@ -182,7 +182,7 @@ def test_kway_finds_the_clusters(seed):
     # the partition along the generator's clusters, two rings a part, and
     # the hierarchy does not truncate
     g = gen_clustered(32, 64, seed, groups=4)
-    h = build_hierarchy(g, max_tile=256, seed=0)
+    h = build_hierarchy(g, max_tile=256)
     aligned = find_boundary(g, Partition(g.n, 16, np.arange(g.n) // 128))
     assert h.levels[0].boundaries.union.size <= 1.5 * aligned.union.size
     assert not h.truncated
@@ -191,7 +191,7 @@ def test_kway_finds_the_clusters(seed):
 def test_kway_isolated_vertices_are_fast():
     g = WeightedGraph(4000, np.zeros(0), np.zeros(0), np.zeros(0))
     t0 = time.perf_counter()
-    p = kway_partition(g, 8, seed=0)
+    p = kway_partition(g, 8)
     assert time.perf_counter() - t0 < 1.0
     assert np.array_equal(p.sizes(), [500] * 8)
 
@@ -199,13 +199,13 @@ def test_kway_isolated_vertices_are_fast():
 def test_kway_memory_on_tile_workload():
     # the tile sweep's level-0 call at N=1024: the partitioner's own peak
     # stays within 1.5x the structural graph's arc arrays
-    g = make_tile_workload(0)
+    g = make_tile_workload()
     struct = _structural_graph(g.n, g.src, g.dst, [])
     del g
     arcs = struct.src.nbytes + struct.dst.nbytes + struct.w.nbytes
     tracemalloc.start()
     try:
-        p = kway_partition(struct, 128, seed=0, imbalance=0.0)
+        p = kway_partition(struct, 128, imbalance=0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -229,7 +229,7 @@ def test_kway_rejects_bad_k():
 def test_find_boundary_matches_brute_force():
     for seed in range(6):
         g = gen_er(80, 0.04, seed=seed)
-        p = kway_partition(g, 4, seed=seed)
+        p = kway_partition(g, 4)
         bs = find_boundary(g, p)
         expected = set()
         for u, v, _ in g.edges():
@@ -244,7 +244,7 @@ def test_find_boundary_matches_brute_force():
 
 def test_find_boundary_union_sorted_unique():
     g = gen_er(60, 0.06, seed=3)
-    p = kway_partition(g, 3, seed=1)
+    p = kway_partition(g, 3)
     bs = find_boundary(g, p)
     assert np.all(np.diff(bs.union) > 0)
 
@@ -252,7 +252,7 @@ def test_find_boundary_union_sorted_unique():
 def test_path_graph_boundary_stays_small():
     # contiguous regions on a path cut at most k-1 edges
     g = path_graph(100)
-    p = kway_partition(g, 4, seed=0)
+    p = kway_partition(g, 4)
     bs = find_boundary(g, p)
     assert bs.union.size <= 6
 
@@ -267,7 +267,7 @@ def test_boundary_graph_preserves_boundary_distances():
     # to boundary pairs
     for seed in range(5):
         g = gen_er(70 + 10 * seed, 0.05, seed=seed)
-        p = kway_partition(g, 3 + (seed % 3), seed=seed)
+        p = kway_partition(g, 3 + (seed % 3))
         bs = find_boundary(g, p)
         if bs.union.size == 0:
             continue
@@ -320,7 +320,7 @@ def test_hierarchy_small_graph_is_single_trivial_level():
 
 def test_hierarchy_levels_chain_and_fit_tiles():
     g = gen_clustered(12, 40, seed=5)
-    h = build_hierarchy(g, max_tile=48, seed=1)
+    h = build_hierarchy(g, max_tile=48)
     assert h.depth >= 2
     for lv in h.levels:
         assert lv.partition.sizes().max() <= 48
@@ -333,7 +333,7 @@ def test_hierarchy_levels_chain_and_fit_tiles():
 
 def test_hierarchy_level0_boundary_is_exact():
     g = gen_clustered(8, 30, seed=3)
-    h = build_hierarchy(g, max_tile=36, seed=0)
+    h = build_hierarchy(g, max_tile=36)
     exact = find_boundary(g, h.levels[0].partition)
     assert np.array_equal(h.levels[0].boundaries.union, exact.union)
     for c, verts in exact.per_component.items():
@@ -344,7 +344,7 @@ def test_hierarchy_upper_boundary_covers_exact_boundary():
     # structural boundaries may over-approximate (no reachability filter)
     # but must never miss a vertex of the real boundary graph's boundary
     g = gen_clustered(12, 40, seed=5)
-    h = build_hierarchy(g, max_tile=48, seed=1)
+    h = build_hierarchy(g, max_tile=48)
     assert h.depth >= 2
     lvl0 = h.levels[0]
     real_gb = _boundary_graph(g, lvl0.partition, lvl0.boundaries)
@@ -360,7 +360,7 @@ def test_hierarchy_upper_boundary_covers_exact_boundary():
 def test_hierarchy_stall_truncates_gracefully():
     # a complete graph never shrinks: every vertex is boundary for any split
     g = complete_graph(200)
-    h = build_hierarchy(g, max_tile=64, seed=0)
+    h = build_hierarchy(g, max_tile=64)
     assert h.truncated
     assert h.depth == 1
     assert h.levels[-1].boundaries.union.size == 200
@@ -370,7 +370,7 @@ def test_hierarchy_stall_truncates_gracefully():
 
 def test_hierarchy_stall_leaves_an_oversized_top():
     # the engine closes the stalled top directly, as one oversized event
-    h = build_hierarchy(complete_graph(200), max_tile=64, seed=0)
+    h = build_hierarchy(complete_graph(200), max_tile=64)
     assert h.truncated
     trace = schedule(h, "dense")
     assert [ev.dim for ev in trace.fw_events if ev.kind == "top"] == [200]
@@ -378,8 +378,8 @@ def test_hierarchy_stall_leaves_an_oversized_top():
 
 def test_hierarchy_deterministic():
     g = gen_clustered(10, 30, seed=11)
-    h1 = build_hierarchy(g, max_tile=40, seed=4)
-    h2 = build_hierarchy(g, max_tile=40, seed=4)
+    h1 = build_hierarchy(g, max_tile=40)
+    h2 = build_hierarchy(g, max_tile=40)
     assert h1.depth == h2.depth
     for a, b in zip(h1.levels, h2.levels):
         assert np.array_equal(a.partition.assign, b.partition.assign)
@@ -397,10 +397,10 @@ def test_hierarchy_deterministic():
 def test_hierarchy_ignores_weights(make, tile, truncated):
     # the hierarchy is structural: only the arcs decide it
     g = make()
-    h = build_hierarchy(g, max_tile=tile, seed=0)
+    h = build_hierarchy(g, max_tile=tile)
     assert h.truncated == truncated and h.depth >= (1 if truncated else 3)
     for w in (np.ones_like(g.w), 100 - g.w):
-        other = build_hierarchy(WeightedGraph(g.n, g.src, g.dst, w), tile, seed=0)
+        other = build_hierarchy(WeightedGraph(g.n, g.src, g.dst, w), tile)
         assert other.truncated == h.truncated and other.depth == h.depth
         for a, b in zip(h.levels, other.levels):
             assert np.array_equal(a.partition.assign, b.partition.assign)
@@ -413,14 +413,14 @@ def test_hierarchy_ignores_weights(make, tile, truncated):
     looped = WeightedGraph(
         g.n, np.r_[g.src, loop], np.r_[g.dst, loop], np.r_[g.w, loop]
     )
-    assert build_hierarchy(looped, tile, seed=0).depth >= 1
+    assert build_hierarchy(looped, tile).depth >= 1
 
 
 def test_hierarchy_path_tiles_contiguously():
     # cut-edge count oracle: 4 contiguous runs on a path cut 3 edges
     tile = 100
     g = path_graph(4 * tile)
-    h = build_hierarchy(g, max_tile=tile, k_fn=lambda n: 4, imbalance=0.0, seed=0)
+    h = build_hierarchy(g, max_tile=tile, k_fn=lambda n: 4, imbalance=0.0)
     assert h.levels[0].partition.k == 4
     assert h.levels[0].boundaries.union.size <= 6
 
@@ -429,7 +429,7 @@ def test_hierarchy_er5000_structure():
     # sparse expander: boundary sets stay large, so the build must still
     # terminate with valid tile-sized components at every level
     g = gen_er(5000, 0.002, seed=0)
-    h = build_hierarchy(g, max_tile=256, seed=0)
+    h = build_hierarchy(g, max_tile=256)
     assert h.depth >= 1
     for lv in h.levels:
         assert lv.partition.sizes().max() <= 256
@@ -444,7 +444,7 @@ def test_hierarchy_rejects_tiny_tile():
 
 def test_hierarchy_stats_shape():
     g = gen_clustered(6, 25, seed=2)
-    h = build_hierarchy(g, max_tile=32, seed=0)
+    h = build_hierarchy(g, max_tile=32)
     st = h.stats()
     assert len(st["levels"]) == h.depth
     assert st["levels"][0]["n"] == g.n
