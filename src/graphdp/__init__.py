@@ -3,7 +3,7 @@
 The package pairs two exact engines with an analytic hardware model:
 
 * a recursive partitioned all-pairs shortest path engine built on
-  tile-sized Floyd-Warshall closures and min-plus merges, and
+  tile-sized Floyd-Warshall closures and min-plus products, and
 * a bit-parallel sequence-to-graph matcher for base-labelled DAGs (a
   read-parallel production scorer and a windowed device-fidelity kernel),
 
@@ -33,12 +33,7 @@ from .graphs import (
     split_by_length,
     topo_sort,
 )
-from .minplus import (
-    DistanceBlock,
-    floyd_warshall_dense,
-    min_plus_merge,
-    min_plus_product,
-)
+from .minplus import floyd_warshall_dense, min_plus_product
 from .partition import (
     BoundarySet,
     Partition,

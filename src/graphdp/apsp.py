@@ -9,11 +9,16 @@ distances, is the boundary graph and the next level's matrix.  Recursion
 continues until the boundary graph fits a tile (or stops shrinking, in
 which case the oversized top is closed directly).  A downward pass then
 distributes the exact top-level closure back out, level by level, in
-place: boundary-pair distances are injected into each component block,
-the block is re-closed (now globally exact, since any path leaves a
-component through its first exit vertex and re-enters at its last), and
-cross-component pairs are filled by a min-plus merge through the boundary
-matrix.  Level 0's matrix becomes the result.
+place.  Any path leaves a component through its first exit vertex and
+re-enters the target's component at its last entry vertex, so one
+factored min-plus correction through the boundary closure makes every
+pair of a level exact (see :func:`_assemble_level`).  Level 0's matrix
+becomes the result.
+
+The host runs only the close and top events of :func:`schedule`.  The
+schedule's inject, re-close and merge events remain the device's: the
+planner stages them and the cost model prices them, and the host's one
+correction per level computes the same distances.
 
 Recursion only pays when the graph has small separators.  A random graph
 has none: nearly every vertex is boundary, and the closures and merges cost
@@ -34,13 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import GraphError, WeightedGraph, distance_init
-from .minplus import (
-    INF_SENTINEL,
-    DistanceBlock,
-    floyd_warshall_dense,
-    inject,
-    min_plus_merge,
-)
+from .minplus import INF_SENTINEL, floyd_warshall_dense, min_plus_product
 from .partition import PartitionHierarchy, build_hierarchy
 
 DENSE_LIMIT = 4096
@@ -73,8 +72,8 @@ class MergeEvent:
 
 @dataclass
 class ExecutionTrace:
-    """The matrix-tile events of one run, as :func:`schedule` lists them,
-    for planners and cost models."""
+    """The matrix-tile events of one device run, as :func:`schedule` lists
+    them, for planners and cost models."""
 
     depth: int = 0
     mode: str = ""
@@ -128,7 +127,8 @@ def choose_mode(hierarchy: PartitionHierarchy) -> str:
 
 
 def schedule(hierarchy: PartitionHierarchy, mode: str) -> ExecutionTrace:
-    """The matrix-tile events of a run over ``hierarchy``, in engine order.
+    """The device's matrix-tile events over ``hierarchy``, in order; the
+    host engine runs the close and top events in this order.
 
     The direct schedule is one top closure of the whole graph, with no
     levels.  The others follow from component sizes and boundary sets
@@ -181,45 +181,47 @@ class ApspResult:
     dist: np.ndarray
 
 
-# the Floyd-Warshall call sites are close_one, reinject and recursive_apsp
-# (the top closure); tracing files closure time by the caller's name
+# the Floyd-Warshall call sites are close_one and recursive_apsp (the top
+# closure); tracing files closure time by the caller's name
 def close_one(d: np.ndarray, ids: np.ndarray) -> None:
     """FW-close the block of the level matrix ``d`` on ``ids`` in place."""
     ix = np.ix_(ids, ids)
     d[ix] = floyd_warshall_dense(d[ix])
 
 
-def reinject(d: np.ndarray, xb: DistanceBlock, b, ids) -> DistanceBlock:
-    """Inject the boundary closure ``xb`` on ``b`` into the block of ``d``
-    on ``ids``, re-close it and write it back."""
-    ix = np.ix_(ids, ids)
-    blk = inject(xb, b, DistanceBlock(d[ix], ids))
-    blk.data = floyd_warshall_dense(blk.data)
-    d[ix] = blk.data
-    return blk
-
-
 def _assemble_level(d: np.ndarray, lv, closure: np.ndarray) -> None:
-    """Close the level matrix ``d`` exactly, in place.
+    """Close the level matrix ``d`` exactly, in place, with one factored
+    min-plus correction.
 
     ``d`` holds the closed component blocks and the cross arcs; ``closure``
-    is the exact closure of the level's boundary graph.  Each component
-    with a boundary gets its boundary pairs injected and re-closes; the
-    cross blocks between such components are overwritten by merges.  Cross
-    blocks of a component without a boundary hold no arc and stay
-    unreachable.
+    is the exact closure of the level's boundary graph, indexed by position
+    in the boundary union.  A shortest path from ``m`` to ``n`` that leaves
+    ``m``'s component leaves it at a first exit vertex ``i`` and reaches
+    ``n``'s component at a last entry vertex ``j``, so
+
+        d[m, n] = min(d[m, n], min over i in b(c(m)), j in b(c(n)) of
+                               d[m, i] + closure[i, j] + d[j, n])
+
+    It is associated in two products per component with a boundary: per
+    column component ``c``, ``y[:, c] = closure[:, b(c)] (x) d[b(c), c]``
+    (``y`` is |union| x n), then per row component ``d[c] = min(d[c],
+    d[c, b(c)] (x) y[b(c)])``.  Every product starts from the sentinel, so
+    no stored value exceeds it and no sum of two wraps.  Columns of a
+    component without a boundary stay at the sentinel in ``y``, so its
+    cross blocks, which hold no arc, stay unreachable.
     """
     part, bset = lv.partition, lv.boundaries
-    xb = DistanceBlock(closure, bset.union)
-    blocks = {
-        c: reinject(d, xb, bset.of(c), part.component(c))
-        for c in sorted(bset.per_component)
-    }
-    for c1, left in blocks.items():
-        for c2, right in blocks.items():
-            if c1 != c2:
-                cross = min_plus_merge(left, xb, right, bset.of(c1), bset.of(c2))
-                d[np.ix_(left.ids, right.ids)] = cross
+    comps = [
+        (part.component(c), b, np.searchsorted(bset.union, b))
+        for c, b in bset.per_component.items()
+    ]
+    y = np.full((bset.union.size, d.shape[0]), INF_SENTINEL, dtype=np.uint32)
+    for ids, b, pos in comps:
+        y[:, ids] = min_plus_product(closure[:, pos], d[np.ix_(b, ids)])
+    for ids, b, pos in comps:
+        rows = d[ids]
+        np.minimum(rows, min_plus_product(rows[:, b], y[pos]), out=rows)
+        d[ids] = rows
 
 
 def recursive_apsp(
@@ -230,9 +232,11 @@ def recursive_apsp(
     """Close all shortest-path distances of ``g`` recursively into the
     dense n x n matrix.
 
-    Components close, re-close and merge one after another, in schedule
-    order.  The result's ``trace`` is the :func:`schedule` that
-    :func:`choose_mode` picks for the hierarchy used.  Graphs of more than
+    Components close one after another, in schedule order, and each level
+    is then corrected in one pass through its boundary closure.  The
+    result's ``trace`` is the device :func:`schedule` that
+    :func:`choose_mode` picks for the hierarchy used; of its events, the
+    host runs the closes and the top closure.  Graphs of more than
     ``DENSE_LIMIT`` vertices raise :class:`ApspError`.
     """
     check_dense(g.n)

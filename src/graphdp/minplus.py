@@ -27,8 +27,6 @@ unique, so the result does not depend on which phase ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import INF_SENTINEL
@@ -50,49 +48,8 @@ class NegativeEntryError(ValueError):
 
 
 class BlockShapeError(ValueError):
-    """Malformed distance block (not square, ids not increasing or not
-    matching, bad diagonal)."""
-
-
-@dataclass
-class DistanceBlock:
-    """Square distance matrix over an explicit vertex id set.
-
-    ``ids[i]`` is the global vertex behind row/column ``i``; ids strictly
-    increase, as components and boundary unions list them.  The diagonal
-    is identically zero and entries are stored as ``uint32`` in
-    ``[0, INF_SENTINEL]``: the sum of two entries is at most 2^32-2, so
-    min-plus candidates never wrap, and every entry a kernel stores is the
-    minimum of an in-range incumbent and a candidate.  Data in another dtype
-    is range-checked before it is cast.
-    """
-
-    data: np.ndarray
-    ids: np.ndarray
-
-    def __post_init__(self):
-        self.data = _as_distances(self.data)
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
-            raise BlockShapeError("block data must be square")
-        if self.ids.shape != (self.data.shape[0],):
-            raise BlockShapeError("ids length must match block dimension")
-        if np.any(self.ids[1:] <= self.ids[:-1]):
-            raise BlockShapeError("block ids must be strictly increasing")
-
-    @property
-    def dim(self) -> int:
-        return int(self.data.shape[0])
-
-    def local(self, global_ids: np.ndarray) -> np.ndarray:
-        """Map global vertex ids to local row indices (all must be present)."""
-        ids = self.ids
-        pos = np.searchsorted(ids, global_ids)
-        if np.any(pos >= ids.size) or np.any(
-            ids[np.minimum(pos, ids.size - 1)] != global_ids
-        ):
-            raise BlockShapeError("vertex id not present in block")
-        return pos
+    """Malformed distance matrix (not square, mismatched inner dimensions,
+    an entry above the sentinel, bad diagonal)."""
 
 
 def _check_range(d: np.ndarray) -> None:
@@ -124,8 +81,8 @@ def _check_square_nonneg(d: np.ndarray) -> None:
 def floyd_warshall_dense(d: np.ndarray) -> np.ndarray:
     """Exact all-pairs closure of a dense non-negative distance matrix.
 
-    The one closure kernel: component close, re-close and the top closure
-    all call it.  Works on a ``uint32`` copy of ``d`` (entries must lie in
+    The one closure kernel: the component closes and the top closure both
+    call it.  Works on a ``uint32`` copy of ``d`` (entries must lie in
     ``[0, INF_SENTINEL]``) and returns it.
 
     Pivot ``k`` can improve ``d[i, j]`` only where ``d[i, k]`` and
@@ -204,25 +161,6 @@ def _sparse_pivots(out: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~done)
 
 
-def inject(db: DistanceBlock, boundary: np.ndarray, d: DistanceBlock) -> DistanceBlock:
-    """Lower ``d`` entries at boundary pairs using values from ``db``.
-
-    ``boundary`` lists global ids present in both blocks.  Entries only ever
-    decrease (min-merge), so injecting exact distances into a local closure
-    and re-closing yields the exact closure.  ``d`` is modified in place and
-    returned.
-    """
-    boundary = np.asarray(boundary, dtype=np.int64)
-    if boundary.size == 0:
-        return d
-    src_ix = db.local(boundary)
-    dst_ix = d.local(boundary)
-    sub = db.data[np.ix_(src_ix, src_ix)]
-    view = d.data[np.ix_(dst_ix, dst_ix)]
-    d.data[np.ix_(dst_ix, dst_ix)] = np.minimum(view, sub)
-    return d
-
-
 def min_plus_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tropical matrix product: out[i,j] = min_k a[i,k] + b[k,j].
 
@@ -240,31 +178,3 @@ def min_plus_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.add(a[:, k, None], b[None, k, :], out=cand)
         np.minimum(out, cand, out=out)
     return out
-
-
-def min_plus_merge(
-    d1: DistanceBlock,
-    db: DistanceBlock,
-    d2: DistanceBlock,
-    b1: np.ndarray,
-    b2: np.ndarray,
-) -> np.ndarray:
-    """Cross-component distances through the boundary matrix.
-
-    out[m, n] = min over i in b1, j in b2 of
-        d1[m, i] + db[i, j] + d2[j, n]
-
-    with m ranging over d1's rows and n over d2's columns.  Empty boundary
-    on either side yields an all-INF result (the components cannot reach
-    each other through the closed boundary set).  The result is ``uint32``
-    and saturates at the sentinel.
-    """
-    b1 = np.asarray(b1, dtype=np.int64)
-    b2 = np.asarray(b2, dtype=np.int64)
-    m, n = d1.dim, d2.dim
-    if b1.size == 0 or b2.size == 0:
-        return np.full((m, n), INF_SENTINEL, dtype=np.uint32)
-    left = d1.data[:, d1.local(b1)]
-    mid = db.data[np.ix_(db.local(b1), db.local(b2))]
-    right = d2.data[d2.local(b2), :]
-    return min_plus_product(min_plus_product(left, mid), right)

@@ -255,7 +255,7 @@ class ExecutionPlan:
 
 
 def _lower_apsp(w: WorkloadDescriptor) -> ExecutionPlan:
-    """One matrix stage per event of the engine's schedule, plus one inject
+    """One matrix stage per event of the device schedule, plus one inject
     per level that re-closes; stage ids number each kind per level in event
     order.
 

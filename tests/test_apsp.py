@@ -18,6 +18,7 @@ from graphdp.costmodel import PcmParams, _blocked_fw, model_recursive_apsp
 from graphdp.graphs import (
     MAX_WEIGHT,
     WeightedGraph,
+    distance_init,
     gen_clustered,
     gen_er,
     gen_nws,
@@ -206,32 +207,21 @@ SCHEDULE_CASES = {
     ),
 }
 
-FW_SITES = {"close_one": "close", "reinject": "reclose", "recursive_apsp": "top"}
+FW_SITES = {"close_one": "close", "recursive_apsp": "top"}
 
 
-def record_kernel_calls(monkeypatch) -> dict:
-    """Wrap the engine's Floyd-Warshall, merge and inject kernels and log
-    their calls in the order the engine makes them."""
-    log = {"fw": [], "merge": [], "inject": []}
-    real_fw, real_merge = engine.floyd_warshall_dense, engine.min_plus_merge
-    real_inject = engine.inject
+def record_fw_calls(monkeypatch) -> list:
+    """Wrap the engine's Floyd-Warshall kernel and log its calls, by call
+    site and dimension, in the order the engine makes them."""
+    log = []
+    real_fw = engine.floyd_warshall_dense
 
     def fw(d):
         out = real_fw(d)
-        log["fw"].append((FW_SITES[sys._getframe(1).f_code.co_name], out.shape[0]))
+        log.append((FW_SITES[sys._getframe(1).f_code.co_name], out.shape[0]))
         return out
 
-    def merge(left, mid, right, b1, b2):
-        log["merge"].append((left.dim, right.dim, len(b1), len(b2)))
-        return real_merge(left, mid, right, b1, b2)
-
-    def inject(xb, b, blk):
-        log["inject"].append(len(b))
-        return real_inject(xb, b, blk)
-
     monkeypatch.setattr(engine, "floyd_warshall_dense", fw)
-    monkeypatch.setattr(engine, "min_plus_merge", merge)
-    monkeypatch.setattr(engine, "inject", inject)
     return log
 
 
@@ -243,9 +233,12 @@ def record_kernel_calls(monkeypatch) -> dict:
 def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, runs):
     # the engine runs the dense or the direct schedule, as choose_mode
     # picks; the lazy one, which the tile sweep and plans past the dense
-    # limit price, leaves out the base-level merges.  The engine keeps no
-    # state between calls: a second run, on the hierarchy the first one
-    # built, makes the same calls and returns the same result
+    # limit price, leaves out the base-level merges.  The host makes the
+    # schedule's close and top closures, in its order; the inject, re-close
+    # and merge events stay the device's, and the host's one correction per
+    # level must give the same distances.  The engine keeps no state
+    # between calls: a second run, on the hierarchy the first one built,
+    # makes the same calls and returns the same result
     make, tile, _, shape = SCHEDULE_CASES[case]
     g = make()
     if mode == "lazy":
@@ -257,7 +250,7 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, runs):
             want = replace(dense, mode="lazy", merge_events=upper)
             assert schedule(hier, "lazy") == want
         return
-    log = record_kernel_calls(monkeypatch)
+    log = record_fw_calls(monkeypatch)
     res = recursive_apsp(g, max_tile=tile)
     for _ in range(runs - 1):
         again = recursive_apsp(g, max_tile=tile, hierarchy=res.hierarchy)
@@ -266,24 +259,110 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, runs):
     assert shape(res.hierarchy)
     assert res.trace.mode == mode
     want = schedule(res.hierarchy, mode)
-    assert log["fw"] == [(ev.kind, ev.dim) for ev in want.fw_events] * runs
-    assert log["merge"] == [
-        (ev.rows, ev.cols, ev.left_boundary, ev.right_boundary)
-        for ev in want.merge_events
-    ] * runs
-    recloses = [ev.dim for ev in want.fw_events if ev.kind == "reclose"]
-    assert len(log["inject"]) == len(recloses) * runs
-    assert sum(b * b for b in log["inject"]) == want.inject_pairs * runs
+    host = [(ev.kind, ev.dim) for ev in want.fw_events if ev.kind != "reclose"]
+    assert log == host * runs
     assert res.trace == want
     assert np.array_equal(res.dist, fw_oracle(g))
     if mode == "direct":
-        assert log["fw"] == [("top", g.n)] * runs
-        assert log["merge"] == log["inject"] == []
+        assert log == [("top", g.n)] * runs
         # a closure wider than the unit is priced as a blocked closure
         p = PcmParams(unit_dim=tile)
         cost = model_recursive_apsp(res.trace, p)
         assert list(cost.phases) == ["top.fw"]
         assert cost.phases["top.fw"] == _blocked_fw(g.n, p)
+
+
+# ---------------------------------------------------------------------------
+# The level correction
+# ---------------------------------------------------------------------------
+
+
+def test_level_correction_matches_brute_force():
+    # the two factored products against a loop over the correction's
+    # definition, on a level whose components are closed and whose
+    # boundary closure is exact
+    g = gen_er(24, 0.25, seed=12)
+    lv = build_hierarchy(g, max_tile=8).levels[0]
+    part, bset = lv.partition, lv.boundaries
+    assert part.k >= 3 and len(bset.per_component) == part.k
+    d = distance_init(g)
+    for c in range(part.k):
+        engine.close_one(d, part.component(c))
+    whole = fw_oracle(g)
+    closure = whole[np.ix_(bset.union, bset.union)].astype(np.uint32)
+    pos = {int(v): i for i, v in enumerate(bset.union)}
+    want = d.astype(np.int64)
+    for m in range(g.n):
+        bm = bset.of(part.assign[m])
+        for n in range(g.n):
+            bn = bset.of(part.assign[n])
+            mid = closure[np.ix_([pos[i] for i in bm], [pos[j] for j in bn])]
+            cand = d[m, bm, None].astype(np.int64) + mid + d[None, bn, n]
+            want[m, n] = min(want[m, n], cand.min())
+    engine._assemble_level(d, lv, closure)
+    assert d.dtype == np.uint32
+    assert np.array_equal(d, np.minimum(want, INF_SENTINEL))
+    assert np.array_equal(d, whole)
+
+
+@pytest.mark.parametrize(
+    "make, tile",
+    [
+        (lambda: gen_clustered(10, 40, seed=3), 32),
+        (lambda: gen_clustered(12, 40, seed=5), 48),
+        (lambda: gen_nws(220, 4, 0.05, seed=4), 32),
+    ],
+)
+def test_every_level_closes_to_the_global_distances(monkeypatch, make, tile):
+    # a level's vertices are boundary vertices of the level below, so once
+    # corrected its matrix holds their global distances; deep, truncated
+    # hierarchies check the correction at every level, the top's included
+    g = make()
+    hier = build_hierarchy(g, tile)
+    assert hier.depth >= 4 and hier.truncated
+    ids = [np.arange(g.n)]
+    for lv in hier.levels[:-1]:
+        ids.append(ids[-1][lv.boundaries.union])
+    seen = {}
+    real = engine._assemble_level
+
+    def spy(d, lv, closure):
+        real(d, lv, closure)
+        li = next(i for i, x in enumerate(hier.levels) if x is lv)
+        seen[li] = d.copy()
+
+    monkeypatch.setattr(engine, "_assemble_level", spy)
+    res = recursive_apsp(g, hierarchy=hier)
+    assert res.trace.mode == "dense"
+    whole = fw_oracle(g)
+    assert sorted(seen) == list(range(hier.depth))
+    for li, d in seen.items():
+        assert np.array_equal(d, whole[np.ix_(ids[li], ids[li])]), li
+    assert np.array_equal(res.dist, whole)
+
+
+def test_component_without_boundary_stays_unreachable():
+    # a clustered ring beside a separate clique: the clique is a level-0
+    # component with no boundary, so no product touches its cross blocks,
+    # which must stay at the sentinel while the ring's pairs close
+    ring = gen_clustered(8, 16, seed=1)
+    clique = gen_er(16, 0.3, seed=1)
+    g = WeightedGraph(
+        ring.n + clique.n,
+        np.concatenate([ring.src, clique.src + ring.n]),
+        np.concatenate([ring.dst, clique.dst + ring.n]),
+        np.concatenate([ring.w, clique.w]),
+    )
+    res = recursive_apsp(g, max_tile=32)
+    assert res.trace.mode == "dense"
+    lv = res.hierarchy.levels[0]
+    alone = [c for c in range(lv.partition.k) if not lv.boundaries.of(c).size]
+    assert alone and lv.boundaries.union.size
+    for c in alone:
+        inside = lv.partition.assign == c
+        assert np.all(res.dist[np.ix_(inside, ~inside)] == INF_SENTINEL)
+        assert np.all(res.dist[np.ix_(~inside, inside)] == INF_SENTINEL)
+    assert np.array_equal(res.dist, fw_oracle(g))
 
 
 def test_export_binary_roundtrip(tmp_path):
@@ -342,17 +421,30 @@ def test_max_weight_chain_saturates_at_every_tile(tile):
     assert want[0, 2] == INF_SENTINEL - 1 and want[0, 3] == INF_SENTINEL
 
 
-def test_near_sentinel_bridges_close_exactly():
+def test_near_sentinel_bridges_close_exactly(monkeypatch):
     # a ring of clusters joined by MAX_WEIGHT bridges: one bridge gives a
     # finite distance above MAX_WEIGHT, two or more saturate, and the
-    # merges' sums through the boundary closure reach 2^32 - 2
+    # correction's sums through the boundary closure reach 2^32 - 2 at
+    # every level of a deep hierarchy
     size = 12
     base = gen_clustered(6, size, seed=6)
     bridge = base.src // size != base.dst // size
     g = WeightedGraph(base.n, base.src, base.dst, np.where(bridge, MAX_WEIGHT, base.w))
+    largest = []
+    real = engine.min_plus_product
+
+    def product(a, b):
+        # the largest candidate a[i, k] + b[k, j] the product forms
+        a64, b64 = a.astype(np.int64), b.astype(np.int64)
+        largest.append(int((a64.max(axis=0) + b64.max(axis=1)).max()))
+        return real(a, b)
+
+    monkeypatch.setattr(engine, "min_plus_product", product)
     res = recursive_apsp(g, max_tile=16)
     assert res.trace.mode == "dense"
     assert res.hierarchy.levels[0].partition.k >= 2
+    assert res.hierarchy.depth >= 2
+    assert max(largest) == 2 * INF_SENTINEL == 2**32 - 2
     assert np.array_equal(res.dist, fw_oracle(g))
     assert (res.dist > MAX_WEIGHT).any() and (res.dist < INF_SENTINEL).any()
 

@@ -104,9 +104,16 @@ def test_tracer_hooks_resolve():
     # the benchmark's tracer times a layer by replacing the names it wraps;
     # a name that moved or vanished drops that layer's time from the trace
     tracer = _load_tracer()
-    # removed from graphdp.apsp together with the edge-list boundary graph;
-    # its wrap goes when the benchmark drops partition.boundary_graph_s
-    stale = {("graphdp.apsp", "build_boundary_graph")}
+    # removed from graphdp.apsp together with the edge-list boundary graph,
+    # and with the per-component inject, re-close and pairwise merge that
+    # one factored correction per level replaced; their wraps and the
+    # re-close site go when the benchmark re-points the tracer
+    stale = {
+        ("graphdp.apsp", "build_boundary_graph"),
+        ("graphdp.apsp", "min_plus_merge"),
+        ("graphdp.apsp", "inject"),
+    }
+    stale_sites = {"reinject"}
     missing = {
         (modname, attr)
         for modname, attr, _, _ in tracer.WRAPS
@@ -116,9 +123,10 @@ def test_tracer_hooks_resolve():
 
     # Floyd-Warshall time is filed by the calling function's name
     apsp = importlib.import_module("graphdp.apsp")
-    for site in tracer.FW_SITES:
+    sites = set(tracer.FW_SITES) - stale_sites
+    for site in sites:
         assert inspect.isfunction(getattr(apsp, site, None)), site
-    assert _fw_callers(Path(apsp.__file__)) == set(tracer.FW_SITES)
+    assert _fw_callers(Path(apsp.__file__)) == sites
 
 
 def test_tracer_describes_a_run(tmp_path):
@@ -153,8 +161,10 @@ def test_tracer_describes_a_run(tmp_path):
         tr.uninstall()
     assert [rc_apsp, rc_s2g] == [0, 0]
     m = tracer.rep_metrics(apsp_spans, 32)
-    assert m["minplus.merge_calls"] > 0
+    # the engine closes each component and the top, as the schedule lists
     assert m["apsp.fw_events.close"] > 0
+    closes = m["apsp.fw_events.close"] + m["apsp.fw_events.top"]
+    assert m["minplus.fw_calls"] == closes
     m = tracer.rep_metrics(s2g_spans, None)
     assert m["s2g.node_windows"] > 0
     assert m["s2g.self_updates"] + m["s2g.hop_updates"] > 0

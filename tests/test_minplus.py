@@ -19,11 +19,8 @@ from graphdp.graphs import (
 from graphdp.minplus import (
     _SPARSE_MIN_DIM,
     BlockShapeError,
-    DistanceBlock,
     NegativeEntryError,
     floyd_warshall_dense,
-    inject,
-    min_plus_merge,
     min_plus_product,
     _sparse_pivots,
 )
@@ -173,39 +170,8 @@ def test_sparse_phase_with_zero_weight_arcs():
 
 
 # ---------------------------------------------------------------------------
-# Injection, merge
+# Min-plus product
 # ---------------------------------------------------------------------------
-
-
-def _closed_block(g, ids=None):
-    d = floyd_warshall_dense(distance_init(g))
-    if ids is None:
-        ids = np.arange(g.n)
-    return DistanceBlock(d, ids)
-
-
-def test_inject_lowers_entries_and_reclose_is_exact():
-    # two 4-cliques joined by one edge; local closures miss cross paths that
-    # re-enter, so injecting the true boundary distances must repair them
-    INF = INF_SENTINEL
-    g = gen_er(16, 0.4, seed=8)
-    whole = floyd_warshall_dense(distance_init(g))
-    ids = np.arange(8)
-    local = distance_init(g)[np.ix_(ids, ids)]
-    blk = DistanceBlock(floyd_warshall_dense(local), ids)
-    true_pairs = DistanceBlock(whole, np.arange(g.n))
-    inject(true_pairs, ids, blk)
-    reclosed = floyd_warshall_dense(blk.data)
-    assert np.array_equal(reclosed, whole[np.ix_(ids, ids)])
-    assert np.all(reclosed <= blk.data)
-
-
-def test_inject_empty_boundary_noop():
-    g = gen_er(10, 0.3, seed=1)
-    blk = _closed_block(g)
-    before = blk.data.copy()
-    inject(blk, np.array([], dtype=np.int64), blk)
-    assert np.array_equal(blk.data, before)
 
 
 def test_min_plus_product_small():
@@ -214,60 +180,6 @@ def test_min_plus_product_small():
     b = np.array([[10, INF], [1, 1]], dtype=np.int64)
     out = min_plus_product(a, b)
     assert out.tolist() == [[11, INF], [4, 4]]
-
-
-def test_min_plus_merge_matches_brute_force():
-    rng = np.random.default_rng(0)
-    g = gen_er(24, 0.25, seed=12)
-    whole = floyd_warshall_dense(distance_init(g))
-    c1 = np.arange(0, 10)
-    c2 = np.arange(10, 24)
-    b1 = np.array([2, 5, 9])
-    b2 = np.array([10, 17])
-    d1 = DistanceBlock(whole[np.ix_(c1, c1)], c1)
-    d2 = DistanceBlock(whole[np.ix_(c2, c2)], c2)
-    db = DistanceBlock(whole, np.arange(g.n))
-    out = min_plus_merge(d1, db, d2, b1, b2)
-    # oracle: direct triple loop over the definition
-    for mi, m in enumerate(c1):
-        for ni, n in enumerate(c2):
-            best = INF_SENTINEL
-            for i in b1:
-                for j in b2:
-                    cand = whole[m, i] + whole[i, j] + whole[j, n]
-                    best = min(best, cand)
-            assert out[mi, ni] == min(best, INF_SENTINEL)
-
-
-def test_min_plus_merge_empty_boundary_all_inf():
-    g = gen_er(12, 0.3, seed=3)
-    blk = _closed_block(g)
-    c1, c2 = np.arange(0, 6), np.arange(6, 12)
-    d1 = DistanceBlock(blk.data[np.ix_(c1, c1)], c1)
-    d2 = DistanceBlock(blk.data[np.ix_(c2, c2)], c2)
-    out = min_plus_merge(d1, blk, d2, np.array([], dtype=np.int64), np.array([6]))
-    assert np.all(out == INF_SENTINEL)
-
-
-def test_block_local_lookup():
-    blk = DistanceBlock(np.zeros((3, 3), dtype=np.int64), np.array([2, 7, 40]))
-    assert blk.local(np.array([7, 40, 2])).tolist() == [1, 2, 0]
-    with pytest.raises(BlockShapeError):
-        blk.local(np.array([3]))
-    # the search agrees with a scan
-    rng = np.random.default_rng(4)
-    block_ids = np.sort(rng.choice(1000, size=50, replace=False))
-    blk = DistanceBlock(np.zeros((50, 50), dtype=np.int64), block_ids)
-    want = rng.permutation(block_ids)[:20]
-    got = blk.local(want)
-    assert block_ids[got].tolist() == want.tolist()
-    for missing in ([1000], [-1], [want[0], 1001]):
-        with pytest.raises(BlockShapeError):
-            blk.local(np.array(missing))
-    # unsorted and repeated ids are refused when the block is built
-    for bad in ([7, 2, 40], [5, 5, 9], block_ids[::-1]):
-        with pytest.raises(BlockShapeError):
-            DistanceBlock(np.zeros((len(bad),) * 2, dtype=np.int64), np.array(bad))
 
 
 def test_entries_never_exceed_sentinel():
@@ -326,7 +238,6 @@ def test_closures_are_uint32_and_keep_the_input():
         assert floyd_warshall_dense(seed).dtype == np.uint32
         assert np.array_equal(seed, kept) and seed.dtype == kept.dtype
     assert min_plus_product(d, d).dtype == np.uint32
-    assert DistanceBlock(d, np.arange(g.n)).data.dtype == np.uint32
 
 
 def test_max_weight_chain_saturates_in_fw():
@@ -375,12 +286,8 @@ def test_out_of_range_int64_inputs_rejected():
             floyd_warshall_dense(d)
         with pytest.raises(BlockShapeError):
             min_plus_product(d, d)
-        with pytest.raises(BlockShapeError):
-            DistanceBlock(d, np.arange(2))
     neg = np.array([[0, -1], [1, 0]], dtype=np.int64)
     with pytest.raises(NegativeEntryError):
         min_plus_product(neg, neg)
-    with pytest.raises(NegativeEntryError):
-        DistanceBlock(neg, np.arange(2))
     with pytest.raises(BlockShapeError):
         floyd_warshall_dense(np.array([[0, 2**32 - 1], [1, 0]], dtype=np.uint32))
