@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
+from functools import cache, reduce
 
 import numpy as np
 
@@ -110,6 +112,11 @@ class HbmParams:
         return self.hbm_bandwidth / self.channels
 
 
+# the CostReport fields that add up, in constructor order
+_SUMMED = ("cycles", "wall_time_s", "energy_j", "hbm_bytes_regular",
+           "hbm_bytes_irregular", "pcm_writes")
+
+
 @dataclass
 class CostReport:
     cycles: float = 0.0
@@ -122,14 +129,7 @@ class CostReport:
     phases: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in (
-            "cycles",
-            "wall_time_s",
-            "energy_j",
-            "hbm_bytes_regular",
-            "hbm_bytes_irregular",
-            "pcm_writes",
-        ):
+        for name in _SUMMED:
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be non-negative")
 
@@ -138,18 +138,7 @@ class CostReport:
         return self.hbm_bytes_regular + self.hbm_bytes_irregular
 
     def __add__(self, other: "CostReport") -> "CostReport":
-        merged = dict(self.phases)
-        for k, v in other.phases.items():
-            merged[k] = merged[k] + v if k in merged else v
-        return CostReport(
-            cycles=self.cycles + other.cycles,
-            wall_time_s=self.wall_time_s + other.wall_time_s,
-            energy_j=self.energy_j + other.energy_j,
-            hbm_bytes_regular=self.hbm_bytes_regular + other.hbm_bytes_regular,
-            hbm_bytes_irregular=self.hbm_bytes_irregular + other.hbm_bytes_irregular,
-            pcm_writes=self.pcm_writes + other.pcm_writes,
-            phases=merged,
-        )
+        return _report_sum([self, other])
 
     def _as_dict(self) -> dict:
         out = {
@@ -322,13 +311,24 @@ def _fw_cost(dim: int, p: PcmParams) -> CostReport:
     return _blocked_fw(dim, p) if dim > p.unit_dim else model_fw_block(dim, p=p)
 
 
-def _merge_cost(ev: MergeEvent, p: PcmParams) -> tuple:
-    """One merge event as two tree passes: its rows through the left
-    boundary, then through the right one."""
+def _merge_shapes(ev: MergeEvent) -> tuple:
+    """One merge event as two tree passes, as ``(rows, width)``: its rows
+    through the left boundary, then through the right one."""
     return (
-        _mp_split(ev.rows * ev.right_boundary, ev.left_boundary, p),
-        _mp_split(ev.rows * ev.cols, ev.right_boundary, p),
+        (ev.rows * ev.right_boundary, ev.left_boundary),
+        (ev.rows * ev.cols, ev.right_boundary),
     )
+
+
+def _report_sum(reps: list, *start) -> CostReport:
+    """``reps[0] + reps[1] + ...``, or ``CostReport() + reps[0] + ...`` with
+    ``start`` 0.0: each field, and each phase by name, adds left to right in
+    list order, so one call gives the chain's floats and ints without
+    building its intermediate reports."""
+    sums = [reduce(operator.add, [getattr(r, f) for r in reps], *start) for f in _SUMMED]
+    keys = dict.fromkeys(k for r in reps for k in r.phases)
+    phases = {k: _report_sum([r.phases[k] for r in reps if k in r.phases]) for k in keys}
+    return CostReport(*sums, phases=phases)
 
 
 def _makespan(durations: list, workers: int) -> float:
@@ -355,12 +355,15 @@ def model_recursive_apsp(
     overlaps compute (latency takes the max); the base level is assumed
     warm in the crossbars.  Energies and byte counters are summed.  A
     closure wider than the unit is priced as a blocked closure, as the tile
-    sweep prices it.
+    sweep prices it.  Each distinct event shape is priced once, and every
+    phase sums its events' fields in event order, as a chain of ``+`` would.
     """
     p = p or PcmParams()
     if not isinstance(trace, ExecutionTrace):
         raise ValidationError("model_recursive_apsp needs an ExecutionTrace")
     U = p.total_units
+    fw = cache(lambda dim: _fw_cost(dim, p))
+    mp = cache(lambda rows, width: _mp_split(rows, width, p))
 
     total = CostReport()
     wall = 0.0
@@ -379,32 +382,24 @@ def model_recursive_apsp(
 
     for (level, kind), dims in sorted(by_level_fw.items()):
         if kind == "top":
-            rep = _fw_cost(dims[0], p)
+            rep = fw(dims[0])
             add_phase("top.fw", rep, rep.wall_time_s)
             continue
-        reps = [_fw_cost(d, p) for d in dims if d > 0]
+        reps = [fw(d) for d in dims if d > 0]
         if not reps:
             continue
-        agg = CostReport()
-        for r in reps:
-            agg = agg + r
         span = _makespan([r.wall_time_s for r in reps], U)
-        add_phase(f"level{level}.{kind}", agg, span)
+        add_phase(f"level{level}.{kind}", _report_sum(reps, 0.0), span)
 
     for level, events in sorted(merge_by_level.items()):
-        reps = []
-        stage_bytes = 0.0
-        for ev in events:
-            reps.extend(_merge_cost(ev, p))
-            stage_bytes += ev.rows * ev.cols * (p.bits // 8)
-        agg = CostReport()
-        for r in reps:
-            agg = agg + r
+        reps = [mp(*shape) for ev in events for shape in _merge_shapes(ev)]
         span = _makespan([r.wall_time_s for r in reps], U)
         if level >= 1:
-            agg = agg + CostReport(hbm_bytes_regular=stage_bytes)
+            staged = [ev.rows * ev.cols * (p.bits // 8) for ev in events]
+            stage_bytes = reduce(operator.add, staged, 0.0)
+            reps.append(CostReport(hbm_bytes_regular=stage_bytes))
             span = max(span, stage_bytes / p.hbm_bandwidth)
-        add_phase(f"level{level}.merge", agg, span)
+        add_phase(f"level{level}.merge", _report_sum(reps, 0.0), span)
 
     if trace.inject_pairs:
         bursts = math.ceil(trace.inject_pairs / 32)
@@ -419,13 +414,12 @@ def model_recursive_apsp(
         add_phase("inject", rep, rep.wall_time_s)
 
     busy = sum(r.cycles for r in total.phases.values())
-    total = replace(
+    return replace(
         total,
         wall_time_s=wall,
         cycles=wall * p.clock_hz,
         utilization={"units": busy / (wall * p.clock_hz * U) if wall else 0.0},
     )
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +735,8 @@ def _hierarchy_cost(hier: PartitionHierarchy, N: int, p: PcmParams):
         close_cycles += rep.cycles
         energy += rep.energy_j
     for ev in trace.merge_events:
-        for rep in _merge_cost(ev, pn):
+        for shape in _merge_shapes(ev):
+            rep = _mp_split(*shape, pn)
             merge_cycles += rep.cycles
             energy += rep.energy_j
 

@@ -271,8 +271,12 @@ def gen_clustered(
 
 
 # ---------------------------------------------------------------------------
-# Edge-list format: "src<TAB>dst<TAB>weight", '#' comments, 0-based ids.
+# Edge-list format: "src<TAB>dst<TAB>weight" integer lines, 0-based ids, '#'
+# comments; "# n=<count>" (count >= 0) sets the vertex count, else the largest
+# id + 1.  dump_edge_list's shape is parsed at array speed, any other by lines.
 # ---------------------------------------------------------------------------
+
+_MAX_FIELD = 18  # digits that always fit int64; np.fromstring saturates more
 
 
 def dump_edge_list(g: WeightedGraph, path: str) -> None:
@@ -282,7 +286,37 @@ def dump_edge_list(g: WeightedGraph, path: str) -> None:
             fh.write(f"{u}\t{v}\t{wt}\n")
 
 
+def _regular_edge_list(data: bytes):
+    """``(n, src, dst, w)`` of a file that is a ``# n=<digits>`` line, then
+    only ``src<TAB>dst<TAB>weight`` lines of ASCII integers (an optional
+    leading '-', at most 18 characters) each ending in a newline; else None."""
+    head, _, body = data.partition(b"\n")
+    hint = head[4:]
+    if not (head.startswith(b"# n=") and hint.isdigit() and len(hint) <= _MAX_FIELD
+            and data.endswith(b"\n")) or body.translate(None, b"-0123456789\t\n"):
+        return None
+    a = np.frombuffer(data, dtype=np.uint8)[len(head):]  # from the header's newline
+    seps = np.flatnonzero(a <= ord("\n"))  # tab or newline, the only bytes below '-'
+    minus = np.flatnonzero(a == ord("-"))
+    field_len = np.diff(seps) - 1
+    if ((seps.size - 1) % 3 or np.any(a[seps[1:]].reshape(-1, 3) != (9, 9, 10))
+            or np.any((field_len < 1) | (field_len > _MAX_FIELD))
+            # a '-' opens its field and a digit follows it
+            or np.any(a[minus - 1] > ord("\n")) or np.any(a[minus + 1] < ord("0"))):
+        return None
+    tok = np.fromstring(body, dtype=np.int64, sep=" ")
+    if tok.size != seps.size - 1:  # fromstring stops early at a bad token
+        return None
+    return (int(hint), *tok.reshape(-1, 3).T.copy())
+
+
 def load_edge_list(path: str) -> WeightedGraph:
+    """Read an edge-list file (format above); the line loop names the line
+    of each error, and a negative ``n=`` is a :class:`FormatError`."""
+    with open(path, "rb") as fh:
+        regular = _regular_edge_list(fh.read())
+    if regular is not None:
+        return WeightedGraph(*regular)
     n_hint = -1
     src, dst, w = [], [], []
     with open(path) as fh:
@@ -295,8 +329,10 @@ def load_edge_list(path: str) -> WeightedGraph:
                 if body.startswith("n="):
                     try:
                         n_hint = int(body[2:])
-                    except ValueError as exc:
-                        raise FormatError(f"line {lineno}: bad n= comment") from exc
+                    except ValueError:
+                        n_hint = -1
+                    if n_hint < 0:
+                        raise FormatError(f"line {lineno}: bad n= comment")
                 continue
             parts = line.split("\t")
             if len(parts) != 3:

@@ -11,15 +11,29 @@ and per-base loops: a min-id heap over numpy arrays, and a per-base
 expansion into an edge list.  They pin the production ingest to the same
 graphs, orders and error messages.
 
+``load_edge_list_reference`` is the edge-list reader as a line loop over
+the decoded text, as it was before regular files were tokenised in one
+call; the production reader must return the same arrays and ``n``, or raise
+the same error, for every file.
+
 ``bank_conflict_reference`` is the traversal tile's per-sweep cycle count
 as a node-by-node loop; the vectorised ``costmodel._bank_conflict_cycles``
 must equal it exactly, fractional ``bank_access_cycles`` included.
+
+``model_recursive_apsp_reference`` prices a trace event by event, building
+one ``CostReport`` per event (wide merges split as ``costmodel._mp_split``
+splits them) and adding reports pairwise with its own field-by-field
+``_added``, as the pricing did before it memoised event shapes and folded
+each phase's fields in one pass; ``cost.json`` and ``cost.csv`` must stay
+byte-identical to it.
 
 ``disjoint_copies`` lays copies of a graph side by side, a disconnected
 input whose hierarchy levels can cut no arc.
 """
 
 import heapq
+import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +48,15 @@ from graphdp.graphs import (
     GenomeGraph,
     WeightedGraph,
 )
-from graphdp.costmodel import KNUTH_HASH
+from graphdp.costmodel import (
+    KNUTH_HASH,
+    MP_TREE_INPUTS,
+    CostReport,
+    PcmParams,
+    _fw_cost,
+    _makespan,
+    model_mp_merge,
+)
 from graphdp.s2g import classify_self_hop
 
 
@@ -56,6 +78,43 @@ def dijkstra_oracle(g) -> np.ndarray:
     )
     dist = dijkstra(mat, directed=True)
     return np.minimum(dist, INF_SENTINEL).astype(np.int64)
+
+
+def load_edge_list_reference(path):
+    n_hint = -1
+    src, dst, w = [], [], []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("n="):
+                    try:
+                        n_hint = int(body[2:])
+                    except ValueError as exc:
+                        raise FormatError(f"line {lineno}: bad n= comment") from exc
+                    if n_hint < 0:
+                        raise FormatError(f"line {lineno}: bad n= comment")
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise FormatError(f"line {lineno}: expected src<TAB>dst<TAB>weight")
+            try:
+                src.append(int(parts[0]))
+                dst.append(int(parts[1]))
+                w.append(int(parts[2]))
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: non-integer field") from exc
+    n = n_hint
+    if n < 0:
+        n = (max(max(src), max(dst)) + 1) if src else 0
+    try:
+        cols = [np.asarray(col, dtype=np.int64) for col in (src, dst, w)]
+    except OverflowError as exc:
+        raise FormatError("edge field outside the 64-bit integer range") from exc
+    return WeightedGraph(n, *cols)
 
 
 def disjoint_copies(g, copies):
@@ -198,3 +257,96 @@ def bank_conflict_reference(g, h):
         hit = np.bincount(banks[g.pred_idx[lo:hi]].astype(np.int64))
         cycles += int(hit.max()) * h.bank_access_cycles + 1
     return cycles
+
+
+def _added(a, b):
+    merged = dict(a.phases)
+    for k, v in b.phases.items():
+        merged[k] = _added(merged[k], v) if k in merged else v
+    return CostReport(
+        cycles=a.cycles + b.cycles,
+        wall_time_s=a.wall_time_s + b.wall_time_s,
+        energy_j=a.energy_j + b.energy_j,
+        hbm_bytes_regular=a.hbm_bytes_regular + b.hbm_bytes_regular,
+        hbm_bytes_irregular=a.hbm_bytes_irregular + b.hbm_bytes_irregular,
+        pcm_writes=a.pcm_writes + b.pcm_writes,
+        phases=merged,
+    )
+
+
+def _merge_pass(rows, width, p):
+    if width <= MP_TREE_INPUTS:
+        return model_mp_merge(rows, width, p)
+    parts = math.ceil(width / MP_TREE_INPUTS)
+    partial = model_mp_merge(rows * parts, MP_TREE_INPUTS, p)
+    return _added(partial, model_mp_merge(rows, parts, p))
+
+
+def model_recursive_apsp_reference(trace, p=None):
+    p = p or PcmParams()
+    U = p.total_units
+
+    total = CostReport()
+    wall = 0.0
+    by_level_fw = {}
+    for ev in trace.fw_events:
+        by_level_fw.setdefault((ev.level, ev.kind), []).append(ev.dim)
+    merge_by_level = {}
+    for ev in trace.merge_events:
+        merge_by_level.setdefault(ev.level, []).append(ev)
+
+    def add_phase(name, rep, wall_s):
+        nonlocal total, wall
+        entry = replace(rep, wall_time_s=wall_s)
+        total = _added(total, replace(entry, phases={name: entry}))
+        wall += wall_s
+
+    for (level, kind), dims in sorted(by_level_fw.items()):
+        if kind == "top":
+            rep = _fw_cost(dims[0], p)
+            add_phase("top.fw", rep, rep.wall_time_s)
+            continue
+        reps = [_fw_cost(d, p) for d in dims if d > 0]
+        if not reps:
+            continue
+        agg = CostReport()
+        for r in reps:
+            agg = _added(agg, r)
+        span = _makespan([r.wall_time_s for r in reps], U)
+        add_phase(f"level{level}.{kind}", agg, span)
+
+    for level, events in sorted(merge_by_level.items()):
+        reps = []
+        stage_bytes = 0.0
+        for ev in events:
+            reps.append(_merge_pass(ev.rows * ev.right_boundary, ev.left_boundary, p))
+            reps.append(_merge_pass(ev.rows * ev.cols, ev.right_boundary, p))
+            stage_bytes += ev.rows * ev.cols * (p.bits // 8)
+        agg = CostReport()
+        for r in reps:
+            agg = _added(agg, r)
+        span = _makespan([r.wall_time_s for r in reps], U)
+        if level >= 1:
+            agg = _added(agg, CostReport(hbm_bytes_regular=stage_bytes))
+            span = max(span, stage_bytes / p.hbm_bandwidth)
+        add_phase(f"level{level}.merge", agg, span)
+
+    if trace.inject_pairs:
+        bursts = math.ceil(trace.inject_pairs / 32)
+        cyc = bursts * 10
+        en = trace.inject_pairs * p.bits * p.write_energy_pj * 1e-12
+        rep = CostReport(
+            cycles=cyc,
+            wall_time_s=cyc / p.clock_hz,
+            energy_j=en,
+            pcm_writes=float(trace.inject_pairs),
+        )
+        add_phase("inject", rep, rep.wall_time_s)
+
+    busy = sum(r.cycles for r in total.phases.values())
+    return replace(
+        total,
+        wall_time_s=wall,
+        cycles=wall * p.clock_hz,
+        utilization={"units": busy / (wall * p.clock_hz * U) if wall else 0.0},
+    )

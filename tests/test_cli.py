@@ -9,6 +9,7 @@ import pytest
 
 import graphdp.cli as cli
 import graphdp.costmodel as costmodel
+import graphdp.planner as planner
 from graphdp.apsp import load_distances
 from graphdp.cli import UsageError, main
 from graphdp.costmodel import ValidationError
@@ -18,12 +19,15 @@ from graphdp.graphs import (
     distance_init,
     dump_edge_list,
     gen_clustered,
+    gen_er,
+    gen_nws,
     load_edge_list,
     load_fasta,
     load_genome_graph,
 )
 from graphdp.minplus import floyd_warshall_dense
 from graphdp.planner import DescriptorError, StageError
+from oracles import load_edge_list_reference, model_recursive_apsp_reference
 
 
 def run(*argv):
@@ -189,6 +193,37 @@ def test_apsp_model_emits_cost_reports(tmp_path):
     assert doc["cycles"] > 0
     cfg = json.loads((tmp_path / "run.json").read_text())
     assert cfg["device"]["pcm"]["unit_dim"] == 1024
+
+
+@pytest.mark.parametrize(
+    "graph,tile,mode",
+    [
+        (gen_clustered(32, 64, 2, groups=4), 256, "dense"),
+        (gen_er(1000, 0.006, 2), 128, "direct"),
+        (gen_nws(220, 4, 0.05, 4), 32, "dense"),  # a truncated hierarchy
+    ],
+    ids=["clustered", "er", "truncated"],
+)
+def test_apsp_outputs_match_the_reference_reader_and_pricing(
+    tmp_path, monkeypatch, capsys, graph, tile, mode
+):
+    path = tmp_path / "g.edges"
+    dump_edge_list(graph, str(path))
+    d = tmp_path / "o"
+    snaps = []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(cli, "load_edge_list", load_edge_list_reference)
+            monkeypatch.setattr(
+                planner, "model_recursive_apsp", model_recursive_apsp_reference
+            )
+        assert run("apsp", "--graph", path, "--max-tile", tile, "--model",
+                   "--out", d) == 0
+        out = capsys.readouterr().out
+        assert f"mode={mode} " in out
+        files = ("dist.bin", "cost.json", "cost.csv", "run.json")
+        snaps.append((out, {f: (d / f).read_bytes() for f in files}))
+    assert snaps[0] == snaps[1]
 
 
 def test_threads_flag_is_accepted_and_ignored(tmp_path, capsys):

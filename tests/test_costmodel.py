@@ -4,8 +4,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from graphdp.apsp import ExecutionTrace, FwEvent, MergeEvent, recursive_apsp
+from graphdp.apsp import ExecutionTrace, FwEvent, MergeEvent, recursive_apsp, schedule
 from graphdp.costmodel import (
+    MP_TREE_INPUTS,
     CapacityError,
     DEFAULT_IMPROVE_FRAC,
     CostReport,
@@ -25,10 +26,18 @@ from graphdp.costmodel import (
     sweep_tile_size,
     working_set_bytes,
 )
-from graphdp.graphs import ReadBatch, gen_er, gen_genome, genome_graph, parse_gfa
+from graphdp.graphs import (
+    ReadBatch,
+    gen_clustered,
+    gen_er,
+    gen_genome,
+    gen_nws,
+    genome_graph,
+    parse_gfa,
+)
 from graphdp.partition import build_hierarchy
 from graphdp.s2g import batch_align
-from oracles import bank_conflict_reference
+from oracles import bank_conflict_reference, model_recursive_apsp_reference
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +315,51 @@ def test_recursive_model_sums_hand_trace():
     assert rep.hbm_bytes_regular == stage
     assert rep.pcm_writes > 0
     assert 0 < rep.utilization["units"] <= 1
+
+
+def _pricing_traces():
+    clustered = build_hierarchy(gen_clustered(16, 32, 3, groups=4), 128)
+    truncated = build_hierarchy(gen_nws(220, 4, 0.05, 4), 32)
+    assert truncated.depth >= 4 and truncated.stats()["truncated"]
+    wide = MP_TREE_INPUTS + 300  # folds through _mp_split's partial rows
+    hand = ExecutionTrace(
+        depth=2,
+        mode="dense",
+        fw_events=[
+            FwEvent(0, 600, "close"),
+            FwEvent(0, 1500, "close"),  # blocked past the unit
+            FwEvent(0, 0, "close"),
+            FwEvent(0, 600, "reclose"),
+            FwEvent(1, 40, "close"),
+            FwEvent(2, 300, "top"),
+        ],
+        merge_events=[MergeEvent(0, 600, 500, wide, 40), MergeEvent(0, 7, 9, 3, wide)]
+        + [MergeEvent(1, 2, 3, 1, 2)] * 50,
+        inject_pairs=1000,
+    )
+    return {
+        **{f"clustered-{m}": schedule(clustered, m) for m in ("dense", "lazy", "direct")},
+        **{f"truncated-{m}": schedule(truncated, m) for m in ("dense", "lazy")},
+        "hand": hand,
+    }
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        PcmParams(),
+        PcmParams(unit_dim=256, bits=16, clock_hz=1.3e9, read_energy_pj=0.07,
+                  burst_rows=7, units_per_tile=3, tiles_per_die=2,
+                  hbm_bandwidth=1e9),
+    ],
+    ids=["default", "custom"],
+)
+def test_recursive_model_matches_the_per_event_reference(p):
+    for name, trace in _pricing_traces().items():
+        got = model_recursive_apsp(trace, p)
+        want = model_recursive_apsp_reference(trace, p)
+        assert got.to_json() == want.to_json(), name
+        assert got.to_csv() == want.to_csv(), name
 
 
 def test_recursive_model_rejects_non_trace():

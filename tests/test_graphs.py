@@ -1,10 +1,15 @@
 """Graph container, generator, and format tests."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphdp import graphs
 from graphdp.graphs import (
     INF_SENTINEL,
     AlphabetError,
@@ -28,7 +33,7 @@ from graphdp.graphs import (
     split_by_length,
     topo_sort,
 )
-from oracles import parse_gfa_reference, topo_reference
+from oracles import load_edge_list_reference, parse_gfa_reference, topo_reference
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +162,112 @@ def test_edge_list_preserves_isolated_vertices(tmp_path):
     path = tmp_path / "iso.tsv"
     dump_edge_list(g, str(path))
     assert load_edge_list(str(path)).n == 10
+
+
+def _read_outcome(load, path):
+    """What a reader makes of a file: the graph's fields, or the error."""
+    try:
+        g = load(path)
+    except (GraphError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+    return g.n, [(a.dtype, a.tolist()) for a in (g.src, g.dst, g.w)]
+
+
+def _assert_reads_as_reference(path, regular=None):
+    got = _read_outcome(load_edge_list, str(path))
+    assert got == _read_outcome(load_edge_list_reference, str(path))
+    if regular is not None:
+        data = Path(path).read_bytes()
+        assert (graphs._regular_edge_list(data) is not None) == regular
+
+
+def _dumped(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.tsv"
+        dump_edge_list(g, str(path))
+        return path.read_bytes()
+
+
+_READER_CASES = {
+    # the array path: files shaped as dump_edge_list writes them
+    "dumped-er": (_dumped(gen_er(300, 0.02, seed=4)), True),
+    "dumped-clustered": (_dumped(gen_clustered(8, 32, 1, groups=2)), True),
+    "header-only": (b"# n=0\n", True),
+    "isolated-only": (b"# n=7\n", True),
+    "leading-zeros": (b"# n=3\n00\t-0\t000000000000000005\n", True),
+    "negative-weight": (b"# n=3\n0\t1\t-4\n", True),  # refused alike
+    "id-past-n": (b"# n=3\n0\t9\t4\n", True),  # refused alike
+    "18-digits": (b"# n=3\n0\t1\t999999999999999999\n", True),  # over MAX_WEIGHT
+    # the line loop: everything else
+    "19-characters": (b"# n=3\n0\t1\t0000000000000000005\n", False),
+    "past-int64": (b"# n=3\n0\t1\t99999999999999999999\n", False),
+    "past-int64-negative": (b"# n=3\n0\t1\t-99999999999999999999\n", False),
+    "comment-after-header": (b"# n=3\n# c\n0\t1\t2\n", False),
+    "blank-after-header": (b"# n=3\n\n0\t1\t2\n", False),
+    "blank-last-line": (b"# n=3\n0\t1\t2\n\n", False),
+    "crlf": (b"# n=3\r\n0\t1\t2\r\n", False),
+    "plus-sign": (b"# n=3\n0\t1\t+5\n", False),
+    "underscore": (b"# n=3\n0\t1\t1_000\n", False),
+    "arabic-indic-digit": ("# n=3\n0\t1\t\u0663\n".encode(), False),
+    "no-final-newline": (b"# n=3\n0\t1\t2", False),
+    "no-header": (b"0\t1\t2\n", False),
+    "header-trailing-space": (b"# n=3 \n0\t1\t2\n", False),
+    "header-no-space": (b"#n=3\n0\t1\t2\n", False),
+    "header-plus": (b"# n=+3\n0\t1\t2\n", False),
+    "negative-n": (b"# n=-5\n0\t1\t3\n", False),
+    "negative-n-later": (b"# n=2\n0\t1\t3\n# n=-1\n", False),
+    "bad-n": (b"# n=x\n0\t1\t3\n", False),
+    "n-past-int-digit-limit": (b"# n=" + b"9" * 5000 + b"\n0\t1\t3\n", False),
+    "space-in-field": (b"# n=3\n0 \t1\t2\n", False),
+    "two-fields": (b"# n=3\n0\t1\n", False),
+    "four-fields": (b"# n=3\n0\t1\t2\t3\n", False),
+    "three-fields-on-average": (b"# n=4\n0\t1\n2\t3\t1\t0\n", False),
+    "empty-field": (b"# n=3\n0\t\t2\n", False),
+    "inner-minus": (b"# n=3\n1-2\t1\t2\n0\t\t2\n", False),  # 6 tokens, 6 fields
+    "double-minus": (b"# n=3\n0\t1\t--2\n", False),
+    "lone-minus": (b"# n=3\n0\t1\t-\n", False),
+    "trailing-minus": (b"# n=3\n0\t1\t2-\n", False),
+    "letter": (b"# n=3\n0\tx\t2\n", False),
+    "not-utf8": (b"# n=3\n0\t1\t\xff\n", False),
+}
+
+
+@pytest.mark.parametrize("case", _READER_CASES)
+def test_edge_list_reader_matches_reference(tmp_path, case):
+    data, regular = _READER_CASES[case]
+    path = tmp_path / "g.tsv"
+    path.write_bytes(data)
+    _assert_reads_as_reference(path, regular)
+
+
+
+def test_negative_vertex_count_is_refused(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("# n=-5\n0\t1\t3\n")
+    with pytest.raises(FormatError, match="^line 1: bad n= comment$"):
+        load_edge_list(str(path))
+
+
+_DEFECTS = ["", "\r", " ", "+", "_", "#", "\n", "\t", "-", "x", "\u0663", "0",
+            "99999999999999999999", "# c\n", "\r\n"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-1, 12)] * 3), max_size=6),
+    st.integers(0, 10**6),
+    st.sampled_from(_DEFECTS),
+    st.booleans(),
+)
+def test_edge_list_reader_matches_reference_on_one_defect(edges, at, defect, over):
+    """One random insertion or overwrite in a regular file."""
+    text = "# n=12\n" + "".join(f"{u}\t{v}\t{w}\n" for u, v, w in edges)
+    at %= len(text) + 1
+    text = text[:at] + defect + text[at + over:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.tsv"
+        path.write_bytes(text.encode())
+        _assert_reads_as_reference(path)
 
 
 # ---------------------------------------------------------------------------
