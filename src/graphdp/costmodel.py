@@ -23,7 +23,7 @@ import numpy as np
 
 from .apsp import ExecutionTrace, MergeEvent, schedule
 from .graphs import SHORT_READ_THRESHOLD, WeightedGraph
-from .partition import PartitionHierarchy, build_hierarchy
+from .partition import PartitionHierarchy, _structural_graph, build_hierarchy
 from .s2g import MODE_LONG, MODE_SHORT, BatchTrace, classify_self_hop
 
 MP_TREE_INPUTS = 1024  # comparator tree width is a fixed structure
@@ -722,21 +722,24 @@ def _hierarchy_cost(hier: PartitionHierarchy, N: int, p: PcmParams):
     the clock derated past the 1024 design point.  Boundary assembly
     (cross-component merges at levels above the base) drains through the
     die-level merge lanes, a fixed fixture, so its latency tracks boundary
-    volume rather than unit count.
+    volume rather than unit count.  Each distinct event shape is priced
+    once; the sums still add event by event, in schedule order.
     """
     pn = _tile_params(p, N)
+    fw = cache(lambda dim: _fw_cost(dim, pn))
+    mp = cache(lambda rows, width: _mp_split(rows, width, pn))
     units = p.total_units * (1024.0 / N) ** 2
     trace = schedule(hier, "lazy")
     close_cycles = 0.0
     merge_cycles = 0.0
     energy = 0.0
     for ev in trace.fw_events:
-        rep = _fw_cost(ev.dim, pn)
+        rep = fw(ev.dim)
         close_cycles += rep.cycles
         energy += rep.energy_j
     for ev in trace.merge_events:
         for shape in _merge_shapes(ev):
-            rep = _mp_split(*shape, pn)
+            rep = mp(*shape)
             merge_cycles += rep.cycles
             energy += rep.energy_j
 
@@ -750,7 +753,9 @@ def sweep_tile_size(Ns, g: WeightedGraph | None = None, p: PcmParams | None = No
 
     Builds the real partition hierarchy at each N (exact-cover component
     counts) and prices it with the occupancy model; results are normalized
-    to N=1024.
+    to N=1024.  Every N partitions the same level-0 graph, so its
+    structural graph is built once and shared, with the CSR and clusters
+    the partitioner derives from it.
     """
     if not Ns:
         raise ValidationError("no tile sizes to sweep")
@@ -763,10 +768,11 @@ def sweep_tile_size(Ns, g: WeightedGraph | None = None, p: PcmParams | None = No
     p = p or PcmParams()
     if g is None:
         g = make_tile_workload()
+    level0 = _structural_graph(g.n, g.src, g.dst, [])
     points = {}
     for N in Ns:
         hier = build_hierarchy(
-            g,
+            level0,
             max_tile=int(N),
             k_fn=lambda n_, N=N: math.ceil(n_ / int(N)),
             imbalance=0.0,

@@ -136,7 +136,8 @@ def _fits(keys, room):
 
 
 def _label_propagation(ptr, adj, limit: int):
-    """Cluster labels by size-capped label propagation, unit affinities.
+    """Cluster labels by size-capped label propagation, unit affinities,
+    and ``need``, the smallest cap under which the run is the same.
 
     A vertex takes the label most frequent among its neighbours, of its own
     and those with room: the larger cluster wins ties, then the lower label.
@@ -144,10 +145,16 @@ def _label_propagation(ptr, adj, limit: int):
     neighbourhood.  Later rounds recount only the neighbours of movers, in
     chunks whose ``(vertex, label)`` keys fit the label dtype.  A label
     admits movers lowest id first, up to ``limit`` vertices.
+
+    ``need`` bounds each label's size before a round plus the movers it
+    admits (a label can lose members in the round it gains them, so its
+    size after the round is no bound), and exceeds each size checked for
+    room.  It is infinite once the cap turns a mover or a label away.
     """
     n = ptr.size - 1
     lab = np.arange(n, dtype=adj.dtype)
     size = np.ones(n, dtype=np.int64)
+    need = 1
     verts = has = np.flatnonzero(np.diff(ptr))
     want = np.minimum(np.minimum.reduceat(adj, ptr[has]), has) if has.size else has
     step = max(1, np.iinfo(lab.dtype).max // n)
@@ -155,8 +162,12 @@ def _label_propagation(ptr, adj, limit: int):
         moves = want != lab[verts]
         verts, want = verts[moves], want[moves]
         ok = _fits(want, limit - size)
+        if not ok.all():
+            need = math.inf
         verts, want = verts[ok], want[ok]
-        size += np.bincount(want, minlength=n) - np.bincount(lab[verts], minlength=n)
+        gain = np.bincount(want, minlength=n)
+        need = max(need, int((size + gain).max()))
+        size += gain - np.bincount(lab[verts], minlength=n)
         lab[verts] = want
         if verts.size < max(1, n // 100):
             break
@@ -173,13 +184,16 @@ def _label_propagation(ptr, adj, limit: int):
             key.sort()
             head = _heads(key)
             o, cand = np.divmod(key[head], n)
-            ok = (cand == want[i + o]) | (size[cand] < limit)
+            # a vertex's own label needs no room
+            checked = np.where(cand == want[i + o], 0, size[cand])
+            ok = checked < limit
+            need = max(need, int(checked.max()) + 1 if ok.all() else math.inf)
             count = np.diff(head, append=key.size)[ok]
             o, cand = o[ok], cand[ok]
             score = (count * (n + 1) + size[cand]) * (n + 1) + n - cand
             seg = _heads(o)
             want[i + o[seg]] = n - np.maximum.reduceat(score, seg) % (n + 1)
-    return lab
+    return lab, need
 
 
 def _bundles(x, y, arcs, m: int):
@@ -339,6 +353,36 @@ def _refine(g: WeightedGraph, ptr, adj, assign, k: int, cap: int) -> None:
         ext = new
 
 
+class _StructuralGraph(WeightedGraph):
+    """A level's graph as the partitioner reads it, with what it derives.
+
+    The symmetrised CSR is built on first use and kept, and so is the last
+    label propagation that the size cap never bound, with the smallest cap
+    under which that run is the same: a partition under any cap from there
+    up reuses its labels.  The tile sweep partitions one level-0 graph at
+    every tile size, and its clusters stay below every cap but the smallest.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._csr = None
+        self._clusters = (math.inf, None)
+
+    def csr(self):
+        if self._csr is None:
+            self._csr = _undirected_csr(self)
+        return self._csr
+
+    def labels(self, limit: int):
+        need, lab = self._clusters
+        if limit < need:
+            lab, need = _label_propagation(*self.csr(), limit)
+            if need <= limit:
+                lab.flags.writeable = False
+                self._clusters = (need, lab)
+        return lab
+
+
 def kway_partition(
     g: WeightedGraph,
     k: int,
@@ -353,7 +397,9 @@ def kway_partition(
     no cluster end fits: with ``imbalance=0`` and ``k`` dividing ``n``,
     every part has ``n/k`` vertices.  ``_refine`` then shrinks the
     boundary (vertices with a neighbour in another part), which sizes
-    the level matrices and merges.  Only the arcs decide the result.
+    the level matrices and merges.  Only the arcs decide the result.  A
+    graph from ``_structural_graph`` keeps its CSR and clusters for later
+    calls; any other graph is wrapped in one for this call.
     """
     n = g.n
     if not 1 <= k <= max(n, 1):
@@ -362,9 +408,10 @@ def kway_partition(
         return Partition(n, 1, np.zeros(n, dtype=np.int64))
     cap = _size_cap(n, k, imbalance)
     limit = max(1, cap // 2)
-    ptr, adj = _undirected_csr(g)
-    assign = _pack(g, _label_propagation(ptr, adj, limit), k, cap, limit)
-    _refine(g, ptr, adj, assign, k, cap)
+    if not isinstance(g, _StructuralGraph):
+        g = _StructuralGraph(n, g.src, g.dst, g.w)
+    assign = _pack(g, g.labels(limit), k, cap, limit)
+    _refine(g, *g.csr(), assign, k, cap)
     return Partition(n, k, assign)
 
 
@@ -441,12 +488,13 @@ def _min_feasible_k(n: int, max_tile: int, imbalance: float) -> int:
     return k
 
 
-def _structural_graph(n, src, dst, groups) -> WeightedGraph:
+def _structural_graph(n, src, dst, groups) -> _StructuralGraph:
     """Connectivity surrogate: the arcs plus clique/ring edges per group,
     without parallel arcs and sorted by ``(src, dst)``.
 
     The partitioner reads no weights, so every arc weighs 0 (which keeps an
-    input graph's zero-weight self-loops valid).
+    input graph's zero-weight self-loops valid).  ``build_hierarchy`` takes
+    such a graph as its own level 0, as it is the structural graph of itself.
     """
     srcs = [src]
     dsts = [dst]
@@ -464,7 +512,7 @@ def _structural_graph(n, src, dst, groups) -> WeightedGraph:
     key = src * n + dst
     if not np.all(key[1:] > key[:-1]):
         src, dst = np.divmod(np.unique(key), n)
-    return WeightedGraph(n, src, dst, np.zeros(src.size, dtype=np.int64))
+    return _StructuralGraph(n, src, dst, np.zeros(src.size, dtype=np.int64))
 
 
 def build_hierarchy(
@@ -500,7 +548,10 @@ def build_hierarchy(
     src, dst = g.src, g.dst
     groups: list[np.ndarray] = []
     while True:
-        struct = _structural_graph(n, src, dst, groups)
+        if levels or not isinstance(g, _StructuralGraph):
+            struct = _structural_graph(n, src, dst, groups)
+        else:
+            struct = g
         k_lo = _min_feasible_k(n, max_tile, imbalance)
         k = min(n, max(k_fn(n), k_lo))
         # when every vertex is boundary, fall back once to fewer, larger

@@ -397,13 +397,27 @@ def test_sweep_bad_list_is_usage_error(tmp_path):
 
 def test_sweep_tilesize_bad_sizes_exit_2_before_building(tmp_path, monkeypatch, capsys):
     def no_build(*args, **kwargs):
-        raise AssertionError("hierarchy built before the tile sizes were checked")
+        raise AssertionError("graph built before the tile sizes were checked")
 
-    monkeypatch.setattr(costmodel, "build_hierarchy", no_build)
+    # neither the workload, nor its level-0 graph, nor any hierarchy
+    for name in ("make_tile_workload", "_structural_graph", "build_hierarchy"):
+        monkeypatch.setattr(costmodel, name, no_build)
     for Ns in ("3", "2048,3", "2048,2048", "0", "1", "-4", "256,512,256"):
         assert run("sweep", "tilesize", "--Ns", Ns, "--out", tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_sweep_tilesize_default_rows(tmp_path):
+    # the tile sizes share one level-0 partition graph; no digit may move
+    assert run("sweep", "tilesize", "--out", tmp_path) == 0
+    lines = (tmp_path / "tilesize.csv").read_text().splitlines()
+    assert [line for line in lines if not line.startswith("#")] == [
+        "256,2.18576,0.0635894",
+        "512,1.29965,0.252104",
+        "1024,1,1",
+        "2048,1.96822,3.99575",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import graphdp.costmodel as costmodel
+import graphdp.partition as partition
 from graphdp.apsp import ExecutionTrace, FwEvent, MergeEvent, recursive_apsp, schedule
 from graphdp.costmodel import (
     MP_TREE_INPUTS,
@@ -35,7 +37,7 @@ from graphdp.graphs import (
     genome_graph,
     parse_gfa,
 )
-from graphdp.partition import build_hierarchy
+from graphdp.partition import build_hierarchy, kway_partition
 from graphdp.s2g import batch_align
 from oracles import bank_conflict_reference, model_recursive_apsp_reference
 
@@ -532,6 +534,39 @@ def test_tile_sweep_energy_monotone_in_tile(tile_sweep_rows):
     rows = tile_sweep_rows
     en = [e for _, _, e in rows]
     assert all(b > a for a, b in zip(en, en[1:]))
+
+
+def test_sweep_partitions_as_standalone_builds(monkeypatch):
+    # the sweep shares one level-0 graph, its CSR and its clusters across
+    # tile sizes: N = 16 caps label propagation (a fresh run), N = 64 runs
+    # it uncapped, and 256 and 1024 reuse that run's labels
+    g = make_tile_workload(8192)
+    Ns = [16, 64, 256, 1024]
+    built, calls = [], []
+
+    def build(*args, **kwargs):
+        built.append(build_hierarchy(*args, **kwargs))
+        return built[-1]
+
+    def kway(level_graph, k, **kwargs):
+        calls.append((level_graph.n, k))
+        return kway_partition(level_graph, k, **kwargs)
+
+    monkeypatch.setattr(costmodel, "build_hierarchy", build)
+    monkeypatch.setattr(partition, "kway_partition", kway)
+    sweep_tile_size(Ns, g=g)
+    swept, calls[:] = calls[:], []
+    assert [h.max_tile for h in built] == Ns
+    for N, hier in zip(Ns, built):
+        alone = build_hierarchy(
+            g, max_tile=N, k_fn=lambda n, N=N: math.ceil(n / N), imbalance=0.0
+        )
+        assert (hier.depth, hier.truncated) == (alone.depth, alone.truncated)
+        for a, b in zip(hier.levels, alone.levels):
+            assert np.array_equal(a.partition.assign, b.partition.assign)
+            assert np.array_equal(a.boundaries.union, b.boundaries.union)
+    # one partition per level, as each standalone build makes
+    assert swept == calls
 
 
 def test_sweeps_reject_empty():
