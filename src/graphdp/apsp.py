@@ -314,23 +314,22 @@ def load_distances(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         head = fh.read(4)
         if head == DIST_MAGIC:
-            (n,) = struct.unpack("<I", fh.read(4))
-            data = np.frombuffer(fh.read(4 * n * n), dtype="<u4")
-            if data.size != n * n:
+            size = fh.read(4)
+            n = struct.unpack("<I", size)[0] if len(size) == 4 else 0
+            body = fh.read(4 * n * n)
+            if len(size) < 4 or len(body) != 4 * n * n:
                 raise ApspError("truncated distance file")
-            return data.reshape(n, n).astype(np.int64)
+            return np.frombuffer(body, dtype="<u4").reshape(n, n).astype(np.int64)
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            rows.append(
-                [
-                    INF_SENTINEL if tok == "inf" else int(tok)
-                    for tok in line.split("\t")
-                ]
-            )
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.rstrip("\n")
+                if line:
+                    rows.append([INF_SENTINEL if tok == "inf" else int(tok)
+                                 for tok in line.split("\t")])
+    except ValueError as exc:  # a non-integer entry, or bytes that are not text
+        raise ApspError(f"unreadable distance entry: {exc}") from exc
     if rows and any(len(r) != len(rows) for r in rows):
         raise ApspError("ragged distance rows")
     return np.asarray(rows, dtype=np.int64).reshape(len(rows), len(rows))

@@ -44,11 +44,15 @@ class ValidationError(ModelError):
     pass
 
 
-def _require_positive(params) -> None:
-    """Refuse a device constant that is not positive (or is NaN): the
-    models divide by rates, widths and counts."""
+def _check_constants(params) -> None:
+    """Refuse a device constant that is not positive (or is NaN), as the
+    models divide by rates, widths and counts, and a count (a field typed
+    ``int``) that is not an integer."""
     for f in fields(params):
-        if not getattr(params, f.name) > 0:
+        v = getattr(params, f.name)
+        if f.type == "int" and type(v) is not int:  # a bool is no count
+            raise ValidationError(f"{f.name} must be an integer")
+        if not v > 0:
             raise ValidationError(f"{f.name} must be positive")
 
 
@@ -63,15 +67,15 @@ class PcmParams:
     units_per_tile: int = 130
     tiles_per_die: int = 128
     bits: int = 32
-    add_cycles_per_bit: int = 2
-    sub_cycles_per_bit: int = 2
+    add_cycles_per_bit: float = 2
+    sub_cycles_per_bit: float = 2
     freq_derate_alpha: float = 1.3
     burst_rows: int = 32  # permutation DMA burst height
     merge_drain_lanes: int = 13312  # die-level merge drain width, rows in flight
     hbm_bandwidth: float = 819.2e9  # B/s, staging stream
 
     def __post_init__(self):
-        _require_positive(self)
+        _check_constants(self)
         if self.unit_dim & (self.unit_dim - 1):
             raise ValidationError("unit_dim must be a power of two")
 
@@ -97,13 +101,13 @@ class HbmParams:
     pe_per_pu: int = 64
     shared_sram_bytes: int = 262144
     sram_banks: int = 32
-    bank_access_cycles: int = 1
+    bank_access_cycles: float = 1
     pe_clock_hz: float = 1e9
     hbm_bandwidth: float = 819.2e9  # B/s aggregate
     stream_efficiency: float = 0.5  # strided CSR bursts half-fill lines
 
     def __post_init__(self):
-        _require_positive(self)
+        _check_constants(self)
         if self.sram_banks & (self.sram_banks - 1):
             raise ValidationError("sram_banks must be a power of two")
 
@@ -132,10 +136,6 @@ class CostReport:
         for name in _SUMMED:
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be non-negative")
-
-    @property
-    def hbm_bytes_total(self) -> float:
-        return self.hbm_bytes_regular + self.hbm_bytes_irregular
 
     def __add__(self, other: "CostReport") -> "CostReport":
         return _report_sum([self, other])
@@ -542,15 +542,15 @@ def model_traversal(batch_trace: BatchTrace, h: HbmParams | None = None) -> Cost
 # ---------------------------------------------------------------------------
 
 
-def make_traversal_trace(g, read_lengths, W: int = 128, mode: str | None = None):
+def make_traversal_trace(g, read_lengths, W: int = 128):
     """Synthesize a BatchTrace without running alignments.
 
     Window passes assume no early exit (full ceil(len/W) sweeps); the
-    Self/Hop split comes from the graph's static classification.  This is
-    the modeling stand-in the sweeps use for large synthetic workloads.
+    Self/Hop split comes from the graph's static classification, and the
+    mode from the longest read.  This is the modeling stand-in the sweeps
+    use for large synthetic workloads.
     """
-    if mode is None:
-        mode = MODE_SHORT if max(read_lengths) <= SHORT_READ_THRESHOLD else MODE_LONG
+    mode = MODE_SHORT if max(read_lengths) <= SHORT_READ_THRESHOLD else MODE_LONG
     ids = [f"r{j}" for j in range(len(read_lengths))]
     passes = [math.ceil(le / W) for le in read_lengths]
     return BatchTrace(mode, W, g, ids, list(read_lengths), passes)
@@ -585,16 +585,12 @@ def default_pe_workload():
     return [short, long_]
 
 
-def sweep_pe_density(
-    counts,
-    workload=None,
-    h: HbmParams | None = None,
-):
+def sweep_pe_density(counts, h: HbmParams | None = None):
     """Throughput and bandwidth utilization versus PEs per channel."""
     if not counts:
         raise ValidationError("no PE counts to sweep")
     h = h or HbmParams()
-    workload = workload if workload is not None else default_pe_workload()
+    workload = default_pe_workload()
     rows = []
     for p_count in counts:
         hp = replace(h, pe_per_pu=int(p_count))
@@ -610,18 +606,18 @@ def sweep_pe_density(
     return rows
 
 
-def default_sram_workload(W: int = 128):
+def default_sram_workload():
     """Long-read workload whose working set is 192 KB (12288 nodes x 16 B)."""
     g = _chain_genome(12288, seed=21)
-    return make_traversal_trace(g, [10240] * 6, W=W)
+    return make_traversal_trace(g, [10240] * 6, W=128)
 
 
-def sweep_sram(capacities, workload=None, h: HbmParams | None = None):
+def sweep_sram(capacities, h: HbmParams | None = None):
     """Traffic split and throughput versus shared SRAM capacity."""
     if not capacities:
         raise ValidationError("no capacities to sweep")
     h = h or HbmParams()
-    bt = workload if workload is not None else default_sram_workload()
+    bt = default_sram_workload()
     rows = []
     for cap in capacities:
         rep = model_traversal(bt, replace(h, shared_sram_bytes=int(cap)))

@@ -10,7 +10,7 @@ vertex id.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,11 +98,6 @@ class WeightedGraph:
     @property
     def edge_count(self) -> int:
         return int(self.src.size)
-
-    def edges(self):
-        """Iterate (src, dst, w) tuples in storage order."""
-        for u, v, wt in zip(self.src, self.dst, self.w):
-            yield int(u), int(v), int(wt)
 
 
 def graph_to_dense(g: WeightedGraph) -> np.ndarray:
@@ -200,27 +195,21 @@ def gen_nws(
 
 
 def gen_clustered(
-    clusters: int,
-    cluster_size: int,
-    seed: int,
-    span: int = 4,
-    gateways: int = 4,
-    extra_inter: int = 1,
-    groups: int = 1,
-    w_max: int = DEFAULT_W_MAX,
+    clusters: int, cluster_size: int, seed: int, groups: int = 1
 ) -> WeightedGraph:
     """Two-level clustered topology: locally wired clusters, sparse gateways.
 
     Each cluster is a ring of ``cluster_size`` vertices with chords to the
-    ``span`` nearest ring positions, so all intra-cluster structure is local.
-    Inter-cluster edges touch only the first ``gateways`` vertices of each
-    cluster.  Clusters are arranged on a ring; with ``groups`` > 1 the
-    clusters are grouped and inter-group edges only leave the first cluster
-    of each group, giving a second level of locality.
+    4 nearest ring positions on each side, so all intra-cluster structure is
+    local.  Inter-cluster edges touch only the first 4 vertices of each
+    cluster: each cluster links to the next on its ring and to one random
+    cluster of its group.  Clusters are arranged on a ring; with ``groups``
+    > 1 the clusters are grouped and inter-group edges only leave the first
+    cluster of each group, giving a second level of locality.  Weights are
+    uniform in [1, ``DEFAULT_W_MAX``].
     """
     if clusters <= 1 or cluster_size < 4:
         raise GraphError("need at least 2 clusters of >= 4 vertices")
-    gateways = min(gateways, cluster_size)
     rng = np.random.default_rng(seed)
     n = clusters * cluster_size
     pairs = set()
@@ -231,7 +220,7 @@ def gen_clustered(
     for c in range(clusters):
         b = base(c)
         for i in range(cluster_size):
-            for d in range(1, min(span, cluster_size - 1) + 1):
+            for d in range(1, min(4, cluster_size - 1) + 1):
                 j = (i + d) % cluster_size
                 u, v = b + i, b + j
                 pairs.add((min(u, v), max(u, v)))
@@ -239,7 +228,7 @@ def gen_clustered(
     per_group = max(1, clusters // max(1, groups))
 
     def gateway(c):
-        return base(c) + int(rng.integers(0, gateways))
+        return base(c) + int(rng.integers(0, 4))
 
     for c in range(clusters):
         # ring of clusters restricted to each group at level two
@@ -249,12 +238,10 @@ def gen_clustered(
             nxt = g0 * per_group  # close the group ring
         if nxt != c:
             pairs.add(tuple(sorted((gateway(c), gateway(nxt)))))
-        for _ in range(extra_inter):
-            lo = g0 * per_group
-            hi = min(clusters, lo + per_group)
-            other = int(rng.integers(lo, hi))
-            if other != c:
-                pairs.add(tuple(sorted((gateway(c), gateway(other)))))
+        lo = g0 * per_group
+        other = int(rng.integers(lo, min(clusters, lo + per_group)))
+        if other != c:
+            pairs.add(tuple(sorted((gateway(c), gateway(other)))))
     if groups > 1:
         # sparse ring over group leaders
         for g0 in range(groups):
@@ -264,7 +251,7 @@ def gen_clustered(
                 pairs.add(tuple(sorted((gateway(lead), gateway(nxt)))))
 
     und = np.array(sorted(pairs), dtype=np.int64)
-    w = rng.integers(1, w_max + 1, size=und.shape[0], dtype=np.int64)
+    w = rng.integers(1, DEFAULT_W_MAX + 1, size=und.shape[0], dtype=np.int64)
     src = np.concatenate([und[:, 0], und[:, 1]])
     dst = np.concatenate([und[:, 1], und[:, 0]])
     return WeightedGraph(n, src, dst, np.concatenate([w, w]))
@@ -409,7 +396,6 @@ class GenomeGraph:
     succ_ptr: np.ndarray
     succ_idx: np.ndarray
     topo_order: np.ndarray
-    names: list = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -512,9 +498,7 @@ def parse_gfa(text: str) -> GenomeGraph:
             np.column_stack((last[ends[:, 0]], first[ends[:, 1]])),
         ]
     )
-    g = genome_graph("".join(seg_seq.values()), edges)
-    g.names = list(seg_seq)
-    return g
+    return genome_graph("".join(seg_seq.values()), edges)
 
 
 def load_genome_graph(path: str) -> GenomeGraph:
@@ -522,13 +506,11 @@ def load_genome_graph(path: str) -> GenomeGraph:
         return parse_gfa(fh.read())
 
 
-def gen_genome(
-    bases: int, bubble_rate: float, seed: int, segment_span: tuple[int, int] = (20, 200)
-) -> tuple[str, str]:
+def gen_genome(bases: int, bubble_rate: float, seed: int) -> tuple[str, str]:
     """Synthesise a GFA-subset pangenome-like graph and its linear reference.
 
     Returns ``(gfa_text, reference_sequence)``.  The backbone is a random
-    sequence of the requested length, cut into multi-character segments;
+    sequence of the requested length, cut into segments of 20 to 200 bases;
     at each bubble site the reference base and one alternative base form a
     two-branch bubble.  The reference sequence spells the backbone path.
     """
@@ -563,12 +545,11 @@ def gen_genome(
     # the graph alternates serial backbone pieces and two-branch bubbles
     elements: list[tuple[str, list[str]]] = []
     cursor = 0
-    lo, hi = segment_span
     for site in sites + [bases]:
         chunk = ref[cursor:site]
         names = []
         while chunk:
-            cut = int(rng.integers(lo, hi + 1))
+            cut = int(rng.integers(20, 201))
             names.append(new_seg(chunk[:cut]))
             chunk = chunk[cut:]
         if names:
@@ -619,10 +600,10 @@ class ReadBatch:
                 raise GraphError(f"read {rid} too long for a short batch")
 
 
-def split_by_length(reads, threshold: int = SHORT_READ_THRESHOLD):
+def split_by_length(reads):
     """Partition reads into (short_batch, long_batch); either may be empty."""
-    short = [(r, s) for r, s in reads if len(s) <= threshold]
-    long_ = [(r, s) for r, s in reads if len(s) > threshold]
+    short = [(r, s) for r, s in reads if len(s) <= SHORT_READ_THRESHOLD]
+    long_ = [(r, s) for r, s in reads if len(s) > SHORT_READ_THRESHOLD]
     return (
         ReadBatch(short, "short"),
         ReadBatch(long_, "long"),
@@ -696,12 +677,12 @@ def gen_reads(
 # ---------------------------------------------------------------------------
 
 
-def dump_fasta(records, path: str, width: int = 60) -> None:
+def dump_fasta(records, path: str) -> None:
     with open(path, "w") as fh:
         for name, seq in records:
             fh.write(f">{name}\n")
-            for i in range(0, len(seq), width):
-                fh.write(seq[i : i + width] + "\n")
+            for i in range(0, len(seq), 60):
+                fh.write(seq[i : i + 60] + "\n")
 
 
 def load_fasta(path: str) -> list:

@@ -472,15 +472,6 @@ class PartitionHierarchy:
         return {"levels": out, "truncated": self.truncated}
 
 
-def default_branching(max_tile: int):
-    """Default component count rule: twice the minimum tile covering."""
-
-    def k_fn(n: int) -> int:
-        return max(1, math.ceil(n / max_tile) * 2)
-
-    return k_fn
-
-
 def _min_feasible_k(n: int, max_tile: int, imbalance: float) -> int:
     k = max(1, math.ceil(n / max_tile))
     while _size_cap(n, k, imbalance) > max_tile and k < n:
@@ -529,12 +520,12 @@ def build_hierarchy(
     boundary still does not shrink the hierarchy stops there (``truncated``
     set, the oversized top boundary graph is closed exactly in software by
     the engine).  Every component at every level fits ``max_tile``.  Only
-    the arcs of ``g`` are read, never their weights.
+    the arcs of ``g`` are read, never their weights.  ``k_fn(n)`` asks for
+    the component count of an n-vertex level; by default it is twice the
+    minimum tile covering.
     """
     if max_tile < 2:
         raise HierarchyError("max_tile must be at least 2")
-    if k_fn is None:
-        k_fn = default_branching(max_tile)
 
     n = g.n
     if n <= max_tile:
@@ -553,7 +544,7 @@ def build_hierarchy(
         else:
             struct = g
         k_lo = _min_feasible_k(n, max_tile, imbalance)
-        k = min(n, max(k_fn(n), k_lo))
+        k = min(n, max(k_fn(n) if k_fn else 2 * math.ceil(n / max_tile), k_lo))
         # when every vertex is boundary, fall back once to fewer, larger
         # components, which cut fewer edges
         for k in (k, max(k_lo, k // 2)):

@@ -61,22 +61,13 @@ class AlignmentError(GraphError):
     """Bad alignment request (empty query, width misuse, unknown mapping)."""
 
 
-@dataclass
-class MaskTable:
-    """Per-character match masks for one query window.
+def precompute_masks(segment: str, W: int) -> dict:
+    """Per-character match masks for one query window of width ``W``.
 
     Bit j of ``masks[c]`` is set iff the window segment has character c at
-    offset j.  'N' never matches, so it owns no bits and matches none.
+    offset j.  Only A, C, G and T have entries: 'N' never matches, so it
+    owns no bits and matches none.
     """
-
-    W: int
-    masks: dict
-
-    def mask(self, code: int) -> int:
-        return self.masks.get(code, 0)
-
-
-def precompute_masks(segment: str, W: int) -> MaskTable:
     if len(segment) > W:
         raise AlignmentError(f"segment of {len(segment)} chars exceeds window {W}")
     masks = {c: 0 for c in _ACGT}
@@ -85,7 +76,7 @@ def precompute_masks(segment: str, W: int) -> MaskTable:
             masks[ch] |= 1 << j
         elif ch != DNA_ALPHABET[4]:  # 'N' stays maskless
             raise AlphabetError(f"query char {chr(ch)!r} not in ACGTN")
-    return MaskTable(W, masks)
+    return masks
 
 
 @dataclass
@@ -143,8 +134,7 @@ def align_windowed(g: GenomeGraph, q: str, W: int = DEFAULT_W) -> AlignResult:
     ends: set[int] = set()
     processed = 0
     for i in range(1, k + 1):
-        mt = precompute_masks(q[(i - 1) * W : i * W], W)
-        masks = mt.masks
+        masks = precompute_masks(q[(i - 1) * W : i * W], W)
         for v in order:
             lo, hi = pred_ptr[v], pred_ptr[v + 1]
             d_in = 0

@@ -237,9 +237,7 @@ def parse_gfa_reference(text):
 
     succ_ptr, succ_idx = csr(src, dst)
     pred_ptr, pred_idx = csr(dst, src)
-    g = GenomeGraph(b, pred_ptr, pred_idx, succ_ptr, succ_idx, order)
-    g.names = list(seg_seq)
-    return g
+    return GenomeGraph(b, pred_ptr, pred_idx, succ_ptr, succ_idx, order)
 
 
 def bank_conflict_reference(g, h):

@@ -387,6 +387,24 @@ def test_export_tsv_roundtrip_with_inf(tmp_path):
     assert np.array_equal(load_distances(str(path)), res.dist)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"GDPD\x01",  # cut inside the vertex count
+        b"GDPD\x02\x00\x00\x00" + bytes(12),  # 3 of 4 entries
+        b"GDPD\x02\x00\x00\x00" + bytes(13),  # a partial fourth entry
+        b"0\tx\n1\t0\n",  # a non-numeric entry
+        b"0\t\xff\n1\t0\n",  # not text
+        b"0\t1\n1\n",  # ragged rows
+    ],
+)
+def test_load_distances_rejects_malformed_files(data, tmp_path):
+    path = tmp_path / "d"
+    path.write_bytes(data)
+    with pytest.raises(ApspError):
+        load_distances(str(path))
+
+
 def test_export_tsv_rejects_large(tmp_path):
     g = gen_er(520, 0.004, seed=0)
     res = recursive_apsp(g, max_tile=256)

@@ -527,6 +527,40 @@ def test_config_unknown_field_is_usage_error(tmp_path):
                    "--config", cfgp, "--out", tmp_path) == 2, bad
 
 
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("pcm", "units_per_tile", 2.5),
+        ("pcm", "tiles_per_die", 0.001),
+        ("pcm", "bits", 7.9),
+        ("pcm", "unit_dim", 1024.0),
+        ("hbm", "sram_banks", 2.0),
+    ],
+)
+def test_config_fractional_count_is_usage_error(
+    section, field, value, tmp_path, capsys
+):
+    # a count of units, tiles, bits or banks is a whole number
+    cfgp = tmp_path / "dev.json"
+    cfgp.write_text(json.dumps({section: {field: value}}))
+    assert run("gen", "er", "--n", 40, "--p", 0.05, "--out", tmp_path) == 0
+    capsys.readouterr()
+    assert run("apsp", "--graph", tmp_path / "graph.edges", "--model",
+               "--config", cfgp, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad device.{section} override: {field} must be an integer\n"
+
+
+def test_config_fractional_bank_access_cycles_is_priced(tmp_path):
+    gfa, reads = _gen_inputs(tmp_path, bases=600, reads=2)
+    cfgp = tmp_path / "dev.json"
+    cfgp.write_text(json.dumps({"hbm": {"bank_access_cycles": 1.37}}))
+    assert run("s2g", "--graph", gfa, "--reads", reads, "--model",
+               "--config", cfgp, "--out", tmp_path) == 0
+    cfg = json.loads((tmp_path / "run.json").read_text())
+    assert cfg["device"]["hbm"]["bank_access_cycles"] == 1.37
+
+
 def test_reruns_are_byte_identical(tmp_path):
     d = tmp_path / "w"
     cmds = [

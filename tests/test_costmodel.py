@@ -213,7 +213,7 @@ def test_report_addition_accumulates_counters():
     assert c.cycles == 15
     assert c.wall_time_s == pytest.approx(3e-6)
     assert c.energy_j == pytest.approx(4e-9)
-    assert c.hbm_bytes_total == 96
+    assert c.hbm_bytes_regular + c.hbm_bytes_irregular == 96
 
 
 def test_report_rejects_negative():
@@ -253,7 +253,7 @@ def test_single_tile_trace_equals_one_block():
     direct = model_fw_block(80)
     assert rep.wall_time_s == pytest.approx(direct.wall_time_s)
     assert rep.energy_j == pytest.approx(direct.energy_j)
-    assert rep.hbm_bytes_total == 0
+    assert rep.hbm_bytes_regular + rep.hbm_bytes_irregular == 0
 
 
 def test_two_equal_components_close_in_parallel():

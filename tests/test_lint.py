@@ -77,6 +77,89 @@ def test_no_unused_parameters():
     assert not hits, "parameters never read:\n" + "\n".join(hits)
 
 
+# defaults no production call sets, each kept for the reason given
+_UNSET_DEFAULTS = {
+    ("make_tile_workload", "n"): "tests build clique chains smaller than 131,072",
+    ("sweep_tile_size", "g"): "tests sweep graphs smaller than the clique chain",
+}
+
+
+def _defaulted(tree: ast.Module) -> list:
+    """(line, function, positional names, defaulted names) per function;
+    a method's ``self`` or ``cls`` is not positional to its callers."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        a = fn.args
+        pos = [p.arg for p in a.posonlyargs + a.args]
+        defaulted = set(pos[len(pos) - len(a.defaults):])
+        defaulted |= {
+            p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+        }
+        if pos[:1] in (["self"], ["cls"]):
+            pos = pos[1:]
+        out.append((fn.lineno, fn.name, pos, defaulted))
+    return out
+
+
+def _callee(expr):
+    return getattr(expr, "id", None) or getattr(expr, "attr", None)
+
+
+def _set_by_calls(trees: list, positional: dict) -> set:
+    """(function, parameter) pairs some call passes, by position or by
+    keyword; a function handed to a call takes that call's later arguments."""
+    passed = set()
+
+    def record(name, args, keywords):
+        for pos in positional.get(name, []):
+            for i, arg in enumerate(args):
+                if isinstance(arg, ast.Starred):
+                    passed.update((name, p) for p in pos[i:])
+                    break
+                if i < len(pos):
+                    passed.add((name, pos[i]))
+        for kw in keywords:
+            if kw.arg is not None:
+                passed.add((name, kw.arg))
+            else:  # **kwargs may set any parameter
+                for pos in positional.get(name, []):
+                    passed.update((name, p) for p in pos)
+
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            record(_callee(call.func), call.args, call.keywords)
+            for i, arg in enumerate(call.args):
+                if _callee(arg) in positional:
+                    record(_callee(arg), call.args[i + 1:], call.keywords)
+    return passed
+
+
+def test_every_option_is_set_by_a_caller():
+    # a default no production call overrides is a constant in disguise;
+    # tests and demos do not count as callers
+    sources = sorted((ROOT / "src" / "graphdp").rglob("*.py"))
+    callers = sources + sorted((ROOT / "perfbench").rglob("*.py"))
+    trees = {
+        p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in callers
+    }
+    defs = [(p, *d) for p in sources for d in _defaulted(trees[p])]
+    positional: dict = {}
+    for _, _, fn, pos, _ in defs:
+        positional.setdefault(fn, []).append(pos)
+    passed = _set_by_calls(list(trees.values()), positional)
+    hits = [
+        f"{path.relative_to(ROOT)}:{line}: {fn}({arg})"
+        for path, line, fn, _, defaulted in defs
+        for arg in sorted(defaulted)
+        if (fn, arg) not in passed and (fn, arg) not in _UNSET_DEFAULTS
+    ]
+    assert not hits, "defaults no caller overrides:\n" + "\n".join(hits)
+
+
 def _load_tracer():
     path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)

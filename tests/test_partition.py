@@ -309,7 +309,7 @@ def test_find_boundary_matches_brute_force():
         p = kway_partition(g, 4)
         bs = find_boundary(g, p)
         expected = set()
-        for u, v, _ in g.edges():
+        for u, v in zip(g.src.tolist(), g.dst.tolist()):
             if p.assign[u] != p.assign[v]:
                 expected.add(u)
                 expected.add(v)

@@ -76,23 +76,24 @@ def longest_path_nodes(g):
 
 def test_mask_table_act():
     mt = precompute_masks("ACT", 8)
-    assert mt.mask(ord("A")) == 0b001
-    assert mt.mask(ord("C")) == 0b010
-    assert mt.mask(ord("T")) == 0b100
-    assert mt.mask(ord("G")) == 0
+    assert mt[ord("A")] == 0b001
+    assert mt[ord("C")] == 0b010
+    assert mt[ord("T")] == 0b100
+    assert mt[ord("G")] == 0
 
 
 def test_mask_table_repeated():
-    assert precompute_masks("AAAA", 8).mask(ord("A")) == 0b1111
+    assert precompute_masks("AAAA", 8)[ord("A")] == 0b1111
 
 
 def test_mask_table_n_owns_no_bits():
     mt = precompute_masks("ANA", 8)
-    assert mt.mask(ord("A")) == 0b101
+    assert mt[ord("A")] == 0b101
     total = 0
     for c in b"ACGT":
-        total |= mt.mask(c)
+        total |= mt[c]
     assert total == 0b101
+    assert ord("N") not in mt
 
 
 def test_mask_table_rejects_long_segment():
