@@ -33,6 +33,7 @@ quality or schedule.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -68,6 +69,15 @@ class MergeEvent:
     cols: int
     left_boundary: int
     right_boundary: int
+
+    @property
+    def passes(self) -> tuple:
+        """The merge as two comparator-tree passes, as ``(rows, width)``:
+        its rows through the left boundary, then through the right one."""
+        return (
+            (self.rows * self.right_boundary, self.left_boundary),
+            (self.rows * self.cols, self.right_boundary),
+        )
 
 
 @dataclass
@@ -108,7 +118,7 @@ def choose_mode(hierarchy: PartitionHierarchy) -> str:
 
     Past ``DENSE_LIMIT`` vertices it is ``"lazy"`` (no base-level merges).
     Otherwise it is ``"direct"`` when the dense schedule's op count (dim^3
-    per closure, rows * b2 * (b1 + cols) per merge) reaches
+    per closure, rows * width per merge pass) reaches
     ``DIRECT_OPS_SHARE`` * n^3, and ``"dense"`` when recursion costs less.
     A graph of one tile stays dense: that schedule is already one closure.
     """
@@ -119,10 +129,7 @@ def choose_mode(hierarchy: PartitionHierarchy) -> str:
         return "dense"
     trace = schedule(hierarchy, "dense")
     ops = sum(ev.dim**3 for ev in trace.fw_events)
-    ops += sum(
-        ev.rows * ev.right_boundary * (ev.left_boundary + ev.cols)
-        for ev in trace.merge_events
-    )
+    ops += sum(r * w for ev in trace.merge_events for r, w in ev.passes)
     return "direct" if ops >= DIRECT_OPS_SHARE * base.n**3 else "dense"
 
 
@@ -316,9 +323,11 @@ def load_distances(path: str) -> np.ndarray:
         if head == DIST_MAGIC:
             size = fh.read(4)
             n = struct.unpack("<I", size)[0] if len(size) == 4 else 0
-            body = fh.read(4 * n * n)
-            if len(size) < 4 or len(body) != 4 * n * n:
+            # check n against the file size first: a bogus header's 4 * n^2
+            # bytes may not even fit a read request
+            if len(size) < 4 or os.fstat(fh.fileno()).st_size < 8 + 4 * n * n:
                 raise ApspError("truncated distance file")
+            body = fh.read(4 * n * n)
             return np.frombuffer(body, dtype="<u4").reshape(n, n).astype(np.int64)
     rows = []
     try:
@@ -332,4 +341,7 @@ def load_distances(path: str) -> np.ndarray:
         raise ApspError(f"unreadable distance entry: {exc}") from exc
     if rows and any(len(r) != len(rows) for r in rows):
         raise ApspError("ragged distance rows")
-    return np.asarray(rows, dtype=np.int64).reshape(len(rows), len(rows))
+    try:
+        return np.asarray(rows, dtype=np.int64).reshape(len(rows), len(rows))
+    except OverflowError as exc:
+        raise ApspError(f"distance entry beyond int64: {exc}") from exc

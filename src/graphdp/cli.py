@@ -17,7 +17,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -157,6 +157,20 @@ def _write_csv(path: str, columns, rows, cfg: dict) -> None:
             wr.writerow(row)
 
 
+def _workload(args, kind: str) -> WorkloadDescriptor:
+    """The ``kind`` ("apsp" or "s2g") descriptor of the files and flags in
+    ``args``, with the device of ``--config``."""
+    pcm, hbm = _device(args.config)
+    if kind == "apsp":
+        g = load_edge_list(args.graph)
+        return WorkloadDescriptor("apsp", g, max_tile=args.max_tile, pcm=pcm)
+    g = load_genome_graph(args.graph)
+    reads = load_fasta(args.reads)
+    if not reads:
+        raise UsageError(f"no reads in {args.reads}")
+    return WorkloadDescriptor("s2g", g, reads=reads, W=args.W, mode=args.mode, hbm=hbm)
+
+
 def _base_cfg(args, command: str) -> dict:
     return {
         "command": command,
@@ -235,16 +249,10 @@ def cmd_gen(args) -> int:
 
 def cmd_apsp(args) -> int:
     outdir = _outdir(args)
-    pcm, _ = _device(args.config)
-    g = load_edge_list(args.graph)
+    w = _workload(args, "apsp")
+    g = w.graph
     # refuse before partitioning what the engine cannot close
     check_dense(g.n)
-    w = WorkloadDescriptor(
-        "apsp",
-        g,
-        max_tile=args.max_tile,
-        pcm=pcm,
-    )
     out = execute(lower(w), cost_model_on=args.model)
     res = out["apsp"]
 
@@ -268,7 +276,7 @@ def cmd_apsp(args) -> int:
         fmt=args.fmt,
         verify=args.verify,
         model=args.model,
-        device={"pcm": asdict(pcm)},
+        device={"pcm": asdict(w.pcm)},
         outputs=outputs,
     )
     _emit_run(outdir, cfg)
@@ -295,23 +303,13 @@ def cmd_apsp(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _s2g_run(g, reads, mode, W, hbm, with_cost):
-    w = WorkloadDescriptor("s2g", g, reads=reads, W=W, mode=mode, hbm=hbm)
-    return execute(lower(w), cost_model_on=with_cost)
-
-
 def cmd_s2g(args) -> int:
     outdir = _outdir(args)
-    _, hbm = _device(args.config)
-    g = load_genome_graph(args.graph)
-    reads = load_fasta(args.reads)
-    if not reads:
-        raise UsageError(f"no reads in {args.reads}")
+    w = _workload(args, "s2g")
+    g, by_id = w.graph, dict(w.reads)
 
     sweep_ws = _parse_ints(args.W_sweep) if args.W_sweep else None
-    out = _s2g_run(
-        g, reads, args.mode, args.W, hbm, args.model or sweep_ws is not None
-    )
+    out = execute(lower(w), cost_model_on=args.model or sweep_ws is not None)
     results = out["s2g"]
     ids = sorted(results)
 
@@ -328,16 +326,15 @@ def cmd_s2g(args) -> int:
         W_sweep=sweep_ws,
         verify=args.verify,
         model=args.model,
-        device={"hbm": asdict(hbm)},
+        device={"hbm": asdict(w.hbm)},
     )
 
     if sweep_ws:
         # the device-fidelity kernel must reproduce, at every swept width,
         # the production score, lowest end node and derived window count
-        by_id = dict(reads)
         rows = []
         for Wi in sweep_ws:
-            oi = _s2g_run(g, reads, args.mode, Wi, hbm, True)
+            oi = execute(lower(replace(w, W=Wi)), cost_model_on=True)
             for rid in ids:
                 want = oi["s2g"][rid]
                 got = align_windowed(g, by_id[rid], W=Wi)
@@ -381,7 +378,6 @@ def cmd_s2g(args) -> int:
     print(f"s2g: reads={len(ids)} mode={args.mode} -> {scores_path}")
 
     if args.verify:
-        by_id = dict(reads)
         for rid in ids:
             want = align_reference(g, by_id[rid])
             got = results[rid]
@@ -473,25 +469,11 @@ def cmd_plan(args) -> int:
     elif args.workload == "apsp":
         if not args.graph:
             raise UsageError("plan --workload apsp requires --graph")
-        pcm, _ = _device(args.config)
-        w = WorkloadDescriptor(
-            "apsp",
-            load_edge_list(args.graph),
-            max_tile=args.max_tile,
-            pcm=pcm,
-        )
+        w = _workload(args, "apsp")
     elif args.workload == "s2g":
         if not (args.graph and args.reads):
             raise UsageError("plan --workload s2g requires --graph and --reads")
-        _, hbm = _device(args.config)
-        w = WorkloadDescriptor(
-            "s2g",
-            load_genome_graph(args.graph),
-            reads=load_fasta(args.reads),
-            W=args.W,
-            mode=args.mode,
-            hbm=hbm,
-        )
+        w = _workload(args, "s2g")
     else:
         raise UsageError("plan requires --desc or --workload")
 

@@ -13,6 +13,7 @@ serialize to JSON (nested) or CSV (one row per phase).
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import operator
@@ -21,7 +22,7 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .apsp import ExecutionTrace, MergeEvent, schedule
+from .apsp import ExecutionTrace, schedule
 from .graphs import SHORT_READ_THRESHOLD, WeightedGraph
 from .partition import PartitionHierarchy, _structural_graph, build_hierarchy
 from .s2g import MODE_LONG, MODE_SHORT, BatchTrace, classify_self_hop
@@ -45,15 +46,15 @@ class ValidationError(ModelError):
 
 
 def _check_constants(params) -> None:
-    """Refuse a device constant that is not positive (or is NaN), as the
-    models divide by rates, widths and counts, and a count (a field typed
-    ``int``) that is not an integer."""
+    """Refuse a device constant that is NaN, not positive or infinite, as
+    the models divide by rates, widths and counts, and a count (a field
+    typed ``int``) that is not an integer."""
     for f in fields(params):
         v = getattr(params, f.name)
         if f.type == "int" and type(v) is not int:  # a bool is no count
             raise ValidationError(f"{f.name} must be an integer")
-        if not v > 0:
-            raise ValidationError(f"{f.name} must be positive")
+        if not 0 < v < math.inf:
+            raise ValidationError(f"{f.name} must be positive and finite")
 
 
 @dataclass
@@ -311,15 +312,6 @@ def _fw_cost(dim: int, p: PcmParams) -> CostReport:
     return _blocked_fw(dim, p) if dim > p.unit_dim else model_fw_block(dim, p=p)
 
 
-def _merge_shapes(ev: MergeEvent) -> tuple:
-    """One merge event as two tree passes, as ``(rows, width)``: its rows
-    through the left boundary, then through the right one."""
-    return (
-        (ev.rows * ev.right_boundary, ev.left_boundary),
-        (ev.rows * ev.cols, ev.right_boundary),
-    )
-
-
 def _report_sum(reps: list, *start) -> CostReport:
     """``reps[0] + reps[1] + ...``, or ``CostReport() + reps[0] + ...`` with
     ``start`` 0.0: each field, and each phase by name, adds left to right in
@@ -332,16 +324,24 @@ def _report_sum(reps: list, *start) -> CostReport:
 
 
 def _makespan(durations: list, workers: int) -> float:
-    """LPT greedy schedule length for independent tasks."""
-    if not durations:
-        return 0.0
-    if len(durations) <= workers:
-        return max(durations)
-    heap = [0.0] * workers
+    """LPT greedy schedule length for independent tasks: longest first,
+    each onto the least-loaded worker."""
+    loads = [0.0] * min(workers, len(durations))
     for d in sorted(durations, reverse=True):
-        i = min(range(workers), key=heap.__getitem__)
-        heap[i] += d
-    return max(heap)
+        heapq.heapreplace(loads, loads[0] + d)
+    return max(loads, default=0.0)
+
+
+def _priced(trace: ExecutionTrace, p: PcmParams) -> tuple:
+    """The report of each fw event, and of each merge event's tree passes
+    (two per event), in schedule order.  Each distinct shape is priced
+    once, so equal shapes share one report."""
+    fw = cache(lambda dim: _fw_cost(dim, p))
+    mp = cache(lambda rows, width: _mp_split(rows, width, p))
+    return (
+        [fw(ev.dim) for ev in trace.fw_events],
+        [mp(*shape) for ev in trace.merge_events for shape in ev.passes],
+    )
 
 
 def model_recursive_apsp(
@@ -355,70 +355,59 @@ def model_recursive_apsp(
     overlaps compute (latency takes the max); the base level is assumed
     warm in the crossbars.  Energies and byte counters are summed.  A
     closure wider than the unit is priced as a blocked closure, as the tile
-    sweep prices it.  Each distinct event shape is priced once, and every
-    phase sums its events' fields in event order, as a chain of ``+`` would.
+    sweep prices it.  Events are priced by :func:`_priced`; each phase sums
+    its events' fields in event order, and the total sums the phases in
+    phase order, as a chain of ``+`` would.
     """
     p = p or PcmParams()
     if not isinstance(trace, ExecutionTrace):
         raise ValidationError("model_recursive_apsp needs an ExecutionTrace")
     U = p.total_units
-    fw = cache(lambda dim: _fw_cost(dim, p))
-    mp = cache(lambda rows, width: _mp_split(rows, width, p))
+    fw_reps, pass_reps = _priced(trace, p)
+    fw_groups: dict = {}
+    for ev, rep in zip(trace.fw_events, fw_reps):
+        if ev.dim > 0 or ev.kind == "top":
+            fw_groups.setdefault((ev.level, ev.kind), []).append(rep)
+    merge_groups: dict = {}
+    for i, ev in enumerate(trace.merge_events):
+        reps, staged = merge_groups.setdefault(ev.level, ([], []))
+        reps += pass_reps[2 * i : 2 * i + 2]
+        staged.append(ev.rows * ev.cols * (p.bits // 8))
 
-    total = CostReport()
-    wall = 0.0
-    by_level_fw: dict = {}
-    for ev in trace.fw_events:
-        by_level_fw.setdefault((ev.level, ev.kind), []).append(ev.dim)
-    merge_by_level: dict = {}
-    for ev in trace.merge_events:
-        merge_by_level.setdefault(ev.level, []).append(ev)
-
-    def add_phase(name, rep, wall_s):
-        nonlocal total, wall
-        entry = replace(rep, wall_time_s=wall_s)
-        total = total + replace(entry, phases={name: entry})
-        wall += wall_s
-
-    for (level, kind), dims in sorted(by_level_fw.items()):
+    # each phase's report carries its latency as its wall time
+    phases = {}
+    for (level, kind), reps in sorted(fw_groups.items()):
         if kind == "top":
-            rep = fw(dims[0])
-            add_phase("top.fw", rep, rep.wall_time_s)
-            continue
-        reps = [fw(d) for d in dims if d > 0]
-        if not reps:
+            phases["top.fw"] = reps[0]
             continue
         span = _makespan([r.wall_time_s for r in reps], U)
-        add_phase(f"level{level}.{kind}", _report_sum(reps, 0.0), span)
-
-    for level, events in sorted(merge_by_level.items()):
-        reps = [mp(*shape) for ev in events for shape in _merge_shapes(ev)]
+        rep = replace(_report_sum(reps, 0.0), wall_time_s=span)
+        phases[f"level{level}.{kind}"] = rep
+    for level, (reps, staged) in sorted(merge_groups.items()):
         span = _makespan([r.wall_time_s for r in reps], U)
         if level >= 1:
-            staged = [ev.rows * ev.cols * (p.bits // 8) for ev in events]
             stage_bytes = reduce(operator.add, staged, 0.0)
             reps.append(CostReport(hbm_bytes_regular=stage_bytes))
             span = max(span, stage_bytes / p.hbm_bandwidth)
-        add_phase(f"level{level}.merge", _report_sum(reps, 0.0), span)
-
+        rep = replace(_report_sum(reps, 0.0), wall_time_s=span)
+        phases[f"level{level}.merge"] = rep
     if trace.inject_pairs:
-        bursts = math.ceil(trace.inject_pairs / 32)
-        cyc = bursts * 10
-        en = trace.inject_pairs * p.bits * p.write_energy_pj * 1e-12
-        rep = CostReport(
+        cyc = math.ceil(trace.inject_pairs / 32) * 10
+        phases["inject"] = CostReport(
             cycles=cyc,
             wall_time_s=cyc / p.clock_hz,
-            energy_j=en,
+            energy_j=trace.inject_pairs * p.bits * p.write_energy_pj * 1e-12,
             pcm_writes=float(trace.inject_pairs),
         )
-        add_phase("inject", rep, rep.wall_time_s)
 
-    busy = sum(r.cycles for r in total.phases.values())
+    total = _report_sum(list(phases.values()), 0.0)
+    wall = total.wall_time_s
+    busy = sum(r.cycles for r in phases.values())
     return replace(
         total,
-        wall_time_s=wall,
         cycles=wall * p.clock_hz,
         utilization={"units": busy / (wall * p.clock_hz * U) if wall else 0.0},
+        phases=phases,
     )
 
 
@@ -718,30 +707,21 @@ def _hierarchy_cost(hier: PartitionHierarchy, N: int, p: PcmParams):
     the clock derated past the 1024 design point.  Boundary assembly
     (cross-component merges at levels above the base) drains through the
     die-level merge lanes, a fixed fixture, so its latency tracks boundary
-    volume rather than unit count.  Each distinct event shape is priced
-    once; the sums still add event by event, in schedule order.
+    volume rather than unit count.  Events are priced by :func:`_priced`;
+    cycles add per pool and energy over all events, each event by event in
+    schedule order, closures first.
     """
     pn = _tile_params(p, N)
-    fw = cache(lambda dim: _fw_cost(dim, pn))
-    mp = cache(lambda rows, width: _mp_split(rows, width, pn))
-    units = p.total_units * (1024.0 / N) ** 2
-    trace = schedule(hier, "lazy")
-    close_cycles = 0.0
-    merge_cycles = 0.0
-    energy = 0.0
-    for ev in trace.fw_events:
-        rep = fw(ev.dim)
-        close_cycles += rep.cycles
-        energy += rep.energy_j
-    for ev in trace.merge_events:
-        for shape in _merge_shapes(ev):
-            rep = mp(*shape)
-            merge_cycles += rep.cycles
-            energy += rep.energy_j
+    fw_reps, pass_reps = _priced(schedule(hier, "lazy"), pn)
 
+    def total(reps, name):
+        return reduce(operator.add, [getattr(r, name) for r in reps], 0.0)
+
+    units = p.total_units * (1024.0 / N) ** 2
     clock = p.clock_hz * pn.derate(N)
-    wall = close_cycles / (units * clock) + merge_cycles / (p.merge_drain_lanes * clock)
-    return wall, energy
+    close_s = total(fw_reps, "cycles") / (units * clock)
+    merge_s = total(pass_reps, "cycles") / (p.merge_drain_lanes * clock)
+    return close_s + merge_s, total(fw_reps + pass_reps, "energy_j")
 
 
 def sweep_tile_size(Ns, g: WeightedGraph | None = None, p: PcmParams | None = None):

@@ -134,10 +134,10 @@ def device_params(section) -> tuple:
 
 
 def _int_field(doc: dict, name: str, default: int) -> int:
-    try:
-        return int(doc.get(name, default))
-    except (TypeError, ValueError, OverflowError) as e:
-        raise DescriptorError(f"descriptor field {name!r}: {e}") from e
+    value = doc.get(name, default)
+    if type(value) is not int:  # a bool or a fraction is no count
+        raise DescriptorError(f"descriptor field {name!r} must be an integer")
+    return value
 
 
 def _path_field(doc: dict, name: str) -> str:

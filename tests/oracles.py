@@ -27,6 +27,14 @@ splits them) and adding reports pairwise with its own field-by-field
 each phase's fields in one pass; ``cost.json`` and ``cost.csv`` must stay
 byte-identical to it.
 
+``makespan_reference`` is the LPT schedule length as a linear scan for
+the least-loaded worker, as it was before the production ``_makespan``
+moved onto a heap; ``model_recursive_apsp_reference`` schedules with it.
+
+``hierarchy_cost_reference`` is the tile sweep's pricing of one hierarchy
+as an event-by-event ``+=`` loop, each merge stated as its two tree
+passes; ``costmodel._hierarchy_cost`` must return the same two floats.
+
 ``disjoint_copies`` lays copies of a graph side by side, a disconnected
 input whose hierarchy levels can cut no arc.
 """
@@ -54,9 +62,10 @@ from graphdp.costmodel import (
     CostReport,
     PcmParams,
     _fw_cost,
-    _makespan,
+    _tile_params,
     model_mp_merge,
 )
+from graphdp.apsp import schedule
 from graphdp.s2g import classify_self_hop
 
 
@@ -280,6 +289,18 @@ def _merge_pass(rows, width, p):
     return _added(partial, model_mp_merge(rows, parts, p))
 
 
+def makespan_reference(durations, workers):
+    if not durations:
+        return 0.0
+    if len(durations) <= workers:
+        return max(durations)
+    loads = [0.0] * workers
+    for d in sorted(durations, reverse=True):
+        i = min(range(workers), key=loads.__getitem__)
+        loads[i] += d
+    return max(loads)
+
+
 def model_recursive_apsp_reference(trace, p=None):
     p = p or PcmParams()
     U = p.total_units
@@ -310,7 +331,7 @@ def model_recursive_apsp_reference(trace, p=None):
         agg = CostReport()
         for r in reps:
             agg = _added(agg, r)
-        span = _makespan([r.wall_time_s for r in reps], U)
+        span = makespan_reference([r.wall_time_s for r in reps], U)
         add_phase(f"level{level}.{kind}", agg, span)
 
     for level, events in sorted(merge_by_level.items()):
@@ -323,7 +344,7 @@ def model_recursive_apsp_reference(trace, p=None):
         agg = CostReport()
         for r in reps:
             agg = _added(agg, r)
-        span = _makespan([r.wall_time_s for r in reps], U)
+        span = makespan_reference([r.wall_time_s for r in reps], U)
         if level >= 1:
             agg = _added(agg, CostReport(hbm_bytes_regular=stage_bytes))
             span = max(span, stage_bytes / p.hbm_bandwidth)
@@ -348,3 +369,27 @@ def model_recursive_apsp_reference(trace, p=None):
         cycles=wall * p.clock_hz,
         utilization={"units": busy / (wall * p.clock_hz * U) if wall else 0.0},
     )
+
+
+def hierarchy_cost_reference(hier, N, p):
+    pn = _tile_params(p, N)
+    units = p.total_units * (1024.0 / N) ** 2
+    trace = schedule(hier, "lazy")
+    close_cycles = 0.0
+    merge_cycles = 0.0
+    energy = 0.0
+    for ev in trace.fw_events:
+        rep = _fw_cost(ev.dim, pn)
+        close_cycles += rep.cycles
+        energy += rep.energy_j
+    for ev in trace.merge_events:
+        for rows, width in (
+            (ev.rows * ev.right_boundary, ev.left_boundary),
+            (ev.rows * ev.cols, ev.right_boundary),
+        ):
+            rep = _merge_pass(rows, width, pn)
+            merge_cycles += rep.cycles
+            energy += rep.energy_j
+    clock = p.clock_hz * pn.derate(N)
+    wall = close_cycles / (units * clock) + merge_cycles / (p.merge_drain_lanes * clock)
+    return wall, energy

@@ -396,6 +396,8 @@ def test_export_tsv_roundtrip_with_inf(tmp_path):
         b"0\tx\n1\t0\n",  # a non-numeric entry
         b"0\t\xff\n1\t0\n",  # not text
         b"0\t1\n1\n",  # ragged rows
+        b"GDPD\xff\xff\xff\x7f",  # a vertex count far past the file
+        b"0\t99999999999999999999\n1\t0\n",  # an entry beyond int64
     ],
 )
 def test_load_distances_rejects_malformed_files(data, tmp_path):

@@ -561,6 +561,31 @@ def test_config_fractional_bank_access_cycles_is_priced(tmp_path):
     assert cfg["device"]["hbm"]["bank_access_cycles"] == 1.37
 
 
+@pytest.mark.parametrize(
+    "section, field, text, argv",
+    [
+        ("pcm", "clock_hz", "1e400", ["apsp", "--graph", "@", "--model"]),
+        ("hbm", "pe_clock_hz", "Infinity", ["sweep", "pe"]),
+        ("pcm", "hbm_bandwidth", "-Infinity", ["sweep", "tilesize", "--Ns", "256"]),
+    ],
+)
+def test_config_infinite_constant_is_usage_error(
+    section, field, text, argv, tmp_path, capsys
+):
+    # an infinite rate used to price to NaN: "cycles": NaN in cost.json, and
+    # nan in the pe sweep
+    cfgp = tmp_path / "dev.json"
+    cfgp.write_text(f'{{"{section}": {{"{field}": {text}}}}}')
+    assert run("gen", "er", "--n", 40, "--p", 0.05, "--out", tmp_path) == 0
+    capsys.readouterr()
+    argv = [str(tmp_path / "graph.edges") if a == "@" else a for a in argv]
+    assert run(*argv, "--config", cfgp, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: bad device.{section} override: {field} must be positive and finite\n"
+    )
+
+
 def test_reruns_are_byte_identical(tmp_path):
     d = tmp_path / "w"
     cmds = [

@@ -1,8 +1,11 @@
 import math
+import time
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import graphdp.costmodel as costmodel
 import graphdp.partition as partition
@@ -16,6 +19,8 @@ from graphdp.costmodel import (
     PcmParams,
     ValidationError,
     _bank_conflict_cycles,
+    _hierarchy_cost,
+    _makespan,
     arithmetic_intensity,
     make_tile_workload,
     make_traversal_trace,
@@ -39,7 +44,12 @@ from graphdp.graphs import (
 )
 from graphdp.partition import build_hierarchy, kway_partition
 from graphdp.s2g import batch_align
-from oracles import bank_conflict_reference, model_recursive_apsp_reference
+from oracles import (
+    bank_conflict_reference,
+    hierarchy_cost_reference,
+    makespan_reference,
+    model_recursive_apsp_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +374,39 @@ def test_recursive_model_matches_the_per_event_reference(p):
         assert got.to_csv() == want.to_csv(), name
 
 
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0, 1e3)), max_size=40
+    ),
+    st.integers(1, 50),
+)
+@example([], 3)
+@example([0.0, 0.0, 0.0], 2)
+@example([2.5, 2.5, 1.0, 1.0, 0.0], 3)
+@example([1.0, 2.0], 7)
+def test_makespan_matches_the_linear_scan(durations, workers):
+    # ties and zeros, and workers both above and below the task count
+    assert _makespan(durations, workers) == makespan_reference(durations, workers)
+
+
+def test_pricing_stays_fast_past_the_die_units():
+    # more tasks in one phase than the die's 16,640 units: a linear scan for
+    # the least-loaded unit took tens of seconds on this trace
+    trace = ExecutionTrace(
+        depth=1,
+        mode="dense",
+        fw_events=[FwEvent(0, 1 + i % 997, "close") for i in range(20000)],
+        merge_events=[
+            MergeEvent(0, 1 + i % 31, 1 + i % 37, 1 + i % 13, 1 + i % 11)
+            for i in range(20000)
+        ],
+    )
+    t0 = time.perf_counter()
+    rep = model_recursive_apsp(trace)
+    assert time.perf_counter() - t0 < 5
+    assert set(rep.phases) == {"level0.close", "level0.merge"}
+
+
 def test_recursive_model_rejects_non_trace():
     with pytest.raises(ValidationError):
         model_recursive_apsp({"depth": 1})
@@ -534,6 +577,33 @@ def test_tile_sweep_energy_monotone_in_tile(tile_sweep_rows):
     rows = tile_sweep_rows
     en = [e for _, _, e in rows]
     assert all(b > a for a, b in zip(en, en[1:]))
+
+
+@pytest.fixture(scope="module")
+def tile_hierarchies():
+    g = make_tile_workload(8192)
+    return {
+        N: build_hierarchy(
+            g, max_tile=N, k_fn=lambda n, N=N: math.ceil(n / N), imbalance=0.0
+        )
+        for N in (16, 64, 256, 2048)
+    }
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        PcmParams(),
+        PcmParams(clock_hz=7.3e8, add_cycles_per_bit=2.5, sub_cycles_per_bit=1.7,
+                  read_energy_pj=0.037, write_energy_pj=0.61, tiles_per_die=3,
+                  merge_drain_lanes=999, freq_derate_alpha=1.1, bits=24),
+    ],
+    ids=["default", "custom"],
+)
+def test_sweep_pricing_matches_the_event_loop(tile_hierarchies, p):
+    # exact floats, not the six digits tilesize.csv prints
+    for N, hier in tile_hierarchies.items():
+        assert _hierarchy_cost(hier, N, p) == hierarchy_cost_reference(hier, N, p), N
 
 
 def test_sweep_partitions_as_standalone_builds(monkeypatch):

@@ -319,3 +319,25 @@ def test_load_descriptor_missing_input():
         load_descriptor({"kind": "fft"})
     with pytest.raises(DescriptorError):
         load_descriptor([1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "field, value", [("max_tile", 2.5), ("max_tile", True), ("W", 2.5), ("W", "64")]
+)
+def test_load_descriptor_refuses_a_count_that_is_not_an_integer(
+    field, value, tmp_path
+):
+    # a fraction used to be truncated (a tile of 2.5 planned tile 2) and a
+    # string parsed; a count is a JSON integer
+    (tmp_path / "g.edges").write_text("0\t1\t3\n1\t0\t3\n")
+    gfa, _ = gen_genome(300, 0.05, seed=1)
+    (tmp_path / "g.gfa").write_text(gfa)
+    (tmp_path / "r.fa").write_text(">r1\nACGTACGT\n")
+    if field == "max_tile":
+        doc = {"kind": "apsp", "graph": str(tmp_path / "g.edges")}
+    else:
+        doc = {"kind": "s2g", "graph": str(tmp_path / "g.gfa"),
+               "reads": str(tmp_path / "r.fa")}
+    with pytest.raises(DescriptorError, match=f"'{field}' must be an integer"):
+        load_descriptor({**doc, field: value})
+    assert load_descriptor({**doc, field: 64}).__dict__[field] == 64
