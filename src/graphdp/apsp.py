@@ -193,7 +193,7 @@ class ApspResult:
 def close_one(d: np.ndarray, ids: np.ndarray) -> None:
     """FW-close the block of the level matrix ``d`` on ``ids`` in place."""
     ix = np.ix_(ids, ids)
-    d[ix] = floyd_warshall_dense(d[ix])
+    d[ix] = floyd_warshall_dense(d[ix], inplace=True)
 
 
 def _assemble_level(d: np.ndarray, lv, closure: np.ndarray) -> None:
@@ -261,7 +261,7 @@ def recursive_apsp(
         raise ApspError("hierarchy does not match graph")
     mode = choose_mode(hierarchy)
     if mode == "direct":
-        dist = floyd_warshall_dense(distance_init(g))
+        dist = floyd_warshall_dense(distance_init(g), inplace=True)
         return ApspResult(g.n, hierarchy, schedule(hierarchy, mode), dist)
 
     # upward: close components in place; the boundary slice is the next level
@@ -275,7 +275,7 @@ def recursive_apsp(
     # top closure: the last boundary graph (oversized if truncated)
     closure = mats.pop()
     if closure.size:
-        closure = floyd_warshall_dense(closure)
+        closure = floyd_warshall_dense(closure, inplace=True)
 
     # downward: each level closes exactly from the closure of the one above
     for lv in reversed(levels):

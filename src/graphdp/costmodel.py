@@ -312,14 +312,40 @@ def _fw_cost(dim: int, p: PcmParams) -> CostReport:
     return _blocked_fw(dim, p) if dim > p.unit_dim else model_fw_block(dim, p=p)
 
 
-def _report_sum(reps: list, *start) -> CostReport:
-    """``reps[0] + reps[1] + ...``, or ``CostReport() + reps[0] + ...`` with
-    ``start`` 0.0: each field, and each phase by name, adds left to right in
-    list order, so one call gives the chain's floats and ints without
-    building its intermediate reports."""
-    sums = [reduce(operator.add, [getattr(r, f) for r in reps], *start) for f in _SUMMED]
-    keys = dict.fromkeys(k for r in reps for k in r.phases)
-    phases = {k: _report_sum([r.phases[k] for r in reps if k in r.phases]) for k in keys}
+_NO_PHASE = CostReport()
+
+
+def _report_sum(reps: list) -> CostReport:
+    """``reps[0] + reps[1] + ...``: each field, and each phase by name, adds
+    left to right in list order, so one call gives the chain's floats and
+    ints without building its intermediate reports.  Equal event shapes
+    share one report, so each distinct report is read once and the folds
+    index the distinct reports by position."""
+    pos: dict = {}
+    order = np.array([pos.setdefault(id(r), len(pos)) for r in reps], dtype=np.int64)
+    return _fold(list({id(r): r for r in reps}.values()), order)
+
+
+def _fold(uniq: list, order: np.ndarray) -> CostReport:
+    """The sum of ``uniq[i] for i in order``, as :func:`_report_sum` adds it.
+
+    A field whose first value is a float adds as a float64 at every step,
+    and ``np.cumsum`` makes the same adds in the same order; any other
+    field adds as Python numbers, so ints stay exact.  A phase folds the
+    reports that have it, in the same order."""
+    rows = [[getattr(r, f) for f in _SUMMED] for r in uniq]
+    wide = np.array(rows, dtype=np.float64)
+    sums = [
+        float(np.cumsum(wide[order, j])[-1]) if type(first) is float
+        else reduce(operator.add, np.array([row[j] for row in rows], dtype=object)[order])
+        for j, first in enumerate(rows[order[0]])
+    ]
+    phases = {}
+    for k in dict.fromkeys(k for r in uniq for k in r.phases):
+        # a report without the phase holds an empty place that no index reads
+        subs = [r.phases.get(k, _NO_PHASE) for r in uniq]
+        has = np.array([k in r.phases for r in uniq])
+        phases[k] = _fold(subs, order[has[order]])
     return CostReport(*sums, phases=phases)
 
 
@@ -381,7 +407,7 @@ def model_recursive_apsp(
             phases["top.fw"] = reps[0]
             continue
         span = _makespan([r.wall_time_s for r in reps], U)
-        rep = replace(_report_sum(reps, 0.0), wall_time_s=span)
+        rep = replace(_report_sum([CostReport(), *reps]), wall_time_s=span)
         phases[f"level{level}.{kind}"] = rep
     for level, (reps, staged) in sorted(merge_groups.items()):
         span = _makespan([r.wall_time_s for r in reps], U)
@@ -389,7 +415,7 @@ def model_recursive_apsp(
             stage_bytes = reduce(operator.add, staged, 0.0)
             reps.append(CostReport(hbm_bytes_regular=stage_bytes))
             span = max(span, stage_bytes / p.hbm_bandwidth)
-        rep = replace(_report_sum(reps, 0.0), wall_time_s=span)
+        rep = replace(_report_sum([CostReport(), *reps]), wall_time_s=span)
         phases[f"level{level}.merge"] = rep
     if trace.inject_pairs:
         cyc = math.ceil(trace.inject_pairs / 32) * 10
@@ -400,7 +426,7 @@ def model_recursive_apsp(
             pcm_writes=float(trace.inject_pairs),
         )
 
-    total = _report_sum(list(phases.values()), 0.0)
+    total = _report_sum([CostReport(), *phases.values()])
     wall = total.wall_time_s
     busy = sum(r.cycles for r in phases.values())
     return replace(

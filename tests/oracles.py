@@ -27,6 +27,9 @@ splits them) and adding reports pairwise with its own field-by-field
 each phase's fields in one pass; ``cost.json`` and ``cost.csv`` must stay
 byte-identical to it.
 
+``report_sum_reference`` adds reports one ``_added`` pair at a time, the
+chain that ``costmodel._report_sum`` folds field by field.
+
 ``makespan_reference`` is the LPT schedule length as a linear scan for
 the least-loaded worker, as it was before the production ``_makespan``
 moved onto a heap; ``model_recursive_apsp_reference`` schedules with it.
@@ -264,6 +267,14 @@ def bank_conflict_reference(g, h):
         hit = np.bincount(banks[g.pred_idx[lo:hi]].astype(np.int64))
         cycles += int(hit.max()) * h.bank_access_cycles + 1
     return cycles
+
+
+def report_sum_reference(reps):
+    """``reps[0] + reps[1] + ...``, one ``_added`` pair at a time."""
+    total = reps[0]
+    for r in reps[1:]:
+        total = _added(total, r)
+    return total
 
 
 def _added(a, b):

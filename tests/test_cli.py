@@ -137,7 +137,7 @@ def test_verify_catches_a_faulty_closure_kernel(tmp_path, monkeypatch, capsys):
     import graphdp.apsp
     import graphdp.minplus
 
-    def no_closure(d):
+    def no_closure(d, **kw):
         return np.array(d, dtype=np.uint32)
 
     for mod in (graphdp.minplus, graphdp.apsp, cli):

@@ -21,6 +21,7 @@ from graphdp.costmodel import (
     _bank_conflict_cycles,
     _hierarchy_cost,
     _makespan,
+    _report_sum,
     arithmetic_intensity,
     make_tile_workload,
     make_traversal_trace,
@@ -49,6 +50,7 @@ from oracles import (
     hierarchy_cost_reference,
     makespan_reference,
     model_recursive_apsp_reference,
+    report_sum_reference,
 )
 
 
@@ -387,6 +389,30 @@ def test_recursive_model_matches_the_per_event_reference(p):
 def test_makespan_matches_the_linear_scan(durations, workers):
     # ties and zeros, and workers both above and below the task count
     assert _makespan(durations, workers) == makespan_reference(durations, workers)
+
+
+def _shared_reports() -> list:
+    """A few reports with int and float fields, some with phases, some
+    without, as equal event shapes share one report."""
+    leaf = [CostReport(cycles=c, wall_time_s=w, energy_j=w / 3, pcm_writes=float(c))
+            for c, w in ((3, 0.1), (7, 1e-9), (2**40 + 1, 0.7))]
+    return leaf + [
+        CostReport(cycles=5, wall_time_s=0.3, phases={"a": leaf[0], "b": leaf[2]}),
+        CostReport(cycles=1.5, energy_j=1e-12, phases={"b": leaf[1]}),
+    ]
+
+
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=60))
+@example([5, 3, 4, 3, 0])
+@example([0, 1, 2])
+@example([4, 0, 1])
+def test_report_sum_folds_as_the_pairwise_chain(picks):
+    # each field, and each phase, adds left to right as a chain of pairs
+    # would: ints stay ints until a float joins them, and a leading empty
+    # report makes every field a float from the start
+    pool = _shared_reports() + [CostReport()]
+    reps = [pool[i] for i in picks]
+    assert _report_sum(reps).to_json() == report_sum_reference(reps).to_json()
 
 
 def test_pricing_stays_fast_past_the_die_units():

@@ -7,6 +7,8 @@ the Floyd-Warshall implementation under test never feeds the oracle.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdp.graphs import (
     INF_SENTINEL,
@@ -16,7 +18,9 @@ from graphdp.graphs import (
     gen_er,
     gen_nws,
 )
+import graphdp.minplus as minplus
 from graphdp.minplus import (
+    _NARROW_SENTINEL,
     _SPARSE_MIN_DIM,
     BlockShapeError,
     NegativeEntryError,
@@ -107,7 +111,7 @@ def _strip_pivots(g):
     """How many pivots the sparse phase leaves to the strip loop on the seed
     of ``g``, which must lie past the phase's size floor."""
     assert g.n >= _SPARSE_MIN_DIM
-    return _sparse_pivots(distance_init(g)).size
+    return _sparse_pivots(distance_init(g), INF_SENTINEL).size
 
 
 def test_sparse_phase_hands_a_dense_input_straight_to_the_strip_loop():
@@ -291,3 +295,113 @@ def test_out_of_range_int64_inputs_rejected():
         min_plus_product(neg, neg)
     with pytest.raises(BlockShapeError):
         floyd_warshall_dense(np.array([[0, 2**32 - 1], [1, 0]], dtype=np.uint32))
+
+
+# ---------------------------------------------------------------------------
+# The 16-bit closure and its fallback to 32 bits
+# ---------------------------------------------------------------------------
+
+S = _NARROW_SENTINEL
+
+
+def record_widths(monkeypatch) -> list:
+    """Log the dtype of every matrix the closure closes, in call order."""
+    log = []
+    real = minplus._close
+
+    def close(out, sentinel):
+        log.append(out.dtype)
+        real(out, sentinel)
+
+    monkeypatch.setattr(minplus, "_close", close)
+    return log
+
+
+def _chain(weights) -> WeightedGraph:
+    return WeightedGraph.from_edges(
+        len(weights) + 1, [(i, i + 1, w) for i, w in enumerate(weights)]
+    )
+
+
+def test_a_chain_crossing_the_narrow_sentinel_falls_back(monkeypatch):
+    # 400 arcs of 100 reach 40,000 > S: the narrow entries saturate, so the
+    # closure must rerun in 32 bits
+    log = record_widths(monkeypatch)
+    g = _chain([100] * 400)
+    out = floyd_warshall_dense(distance_init(g))
+    assert log == [np.uint16, np.uint32]
+    assert out[0, 400] == 40_000
+    assert np.array_equal(out, dijkstra_oracle(g))
+
+
+@pytest.mark.parametrize("last, widths", [
+    (66, [np.uint16]),              # top + w = 32,666 + 100 = S - 1
+    (67, [np.uint16, np.uint32]),   # top + w = 32,667 + 100 = S
+])
+def test_the_fit_test_is_tight(monkeypatch, last, widths):
+    log = record_widths(monkeypatch)
+    g = _chain([100] * 326 + [last])
+    out = floyd_warshall_dense(distance_init(g))
+    assert log == widths
+    assert out[0, g.n - 1] == 32_600 + last
+    assert np.array_equal(out, dijkstra_oracle(g))
+    assert np.all(out[np.tril_indices(g.n, -1)] == INF_SENTINEL)
+
+
+@pytest.mark.parametrize("w", [S, S + 1, MAX_WEIGHT])
+def test_an_arc_of_at_least_the_narrow_sentinel_stays_in_32_bits(monkeypatch, w):
+    log = record_widths(monkeypatch)
+    g = _chain([1, w, 1])
+    out = floyd_warshall_dense(distance_init(g))
+    assert log == [np.uint32]
+    assert out[0, 3] == w + 2
+    assert np.array_equal(out, dijkstra_oracle(g))
+
+
+def test_the_narrow_path_runs_the_sparse_phase(monkeypatch):
+    log = record_widths(monkeypatch)
+    g = gen_er(600, 0.008, seed=5)
+    assert np.array_equal(floyd_warshall_dense(distance_init(g)), dijkstra_oracle(g))
+    assert log == [np.uint16]
+
+
+def test_inplace_widens_into_the_callers_matrix():
+    g = gen_er(600, 0.008, seed=5)
+    d = distance_init(g)
+    assert floyd_warshall_dense(d, inplace=True) is d
+    assert np.array_equal(d, dijkstra_oracle(g))
+    chain = distance_init(_chain([100] * 400))
+    assert floyd_warshall_dense(chain, inplace=True) is chain
+    assert chain[0, 400] == 40_000
+    with pytest.raises(BlockShapeError):
+        floyd_warshall_dense(d.astype(np.int64), inplace=True)
+
+
+# finite entries around the narrow sentinel, around the path lengths that
+# cross it, and up to the wide sentinel, in increasing order
+_NEAR_S = [0, 1, 2, 7, 100, S // 4, S // 3, S // 2 - 1, S // 2, S // 2 + 1,
+           S - 2, S - 1, S, S + 1, MAX_WEIGHT, INF_SENTINEL - 1]
+
+
+@st.composite
+def near_sentinel_matrices(draw) -> np.ndarray:
+    """A square int64 matrix with a zero diagonal whose off-diagonal cells
+    are the sentinel or one of the first few ``_NEAR_S`` values, so that the
+    largest arc falls on either side of the narrow sentinel."""
+    n = draw(st.integers(1, 12))
+    pool = _NEAR_S[: draw(st.integers(1, len(_NEAR_S)))] + [INF_SENTINEL] * 3
+    cells = draw(st.lists(st.sampled_from(pool), min_size=n * n, max_size=n * n))
+    d = np.array(cells, dtype=np.int64).reshape(n, n)
+    np.fill_diagonal(d, 0)
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_sentinel_matrices())
+def test_closure_near_both_sentinels_matches_int64(d):
+    want = _fw_int64(d)
+    assert np.array_equal(floyd_warshall_dense(d), want)
+    wide = d.astype(np.uint32)
+    out = floyd_warshall_dense(wide, inplace=True)
+    assert out is wide and out.dtype == np.uint32
+    assert np.array_equal(out, want)
