@@ -1,5 +1,6 @@
-"""Descriptor to plan to execution: the same workload as a staged pipeline,
-with the cost model riding along without touching results."""
+"""One descriptor, two views: the staged plan that maps the workload onto
+the device tiles, and its execution on the engines, with the cost model
+riding along without touching results."""
 
 import json
 
@@ -19,12 +20,12 @@ for st in plan.stages:
 doc = json.loads(plan.to_json())
 assert [s["id"] for s in doc["stages"]] == [st.id for st in plan.stages]
 
-out = execute(plan, cost_model_on=True)
+out = execute(w, cost_model_on=True)
 print("\nscores:", {r: out["s2g"][r].score_max for r in sorted(out["s2g"])})
 print(f"modeled wall time: {out['cost'].wall_time_s * 1e6:.1f} us")
 
 # toggling the cost model cannot perturb results
-off = execute(plan, cost_model_on=False)
+off = execute(w, cost_model_on=False)
 assert {r: v.score_max for r, v in off["s2g"].items()} == {
     r: v.score_max for r, v in out["s2g"].items()
 }

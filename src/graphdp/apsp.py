@@ -52,7 +52,7 @@ TSV_LIMIT = 512
 
 
 class ApspError(GraphError):
-    """Engine misuse (export constraints, stale hierarchy)."""
+    """A graph past the dense limit, or a bad export or distance file."""
 
 
 @dataclass
@@ -102,15 +102,6 @@ class ExecutionTrace:
             "merges": len(self.merge_events),
             "inject_pairs": self.inject_pairs,
         }
-
-
-def check_dense(n: int) -> None:
-    """Refuse ``n`` vertices whose dense n x n matrix is too large."""
-    if n > DENSE_LIMIT:
-        raise ApspError(
-            f"apsp exports a dense matrix, so the graph must have at most "
-            f"{DENSE_LIMIT} vertices, not n={n}"
-        )
 
 
 def choose_mode(hierarchy: PartitionHierarchy) -> str:
@@ -231,34 +222,25 @@ def _assemble_level(d: np.ndarray, lv, closure: np.ndarray) -> None:
         d[ids] = rows
 
 
-def recursive_apsp(
-    g: WeightedGraph,
-    max_tile: int = 1024,
-    hierarchy: PartitionHierarchy | None = None,
-) -> ApspResult:
+def recursive_apsp(g: WeightedGraph, max_tile: int = 1024) -> ApspResult:
     """Close all shortest-path distances of ``g`` recursively into the
     dense n x n matrix.
 
-    Components close one after another, in schedule order, and each level
-    is then corrected in one pass through its boundary closure.  The
-    result's ``trace`` is the device :func:`schedule` that
-    :func:`choose_mode` picks for the hierarchy used; of its events, the
-    host runs the closes and the top closure.  Graphs of more than
-    ``DENSE_LIMIT`` vertices raise :class:`ApspError`.
+    The engine builds ``g``'s partition hierarchy for ``max_tile`` and runs
+    the schedule :func:`choose_mode` picks for it; the result's ``trace``
+    is that device :func:`schedule`, of whose events the host runs the
+    closes and the top closure.  Components close one after another, in
+    schedule order, and each level is then corrected in one pass through
+    its boundary closure.  Graphs of more than ``DENSE_LIMIT`` vertices
+    raise :class:`ApspError` before anything is partitioned.
     """
-    check_dense(g.n)
-    if hierarchy is None:
-        hierarchy = build_hierarchy(g, max_tile)
+    if g.n > DENSE_LIMIT:
+        raise ApspError(
+            f"apsp exports a dense matrix, so the graph must have at most "
+            f"{DENSE_LIMIT} vertices, not n={g.n}"
+        )
+    hierarchy = build_hierarchy(g, max_tile)
     levels = hierarchy.levels
-    part = levels[0].partition
-    if part.n != g.n:
-        raise ApspError("hierarchy does not match graph")
-    # the boundary slice keeps only arcs between boundary vertices, so every
-    # cross arc's ends must be in the level-0 boundary
-    cut = part.assign[g.src] != part.assign[g.dst]
-    ends = np.concatenate([g.src[cut], g.dst[cut]])
-    if not np.isin(ends, levels[0].boundaries.union).all():
-        raise ApspError("hierarchy does not match graph")
     mode = choose_mode(hierarchy)
     if mode == "direct":
         dist = floyd_warshall_dense(distance_init(g), inplace=True)

@@ -21,7 +21,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .apsp import check_dense, export_distances, recursive_apsp
+from .apsp import export_distances, recursive_apsp
 from .costmodel import (
     ModelError,
     arithmetic_intensity,
@@ -251,9 +251,7 @@ def cmd_apsp(args) -> int:
     outdir = _outdir(args)
     w = _workload(args, "apsp")
     g = w.graph
-    # refuse before partitioning what the engine cannot close
-    check_dense(g.n)
-    out = execute(lower(w), cost_model_on=args.model)
+    out = execute(w, cost_model_on=args.model)
     res = out["apsp"]
 
     dist_name = "dist.tsv" if args.fmt == "tsv" else "dist.bin"
@@ -309,7 +307,7 @@ def cmd_s2g(args) -> int:
     g, by_id = w.graph, dict(w.reads)
 
     sweep_ws = _parse_ints(args.W_sweep) if args.W_sweep else None
-    out = execute(lower(w), cost_model_on=args.model or sweep_ws is not None)
+    out = execute(w, cost_model_on=args.model or sweep_ws is not None)
     results = out["s2g"]
     ids = sorted(results)
 
@@ -334,7 +332,7 @@ def cmd_s2g(args) -> int:
         # the production score, lowest end node and derived window count
         rows = []
         for Wi in sweep_ws:
-            oi = execute(lower(replace(w, W=Wi)), cost_model_on=True)
+            oi = execute(replace(w, W=Wi), True)
             for rid in ids:
                 want = oi["s2g"][rid]
                 got = align_windowed(g, by_id[rid], W=Wi)

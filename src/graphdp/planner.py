@@ -1,17 +1,18 @@
-"""Workload lowering: descriptor in, staged execution plan out.
+"""Workload descriptors, staged plans and execution.
 
 The descriptor names a workload (a distance closure over a weighted graph,
-or a read batch against a genome graph) plus device overrides.  lower()
-turns it into an ordered stage list mirroring the engine's phase structure;
-execute() walks the plan by delegating to the engines, so plan outputs are
-the engine outputs by construction, and optionally attaches a cost report.
+or a read batch against a genome graph) plus device overrides.  execute()
+runs it by delegating to the engines and optionally attaches a cost report;
+the apsp engine builds its own partition hierarchy and picks its schedule.
+lower() turns a descriptor into the plan document: an ordered stage list
+that maps each phase of the device schedule onto its tile.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .apsp import choose_mode, recursive_apsp, schedule
 from .costmodel import (
@@ -32,7 +33,7 @@ from .graphs import (
     load_genome_graph,
     split_by_length,
 )
-from .partition import PartitionHierarchy, build_hierarchy
+from .partition import build_hierarchy
 from .s2g import MODE_LONG, MODE_SHORT, batch_align
 
 TILE_MATRIX = "matrix"
@@ -196,10 +197,14 @@ def load_descriptor(doc: dict | str) -> WorkloadDescriptor:
 class Stage:
     id: str
     kind: str
-    tile: str
     inputs: list
     outputs: list
     mapping: str | None = None
+
+    @property
+    def tile(self) -> str:
+        """The tile that runs this kind of stage."""
+        return _TILE_OF[self.kind]
 
     def _as_dict(self) -> dict:
         out = {
@@ -216,25 +221,19 @@ class Stage:
 
 @dataclass
 class ExecutionPlan:
-    """Ordered stages plus what lowering computed for execute() to reuse:
-    the apsp partition hierarchy and the s2g ``ReadBatch`` of each align
-    stage.  Neither is part of the plan document (``to_json``)."""
+    """The ordered stages of one workload; ``to_json`` is the plan document."""
 
     workload: WorkloadDescriptor
-    stages: list = field(default_factory=list)
-    hierarchy: PartitionHierarchy | None = None
-    batches: list = field(default_factory=list)
+    stages: list
 
     def validate(self) -> None:
-        """Dataflow must be acyclic (inputs precede) and tile-specialized."""
+        """Stage ids must be unique and dataflow acyclic (inputs precede)."""
         produced = {"graph", "reads"}
         seen = set()
         for st in self.stages:
             if st.id in seen:
                 raise PlanError(f"duplicate stage id {st.id}")
             seen.add(st.id)
-            if _TILE_OF[st.kind] != st.tile:
-                raise PlanError(f"stage {st.id}: kind {st.kind} cannot run on {st.tile}")
             for name in st.inputs:
                 if name not in produced:
                     raise PlanError(f"stage {st.id}: input {name!r} never produced")
@@ -268,13 +267,13 @@ def _lower_apsp(w: WorkloadDescriptor) -> ExecutionPlan:
     """
     hier = build_hierarchy(w.graph, max_tile=w.max_tile)
     trace = schedule(hier, choose_mode(hier))
-    stages = [Stage("s0.partition", K_PARTITION, TILE_HOST, ["graph"], ["hier"])]
+    stages = [Stage("s0.partition", K_PARTITION, ["graph"], ["hier"])]
     numbered: Counter = Counter()
 
     def add(kind, level, name, inputs, outputs):
         i = numbered[level, name]
         numbered[level, name] += 1
-        stages.append(Stage(f"L{level}.{name}.{i}", kind, TILE_MATRIX, inputs, outputs))
+        stages.append(Stage(f"L{level}.{name}.{i}", kind, inputs, outputs))
 
     for ev in trace.fw_events:
         inputs = ["hier"] + ([f"blocks.L{ev.level - 1}"] if ev.level else [])
@@ -302,38 +301,44 @@ def _lower_apsp(w: WorkloadDescriptor) -> ExecutionPlan:
         merged = f"closure.L{li - 1}" if li else "dist"
         for _ in range(merges[li]):
             add(K_MERGE, li, "merge", [f"reclosed.L{li}", closure], [merged])
-    plan = ExecutionPlan(w, stages, hierarchy=hier)
+    plan = ExecutionPlan(w, stages)
     plan.validate()
     return plan
 
 
-def _lower_s2g(w: WorkloadDescriptor) -> ExecutionPlan:
-    """One align stage per read batch; a short batch maps onto grouped PEs,
-    a long one onto one deep pipeline."""
-    stages = [Stage("s0.masks", K_MASK, TILE_HOST, ["graph"], ["masks"])]
+def _batches(w: WorkloadDescriptor) -> list:
+    """The s2g workload's read batches: split by length under ``auto``, or
+    every read in one batch of the forced class."""
     if w.mode == "auto":
-        batches = [b for b in split_by_length(w.reads) if b.reads]
-    elif w.mode == "short":
+        return [b for b in split_by_length(w.reads) if b.reads]
+    if w.mode == "short":
         too_long = [r for r, s in w.reads if len(s) > SHORT_READ_THRESHOLD]
         if too_long:
             raise DescriptorError(
                 f"read {too_long[0]} too long for forced short mapping"
             )
-        batches = [ReadBatch(list(w.reads), "short")]
-    else:
-        batches = [ReadBatch(list(w.reads), "long")]
-    for i, batch in enumerate(batches):
+    return [ReadBatch(list(w.reads), w.mode)]
+
+
+def _align_id(batch: ReadBatch) -> str:
+    return f"align.{batch.length_class}"
+
+
+def _lower_s2g(w: WorkloadDescriptor) -> ExecutionPlan:
+    """One align stage per read batch; a short batch maps onto grouped PEs,
+    a long one onto one deep pipeline."""
+    stages = [Stage("s0.masks", K_MASK, ["graph"], ["masks"])]
+    for i, batch in enumerate(_batches(w)):
         stages.append(
             Stage(
-                f"align.{batch.length_class}",
+                _align_id(batch),
                 K_ALIGN,
-                TILE_TRAVERSAL,
                 ["graph", "reads", "masks"],
                 [f"scores.{i}"],
                 mapping=MODE_SHORT if batch.length_class == "short" else MODE_LONG,
             )
         )
-    plan = ExecutionPlan(w, stages, batches=batches)
+    plan = ExecutionPlan(w, stages)
     plan.validate()
     return plan
 
@@ -345,30 +350,16 @@ def lower(w: WorkloadDescriptor) -> ExecutionPlan:
     return _lower_s2g(w)
 
 
-def _run_stage(stage_id: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except Exception as e:  # noqa: BLE001 - rethrown with stage attribution
-        raise StageError(stage_id, str(e)) from e
+def execute(w: WorkloadDescriptor, cost_model_on: bool = False) -> dict:
+    """Run the workload on its engine.
 
-
-def execute(plan: ExecutionPlan, cost_model_on: bool = False) -> dict:
-    """Walk the plan by delegating to the engines.
-
-    Functional outputs match direct engine calls exactly; the cost model
-    only reads traces, so toggling it cannot perturb results.
+    apsp closes the graph with :func:`recursive_apsp`; s2g aligns each read
+    batch, and an align failure raises :class:`StageError` with the align
+    stage's id.  The cost model only reads traces, so toggling it cannot
+    perturb results.
     """
-    plan.validate()
-    w = plan.workload
     if w.kind == "apsp":
-        first_matrix = next(s.id for s in plan.stages if s.tile == TILE_MATRIX)
-        res = _run_stage(
-            first_matrix,
-            recursive_apsp,
-            w.graph,
-            max_tile=w.max_tile,
-            hierarchy=plan.hierarchy,
-        )
+        res = recursive_apsp(w.graph, max_tile=w.max_tile)
         out = {"apsp": res}
         if cost_model_on:
             out["cost"] = model_recursive_apsp(res.trace, w.pcm or PcmParams())
@@ -376,10 +367,12 @@ def execute(plan: ExecutionPlan, cost_model_on: bool = False) -> dict:
 
     results = {}
     cost = CostReport()
-    for st, batch in zip([s for s in plan.stages if s.kind == K_ALIGN], plan.batches):
-        aligned, bt = _run_stage(st.id, batch_align, w.graph, batch, W=w.W)
-        for (rid, _), r in zip(sorted(batch.reads, key=lambda rs: rs[0]), aligned):
-            results[rid] = r
+    for batch in _batches(w):
+        try:
+            aligned, bt = batch_align(w.graph, batch, W=w.W)
+        except Exception as e:  # noqa: BLE001 - rethrown with stage attribution
+            raise StageError(_align_id(batch), str(e)) from e
+        results.update(zip(bt.read_ids, aligned))
         if cost_model_on:
             cost = cost + model_traversal(bt, w.hbm or HbmParams())
     out = {"s2g": results}

@@ -20,7 +20,7 @@ Three scorers compute it, sharing no kernel code:
 * ``align_reference`` is the independent oracle: a plain per-position
   boolean recurrence with no bit packing and no windows.
 
-The read-parallel scorer reports the windowed kernel's work counts without
+The read-parallel scorer reports the windowed kernel's window count without
 running it.  Matched prefixes are prefix-closed (if a prefix of length l
 matches, so does every shorter one), so window i of the windowed kernel
 leaves some state set exactly when score > (i-1)*W, and the kernel stops
@@ -28,8 +28,6 @@ after the first window whose state is empty.  That is window
 ceil(score/W) + 1, unless the query runs out first:
 
     windows = min(ceil(m/W), ceil(score/W) + 1)
-
-and the self/hop update counts are ``classify_self_hop`` counts times that.
 
 ``batch_align`` scores one batch and returns, next to the results, a
 ``BatchTrace`` of what the scorer knows about it: the mapping mode, W, the
@@ -84,8 +82,6 @@ class AlignResult:
     score_max: int
     end_nodes: np.ndarray
     windows: int
-    self_updates: int
-    hop_updates: int
 
     @property
     def lowest_end(self) -> int:
@@ -126,8 +122,6 @@ def align_windowed(g: GenomeGraph, q: str, W: int = DEFAULT_W) -> AlignResult:
     wmask = (1 << W) - 1
     topbit = 1 << (W - 1)
 
-    self_nodes = int(classify_self_hop(g).sum())
-
     S = [0] * n
     C = [0] * n
     best = 0
@@ -164,8 +158,6 @@ def align_windowed(g: GenomeGraph, q: str, W: int = DEFAULT_W) -> AlignResult:
         score_max=best,
         end_nodes=np.asarray(sorted(ends), dtype=np.int64),
         windows=processed,
-        self_updates=self_nodes * processed,
-        hop_updates=(n - self_nodes) * processed,
     )
 
 
@@ -208,7 +200,7 @@ def align_reference(g: GenomeGraph, q: str) -> AlignResult:
     end_nodes = (
         np.nonzero(ends)[0].astype(np.int64) if best else np.zeros(0, dtype=np.int64)
     )
-    return AlignResult(best, end_nodes, 0, 0, 0)
+    return AlignResult(best, end_nodes, 0)
 
 
 WORD_BITS = 64
@@ -252,15 +244,14 @@ def align_read_parallel(g: GenomeGraph, queries, W: int = DEFAULT_W) -> list:
 
     Word state S[v] holds bit r iff read r's prefix of the current length
     ends at node v.  Results are exact (they equal ``align_reference``), and
-    ``windows``/``self_updates``/``hop_updates`` are those ``align_windowed``
-    reports at width W, derived as the module docstring explains.
+    ``windows`` is the count ``align_windowed`` reports at width W, derived
+    as the module docstring explains.
     """
     if W < 1:
         raise AlignmentError("window width must be positive")
     codes = [_query_codes(q) for q in queries]
     n = g.n
     node_code = _BASE_CODE[g.bases].astype(np.intp)
-    self_nodes = int(classify_self_hop(g).sum())
 
     # Predecessor OR, split for speed: one gather of every node's first
     # predecessor (the sentinel index n, whose word stays 0, for nodes with
@@ -306,15 +297,7 @@ def align_read_parallel(g: GenomeGraph, queries, W: int = DEFAULT_W) -> list:
             prev, cur = cur, prev
         for c, (score, ends) in zip(word, scored):
             windows = min(-(-c.size // W), -(-score // W) + 1)
-            results.append(
-                AlignResult(
-                    score_max=score,
-                    end_nodes=ends,
-                    windows=windows,
-                    self_updates=self_nodes * windows,
-                    hop_updates=(n - self_nodes) * windows,
-                )
-            )
+            results.append(AlignResult(score, ends, windows))
     return results
 
 

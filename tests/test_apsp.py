@@ -36,11 +36,17 @@ def test_single_tile_degenerates_to_dense_fw():
     assert np.array_equal(res.dist, fw_oracle(g))
 
 
-def test_two_disjoint_components_stay_inf():
+def use_hierarchy(monkeypatch, hier):
+    """Make the engine run on ``hier`` instead of the one it would build."""
+    monkeypatch.setattr(engine, "build_hierarchy", lambda g, max_tile: hier)
+
+
+def test_two_disjoint_components_stay_inf(monkeypatch):
     edges = [(0, 1, 2), (1, 0, 2), (2, 3, 5), (3, 2, 5)]
     g = WeightedGraph.from_edges(4, edges)
-    hier = build_hierarchy(g, max_tile=2, k_fn=lambda n: 2)
-    res = recursive_apsp(g, hierarchy=hier)
+    use_hierarchy(monkeypatch, build_hierarchy(g, max_tile=2, k_fn=lambda n: 2))
+    res = recursive_apsp(g, max_tile=2)
+    assert res.hierarchy.levels[0].partition.k == 2
     assert res.dist[0, 2] == INF_SENTINEL
     assert res.dist[3, 1] == INF_SENTINEL
     assert res.dist[0, 1] == 2
@@ -78,9 +84,8 @@ def test_truncated_hierarchy_still_exact():
 
 def test_deep_hierarchy_exact():
     g = gen_clustered(12, 40, seed=5)
-    hier = build_hierarchy(g, max_tile=48)
-    assert hier.depth >= 2
-    res = recursive_apsp(g, hierarchy=hier, max_tile=48)
+    res = recursive_apsp(g, max_tile=48)
+    assert res.hierarchy.depth >= 2
     assert res.trace.mode == "dense"
     assert np.array_equal(res.dist, fw_oracle(g))
 
@@ -111,17 +116,18 @@ def test_engine_recurses_only_when_recursion_costs_less(case):
 
 
 @pytest.mark.parametrize("case", ["er1000", "clustered3"])
-def test_engine_peak_memory_stays_near_one_matrix(case):
+def test_engine_peak_memory_stays_near_one_matrix(monkeypatch, case):
     # one dense uint32 matrix per level, closed in place, plus the copy a
     # closure works on: the traced peak stays below 2.5 n x n matrices.
     # The direct schedule closes its seed in place through a half-width
     # uint16 copy, so it holds about 1.5 matrices
     make, tile, mode = MODE_CASES[case]
     g = make()
-    hier = build_hierarchy(g, tile)
+    # the hierarchy is built before tracing starts
+    use_hierarchy(monkeypatch, build_hierarchy(g, tile))
     tracemalloc.start()
     try:
-        res = recursive_apsp(g, hierarchy=hier)
+        res = recursive_apsp(g, max_tile=tile)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -129,18 +135,6 @@ def test_engine_peak_memory_stays_near_one_matrix(case):
     assert peak < 2.5 * 4 * g.n**2
     if mode == "direct":
         assert peak < 1.75 * 4 * g.n**2
-
-
-def test_mismatched_hierarchy_rejected():
-    g = gen_er(30, 0.1, seed=0)
-    other = build_hierarchy(gen_er(40, 0.1, seed=0), max_tile=16)
-    with pytest.raises(ApspError):
-        recursive_apsp(g, hierarchy=other)
-    # same vertex count, but g has cross arcs outside the other's boundary,
-    # which the boundary slice would drop
-    same_n = build_hierarchy(gen_er(30, 0.1, seed=1), max_tile=16)
-    with pytest.raises(ApspError):
-        recursive_apsp(g, hierarchy=same_n)
 
 
 def test_engine_refuses_graphs_past_dense_limit(monkeypatch):
@@ -256,8 +250,9 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, runs):
         return
     log = record_fw_calls(monkeypatch)
     res = recursive_apsp(g, max_tile=tile)
+    use_hierarchy(monkeypatch, res.hierarchy)
     for _ in range(runs - 1):
-        again = recursive_apsp(g, max_tile=tile, hierarchy=res.hierarchy)
+        again = recursive_apsp(g, max_tile=tile)
         assert again.trace == res.trace
         assert np.array_equal(again.dist, res.dist)
     assert shape(res.hierarchy)
@@ -336,7 +331,8 @@ def test_every_level_closes_to_the_global_distances(monkeypatch, make, tile):
         seen[li] = d.copy()
 
     monkeypatch.setattr(engine, "_assemble_level", spy)
-    res = recursive_apsp(g, hierarchy=hier)
+    use_hierarchy(monkeypatch, hier)
+    res = recursive_apsp(g, max_tile=tile)
     assert res.trace.mode == "dense"
     whole = fw_oracle(g)
     assert sorted(seen) == list(range(hier.depth))

@@ -165,13 +165,46 @@ def test_apsp_over_dense_limit_exits_2_before_closing(tmp_path, monkeypatch, cap
     def closure_kernel(d):
         raise AssertionError("closure ran")
 
+    def partitioner(g, max_tile):
+        raise AssertionError("partitioned")
+
     monkeypatch.setattr("graphdp.apsp.floyd_warshall_dense", closure_kernel)
+    monkeypatch.setattr("graphdp.apsp.build_hierarchy", partitioner)
     assert run("apsp", "--graph", path, "--max-tile", 64, "--out", tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "n=4200" in err and "4096" in err
     assert run("plan", "--workload", "apsp", "--graph", path, "--max-tile", 64,
                "--out", tmp_path) == 0
+
+
+def test_apsp_and_s2g_run_without_lowering_a_plan(tmp_path, monkeypatch):
+    # apsp and s2g hand their descriptor to the engines; only plan lowers
+    # one, and an apsp run partitions its graph once, inside the engine
+    from graphdp.partition import build_hierarchy
+
+    def lower(w):
+        raise AssertionError("lowered a plan")
+
+    builds = []
+
+    def counting(g, max_tile):
+        builds.append(g.n)
+        return build_hierarchy(g, max_tile)
+
+    monkeypatch.setattr(cli, "lower", lower)
+    monkeypatch.setattr("graphdp.planner.build_hierarchy", counting)
+    monkeypatch.setattr("graphdp.apsp.build_hierarchy", counting)
+    g = gen_clustered(10, 40, seed=2)
+    dump_edge_list(g, str(tmp_path / "g.edges"))
+    assert run("apsp", "--graph", tmp_path / "g.edges", "--max-tile", 32,
+               "--model", "--verify", "--out", tmp_path / "apsp") == 0
+    assert builds == [g.n]
+    gfa, reads = _gen_inputs(tmp_path)
+    for extra in ([], ["--W-sweep", "16,64"]):
+        assert run("s2g", "--graph", gfa, "--reads", reads, "--model", "--verify",
+                   *extra, "--out", tmp_path / "s2g") == 0
+    assert builds == [g.n]
 
 
 def test_apsp_disconnected_renders_inf(tmp_path):

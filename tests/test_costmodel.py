@@ -268,7 +268,7 @@ def test_single_tile_trace_equals_one_block():
     assert rep.hbm_bytes_regular + rep.hbm_bytes_irregular == 0
 
 
-def test_two_equal_components_close_in_parallel():
+def test_two_equal_components_close_in_parallel(monkeypatch):
     # two disjoint 50-vertex cliques: same latency as one, twice the energy
     edges = []
     for base in (0, 50):
@@ -281,8 +281,10 @@ def test_two_equal_components_close_in_parallel():
     from graphdp.graphs import WeightedGraph
 
     g = WeightedGraph.from_edges(100, edges)
-    res = recursive_apsp(g, hierarchy=build_hierarchy(g, 64, k_fn=lambda n: 2))
-    both = model_recursive_apsp(res.trace)
+    two = build_hierarchy(g, 64, k_fn=lambda n: 2)
+    with monkeypatch.context() as m:
+        m.setattr("graphdp.apsp.build_hierarchy", lambda *_: two)
+        both = model_recursive_apsp(recursive_apsp(g, max_tile=64).trace)
     single = model_recursive_apsp(
         recursive_apsp(
             WeightedGraph.from_edges(

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from graphdp.apsp import choose_mode, recursive_apsp, schedule
+from graphdp.apsp import ApspError, choose_mode, recursive_apsp, schedule
 from graphdp.costmodel import make_tile_workload
 from graphdp.graphs import gen_clustered, gen_er, gen_genome, gen_reads, parse_gfa
 from graphdp.partition import build_hierarchy
@@ -20,7 +20,6 @@ from graphdp.planner import (
     Stage,
     StageError,
     TILE_MATRIX,
-    TILE_TRAVERSAL,
     WorkloadDescriptor,
     execute,
     load_descriptor,
@@ -52,15 +51,14 @@ def test_small_apsp_lowers_to_trivial_plan():
 def test_direct_apsp_lowers_to_one_closure_of_the_graph():
     # a random graph whose recursion would cost more than one closure
     g = gen_er(260, 0.02, seed=3)
-    plan = lower(WorkloadDescriptor("apsp", g, max_tile=64))
-    assert choose_mode(plan.hierarchy) == "direct"
+    w = WorkloadDescriptor("apsp", g, max_tile=64)
+    plan = lower(w)
+    assert choose_mode(build_hierarchy(g, max_tile=64)) == "direct"
     assert [(s.kind, s.inputs, s.outputs) for s in plan.stages] == [
         (K_PARTITION, ["graph"], ["hier"]),
         (K_BOUNDARY_FW, ["graph"], ["dist"]),
     ]
-    res = execute(plan)["apsp"]
-    assert res.trace.mode == "direct"
-    assert res.hierarchy is plan.hierarchy
+    assert execute(w)["apsp"].trace.mode == "direct"
 
 
 def test_apsp_stage_count_matches_hierarchy():
@@ -99,17 +97,19 @@ def test_apsp_stage_count_matches_hierarchy():
 )
 def test_apsp_stage_count_matches_trace(make, tile):
     g = make()
-    plan = lower(WorkloadDescriptor("apsp", g, max_tile=tile))
+    w = WorkloadDescriptor("apsp", g, max_tile=tile)
+    plan = lower(w)
     plan.validate()
-    if choose_mode(plan.hierarchy) == "dense":
-        trace = execute(plan)["apsp"].trace
+    hier = build_hierarchy(g, max_tile=tile)
+    if choose_mode(hier) == "dense":
+        trace = execute(w)["apsp"].trace
     else:
         # past the dense limit the plan prices the lazy schedule, and the
         # engine, which builds the dense matrix, refuses the graph
-        assert choose_mode(plan.hierarchy) == "lazy"
-        with pytest.raises(StageError, match=f"n={g.n}"):
-            execute(plan)
-        trace = schedule(plan.hierarchy, "lazy")
+        assert choose_mode(hier) == "lazy"
+        with pytest.raises(ApspError, match=f"n={g.n}"):
+            execute(w)
+        trace = schedule(hier, "lazy")
     fw = trace.counts()["fw"]
     want = {
         K_PARTITION: 1,
@@ -130,7 +130,7 @@ def test_plan_is_deterministic():
 def test_plan_dataflow_is_wired():
     g = gen_er(260, 0.004, seed=0)
     plan = lower(WorkloadDescriptor("apsp", g, max_tile=64))
-    assert choose_mode(plan.hierarchy) == "dense"
+    assert choose_mode(build_hierarchy(g, max_tile=64)) == "dense"
     plan.validate()
     produced = {"graph", "reads"}
     for st in plan.stages:
@@ -138,21 +138,11 @@ def test_plan_dataflow_is_wired():
         produced.update(st.outputs)
 
 
-def test_tile_specialization_enforced():
-    g = gen_er(40, 0.1, seed=5)
-    plan = lower(WorkloadDescriptor("apsp", g, max_tile=64))
-    plan.stages[1] = Stage(
-        plan.stages[1].id, K_FW_CLOSE, TILE_TRAVERSAL, ["hier"], ["block"]
-    )
-    with pytest.raises(PlanError):
-        plan.validate()
-
-
 def test_unproduced_input_rejected():
     g = gen_er(40, 0.1, seed=6)
     w = WorkloadDescriptor("apsp", g, max_tile=64)
     plan = ExecutionPlan(
-        w, [Stage("x", K_MERGE, TILE_MATRIX, ["ghost"], ["out"])]
+        w, [Stage("x", K_MERGE, ["ghost"], ["out"])]
     )
     with pytest.raises(PlanError):
         plan.validate()
@@ -181,8 +171,11 @@ def test_mixed_batch_plans_two_align_stages():
 def test_forced_short_rejects_long_reads():
     g, _ = genome_case(bases=2000)
     long_reads = gen_reads(g, 1, 900, 0.02, seed=10)
+    w = WorkloadDescriptor("s2g", g, reads=long_reads, mode="short")
     with pytest.raises(DescriptorError):
-        lower(WorkloadDescriptor("s2g", g, reads=long_reads, mode="short"))
+        lower(w)
+    with pytest.raises(DescriptorError):
+        execute(w)
 
 
 def test_descriptor_kind_validation():
@@ -206,36 +199,15 @@ def test_descriptor_kind_validation():
 def test_apsp_plan_matches_direct_engine():
     g = gen_er(150, 0.03, seed=8)
     w = WorkloadDescriptor("apsp", g, max_tile=64)
-    out = execute(lower(w))
+    out = execute(w)
     direct = recursive_apsp(g, max_tile=64)
     assert np.array_equal(out["apsp"].dist, direct.dist)
-
-
-def test_apsp_execute_reuses_the_lowered_hierarchy(monkeypatch):
-    import graphdp.apsp
-    import graphdp.planner
-
-    builds = []
-
-    def counting(*args, **kwargs):
-        builds.append(args[0].n)
-        return build_hierarchy(*args, **kwargs)
-
-    monkeypatch.setattr(graphdp.planner, "build_hierarchy", counting)
-    monkeypatch.setattr(graphdp.apsp, "build_hierarchy", counting)
-    g = gen_er(150, 0.03, seed=8)
-    plan = lower(WorkloadDescriptor("apsp", g, max_tile=64))
-    assert builds == [g.n]
-    out = execute(plan)
-    assert builds == [g.n]
-    assert out["apsp"].hierarchy is plan.hierarchy
-    assert "hierarchy" not in json.loads(plan.to_json())
 
 
 def test_s2g_plan_matches_direct_engine():
     g, reads = genome_case()
     w = WorkloadDescriptor("s2g", g, reads=reads, W=32)
-    out = execute(lower(w))
+    out = execute(w)
     from graphdp.graphs import ReadBatch
 
     direct, _ = batch_align(g, ReadBatch(list(reads), "short"), W=32)
@@ -247,16 +219,16 @@ def test_s2g_plan_matches_direct_engine():
 def test_cost_toggle_leaves_results_bit_identical():
     g = gen_er(120, 0.04, seed=9)
     w = WorkloadDescriptor("apsp", g, max_tile=64)
-    off = execute(lower(w), cost_model_on=False)
-    on = execute(lower(w), cost_model_on=True)
+    off = execute(w, cost_model_on=False)
+    on = execute(w, cost_model_on=True)
     assert np.array_equal(off["apsp"].dist, on["apsp"].dist)
     assert "cost" in on and "cost" not in off
     assert on["cost"].wall_time_s > 0
 
     gg, reads = genome_case()
     ws = WorkloadDescriptor("s2g", gg, reads=reads, W=32)
-    off_s = execute(lower(ws))
-    on_s = execute(lower(ws), cost_model_on=True)
+    off_s = execute(ws)
+    on_s = execute(ws, cost_model_on=True)
     assert {r: v.score_max for r, v in off_s["s2g"].items()} == {
         r: v.score_max for r, v in on_s["s2g"].items()
     }
@@ -267,9 +239,9 @@ def test_stage_failure_names_the_stage():
     g, reads = genome_case()
     bad = reads + [("rbad", "ACGTXX")]
     w = WorkloadDescriptor("s2g", g, reads=bad, W=32)
-    plan = lower(w)
     with pytest.raises(StageError) as exc:
-        execute(plan)
+        execute(w)
+    assert exc.value.stage_id in [st.id for st in lower(w).stages]
     assert exc.value.stage_id.startswith("align.")
     assert exc.value.stage_id in str(exc.value)
 
@@ -295,7 +267,7 @@ def test_load_descriptor_round_trip(tmp_path):
     assert w.graph.n == 60
     assert w.max_tile == 32
     assert w.pcm.clock_hz == 1e9
-    out = execute(lower(w))
+    out = execute(w)
     direct = recursive_apsp(g, max_tile=32)
     assert np.array_equal(out["apsp"].dist, direct.dist)
 
