@@ -8,7 +8,10 @@ from graphdp import WorkloadDescriptor, execute, gen_genome, gen_reads, lower, p
 
 gfa, _ = gen_genome(2500, 0.02, seed=8)
 g = parse_gfa(gfa)
-reads = gen_reads(g, 6, 100, 0.02, seed=1) + gen_reads(g, 2, 600, 0.01, seed=2)
+# both calls number their reads from r0, so the long reads are renamed
+reads = gen_reads(g, 6, 100, 0.02, seed=1) + [
+    (f"long{i}", seq) for i, (_, seq) in enumerate(gen_reads(g, 2, 600, 0.01, seed=2))
+]
 
 w = WorkloadDescriptor("s2g", g, reads=reads, mode="auto")
 plan = lower(w)

@@ -22,9 +22,10 @@ correction per level computes the same distances.
 
 Recursion only pays when the graph has small separators.  A random graph
 has none: nearly every vertex is boundary, and the closures and merges cost
-more than one Floyd-Warshall of the whole graph.  :func:`choose_mode` counts
-the ops of the recursive schedule and, when they reach half of n^3, picks
-the ``"direct"`` schedule, one closure of the whole graph, instead.
+more than one Floyd-Warshall of the whole graph.  :func:`choose_schedule`
+counts the ops of the recursive schedule and, when they reach half of n^3,
+returns the ``"direct"`` schedule, one closure of the whole graph, instead.
+The engine and the planner each build that schedule once and carry it.
 
 Results are exact on every pair: the produced distances equal a direct
 dense Floyd-Warshall closure of the whole graph, independent of partition
@@ -104,24 +105,25 @@ class ExecutionTrace:
         }
 
 
-def choose_mode(hierarchy: PartitionHierarchy) -> str:
+def choose_schedule(hierarchy: PartitionHierarchy) -> ExecutionTrace:
     """The schedule the engine runs and a device prices over ``hierarchy``.
 
-    Past ``DENSE_LIMIT`` vertices it is ``"lazy"`` (no base-level merges).
-    Otherwise it is ``"direct"`` when the dense schedule's op count (dim^3
-    per closure, rows * width per merge pass) reaches
-    ``DIRECT_OPS_SHARE`` * n^3, and ``"dense"`` when recursion costs less.
-    A graph of one tile stays dense: that schedule is already one closure.
+    Past ``DENSE_LIMIT`` vertices it is the ``"lazy"`` one (no base-level
+    merges).  Otherwise it is the ``"direct"`` one when the dense
+    schedule's op count (dim^3 per closure, rows * width per merge pass)
+    reaches ``DIRECT_OPS_SHARE`` * n^3, and else the dense schedule built
+    to count them.  A graph of one tile stays dense: that schedule is
+    already one closure.
     """
     base = hierarchy.levels[0].partition
     if base.n > DENSE_LIMIT:
-        return "lazy"
-    if base.k == 1:
-        return "dense"
+        return schedule(hierarchy, "lazy")
     trace = schedule(hierarchy, "dense")
     ops = sum(ev.dim**3 for ev in trace.fw_events)
     ops += sum(r * w for ev in trace.merge_events for r, w in ev.passes)
-    return "direct" if ops >= DIRECT_OPS_SHARE * base.n**3 else "dense"
+    if base.k > 1 and ops >= DIRECT_OPS_SHARE * base.n**3:
+        return schedule(hierarchy, "direct")
+    return trace
 
 
 def schedule(hierarchy: PartitionHierarchy, mode: str) -> ExecutionTrace:
@@ -227,8 +229,8 @@ def recursive_apsp(g: WeightedGraph, max_tile: int = 1024) -> ApspResult:
     dense n x n matrix.
 
     The engine builds ``g``'s partition hierarchy for ``max_tile`` and runs
-    the schedule :func:`choose_mode` picks for it; the result's ``trace``
-    is that device :func:`schedule`, of whose events the host runs the
+    the schedule :func:`choose_schedule` returns for it; the result's
+    ``trace`` is that device schedule, of whose events the host runs the
     closes and the top closure.  Components close one after another, in
     schedule order, and each level is then corrected in one pass through
     its boundary closure.  Graphs of more than ``DENSE_LIMIT`` vertices
@@ -241,10 +243,10 @@ def recursive_apsp(g: WeightedGraph, max_tile: int = 1024) -> ApspResult:
         )
     hierarchy = build_hierarchy(g, max_tile)
     levels = hierarchy.levels
-    mode = choose_mode(hierarchy)
-    if mode == "direct":
+    trace = choose_schedule(hierarchy)
+    if trace.mode == "direct":
         dist = floyd_warshall_dense(distance_init(g), inplace=True)
-        return ApspResult(g.n, hierarchy, schedule(hierarchy, mode), dist)
+        return ApspResult(g.n, hierarchy, trace, dist)
 
     # upward: close components in place; the boundary slice is the next level
     mats = [distance_init(g)]
@@ -265,7 +267,7 @@ def recursive_apsp(g: WeightedGraph, max_tile: int = 1024) -> ApspResult:
         if lv.boundaries.union.size:
             _assemble_level(d, lv, closure)
         closure = d
-    return ApspResult(g.n, hierarchy, schedule(hierarchy, mode), closure)
+    return ApspResult(g.n, hierarchy, trace, closure)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ and refined by moves that shrink the boundary.
 Hierarchy construction here is purely structural: it reads arcs, never
 weights, and tracks virtual connectivity as "groups" (a component's
 boundary set is pairwise potentially connected) without computing any
-shortest paths.  A level keeps only its partition and boundary set.
+shortest paths.  A level's graph holds only arcs, and level 0 shares the
+caller's arc arrays when they are already sorted; the partitioner never
+writes them.  A level keeps only its partition and boundary set.
 Structural boundary sets therefore over-approximate the exact engine's
 boundary graphs (no reachability filtering), which is sound: extra
 boundary vertices add work, never wrong distances.  The shortest-path
@@ -85,7 +87,7 @@ def _index_dtype(n: int):
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
-def _undirected_csr(g: WeightedGraph):
+def _undirected_csr(g: _StructuralGraph):
     """Symmetrised adjacency: ``ptr`` (int64, ``n + 1`` entries) and ``adj``.
 
     Vertex ``v``'s neighbours are ``adj[ptr[v]:ptr[v + 1]]``: the heads of
@@ -203,7 +205,7 @@ def _bundles(x, y, arcs, m: int):
     return *np.divmod(pair, m), np.bincount(inv, arcs[keep]).astype(np.int64)
 
 
-def _merge_clusters(g: WeightedGraph, lab, limit: int):
+def _merge_clusters(g: _StructuralGraph, lab, limit: int):
     """Clusters ``c`` numbered ``0..m-1``, ``m``, and their arc bundles.
 
     Label propagation leaves a cluster in pieces where two labels met in
@@ -261,7 +263,7 @@ def _heavy_order(m: int, x, y, arcs) -> list:
     return order
 
 
-def _pack(g: WeightedGraph, lab, k: int, cap: int, limit: int):
+def _pack(g: _StructuralGraph, lab, k: int, cap: int, limit: int):
     """Assignment packing the merged clusters of ``lab`` into ``k`` parts.
 
     The clusters are laid out in ``_heavy_order``, each one's vertices in
@@ -291,7 +293,7 @@ def _pack(g: WeightedGraph, lab, k: int, cap: int, limit: int):
     return assign
 
 
-def _outside(g: WeightedGraph, assign):
+def _outside(g: _StructuralGraph | WeightedGraph, assign):
     """Per vertex, its neighbour entries in another part."""
     part = assign.astype(_index_dtype(assign.size))
     cross = part[g.src] != part[g.dst]
@@ -301,7 +303,7 @@ def _outside(g: WeightedGraph, assign):
     )
 
 
-def _refine(g: WeightedGraph, ptr, adj, assign, k: int, cap: int) -> None:
+def _refine(g: _StructuralGraph, ptr, adj, assign, k: int, cap: int) -> None:
     """Move boundary vertices to shrink the boundary, in place.
 
     Moving ``v`` from part A to part B gains one if all its neighbours are
@@ -353,18 +355,20 @@ def _refine(g: WeightedGraph, ptr, adj, assign, k: int, cap: int) -> None:
         ext = new
 
 
-class _StructuralGraph(WeightedGraph):
-    """A level's graph as the partitioner reads it, with what it derives.
+class _StructuralGraph:
+    """A level's arcs as the partitioner reads them, with what it derives.
 
-    The symmetrised CSR is built on first use and kept, and so is the last
-    label propagation that the size cap never bound, with the smallest cap
-    under which that run is the same: a partition under any cap from there
-    up reuses its labels.  The tile sweep partitions one level-0 graph at
-    every tile size, and its clusters stay below every cap but the smallest.
+    It holds ``n`` and the ``src``/``dst`` arrays, never weights, and never
+    writes the arrays: they may be the caller's own.  The symmetrised CSR
+    is built on first use and kept, and so is the last label propagation
+    that the size cap never bound, with the smallest cap under which that
+    run is the same: a partition under any cap from there up reuses its
+    labels.  The tile sweep partitions one level-0 graph at every tile
+    size, and its clusters stay below every cap but the smallest.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
+        self.n, self.src, self.dst = n, src, dst
         self._csr = None
         self._clusters = (math.inf, None)
 
@@ -399,7 +403,8 @@ def kway_partition(
     boundary (vertices with a neighbour in another part), which sizes
     the level matrices and merges.  Only the arcs decide the result.  A
     graph from ``_structural_graph`` keeps its CSR and clusters for later
-    calls; any other graph is wrapped in one for this call.
+    calls; a ``WeightedGraph``, already validated, lends its arc arrays to
+    one for this call, without a copy.
     """
     n = g.n
     if not 1 <= k <= max(n, 1):
@@ -409,7 +414,7 @@ def kway_partition(
     cap = _size_cap(n, k, imbalance)
     limit = max(1, cap // 2)
     if not isinstance(g, _StructuralGraph):
-        g = _StructuralGraph(n, g.src, g.dst, g.w)
+        g = _StructuralGraph(n, g.src, g.dst)
     assign = _pack(g, g.labels(limit), k, cap, limit)
     _refine(g, *g.csr(), assign, k, cap)
     return Partition(n, k, assign)
@@ -483,31 +488,33 @@ def _structural_graph(n, src, dst, groups) -> _StructuralGraph:
     """Connectivity surrogate: the arcs plus clique/ring edges per group,
     without parallel arcs and sorted by ``(src, dst)``.
 
-    The partitioner reads no weights, so every arc weighs 0 (which keeps an
-    input graph's zero-weight self-loops valid).  ``build_hierarchy`` takes
-    such a graph as its own level 0, as it is the structural graph of itself.
+    The partitioner reads no weights, so the graph holds none.  With no
+    groups, arcs already strictly sorted are kept as given: the graph
+    shares the caller's ``src`` and ``dst``.  ``build_hierarchy`` takes
+    such a graph as its own level 0, as it is the structural graph of
+    itself.
     """
-    srcs = [src]
-    dsts = [dst]
-    for grp in groups:
-        m = grp.size
-        if m <= _CLIQUE_CAP:
-            ii, jj = np.nonzero(~np.eye(m, dtype=bool))
-            srcs.append(grp[ii])
-            dsts.append(grp[jj])
-        else:
-            nxt = np.roll(grp, -1)
-            srcs.extend([grp, nxt])
-            dsts.extend([nxt, grp])
-    src, dst = np.concatenate(srcs), np.concatenate(dsts)
+    if groups:
+        srcs, dsts = [src], [dst]
+        for grp in groups:
+            m = grp.size
+            if m <= _CLIQUE_CAP:
+                ii, jj = np.nonzero(~np.eye(m, dtype=bool))
+                srcs.append(grp[ii])
+                dsts.append(grp[jj])
+            else:
+                nxt = np.roll(grp, -1)
+                srcs.extend([grp, nxt])
+                dsts.extend([nxt, grp])
+        src, dst = np.concatenate(srcs), np.concatenate(dsts)
     key = src * n + dst
     if not np.all(key[1:] > key[:-1]):
         src, dst = np.divmod(np.unique(key), n)
-    return _StructuralGraph(n, src, dst, np.zeros(src.size, dtype=np.int64))
+    return _StructuralGraph(n, src, dst)
 
 
 def build_hierarchy(
-    g: WeightedGraph,
+    g: WeightedGraph | _StructuralGraph,
     max_tile: int,
     k_fn=None,
     imbalance: float = DEFAULT_IMBALANCE,

@@ -14,7 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .apsp import choose_mode, recursive_apsp, schedule
+from .apsp import choose_schedule, recursive_apsp
 from .costmodel import (
     CostReport,
     HbmParams,
@@ -97,6 +97,11 @@ class WorkloadDescriptor:
             empty = [rid for rid, seq in self.reads if not seq]
             if empty:
                 raise DescriptorError(f"read {empty[0]} is empty")
+            seen = set()
+            for rid, _ in self.reads:
+                if rid in seen:
+                    raise DescriptorError(f"duplicate read id {rid!r}")
+                seen.add(rid)
             if self.W < 1:
                 raise DescriptorError(f"window width W={self.W} must be positive")
         else:
@@ -266,7 +271,7 @@ def _lower_apsp(w: WorkloadDescriptor) -> ExecutionPlan:
     computes from the graph alone.
     """
     hier = build_hierarchy(w.graph, max_tile=w.max_tile)
-    trace = schedule(hier, choose_mode(hier))
+    trace = choose_schedule(hier)
     stages = [Stage("s0.partition", K_PARTITION, ["graph"], ["hier"])]
     numbered: Counter = Counter()
 

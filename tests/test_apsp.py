@@ -229,7 +229,7 @@ def record_fw_calls(monkeypatch) -> list:
     [(c, m) for c in sorted(SCHEDULE_CASES) for m in (SCHEDULE_CASES[c][2], "lazy")],
 )
 def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, runs):
-    # the engine runs the dense or the direct schedule, as choose_mode
+    # the engine runs the dense or the direct schedule, as choose_schedule
     # picks; the lazy one, which the tile sweep and plans past the dense
     # limit price, leaves out the base-level merges.  The host makes the
     # schedule's close and top closures, in its order; the inject, re-close

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from graphdp.graphs import (
     WeightedGraph,
     distance_init,
     dump_edge_list,
+    dump_fasta,
     gen_clustered,
     gen_er,
     gen_nws,
@@ -274,6 +276,48 @@ def test_threads_flag_is_accepted_and_ignored(tmp_path, capsys):
     assert snaps[0] == snaps[1]
 
 
+# SHA-256 of what apsp --model and plan --workload apsp write: a refactor
+# keeps these outputs byte-identical
+_PINNED = {
+    "clustered": (
+        lambda: gen_clustered(32, 64, 3, groups=4),
+        256,
+        {
+            "apsp/dist.bin": "5f4d8f9ba08eba1c5de6cb2d47c3802b7263fa3807997fcb61307f354ac8aea3",
+            "apsp/cost.json": "da7a4fb5fb9dbd7290a70f3fe4c088bb562efeee8e0b7375177913a5b2fa92e8",
+            "apsp/cost.csv": "cd447ba17e75571b7f7141fedc2cd8ab6b412073d5cd52be9e46624789c82db7",
+            "plan/plan.json": "ce0d4cc3b9dfedb5dd84d20392ed69a6a6551c5a76408d55725512165b6fd61d",
+        },
+    ),
+    "er": (
+        lambda: gen_er(1000, 0.006, 1),
+        128,
+        {
+            "apsp/dist.bin": "7e2ad36f98360f75100d30c30ed9af18dd787d83b0748d29af30d235c44ccf5c",
+            "apsp/cost.json": "7db6b782b8e751f9b3026cf6f72008e7c816575949aa88d87a2820c676259996",
+            "apsp/cost.csv": "1a7b6e9cd08692ca6284cc445959f1278b4782b7b6751ebfca12ff3c42b5e7f0",
+            "plan/plan.json": "880db678fa3fb56a815383c96a717102da6350a14662654bd8a364699df16f4c",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_apsp_and_plan_outputs_keep_their_digests(tmp_path, case):
+    make, tile, want = _PINNED[case]
+    graph = tmp_path / "g.edges"
+    dump_edge_list(make(), str(graph))
+    assert run("apsp", "--graph", graph, "--max-tile", tile, "--model",
+               "--out", tmp_path / "apsp") == 0
+    assert run("plan", "--workload", "apsp", "--graph", graph, "--max-tile", tile,
+               "--out", tmp_path / "plan") == 0
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in want
+    }
+    assert got == want
+
+
 def test_apsp_missing_graph_file_is_usage_error(tmp_path):
     assert run("apsp", "--graph", tmp_path / "nope.edges",
                "--out", tmp_path) == 2
@@ -482,6 +526,27 @@ def test_plan_mixed_batch_shows_two_align_stages(tmp_path):
     aligns = [s for s in doc["stages"] if s["kind"] == "AlignBatch"]
     assert len(aligns) == 2
     assert {s["mapping"] for s in aligns} == {"short-parallel", "long-pipeline"}
+
+
+def test_duplicate_read_ids_exit_2_before_scoring(tmp_path, capsys):
+    # results are keyed by read id, so a repeated id would fold two reads
+    # into one score row; s2g and plan refuse it, naming the first repeat
+    # in file order, and write no scores
+    gfa, fa = _gen_inputs(tmp_path, reads=3)
+    (_, s0), (_, s1), (_, s2) = load_fasta(fa)
+    dup = tmp_path / "dup.fa"
+    dump_fasta([("dup", s0), ("x", s1), ("x", s2), ("dup", s0)], str(dup))
+    desc = tmp_path / "d.json"
+    desc.write_text(json.dumps({"kind": "s2g", "graph": gfa, "reads": str(dup)}))
+    for i, argv in enumerate((
+        ("s2g", "--graph", gfa, "--reads", dup, "--verify"),
+        ("plan", "--workload", "s2g", "--graph", gfa, "--reads", dup),
+        ("plan", "--desc", desc),
+    )):
+        out = tmp_path / f"out{i}"
+        assert run(*argv, "--out", out) == 2, argv
+        assert capsys.readouterr().err == "error: duplicate read id 'x'\n", argv
+        assert not (out / "scores.tsv").exists()
 
 
 def test_plan_without_inputs_is_usage_error(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdp.apsp import schedule
-from graphdp.costmodel import make_tile_workload
+from graphdp.costmodel import make_tile_workload, sweep_tile_size
 from graphdp.graphs import (
     INF_SENTINEL,
     WeightedGraph,
@@ -24,6 +24,7 @@ from graphdp.partition import (
     Partition,
     PartitionError,
     _label_propagation,
+    _pack,
     _structural_graph,
     build_hierarchy,
     find_boundary,
@@ -204,11 +205,11 @@ def test_kway_isolated_vertices_are_fast():
 
 def test_kway_memory_on_tile_workload():
     # the tile sweep's level-0 call at N=1024: the partitioner's own peak
-    # stays within 1.5x the structural graph's arc arrays
+    # stays within 2.25x the structural graph's arc arrays
     g = make_tile_workload()
     struct = _structural_graph(g.n, g.src, g.dst, [])
     del g
-    arcs = struct.src.nbytes + struct.dst.nbytes + struct.w.nbytes
+    arcs = struct.src.nbytes + struct.dst.nbytes
     tracemalloc.start()
     try:
         p = kway_partition(struct, 128, imbalance=0.0)
@@ -216,7 +217,33 @@ def test_kway_memory_on_tile_workload():
     finally:
         tracemalloc.stop()
     assert np.array_equal(p.sizes(), [1024] * 128)
-    assert peak <= 1.5 * arcs
+    assert peak <= 2.25 * arcs
+
+
+def test_level0_shares_the_callers_arcs_and_never_writes_them(monkeypatch):
+    # sorted arcs with no groups are the level-0 graph as given: the
+    # hierarchy, a direct partition and the tile sweep read the caller's
+    # arrays in place, and no stage writes them
+    seen = []
+
+    def spy(g, *args):
+        seen.append(g)
+        return _pack(g, *args)
+
+    monkeypatch.setattr("graphdp.partition._pack", spy)
+    g = make_tile_workload(8192)
+    g.src.flags.writeable = False
+    g.dst.flags.writeable = False
+    for run in (
+        lambda: build_hierarchy(g, 1024),
+        lambda: kway_partition(g, 8),
+        lambda: sweep_tile_size([256, 1024, 2048], g=g),
+    ):
+        seen.clear()
+        run()
+        assert not isinstance(seen[0], WeightedGraph)
+        assert np.shares_memory(seen[0].src, g.src)
+        assert np.shares_memory(seen[0].dst, g.dst)
 
 
 # ---------------------------------------------------------------------------

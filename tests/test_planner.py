@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from graphdp.apsp import ApspError, choose_mode, recursive_apsp, schedule
+from graphdp.apsp import ApspError, choose_schedule, recursive_apsp, schedule
 from graphdp.costmodel import make_tile_workload
 from graphdp.graphs import gen_clustered, gen_er, gen_genome, gen_reads, parse_gfa
 from graphdp.partition import build_hierarchy
@@ -53,7 +53,7 @@ def test_direct_apsp_lowers_to_one_closure_of_the_graph():
     g = gen_er(260, 0.02, seed=3)
     w = WorkloadDescriptor("apsp", g, max_tile=64)
     plan = lower(w)
-    assert choose_mode(build_hierarchy(g, max_tile=64)) == "direct"
+    assert choose_schedule(build_hierarchy(g, max_tile=64)).mode == "direct"
     assert [(s.kind, s.inputs, s.outputs) for s in plan.stages] == [
         (K_PARTITION, ["graph"], ["hier"]),
         (K_BOUNDARY_FW, ["graph"], ["dist"]),
@@ -67,7 +67,7 @@ def test_apsp_stage_count_matches_hierarchy():
     hier = build_hierarchy(g, max_tile=64)
     assert hier.depth == 3 and not hier.truncated
     # past the dense limit: the lazy schedule, without base-level merges
-    assert choose_mode(hier) == "lazy"
+    assert choose_schedule(hier).mode == "lazy"
     want = sum(lv.partition.k for lv in hier.levels)
     want += bool(hier.levels[-1].boundaries.union.size)
     for li, lv in enumerate(hier.levels):
@@ -101,12 +101,12 @@ def test_apsp_stage_count_matches_trace(make, tile):
     plan = lower(w)
     plan.validate()
     hier = build_hierarchy(g, max_tile=tile)
-    if choose_mode(hier) == "dense":
+    if choose_schedule(hier).mode == "dense":
         trace = execute(w)["apsp"].trace
     else:
         # past the dense limit the plan prices the lazy schedule, and the
         # engine, which builds the dense matrix, refuses the graph
-        assert choose_mode(hier) == "lazy"
+        assert choose_schedule(hier).mode == "lazy"
         with pytest.raises(ApspError, match=f"n={g.n}"):
             execute(w)
         trace = schedule(hier, "lazy")
@@ -130,12 +130,30 @@ def test_plan_is_deterministic():
 def test_plan_dataflow_is_wired():
     g = gen_er(260, 0.004, seed=0)
     plan = lower(WorkloadDescriptor("apsp", g, max_tile=64))
-    assert choose_mode(build_hierarchy(g, max_tile=64)) == "dense"
+    assert choose_schedule(build_hierarchy(g, max_tile=64)).mode == "dense"
     plan.validate()
     produced = {"graph", "reads"}
     for st in plan.stages:
         assert all(i in produced for i in st.inputs)
         produced.update(st.outputs)
+
+
+def test_dense_run_and_plan_build_the_schedule_once(monkeypatch):
+    # choose_schedule returns the dense trace it built to decide, and the
+    # engine and the planner carry it rather than build it again
+    modes = []
+
+    def counting(hier, mode):
+        modes.append(mode)
+        return schedule(hier, mode)
+
+    monkeypatch.setattr("graphdp.apsp.schedule", counting)
+    g = gen_er(260, 0.004, seed=0)
+    assert recursive_apsp(g, max_tile=64).trace.mode == "dense"
+    assert modes == ["dense"]
+    modes.clear()
+    lower(WorkloadDescriptor("apsp", g, max_tile=64))
+    assert modes == ["dense"]
 
 
 def test_unproduced_input_rejected():
@@ -158,7 +176,9 @@ def test_short_reads_map_to_grouped_pes():
 
 def test_mixed_batch_plans_two_align_stages():
     g, short = genome_case(bases=2000, length=100)
+    # gen_reads numbers every batch from r0; the long reads need ids of their own
     long_reads = gen_reads(g, 2, 800, 0.02, seed=9)
+    long_reads = [(f"long{i}", q) for i, (_, q) in enumerate(long_reads)]
     plan = lower(
         WorkloadDescriptor("s2g", g, reads=short + long_reads, W=64)
     )
@@ -189,6 +209,10 @@ def test_descriptor_kind_validation():
         WorkloadDescriptor("apsp", gg)
     with pytest.raises(DescriptorError):
         WorkloadDescriptor("s2g", gg, reads=[])
+    # results are keyed by read id, so a repeated id is refused: the first
+    # repeat in read order is named
+    with pytest.raises(DescriptorError, match="duplicate read id 'r1'$"):
+        WorkloadDescriptor("s2g", gg, reads=reads[:3] + reads[1:])
 
 
 # ---------------------------------------------------------------------------
