@@ -16,7 +16,9 @@ g = parse_gfa(gfa)
 print(f"genome graph: nodes={g.n} reference_len={len(ref)}")
 
 reads = gen_reads(g, 10, 120, 0.04, seed=1)
-reads += gen_reads(g, 2, 900, 0.01, seed=2)  # long tail
+# long tail; gen_reads numbers every batch from r0, so these get ids of their own
+reads += [(f"long{i}", q) for i, (_, q) in enumerate(gen_reads(g, 2, 900, 0.01, seed=2))]
+assert len({rid for rid, _ in reads}) == len(reads)  # results are keyed by read id
 short, long_ = split_by_length(reads)
 print(f"reads: {len(short.reads)} short + {len(long_.reads)} long")
 

@@ -1,12 +1,16 @@
 """Command-line harness: generators, engine drivers, sweeps, verification.
 
-Every command resolves its flags against defaults, runs deterministically
-(``gen`` and ``verify`` draw from ``--seed``, nothing else does), and writes
-a ``run.json`` next to its data outputs with the fully resolved
-configuration.  Data payloads carry no timestamps, so a rerun with the same
-inputs is byte-identical.
+Each command, and each kind of ``gen`` and ``sweep``, takes the common
+``--seed``, ``--out`` and ``--threads`` and only the other flags it reads;
+``--config`` reaches ``apsp``, ``s2g``, ``plan`` and the sweeps that read a
+device.  Every command resolves its flags against defaults, runs
+deterministically (``gen`` and ``verify`` draw from ``--seed``, nothing
+else does), and writes a ``run.json`` next to its data outputs with the
+fully resolved configuration.  Data payloads carry no timestamps, so a
+rerun with the same inputs is byte-identical.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, which covers
+a flag the command does not take.
 """
 
 from __future__ import annotations
@@ -184,24 +188,14 @@ def _base_cfg(args, command: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise UsageError(
-            f"gen {args.kind} requires " + ", ".join("--" + n for n in missing)
-        )
-
-
 def cmd_gen(args) -> int:
     outdir = _outdir(args)
     cfg = _base_cfg(args, f"gen.{args.kind}")
     if args.kind in ("er", "nws"):
         if args.kind == "er":
-            _require(args, ["n", "p"])
             g = gen_er(args.n, args.p, args.seed, args.w_max)
             cfg.update(n=args.n, p=args.p, w_max=args.w_max)
         else:
-            _require(args, ["n", "k", "p"])
             g = gen_nws(args.n, args.k, args.p, args.seed, args.w_max)
             cfg.update(n=args.n, k=args.k, p=args.p, w_max=args.w_max)
         path = os.path.join(outdir, "graph.edges")
@@ -211,7 +205,6 @@ def cmd_gen(args) -> int:
         print(f"{args.kind}: n={g.n} edges={g.edge_count} seed={args.seed} -> {path}")
         return EXIT_OK
 
-    _require(args, ["bases"])
     # everything that can be refused is refused before a file is written
     check_read_params(args.reads, args.read_len, args.sub_rate)
     gfa, ref = gen_genome(args.bases, args.bubble_rate, args.seed)
@@ -398,11 +391,11 @@ def cmd_s2g(args) -> int:
 
 def cmd_sweep(args) -> int:
     outdir = _outdir(args)
-    pcm, hbm = _device(args.config)
     cfg = _base_cfg(args, f"sweep.{args.kind}")
     path = os.path.join(outdir, f"{args.kind}.csv")
 
     if args.kind == "tilesize":
+        pcm, _ = _device(args.config)
         Ns = _parse_ints(args.Ns)
         cfg.update(Ns=Ns, device={"pcm": asdict(pcm)})
         rows = [
@@ -416,6 +409,7 @@ def cmd_sweep(args) -> int:
             {**cfg, "normalized_to": 1024},
         )
     elif args.kind == "pe":
+        _, hbm = _device(args.config)
         counts = _parse_ints(args.counts)
         cfg.update(counts=counts, device={"hbm": asdict(hbm)})
         rows = [
@@ -424,6 +418,7 @@ def cmd_sweep(args) -> int:
         ]
         _write_csv(path, ["pe_per_channel", "reads_per_s", "bandwidth_util"], rows, cfg)
     elif args.kind == "sram":
+        _, hbm = _device(args.config)
         caps = _parse_sizes(args.caps)
         cfg.update(caps=caps, device={"hbm": asdict(hbm)})
         rows = [
@@ -462,18 +457,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_plan(args) -> int:
     outdir = _outdir(args)
-    if args.desc:
+    if args.desc is not None:
         w = load_descriptor(args.desc)
-    elif args.workload == "apsp":
-        if not args.graph:
-            raise UsageError("plan --workload apsp requires --graph")
-        w = _workload(args, "apsp")
-    elif args.workload == "s2g":
-        if not (args.graph and args.reads):
-            raise UsageError("plan --workload s2g requires --graph and --reads")
-        w = _workload(args, "s2g")
+    elif args.graph and (args.reads or args.workload == "apsp"):
+        w = _workload(args, args.workload)
     else:
-        raise UsageError("plan requires --desc or --workload")
+        need = "--graph" if args.workload == "apsp" else "--graph and --reads"
+        raise UsageError(f"plan --workload {args.workload} requires {need}")
 
     plan = lower(w)
     path = os.path.join(outdir, "plan.json")
@@ -627,6 +617,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_COMMANDS = {"gen": cmd_gen, "apsp": cmd_apsp, "s2g": cmd_s2g, "sweep": cmd_sweep,
+            "plan": cmd_plan, "verify": cmd_verify}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing a command
@@ -639,13 +633,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument(
-        "--config", default=None,
-        help="JSON device overrides, e.g. {\"pcm\": {...}, \"hbm\": {...}}",
-    )
-    common.add_argument(
         "--threads", type=int, default=1,
         help="ignored: the engine runs sequentially; kept for existing scripts",
     )
+    # the commands and sweep kinds that read a device take both parents
+    device = _Parser(add_help=False)
+    device.add_argument(
+        "--config", default=None,
+        help="JSON device overrides, e.g. {\"pcm\": {...}, \"hbm\": {...}}",
+    )
+    both = [common, device]
 
     ap = _Parser(
         prog="graphdp",
@@ -654,29 +651,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", parents=[common], help="synthesize inputs")
-    g.add_argument("kind", choices=["er", "nws", "genome"])
-    g.add_argument("--n", type=int)
-    g.add_argument("--p", type=float)
-    g.add_argument("--k", type=int)
-    g.add_argument("--w-max", type=int, default=100)
-    g.add_argument("--bases", type=int)
+    gen = sub.add_parser("gen", help="synthesize inputs")
+    gens = gen.add_subparsers(dest="kind", required=True)
+    for kind in ("er", "nws"):
+        g = gens.add_parser(kind, parents=[common])
+        g.add_argument("--n", type=int, required=True)
+        if kind == "nws":
+            g.add_argument("--k", type=int, required=True)
+        g.add_argument("--p", type=float, required=True)
+        g.add_argument("--w-max", type=int, default=100)
+    g = gens.add_parser("genome", parents=[common])
+    g.add_argument("--bases", type=int, required=True)
     g.add_argument("--bubble-rate", type=float, default=0.02)
     g.add_argument("--reads", type=int, default=0, help="also sample reads")
     g.add_argument("--read-len", type=int, default=100)
     g.add_argument("--sub-rate", type=float, default=0.0)
-    g.set_defaults(fn=cmd_gen)
 
-    a = sub.add_parser("apsp", parents=[common], help="close a weighted graph")
+    a = sub.add_parser("apsp", parents=both, help="close a weighted graph")
     a.add_argument("--graph", required=True, help="edge-list file")
     a.add_argument("--max-tile", type=int, default=1024)
     a.add_argument("--fmt", choices=["bin", "tsv"], default="bin")
     a.add_argument("--verify", action="store_true",
                    help="cross-check against Dijkstra")
     a.add_argument("--model", action="store_true", help="attach cost report")
-    a.set_defaults(fn=cmd_apsp)
 
-    s = sub.add_parser("s2g", parents=[common], help="align reads to a graph")
+    s = sub.add_parser("s2g", parents=both, help="align reads to a graph")
     s.add_argument("--graph", required=True, help="graph file (GFA subset)")
     s.add_argument("--reads", required=True, help="FASTA reads")
     s.add_argument("--mode", choices=["auto", "short", "long"], default="auto")
@@ -687,29 +686,30 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cross-check every read against the reference scorer")
     s.add_argument("--model", action="store_true",
                    help="attach throughput/energy report")
-    s.set_defaults(fn=cmd_s2g)
 
-    w = sub.add_parser("sweep", parents=[common], help="emit sensitivity curves")
-    w.add_argument("kind", choices=["tilesize", "pe", "sram", "roofline"])
-    w.add_argument("--Ns", default=DEFAULT_TILE_NS, help="tile sizes")
-    w.add_argument("--counts", default=DEFAULT_PE_COUNTS, help="PEs per channel")
-    w.add_argument("--caps", default=DEFAULT_SRAM_CAPS,
-                   help="SRAM bytes, comma list or lo..hi doubling range")
-    w.add_argument("--n", type=int, default=1024, help="roofline tile size")
-    w.set_defaults(fn=cmd_sweep)
+    sweep = sub.add_parser("sweep", help="emit sensitivity curves")
+    sweeps = sweep.add_subparsers(dest="kind", required=True)
+    for kind, flag, default, text in (
+        ("tilesize", "--Ns", DEFAULT_TILE_NS, "tile sizes"),
+        ("pe", "--counts", DEFAULT_PE_COUNTS, "PEs per channel"),
+        ("sram", "--caps", DEFAULT_SRAM_CAPS,
+         "SRAM bytes, comma list or lo..hi doubling range"),
+    ):
+        sweeps.add_parser(kind, parents=both).add_argument(flag, default=default, help=text)
+    r = sweeps.add_parser("roofline", parents=[common])
+    r.add_argument("--n", type=int, default=1024, help="roofline tile size")
 
-    p = sub.add_parser("plan", parents=[common], help="dump an execution plan")
-    p.add_argument("--desc", default=None, help="workload descriptor JSON")
-    p.add_argument("--workload", choices=["apsp", "s2g"], default=None)
+    p = sub.add_parser("plan", parents=both, help="dump an execution plan")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--desc", help="workload descriptor JSON")
+    source.add_argument("--workload", choices=["apsp", "s2g"])
     p.add_argument("--graph", default=None)
     p.add_argument("--reads", default=None)
     p.add_argument("--max-tile", type=int, default=1024)
     p.add_argument("--W", type=int, default=128)
     p.add_argument("--mode", choices=["auto", "short", "long"], default="auto")
-    p.set_defaults(fn=cmd_plan)
 
-    v = sub.add_parser("verify", parents=[common], help="run the oracle suites")
-    v.set_defaults(fn=cmd_verify)
+    sub.add_parser("verify", parents=[common], help="run the oracle suites")
     return ap
 
 
@@ -725,7 +725,7 @@ def main(argv=None) -> int:
             raise UsageError(f"--seed {args.seed} must be non-negative")
         if args.threads < 1:
             raise UsageError(f"--threads {args.threads} must be at least 1")
-        return args.fn(args)
+        return _COMMANDS[args.command](args)
     except UnicodeDecodeError as e:
         # a byte the text loaders (edge list, GFA, FASTA, JSON) cannot decode
         print(f"error: input is not valid text: {e}", file=sys.stderr)

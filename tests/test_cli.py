@@ -80,10 +80,15 @@ def test_gen_genome_outputs_reload(tmp_path):
     assert ref[0][0] == "ref" and len(ref[0][1]) == 1500
 
 
-def test_gen_missing_params_is_usage_error(tmp_path):
-    assert run("gen", "er", "--p", 0.1, "--out", tmp_path) == 2
-    assert run("gen", "genome", "--out", tmp_path) == 2
-    assert run("gen", "nws", "--n", 50, "--p", 0.1, "--out", tmp_path) == 2
+def test_gen_missing_params_is_usage_error(tmp_path, capsys):
+    for argv, flag in (
+        (("er", "--p", 0.1), "--n"), (("genome",), "--bases"),
+        (("nws", "--n", 50, "--p", 0.1), "--k"),
+    ):
+        assert run("gen", *argv, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert flag in err, err
 
 
 def test_gen_bad_params_is_usage_error(tmp_path, capsys):
@@ -316,6 +321,53 @@ def test_apsp_and_plan_outputs_keep_their_digests(tmp_path, case):
         for name in want
     }
     assert got == want
+
+
+# SHA-256 of what each gen and sweep kind writes, its run.json included; the
+# commands run from the test's directory with a relative --out, because
+# run.json and the sweep CSVs' config line record --out
+_GEN_SWEEP_CMDS = [
+    ("gen", "er", "--n", 150, "--p", 0.03, "--w-max", 50, "--seed", 42),
+    ("gen", "nws", "--n", 120, "--k", 6, "--p", 0.1, "--seed", 3),
+    ("gen", "genome", "--bases", 1500, "--bubble-rate", 0.03, "--reads", 4,
+     "--read-len", 90, "--sub-rate", 0.02, "--seed", 7),
+    ("sweep", "tilesize", "--Ns", "512,1024", "--config", "dev.json"),
+    ("sweep", "pe", "--counts", "16,64,128", "--config", "dev.json"),
+    ("sweep", "sram", "--caps", "64K..256K"),
+    ("sweep", "roofline", "--n", 512),
+]
+_GEN_SWEEP_PINNED = {
+    "er/graph.edges": "dc4784fc2280efc2ed978a0e591db44f7cd4397082038e37fef4289eb6894de8",
+    "er/run.json": "db492efa6e909d01bb74048ee3ccb07a42241cd07dba86bce4547d3b6c227050",
+    "nws/graph.edges": "b934f83adc2f09fa1a85589421a3c30ca6d5d4ac763eb824fe1b095f0e38ad94",
+    "nws/run.json": "f63721a38b20727b866a0f596edd7cc947419a2a769717fb2dcdedf878a50aa0",
+    "genome/graph.gfa": "ce9324140ca2d360ddeaa201125d46337bde77dbdaaf13287570b7253f5b3b9d",
+    "genome/reads.fa": "3fd100a501f2e4a7538a98922a860614c1c3db12d047b6605d5c4bba6ee3549a",
+    "genome/ref.fa": "c3d78f77495892f559b0cbad45ab805b07999c782ce42f5538d71327a51c33a0",
+    "genome/run.json": "e0c966c6a517c1d933ef7cf51a7980dff60d91b1587a7fadf1ab697b90befa8d",
+    "tilesize/tilesize.csv": "f9f4a9c2b03f535ed3ba5c08a51a2169f236f5f6635709890bb265d076831c43",
+    "tilesize/run.json": "512f5a8b0ffcda119ab3f9a43512fd660af722a7ca16bba66192ecc6e517cc5b",
+    "pe/pe.csv": "a93c3c967ee872a3824d8efc92638758f28b91492e0a4fc2dd018ddd1b773eee",
+    "pe/run.json": "b86e302b2deb6487c8fb9dcd6d7ef708b0da20eb13834dd1b1df764855262790",
+    "sram/sram.csv": "b5c483710c08c89af766d91baa20e5671a54f80ccd6edc9d3d1607175f5e9de0",
+    "sram/run.json": "79aff0af3924b1bbcff28c789ddf76fa63b5c3b1b8ad3e920f41132bd2431c2f",
+    "roofline/roofline.csv": "847b46b141fa03c716bb1df05b8b1a08b0d257e231126e38e7f629facdb2bcd7",
+    "roofline/run.json": "6df1d2a2462364e123e0117024feec2d998407dd82e0cc415732e4e13499490e",
+}
+
+
+def test_gen_and_sweep_outputs_keep_their_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dev.json").write_text(
+        json.dumps({"pcm": {"unit_dim": 512}, "hbm": {"channels": 8}})
+    )
+    for argv in _GEN_SWEEP_CMDS:
+        assert run(*argv, "--out", argv[1]) == 0, argv
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in _GEN_SWEEP_PINNED
+    }
+    assert got == _GEN_SWEEP_PINNED
 
 
 def test_apsp_missing_graph_file_is_usage_error(tmp_path):
@@ -745,6 +797,54 @@ def test_unknown_subcommand_exits_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     assert run("apsp", "--help") == 0
     assert "--max-tile" in capsys.readouterr().out
+
+
+# each gen and sweep kind, and verify, with every flag a sibling kind or
+# another command reads: the flag acts nowhere here, so it is refused
+# before anything runs rather than accepted and ignored
+_VALUES = {
+    "--n": 10, "--k": 2, "--p": 0.1, "--w-max": 9, "--bases": 100,
+    "--bubble-rate": 0.1, "--reads": 2, "--read-len": 50, "--sub-rate": 0.01,
+    "--Ns": 256, "--counts": 16, "--caps": "64K", "--config": "@/dev.json",
+}
+_FOREIGN = {
+    ("gen", "er", "--n", 10, "--p", 0.1): [
+        "--k", "--bases", "--bubble-rate", "--reads", "--read-len", "--sub-rate",
+        "--config",
+    ],
+    ("gen", "nws", "--n", 10, "--k", 2, "--p", 0.1): [
+        "--bases", "--bubble-rate", "--reads", "--read-len", "--sub-rate", "--config",
+    ],
+    ("gen", "genome", "--bases", 100): ["--n", "--p", "--k", "--w-max", "--config"],
+    ("sweep", "tilesize", "--Ns", 256): ["--counts", "--caps", "--n"],
+    ("sweep", "pe"): ["--Ns", "--caps", "--n"],
+    ("sweep", "sram"): ["--Ns", "--counts", "--n"],
+    ("sweep", "roofline"): ["--Ns", "--counts", "--caps", "--config"],
+    ("verify",): ["--config"],
+}
+_REFUSED = [
+    (base, (flag, _VALUES[flag])) for base, flags in _FOREIGN.items() for flag in flags
+] + [
+    (("plan", "--desc", "@/d.json"), ("--workload", "apsp")),
+    (("gen", "--seed", 1, "er", "--n", 10, "--p", 0.1), ()),
+]
+
+
+@pytest.mark.parametrize(
+    "base,extra", _REFUSED, ids=[" ".join(map(str, b + e)) for b, e in _REFUSED]
+)
+def test_flags_a_command_does_not_read_exit_2(base, extra, tmp_path, capsys):
+    # valid files, so that only the parser can refuse the command
+    (tmp_path / "dev.json").write_text(json.dumps({"hbm": {"channels": 8}}))
+    graph = tmp_path / "g.edges"
+    dump_edge_list(gen_er(20, 0.2, 1), str(graph))
+    (tmp_path / "d.json").write_text(json.dumps({"kind": "apsp", "graph": str(graph)}))
+    argv = [str(a).replace("@", str(tmp_path)) for a in base + extra]
+    assert run(*argv, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not extra or extra[0] in err, err
+    assert not (tmp_path / "o").exists()
 
 
 # one command per error class that main catches, and one per check main
