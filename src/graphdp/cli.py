@@ -1,13 +1,17 @@
-"""Command-line harness: generators, engine drivers, sweeps, verification.
+"""Command-line harness: generators, engine drivers, sweeps, plans,
+verification.
 
-Each command, and each kind of ``gen`` and ``sweep``, takes the common
-``--seed``, ``--out`` and ``--threads`` and only the other flags it reads;
-``--config`` reaches ``apsp``, ``s2g``, ``plan`` and the sweeps that read a
-device.  Every command resolves its flags against defaults, runs
-deterministically (``gen`` and ``verify`` draw from ``--seed``, nothing
-else does), and writes a ``run.json`` next to its data outputs with the
-fully resolved configuration.  Data payloads carry no timestamps, so a
-rerun with the same inputs is byte-identical.
+Each command, and each kind of ``gen``, ``sweep`` and ``plan``, takes only
+the flags it reads, and the parser settles the whole command line, lists
+included, before anything runs.  ``plan apsp`` and ``plan s2g`` share their
+input flags with ``apsp`` and ``s2g``; ``--config`` reaches ``apsp``,
+``s2g`` and the sweeps that read a device; ``--seed`` reaches ``gen`` and
+``verify``, which draw from it, and the sweeps, which record it.  Every
+command but ``verify`` writes its data outputs and a ``run.json`` with the
+fully resolved configuration into ``--out``, which is made when the first
+file is written, so a refused command leaves nothing behind.  Data
+payloads carry no timestamps, so a rerun with the same inputs is
+byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, which covers
 a flag the command does not take.
@@ -25,7 +29,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .apsp import export_distances, recursive_apsp
+from .apsp import TSV_LIMIT, export_distances, recursive_apsp
 from .costmodel import (
     ModelError,
     arithmetic_intensity,
@@ -70,10 +74,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 
-DEFAULT_TILE_NS = "256,512,1024,2048"
-DEFAULT_PE_COUNTS = "16,32,64,128,192"
-DEFAULT_SRAM_CAPS = "32K..512K"
-
 
 class UsageError(ValueError):
     pass
@@ -81,7 +81,21 @@ class UsageError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as one ``error:`` line and exit 2; its
-    subparsers are of this class too."""
+    subparsers are of this class too.  Where a command or a kind comes next,
+    a flag in its place is refused by name."""
+
+    next_word = None  # "command" or "kind" where a subparser follows
+
+    def add_subparsers(self, **kwargs):
+        self.next_word = kwargs["dest"]
+        return super().add_subparsers(**kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        flag = args[0].split("=", 1)[0] if args else ""
+        if self.next_word and flag.startswith("-") and flag not in ("-h", "--help"):
+            self.error(f"{flag} goes after the {self.next_word}")
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"error: {message}\n")
@@ -92,43 +106,46 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _parse_ints(text: str) -> list:
-    try:
-        vals = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as e:
-        raise UsageError(f"bad integer list {text!r}") from e
-    if not vals:
-        raise UsageError(f"empty list {text!r}")
-    return vals
+def _seed(text: str) -> int:
+    """A non-negative integer: numpy's generators refuse a negative seed."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
 
 
-def _parse_size(tok: str) -> int:
+def _size(tok: str) -> int:
     t = tok.strip().upper()
-    mult = 1
-    if t.endswith("K"):
-        mult, t = 1024, t[:-1]
-    elif t.endswith("M"):
-        mult, t = 1024 * 1024, t[:-1]
-    try:
-        return int(t) * mult
-    except ValueError as e:
-        raise UsageError(f"bad size {tok!r}") from e
+    mult = {"K": 1024, "M": 1024 * 1024}.get(t[-1:], 1)
+    return int(t[:-1] if mult > 1 else t) * mult
 
 
-def _parse_sizes(text: str) -> list:
-    # "32K..512K" doubles from low to high inclusive; otherwise comma list
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = _parse_size(lo_s), _parse_size(hi_s)
-        if lo <= 0 or hi < lo:
-            raise UsageError(f"bad size range {text!r}")
-        caps = []
-        c = lo
-        while c <= hi:
-            caps.append(c)
-            c *= 2
-        return caps
-    return [_parse_size(tok) for tok in text.split(",") if tok.strip()]
+def _size_list(text: str) -> list:
+    """Byte sizes, each with an optional binary K or M suffix: a comma list,
+    or ``lo..hi`` doubling from lo up to hi."""
+    if ".." not in text:
+        return [_size(tok) for tok in text.split(",") if tok.strip()]
+    lo, hi = (_size(tok) for tok in text.split(".."))
+    return [lo << i for i in range((hi // lo).bit_length())] if 0 < lo <= hi else []
+
+
+def _positive(parse, what: str):
+    """An argparse type: the list ``parse`` reads, refused in one line when
+    it is empty or an entry is malformed or not positive."""
+
+    def read(text: str) -> list:
+        try:
+            vals = parse(text)
+        except ValueError:
+            vals = []
+        if not vals or min(vals) < 1:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a list of positive {what}")
+        return vals
+
+    return read
+
+
+_ints = _positive(lambda text: [int(t) for t in text.split(",") if t.strip()], "integers")
+_sizes = _positive(_size_list, "sizes")
 
 
 def _device(config_path: str | None):
@@ -140,16 +157,15 @@ def _device(config_path: str | None):
     return device_params(doc)
 
 
-def _outdir(args) -> str:
+def _path(args, name: str) -> str:
+    """``name`` in the output directory, which is made on the first write."""
     os.makedirs(args.out, exist_ok=True)
-    return args.out
+    return os.path.join(args.out, name)
 
 
-def _emit_run(outdir: str, cfg: dict) -> str:
-    path = os.path.join(outdir, "run.json")
-    with open(path, "w") as fh:
+def _emit_run(args, cfg: dict) -> None:
+    with open(_path(args, "run.json"), "w") as fh:
         fh.write(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def _write_csv(path: str, columns, rows, cfg: dict) -> None:
@@ -161,26 +177,29 @@ def _write_csv(path: str, columns, rows, cfg: dict) -> None:
             wr.writerow(row)
 
 
-def _workload(args, kind: str) -> WorkloadDescriptor:
-    """The ``kind`` ("apsp" or "s2g") descriptor of the files and flags in
-    ``args``, with the device of ``--config``."""
-    pcm, hbm = _device(args.config)
+def _workload(args, kind: str, **fields) -> WorkloadDescriptor:
+    """The ``kind`` ("apsp" or "s2g") descriptor of the input flags in
+    ``args`` and the command's own ``fields`` (W, device); the descriptor's
+    defaults stand for the rest."""
     if kind == "apsp":
         g = load_edge_list(args.graph)
-        return WorkloadDescriptor("apsp", g, max_tile=args.max_tile, pcm=pcm)
+        return WorkloadDescriptor("apsp", g, max_tile=args.max_tile, **fields)
     g = load_genome_graph(args.graph)
     reads = load_fasta(args.reads)
     if not reads:
         raise UsageError(f"no reads in {args.reads}")
-    return WorkloadDescriptor("s2g", g, reads=reads, W=args.W, mode=args.mode, hbm=hbm)
+    return WorkloadDescriptor("s2g", g, reads=reads, mode=args.mode, **fields)
 
 
-def _base_cfg(args, command: str) -> dict:
-    return {
-        "command": command,
-        "seed": args.seed,
-        "out": args.out,
-    }
+def _base_cfg(args) -> dict:
+    """run.json's common keys: the command and its kind, ``--out``, and
+    ``--seed`` where the command takes one."""
+    cfg = {"command": args.command, "out": args.out}
+    if "kind" in args:
+        cfg["command"] += f".{args.kind}"
+    if "seed" in args:
+        cfg["seed"] = args.seed
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +208,7 @@ def _base_cfg(args, command: str) -> dict:
 
 
 def cmd_gen(args) -> int:
-    outdir = _outdir(args)
-    cfg = _base_cfg(args, f"gen.{args.kind}")
+    cfg = _base_cfg(args)
     if args.kind in ("er", "nws"):
         if args.kind == "er":
             g = gen_er(args.n, args.p, args.seed, args.w_max)
@@ -198,10 +216,10 @@ def cmd_gen(args) -> int:
         else:
             g = gen_nws(args.n, args.k, args.p, args.seed, args.w_max)
             cfg.update(n=args.n, k=args.k, p=args.p, w_max=args.w_max)
-        path = os.path.join(outdir, "graph.edges")
+        path = _path(args, "graph.edges")
         dump_edge_list(g, path)
         cfg["outputs"] = ["graph.edges"]
-        _emit_run(outdir, cfg)
+        _emit_run(args, cfg)
         print(f"{args.kind}: n={g.n} edges={g.edge_count} seed={args.seed} -> {path}")
         return EXIT_OK
 
@@ -212,13 +230,13 @@ def cmd_gen(args) -> int:
     reads = []
     if args.reads:
         reads = gen_reads(g, args.reads, args.read_len, args.sub_rate, args.seed)
-    gfa_path = os.path.join(outdir, "graph.gfa")
+    gfa_path = _path(args, "graph.gfa")
     with open(gfa_path, "w") as fh:
         fh.write(gfa)
-    dump_fasta([("ref", ref)], os.path.join(outdir, "ref.fa"))
+    dump_fasta([("ref", ref)], _path(args, "ref.fa"))
     outputs = ["graph.gfa", "ref.fa"]
     if reads:
-        dump_fasta(reads, os.path.join(outdir, "reads.fa"))
+        dump_fasta(reads, _path(args, "reads.fa"))
         outputs.append("reads.fa")
     cfg.update(
         bases=args.bases,
@@ -228,7 +246,7 @@ def cmd_gen(args) -> int:
         sub_rate=args.sub_rate,
         outputs=outputs,
     )
-    _emit_run(outdir, cfg)
+    _emit_run(args, cfg)
     print(
         f"genome: nodes={g.n} arcs={g.succ_idx.size} seed={args.seed} -> {gfa_path}"
     )
@@ -241,26 +259,28 @@ def cmd_gen(args) -> int:
 
 
 def cmd_apsp(args) -> int:
-    outdir = _outdir(args)
-    w = _workload(args, "apsp")
+    pcm, _ = _device(args.config)
+    w = _workload(args, "apsp", pcm=pcm)
     g = w.graph
+    if args.fmt == "tsv" and g.n > TSV_LIMIT:
+        raise UsageError(f"tsv export capped at {TSV_LIMIT} vertices, not n={g.n}")
     out = execute(w, cost_model_on=args.model)
     res = out["apsp"]
 
     dist_name = "dist.tsv" if args.fmt == "tsv" else "dist.bin"
-    dist_path = os.path.join(outdir, dist_name)
+    dist_path = _path(args, dist_name)
     export_distances(res, dist_path, fmt=args.fmt)
     outputs = [dist_name]
 
     if args.model:
         rep = out["cost"]
-        with open(os.path.join(outdir, "cost.csv"), "w") as fh:
+        with open(_path(args, "cost.csv"), "w") as fh:
             fh.write(rep.to_csv())
-        with open(os.path.join(outdir, "cost.json"), "w") as fh:
+        with open(_path(args, "cost.json"), "w") as fh:
             fh.write(rep.to_json() + "\n")
         outputs += ["cost.csv", "cost.json"]
 
-    cfg = _base_cfg(args, "apsp")
+    cfg = _base_cfg(args)
     cfg.update(
         graph=args.graph,
         max_tile=args.max_tile,
@@ -270,7 +290,7 @@ def cmd_apsp(args) -> int:
         device={"pcm": asdict(w.pcm)},
         outputs=outputs,
     )
-    _emit_run(outdir, cfg)
+    _emit_run(args, cfg)
     print(
         f"apsp: n={g.n} mode={res.trace.mode} depth={res.trace.depth} -> {dist_path}"
     )
@@ -295,36 +315,35 @@ def cmd_apsp(args) -> int:
 
 
 def cmd_s2g(args) -> int:
-    outdir = _outdir(args)
-    w = _workload(args, "s2g")
+    _, hbm = _device(args.config)
+    w = _workload(args, "s2g", W=args.W, hbm=hbm)
     g, by_id = w.graph, dict(w.reads)
 
-    sweep_ws = _parse_ints(args.W_sweep) if args.W_sweep else None
-    out = execute(w, cost_model_on=args.model or sweep_ws is not None)
+    out = execute(w, cost_model_on=args.model or args.W_sweep is not None)
     results = out["s2g"]
     ids = sorted(results)
 
-    scores_path = os.path.join(outdir, "scores.tsv")
+    scores_path = _path(args, "scores.tsv")
     dump_alignments(scores_path, ids, [results[r] for r in ids])
     outputs = ["scores.tsv"]
 
-    cfg = _base_cfg(args, "s2g")
+    cfg = _base_cfg(args)
     cfg.update(
         graph=args.graph,
         reads=args.reads,
         mode=args.mode,
         W=args.W,
-        W_sweep=sweep_ws,
+        W_sweep=args.W_sweep,
         verify=args.verify,
         model=args.model,
         device={"hbm": asdict(w.hbm)},
     )
 
-    if sweep_ws:
+    if args.W_sweep:
         # the device-fidelity kernel must reproduce, at every swept width,
         # the production score, lowest end node and derived window count
         rows = []
-        for Wi in sweep_ws:
+        for Wi in args.W_sweep:
             oi = execute(replace(w, W=Wi), True)
             for rid in ids:
                 want = oi["s2g"][rid]
@@ -342,12 +361,7 @@ def cmd_s2g(args) -> int:
                 (Wi, f"{rep.cycles:.6g}", f"{rep.wall_time_s * 1e9:.6g}",
                  f"{rep.energy_j * 1e12:.6g}")
             )
-        _write_csv(
-            os.path.join(outdir, "wsweep.csv"),
-            ["W", "cycles", "ns", "pJ"],
-            rows,
-            cfg,
-        )
+        _write_csv(_path(args, "wsweep.csv"), ["W", "cycles", "ns", "pJ"], rows, cfg)
         outputs.append("wsweep.csv")
 
     if args.model:
@@ -360,12 +374,12 @@ def cmd_s2g(args) -> int:
             "energy_j": rep.energy_j,
             "cost": json.loads(rep.to_json()),
         }
-        with open(os.path.join(outdir, "model.json"), "w") as fh:
+        with open(_path(args, "model.json"), "w") as fh:
             fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         outputs.append("model.json")
 
     cfg["outputs"] = outputs
-    _emit_run(outdir, cfg)
+    _emit_run(args, cfg)
     print(f"s2g: reads={len(ids)} mode={args.mode} -> {scores_path}")
 
     if args.verify:
@@ -390,48 +404,35 @@ def cmd_s2g(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    outdir = _outdir(args)
-    cfg = _base_cfg(args, f"sweep.{args.kind}")
-    path = os.path.join(outdir, f"{args.kind}.csv")
+    cfg = _base_cfg(args)
+    extra = {}  # keys only the CSV's config line carries
 
     if args.kind == "tilesize":
         pcm, _ = _device(args.config)
-        Ns = _parse_ints(args.Ns)
-        cfg.update(Ns=Ns, device={"pcm": asdict(pcm)})
+        cfg.update(Ns=args.Ns, device={"pcm": asdict(pcm)})
+        columns = ["N", "norm_latency", "norm_energy"]
         rows = [
             (N, f"{lat:.6g}", f"{en:.6g}")
-            for N, lat, en in sweep_tile_size(Ns, p=pcm)
+            for N, lat, en in sweep_tile_size(args.Ns, p=pcm)
         ]
-        _write_csv(
-            path,
-            ["N", "norm_latency", "norm_energy"],
-            rows,
-            {**cfg, "normalized_to": 1024},
-        )
+        extra = {"normalized_to": 1024}
     elif args.kind == "pe":
         _, hbm = _device(args.config)
-        counts = _parse_ints(args.counts)
-        cfg.update(counts=counts, device={"hbm": asdict(hbm)})
+        cfg.update(counts=args.counts, device={"hbm": asdict(hbm)})
+        columns = ["pe_per_channel", "reads_per_s", "bandwidth_util"]
         rows = [
             (c, f"{thr:.6g}", f"{util:.6g}")
-            for c, thr, util in sweep_pe_density(counts, h=hbm)
+            for c, thr, util in sweep_pe_density(args.counts, h=hbm)
         ]
-        _write_csv(path, ["pe_per_channel", "reads_per_s", "bandwidth_util"], rows, cfg)
     elif args.kind == "sram":
         _, hbm = _device(args.config)
-        caps = _parse_sizes(args.caps)
-        cfg.update(caps=caps, device={"hbm": asdict(hbm)})
+        cfg.update(caps=args.caps, device={"hbm": asdict(hbm)})
+        columns = ["capacity_bytes", "hbm_regular_bytes", "hbm_irregular_bytes",
+                   "reads_per_s"]
         rows = [
             (cap, f"{reg:.6g}", f"{irr:.6g}", f"{thr:.6g}")
-            for cap, reg, irr, thr in sweep_sram(caps, h=hbm)
+            for cap, reg, irr, thr in sweep_sram(args.caps, h=hbm)
         ]
-        _write_csv(
-            path,
-            ["capacity_bytes", "hbm_regular_bytes", "hbm_irregular_bytes",
-             "reads_per_s"],
-            rows,
-            cfg,
-        )
     else:
         cfg.update(n=args.n)
         reports = [
@@ -439,13 +440,15 @@ def cmd_sweep(args) -> int:
             arithmetic_intensity("FwPartitioned", n=args.n),
             arithmetic_intensity("S2G"),
         ]
+        columns = ["kernel", "ops_per_byte", "convention"]
         rows = [
             (r.kernel, f"{r.ops_per_byte:.6g}", r.convention) for r in reports
         ]
-        _write_csv(path, ["kernel", "ops_per_byte", "convention"], rows, cfg)
 
+    path = _path(args, f"{args.kind}.csv")
+    _write_csv(path, columns, rows, {**cfg, **extra})
     cfg["outputs"] = [f"{args.kind}.csv"]
-    _emit_run(outdir, cfg)
+    _emit_run(args, cfg)
     print(f"sweep {args.kind}: {len(rows)} points -> {path}")
     return EXIT_OK
 
@@ -456,27 +459,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    outdir = _outdir(args)
-    if args.desc is not None:
-        w = load_descriptor(args.desc)
-    elif args.graph and (args.reads or args.workload == "apsp"):
-        w = _workload(args, args.workload)
-    else:
-        need = "--graph" if args.workload == "apsp" else "--graph and --reads"
-        raise UsageError(f"plan --workload {args.workload} requires {need}")
-
+    w = load_descriptor(args.desc) if args.kind == "desc" else _workload(args, args.kind)
     plan = lower(w)
-    path = os.path.join(outdir, "plan.json")
+    path = _path(args, "plan.json")
     with open(path, "w") as fh:
         fh.write(plan.to_json() + "\n")
-    cfg = _base_cfg(args, "plan")
+    cfg = _base_cfg(args)
     cfg.update(
-        desc=args.desc,
+        # the inputs the kind read: its file and flags
+        {k: v for k, v in vars(args).items() if k not in ("command", "kind", "threads")},
         workload=w.kind,
         stages=len(plan.stages),
         outputs=["plan.json"],
     )
-    _emit_run(outdir, cfg)
+    _emit_run(args, cfg)
     counts = " ".join(f"{k}={v}" for k, v in sorted(plan.counts().items()))
     print(f"plan: {w.kind} stages={len(plan.stages)} ({counts}) -> {path}")
     return EXIT_OK
@@ -625,24 +621,30 @@ _COMMANDS = {"gen": cmd_gen, "apsp": cmd_apsp, "s2g": cmd_s2g, "sweep": cmd_swee
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing a command
     line leaves it unchanged."""
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--seed", type=int, default=0,
-        help="seeds the generators of gen and verify; other commands record "
-        "it in run.json and draw nothing from it",
-    )
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument(
+
+    # parents: each flag is declared once, for every command that takes it
+    out = _Parser(add_help=False)
+    out.add_argument("--out", default=".",
+                     help="output directory, made when the first file is written")
+    threads = _Parser(add_help=False)
+    threads.add_argument(
         "--threads", type=int, default=1,
         help="ignored: the engine runs sequentially; kept for existing scripts",
     )
-    # the commands and sweep kinds that read a device take both parents
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=_seed, default=0,
+                      help="seeds gen and verify; a sweep records it in run.json")
     device = _Parser(add_help=False)
-    device.add_argument(
-        "--config", default=None,
-        help="JSON device overrides, e.g. {\"pcm\": {...}, \"hbm\": {...}}",
-    )
-    both = [common, device]
+    device.add_argument("--config", help="JSON device overrides, e.g. "
+                        "{\"pcm\": {...}, \"hbm\": {...}}")
+    apsp_in = _Parser(add_help=False)
+    apsp_in.add_argument("--graph", required=True, help="edge-list file")
+    apsp_in.add_argument("--max-tile", type=int, default=1024)
+    s2g_in = _Parser(add_help=False)
+    s2g_in.add_argument("--graph", required=True, help="graph file (GFA subset)")
+    s2g_in.add_argument("--reads", required=True, help="FASTA reads")
+    s2g_in.add_argument("--mode", choices=["auto", "short", "long"], default="auto")
+    writes = [out, threads]
 
     ap = _Parser(
         prog="graphdp",
@@ -651,65 +653,65 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="synthesize inputs")
-    gens = gen.add_subparsers(dest="kind", required=True)
+    gens = sub.add_parser("gen", help="synthesize inputs").add_subparsers(
+        dest="kind", required=True
+    )
     for kind in ("er", "nws"):
-        g = gens.add_parser(kind, parents=[common])
+        g = gens.add_parser(kind, parents=[seed, *writes])
         g.add_argument("--n", type=int, required=True)
         if kind == "nws":
             g.add_argument("--k", type=int, required=True)
         g.add_argument("--p", type=float, required=True)
         g.add_argument("--w-max", type=int, default=100)
-    g = gens.add_parser("genome", parents=[common])
+    g = gens.add_parser("genome", parents=[seed, *writes])
     g.add_argument("--bases", type=int, required=True)
     g.add_argument("--bubble-rate", type=float, default=0.02)
     g.add_argument("--reads", type=int, default=0, help="also sample reads")
     g.add_argument("--read-len", type=int, default=100)
     g.add_argument("--sub-rate", type=float, default=0.0)
 
-    a = sub.add_parser("apsp", parents=both, help="close a weighted graph")
-    a.add_argument("--graph", required=True, help="edge-list file")
-    a.add_argument("--max-tile", type=int, default=1024)
+    a = sub.add_parser("apsp", parents=[*writes, device, apsp_in],
+                       help="close a weighted graph")
     a.add_argument("--fmt", choices=["bin", "tsv"], default="bin")
     a.add_argument("--verify", action="store_true",
                    help="cross-check against Dijkstra")
     a.add_argument("--model", action="store_true", help="attach cost report")
 
-    s = sub.add_parser("s2g", parents=both, help="align reads to a graph")
-    s.add_argument("--graph", required=True, help="graph file (GFA subset)")
-    s.add_argument("--reads", required=True, help="FASTA reads")
-    s.add_argument("--mode", choices=["auto", "short", "long"], default="auto")
+    s = sub.add_parser("s2g", parents=[*writes, device, s2g_in],
+                       help="align reads to a graph")
     s.add_argument("--W", type=int, default=128, help="window width")
-    s.add_argument("--W-sweep", default=None,
+    s.add_argument("--W-sweep", type=_ints, default=None,
                    help="comma list of widths; checks score invariance")
     s.add_argument("--verify", action="store_true",
                    help="cross-check every read against the reference scorer")
     s.add_argument("--model", action="store_true",
                    help="attach throughput/energy report")
 
-    sweep = sub.add_parser("sweep", help="emit sensitivity curves")
-    sweeps = sweep.add_subparsers(dest="kind", required=True)
-    for kind, flag, default, text in (
-        ("tilesize", "--Ns", DEFAULT_TILE_NS, "tile sizes"),
-        ("pe", "--counts", DEFAULT_PE_COUNTS, "PEs per channel"),
-        ("sram", "--caps", DEFAULT_SRAM_CAPS,
+    sweeps = sub.add_parser("sweep", help="emit sensitivity curves").add_subparsers(
+        dest="kind", required=True
+    )
+    for kind, flag, parse, default, text in (
+        ("tilesize", "--Ns", _ints, "256,512,1024,2048", "tile sizes"),
+        ("pe", "--counts", _ints, "16,32,64,128,192", "PEs per channel"),
+        ("sram", "--caps", _sizes, "32K..512K",
          "SRAM bytes, comma list or lo..hi doubling range"),
     ):
-        sweeps.add_parser(kind, parents=both).add_argument(flag, default=default, help=text)
-    r = sweeps.add_parser("roofline", parents=[common])
+        sweeps.add_parser(kind, parents=[seed, *writes, device]).add_argument(
+            flag, type=parse, default=default, help=text
+        )
+    r = sweeps.add_parser("roofline", parents=[seed, *writes])
     r.add_argument("--n", type=int, default=1024, help="roofline tile size")
 
-    p = sub.add_parser("plan", parents=both, help="dump an execution plan")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--desc", help="workload descriptor JSON")
-    source.add_argument("--workload", choices=["apsp", "s2g"])
-    p.add_argument("--graph", default=None)
-    p.add_argument("--reads", default=None)
-    p.add_argument("--max-tile", type=int, default=1024)
-    p.add_argument("--W", type=int, default=128)
-    p.add_argument("--mode", choices=["auto", "short", "long"], default="auto")
+    plans = sub.add_parser("plan", help="dump an execution plan").add_subparsers(
+        dest="kind", required=True
+    )
+    plans.add_parser("apsp", parents=[*writes, apsp_in])
+    plans.add_parser("s2g", parents=[*writes, s2g_in])
+    plans.add_parser("desc", parents=writes).add_argument(
+        "desc", metavar="FILE.json", help="workload descriptor JSON"
+    )
 
-    sub.add_parser("verify", parents=[common], help="run the oracle suites")
+    sub.add_parser("verify", parents=[seed, threads], help="run the oracle suites")
     return ap
 
 
@@ -719,10 +721,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.seed < 0:
-            # gen and verify seed numpy generators, which reject negatives;
-            # every command refuses one alike
-            raise UsageError(f"--seed {args.seed} must be non-negative")
         if args.threads < 1:
             raise UsageError(f"--threads {args.threads} must be at least 1")
         return _COMMANDS[args.command](args)

@@ -275,16 +275,15 @@ def test_cli_determinism(tmp_path):
          "--reads", "6", "--read-len", "90", "--sub-rate", "0.02",
          "--seed", "7"],
         ["apsp", "--graph", "GRAPH", "--max-tile", "64", "--fmt", "tsv",
-         "--model", "--seed", "7"],
+         "--model"],
         ["s2g", "--graph", "GFA", "--reads", "READS", "--model",
-         "--W-sweep", "32,64,128", "--seed", "7"],
+         "--W-sweep", "32,64,128"],
         ["sweep", "roofline"],
         ["sweep", "pe", "--counts", "16,64,128"],
         ["sweep", "sram", "--caps", "64K..256K"],
         ["sweep", "tilesize", "--Ns", "512,1024"],
-        ["plan", "--workload", "s2g", "--graph", "GFA", "--reads", "READS"],
-        ["plan", "--workload", "apsp", "--graph", "GRAPH", "--max-tile",
-         "128"],
+        ["plan", "s2g", "--graph", "GFA", "--reads", "READS"],
+        ["plan", "apsp", "--graph", "GRAPH", "--max-tile", "128"],
     ]
 
     def fill(cmd):

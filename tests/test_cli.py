@@ -11,7 +11,7 @@ import pytest
 import graphdp.cli as cli
 import graphdp.costmodel as costmodel
 import graphdp.planner as planner
-from graphdp.apsp import load_distances
+from graphdp.apsp import TSV_LIMIT, load_distances
 from graphdp.cli import UsageError, main
 from graphdp.costmodel import ValidationError
 from graphdp.graphs import (
@@ -28,6 +28,7 @@ from graphdp.graphs import (
     load_genome_graph,
 )
 from graphdp.minplus import floyd_warshall_dense
+from graphdp.partition import HierarchyError
 from graphdp.planner import DescriptorError, StageError
 from oracles import load_edge_list_reference, model_recursive_apsp_reference
 
@@ -156,7 +157,7 @@ def test_verify_catches_a_faulty_closure_kernel(tmp_path, monkeypatch, capsys):
     assert run("apsp", "--graph", tmp_path / "graph.edges", "--max-tile", 32,
                "--verify", "--out", tmp_path) == 1
     assert "FAIL (" in capsys.readouterr().out
-    assert run("verify", "--out", tmp_path) == 1
+    assert run("verify") == 1
     out = capsys.readouterr().out
     assert "FAIL apsp-exactness" in out and "FAIL boundary-soundness" in out
 
@@ -181,8 +182,29 @@ def test_apsp_over_dense_limit_exits_2_before_closing(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "n=4200" in err and "4096" in err
-    assert run("plan", "--workload", "apsp", "--graph", path, "--max-tile", 64,
+    assert run("plan", "apsp", "--graph", path, "--max-tile", 64,
                "--out", tmp_path) == 0
+
+
+def test_apsp_tsv_over_its_limit_exits_2_before_closing(tmp_path, monkeypatch, capsys):
+    # a tsv export holds at most TSV_LIMIT vertices, so apsp --fmt tsv
+    # refuses a larger graph before the engine runs, and writes nothing
+    n = TSV_LIMIT + 1
+    path = tmp_path / "ring.edges"
+    ring = WeightedGraph.from_edges(n, [(i, (i + 1) % n, 1) for i in range(n)])
+    dump_edge_list(ring, str(path))
+
+    def engine(w, cost_model_on=False):
+        raise AssertionError("engine ran")
+
+    monkeypatch.setattr(cli, "execute", engine)
+    out = tmp_path / "o"
+    assert run("apsp", "--graph", path, "--fmt", "tsv", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: tsv export capped at {TSV_LIMIT} vertices, not n={n}\n"
+    assert not out.exists()
+    monkeypatch.undo()
+    assert run("apsp", "--graph", path, "--out", out) == 0
 
 
 def test_apsp_and_s2g_run_without_lowering_a_plan(tmp_path, monkeypatch):
@@ -281,7 +303,7 @@ def test_threads_flag_is_accepted_and_ignored(tmp_path, capsys):
     assert snaps[0] == snaps[1]
 
 
-# SHA-256 of what apsp --model and plan --workload apsp write: a refactor
+# SHA-256 of what apsp --model and plan apsp write: a refactor
 # keeps these outputs byte-identical
 _PINNED = {
     "clustered": (
@@ -314,7 +336,7 @@ def test_apsp_and_plan_outputs_keep_their_digests(tmp_path, case):
     dump_edge_list(make(), str(graph))
     assert run("apsp", "--graph", graph, "--max-tile", tile, "--model",
                "--out", tmp_path / "apsp") == 0
-    assert run("plan", "--workload", "apsp", "--graph", graph, "--max-tile", tile,
+    assert run("plan", "apsp", "--graph", graph, "--max-tile", tile,
                "--out", tmp_path / "plan") == 0
     got = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -557,7 +579,7 @@ def test_sweep_tilesize_default_rows(tmp_path):
 def test_plan_apsp_dump(tmp_path):
     assert run("gen", "er", "--n", 200, "--p", 0.03, "--seed", 1,
                "--out", tmp_path) == 0
-    assert run("plan", "--workload", "apsp", "--graph", tmp_path / "graph.edges",
+    assert run("plan", "apsp", "--graph", tmp_path / "graph.edges",
                "--max-tile", 64, "--out", tmp_path) == 0
     doc = json.loads((tmp_path / "plan.json").read_text())
     assert doc["workload"] == "apsp"
@@ -572,7 +594,7 @@ def test_plan_mixed_batch_shows_two_align_stages(tmp_path):
     with open(reads_path, "w") as fh:
         for rid, seq in short + long_:
             fh.write(f">{rid}\n{seq}\n")
-    assert run("plan", "--workload", "s2g", "--graph", gfa,
+    assert run("plan", "s2g", "--graph", gfa,
                "--reads", reads_path, "--out", tmp_path) == 0
     doc = json.loads((tmp_path / "plan.json").read_text())
     aligns = [s for s in doc["stages"] if s["kind"] == "AlignBatch"]
@@ -592,8 +614,8 @@ def test_duplicate_read_ids_exit_2_before_scoring(tmp_path, capsys):
     desc.write_text(json.dumps({"kind": "s2g", "graph": gfa, "reads": str(dup)}))
     for i, argv in enumerate((
         ("s2g", "--graph", gfa, "--reads", dup, "--verify"),
-        ("plan", "--workload", "s2g", "--graph", gfa, "--reads", dup),
-        ("plan", "--desc", desc),
+        ("plan", "s2g", "--graph", gfa, "--reads", dup),
+        ("plan", "desc", desc),
     )):
         out = tmp_path / f"out{i}"
         assert run(*argv, "--out", out) == 2, argv
@@ -601,8 +623,35 @@ def test_duplicate_read_ids_exit_2_before_scoring(tmp_path, capsys):
         assert not (out / "scores.tsv").exists()
 
 
-def test_plan_without_inputs_is_usage_error(tmp_path):
-    assert run("plan", "--out", tmp_path) == 2
+def test_plan_without_inputs_is_usage_error(tmp_path, capsys):
+    for argv in (("plan",), ("plan", "apsp"), ("plan", "s2g", "--graph", "g.gfa"),
+                 ("plan", "desc")):
+        assert run(*argv, "--out", tmp_path / "o") == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_plan_run_json_records_the_inputs_it_read(tmp_path):
+    assert run("gen", "er", "--n", 40, "--p", 0.05, "--out", tmp_path) == 0
+    graph = str(tmp_path / "graph.edges")
+    gfa, reads = _gen_inputs(tmp_path, bases=600, reads=2)
+    desc = tmp_path / "d.json"
+    desc.write_text(json.dumps({"kind": "apsp", "graph": graph}))
+    cases = [
+        (("apsp", "--graph", graph, "--max-tile", 64),
+         {"graph": graph, "max_tile": 64, "workload": "apsp"}),
+        (("s2g", "--graph", gfa, "--reads", reads, "--mode", "short"),
+         {"graph": gfa, "reads": reads, "mode": "short", "workload": "s2g"}),
+        (("desc", str(desc)), {"desc": str(desc), "workload": "apsp"}),
+    ]
+    for argv, inputs in cases:
+        out = str(tmp_path / argv[0])
+        assert run("plan", *argv, "--out", out) == 0, argv
+        cfg = json.loads((tmp_path / argv[0] / "run.json").read_text())
+        stages = len(json.loads((tmp_path / argv[0] / "plan.json").read_text())["stages"])
+        assert cfg == {"command": f"plan.{argv[0]}", "out": out, "stages": stages,
+                       "outputs": ["plan.json"], **inputs}, argv
 
 
 def test_plan_bad_descriptor_fields_exit_2(tmp_path, capsys):
@@ -610,7 +659,7 @@ def test_plan_bad_descriptor_fields_exit_2(tmp_path, capsys):
     good = {"kind": "apsp", "graph": str(tmp_path / "graph.edges")}
     desc = tmp_path / "d.json"
     desc.write_text(json.dumps(good))
-    assert run("plan", "--desc", desc, "--out", tmp_path) == 0
+    assert run("plan", "desc", desc, "--out", tmp_path) == 0
     capsys.readouterr()
     for bad in (
         {"device": {"pcm": {"bogus": 1}}},
@@ -628,7 +677,7 @@ def test_plan_bad_descriptor_fields_exit_2(tmp_path, capsys):
         {"graph": 0},
     ):
         desc.write_text(json.dumps({**good, **bad}))
-        assert run("plan", "--desc", desc, "--out", tmp_path) == 2, bad
+        assert run("plan", "desc", desc, "--out", tmp_path) == 2, bad
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
     # a window width or an empty read the aligner refuses is refused by plan
@@ -641,7 +690,7 @@ def test_plan_bad_descriptor_fields_exit_2(tmp_path, capsys):
         doc = {"kind": "s2g", "graph": gfa, "reads": str(reads), "W": W}
         desc.write_text(json.dumps(doc))
         for argv in (
-            ("plan", "--desc", desc),
+            ("plan", "desc", desc),
             ("s2g", "--graph", gfa, "--reads", reads, "--W", W),
         ):
             assert run(*argv, "--out", tmp_path) == 2, argv
@@ -743,7 +792,7 @@ def test_reruns_are_byte_identical(tmp_path):
          "--reads", 5, "--read-len", 80, "--sub-rate", 0.02, "--seed", 11,
          "--out", d),
         ("s2g", "--graph", d / "graph.gfa", "--reads", d / "reads.fa",
-         "--model", "--W-sweep", "32,128", "--seed", 11, "--out", d),
+         "--model", "--W-sweep", "32,128", "--out", d),
         ("sweep", "roofline", "--out", d),
     ]
     for c in cmds:
@@ -799,13 +848,15 @@ def test_unknown_subcommand_exits_2(capsys):
     assert "--max-tile" in capsys.readouterr().out
 
 
-# each gen and sweep kind, and verify, with every flag a sibling kind or
-# another command reads: the flag acts nowhere here, so it is refused
-# before anything runs rather than accepted and ignored
+# each command and kind with every flag a sibling kind or another command
+# reads: the flag acts nowhere here, so it is refused before anything runs
+# rather than accepted and ignored
 _VALUES = {
     "--n": 10, "--k": 2, "--p": 0.1, "--w-max": 9, "--bases": 100,
     "--bubble-rate": 0.1, "--reads": 2, "--read-len": 50, "--sub-rate": 0.01,
     "--Ns": 256, "--counts": 16, "--caps": "64K", "--config": "@/dev.json",
+    "--graph": "@/g.edges", "--max-tile": 64, "--W": 64, "--mode": "short",
+    "--seed": 1, "--out": "@/o",
 }
 _FOREIGN = {
     ("gen", "er", "--n", 10, "--p", 0.1): [
@@ -820,14 +871,28 @@ _FOREIGN = {
     ("sweep", "pe"): ["--Ns", "--caps", "--n"],
     ("sweep", "sram"): ["--Ns", "--counts", "--n"],
     ("sweep", "roofline"): ["--Ns", "--counts", "--caps", "--config"],
-    ("verify",): ["--config"],
+    ("apsp", "--graph", "@/g.edges"): ["--seed"],
+    ("s2g", "--graph", "@/g.gfa", "--reads", "@/r.fa"): ["--seed"],
+    ("plan", "apsp", "--graph", "@/g.edges"): [
+        "--reads", "--W", "--mode", "--config", "--seed",
+    ],
+    ("plan", "s2g", "--graph", "@/g.gfa", "--reads", "@/r.fa"): [
+        "--max-tile", "--W", "--config", "--seed",
+    ],
+    ("plan", "desc", "@/d.json"): [
+        "--graph", "--max-tile", "--reads", "--mode", "--config", "--seed",
+    ],
+    ("verify",): ["--config", "--out"],
 }
+# a common flag put before the kind: refused by name
+_BEFORE_KIND = [
+    (("gen",), ("--seed", 1, "er", "--n", 10, "--p", 0.1)),
+    (("sweep",), ("--config", "@/dev.json", "tilesize")),
+    (("plan",), ("--out", "@/o", "apsp", "--graph", "@/g.edges")),
+]
 _REFUSED = [
     (base, (flag, _VALUES[flag])) for base, flags in _FOREIGN.items() for flag in flags
-] + [
-    (("plan", "--desc", "@/d.json"), ("--workload", "apsp")),
-    (("gen", "--seed", 1, "er", "--n", 10, "--p", 0.1), ()),
-]
+] + _BEFORE_KIND
 
 
 @pytest.mark.parametrize(
@@ -839,26 +904,38 @@ def test_flags_a_command_does_not_read_exit_2(base, extra, tmp_path, capsys):
     graph = tmp_path / "g.edges"
     dump_edge_list(gen_er(20, 0.2, 1), str(graph))
     (tmp_path / "d.json").write_text(json.dumps({"kind": "apsp", "graph": str(graph)}))
+    (tmp_path / "g.gfa").write_text(GFA)
+    (tmp_path / "r.fa").write_text(">r\nACGTAC\n")
     argv = [str(a).replace("@", str(tmp_path)) for a in base + extra]
     assert run(*argv, "--out", tmp_path / "o") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert not extra or extra[0] in err, err
+    assert extra[0] in err, err
+    if (base, extra) in _BEFORE_KIND:
+        assert err == f"error: {extra[0]} goes after the kind\n", err
     assert not (tmp_path / "o").exists()
 
 
-# one command per error class that main catches, and one per check main
-# makes itself: (input files, argv, the exception that reaches main); "@"
-# stands for the test's directory
+# one command per error class that main catches, one per check main makes
+# itself, and refusals that once left --out behind: (input files, argv, the
+# exception that reaches main); "@" stands for the test's directory
 GFA = "S\ts1\tACGTACGTAC\nS\ts2\tGTTACA\nL\ts1\t+\ts2\t+\t0M\n"
 ERROR_CASES = {
     "UsageError": (
-        {}, ["gen", "er", "--n", 10, "--p", 0.1, "--seed", -1], UsageError
+        {"g.edges": "# n=600\n0\t1\t5\n"},
+        ["apsp", "--graph", "@/g.edges", "--fmt", "tsv"],
+        UsageError,
     ),
     "UsageError-threads": (
         {}, ["apsp", "--graph", "@/none.edges", "--threads", -3], UsageError
     ),
     "GraphError": ({}, ["gen", "er", "--n", 0, "--p", 0.1], GraphError),
+    "GraphError-w-max": ({}, ["gen", "er", "--n", 5, "--p", 0.1, "--w-max", 0], GraphError),
+    "HierarchyError": (
+        {"g.edges": "0\t1\t5\n1\t2\t5\n"},
+        ["apsp", "--graph", "@/g.edges", "--max-tile", 1],
+        HierarchyError,
+    ),
     "ModelError": ({}, ["sweep", "tilesize", "--Ns", 3], ValidationError),
     "PlanError": (
         {"g.gfa": GFA, "r.fa": ">r\nACGTXX\n"},
@@ -866,7 +943,7 @@ ERROR_CASES = {
         StageError,
     ),
     "DescriptorError": (
-        {"d.json": '{"kind": "fft"}'}, ["plan", "--desc", "@/d.json"], DescriptorError
+        {"d.json": '{"kind": "fft"}'}, ["plan", "desc", "@/d.json"], DescriptorError
     ),
     "OSError": ({}, ["apsp", "--graph", "@/none.edges"], FileNotFoundError),
     "JSONDecodeError": (
@@ -880,6 +957,12 @@ ERROR_CASES = {
         UnicodeDecodeError,
     ),
     "argparse": ({}, ["apsp", "--graph", "g", "--max-tile", "abc"], SystemExit),
+    "argparse-seed": ({}, ["gen", "er", "--n", 10, "--p", 0.1, "--seed", -1], SystemExit),
+    "argparse-W-sweep": (
+        {"g.gfa": GFA, "r.fa": ">r\nACGTAC\n"},
+        ["s2g", "--graph", "@/g.gfa", "--reads", "@/r.fa", "--W-sweep", "64,0"],
+        SystemExit,
+    ),
 }
 
 
@@ -917,10 +1000,11 @@ def test_each_error_class_exits_2_with_one_line(case, tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
-def test_verify_command_all_suites_pass(tmp_path, capsys):
-    assert run("verify", "--seed", 5, "--out", tmp_path) == 0
+def test_verify_command_all_suites_pass(capsys):
+    assert run("verify", "--seed", 5) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and "FAIL" not in out
     # the exactness suite must grade recursive runs, not only direct ones

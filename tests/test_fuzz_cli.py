@@ -167,7 +167,7 @@ def test_fuzz_descriptor(text):
                     parsed[key] = str(d / parsed[key])
             doc = json.dumps(parsed)
         write(d, {"g.edges": EDGES, "g.gfa": GFA, "r.fa": FASTA, "d.json": doc})
-        assert_clean(["plan", "--desc", d / "d.json", "--out", d / "o"])
+        assert_clean(["plan", "desc", d / "d.json", "--out", d / "o"])
 
 
 # each fault the fuzzing found, and the negative --seed that the descriptor
@@ -184,7 +184,7 @@ FOUND = {
             "r.fa": ">r1\nACGT\n> \nAC\n",
             "d.json": '{"kind": "s2g", "graph": "@/g.gfa", "reads": "@/r.fa"}',
         },
-        ["plan", "--desc", "@/d.json"],
+        ["plan", "desc", "@/d.json"],
     ),
     "edge_field_beyond_int64": (
         {"g.edges": "0\t1\t3\n1\t0\t99999999999999999999\n"},
@@ -200,12 +200,12 @@ FOUND = {
             "d.json": '{"kind": "apsp", "graph": "@/g.edges", "max_tile": 2, '
             '"seed": -1}',
         },
-        ["plan", "--desc", "@/d.json"],
+        ["plan", "desc", "@/d.json"],
     ),
     "descriptor_infinite_integer_field": (
         {"g.edges": EDGES, "d.json": '{"kind": "apsp", "graph": "@/g.edges", '
          '"max_tile": Infinity}'},
-        ["plan", "--desc", "@/d.json"],
+        ["plan", "desc", "@/d.json"],
     ),
     "gen_negative_seed": ({}, ["gen", "er", "--n", 10, "--p", 0.1, "--seed", -1]),
     "sweep_negative_seed": ({}, ["sweep", "tilesize", "--Ns", 256, "--seed", -1]),
