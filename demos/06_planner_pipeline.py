@@ -1,10 +1,10 @@
-"""One descriptor, two views: the staged plan that maps the workload onto
+"""One workload, two views: the staged plan that maps the workload onto
 the device tiles, and its execution on the engines, with the cost model
 riding along without touching results."""
 
 import json
 
-from graphdp import WorkloadDescriptor, execute, gen_genome, gen_reads, lower, parse_gfa
+from graphdp import S2gWorkload, execute, gen_genome, gen_reads, lower, parse_gfa
 
 gfa, _ = gen_genome(2500, 0.02, seed=8)
 g = parse_gfa(gfa)
@@ -13,7 +13,7 @@ reads = gen_reads(g, 6, 100, 0.02, seed=1) + [
     (f"long{i}", seq) for i, (_, seq) in enumerate(gen_reads(g, 2, 600, 0.01, seed=2))
 ]
 
-w = WorkloadDescriptor("s2g", g, reads=reads, mode="auto")
+w = S2gWorkload(g, reads, mode="auto")
 plan = lower(w)
 print(f"plan ({len(plan.stages)} stages):")
 for st in plan.stages:

@@ -74,8 +74,9 @@ from .costmodel import (
     working_set_bytes,
 )
 from .planner import (
+    ApspWorkload,
     ExecutionPlan,
-    WorkloadDescriptor,
+    S2gWorkload,
     execute,
     load_descriptor,
     lower,

@@ -60,9 +60,10 @@ from .graphs import (
 from .minplus import floyd_warshall_dense
 from .partition import find_boundary, kway_partition
 from .planner import (
+    ApspWorkload,
     DescriptorError,
     PlanError,
-    WorkloadDescriptor,
+    S2gWorkload,
     device_params,
     execute,
     load_descriptor,
@@ -130,15 +131,17 @@ def _size_list(text: str) -> list:
 
 def _positive(parse, what: str):
     """An argparse type: the list ``parse`` reads, refused in one line when
-    it is empty or an entry is malformed or not positive."""
+    it is empty or an entry is malformed, not positive or repeated."""
 
     def read(text: str) -> list:
         try:
             vals = parse(text)
         except ValueError:
             vals = []
-        if not vals or min(vals) < 1:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a list of positive {what}")
+        if not vals or min(vals) < 1 or len(set(vals)) < len(vals):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a list of distinct positive {what}"
+            )
         return vals
 
     return read
@@ -177,18 +180,17 @@ def _write_csv(path: str, columns, rows, cfg: dict) -> None:
             wr.writerow(row)
 
 
-def _workload(args, kind: str, **fields) -> WorkloadDescriptor:
-    """The ``kind`` ("apsp" or "s2g") descriptor of the input flags in
-    ``args`` and the command's own ``fields`` (W, device); the descriptor's
+def _workload(args, kind: str, **fields) -> ApspWorkload | S2gWorkload:
+    """The ``kind`` ("apsp" or "s2g") workload of the input flags in
+    ``args`` and the command's own ``fields`` (W, device); the workload's
     defaults stand for the rest."""
     if kind == "apsp":
-        g = load_edge_list(args.graph)
-        return WorkloadDescriptor("apsp", g, max_tile=args.max_tile, **fields)
+        return ApspWorkload(load_edge_list(args.graph), max_tile=args.max_tile, **fields)
     g = load_genome_graph(args.graph)
     reads = load_fasta(args.reads)
     if not reads:
         raise UsageError(f"no reads in {args.reads}")
-    return WorkloadDescriptor("s2g", g, reads=reads, mode=args.mode, **fields)
+    return S2gWorkload(g, reads, mode=args.mode, **fields)
 
 
 def _base_cfg(args) -> dict:

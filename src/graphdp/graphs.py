@@ -151,6 +151,15 @@ def gen_er(n: int, p: float, seed: int, w_max: int = DEFAULT_W_MAX) -> WeightedG
     return WeightedGraph(n, src.astype(np.int64), dst.astype(np.int64), w)
 
 
+def _undirected(n: int, pairs: set, rng, w_max: int) -> WeightedGraph:
+    """Both arcs of each pair, one weight in [1, w_max] per pair in sorted order."""
+    und = np.array(sorted(pairs), dtype=np.int64)
+    w = rng.integers(1, w_max + 1, size=und.shape[0], dtype=np.int64)
+    src = np.concatenate([und[:, 0], und[:, 1]])
+    dst = np.concatenate([und[:, 1], und[:, 0]])
+    return WeightedGraph(n, src, dst, np.concatenate([w, w]))
+
+
 def gen_nws(
     n: int, k: int, p: float, seed: int, w_max: int = DEFAULT_W_MAX
 ) -> WeightedGraph:
@@ -187,11 +196,7 @@ def gen_nws(
             continue
         pairs.add(key)
         added += 1
-    und = np.array(sorted(pairs), dtype=np.int64)
-    w = rng.integers(1, w_max + 1, size=und.shape[0], dtype=np.int64)
-    src = np.concatenate([und[:, 0], und[:, 1]])
-    dst = np.concatenate([und[:, 1], und[:, 0]])
-    return WeightedGraph(n, src, dst, np.concatenate([w, w]))
+    return _undirected(n, pairs, rng, w_max)
 
 
 def gen_clustered(
@@ -250,11 +255,7 @@ def gen_clustered(
             if lead < clusters and nxt < clusters and lead != nxt:
                 pairs.add(tuple(sorted((gateway(lead), gateway(nxt)))))
 
-    und = np.array(sorted(pairs), dtype=np.int64)
-    w = rng.integers(1, DEFAULT_W_MAX + 1, size=und.shape[0], dtype=np.int64)
-    src = np.concatenate([und[:, 0], und[:, 1]])
-    dst = np.concatenate([und[:, 1], und[:, 0]])
-    return WeightedGraph(n, src, dst, np.concatenate([w, w]))
+    return _undirected(n, pairs, rng, DEFAULT_W_MAX)
 
 
 # ---------------------------------------------------------------------------

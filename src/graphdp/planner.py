@@ -1,18 +1,21 @@
-"""Workload descriptors, staged plans and execution.
+"""Workloads, staged plans and execution.
 
-The descriptor names a workload (a distance closure over a weighted graph,
-or a read batch against a genome graph) plus device overrides.  execute()
-runs it by delegating to the engines and optionally attaches a cost report;
-the apsp engine builds its own partition hierarchy and picks its schedule.
-lower() turns a descriptor into the plan document: an ordered stage list
-that maps each phase of the device schedule onto its tile.
+One workload class per kind holds only what its engine and tile read:
+:class:`ApspWorkload` a weighted graph, a tile size and the matrix tile's
+constants; :class:`S2gWorkload` a genome graph, reads batched once, a window
+width, a mapping request and the traversal tile's constants.
+load_descriptor() builds either from JSON.  execute() runs a workload on its
+engine and optionally attaches a cost report; lower() turns it into the plan
+document: an ordered stage list that maps each phase of the device schedule
+onto its tile.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .apsp import choose_schedule, recursive_apsp
 from .costmodel import (
@@ -26,7 +29,6 @@ from .graphs import (
     GenomeGraph,
     GraphError,
     ReadBatch,
-    SHORT_READ_THRESHOLD,
     WeightedGraph,
     load_edge_list,
     load_fasta,
@@ -74,40 +76,57 @@ class StageError(PlanError):
         super().__init__(f"stage {stage_id} failed: {cause}")
 
 
-@dataclass
-class WorkloadDescriptor:
-    kind: str  # "apsp" | "s2g"
-    graph: object
-    reads: list | None = None
+@dataclass(frozen=True)
+class ApspWorkload:
+    """A distance closure over a weighted graph, on the matrix tile."""
+
+    kind: ClassVar[str] = "apsp"
+    graph: WeightedGraph
     max_tile: int = 1024
-    W: int = 128
-    mode: str = "auto"  # s2g only: auto | short | long
-    pcm: PcmParams | None = None
-    hbm: HbmParams | None = None
+    pcm: PcmParams = field(default_factory=PcmParams)
 
     def __post_init__(self):
-        if self.kind == "apsp":
-            if not isinstance(self.graph, WeightedGraph):
-                raise DescriptorError("apsp workload needs a weighted graph")
-        elif self.kind == "s2g":
-            if not isinstance(self.graph, GenomeGraph):
-                raise DescriptorError("s2g workload needs a genome graph")
-            if not self.reads:
-                raise DescriptorError("s2g workload needs reads")
-            empty = [rid for rid, seq in self.reads if not seq]
-            if empty:
-                raise DescriptorError(f"read {empty[0]} is empty")
-            seen = set()
-            for rid, _ in self.reads:
-                if rid in seen:
-                    raise DescriptorError(f"duplicate read id {rid!r}")
-                seen.add(rid)
-            if self.W < 1:
-                raise DescriptorError(f"window width W={self.W} must be positive")
+        if not isinstance(self.graph, WeightedGraph):
+            raise DescriptorError("apsp workload needs a weighted graph")
+
+
+@dataclass(frozen=True)
+class S2gWorkload:
+    """Reads aligned against a genome graph, on the traversal tile; ``batches``
+    holds them split by length under ``auto``, or in one batch of the forced
+    class, which refuses a long read in a short batch."""
+
+    kind: ClassVar[str] = "s2g"
+    graph: GenomeGraph
+    reads: list
+    W: int = 128
+    mode: str = "auto"  # auto | short | long
+    hbm: HbmParams = field(default_factory=HbmParams)
+    batches: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.graph, GenomeGraph):
+            raise DescriptorError("s2g workload needs a genome graph")
+        if not self.reads:
+            raise DescriptorError("s2g workload needs reads")
+        empty = [rid for rid, seq in self.reads if not seq]
+        if empty:
+            raise DescriptorError(f"read {empty[0]} is empty")
+        seen = set()
+        for rid, _ in self.reads:
+            if rid in seen:
+                raise DescriptorError(f"duplicate read id {rid!r}")
+            seen.add(rid)
+        if self.W < 1:
+            raise DescriptorError(f"window width W={self.W} must be positive")
+        if self.mode == "auto":
+            batches = [b for b in split_by_length(self.reads) if b.reads]
+        elif self.mode in ("short", "long"):
+            batches = [ReadBatch(list(self.reads), self.mode)]
         else:
-            raise DescriptorError(f"unknown workload kind {self.kind!r}")
-        if self.mode not in ("auto", "short", "long"):
             raise DescriptorError(f"unknown mapping request {self.mode!r}")
+        # frozen, so the batches cannot go stale against reads or mode
+        object.__setattr__(self, "batches", batches)
 
 
 def device_params(section) -> tuple:
@@ -153,49 +172,39 @@ def _path_field(doc: dict, name: str) -> str:
     return value
 
 
-_DESCRIPTOR_FIELDS = {
-    "kind", "graph", "reads", "max_tile", "W", "mode", "device"
-}
-
-
-def load_descriptor(doc: dict | str) -> WorkloadDescriptor:
-    """Build a descriptor from a JSON document or a path to one.
+def load_descriptor(doc: dict | str) -> ApspWorkload | S2gWorkload:
+    """Build a workload from a JSON descriptor or a path to one.
 
     File references inside the document are loaded and validated here, so
-    a returned descriptor is always runnable.  A field the loader does not
-    read is refused rather than ignored.
+    a returned workload is always runnable.  A field its kind does not read
+    is refused rather than ignored; ``device`` may override both tiles, as
+    one ``--config`` file does for every command.
     """
     if isinstance(doc, str):
         with open(doc) as fh:
             doc = json.load(fh)
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DescriptorError("descriptor must be an object with a 'kind'")
-    unknown = sorted(set(doc) - _DESCRIPTOR_FIELDS)
-    if unknown:
-        raise DescriptorError(f"unknown descriptor field {unknown[0]!r}")
     kind = doc["kind"]
+    if kind not in ("apsp", "s2g"):
+        raise DescriptorError(f"unknown workload kind {kind!r}")
+    own = {"max_tile"} if kind == "apsp" else {"reads", "W", "mode"}
+    unknown = sorted(set(doc) - own - {"kind", "graph", "device"})
+    if unknown:
+        raise DescriptorError(f"unknown {kind} descriptor field {unknown[0]!r}")
     pcm, hbm = device_params(doc.get("device"))
-    common = dict(pcm=pcm, hbm=hbm)
     try:
         if kind == "apsp":
             g = load_edge_list(_path_field(doc, "graph"))
-            return WorkloadDescriptor(
-                "apsp", g, max_tile=_int_field(doc, "max_tile", 1024), **common
-            )
-        if kind == "s2g":
+        else:
             g = load_genome_graph(_path_field(doc, "graph"))
             reads = load_fasta(_path_field(doc, "reads"))
-            return WorkloadDescriptor(
-                "s2g",
-                g,
-                reads=reads,
-                W=_int_field(doc, "W", 128),
-                mode=doc.get("mode", "auto"),
-                **common,
-            )
     except (OSError, KeyError, GraphError) as e:
         raise DescriptorError(f"descriptor input failed to load: {e}") from e
-    raise DescriptorError(f"unknown workload kind {kind!r}")
+    if kind == "apsp":
+        return ApspWorkload(g, max_tile=_int_field(doc, "max_tile", 1024), pcm=pcm)
+    mode = doc.get("mode", "auto")
+    return S2gWorkload(g, reads, W=_int_field(doc, "W", 128), mode=mode, hbm=hbm)
 
 
 @dataclass
@@ -228,7 +237,7 @@ class Stage:
 class ExecutionPlan:
     """The ordered stages of one workload; ``to_json`` is the plan document."""
 
-    workload: WorkloadDescriptor
+    workload: ApspWorkload | S2gWorkload
     stages: list
 
     def validate(self) -> None:
@@ -258,7 +267,7 @@ class ExecutionPlan:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _lower_apsp(w: WorkloadDescriptor) -> ExecutionPlan:
+def _lower_apsp(w: ApspWorkload) -> ExecutionPlan:
     """One matrix stage per event of the device schedule, plus one inject
     per level that re-closes; stage ids number each kind per level in event
     order.
@@ -311,29 +320,15 @@ def _lower_apsp(w: WorkloadDescriptor) -> ExecutionPlan:
     return plan
 
 
-def _batches(w: WorkloadDescriptor) -> list:
-    """The s2g workload's read batches: split by length under ``auto``, or
-    every read in one batch of the forced class."""
-    if w.mode == "auto":
-        return [b for b in split_by_length(w.reads) if b.reads]
-    if w.mode == "short":
-        too_long = [r for r, s in w.reads if len(s) > SHORT_READ_THRESHOLD]
-        if too_long:
-            raise DescriptorError(
-                f"read {too_long[0]} too long for forced short mapping"
-            )
-    return [ReadBatch(list(w.reads), w.mode)]
-
-
 def _align_id(batch: ReadBatch) -> str:
     return f"align.{batch.length_class}"
 
 
-def _lower_s2g(w: WorkloadDescriptor) -> ExecutionPlan:
+def _lower_s2g(w: S2gWorkload) -> ExecutionPlan:
     """One align stage per read batch; a short batch maps onto grouped PEs,
     a long one onto one deep pipeline."""
     stages = [Stage("s0.masks", K_MASK, ["graph"], ["masks"])]
-    for i, batch in enumerate(_batches(w)):
+    for i, batch in enumerate(w.batches):
         stages.append(
             Stage(
                 _align_id(batch),
@@ -348,14 +343,14 @@ def _lower_s2g(w: WorkloadDescriptor) -> ExecutionPlan:
     return plan
 
 
-def lower(w: WorkloadDescriptor) -> ExecutionPlan:
-    """Deterministic descriptor-to-plan lowering."""
+def lower(w: ApspWorkload | S2gWorkload) -> ExecutionPlan:
+    """Deterministic workload-to-plan lowering."""
     if w.kind == "apsp":
         return _lower_apsp(w)
     return _lower_s2g(w)
 
 
-def execute(w: WorkloadDescriptor, cost_model_on: bool = False) -> dict:
+def execute(w: ApspWorkload | S2gWorkload, cost_model_on: bool = False) -> dict:
     """Run the workload on its engine.
 
     apsp closes the graph with :func:`recursive_apsp`; s2g aligns each read
@@ -367,19 +362,19 @@ def execute(w: WorkloadDescriptor, cost_model_on: bool = False) -> dict:
         res = recursive_apsp(w.graph, max_tile=w.max_tile)
         out = {"apsp": res}
         if cost_model_on:
-            out["cost"] = model_recursive_apsp(res.trace, w.pcm or PcmParams())
+            out["cost"] = model_recursive_apsp(res.trace, w.pcm)
         return out
 
     results = {}
     cost = CostReport()
-    for batch in _batches(w):
+    for batch in w.batches:
         try:
             aligned, bt = batch_align(w.graph, batch, W=w.W)
         except Exception as e:  # noqa: BLE001 - rethrown with stage attribution
             raise StageError(_align_id(batch), str(e)) from e
         results.update(zip(bt.read_ids, aligned))
         if cost_model_on:
-            cost = cost + model_traversal(bt, w.hbm or HbmParams())
+            cost = cost + model_traversal(bt, w.hbm)
     out = {"s2g": results}
     if cost_model_on:
         out["cost"] = cost

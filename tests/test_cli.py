@@ -469,10 +469,17 @@ def test_s2g_model_reports_throughput(tmp_path):
     assert doc["cost"]["cycles"] > 0
 
 
-def test_s2g_forced_short_on_long_reads_is_usage_error(tmp_path):
-    gfa, reads = _gen_inputs(tmp_path, bases=3000, reads=2, read_len=400)
-    assert run("s2g", "--graph", gfa, "--reads", reads, "--mode", "short",
-               "--out", tmp_path / "o") == 2
+def test_s2g_forced_short_on_long_reads_is_usage_error(tmp_path, capsys):
+    # the workload refuses the long read as it batches it, so scoring and
+    # planning refuse it alike, before any output is written
+    gfa, reads = _gen_inputs(tmp_path, bases=3000, reads=2, read_len=900)
+    capsys.readouterr()
+    for argv in (("s2g",), ("plan", "s2g")):
+        assert run(*argv, "--graph", gfa, "--reads", reads, "--mode", "short",
+                   "--out", tmp_path / "o") == 2, argv
+        err = capsys.readouterr().err
+        assert err == "error: read r0 too long for a short batch\n", (argv, err)
+        assert not (tmp_path / "o").exists()
 
 
 def test_s2g_undecodable_gfa_is_usage_error(tmp_path, capsys):
@@ -675,6 +682,10 @@ def test_plan_bad_descriptor_fields_exit_2(tmp_path, capsys):
         {"device": {"pcm": {"unit_dim": 1000}}},
         {"max_tile": [1]},
         {"graph": 0},
+        # fields only an s2g workload reads
+        {"W": 0},
+        {"reads": "nope.fa"},
+        {"mode": "long"},
     ):
         desc.write_text(json.dumps({**good, **bad}))
         assert run("plan", "desc", desc, "--out", tmp_path) == 2, bad
@@ -686,6 +697,11 @@ def test_plan_bad_descriptor_fields_exit_2(tmp_path, capsys):
     mixed, empty = tmp_path / "mixed.fa", tmp_path / "empty.fa"
     mixed.write_text(">a\n>b\nACGTACGT\n")
     empty.write_text(">a\n>b\n")
+    # and a field only an apsp workload reads
+    desc.write_text(json.dumps({"kind": "s2g", "graph": gfa, "reads": fa,
+                                "max_tile": "x"}))
+    assert run("plan", "desc", desc, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == "error: unknown s2g descriptor field 'max_tile'\n"
     for reads, W in ((fa, 0), (mixed, 128), (empty, 128)):
         doc = {"kind": "s2g", "graph": gfa, "reads": str(reads), "W": W}
         desc.write_text(json.dumps(doc))
@@ -963,6 +979,15 @@ ERROR_CASES = {
         ["s2g", "--graph", "@/g.gfa", "--reads", "@/r.fa", "--W-sweep", "64,0"],
         SystemExit,
     ),
+    # a repeated list entry would write a repeated row
+    "argparse-W-sweep-repeat": (
+        {"g.gfa": GFA, "r.fa": ">r\nACGTAC\n"},
+        ["s2g", "--graph", "@/g.gfa", "--reads", "@/r.fa", "--W-sweep", "8,8"],
+        SystemExit,
+    ),
+    "argparse-counts-repeat": ({}, ["sweep", "pe", "--counts", "16,16"], SystemExit),
+    "argparse-caps-repeat": ({}, ["sweep", "sram", "--caps", "32K,32768"], SystemExit),
+    "argparse-Ns-repeat": ({}, ["sweep", "tilesize", "--Ns", "256,256"], SystemExit),
 }
 
 

@@ -1,11 +1,19 @@
 import json
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
 
 from graphdp.apsp import ApspError, choose_schedule, recursive_apsp, schedule
 from graphdp.costmodel import make_tile_workload
-from graphdp.graphs import gen_clustered, gen_er, gen_genome, gen_reads, parse_gfa
+from graphdp.graphs import (
+    GraphError,
+    gen_clustered,
+    gen_er,
+    gen_genome,
+    gen_reads,
+    parse_gfa,
+)
 from graphdp.partition import build_hierarchy
 from graphdp.planner import (
     DescriptorError,
@@ -20,7 +28,8 @@ from graphdp.planner import (
     Stage,
     StageError,
     TILE_MATRIX,
-    WorkloadDescriptor,
+    ApspWorkload,
+    S2gWorkload,
     execute,
     load_descriptor,
     lower,
@@ -43,7 +52,7 @@ def genome_case(bases=600, seed=5, n_reads=6, length=90):
 
 def test_small_apsp_lowers_to_trivial_plan():
     g = gen_er(50, 0.1, seed=1)
-    plan = lower(WorkloadDescriptor("apsp", g, max_tile=64))
+    plan = lower(ApspWorkload(g, max_tile=64))
     kinds = [s.kind for s in plan.stages]
     assert kinds == [K_PARTITION, K_FW_CLOSE]
 
@@ -51,7 +60,7 @@ def test_small_apsp_lowers_to_trivial_plan():
 def test_direct_apsp_lowers_to_one_closure_of_the_graph():
     # a random graph whose recursion would cost more than one closure
     g = gen_er(260, 0.02, seed=3)
-    w = WorkloadDescriptor("apsp", g, max_tile=64)
+    w = ApspWorkload(g, max_tile=64)
     plan = lower(w)
     assert choose_schedule(build_hierarchy(g, max_tile=64)).mode == "direct"
     assert [(s.kind, s.inputs, s.outputs) for s in plan.stages] == [
@@ -63,7 +72,7 @@ def test_direct_apsp_lowers_to_one_closure_of_the_graph():
 
 def test_apsp_stage_count_matches_hierarchy():
     g = make_tile_workload(n=8192)
-    plan = lower(WorkloadDescriptor("apsp", g, max_tile=64))
+    plan = lower(ApspWorkload(g, max_tile=64))
     hier = build_hierarchy(g, max_tile=64)
     assert hier.depth == 3 and not hier.truncated
     # past the dense limit: the lazy schedule, without base-level merges
@@ -97,7 +106,7 @@ def test_apsp_stage_count_matches_hierarchy():
 )
 def test_apsp_stage_count_matches_trace(make, tile):
     g = make()
-    w = WorkloadDescriptor("apsp", g, max_tile=tile)
+    w = ApspWorkload(g, max_tile=tile)
     plan = lower(w)
     plan.validate()
     hier = build_hierarchy(g, max_tile=tile)
@@ -123,13 +132,13 @@ def test_apsp_stage_count_matches_trace(make, tile):
 
 def test_plan_is_deterministic():
     g = gen_er(200, 0.03, seed=3)
-    w = WorkloadDescriptor("apsp", g, max_tile=64)
+    w = ApspWorkload(g, max_tile=64)
     assert lower(w).to_json() == lower(w).to_json()
 
 
 def test_plan_dataflow_is_wired():
     g = gen_er(260, 0.004, seed=0)
-    plan = lower(WorkloadDescriptor("apsp", g, max_tile=64))
+    plan = lower(ApspWorkload(g, max_tile=64))
     assert choose_schedule(build_hierarchy(g, max_tile=64)).mode == "dense"
     plan.validate()
     produced = {"graph", "reads"}
@@ -152,13 +161,13 @@ def test_dense_run_and_plan_build_the_schedule_once(monkeypatch):
     assert recursive_apsp(g, max_tile=64).trace.mode == "dense"
     assert modes == ["dense"]
     modes.clear()
-    lower(WorkloadDescriptor("apsp", g, max_tile=64))
+    lower(ApspWorkload(g, max_tile=64))
     assert modes == ["dense"]
 
 
 def test_unproduced_input_rejected():
     g = gen_er(40, 0.1, seed=6)
-    w = WorkloadDescriptor("apsp", g, max_tile=64)
+    w = ApspWorkload(g, max_tile=64)
     plan = ExecutionPlan(
         w, [Stage("x", K_MERGE, ["ghost"], ["out"])]
     )
@@ -168,7 +177,7 @@ def test_unproduced_input_rejected():
 
 def test_short_reads_map_to_grouped_pes():
     g, reads = genome_case(length=100)
-    plan = lower(WorkloadDescriptor("s2g", g, reads=reads, W=32))
+    plan = lower(S2gWorkload(g, reads, W=32))
     aligns = [s for s in plan.stages if s.kind == K_ALIGN]
     assert len(aligns) == 1
     assert aligns[0].mapping == MODE_SHORT
@@ -180,7 +189,7 @@ def test_mixed_batch_plans_two_align_stages():
     long_reads = gen_reads(g, 2, 800, 0.02, seed=9)
     long_reads = [(f"long{i}", q) for i, (_, q) in enumerate(long_reads)]
     plan = lower(
-        WorkloadDescriptor("s2g", g, reads=short + long_reads, W=64)
+        S2gWorkload(g, short + long_reads, W=64)
     )
     doc = json.loads(plan.to_json())
     aligns = [s for s in doc["stages"] if s["kind"] == K_ALIGN]
@@ -189,30 +198,47 @@ def test_mixed_batch_plans_two_align_stages():
 
 
 def test_forced_short_rejects_long_reads():
+    # the workload builds its batches once, so the short batch refuses the
+    # long read at construction, before anything is lowered or run
     g, _ = genome_case(bases=2000)
     long_reads = gen_reads(g, 1, 900, 0.02, seed=10)
-    w = WorkloadDescriptor("s2g", g, reads=long_reads, mode="short")
-    with pytest.raises(DescriptorError):
-        lower(w)
-    with pytest.raises(DescriptorError):
-        execute(w)
+    with pytest.raises(GraphError, match="read r0 too long for a short batch$"):
+        S2gWorkload(g, long_reads, mode="short")
+    w = S2gWorkload(g, long_reads, mode="long")
+    assert [b.length_class for b in w.batches] == ["long"]
+    with pytest.raises(FrozenInstanceError):
+        w.batches = []
+
+
+def test_workloads_take_only_their_own_fields():
+    g = gen_er(20, 0.2, seed=7)
+    gg, reads = genome_case()
+    assert ApspWorkload.kind == "apsp" and S2gWorkload.kind == "s2g"
+    assert [f.name for f in fields(ApspWorkload)] == ["graph", "max_tile", "pcm"]
+    assert [f.name for f in fields(S2gWorkload) if f.init] == [
+        "graph", "reads", "W", "mode", "hbm"
+    ]
+    with pytest.raises(TypeError):
+        ApspWorkload(g, W=64)
+    with pytest.raises(TypeError):
+        S2gWorkload(gg, reads, max_tile=64)
+    with pytest.raises(TypeError):
+        S2gWorkload(gg, reads, batches=[])
 
 
 def test_descriptor_kind_validation():
     g = gen_er(20, 0.2, seed=7)
     with pytest.raises(DescriptorError):
-        WorkloadDescriptor("matmul", g)
-    with pytest.raises(DescriptorError):
-        WorkloadDescriptor("s2g", g, reads=[("r0", "ACGT")])
+        S2gWorkload(g, [("r0", "ACGT")])
     gg, reads = genome_case()
     with pytest.raises(DescriptorError):
-        WorkloadDescriptor("apsp", gg)
+        ApspWorkload(gg)
     with pytest.raises(DescriptorError):
-        WorkloadDescriptor("s2g", gg, reads=[])
+        S2gWorkload(gg, [])
     # results are keyed by read id, so a repeated id is refused: the first
     # repeat in read order is named
     with pytest.raises(DescriptorError, match="duplicate read id 'r1'$"):
-        WorkloadDescriptor("s2g", gg, reads=reads[:3] + reads[1:])
+        S2gWorkload(gg, reads[:3] + reads[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +248,7 @@ def test_descriptor_kind_validation():
 
 def test_apsp_plan_matches_direct_engine():
     g = gen_er(150, 0.03, seed=8)
-    w = WorkloadDescriptor("apsp", g, max_tile=64)
+    w = ApspWorkload(g, max_tile=64)
     out = execute(w)
     direct = recursive_apsp(g, max_tile=64)
     assert np.array_equal(out["apsp"].dist, direct.dist)
@@ -230,7 +256,7 @@ def test_apsp_plan_matches_direct_engine():
 
 def test_s2g_plan_matches_direct_engine():
     g, reads = genome_case()
-    w = WorkloadDescriptor("s2g", g, reads=reads, W=32)
+    w = S2gWorkload(g, reads, W=32)
     out = execute(w)
     from graphdp.graphs import ReadBatch
 
@@ -242,7 +268,7 @@ def test_s2g_plan_matches_direct_engine():
 
 def test_cost_toggle_leaves_results_bit_identical():
     g = gen_er(120, 0.04, seed=9)
-    w = WorkloadDescriptor("apsp", g, max_tile=64)
+    w = ApspWorkload(g, max_tile=64)
     off = execute(w, cost_model_on=False)
     on = execute(w, cost_model_on=True)
     assert np.array_equal(off["apsp"].dist, on["apsp"].dist)
@@ -250,7 +276,7 @@ def test_cost_toggle_leaves_results_bit_identical():
     assert on["cost"].wall_time_s > 0
 
     gg, reads = genome_case()
-    ws = WorkloadDescriptor("s2g", gg, reads=reads, W=32)
+    ws = S2gWorkload(gg, reads, W=32)
     off_s = execute(ws)
     on_s = execute(ws, cost_model_on=True)
     assert {r: v.score_max for r, v in off_s["s2g"].items()} == {
@@ -262,7 +288,7 @@ def test_cost_toggle_leaves_results_bit_identical():
 def test_stage_failure_names_the_stage():
     g, reads = genome_case()
     bad = reads + [("rbad", "ACGTXX")]
-    w = WorkloadDescriptor("s2g", g, reads=bad, W=32)
+    w = S2gWorkload(g, bad, W=32)
     with pytest.raises(StageError) as exc:
         execute(w)
     assert exc.value.stage_id in [st.id for st in lower(w).stages]
