@@ -7,10 +7,13 @@ Three scorers compute it, sharing no kernel code:
 
 * ``align_read_parallel`` is the production scorer, called by
   ``batch_align`` for every read.  It packs up to 64 reads into one uint64
-  word per node and advances all of them one query position at a time with
-  three vector operations: gather and OR the predecessors' words, AND with
-  the position's base table, OR-reduce the word.  A read's bit that clears
-  at position j gives score j.
+  word per node and advances all of them one query position at a time.
+  While many nodes are live a position is a dense numpy step over every
+  node (gather and OR the predecessors' words, AND with the position's
+  base table); once few are, a ``{node: word}`` frontier is pushed along
+  the live nodes' successor arcs in plain Python, so a position costs the
+  live state, not the graph.  A read's bit that clears at position j gives
+  score j.
 * ``align_windowed`` is the device-fidelity kernel.  It processes one query
   of length m in k = ceil(m/W) windows of W bits, each a single sweep of
   the graph in topological order; a node's word holds, at bit j, whether
@@ -228,14 +231,46 @@ def _base_tables(codes: list) -> np.ndarray:
     c at position j.  Row M (past every read's end) and column 4 ('N') stay
     empty, so every bit clears by position M."""
     m = max(c.size for c in codes)
-    q = np.full((WORD_BITS, m + 1), 4, dtype=np.uint8)
+    rows = -(-len(codes) // 8) * 8  # pack whole bytes only
+    q = np.full((rows, m + 1), 4, dtype=np.uint8)
     for r, c in enumerate(codes):
         q[r, : c.size] = c
     eq = q[None, :, :] == np.arange(4, dtype=np.uint8)[:, None, None]
-    packed = np.packbits(eq, axis=1, bitorder="little")  # (4, 8, M+1) bytes
+    packed = np.packbits(eq, axis=1, bitorder="little")  # (4, rows/8, M+1)
+    words = np.zeros((m + 1, 4, WORD_BITS // 8), dtype=np.uint8)
+    words[:, :, : packed.shape[1]] = packed.transpose(2, 0, 1)
     table = np.zeros((m + 1, 5), dtype=np.uint64)
-    table[:, :4] = np.ascontiguousarray(packed.transpose(2, 0, 1)).view("<u8")[..., 0]
+    table[:, :4] = words.view("<u8")[..., 0]
     return table
+
+
+# Live share of nodes at or below which a word leaves the dense step for
+# the sparse frontier, and above which it returns.  Measured on a 2-core
+# x86 host (numpy 2.4) with gen_genome graphs of 5k and 20k nodes and
+# 150 bp and 2,000 bp reads: times were flat within noise from 1/5 to 1/80
+# of n; at 1/200, 64 short reads on 5k nodes ran about 10% slower,
+# because the word switched later.
+_SPARSE_SHARE = 1 / 40
+
+
+def _frontier_step(front: dict, row: list, ptr: list, idx: list, code: list):
+    """One query position of the sparse phase: push each live node's word
+    along its successor arcs (``ptr``/``idx``, CSR; ``code`` is each arc
+    head's base code) and keep the bits that ``row`` matches there.
+    Returns the next frontier and the OR of its words."""
+    nxt = {}
+    live = 0
+    for u, s in front.items():
+        for t in range(ptr[u], ptr[u + 1]):
+            m = s & row[code[t]]
+            if m:
+                live |= m
+                v = idx[t]
+                if v in nxt:
+                    nxt[v] |= m
+                else:
+                    nxt[v] = m
+    return nxt, live
 
 
 def align_read_parallel(g: GenomeGraph, queries, W: int = DEFAULT_W) -> list:
@@ -243,15 +278,27 @@ def align_read_parallel(g: GenomeGraph, queries, W: int = DEFAULT_W) -> list:
     scorer behind ``batch_align``.
 
     Word state S[v] holds bit r iff read r's prefix of the current length
-    ends at node v.  Results are exact (they equal ``align_reference``), and
-    ``windows`` is the count ``align_windowed`` reports at width W, derived
-    as the module docstring explains.
+    ends at node v.  While many nodes are live, each query position is a
+    dense numpy step over every node: gather and OR the predecessors'
+    words, AND with the position's base table.  Every fourth position from
+    position 8 the live nodes are counted, and once they are at most
+    ``_SPARSE_SHARE`` of n the state becomes a ``{node: word}`` frontier
+    that plain Python pushes along successor arcs, so a position costs the
+    live nodes' arcs, not n.  A frontier that grows past that share again
+    (a homopolymer, a run of bubbles) goes back to the dense step.  A read
+    whose bit clears at position j scores j, and its end nodes are the
+    nodes holding its bit at position j-1.
+
+    Results are exact (they equal ``align_reference``), and ``windows`` is
+    the count ``align_windowed`` reports at width W, derived as the module
+    docstring explains.
     """
     if W < 1:
         raise AlignmentError("window width must be positive")
     codes = [_query_codes(q) for q in queries]
     n = g.n
     node_code = _BASE_CODE[g.bases].astype(np.intp)
+    sparse_max = n * _SPARSE_SHARE
 
     # Predecessor OR, split for speed: one gather of every node's first
     # predecessor (the sentinel index n, whose word stays 0, for nodes with
@@ -268,33 +315,65 @@ def align_read_parallel(g: GenomeGraph, queries, W: int = DEFAULT_W) -> list:
     rest = g.pred_idx[keep].astype(np.intp)
     rest_starts = np.zeros(multi.size, dtype=np.intp)
     np.cumsum(counts[multi][:-1] - 1, out=rest_starts[1:])
+    succ = None  # _frontier_step's successor lists, made on first use
 
     results = []
     for w0 in range(0, len(codes), WORD_BITS):
         word = codes[w0 : w0 + WORD_BITS]
         table = _base_tables(word)
+        rows = None  # the table as Python ints, made on first sparse use
         prev = np.zeros(n + 1, dtype=np.uint64)
         cur = np.zeros(n + 1, dtype=np.uint64)
+        front = None  # {node: word} at position j-1 while sparse
         scored = [None] * len(word)
         pending = (1 << len(word)) - 1
         for j in range(table.shape[0]):
-            match = table[j].take(node_code)
-            if j == 0:
-                cur[:n] = match
+            if front is None:
+                match = table[j].take(node_code)
+                if j == 0:
+                    cur[:n] = match
+                else:
+                    reach = prev[first]
+                    reach[multi] |= np.bitwise_or.reduceat(prev[rest], rest_starts)
+                    np.bitwise_and(reach, match, out=cur[:n])
+                live = int(np.bitwise_or.reduce(cur))
             else:
-                reach = prev[first]
-                reach[multi] |= np.bitwise_or.reduceat(prev[rest], rest_starts)
-                np.bitwise_and(reach, match, out=cur[:n])
-            cleared = pending & ~int(np.bitwise_or.reduce(cur))
+                nxt, live = _frontier_step(front, rows[j], *succ)
+            cleared = pending & ~live
             while cleared:
                 r = cleared.bit_length() - 1
-                cleared ^= 1 << r
-                ends = np.flatnonzero(prev[:n] & np.uint64(1 << r)) if j else []
+                bit = 1 << r
+                cleared ^= bit
+                if front is not None:
+                    ends = sorted(u for u, s in front.items() if s & bit)
+                elif j:
+                    ends = np.flatnonzero(prev[:n] & np.uint64(bit))
+                else:
+                    ends = []
                 scored[r] = (j, np.asarray(ends, dtype=np.int64))
-                pending ^= 1 << r
+                pending ^= bit
             if not pending:
                 break
+            if front is not None:
+                front = nxt
+                if len(front) > sparse_max:  # regrown: back to dense
+                    keys = list(front)
+                    prev[:] = 0
+                    prev[keys] = np.fromiter(front.values(), np.uint64, len(keys))
+                    front = None
+                continue
             prev, cur = cur, prev
+            if j >= 8 and j % 4 == 0 and np.count_nonzero(prev[:n]) <= sparse_max:
+                nodes = np.flatnonzero(prev[:n])
+                front = dict(zip(nodes.tolist(), prev[nodes].tolist()))
+                if rows is None:
+                    rows = table.tolist()
+                if succ is None:
+                    succ = (
+                        g.succ_ptr.tolist(),
+                        g.succ_idx.tolist(),
+                        node_code[g.succ_idx].tolist(),
+                    )
         for c, (score, ends) in zip(word, scored):
             windows = min(-(-c.size // W), -(-score // W) + 1)
             results.append(AlignResult(score, ends, windows))

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from graphdp.graphs import AlphabetError, ReadBatch, genome_graph
+from graphdp import s2g
+from graphdp.graphs import (
+    AlphabetError,
+    ReadBatch,
+    gen_genome,
+    gen_reads,
+    genome_graph,
+    parse_gfa,
+)
 from graphdp.s2g import (
     MODE_LONG,
     MODE_SHORT,
@@ -256,6 +264,163 @@ def test_batch_align_matches_oracle_and_windowed_counts():
                 ref = align_windowed(g, q, W=W)
                 assert res.windows == ref.windows, (seed, W, q)
         assert any(r.score_max == 0 for r in got)
+
+
+# ---------------------------------------------------------------------------
+# the read-parallel scorer's dense and sparse phases
+# ---------------------------------------------------------------------------
+
+# first query position at which the scorer may leave the dense step
+SWITCH = 8
+
+
+@pytest.fixture(params=[1.0, 0.0], ids=["sparse-from-switch", "dense-only"])
+def crossover(request, monkeypatch):
+    """Force the sparse phase at the first eligible position (a live share
+    of 1 always qualifies) or disable it (a live count is never <= 0)."""
+    monkeypatch.setattr(s2g, "_SPARSE_SHARE", request.param)
+    return request.param
+
+
+@pytest.fixture
+def frontier_sizes(monkeypatch):
+    """(live nodes in, live nodes out) of every sparse-phase position."""
+    sizes = []
+    step = s2g._frontier_step
+
+    def spy(front, *args):
+        nxt, live = step(front, *args)
+        sizes.append((len(front), len(nxt)))
+        return nxt, live
+
+    monkeypatch.setattr(s2g, "_frontier_step", spy)
+    return sizes
+
+
+def clean_walk(g, length, seed):
+    """A walk of exactly ``length`` nodes through no 'N' node."""
+    for t in range(seed, seed + 100):
+        walk = walk_query(g, length, t)
+        if len(walk) == length and "N" not in walk:
+            return walk
+    raise AssertionError(f"no clean walk of {length} nodes")
+
+
+def assert_matches_oracle(g, queries, W=16):
+    got = s2g.align_read_parallel(g, queries, W=W)
+    for q, res in zip(queries, got):
+        want = align_reference(g, q)
+        assert res.score_max == want.score_max, q
+        assert res.end_nodes.tolist() == want.end_nodes.tolist(), q
+        assert res.windows == align_windowed(g, q, W=W).windows, q
+    return got
+
+
+def test_reads_dying_around_the_switch(crossover, frontier_sizes):
+    # N in nodes, N in reads, source nodes; reads whose bit clears before,
+    # at and after the position where the scorer may go sparse
+    g = with_ns_and_sources(random_genome_dag(200, 11), 11, n_count=8)
+    queries = []
+    for length in range(2, 16):
+        walk = clean_walk(g, length, 500)
+        queries += [walk + "N", walk + "T" * 5, "N" + walk, walk[:-1] + "N" + walk]
+    queries.append(walk_query(g, 10 * g.n, 600))  # to a sink
+    # into an 'N' node after the switch, with each base at its position;
+    # no other path spells the walk past it
+    for t in range(800, 1800):
+        walk = walk_query(g, 20, t)
+        k = walk.find("N")
+        into_n = [walk[:k] + c + walk[k + 1 :] for c in "ACGT"]
+        if k > SWITCH and all(align_reference(g, q).score_max == k for q in into_n):
+            break
+    else:
+        pytest.fail("no walk runs into an 'N' node after the switch")
+    queries += into_n
+    got = assert_matches_oracle(g, queries)
+    scores = {r.score_max for r in got}
+    assert {SWITCH - 1, SWITCH, SWITCH + 1, SWITCH + 2} <= scores
+    assert bool(frontier_sizes) == (crossover > 0)
+
+
+def test_full_word_collapsing_at_different_positions(crossover, frontier_sizes):
+    g = with_ns_and_sources(parse_gfa(gen_genome(600, 0.05, seed=12)[0]), 12)
+    rng = np.random.default_rng(13)
+    queries = []
+    for j in range(64):
+        walk = clean_walk(g, int(rng.integers(SWITCH, 60)), 700 + 100 * j)
+        cut = int(rng.integers(SWITCH - 2, len(walk) + 1))
+        queries.append(walk[:cut] + "N"[: j % 2] + walk[cut:])
+    got = assert_matches_oracle(g, queries)
+    assert len({r.score_max for r in got}) > 30
+    assert bool(frontier_sizes) == (crossover > 0)
+
+
+def layered_graph(parts):
+    """Each (width, bases) part is ``width`` parallel chains spelling
+    ``bases``; every chain end of one part feeds every chain start of the
+    next."""
+    bases, edges, ends = "", [], []
+    for width, spell in parts:
+        starts = []
+        for _ in range(width):
+            first = len(bases)
+            bases += spell
+            starts.append(first)
+            edges += [(first + i, first + i + 1) for i in range(len(spell) - 1)]
+        edges += [(u, v) for u in ends for v in starts]
+        ends = [v + len(spell) - 1 for v in starts]
+    return genome_graph(bases, edges)
+
+
+def test_regrown_frontier_returns_to_dense_step(frontier_sizes):
+    # A read's frontier is one node on a chain and eight in a fan of A
+    # runs, past the natural crossover: the scorer goes sparse on the
+    # prefix, dense in fan 1, sparse on the A chain and dense in fan 2.
+    # A state left over from the last dense step would stay live along the
+    # A chain and add end nodes to the reads that die in fan 2.
+    rng = np.random.default_rng(14)
+    prefix, tail = ("".join(rng.choice(list("CGT"), size=20)) for _ in range(2))
+    g = layered_graph(
+        [(1, prefix), (8, "A" * 10), (1, "A" * 30), (8, "A" * 10), (1, tail)]
+    )
+    sparse_max = g.n * s2g._SPARSE_SHARE
+    full = prefix + "A" * 50 + tail
+    queries = [full, full[:65] + "N", full[:67] + "NA", full[:25] + "N", full[:80]]
+    got = assert_matches_oracle(g, queries)
+    assert [r.score_max for r in got] == [90, 65, 67, 25, 80]
+    assert [r.end_nodes.size for r in got] == [1, 8, 8, 8, 1]
+    regrown = [i for i, (_, out) in enumerate(frontier_sizes) if out > sparse_max]
+    assert len(regrown) == 2 and regrown[-1] < len(frontier_sizes) - 1
+    assert all(live <= sparse_max for live, _ in frontier_sizes)
+    # homopolymer reads keep most A nodes live and stay dense
+    assert_matches_oracle(g, ["A" * 55, "A" * 12 + tail, prefix[-9:] + "A" * 50])
+
+
+def test_natural_size_long_read_takes_sparse_phase(frontier_sizes):
+    g = parse_gfa(gen_genome(5000, 0.02, seed=21)[0])
+    queries = [q for _, q in gen_reads(g, 2, 2000, 0.0, seed=22)]
+    queries += [q for _, q in gen_reads(g, 2, 2000, 0.01, seed=23)]
+    got = assert_matches_oracle(g, queries, W=128)
+    assert got[0].score_max == got[1].score_max == 2000
+    assert frontier_sizes
+
+
+def test_base_tables_match_a_bitwise_build():
+    rng = np.random.default_rng(15)
+    for count in (1, 7, 8, 9, 63, 64):
+        reads = [
+            "".join(rng.choice(list("ACGTN"), size=int(rng.integers(1, 40))))
+            for _ in range(count)
+        ]
+        m = max(len(q) for q in reads)
+        want = np.zeros((m + 1, 5), dtype=np.uint64)
+        for r, q in enumerate(reads):
+            for j, ch in enumerate(q):
+                if ch != "N":
+                    want[j, "ACGT".index(ch)] |= np.uint64(1 << r)
+        got = s2g._base_tables([s2g._query_codes(q) for q in reads])
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want), count
 
 
 def test_window_width_invariance():
