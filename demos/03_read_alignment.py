@@ -22,8 +22,8 @@ assert len({rid for rid, _ in reads}) == len(reads)  # results are keyed by read
 short, long_ = split_by_length(reads)
 print(f"reads: {len(short.reads)} short + {len(long_.reads)} long")
 
-res_s, trace_s = batch_align(g, short)
-res_l, trace_l = batch_align(g, long_)
+res_s, trace_s = batch_align(g, short, W=128)
+res_l, trace_l = batch_align(g, long_, W=128)
 for trace in (trace_s, trace_l):
     print(f"{trace.reads} reads -> {trace.mode}, "
           f"{sum(trace.window_passes)} window passes")

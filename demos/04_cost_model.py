@@ -17,12 +17,13 @@ from graphdp import (
 )
 from graphdp.costmodel import make_traversal_trace
 
-# a single 1024x1024 block closure has a fixed cycle recipe
-blk = model_fw_block(1024, pivots=1)
+# a 1024x1024 block closure repeats a fixed cycle recipe once per pivot
+dim = 1024
+blk = model_fw_block(dim)
 print("one pivot step on a full block:")
 for name, rep in sorted(blk.phases.items()):
-    print(f"  {name:8s} {rep.cycles:6.0f} cycles")
-print(f"  total    {blk.cycles:6.0f} cycles")
+    print(f"  {name:8s} {rep.cycles / dim:6.0f} cycles")
+print(f"  total    {blk.cycles / dim:6.0f} cycles")
 
 # price a whole recursive closure from its trace
 g = gen_clustered(20, 40, seed=3, groups=4)

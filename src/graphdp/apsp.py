@@ -224,7 +224,7 @@ def _assemble_level(d: np.ndarray, lv, closure: np.ndarray) -> None:
         d[ids] = rows
 
 
-def recursive_apsp(g: WeightedGraph, max_tile: int = 1024) -> ApspResult:
+def recursive_apsp(g: WeightedGraph, max_tile: int) -> ApspResult:
     """Close all shortest-path distances of ``g`` recursively into the
     dense n x n matrix.
 

@@ -38,6 +38,7 @@ from .costmodel import (
     sweep_pe_density,
     sweep_sram,
     sweep_tile_size,
+    tile_reference,
     working_set_bytes,
 )
 from .graphs import (
@@ -166,9 +167,10 @@ def _path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _emit_run(args, cfg: dict) -> None:
+def _emit_run(args, cfg: dict, outputs: list) -> None:
+    """run.json: ``cfg`` and the names of the files the command wrote."""
     with open(_path(args, "run.json"), "w") as fh:
-        fh.write(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps({**cfg, "outputs": outputs}, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str, columns, rows, cfg: dict) -> None:
@@ -194,13 +196,12 @@ def _workload(args, kind: str, **fields) -> ApspWorkload | S2gWorkload:
 
 
 def _base_cfg(args) -> dict:
-    """run.json's common keys: the command and its kind, ``--out``, and
-    ``--seed`` where the command takes one."""
-    cfg = {"command": args.command, "out": args.out}
+    """run.json's keys for the parsed command line: the command with its
+    kind, and every flag it takes but ``--threads``, which changes nothing,
+    and ``--config``, which a command records as the resolved ``device``."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("kind", "threads", "config")}
     if "kind" in args:
         cfg["command"] += f".{args.kind}"
-    if "seed" in args:
-        cfg["seed"] = args.seed
     return cfg
 
 
@@ -210,18 +211,14 @@ def _base_cfg(args) -> dict:
 
 
 def cmd_gen(args) -> int:
-    cfg = _base_cfg(args)
     if args.kind in ("er", "nws"):
         if args.kind == "er":
             g = gen_er(args.n, args.p, args.seed, args.w_max)
-            cfg.update(n=args.n, p=args.p, w_max=args.w_max)
         else:
             g = gen_nws(args.n, args.k, args.p, args.seed, args.w_max)
-            cfg.update(n=args.n, k=args.k, p=args.p, w_max=args.w_max)
         path = _path(args, "graph.edges")
         dump_edge_list(g, path)
-        cfg["outputs"] = ["graph.edges"]
-        _emit_run(args, cfg)
+        _emit_run(args, _base_cfg(args), ["graph.edges"])
         print(f"{args.kind}: n={g.n} edges={g.edge_count} seed={args.seed} -> {path}")
         return EXIT_OK
 
@@ -240,15 +237,7 @@ def cmd_gen(args) -> int:
     if reads:
         dump_fasta(reads, _path(args, "reads.fa"))
         outputs.append("reads.fa")
-    cfg.update(
-        bases=args.bases,
-        bubble_rate=args.bubble_rate,
-        reads=args.reads,
-        read_len=args.read_len,
-        sub_rate=args.sub_rate,
-        outputs=outputs,
-    )
-    _emit_run(args, cfg)
+    _emit_run(args, _base_cfg(args), outputs)
     print(
         f"genome: nodes={g.n} arcs={g.succ_idx.size} seed={args.seed} -> {gfa_path}"
     )
@@ -282,17 +271,7 @@ def cmd_apsp(args) -> int:
             fh.write(rep.to_json() + "\n")
         outputs += ["cost.csv", "cost.json"]
 
-    cfg = _base_cfg(args)
-    cfg.update(
-        graph=args.graph,
-        max_tile=args.max_tile,
-        fmt=args.fmt,
-        verify=args.verify,
-        model=args.model,
-        device={"pcm": asdict(w.pcm)},
-        outputs=outputs,
-    )
-    _emit_run(args, cfg)
+    _emit_run(args, dict(_base_cfg(args), device={"pcm": asdict(w.pcm)}), outputs)
     print(
         f"apsp: n={g.n} mode={res.trace.mode} depth={res.trace.depth} -> {dist_path}"
     )
@@ -329,17 +308,7 @@ def cmd_s2g(args) -> int:
     dump_alignments(scores_path, ids, [results[r] for r in ids])
     outputs = ["scores.tsv"]
 
-    cfg = _base_cfg(args)
-    cfg.update(
-        graph=args.graph,
-        reads=args.reads,
-        mode=args.mode,
-        W=args.W,
-        W_sweep=args.W_sweep,
-        verify=args.verify,
-        model=args.model,
-        device={"hbm": asdict(w.hbm)},
-    )
+    cfg = dict(_base_cfg(args), device={"hbm": asdict(w.hbm)})
 
     if args.W_sweep:
         # the device-fidelity kernel must reproduce, at every swept width,
@@ -380,8 +349,7 @@ def cmd_s2g(args) -> int:
             fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         outputs.append("model.json")
 
-    cfg["outputs"] = outputs
-    _emit_run(args, cfg)
+    _emit_run(args, cfg, outputs)
     print(f"s2g: reads={len(ids)} mode={args.mode} -> {scores_path}")
 
     if args.verify:
@@ -411,16 +379,16 @@ def cmd_sweep(args) -> int:
 
     if args.kind == "tilesize":
         pcm, _ = _device(args.config)
-        cfg.update(Ns=args.Ns, device={"pcm": asdict(pcm)})
+        cfg["device"] = {"pcm": asdict(pcm)}
         columns = ["N", "norm_latency", "norm_energy"]
         rows = [
             (N, f"{lat:.6g}", f"{en:.6g}")
             for N, lat, en in sweep_tile_size(args.Ns, p=pcm)
         ]
-        extra = {"normalized_to": 1024}
+        extra = {"normalized_to": tile_reference(args.Ns)}
     elif args.kind == "pe":
         _, hbm = _device(args.config)
-        cfg.update(counts=args.counts, device={"hbm": asdict(hbm)})
+        cfg["device"] = {"hbm": asdict(hbm)}
         columns = ["pe_per_channel", "reads_per_s", "bandwidth_util"]
         rows = [
             (c, f"{thr:.6g}", f"{util:.6g}")
@@ -428,7 +396,7 @@ def cmd_sweep(args) -> int:
         ]
     elif args.kind == "sram":
         _, hbm = _device(args.config)
-        cfg.update(caps=args.caps, device={"hbm": asdict(hbm)})
+        cfg["device"] = {"hbm": asdict(hbm)}
         columns = ["capacity_bytes", "hbm_regular_bytes", "hbm_irregular_bytes",
                    "reads_per_s"]
         rows = [
@@ -436,7 +404,6 @@ def cmd_sweep(args) -> int:
             for cap, reg, irr, thr in sweep_sram(args.caps, h=hbm)
         ]
     else:
-        cfg.update(n=args.n)
         reports = [
             arithmetic_intensity("FwClassic"),
             arithmetic_intensity("FwPartitioned", n=args.n),
@@ -449,8 +416,7 @@ def cmd_sweep(args) -> int:
 
     path = _path(args, f"{args.kind}.csv")
     _write_csv(path, columns, rows, {**cfg, **extra})
-    cfg["outputs"] = [f"{args.kind}.csv"]
-    _emit_run(args, cfg)
+    _emit_run(args, cfg, [f"{args.kind}.csv"])
     print(f"sweep {args.kind}: {len(rows)} points -> {path}")
     return EXIT_OK
 
@@ -466,15 +432,8 @@ def cmd_plan(args) -> int:
     path = _path(args, "plan.json")
     with open(path, "w") as fh:
         fh.write(plan.to_json() + "\n")
-    cfg = _base_cfg(args)
-    cfg.update(
-        # the inputs the kind read: its file and flags
-        {k: v for k, v in vars(args).items() if k not in ("command", "kind", "threads")},
-        workload=w.kind,
-        stages=len(plan.stages),
-        outputs=["plan.json"],
-    )
-    _emit_run(args, cfg)
+    _emit_run(args, dict(_base_cfg(args), workload=w.kind, stages=len(plan.stages)),
+              ["plan.json"])
     counts = " ".join(f"{k}={v}" for k, v in sorted(plan.counts().items()))
     print(f"plan: {w.kind} stages={len(plan.stages)} ({counts}) -> {path}")
     return EXIT_OK
@@ -577,7 +536,7 @@ def _suite_s2g(seed: int):
 def _suite_constants():
     ok = (
         model_mp_merge(1024, 512).phases["reduce"].cycles == 1024 * 13
-        and model_fw_block(1024, pivots=1).cycles == 480
+        and model_fw_block(1024).cycles == 480 * 1024
         and working_set_bytes(16384, 128) == 262144
     )
     return "comparator tree, block closure, state footprint", ok
@@ -641,11 +600,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         "{\"pcm\": {...}, \"hbm\": {...}}")
     apsp_in = _Parser(add_help=False)
     apsp_in.add_argument("--graph", required=True, help="edge-list file")
-    apsp_in.add_argument("--max-tile", type=int, default=1024)
+    apsp_in.add_argument("--max-tile", type=int, default=ApspWorkload.max_tile)
     s2g_in = _Parser(add_help=False)
     s2g_in.add_argument("--graph", required=True, help="graph file (GFA subset)")
     s2g_in.add_argument("--reads", required=True, help="FASTA reads")
-    s2g_in.add_argument("--mode", choices=["auto", "short", "long"], default="auto")
+    s2g_in.add_argument("--mode", choices=["auto", "short", "long"],
+                        default=S2gWorkload.mode)
     writes = [out, threads]
 
     ap = _Parser(
@@ -681,7 +641,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("s2g", parents=[*writes, device, s2g_in],
                        help="align reads to a graph")
-    s.add_argument("--W", type=int, default=128, help="window width")
+    s.add_argument("--W", type=int, default=S2gWorkload.W, help="window width")
     s.add_argument("--W-sweep", type=_ints, default=None,
                    help="comma list of widths; checks score invariance")
     s.add_argument("--verify", action="store_true",

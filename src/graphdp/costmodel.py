@@ -183,11 +183,8 @@ class CostReport:
 # ---------------------------------------------------------------------------
 
 
-def model_fw_block(
-    dim: int, pivots: int | None = None, p: PcmParams | None = None
-) -> CostReport:
-    """One crossbar unit closing a dim x dim block over the given pivots
-    (all ``dim`` of them by default).
+def model_fw_block(dim: int, p: PcmParams | None = None) -> CostReport:
+    """One crossbar unit closing a dim x dim block over all ``dim`` pivots.
 
     Per pivot: one bit-serial add (operand row + column), one subtract-
     compare against the incumbent, and a burst-pipelined permutation pass
@@ -200,21 +197,19 @@ def model_fw_block(
         raise CapacityError(f"block dim {dim} exceeds unit dim {p.unit_dim}")
     if dim < 0:
         raise ValidationError("negative dimension")
-    if pivots is None:
-        pivots = dim
-    if pivots == 0 or dim == 0:
+    if dim == 0:
         return CostReport()
 
     add_c = p.add_cycles_per_bit * p.bits
     sub_c = p.sub_cycles_per_bit * p.bits
     # pipelined bursts: a 1-cycle read and a 10-cycle write each
     perm_c = math.ceil(dim / p.burst_rows) * (1 + 10)
-    cycles = pivots * (add_c + sub_c + perm_c)
+    cycles = dim * (add_c + sub_c + perm_c)
     clock = p.clock_hz * p.derate(dim)
     wall = cycles / clock
 
-    improved = int(pivots * dim * dim * DEFAULT_IMPROVE_FRAC)
-    read_bits = 3.0 * pivots * dim * dim * p.bits
+    improved = int(dim * dim * dim * DEFAULT_IMPROVE_FRAC)
+    read_bits = 3.0 * dim * dim * dim * p.bits
     write_bits = float(improved) * p.bits
     energy = (read_bits * p.read_energy_pj + write_bits * p.write_energy_pj) * 1e-12
 
@@ -229,9 +224,9 @@ def model_fw_block(
         energy_j=energy,
         pcm_writes=float(improved),
         phases={
-            "add": sub(pivots * add_c, read_e * 2 / 3),
-            "subtract": sub(pivots * sub_c, read_e / 3 + write_e, float(improved)),
-            "permute": sub(pivots * perm_c, 0.0),
+            "add": sub(dim * add_c, read_e * 2 / 3),
+            "subtract": sub(dim * sub_c, read_e / 3 + write_e, float(improved)),
+            "permute": sub(dim * perm_c, 0.0),
         },
     )
 
@@ -557,7 +552,7 @@ def model_traversal(batch_trace: BatchTrace, h: HbmParams | None = None) -> Cost
 # ---------------------------------------------------------------------------
 
 
-def make_traversal_trace(g, read_lengths, W: int = 128):
+def make_traversal_trace(g, read_lengths, W: int):
     """Synthesize a BatchTrace without running alignments.
 
     Window passes assume no early exit (full ceil(len/W) sweeps); the
@@ -750,14 +745,22 @@ def _hierarchy_cost(hier: PartitionHierarchy, N: int, p: PcmParams):
     return close_s + merge_s, total(fw_reps + pass_reps, "energy_j")
 
 
+def tile_reference(Ns) -> int:
+    """The tile size a sweep over ``Ns`` normalizes to: the 1024 design
+    point when it is swept, else the upper middle of the sorted sizes."""
+    Ns = sorted(int(N) for N in Ns)
+    return 1024 if 1024 in Ns else Ns[len(Ns) // 2]
+
+
 def sweep_tile_size(Ns, g: WeightedGraph | None = None, p: PcmParams | None = None):
     """Normalized latency and energy versus matrix unit size N.
 
     Builds the real partition hierarchy at each N (exact-cover component
     counts) and prices it with the occupancy model; results are normalized
-    to N=1024.  Every N partitions the same level-0 graph, so its
-    structural graph is built once and shared, with the CSR and clusters
-    the partitioner derives from it.
+    to the N that :func:`tile_reference` picks from ``Ns``.  Every N
+    partitions the same level-0 graph, so its structural graph is built
+    once and shared, with the CSR and clusters the partitioner derives
+    from it.
     """
     if not Ns:
         raise ValidationError("no tile sizes to sweep")
@@ -780,10 +783,7 @@ def sweep_tile_size(Ns, g: WeightedGraph | None = None, p: PcmParams | None = No
             imbalance=0.0,
         )
         points[int(N)] = _hierarchy_cost(hier, int(N), p)
-    if 1024 in points:
-        base = points[1024]
-    else:
-        base = points[sorted(points)[len(points) // 2]]
+    base = points[tile_reference(Ns)]
     rows = [
         (N, wall / base[0], en / base[1] if base[1] else 0.0)
         for N, (wall, en) in sorted(points.items())

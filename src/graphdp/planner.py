@@ -36,7 +36,7 @@ from .graphs import (
     split_by_length,
 )
 from .partition import build_hierarchy
-from .s2g import MODE_LONG, MODE_SHORT, batch_align
+from .s2g import batch_align, batch_mapping
 
 TILE_MATRIX = "matrix"
 TILE_TRAVERSAL = "traversal"
@@ -202,9 +202,10 @@ def load_descriptor(doc: dict | str) -> ApspWorkload | S2gWorkload:
     except (OSError, KeyError, GraphError) as e:
         raise DescriptorError(f"descriptor input failed to load: {e}") from e
     if kind == "apsp":
-        return ApspWorkload(g, max_tile=_int_field(doc, "max_tile", 1024), pcm=pcm)
-    mode = doc.get("mode", "auto")
-    return S2gWorkload(g, reads, W=_int_field(doc, "W", 128), mode=mode, hbm=hbm)
+        max_tile = _int_field(doc, "max_tile", ApspWorkload.max_tile)
+        return ApspWorkload(g, max_tile=max_tile, pcm=pcm)
+    W = _int_field(doc, "W", S2gWorkload.W)
+    return S2gWorkload(g, reads, W=W, mode=doc.get("mode", S2gWorkload.mode), hbm=hbm)
 
 
 @dataclass
@@ -335,7 +336,7 @@ def _lower_s2g(w: S2gWorkload) -> ExecutionPlan:
                 K_ALIGN,
                 ["graph", "reads", "masks"],
                 [f"scores.{i}"],
-                mapping=MODE_SHORT if batch.length_class == "short" else MODE_LONG,
+                mapping=batch_mapping(batch),
             )
         )
     plan = ExecutionPlan(w, stages)

@@ -53,8 +53,6 @@ from .graphs import (
     ReadBatch,
 )
 
-DEFAULT_W = 128
-
 _ACGT = tuple(DNA_ALPHABET[:4])
 
 
@@ -105,7 +103,7 @@ def classify_self_hop(g: GenomeGraph) -> np.ndarray:
     return mask
 
 
-def align_windowed(g: GenomeGraph, q: str, W: int = DEFAULT_W) -> AlignResult:
+def align_windowed(g: GenomeGraph, q: str, W: int) -> AlignResult:
     """Score the longest exactly-matching query prefix over all graph paths.
 
     A node's carry into the next window is the OR of its predecessors'
@@ -273,7 +271,7 @@ def _frontier_step(front: dict, row: list, ptr: list, idx: list, code: list):
     return nxt, live
 
 
-def align_read_parallel(g: GenomeGraph, queries, W: int = DEFAULT_W) -> list:
+def align_read_parallel(g: GenomeGraph, queries, W: int) -> list:
     """Score every query at once, up to 64 per machine word; the production
     scorer behind ``batch_align``.
 
@@ -388,6 +386,12 @@ MODE_SHORT = "short-parallel"
 MODE_LONG = "long-pipeline"
 
 
+def batch_mapping(batch: ReadBatch) -> str:
+    """How the traversal tile runs a batch: a short batch short-parallel,
+    a long one long-pipeline."""
+    return MODE_SHORT if batch.length_class == "short" else MODE_LONG
+
+
 @dataclass
 class BatchTrace:
     """What one batch asks of the traversal tile, for the cost model; it
@@ -422,18 +426,17 @@ class BatchTrace:
         return len(self.read_ids)
 
 
-def batch_align(g: GenomeGraph, batch: ReadBatch, W: int = DEFAULT_W) -> tuple:
+def batch_align(g: GenomeGraph, batch: ReadBatch, W: int) -> tuple:
     """Align every read; scores are mode-independent by construction.
 
-    A short batch maps short-parallel and a long one long-pipeline; both
-    produce identical AlignResults (ordered by read id, from
-    ``align_read_parallel``) and differ only in the BatchTrace's mode.
+    Both mappings (:func:`batch_mapping`) produce identical AlignResults
+    (ordered by read id, from ``align_read_parallel``) and differ only in
+    the BatchTrace's mode.
     """
-    mode = MODE_SHORT if batch.length_class == "short" else MODE_LONG
     reads = sorted(batch.reads, key=lambda rs: rs[0])
     results = align_read_parallel(g, [seq for _, seq in reads], W=W)
     bt = BatchTrace(
-        mode,
+        batch_mapping(batch),
         W,
         g,
         [rid for rid, _ in reads],

@@ -392,6 +392,52 @@ def test_gen_and_sweep_outputs_keep_their_digests(tmp_path, monkeypatch):
     assert got == _GEN_SWEEP_PINNED
 
 
+# SHA-256 of what apsp, s2g and each plan kind write, run.json included;
+# inputs and --out are relative to the test's directory, because run.json
+# records both
+_RUN_CMDS = {
+    "apsp": ("apsp", "--graph", "er/graph.edges", "--max-tile", 64, "--model"),
+    "s2g": ("s2g", "--graph", "genome/graph.gfa", "--reads", "genome/reads.fa",
+            "--model", "--W-sweep", "32,128"),
+    "plan-apsp": ("plan", "apsp", "--graph", "er/graph.edges", "--max-tile", 64),
+    "plan-s2g": ("plan", "s2g", "--graph", "genome/graph.gfa",
+                 "--reads", "genome/reads.fa"),
+    "plan-desc": ("plan", "desc", "desc.json"),
+}
+_RUN_PINNED = {
+    "apsp/cost.csv": "3f9d34df2fc42ec9c4d54151f0d3d4ee44659d213fcc7324e9c227beff2c9e95",
+    "apsp/cost.json": "877ee9bf82756b5289b58b85bcbb411672565245cb52c5100ec8b208bdf342cf",
+    "apsp/dist.bin": "e8abce664886e0938b39ccdf4331b8285323fa243a15077e6be60abbea6b9f6f",
+    "apsp/run.json": "3f010f10580eb976af1cbb4df30a3bdb4a5afc9908f260ae2549feaf865a3bcb",
+    "s2g/model.json": "b86fd44dba34279884e6c3cea19441616c3fc7b7ed1f7da67bc10e87edd9f6de",
+    "s2g/run.json": "45515eb217bae10eb7ef37be0dff306fd638c992bd90258ae5a4f7ae20014ee7",
+    "s2g/scores.tsv": "a6675bdbb7eadc137c50737a5dfa89ccb3463ef0a8060428feac93739ff280ae",
+    "s2g/wsweep.csv": "73abd639c6668d9554bb1deb56becdc06fe88a4e102236d7472f8bc16d2df262",
+    "plan-apsp/plan.json": "880db678fa3fb56a815383c96a717102da6350a14662654bd8a364699df16f4c",
+    "plan-apsp/run.json": "88f2337667fb9d01a26dbf0136e1e0fbf04dfdc4716fc7c2b7668cb35a9a5a85",
+    "plan-s2g/plan.json": "9c6dcec38d5b74c7f6c0f1b06c12f8594605075a6105256ae1ceae5954b0b5b5",
+    "plan-s2g/run.json": "cec94ec7b01baaa109c2a6d75ae1d559e5f4a9210f9663a84a28a1c906232734",
+    "plan-desc/plan.json": "9c6dcec38d5b74c7f6c0f1b06c12f8594605075a6105256ae1ceae5954b0b5b5",
+    "plan-desc/run.json": "7d55400570e4f2ff3bb995100871a9f0562166d0dd227966a5d3f68a6aaf02c1",
+}
+
+
+def test_apsp_s2g_and_plan_run_files_keep_their_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (_GEN_SWEEP_CMDS[0], _GEN_SWEEP_CMDS[2]):  # gen er, gen genome
+        assert run(*argv, "--out", argv[1]) == 0, argv
+    (tmp_path / "desc.json").write_text(json.dumps(
+        {"kind": "s2g", "graph": "genome/graph.gfa", "reads": "genome/reads.fa"}
+    ))
+    for out, argv in _RUN_CMDS.items():
+        assert run(*argv, "--out", out) == 0, argv
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in _RUN_PINNED
+    }
+    assert got == _RUN_PINNED
+
+
 def test_apsp_missing_graph_file_is_usage_error(tmp_path):
     assert run("apsp", "--graph", tmp_path / "nope.edges",
                "--out", tmp_path) == 2
@@ -578,6 +624,15 @@ def test_sweep_tilesize_default_rows(tmp_path):
     ]
 
 
+def test_sweep_tilesize_records_the_size_it_normalized_to(tmp_path):
+    # without 1024 among the sizes the rows normalize to the upper middle
+    # size, and the config line names that size
+    assert run("sweep", "tilesize", "--Ns", "256,512", "--out", tmp_path) == 0
+    lines = (tmp_path / "tilesize.csv").read_text().splitlines()
+    assert json.loads(lines[1].removeprefix("# config: "))["normalized_to"] == 512
+    assert lines[2:] == ["256,1.6818,0.252235", "512,1,1"]
+
+
 # ---------------------------------------------------------------------------
 # plan
 # ---------------------------------------------------------------------------
@@ -659,6 +714,72 @@ def test_plan_run_json_records_the_inputs_it_read(tmp_path):
         stages = len(json.loads((tmp_path / argv[0] / "plan.json").read_text())["stages"])
         assert cfg == {"command": f"plan.{argv[0]}", "out": out, "stages": stages,
                        "outputs": ["plan.json"], **inputs}, argv
+
+
+def test_a_descriptor_and_the_flags_share_their_defaults(tmp_path):
+    # a descriptor field left out and a flag left off stand for the same
+    # workload default, so plan desc and plan apsp|s2g write the same plan
+    assert run("gen", "er", "--n", 300, "--p", 0.02, "--seed", 1,
+               "--out", tmp_path) == 0
+    graph = str(tmp_path / "graph.edges")
+    gfa, reads = _gen_inputs(tmp_path, reads=4)
+    cases = [
+        ({"kind": "apsp", "graph": graph}, ("apsp", "--graph", graph)),
+        ({"kind": "s2g", "graph": gfa, "reads": reads},
+         ("s2g", "--graph", gfa, "--reads", reads)),
+    ]
+    for doc, argv in cases:
+        desc = tmp_path / f"{argv[0]}.json"
+        desc.write_text(json.dumps(doc))
+        outs = []
+        for plan_argv in (("desc", desc), argv):
+            out = tmp_path / f"plan-{plan_argv[0]}"
+            assert run("plan", *plan_argv, "--out", out) == 0, plan_argv
+            outs.append(((out / "plan.json").read_bytes(),
+                         json.loads((out / "run.json").read_text())["stages"]))
+        assert outs[0] == outs[1], argv
+        # so do the flags, --W included, which plan does not take
+        w = planner.load_descriptor(str(desc))
+        parsed = vars(cli._build_parser().parse_args(list(argv)))
+        own = ("max_tile",) if argv[0] == "apsp" else ("W", "mode")
+        assert [getattr(w, k) for k in own] == [parsed[k] for k in own], argv
+
+
+def test_run_json_records_every_flag_but_threads_and_config(tmp_path):
+    # one rule for every command: run.json holds each parsed flag, the
+    # device --config resolves to, the outputs and, for plan, the workload
+    # and its stage count; --threads changes nothing and is not recorded
+    dev = tmp_path / "dev.json"
+    dev.write_text(json.dumps({"pcm": {"unit_dim": 512}, "hbm": {"channels": 8}}))
+    assert run("gen", "er", "--n", 60, "--p", 0.05, "--out", tmp_path) == 0
+    graph = str(tmp_path / "graph.edges")
+    gfa, reads = _gen_inputs(tmp_path, bases=600, reads=2)
+    desc = tmp_path / "d.json"
+    desc.write_text(json.dumps({"kind": "apsp", "graph": graph}))
+    cmds = [
+        ("gen", "er", "--n", 60, "--p", 0.05),
+        ("gen", "nws", "--n", 40, "--k", 4, "--p", 0.1),
+        ("gen", "genome", "--bases", 300, "--reads", 2),
+        ("apsp", "--graph", graph, "--model", "--config", dev),
+        ("s2g", "--graph", gfa, "--reads", reads, "--W-sweep", "32,64",
+         "--config", dev),
+        ("sweep", "tilesize", "--Ns", 2048, "--config", dev),
+        ("sweep", "pe", "--config", dev),
+        ("sweep", "sram", "--config", dev),
+        ("sweep", "roofline"),
+        ("plan", "apsp", "--graph", graph),
+        ("plan", "s2g", "--graph", gfa, "--reads", reads),
+        ("plan", "desc", desc),
+    ]
+    for i, argv in enumerate(cmds):
+        full = [str(a) for a in (*argv, "--threads", 2, "--out", tmp_path / f"o{i}")]
+        assert run(*full) == 0, argv
+        cfg = json.loads((tmp_path / f"o{i}" / "run.json").read_text())
+        parsed = vars(cli._build_parser().parse_args(full))
+        added = {"outputs"} | ({"device"} if "config" in parsed else set())
+        added |= {"workload", "stages"} if argv[0] == "plan" else set()
+        assert set(cfg) == set(parsed) - {"kind", "threads", "config"} | added, argv
+        assert all(cfg[k] == parsed[k] for k in parsed if k in cfg and k != "command")
 
 
 def test_plan_bad_descriptor_fields_exit_2(tmp_path, capsys):

@@ -60,12 +60,13 @@ from oracles import (
 
 
 def test_fw_block_single_pivot_cycle_count():
-    # 64 add + 64 subtract + 32 bursts x 11 permutation = 480
-    rep = model_fw_block(1024, pivots=1)
-    assert rep.cycles == 480
-    assert rep.phases["add"].cycles == 64
-    assert rep.phases["subtract"].cycles == 64
-    assert rep.phases["permute"].cycles == 352
+    # per pivot: 64 add + 64 subtract + 32 bursts x 11 permutation = 480
+    dim = 1024
+    rep = model_fw_block(dim)
+    assert rep.cycles == 480 * dim
+    assert rep.phases["add"].cycles == 64 * dim
+    assert rep.phases["subtract"].cycles == 64 * dim
+    assert rep.phases["permute"].cycles == 352 * dim
 
 
 def test_fw_block_full_closure_scales_with_pivots():
@@ -99,7 +100,6 @@ def test_fw_block_rejects_oversized():
 
 def test_fw_block_zero_work():
     assert model_fw_block(0).cycles == 0
-    assert model_fw_block(512, pivots=0).cycles == 0
     assert model_mp_merge(0, 16).cycles == 0
 
 
@@ -193,9 +193,9 @@ def test_every_device_knob_moves_a_modelled_number(knob_outputs, cls, name):
 
 def test_fw_block_energy_reads_three_streams():
     p = PcmParams()
-    rep = model_fw_block(256, pivots=1, p=p)
-    writes = int(256 * 256 * DEFAULT_IMPROVE_FRAC)
-    reads = 3 * 256 * 256 * 32 * p.read_energy_pj * 1e-12
+    rep = model_fw_block(256, p=p)
+    writes = int(256**3 * DEFAULT_IMPROVE_FRAC)
+    reads = 3 * 256**3 * 32 * p.read_energy_pj * 1e-12
     want = reads + writes * 32 * p.write_energy_pj * 1e-12
     assert rep.energy_j == pytest.approx(want)
     assert rep.pcm_writes == writes
@@ -234,7 +234,7 @@ def test_report_rejects_negative():
 
 
 def test_report_csv_shape():
-    rep = model_fw_block(128, pivots=4)
+    rep = model_fw_block(128)
     lines = rep.to_csv().strip().split("\n")
     assert lines[0] == "phase,cycles,ns,pJ,bytes_regular,bytes_irregular,writes"
     names = [ln.split(",")[0] for ln in lines[1:]]

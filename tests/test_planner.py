@@ -1,3 +1,4 @@
+import inspect
 import json
 from dataclasses import FrozenInstanceError, fields
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphdp.apsp import ApspError, choose_schedule, recursive_apsp, schedule
-from graphdp.costmodel import make_tile_workload
+from graphdp.costmodel import make_tile_workload, make_traversal_trace
 from graphdp.graphs import (
     GraphError,
     gen_clustered,
@@ -34,7 +35,13 @@ from graphdp.planner import (
     load_descriptor,
     lower,
 )
-from graphdp.s2g import MODE_LONG, MODE_SHORT, batch_align
+from graphdp.s2g import (
+    MODE_LONG,
+    MODE_SHORT,
+    align_read_parallel,
+    align_windowed,
+    batch_align,
+)
 from oracles import disjoint_copies
 
 
@@ -224,6 +231,17 @@ def test_workloads_take_only_their_own_fields():
         S2gWorkload(gg, reads, max_tile=64)
     with pytest.raises(TypeError):
         S2gWorkload(gg, reads, batches=[])
+
+
+def test_run_setting_defaults_live_on_the_workload_classes():
+    # the engines and the cost model take the tile size and the window
+    # width from their caller; the one default is on the workload class
+    for fn, name in ((recursive_apsp, "max_tile"), (align_windowed, "W"),
+                     (align_read_parallel, "W"), (batch_align, "W"),
+                     (make_traversal_trace, "W")):
+        param = inspect.signature(fn).parameters[name]
+        assert param.default is inspect.Parameter.empty, fn.__name__
+    assert (ApspWorkload.max_tile, S2gWorkload.W, S2gWorkload.mode) == (1024, 128, "auto")
 
 
 def test_descriptor_kind_validation():

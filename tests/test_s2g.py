@@ -159,7 +159,7 @@ def test_three_window_chain_carries():
 
 def test_empty_query_rejected():
     with pytest.raises(AlignmentError):
-        align_windowed(bubble(), "")
+        align_windowed(bubble(), "", W=128)
     with pytest.raises(AlignmentError):
         align_reference(bubble(), "")
     with pytest.raises(AlignmentError):
@@ -477,7 +477,7 @@ def test_batch_short_round_robin():
     g = chain("ACGTACGTAC")
     reads = [(f"r{j:02d}", "ACGT") for j in range(64)]
     batch = ReadBatch(reads, "short")
-    results, bt = batch_align(g, batch)
+    results, bt = batch_align(g, batch, W=128)
     assert bt.mode == MODE_SHORT
     assert bt.read_ids == [rid for rid, _ in reads]
     assert bt.read_lengths == [4] * 64
@@ -503,8 +503,8 @@ def test_batch_modes_agree_on_scores():
     # the scores do not
     g = random_genome_dag(50, seed=77)
     reads = [(f"r{j}", walk_query(g, 30, seed=j)) for j in range(10)]
-    res_a, bt_a = batch_align(g, ReadBatch(reads, "short"))
-    res_b, bt_b = batch_align(g, ReadBatch(reads, "long"))
+    res_a, bt_a = batch_align(g, ReadBatch(reads, "short"), W=128)
+    res_b, bt_b = batch_align(g, ReadBatch(reads, "long"), W=128)
     assert (bt_a.mode, bt_b.mode) == (MODE_SHORT, MODE_LONG)
     assert [r.score_max for r in res_a] == [r.score_max for r in res_b]
 
@@ -512,7 +512,7 @@ def test_batch_modes_agree_on_scores():
 def test_batch_results_ordered_by_read_id():
     g = chain("ACGT")
     reads = [("b", "CG"), ("a", "ACGT"), ("c", "T")]
-    results, bt = batch_align(g, ReadBatch(reads, "short"))
+    results, bt = batch_align(g, ReadBatch(reads, "short"), W=128)
     assert bt.read_ids == ["a", "b", "c"]
     assert bt.read_lengths == [4, 2, 1]
     assert [r.score_max for r in results] == [4, 2, 1]
