@@ -8,7 +8,7 @@ from graphdp import (
     gen_genome,
     gen_reads,
     parse_gfa,
-    split_by_length,
+    read_batches,
 )
 
 gfa, ref = gen_genome(4000, 0.03, seed=9)
@@ -19,7 +19,7 @@ reads = gen_reads(g, 10, 120, 0.04, seed=1)
 # long tail; gen_reads numbers every batch from r0, so these get ids of their own
 reads += [(f"long{i}", q) for i, (_, q) in enumerate(gen_reads(g, 2, 900, 0.01, seed=2))]
 assert len({rid for rid, _ in reads}) == len(reads)  # results are keyed by read id
-short, long_ = split_by_length(reads)
+short, long_ = read_batches(reads, "auto")
 print(f"reads: {len(short.reads)} short + {len(long_.reads)} long")
 
 res_s, trace_s = batch_align(g, short, W=128)

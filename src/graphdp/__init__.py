@@ -30,7 +30,7 @@ from .graphs import (
     parse_gfa,
     load_fasta,
     dump_fasta,
-    split_by_length,
+    read_batches,
     topo_sort,
 )
 from .minplus import floyd_warshall_dense, min_plus_product

@@ -23,9 +23,9 @@ from functools import cache, reduce
 import numpy as np
 
 from .apsp import ExecutionTrace, schedule
-from .graphs import SHORT_READ_THRESHOLD, WeightedGraph
+from .graphs import WeightedGraph, length_class
 from .partition import PartitionHierarchy, _structural_graph, build_hierarchy
-from .s2g import MODE_LONG, MODE_SHORT, BatchTrace, classify_self_hop
+from .s2g import MODE_LONG, BatchTrace, batch_mapping, classify_self_hop
 
 MP_TREE_INPUTS = 1024  # comparator tree width is a fixed structure
 DEFAULT_IMPROVE_FRAC = 0.1  # assumed strict-improvement rate
@@ -560,7 +560,7 @@ def make_traversal_trace(g, read_lengths, W: int):
     mode from the longest read.  This is the modeling stand-in the sweeps
     use for large synthetic workloads.
     """
-    mode = MODE_SHORT if max(read_lengths) <= SHORT_READ_THRESHOLD else MODE_LONG
+    mode = batch_mapping(length_class(max(read_lengths)))
     ids = [f"r{j}" for j in range(len(read_lengths))]
     passes = [math.ceil(le / W) for le in read_lengths]
     return BatchTrace(mode, W, g, ids, list(read_lengths), passes)

@@ -38,7 +38,7 @@ class CycleError(GraphError):
 
 
 class AlphabetError(GraphError):
-    """Base label outside ACGTN."""
+    """Base label or read character outside ACGTN."""
 
 
 class FormatError(GraphError):
@@ -407,16 +407,18 @@ class GenomeGraph:
         self.topo_pos[self.topo_order] = np.arange(self.n)
 
 
+def check_alphabet(text: str, what: str) -> None:
+    """Refuse input text holding a character outside ACGTN, non-ASCII
+    included, naming the first one: ``{what} 'X' not in ACGTN``."""
+    if not text.isascii() or text.encode().translate(None, DNA_ALPHABET):
+        bad = next(ch for ch in text if ch not in DNA_ALPHABET.decode())
+        raise AlphabetError(f"{what} {bad!r} not in ACGTN")
+
+
 def genome_graph(bases: str, edges) -> GenomeGraph:
     """Build a :class:`GenomeGraph` from a base string and (u, v) edge pairs."""
-    try:
-        raw = bases.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise AlphabetError(f"base {bases[exc.start]!r} not in ACGTN") from exc
-    b = np.frombuffer(raw, dtype=np.uint8).copy()
-    bad = ~np.isin(b, np.frombuffer(DNA_ALPHABET, dtype=np.uint8))
-    if np.any(bad):
-        raise AlphabetError(f"base {chr(b[int(np.argmax(bad))])!r} not in ACGTN")
+    check_alphabet(bases, "base")
+    b = np.frombuffer(bases.encode("ascii"), dtype=np.uint8).copy()
     n = b.size
     if len(edges):
         arr = np.asarray(edges, dtype=np.int64)
@@ -585,30 +587,47 @@ def gen_genome(bases: int, bubble_rate: float, seed: int) -> tuple[str, str]:
 
 SHORT_READ_THRESHOLD = 300
 
+# how reads are batched: by length class, or all in one forced class; the
+# forced requests are the length classes
+MAPPING_REQUESTS = ("auto", "short", "long")
+
+
+def length_class(length: int) -> str:
+    """A read's length class: "short" up to the threshold, "long" past it."""
+    return "short" if length <= SHORT_READ_THRESHOLD else "long"
+
 
 @dataclass
 class ReadBatch:
-    """A set of reads of one length class ("short" <= threshold < "long")."""
+    """Reads of one length class; each read is non-empty ACGTN text, and a
+    short batch holds no long read."""
 
     reads: list  # list of (read_id, sequence)
     length_class: str
 
     def __post_init__(self):
-        if self.length_class not in ("short", "long"):
+        if self.length_class not in MAPPING_REQUESTS[1:]:
             raise GraphError("length_class must be 'short' or 'long'")
         for rid, seq in self.reads:
-            if self.length_class == "short" and len(seq) > SHORT_READ_THRESHOLD:
+            if not seq:
+                raise GraphError(f"read {rid} is empty")
+            check_alphabet(seq, f"read {rid} char")
+            if self.length_class == "short" and length_class(len(seq)) == "long":
                 raise GraphError(f"read {rid} too long for a short batch")
 
 
-def split_by_length(reads):
-    """Partition reads into (short_batch, long_batch); either may be empty."""
-    short = [(r, s) for r, s in reads if len(s) <= SHORT_READ_THRESHOLD]
-    long_ = [(r, s) for r, s in reads if len(s) > SHORT_READ_THRESHOLD]
-    return (
-        ReadBatch(short, "short"),
-        ReadBatch(long_, "long"),
-    )
+def read_batches(reads, request: str) -> list:
+    """The non-empty batches of ``reads`` under a mapping request: ``auto``
+    splits them by length class, ``short`` or ``long`` puts them all in one
+    batch of that class."""
+    if request not in MAPPING_REQUESTS:
+        raise GraphError(f"unknown mapping request {request!r}")
+    classes = [length_class(len(s)) if request == "auto" else request for _, s in reads]
+    batches = [
+        ReadBatch([rs for rs, c in zip(reads, classes) if c == k], k)
+        for k in MAPPING_REQUESTS[1:]
+    ]
+    return [b for b in batches if b.reads]
 
 
 def check_read_params(count: int, length: int, sub_rate: float) -> None:

@@ -28,12 +28,11 @@ from .costmodel import (
 from .graphs import (
     GenomeGraph,
     GraphError,
-    ReadBatch,
     WeightedGraph,
     load_edge_list,
     load_fasta,
     load_genome_graph,
-    split_by_length,
+    read_batches,
 )
 from .partition import build_hierarchy
 from .s2g import batch_align, batch_mapping
@@ -70,12 +69,6 @@ class DescriptorError(PlanError):
     pass
 
 
-class StageError(PlanError):
-    def __init__(self, stage_id: str, cause: str):
-        self.stage_id = stage_id
-        super().__init__(f"stage {stage_id} failed: {cause}")
-
-
 @dataclass(frozen=True)
 class ApspWorkload:
     """A distance closure over a weighted graph, on the matrix tile."""
@@ -93,14 +86,14 @@ class ApspWorkload:
 @dataclass(frozen=True)
 class S2gWorkload:
     """Reads aligned against a genome graph, on the traversal tile; ``batches``
-    holds them split by length under ``auto``, or in one batch of the forced
-    class, which refuses a long read in a short batch."""
+    holds them as :func:`read_batches` makes them under ``mode``, so every
+    read rule is checked at construction and a built workload always runs."""
 
     kind: ClassVar[str] = "s2g"
     graph: GenomeGraph
     reads: list
     W: int = 128
-    mode: str = "auto"  # auto | short | long
+    mode: str = "auto"  # one of MAPPING_REQUESTS
     hbm: HbmParams = field(default_factory=HbmParams)
     batches: list = field(init=False, repr=False, compare=False)
 
@@ -109,9 +102,6 @@ class S2gWorkload:
             raise DescriptorError("s2g workload needs a genome graph")
         if not self.reads:
             raise DescriptorError("s2g workload needs reads")
-        empty = [rid for rid, seq in self.reads if not seq]
-        if empty:
-            raise DescriptorError(f"read {empty[0]} is empty")
         seen = set()
         for rid, _ in self.reads:
             if rid in seen:
@@ -119,14 +109,8 @@ class S2gWorkload:
             seen.add(rid)
         if self.W < 1:
             raise DescriptorError(f"window width W={self.W} must be positive")
-        if self.mode == "auto":
-            batches = [b for b in split_by_length(self.reads) if b.reads]
-        elif self.mode in ("short", "long"):
-            batches = [ReadBatch(list(self.reads), self.mode)]
-        else:
-            raise DescriptorError(f"unknown mapping request {self.mode!r}")
         # frozen, so the batches cannot go stale against reads or mode
-        object.__setattr__(self, "batches", batches)
+        object.__setattr__(self, "batches", read_batches(self.reads, self.mode))
 
 
 def device_params(section) -> tuple:
@@ -321,10 +305,6 @@ def _lower_apsp(w: ApspWorkload) -> ExecutionPlan:
     return plan
 
 
-def _align_id(batch: ReadBatch) -> str:
-    return f"align.{batch.length_class}"
-
-
 def _lower_s2g(w: S2gWorkload) -> ExecutionPlan:
     """One align stage per read batch; a short batch maps onto grouped PEs,
     a long one onto one deep pipeline."""
@@ -332,11 +312,11 @@ def _lower_s2g(w: S2gWorkload) -> ExecutionPlan:
     for i, batch in enumerate(w.batches):
         stages.append(
             Stage(
-                _align_id(batch),
+                f"align.{batch.length_class}",
                 K_ALIGN,
                 ["graph", "reads", "masks"],
                 [f"scores.{i}"],
-                mapping=batch_mapping(batch),
+                mapping=batch_mapping(batch.length_class),
             )
         )
     plan = ExecutionPlan(w, stages)
@@ -355,9 +335,8 @@ def execute(w: ApspWorkload | S2gWorkload, cost_model_on: bool = False) -> dict:
     """Run the workload on its engine.
 
     apsp closes the graph with :func:`recursive_apsp`; s2g aligns each read
-    batch, and an align failure raises :class:`StageError` with the align
-    stage's id.  The cost model only reads traces, so toggling it cannot
-    perturb results.
+    batch.  The cost model only reads traces, so toggling it cannot perturb
+    results.
     """
     if w.kind == "apsp":
         res = recursive_apsp(w.graph, max_tile=w.max_tile)
@@ -369,10 +348,7 @@ def execute(w: ApspWorkload | S2gWorkload, cost_model_on: bool = False) -> dict:
     results = {}
     cost = CostReport()
     for batch in w.batches:
-        try:
-            aligned, bt = batch_align(w.graph, batch, W=w.W)
-        except Exception as e:  # noqa: BLE001 - rethrown with stage attribution
-            raise StageError(_align_id(batch), str(e)) from e
+        aligned, bt = batch_align(w.graph, batch, W=w.W)
         results.update(zip(bt.read_ids, aligned))
         if cost_model_on:
             cost = cost + model_traversal(bt, w.hbm)

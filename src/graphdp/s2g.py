@@ -51,6 +51,7 @@ from .graphs import (
     GenomeGraph,
     GraphError,
     ReadBatch,
+    check_alphabet,
 )
 
 _ACGT = tuple(DNA_ALPHABET[:4])
@@ -69,12 +70,11 @@ def precompute_masks(segment: str, W: int) -> dict:
     """
     if len(segment) > W:
         raise AlignmentError(f"segment of {len(segment)} chars exceeds window {W}")
+    check_alphabet(segment, "query char")
     masks = {c: 0 for c in _ACGT}
     for j, ch in enumerate(segment.encode("ascii")):
-        if ch in masks:
+        if ch in masks:  # 'N' stays maskless
             masks[ch] |= 1 << j
-        elif ch != DNA_ALPHABET[4]:  # 'N' stays maskless
-            raise AlphabetError(f"query char {chr(ch)!r} not in ACGTN")
     return masks
 
 
@@ -170,7 +170,7 @@ def align_reference(g: GenomeGraph, q: str) -> AlignResult:
     """
     if not q:
         raise AlignmentError("empty query")
-    qb = np.frombuffer(q.encode("ascii"), dtype=np.uint8)
+    qb = np.frombuffer(q.encode("utf-32-le"), dtype="<u4")  # a code point each
     bad = ~np.isin(qb, np.frombuffer(DNA_ALPHABET, dtype=np.uint8))
     if np.any(bad):
         raise AlphabetError(f"query char {chr(qb[int(np.argmax(bad))])!r} not in ACGTN")
@@ -210,18 +210,13 @@ WORD_BITS = 64
 # the code whose base-table column stays empty
 _BASE_CODE = np.full(256, 4, dtype=np.uint8)
 _BASE_CODE[np.frombuffer(bytes(_ACGT), dtype=np.uint8)] = np.arange(4)
-_IN_ALPHABET = np.zeros(256, dtype=bool)
-_IN_ALPHABET[np.frombuffer(DNA_ALPHABET, dtype=np.uint8)] = True
 
 
 def _query_codes(q: str) -> np.ndarray:
     if not q:
         raise AlignmentError("empty query")
-    qb = np.frombuffer(q.encode("ascii"), dtype=np.uint8)
-    bad = ~_IN_ALPHABET[qb]
-    if np.any(bad):
-        raise AlphabetError(f"query char {chr(qb[int(np.argmax(bad))])!r} not in ACGTN")
-    return _BASE_CODE[qb]
+    check_alphabet(q, "query char")
+    return _BASE_CODE[np.frombuffer(q.encode("ascii"), dtype=np.uint8)]
 
 
 def _base_tables(codes: list) -> np.ndarray:
@@ -386,10 +381,10 @@ MODE_SHORT = "short-parallel"
 MODE_LONG = "long-pipeline"
 
 
-def batch_mapping(batch: ReadBatch) -> str:
-    """How the traversal tile runs a batch: a short batch short-parallel,
-    a long one long-pipeline."""
-    return MODE_SHORT if batch.length_class == "short" else MODE_LONG
+def batch_mapping(length_class: str) -> str:
+    """How the traversal tile runs a batch of a length class: a short batch
+    short-parallel, a long one long-pipeline."""
+    return MODE_SHORT if length_class == "short" else MODE_LONG
 
 
 @dataclass
@@ -436,7 +431,7 @@ def batch_align(g: GenomeGraph, batch: ReadBatch, W: int) -> tuple:
     reads = sorted(batch.reads, key=lambda rs: rs[0])
     results = align_read_parallel(g, [seq for _, seq in reads], W=W)
     bt = BatchTrace(
-        batch_mapping(batch),
+        batch_mapping(batch.length_class),
         W,
         g,
         [rid for rid, _ in reads],

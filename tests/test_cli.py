@@ -15,6 +15,7 @@ from graphdp.apsp import TSV_LIMIT, load_distances
 from graphdp.cli import UsageError, main
 from graphdp.costmodel import ValidationError
 from graphdp.graphs import (
+    AlphabetError,
     GraphError,
     WeightedGraph,
     distance_init,
@@ -29,7 +30,7 @@ from graphdp.graphs import (
 )
 from graphdp.minplus import floyd_warshall_dense
 from graphdp.partition import HierarchyError
-from graphdp.planner import DescriptorError, StageError
+from graphdp.planner import DescriptorError
 from oracles import load_edge_list_reference, model_recursive_apsp_reference
 
 
@@ -492,6 +493,26 @@ def test_s2g_verify_failure_names_read_and_exits_1(tmp_path, monkeypatch, capsys
     assert "FAIL read r" in capsys.readouterr().out
 
 
+def test_s2g_verify_failure_shows_what_differs(tmp_path, monkeypatch, capsys):
+    # equal scores with other end nodes are a failure, and the line says so
+    gfa, reads = _gen_inputs(tmp_path, reads=3, read_len=60)
+    real = cli.align_reference
+    monkeypatch.setattr(
+        cli, "align_reference",
+        lambda g, q: replace(real(g, q), end_nodes=real(g, q).end_nodes + 1),
+    )
+    rc = run("s2g", "--graph", gfa, "--reads", reads, "--verify",
+             "--out", tmp_path / "o")
+    assert rc == 1
+    fail = capsys.readouterr().out.splitlines()[-1]
+    want = real(load_genome_graph(gfa), dict(load_fasta(reads))["r0"])
+    ends = want.end_nodes.tolist()
+    assert fail == (
+        f"FAIL read r0: got (score, end nodes) ({want.score_max}, {ends}), "
+        f"want ({want.score_max}, {[e + 1 for e in ends]})"
+    )
+
+
 def test_s2g_w_sweep_windowed_mismatch_exits_1(tmp_path, monkeypatch, capsys):
     gfa, reads = _gen_inputs(tmp_path, reads=3, read_len=60)
     real = cli.align_windowed
@@ -516,16 +537,34 @@ def test_s2g_model_reports_throughput(tmp_path):
 
 
 def test_s2g_forced_short_on_long_reads_is_usage_error(tmp_path, capsys):
-    # the workload refuses the long read as it batches it, so scoring and
-    # planning refuse it alike, before any output is written
-    gfa, reads = _gen_inputs(tmp_path, bases=3000, reads=2, read_len=900)
+    # the workload checks every read rule as it batches the reads, so
+    # scoring, planning and a descriptor refuse a bad reads file alike,
+    # before any output is written
+    gfa, long_reads = _gen_inputs(tmp_path, bases=3000, reads=2, read_len=900)
+    with open(long_reads) as fh:
+        long_text = fh.read()
+    cases = [  # reads file, --mode, message
+        (long_text, "short", "read r0 too long for a short batch"),
+        (">r0\nACGTXX\n", "auto", "read r0 char 'X' not in ACGTN"),
+        # FASTA sequence lines are upper-cased as they load
+        (">r0\nACGT\n>r1\nAC\u00e9\n", "auto", "read r1 char '\u00c9' not in ACGTN"),
+        (">r0\n>r1\nACGT\n", "auto", "read r0 is empty"),
+        ("", "auto", "s2g workload needs reads"),
+        (">r0\nACGT\n>r0\nACG\n", "long", "duplicate read id 'r0'"),
+    ]
+    reads, desc = tmp_path / "r.fa", tmp_path / "d.json"
     capsys.readouterr()
-    for argv in (("s2g",), ("plan", "s2g")):
-        assert run(*argv, "--graph", gfa, "--reads", reads, "--mode", "short",
-                   "--out", tmp_path / "o") == 2, argv
-        err = capsys.readouterr().err
-        assert err == "error: read r0 too long for a short batch\n", (argv, err)
-        assert not (tmp_path / "o").exists()
+    for text, mode, message in cases:
+        reads.write_text(text, encoding="utf-8")
+        desc.write_text(json.dumps(
+            {"kind": "s2g", "graph": gfa, "reads": str(reads), "mode": mode}
+        ))
+        inputs = ("--graph", gfa, "--reads", reads, "--mode", mode)
+        for argv in (("s2g", *inputs), ("plan", "s2g", *inputs), ("plan", "desc", desc)):
+            assert run(*argv, "--out", tmp_path / "o") == 2, argv
+            err = capsys.readouterr().err
+            assert err == f"error: {message}\n", (argv, err)
+            assert not (tmp_path / "o").exists()
 
 
 def test_s2g_undecodable_gfa_is_usage_error(tmp_path, capsys):
@@ -1074,10 +1113,10 @@ ERROR_CASES = {
         HierarchyError,
     ),
     "ModelError": ({}, ["sweep", "tilesize", "--Ns", 3], ValidationError),
-    "PlanError": (
+    "AlphabetError": (
         {"g.gfa": GFA, "r.fa": ">r\nACGTXX\n"},
         ["s2g", "--graph", "@/g.gfa", "--reads", "@/r.fa"],
-        StageError,
+        AlphabetError,
     ),
     "DescriptorError": (
         {"d.json": '{"kind": "fft"}'}, ["plan", "desc", "@/d.json"], DescriptorError

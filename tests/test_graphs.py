@@ -16,6 +16,7 @@ from graphdp.graphs import (
     CycleError,
     FormatError,
     GraphError,
+    ReadBatch,
     ReadLengthError,
     WeightedGraph,
     dump_edge_list,
@@ -30,7 +31,7 @@ from graphdp.graphs import (
     load_edge_list,
     load_fasta,
     parse_gfa,
-    split_by_length,
+    read_batches,
     topo_sort,
 )
 from oracles import load_edge_list_reference, parse_gfa_reference, topo_reference
@@ -475,8 +476,10 @@ def test_gfa_cycle_rejected():
 
 
 def test_gfa_alphabet_rejected():
-    with pytest.raises(AlphabetError):
+    with pytest.raises(AlphabetError, match="^base 'X' not in ACGTN$"):
         parse_gfa("S\ta\tAXG\n")
+    with pytest.raises(AlphabetError, match="^base '\u00e9' not in ACGTN$"):
+        genome_graph("ACG\u00e9", [])
 
 
 def test_genome_graph_accepts_n():
@@ -591,11 +594,37 @@ def test_gen_reads_on_bubbles_spell_paths():
             assert frontier, "read does not spell any path"
 
 
-def test_split_by_length():
+def test_read_batches():
     reads = [("a", "A" * 10), ("b", "C" * 400), ("c", "G" * 300)]
-    short, long_ = split_by_length(reads)
+    short, long_ = read_batches(reads, "auto")
     assert [r for r, _ in short.reads] == ["a", "c"]
     assert [r for r, _ in long_.reads] == ["b"]
+    # a forced request makes one batch; only non-empty batches are returned
+    (forced,) = read_batches(reads, "long")
+    assert forced.length_class == "long" and forced.reads == reads
+    assert [b.length_class for b in read_batches(reads[:1], "auto")] == ["short"]
+    with pytest.raises(GraphError, match="^read b too long for a short batch$"):
+        read_batches(reads, "short")
+    with pytest.raises(GraphError, match="^unknown mapping request 'x'$"):
+        read_batches(reads, "x")
+
+
+@pytest.mark.parametrize(
+    "seq, message",
+    [
+        ("", "read r1 is empty"),
+        ("ACGTXX", "read r1 char 'X' not in ACGTN"),
+        ("ACGT\u00e9", "read r1 char '\u00e9' not in ACGTN"),
+        ("acgt", "read r1 char 'a' not in ACGTN"),
+    ],
+    ids=["empty", "unknown", "non-ascii", "lower-case"],
+)
+def test_read_batch_refuses_a_bad_read_by_id(seq, message):
+    # every read is checked as it is batched, so no scorer meets a bad one
+    for length_class in ("short", "long"):
+        with pytest.raises(GraphError) as exc:
+            ReadBatch([("r0", "ACGTN"), ("r1", seq)], length_class)
+        assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,6 +76,23 @@ def test_no_unused_parameters():
         for line, fn, arg in _unused_parameters(tree):
             hits.append(f"{path.relative_to(ROOT)}:{line}: {fn}({arg})")
     assert not hits, "parameters never read:\n" + "\n".join(hits)
+
+
+def test_read_rules_have_one_home():
+    # the length rule and the mapping requests live in graphs.py, so the
+    # planner, the CLI and the cost model cannot batch reads by two rules;
+    # a workload that checks its reads at construction needs no catch-all
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src" / "graphdp").glob("*.py"))
+    }
+    naming = [name for name, text in sources.items() if "SHORT_READ_THRESHOLD" in text]
+    assert naming == ["graphs.py"], naming
+    requests = re.compile(r"""["']auto["'],\s*["']short["'],\s*["']long["']""")
+    spelled = [name for name, text in sources.items() for _ in requests.finditer(text)]
+    assert spelled == ["graphs.py"], spelled
+    catch_all = re.compile(r"except\s*(\(\s*)?(Base)?Exception\b")
+    assert [name for name, text in sources.items() if catch_all.search(text)] == []
 
 
 # defaults no production call sets, each kept for the reason given

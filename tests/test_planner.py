@@ -4,10 +4,13 @@ from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdp.apsp import ApspError, choose_schedule, recursive_apsp, schedule
 from graphdp.costmodel import make_tile_workload, make_traversal_trace
 from graphdp.graphs import (
+    MAPPING_REQUESTS,
     GraphError,
     gen_clustered,
     gen_er,
@@ -27,7 +30,6 @@ from graphdp.planner import (
     K_PARTITION,
     PlanError,
     Stage,
-    StageError,
     TILE_MATRIX,
     ApspWorkload,
     S2gWorkload,
@@ -39,6 +41,7 @@ from graphdp.s2g import (
     MODE_LONG,
     MODE_SHORT,
     align_read_parallel,
+    align_reference,
     align_windowed,
     batch_align,
 )
@@ -303,15 +306,37 @@ def test_cost_toggle_leaves_results_bit_identical():
     assert on_s["cost"].energy_j > 0
 
 
-def test_stage_failure_names_the_stage():
-    g, reads = genome_case()
-    bad = reads + [("rbad", "ACGTXX")]
-    w = S2gWorkload(g, bad, W=32)
-    with pytest.raises(StageError) as exc:
-        execute(w)
-    assert exc.value.stage_id in [st.id for st in lower(w).stages]
-    assert exc.value.stage_id.startswith("align.")
-    assert exc.value.stage_id in str(exc.value)
+_RUNNABLE_GENOME = parse_gfa(gen_genome(400, 0.05, seed=4)[0])
+
+
+def _reads_over(alphabet: str):
+    """Texts over ``alphabet`` of 1 to 320 chars, often near the 300-char
+    length threshold."""
+    lengths = st.one_of(st.integers(1, 320), st.integers(296, 305))
+    return lengths.flatmap(lambda n: st.text(alphabet, min_size=n, max_size=n))
+
+
+# reads are clean ACGTN text or hold lower case, an unknown or a non-ASCII char
+_sequence = st.one_of(_reads_over("ACGTN"), _reads_over("ACGTNacgtX-\u00e9"))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(_sequence, min_size=1, max_size=4), st.sampled_from(MAPPING_REQUESTS))
+def test_a_built_s2g_workload_is_runnable(seqs, mode):
+    # every read rule is checked as the workload batches its reads, so a
+    # workload either refuses construction or lowers and runs exactly
+    g = _RUNNABLE_GENOME
+    reads = [(f"r{i}", q) for i, q in enumerate(seqs)]
+    try:
+        w = S2gWorkload(g, reads, W=64, mode=mode)
+    except (GraphError, DescriptorError):
+        return
+    assert [stage.kind for stage in lower(w).stages][1:] == [K_ALIGN] * len(w.batches)
+    got = execute(w, cost_model_on=True)["s2g"]
+    for rid, q in reads:
+        want = align_reference(g, q)
+        assert got[rid].score_max == want.score_max
+        assert np.array_equal(got[rid].end_nodes, want.end_nodes)
 
 
 # ---------------------------------------------------------------------------

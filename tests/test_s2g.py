@@ -4,6 +4,7 @@ import pytest
 from graphdp import s2g
 from graphdp.graphs import (
     AlphabetError,
+    GraphError,
     ReadBatch,
     gen_genome,
     gen_reads,
@@ -14,6 +15,7 @@ from graphdp.s2g import (
     MODE_LONG,
     MODE_SHORT,
     AlignmentError,
+    align_read_parallel,
     align_reference,
     align_windowed,
     batch_align,
@@ -110,8 +112,11 @@ def test_mask_table_rejects_long_segment():
 
 
 def test_mask_table_rejects_bad_char():
-    with pytest.raises(AlphabetError):
-        precompute_masks("AXT", 8)
+    for segment in ("AXT", "A\u00e9T"):
+        with pytest.raises(AlphabetError, match="^query char '(X|\u00e9)' not in"):
+            precompute_masks(segment, 8)
+        with pytest.raises(AlphabetError):
+            align_windowed(chain("AAAA"), segment, W=8)
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +168,20 @@ def test_empty_query_rejected():
     with pytest.raises(AlignmentError):
         align_reference(bubble(), "")
     with pytest.raises(AlignmentError):
+        align_read_parallel(bubble(), ["ACT", ""], W=128)
+    # a batch refuses the empty read itself, before any scorer sees it
+    with pytest.raises(GraphError, match="^read r0001 is empty$"):
         batch_results(bubble(), ["ACT", ""])
 
 
 def test_batch_rejects_chars_outside_alphabet():
     # the bad char sits past where the match dies, so only a check of the
     # whole query catches it
-    for q in ("ACGTXX", "TTTTTTTTTX", "acg"):
+    for q in ("ACGTXX", "TTTTTTTTTX", "acg", "ACG\u00e9"):
         with pytest.raises(AlphabetError):
             batch_results(chain("AAAA"), ["ACT", q], W=4)
+        with pytest.raises(AlphabetError):
+            align_read_parallel(chain("AAAA"), ["ACT", q], W=4)
         with pytest.raises(AlphabetError):
             align_reference(chain("AAAA"), q)
 
