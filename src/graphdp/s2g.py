@@ -10,10 +10,11 @@ Three scorers compute it, sharing no kernel code:
   word per node and advances all of them one query position at a time.
   While many nodes are live a position is a dense numpy step over every
   node (gather and OR the predecessors' words, AND with the position's
-  base table); once few are, a ``{node: word}`` frontier is pushed along
-  the live nodes' successor arcs in plain Python, so a position costs the
-  live state, not the graph.  A read's bit that clears at position j gives
-  score j.
+  base table); once few are, each pending read finishes alone in plain
+  Python from its own set of live nodes, jumping along chains of sole
+  successors by one bytes comparison, so a read costs its live state and
+  the chains it crosses, not the graph.  A read's bit that clears at
+  position j gives score j.
 * ``align_windowed`` is the device-fidelity kernel.  It processes one query
   of length m in k = ceil(m/W) windows of W bits, each a single sweep of
   the graph in topological order; a node's word holds, at bit j, whether
@@ -237,33 +238,59 @@ def _base_tables(codes: list) -> np.ndarray:
     return table
 
 
-# Live share of nodes at or below which a word leaves the dense step for
-# the sparse frontier, and above which it returns.  Measured on a 2-core
-# x86 host (numpy 2.4) with gen_genome graphs of 5k and 20k nodes and
-# 150 bp and 2,000 bp reads: times were flat within noise from 1/5 to 1/80
-# of n; at 1/200, 64 short reads on 5k nodes ran about 10% slower,
-# because the word switched later.
+# Live share of nodes at or below which a word leaves the dense step and
+# each of its reads finishes alone, and above which a read's frontier
+# returns to the dense step.  Measured on a 2-core x86 host (numpy 2.4)
+# with gen_genome graphs of 5k and 20k nodes and 150 bp and 2,000 bp reads:
+# times were flat within noise from 1/5 to 1/80 of n; at 1/200, 64 short
+# reads on 5k nodes ran 25-35% slower, because the word switched later.
+# Switching from position 8 every fourth position was as fast as every
+# position, every second or eighth, or from position 4; from 12 or 16,
+# 256 short reads on 20k nodes ran 8-20% slower.
 _SPARSE_SHARE = 1 / 40
 
 
-def _frontier_step(front: dict, row: list, ptr: list, idx: list, code: list):
-    """One query position of the sparse phase: push each live node's word
-    along its successor arcs (``ptr``/``idx``, CSR; ``code`` is each arc
-    head's base code) and keep the bits that ``row`` matches there.
-    Returns the next frontier and the OR of its words."""
-    nxt = {}
-    live = 0
-    for u, s in front.items():
-        for t in range(ptr[u], ptr[u + 1]):
-            m = s & row[code[t]]
-            if m:
-                live |= m
-                v = idx[t]
-                if v in nxt:
-                    nxt[v] |= m
-                else:
-                    nxt[v] = m
-    return nxt, live
+def _chain(u, need, ptr, idx, code, chains):
+    """The first ``need`` nodes after ``u`` along sole successor arcs (fewer
+    if a node without exactly one successor comes first) and their codes as
+    one ``bytearray``; memoised per ``u`` in ``chains``, extended when a
+    later read needs more."""
+    nodes, bases = chains.setdefault(u, ([], bytearray()))
+    x = nodes[-1] if nodes else u
+    while len(nodes) < need and ptr[x + 1] - ptr[x] == 1:
+        t = ptr[x]
+        x = idx[t]
+        nodes.append(x)
+        bases.append(code[t])
+    return nodes, bases
+
+
+def _read_step(front, j, q, ptr, idx, code, chains):
+    """One sparse step of one read: from ``front``, the nodes where its
+    prefix of length j+1 ends, to (j', the nodes where its prefix of length
+    j'+1 ends), empty if none does.
+
+    ``q`` is the read's base codes as bytes; ``ptr``/``idx`` are the
+    successor CSR and ``code`` each arc head's base code ('N' in the graph
+    has a code no read byte has).  A lone node whose one successor matches
+    the next base follows its chain of sole successors as far as one bytes
+    comparison with the read matches; the chain may cross a join, since
+    the read's state is on no other predecessor.  Any other frontier takes
+    one step along every successor arc whose head matches the next base.
+    """
+    c = q[j + 1]
+    if len(front) == 1:
+        (u,) = front
+        t = ptr[u]
+        if ptr[u + 1] - t == 1 and code[t] == c:
+            need = len(q) - j - 1
+            nodes, bases = _chain(u, need, ptr, idx, code, chains)
+            k = min(need, len(nodes))
+            if q[j + 1 : j + 1 + k] != bases[:k]:
+                k = next(i for i, (a, b) in enumerate(zip(q[j + 1 :], bases)) if a != b)
+            return j + k, nodes[k - 1 : k]
+    nxt = {idx[t] for u in front for t in range(ptr[u], ptr[u + 1]) if code[t] == c}
+    return j + 1, nxt
 
 
 def align_read_parallel(g: GenomeGraph, queries, W: int) -> list:
@@ -275,12 +302,16 @@ def align_read_parallel(g: GenomeGraph, queries, W: int) -> list:
     dense numpy step over every node: gather and OR the predecessors'
     words, AND with the position's base table.  Every fourth position from
     position 8 the live nodes are counted, and once they are at most
-    ``_SPARSE_SHARE`` of n the state becomes a ``{node: word}`` frontier
-    that plain Python pushes along successor arcs, so a position costs the
-    live nodes' arcs, not n.  A frontier that grows past that share again
-    (a homopolymer, a run of bubbles) goes back to the dense step.  A read
-    whose bit clears at position j scores j, and its end nodes are the
-    nodes holding its bit at position j-1.
+    ``_SPARSE_SHARE`` of n the word splits into one frontier (a set of
+    nodes) per pending read, and each read finishes alone in plain Python
+    (``_read_step``): a one-node frontier inside a chain of sole successors
+    jumps as far as one bytes comparison matches, any other frontier takes
+    one step along its successor arcs.  So a read costs its live nodes and
+    the chains it crosses, not n per position.  A read whose frontier grows
+    past that share again (a homopolymer, a fan of branches) returns to the
+    dense step as a one-read word from its position.  A read whose bit
+    clears at position j scores j, and its end nodes are the nodes holding
+    its bit at position j-1.
 
     Results are exact (they equal ``align_reference``), and ``windows`` is
     the count ``align_windowed`` reports at width W, derived as the module
@@ -308,68 +339,79 @@ def align_read_parallel(g: GenomeGraph, queries, W: int) -> list:
     rest = g.pred_idx[keep].astype(np.intp)
     rest_starts = np.zeros(multi.size, dtype=np.intp)
     np.cumsum(counts[multi][:-1] - 1, out=rest_starts[1:])
-    succ = None  # _frontier_step's successor lists, made on first use
+    sparse = None  # _read_step's successor lists and chain memo, made on first use
 
-    results = []
-    for w0 in range(0, len(codes), WORD_BITS):
-        word = codes[w0 : w0 + WORD_BITS]
-        table = _base_tables(word)
-        rows = None  # the table as Python ints, made on first sparse use
+    scored = [None] * len(codes)  # (score, end nodes) per query
+    # dense words to run: their reads, first position, and the nodes where
+    # a one-read word's state stood just before that position
+    words = [
+        (range(w0, min(w0 + WORD_BITS, len(codes))), 0, ())
+        for w0 in range(0, len(codes), WORD_BITS)
+    ]
+    while words:
+        word, j0, state = words.pop()
+        table = _base_tables([codes[i] for i in word])
         prev = np.zeros(n + 1, dtype=np.uint64)
+        prev[list(state)] = 1
         cur = np.zeros(n + 1, dtype=np.uint64)
-        front = None  # {node: word} at position j-1 while sparse
-        scored = [None] * len(word)
         pending = (1 << len(word)) - 1
-        for j in range(table.shape[0]):
-            if front is None:
-                match = table[j].take(node_code)
-                if j == 0:
-                    cur[:n] = match
-                else:
-                    reach = prev[first]
-                    reach[multi] |= np.bitwise_or.reduceat(prev[rest], rest_starts)
-                    np.bitwise_and(reach, match, out=cur[:n])
-                live = int(np.bitwise_or.reduce(cur))
+        for j in range(j0, table.shape[0]):
+            match = table[j].take(node_code)
+            if j == 0:
+                cur[:n] = match
             else:
-                nxt, live = _frontier_step(front, rows[j], *succ)
-            cleared = pending & ~live
+                reach = prev[first]
+                reach[multi] |= np.bitwise_or.reduceat(prev[rest], rest_starts)
+                np.bitwise_and(reach, match, out=cur[:n])
+            cleared = pending & ~int(np.bitwise_or.reduce(cur))
             while cleared:
                 r = cleared.bit_length() - 1
                 bit = 1 << r
                 cleared ^= bit
-                if front is not None:
-                    ends = sorted(u for u, s in front.items() if s & bit)
-                elif j:
-                    ends = np.flatnonzero(prev[:n] & np.uint64(bit))
-                else:
-                    ends = []
-                scored[r] = (j, np.asarray(ends, dtype=np.int64))
+                ends = np.flatnonzero(prev[:n] & np.uint64(bit)) if j else ()
+                scored[word[r]] = (j, ends)
                 pending ^= bit
             if not pending:
                 break
-            if front is not None:
-                front = nxt
-                if len(front) > sparse_max:  # regrown: back to dense
-                    keys = list(front)
-                    prev[:] = 0
-                    prev[keys] = np.fromiter(front.values(), np.uint64, len(keys))
-                    front = None
-                continue
             prev, cur = cur, prev
             if j >= 8 and j % 4 == 0 and np.count_nonzero(prev[:n]) <= sparse_max:
-                nodes = np.flatnonzero(prev[:n])
-                front = dict(zip(nodes.tolist(), prev[nodes].tolist()))
-                if rows is None:
-                    rows = table.tolist()
-                if succ is None:
-                    succ = (
-                        g.succ_ptr.tolist(),
-                        g.succ_idx.tolist(),
-                        node_code[g.succ_idx].tolist(),
-                    )
-        for c, (score, ends) in zip(word, scored):
-            windows = min(-(-c.size // W), -(-score // W) + 1)
-            results.append(AlignResult(score, ends, windows))
+                break
+        if not pending:
+            continue
+        # sparse: one frontier per pending read, each read finished alone
+        if sparse is None:
+            head = node_code[g.succ_idx]
+            head[head == 4] = 5  # no read byte has code 5: graph 'N' matches none
+            sparse = (g.succ_ptr.tolist(), g.succ_idx.tolist(), head.tolist(), {})
+        live = np.flatnonzero(prev[:n])
+        bits = np.unpackbits(
+            prev[live].astype("<u8").view(np.uint8).reshape(-1, 8),
+            axis=1,
+            bitorder="little",
+        )
+        reads, held = np.nonzero(bits.T)
+        fronts = {}
+        for r, v in zip(reads.tolist(), live[held].tolist()):
+            fronts.setdefault(r, []).append(v)
+        for r, front in fronts.items():
+            i = word[r]
+            q = codes[i].tobytes()
+            at = j
+            while at + 1 < len(q):
+                nxt_at, nxt = _read_step(front, at, q, *sparse)
+                if not nxt:
+                    break
+                if len(nxt) > sparse_max:  # regrown: back to the dense step
+                    words.append(([i], nxt_at + 1, nxt))
+                    front = None
+                    break
+                at, front = nxt_at, nxt
+            if front is not None:
+                scored[i] = (at + 1, sorted(front))
+    results = []
+    for c, (score, ends) in zip(codes, scored):
+        windows = min(-(-c.size // W), -(-score // W) + 1)
+        results.append(AlignResult(score, np.asarray(ends, dtype=np.int64), windows))
     return results
 
 

@@ -294,16 +294,17 @@ def crossover(request, monkeypatch):
 
 @pytest.fixture
 def frontier_sizes(monkeypatch):
-    """(live nodes in, live nodes out) of every sparse-phase position."""
+    """(live nodes in, live nodes out) of every sparse step of a read; a
+    jump along a chain is one step."""
     sizes = []
-    step = s2g._frontier_step
+    step = s2g._read_step
 
     def spy(front, *args):
-        nxt, live = step(front, *args)
+        at, nxt = step(front, *args)
         sizes.append((len(front), len(nxt)))
-        return nxt, live
+        return at, nxt
 
-    monkeypatch.setattr(s2g, "_frontier_step", spy)
+    monkeypatch.setattr(s2g, "_read_step", spy)
     return sizes
 
 
@@ -384,10 +385,10 @@ def layered_graph(parts):
 
 def test_regrown_frontier_returns_to_dense_step(frontier_sizes):
     # A read's frontier is one node on a chain and eight in a fan of A
-    # runs, past the natural crossover: the scorer goes sparse on the
+    # runs, past the natural crossover: each read goes sparse on the
     # prefix, dense in fan 1, sparse on the A chain and dense in fan 2.
-    # A state left over from the last dense step would stay live along the
-    # A chain and add end nodes to the reads that die in fan 2.
+    # A state left over from an earlier dense step would stay live along
+    # the A chain and add end nodes to the reads that die in fan 2.
     rng = np.random.default_rng(14)
     prefix, tail = ("".join(rng.choice(list("CGT"), size=20)) for _ in range(2))
     g = layered_graph(
@@ -399,6 +400,10 @@ def test_regrown_frontier_returns_to_dense_step(frontier_sizes):
     got = assert_matches_oracle(g, queries)
     assert [r.score_max for r in got] == [90, 65, 67, 25, 80]
     assert [r.end_nodes.size for r in got] == [1, 8, 8, 8, 1]
+    assert all(live <= sparse_max for live, _ in frontier_sizes)
+    # every read regrows on its own, so count the regrowths of one read
+    frontier_sizes.clear()
+    assert_matches_oracle(g, [full])
     regrown = [i for i, (_, out) in enumerate(frontier_sizes) if out > sparse_max]
     assert len(regrown) == 2 and regrown[-1] < len(frontier_sizes) - 1
     assert all(live <= sparse_max for live, _ in frontier_sizes)
@@ -413,6 +418,81 @@ def test_natural_size_long_read_takes_sparse_phase(frontier_sizes):
     got = assert_matches_oracle(g, queries, W=128)
     assert got[0].score_max == got[1].score_max == 2000
     assert frontier_sizes
+
+
+def spell(n, seed, first=""):
+    """``n`` random bases starting with ``first``."""
+    rng = np.random.default_rng(seed)
+    return first + "".join(rng.choice(list("ACGT"), size=n - len(first)))
+
+
+def test_sparse_jumps_stop_at_n_and_at_read_and_run_ends(
+    crossover, frontier_sizes, monkeypatch
+):
+    # a 40-node run with 'N' at node 20 forks after node 39 into two runs
+    run = spell(40, 16)
+    run = run[:20] + "N" + run[21:]
+    x, y = spell(10, 17, "A"), spell(10, 18, "C")
+    g = genome_graph(
+        run + x + y,
+        [(i, i + 1) for i in range(39)]
+        + [(39, 40), (39, 50)]
+        + [(i, i + 1) for i in (*range(40, 49), *range(50, 59))],
+    )
+    entries = []  # (entry node, nodes needed) of each chain lookup
+    chain = s2g._chain
+
+    def chain_spy(u, need, *args):
+        entries.append((u, need))
+        return chain(u, need, *args)
+
+    monkeypatch.setattr(s2g, "_chain", chain_spy)
+    after_n = run[21:]
+    queries = [
+        run[:20] + "N" + run[21:30],  # a read 'N' under the graph 'N'
+        run[:20] + "A" + run[21:30],
+        after_n[:14],  # ends mid-run
+        after_n,  # ends on the run's last node
+        after_n + x[:5],  # re-enters node 29's memo needing more of it
+        after_n + y,  # to a sink
+    ]
+    got = assert_matches_oracle(g, queries)
+    assert [r.score_max for r in got] == [20, 20, 14, 19, 24, 29]
+    assert [r.lowest_end for r in got] == [19, 19, 34, 39, 44, 59]
+    assert bool(frontier_sizes) == (crossover > 0)
+    if crossover:
+        assert (29, 5) in entries and (29, 15) in entries
+
+
+def test_sparse_steps_through_one_node_branches(crossover, frontier_sizes):
+    # run `left` forks into one-node branches C and G, which join into run
+    # `mid`; `mid` forks into two one-node A branches (one successor in
+    # common), which join into run `right`
+    left, mid, right = spell(12, 19), spell(10, 20, "T"), spell(10, 21, "G")
+    c, q0 = 12, 14
+    a1, a2, r0 = q0 + 10, q0 + 11, q0 + 12
+    g = genome_graph(
+        left + "CG" + mid + "AA" + right,
+        [(i, i + 1) for i in range(11)]
+        + [(11, c), (11, c + 1), (c, q0), (c + 1, q0)]
+        + [(i, i + 1) for i in range(q0, q0 + 9)]
+        + [(q0 + 9, a1), (q0 + 9, a2), (a1, r0), (a2, r0)]
+        + [(i, i + 1) for i in range(r0, r0 + 9)],
+    )
+    queries = [
+        left + "C" + mid + "A" + right,
+        left + "G" + mid + "A",  # ends on both A branches
+        left + "G" + mid + "AG",  # ends where they join
+        left + "C" + mid + "AT",  # dies at the join
+        left + "T",  # dies at the fork
+        left + "C" + mid[:3],
+    ]
+    got = assert_matches_oracle(g, queries)
+    assert [res.score_max for res in got] == [34, 24, 25, 24, 12, 16]
+    assert [res.end_nodes.tolist() for res in got[1:4]] == [[a1, a2], [r0], [a1, a2]]
+    assert bool(frontier_sizes) == (crossover > 0)
+    if crossover:
+        assert (2, 1) in frontier_sizes  # both A branches step to their join
 
 
 def test_base_tables_match_a_bitwise_build():
