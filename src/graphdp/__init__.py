@@ -78,7 +78,6 @@ from .planner import (
     ExecutionPlan,
     S2gWorkload,
     execute,
-    load_descriptor,
     lower,
 )
 

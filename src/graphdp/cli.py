@@ -31,7 +31,9 @@ import numpy as np
 
 from .apsp import TSV_LIMIT, export_distances, recursive_apsp
 from .costmodel import (
+    HbmParams,
     ModelError,
+    PcmParams,
     arithmetic_intensity,
     model_fw_block,
     model_mp_merge,
@@ -61,15 +63,7 @@ from .graphs import (
 )
 from .minplus import floyd_warshall_dense
 from .partition import find_boundary, kway_partition
-from .planner import (
-    ApspWorkload,
-    PlanError,
-    S2gWorkload,
-    device_params,
-    execute,
-    load_descriptor,
-    lower,
-)
+from .planner import ApspWorkload, PlanError, S2gWorkload, execute, lower
 from .s2g import align_reference, align_windowed, dump_alignments
 
 EXIT_OK = 0
@@ -152,13 +146,37 @@ _ints = _positive(lambda text: [int(t) for t in text.split(",") if t.strip()], "
 _sizes = _positive(_size_list, "sizes")
 
 
-def _device(config_path: str | None):
-    """Resolve device parameters from an optional JSON override file."""
+def _device(config_path: str | None) -> tuple:
+    """(PcmParams, HbmParams): the device defaults with the overrides of an
+    optional JSON file, ``{"pcm": {...}, "hbm": {...}}``, applied.
+
+    The one parser for device overrides; every malformed section or field
+    raises UsageError.
+    """
     doc = None
     if config_path:
         with open(config_path) as fh:
             doc = json.load(fh)
-    return device_params(doc)
+    if doc is None:  # no file, or a file that holds JSON null
+        doc = {}
+    if not isinstance(doc, dict):
+        raise UsageError("device overrides must be a JSON object")
+    unknown = sorted(set(doc) - {"pcm", "hbm"})
+    if unknown:
+        raise UsageError(f"unknown device section {unknown[0]!r}")
+    params = []
+    for name, cls in (("pcm", PcmParams), ("hbm", HbmParams)):
+        overrides = doc.get(name, {})
+        if not isinstance(overrides, dict):
+            raise UsageError(f"device.{name} must be a JSON object")
+        for key, value in overrides.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise UsageError(f"device.{name}.{key} must be a number")
+        try:
+            params.append(cls(**overrides))
+        except (TypeError, ValueError) as e:
+            raise UsageError(f"bad device.{name} override: {e}") from e
+    return tuple(params)
 
 
 def _path(args, name: str) -> str:
@@ -421,7 +439,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    w = load_descriptor(args.desc) if args.kind == "desc" else _workload(args, args.kind)
+    w = _workload(args, args.kind)
     plan = lower(w)
     path = _path(args, "plan.json")
     with open(path, "w") as fh:
@@ -663,9 +681,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     plans.add_parser("apsp", parents=[*writes, apsp_in])
     plans.add_parser("s2g", parents=[*writes, s2g_in])
-    plans.add_parser("desc", parents=writes).add_argument(
-        "desc", metavar="FILE.json", help="workload descriptor JSON"
-    )
 
     sub.add_parser("verify", parents=[seed, threads], help="run the oracle suites")
     return ap

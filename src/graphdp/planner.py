@@ -3,8 +3,8 @@
 One workload class per kind holds only what its engine and tile read:
 :class:`ApspWorkload` a weighted graph, a tile size and the matrix tile's
 constants; :class:`S2gWorkload` a genome graph, reads batched once, a window
-width, a mapping request and the traversal tile's constants.
-load_descriptor() builds either from JSON.  execute() runs a workload on its
+width, a mapping request and the traversal tile's constants.  Each refuses
+what its engine cannot run with PlanError.  execute() runs a workload on its
 engine and optionally attaches a cost report; lower() turns it into the plan
 document: an ordered stage list that maps each phase of the device schedule
 onto its tile.
@@ -25,15 +25,7 @@ from .costmodel import (
     model_recursive_apsp,
     model_traversal,
 )
-from .graphs import (
-    GenomeGraph,
-    GraphError,
-    WeightedGraph,
-    load_edge_list,
-    load_fasta,
-    load_genome_graph,
-    read_batches,
-)
+from .graphs import GenomeGraph, WeightedGraph, read_batches
 from .partition import build_hierarchy
 from .s2g import batch_align, batch_mapping
 
@@ -65,10 +57,6 @@ class PlanError(ValueError):
     pass
 
 
-class DescriptorError(PlanError):
-    pass
-
-
 @dataclass(frozen=True)
 class ApspWorkload:
     """A distance closure over a weighted graph, on the matrix tile."""
@@ -80,7 +68,7 @@ class ApspWorkload:
 
     def __post_init__(self):
         if not isinstance(self.graph, WeightedGraph):
-            raise DescriptorError("apsp workload needs a weighted graph")
+            raise PlanError("apsp workload needs a weighted graph")
 
 
 @dataclass(frozen=True)
@@ -99,97 +87,18 @@ class S2gWorkload:
 
     def __post_init__(self):
         if not isinstance(self.graph, GenomeGraph):
-            raise DescriptorError("s2g workload needs a genome graph")
+            raise PlanError("s2g workload needs a genome graph")
         if not self.reads:
-            raise DescriptorError("s2g workload needs reads")
+            raise PlanError("s2g workload needs reads")
         seen = set()
         for rid, _ in self.reads:
             if rid in seen:
-                raise DescriptorError(f"duplicate read id {rid!r}")
+                raise PlanError(f"duplicate read id {rid!r}")
             seen.add(rid)
         if self.W < 1:
-            raise DescriptorError(f"window width W={self.W} must be positive")
+            raise PlanError(f"window width W={self.W} must be positive")
         # frozen, so the batches cannot go stale against reads or mode
         object.__setattr__(self, "batches", read_batches(self.reads, self.mode))
-
-
-def device_params(section) -> tuple:
-    """(PcmParams, HbmParams): the device defaults with JSON overrides,
-    ``{"pcm": {...}, "hbm": {...}}``, applied.
-
-    The one parser for device overrides, shared by descriptors and the CLI's
-    ``--config``; every malformed section or field raises DescriptorError.
-    """
-    if section is None:
-        section = {}
-    if not isinstance(section, dict):
-        raise DescriptorError("device overrides must be a JSON object")
-    unknown = sorted(set(section) - {"pcm", "hbm"})
-    if unknown:
-        raise DescriptorError(f"unknown device section {unknown[0]!r}")
-    params = []
-    for name, cls in (("pcm", PcmParams), ("hbm", HbmParams)):
-        overrides = section.get(name, {})
-        if not isinstance(overrides, dict):
-            raise DescriptorError(f"device.{name} must be a JSON object")
-        for key, value in overrides.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DescriptorError(f"device.{name}.{key} must be a number")
-        try:
-            params.append(cls(**overrides))
-        except (TypeError, ValueError) as e:
-            raise DescriptorError(f"bad device.{name} override: {e}") from e
-    return tuple(params)
-
-
-def _int_field(doc: dict, name: str, default: int) -> int:
-    value = doc.get(name, default)
-    if type(value) is not int:  # a bool or a fraction is no count
-        raise DescriptorError(f"descriptor field {name!r} must be an integer")
-    return value
-
-
-def _path_field(doc: dict, name: str) -> str:
-    value = doc[name]
-    if not isinstance(value, str):
-        raise DescriptorError(f"descriptor field {name!r} must be a file path")
-    return value
-
-
-def load_descriptor(doc: dict | str) -> ApspWorkload | S2gWorkload:
-    """Build a workload from a JSON descriptor or a path to one.
-
-    File references inside the document are loaded and validated here, so
-    a returned workload is always runnable.  A field its kind does not read
-    is refused rather than ignored; ``device`` may override both tiles, as
-    one ``--config`` file does for every command.
-    """
-    if isinstance(doc, str):
-        with open(doc) as fh:
-            doc = json.load(fh)
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise DescriptorError("descriptor must be an object with a 'kind'")
-    kind = doc["kind"]
-    if kind not in ("apsp", "s2g"):
-        raise DescriptorError(f"unknown workload kind {kind!r}")
-    own = {"max_tile"} if kind == "apsp" else {"reads", "W", "mode"}
-    unknown = sorted(set(doc) - own - {"kind", "graph", "device"})
-    if unknown:
-        raise DescriptorError(f"unknown {kind} descriptor field {unknown[0]!r}")
-    pcm, hbm = device_params(doc.get("device"))
-    try:
-        if kind == "apsp":
-            g = load_edge_list(_path_field(doc, "graph"))
-        else:
-            g = load_genome_graph(_path_field(doc, "graph"))
-            reads = load_fasta(_path_field(doc, "reads"))
-    except (OSError, KeyError, GraphError) as e:
-        raise DescriptorError(f"descriptor input failed to load: {e}") from e
-    if kind == "apsp":
-        max_tile = _int_field(doc, "max_tile", ApspWorkload.max_tile)
-        return ApspWorkload(g, max_tile=max_tile, pcm=pcm)
-    W = _int_field(doc, "W", S2gWorkload.W)
-    return S2gWorkload(g, reads, W=W, mode=doc.get("mode", S2gWorkload.mode), hbm=hbm)
 
 
 @dataclass

@@ -42,7 +42,7 @@ the traversal tile's PEs is the cost model's decision, not this module's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -435,8 +435,7 @@ class BatchTrace:
     carries no score information and no placement of reads on PEs.
 
     ``read_ids``, ``read_lengths`` and ``window_passes`` run in the same
-    (read id) order.  Self/hop update counts are the graph's static
-    classification times the window passes.
+    (read id) order.
     """
 
     mode: str
@@ -445,14 +444,17 @@ class BatchTrace:
     read_ids: list
     read_lengths: list
     window_passes: list
-    self_updates: int = field(init=False)
-    hop_updates: int = field(init=False)
 
-    def __post_init__(self):
-        self_nodes = int(classify_self_hop(self.graph).sum())
-        passes = sum(self.window_passes)
-        self.self_updates = self_nodes * passes
-        self.hop_updates = (self.graph.n - self_nodes) * passes
+    @property
+    def self_updates(self) -> int:
+        """Self-node updates: the graph's self nodes times the window passes;
+        classified when read, since only diagnostics read it."""
+        return int(classify_self_hop(self.graph).sum()) * sum(self.window_passes)
+
+    @property
+    def hop_updates(self) -> int:
+        """Hop-node updates: every other node times the window passes."""
+        return self.graph.n * sum(self.window_passes) - self.self_updates
 
     @property
     def nodes(self) -> int:

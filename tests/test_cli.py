@@ -30,7 +30,7 @@ from graphdp.graphs import (
 )
 from graphdp.minplus import floyd_warshall_dense
 from graphdp.partition import HierarchyError
-from graphdp.planner import DescriptorError
+from graphdp.planner import PlanError
 from oracles import load_edge_list_reference, model_recursive_apsp_reference
 
 
@@ -209,7 +209,7 @@ def test_apsp_tsv_over_its_limit_exits_2_before_closing(tmp_path, monkeypatch, c
 
 
 def test_apsp_and_s2g_run_without_lowering_a_plan(tmp_path, monkeypatch):
-    # apsp and s2g hand their descriptor to the engines; only plan lowers
+    # apsp and s2g hand their workload to the engines; only plan lowers
     # one, and an apsp run partitions its graph once, inside the engine
     from graphdp.partition import build_hierarchy
 
@@ -403,7 +403,6 @@ _RUN_CMDS = {
     "plan-apsp": ("plan", "apsp", "--graph", "er/graph.edges", "--max-tile", 64),
     "plan-s2g": ("plan", "s2g", "--graph", "genome/graph.gfa",
                  "--reads", "genome/reads.fa"),
-    "plan-desc": ("plan", "desc", "desc.json"),
 }
 _RUN_PINNED = {
     "apsp/cost.csv": "3f9d34df2fc42ec9c4d54151f0d3d4ee44659d213fcc7324e9c227beff2c9e95",
@@ -418,8 +417,6 @@ _RUN_PINNED = {
     "plan-apsp/run.json": "88f2337667fb9d01a26dbf0136e1e0fbf04dfdc4716fc7c2b7668cb35a9a5a85",
     "plan-s2g/plan.json": "9c6dcec38d5b74c7f6c0f1b06c12f8594605075a6105256ae1ceae5954b0b5b5",
     "plan-s2g/run.json": "cec94ec7b01baaa109c2a6d75ae1d559e5f4a9210f9663a84a28a1c906232734",
-    "plan-desc/plan.json": "9c6dcec38d5b74c7f6c0f1b06c12f8594605075a6105256ae1ceae5954b0b5b5",
-    "plan-desc/run.json": "7d55400570e4f2ff3bb995100871a9f0562166d0dd227966a5d3f68a6aaf02c1",
 }
 
 
@@ -427,9 +424,6 @@ def test_apsp_s2g_and_plan_run_files_keep_their_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in (_GEN_SWEEP_CMDS[0], _GEN_SWEEP_CMDS[2]):  # gen er, gen genome
         assert run(*argv, "--out", argv[1]) == 0, argv
-    (tmp_path / "desc.json").write_text(json.dumps(
-        {"kind": "s2g", "graph": "genome/graph.gfa", "reads": "genome/reads.fa"}
-    ))
     for out, argv in _RUN_CMDS.items():
         assert run(*argv, "--out", out) == 0, argv
     got = {
@@ -538,8 +532,8 @@ def test_s2g_model_reports_throughput(tmp_path):
 
 def test_s2g_forced_short_on_long_reads_is_usage_error(tmp_path, capsys):
     # the workload checks every read rule as it batches the reads, so
-    # scoring, planning and a descriptor refuse a bad reads file alike,
-    # before any output is written
+    # scoring and planning refuse a bad reads file alike, before any output
+    # is written
     gfa, long_reads = _gen_inputs(tmp_path, bases=3000, reads=2, read_len=900)
     with open(long_reads) as fh:
         long_text = fh.read()
@@ -552,15 +546,12 @@ def test_s2g_forced_short_on_long_reads_is_usage_error(tmp_path, capsys):
         ("", "auto", "s2g workload needs reads"),
         (">r0\nACGT\n>r0\nACG\n", "long", "duplicate read id 'r0'"),
     ]
-    reads, desc = tmp_path / "r.fa", tmp_path / "d.json"
+    reads = tmp_path / "r.fa"
     capsys.readouterr()
     for text, mode, message in cases:
         reads.write_text(text, encoding="utf-8")
-        desc.write_text(json.dumps(
-            {"kind": "s2g", "graph": gfa, "reads": str(reads), "mode": mode}
-        ))
         inputs = ("--graph", gfa, "--reads", reads, "--mode", mode)
-        for argv in (("s2g", *inputs), ("plan", "s2g", *inputs), ("plan", "desc", desc)):
+        for argv in (("s2g", *inputs), ("plan", "s2g", *inputs)):
             assert run(*argv, "--out", tmp_path / "o") == 2, argv
             err = capsys.readouterr().err
             assert err == f"error: {message}\n", (argv, err)
@@ -711,12 +702,9 @@ def test_duplicate_read_ids_exit_2_before_scoring(tmp_path, capsys):
     (_, s0), (_, s1), (_, s2) = load_fasta(fa)
     dup = tmp_path / "dup.fa"
     dump_fasta([("dup", s0), ("x", s1), ("x", s2), ("dup", s0)], str(dup))
-    desc = tmp_path / "d.json"
-    desc.write_text(json.dumps({"kind": "s2g", "graph": gfa, "reads": str(dup)}))
     for i, argv in enumerate((
         ("s2g", "--graph", gfa, "--reads", dup, "--verify"),
         ("plan", "s2g", "--graph", gfa, "--reads", dup),
-        ("plan", "desc", desc),
     )):
         out = tmp_path / f"out{i}"
         assert run(*argv, "--out", out) == 2, argv
@@ -725,8 +713,7 @@ def test_duplicate_read_ids_exit_2_before_scoring(tmp_path, capsys):
 
 
 def test_plan_without_inputs_is_usage_error(tmp_path, capsys):
-    for argv in (("plan",), ("plan", "apsp"), ("plan", "s2g", "--graph", "g.gfa"),
-                 ("plan", "desc")):
+    for argv in (("plan",), ("plan", "apsp"), ("plan", "s2g", "--graph", "g.gfa")):
         assert run(*argv, "--out", tmp_path / "o") == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
@@ -737,14 +724,11 @@ def test_plan_run_json_records_the_inputs_it_read(tmp_path):
     assert run("gen", "er", "--n", 40, "--p", 0.05, "--out", tmp_path) == 0
     graph = str(tmp_path / "graph.edges")
     gfa, reads = _gen_inputs(tmp_path, bases=600, reads=2)
-    desc = tmp_path / "d.json"
-    desc.write_text(json.dumps({"kind": "apsp", "graph": graph}))
     cases = [
         (("apsp", "--graph", graph, "--max-tile", 64),
          {"graph": graph, "max_tile": 64, "workload": "apsp"}),
         (("s2g", "--graph", gfa, "--reads", reads, "--mode", "short"),
          {"graph": gfa, "reads": reads, "mode": "short", "workload": "s2g"}),
-        (("desc", str(desc)), {"desc": str(desc), "workload": "apsp"}),
     ]
     for argv, inputs in cases:
         out = str(tmp_path / argv[0])
@@ -753,35 +737,6 @@ def test_plan_run_json_records_the_inputs_it_read(tmp_path):
         stages = len(json.loads((tmp_path / argv[0] / "plan.json").read_text())["stages"])
         assert cfg == {"command": f"plan.{argv[0]}", "out": out, "stages": stages,
                        "outputs": ["plan.json"], **inputs}, argv
-
-
-def test_a_descriptor_and_the_flags_share_their_defaults(tmp_path):
-    # a descriptor field left out and a flag left off stand for the same
-    # workload default, so plan desc and plan apsp|s2g write the same plan
-    assert run("gen", "er", "--n", 300, "--p", 0.02, "--seed", 1,
-               "--out", tmp_path) == 0
-    graph = str(tmp_path / "graph.edges")
-    gfa, reads = _gen_inputs(tmp_path, reads=4)
-    cases = [
-        ({"kind": "apsp", "graph": graph}, ("apsp", "--graph", graph)),
-        ({"kind": "s2g", "graph": gfa, "reads": reads},
-         ("s2g", "--graph", gfa, "--reads", reads)),
-    ]
-    for doc, argv in cases:
-        desc = tmp_path / f"{argv[0]}.json"
-        desc.write_text(json.dumps(doc))
-        outs = []
-        for plan_argv in (("desc", desc), argv):
-            out = tmp_path / f"plan-{plan_argv[0]}"
-            assert run("plan", *plan_argv, "--out", out) == 0, plan_argv
-            outs.append(((out / "plan.json").read_bytes(),
-                         json.loads((out / "run.json").read_text())["stages"]))
-        assert outs[0] == outs[1], argv
-        # so do the flags, --W included, which plan does not take
-        w = planner.load_descriptor(str(desc))
-        parsed = vars(cli._build_parser().parse_args(list(argv)))
-        own = ("max_tile",) if argv[0] == "apsp" else ("W", "mode")
-        assert [getattr(w, k) for k in own] == [parsed[k] for k in own], argv
 
 
 def test_run_json_records_every_flag_but_threads_and_config(tmp_path):
@@ -793,8 +748,6 @@ def test_run_json_records_every_flag_but_threads_and_config(tmp_path):
     assert run("gen", "er", "--n", 60, "--p", 0.05, "--out", tmp_path) == 0
     graph = str(tmp_path / "graph.edges")
     gfa, reads = _gen_inputs(tmp_path, bases=600, reads=2)
-    desc = tmp_path / "d.json"
-    desc.write_text(json.dumps({"kind": "apsp", "graph": graph}))
     cmds = [
         ("gen", "er", "--n", 60, "--p", 0.05),
         ("gen", "nws", "--n", 40, "--k", 4, "--p", 0.1),
@@ -808,7 +761,6 @@ def test_run_json_records_every_flag_but_threads_and_config(tmp_path):
         ("sweep", "roofline"),
         ("plan", "apsp", "--graph", graph),
         ("plan", "s2g", "--graph", gfa, "--reads", reads),
-        ("plan", "desc", desc),
     ]
     for i, argv in enumerate(cmds):
         full = [str(a) for a in (*argv, "--threads", 2, "--out", tmp_path / f"o{i}")]
@@ -819,59 +771,6 @@ def test_run_json_records_every_flag_but_threads_and_config(tmp_path):
         added |= {"workload", "stages"} if argv[0] == "plan" else set()
         assert set(cfg) == set(parsed) - {"kind", "threads", "config"} | added, argv
         assert all(cfg[k] == parsed[k] for k in parsed if k in cfg and k != "command")
-
-
-def test_plan_bad_descriptor_fields_exit_2(tmp_path, capsys):
-    assert run("gen", "er", "--n", 40, "--p", 0.05, "--out", tmp_path) == 0
-    good = {"kind": "apsp", "graph": str(tmp_path / "graph.edges")}
-    desc = tmp_path / "d.json"
-    desc.write_text(json.dumps(good))
-    assert run("plan", "desc", desc, "--out", tmp_path) == 0
-    capsys.readouterr()
-    for bad in (
-        {"device": {"pcm": {"bogus": 1}}},
-        {"device": {"pcm": 5}},
-        {"seed": "x"},
-        {"seed": 1},
-        {"threads": 0},
-        {"threads": 2},
-        {"bogus": 1},
-        {"device": 5},
-        {"device": {"gpu": {}}},
-        {"device": {"hbm": {"channels": "16"}}},
-        {"device": {"pcm": {"unit_dim": 1000}}},
-        {"max_tile": [1]},
-        {"graph": 0},
-        # fields only an s2g workload reads
-        {"W": 0},
-        {"reads": "nope.fa"},
-        {"mode": "long"},
-    ):
-        desc.write_text(json.dumps({**good, **bad}))
-        assert run("plan", "desc", desc, "--out", tmp_path) == 2, bad
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
-    # a window width or an empty read the aligner refuses is refused by plan
-    # as well, even when other reads are fine
-    gfa, fa = _gen_inputs(tmp_path, bases=300, reads=2, read_len=40)
-    mixed, empty = tmp_path / "mixed.fa", tmp_path / "empty.fa"
-    mixed.write_text(">a\n>b\nACGTACGT\n")
-    empty.write_text(">a\n>b\n")
-    # and a field only an apsp workload reads
-    desc.write_text(json.dumps({"kind": "s2g", "graph": gfa, "reads": fa,
-                                "max_tile": "x"}))
-    assert run("plan", "desc", desc, "--out", tmp_path) == 2
-    assert capsys.readouterr().err == "error: unknown s2g descriptor field 'max_tile'\n"
-    for reads, W in ((fa, 0), (mixed, 128), (empty, 128)):
-        doc = {"kind": "s2g", "graph": gfa, "reads": str(reads), "W": W}
-        desc.write_text(json.dumps(doc))
-        for argv in (
-            ("plan", "desc", desc),
-            ("s2g", "--graph", gfa, "--reads", reads, "--W", W),
-        ):
-            assert run(*argv, "--out", tmp_path) == 2, argv
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +788,7 @@ def test_config_overrides_device_params(tmp_path):
     assert cfg["device"]["pcm"]["unit_dim"] == 512
 
 
-def test_config_unknown_field_is_usage_error(tmp_path):
+def test_config_unknown_field_is_usage_error(tmp_path, capsys):
     cfgp = tmp_path / "dev.json"
     assert run("gen", "er", "--n", 40, "--p", 0.05, "--out", tmp_path) == 0
     for bad in ({"pcm": {"no_such_knob": 1}}, {"pcm": 5}, [1],
@@ -900,6 +799,18 @@ def test_config_unknown_field_is_usage_error(tmp_path):
         cfgp.write_text(json.dumps(bad))
         assert run("apsp", "--graph", tmp_path / "graph.edges",
                    "--config", cfgp, "--out", tmp_path) == 2, bad
+    # a refusal names the section or the field at fault, in one line
+    capsys.readouterr()
+    for bad, message in (
+        ({"gpu": {}}, "unknown device section 'gpu'"),
+        ({"hbm": {"channels": True}}, "device.hbm.channels must be a number"),
+        ({"pcm": {"unit_dim": 1000}},
+         "bad device.pcm override: unit_dim must be a power of two"),
+    ):
+        cfgp.write_text(json.dumps(bad))
+        assert run("apsp", "--graph", tmp_path / "graph.edges",
+                   "--config", cfgp, "--out", tmp_path) == 2, bad
+        assert capsys.readouterr().err == f"error: {message}\n", bad
 
 
 @pytest.mark.parametrize(
@@ -1020,6 +931,11 @@ def test_unknown_subcommand_exits_2(capsys):
         assert run(*argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    # plan names its workload by kind and flags; no JSON file describes one
+    assert run("plan", "desc", "d.json") == 2
+    assert capsys.readouterr().err == (
+        "error: argument kind: invalid choice: 'desc' (choose from 'apsp', 's2g')\n"
+    )
     assert run("apsp", "--help") == 0
     assert "--max-tile" in capsys.readouterr().out
 
@@ -1055,9 +971,6 @@ _FOREIGN = {
     ("plan", "s2g", "--graph", "@/g.gfa", "--reads", "@/r.fa"): [
         "--max-tile", "--W", "--config", "--seed",
     ],
-    ("plan", "desc", "@/d.json"): [
-        "--graph", "--max-tile", "--reads", "--mode", "--config", "--seed",
-    ],
     ("verify",): ["--config", "--out"],
 }
 # a common flag put before the kind: refused by name
@@ -1079,7 +992,6 @@ def test_flags_a_command_does_not_read_exit_2(base, extra, tmp_path, capsys):
     (tmp_path / "dev.json").write_text(json.dumps({"hbm": {"channels": 8}}))
     graph = tmp_path / "g.edges"
     dump_edge_list(gen_er(20, 0.2, 1), str(graph))
-    (tmp_path / "d.json").write_text(json.dumps({"kind": "apsp", "graph": str(graph)}))
     (tmp_path / "g.gfa").write_text(GFA)
     (tmp_path / "r.fa").write_text(">r\nACGTAC\n")
     argv = [str(a).replace("@", str(tmp_path)) for a in base + extra]
@@ -1118,8 +1030,10 @@ ERROR_CASES = {
         ["s2g", "--graph", "@/g.gfa", "--reads", "@/r.fa"],
         AlphabetError,
     ),
-    "DescriptorError": (
-        {"d.json": '{"kind": "fft"}'}, ["plan", "desc", "@/d.json"], DescriptorError
+    "PlanError": (
+        {"g.gfa": GFA, "r.fa": ">r\nACGTAC\n"},
+        ["s2g", "--graph", "@/g.gfa", "--reads", "@/r.fa", "--W", 0],
+        PlanError,
     ),
     "OSError": ({}, ["apsp", "--graph", "@/none.edges"], FileNotFoundError),
     "JSONDecodeError": (

@@ -1,4 +1,4 @@
-"""Fuzzing the CLI's input files: edge lists, GFA, FASTA and descriptors.
+"""Fuzzing the CLI's input files: edge lists, GFA and FASTA.
 
 The contract: a command either succeeds (exit 0) or refuses its input
 with exit 2 and exactly one ``error:`` line on stderr; it never escapes
@@ -9,7 +9,6 @@ well-formed file naming a huge vertex is a real (huge) graph, not a fault.
 
 import contextlib
 import io
-import json
 import tempfile
 from pathlib import Path
 
@@ -112,79 +111,17 @@ def test_fuzz_fasta(text):
                       "--model", "--out", d / "o"])
 
 
-scalar = st.one_of(
-    st.integers(-3, 300),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.booleans(),
-    st.none(),
-    junk,
-)
-descriptor = st.fixed_dictionaries(
-    {},
-    optional={
-        "kind": st.sampled_from(["apsp", "s2g", "fft", 3]),
-        "graph": st.sampled_from(["g.edges", "g.gfa", "missing", 7]),
-        "reads": st.sampled_from(["r.fa", "g.gfa", "missing", 7]),
-        "max_tile": scalar,
-        "W": scalar,
-        "mode": st.sampled_from(["auto", "short", "long", "x", 3]),
-        "seed": scalar,
-        "threads": st.one_of(st.integers(-2, 2), junk),
-        "device": st.one_of(
-            scalar,
-            st.fixed_dictionaries(
-                {},
-                optional={
-                    "pcm": st.dictionaries(
-                        st.sampled_from(["unit_dim", "clock_hz", "bogus"]), scalar,
-                        max_size=2,
-                    ),
-                    "hbm": st.dictionaries(
-                        st.sampled_from(["channels", "pe_per_pu"]), scalar,
-                        max_size=2,
-                    ),
-                },
-            ),
-        ),
-    },
-)
-
-
-@FUZZ
-@given(st.one_of(descriptor.map(lambda doc: json.dumps(doc)), junk))
-def test_fuzz_descriptor(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        d = Path(tmp)
-        doc = text
-        try:
-            parsed = json.loads(text)
-        except ValueError:
-            parsed = None
-        if isinstance(parsed, dict):
-            # file references resolve inside this example's directory
-            for key in ("graph", "reads"):
-                if isinstance(parsed.get(key), str):
-                    parsed[key] = str(d / parsed[key])
-            doc = json.dumps(parsed)
-        write(d, {"g.edges": EDGES, "g.gfa": GFA, "r.fa": FASTA, "d.json": doc})
-        assert_clean(["plan", "desc", d / "d.json", "--out", d / "o"])
-
-
-# each fault the fuzzing found, and the negative --seed that the descriptor
-# case led to, as a named case: input files ("@" is the case's directory)
-# and the command that used to escape with a traceback
+# each fault the fuzzing found, and the faults it led to, as a named case:
+# input files ("@" is the case's directory) and the command that used to
+# escape with a traceback
 FOUND = {
     "fasta_header_without_name": (
         {"g.gfa": GFA, "r.fa": ">\nACGT\n"},
         ["s2g", "--graph", "@/g.gfa", "--reads", "@/r.fa"],
     ),
-    "fasta_header_without_name_in_descriptor": (
-        {
-            "g.gfa": GFA,
-            "r.fa": ">r1\nACGT\n> \nAC\n",
-            "d.json": '{"kind": "s2g", "graph": "@/g.gfa", "reads": "@/r.fa"}',
-        },
-        ["plan", "desc", "@/d.json"],
+    "fasta_header_without_name_mid_file": (
+        {"g.gfa": GFA, "r.fa": ">r1\nACGT\n> \nAC\n"},
+        ["s2g", "--graph", "@/g.gfa", "--reads", "@/r.fa"],
     ),
     "edge_field_beyond_int64": (
         {"g.edges": "0\t1\t3\n1\t0\t99999999999999999999\n"},
@@ -193,19 +130,6 @@ FOUND = {
     "gfa_non_ascii_base": (
         {"g.gfa": "S\ts1\tACGé\n", "r.fa": FASTA},
         ["s2g", "--graph", "@/g.gfa", "--reads", "@/r.fa"],
-    ),
-    "descriptor_negative_seed": (
-        {
-            "g.edges": EDGES,
-            "d.json": '{"kind": "apsp", "graph": "@/g.edges", "max_tile": 2, '
-            '"seed": -1}',
-        },
-        ["plan", "desc", "@/d.json"],
-    ),
-    "descriptor_infinite_integer_field": (
-        {"g.edges": EDGES, "d.json": '{"kind": "apsp", "graph": "@/g.edges", '
-         '"max_tile": Infinity}'},
-        ["plan", "desc", "@/d.json"],
     ),
     "gen_negative_seed": ({}, ["gen", "er", "--n", 10, "--p", 0.1, "--seed", -1]),
     "sweep_negative_seed": ({}, ["sweep", "tilesize", "--Ns", 256, "--seed", -1]),

@@ -95,6 +95,48 @@ def test_read_rules_have_one_home():
     assert [name for name, text in sources.items() if catch_all.search(text)] == []
 
 
+def _names_read(tree: ast.Module) -> list:
+    """(name, line) for each name the tree reads: a name, an attribute, an
+    imported name, or a string that spells one, as the tracer's wraps do."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append((node.value, node.lineno))
+    return out
+
+
+def test_every_definition_is_referenced():
+    # a module-level function or class that nothing in the package, its
+    # exports or the benchmark names outside its own body is dead code;
+    # tests and demos do not count as references
+    sources = sorted((ROOT / "src" / "graphdp").glob("*.py"))
+    trees = {
+        p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        for p in sources + sorted((ROOT / "perfbench").rglob("*.py"))
+    }
+    refs: dict = {}
+    for path, tree in trees.items():
+        for name, line in _names_read(tree):
+            refs.setdefault(name, []).append((path, line))
+    hits = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for path in sources
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(
+            where != path or not node.lineno <= line <= node.end_lineno
+            for where, line in refs.get(node.name, [])
+        )
+    ]
+    assert not hits, "defined but never referenced:\n" + "\n".join(hits)
+
+
 # defaults no production call sets, each kept for the reason given
 _UNSET_DEFAULTS = {
     ("make_tile_workload", "n"): "tests build clique chains smaller than 131,072",

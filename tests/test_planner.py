@@ -20,7 +20,6 @@ from graphdp.graphs import (
 )
 from graphdp.partition import build_hierarchy
 from graphdp.planner import (
-    DescriptorError,
     ExecutionPlan,
     K_ALIGN,
     K_BOUNDARY_FW,
@@ -34,7 +33,6 @@ from graphdp.planner import (
     ApspWorkload,
     S2gWorkload,
     execute,
-    load_descriptor,
     lower,
 )
 from graphdp.s2g import (
@@ -249,16 +247,16 @@ def test_run_setting_defaults_live_on_the_workload_classes():
 
 def test_descriptor_kind_validation():
     g = gen_er(20, 0.2, seed=7)
-    with pytest.raises(DescriptorError):
+    with pytest.raises(PlanError):
         S2gWorkload(g, [("r0", "ACGT")])
     gg, reads = genome_case()
-    with pytest.raises(DescriptorError):
+    with pytest.raises(PlanError):
         ApspWorkload(gg)
-    with pytest.raises(DescriptorError):
+    with pytest.raises(PlanError):
         S2gWorkload(gg, [])
     # results are keyed by read id, so a repeated id is refused: the first
     # repeat in read order is named
-    with pytest.raises(DescriptorError, match="duplicate read id 'r1'$"):
+    with pytest.raises(PlanError, match="duplicate read id 'r1'$"):
         S2gWorkload(gg, reads[:3] + reads[1:])
 
 
@@ -329,7 +327,7 @@ def test_a_built_s2g_workload_is_runnable(seqs, mode):
     reads = [(f"r{i}", q) for i, q in enumerate(seqs)]
     try:
         w = S2gWorkload(g, reads, W=64, mode=mode)
-    except (GraphError, DescriptorError):
+    except (GraphError, PlanError):
         return
     assert [stage.kind for stage in lower(w).stages][1:] == [K_ALIGN] * len(w.batches)
     got = execute(w, cost_model_on=True)["s2g"]
@@ -337,72 +335,3 @@ def test_a_built_s2g_workload_is_runnable(seqs, mode):
         want = align_reference(g, q)
         assert got[rid].score_max == want.score_max
         assert np.array_equal(got[rid].end_nodes, want.end_nodes)
-
-
-# ---------------------------------------------------------------------------
-# descriptor files
-# ---------------------------------------------------------------------------
-
-
-def test_load_descriptor_round_trip(tmp_path):
-    from graphdp.graphs import dump_edge_list
-
-    g = gen_er(60, 0.08, seed=11)
-    gpath = tmp_path / "g.edges"
-    dump_edge_list(g, str(gpath))
-    doc = {
-        "kind": "apsp",
-        "graph": str(gpath),
-        "max_tile": 32,
-        "device": {"pcm": {"clock_hz": 1e9}},
-    }
-    w = load_descriptor(doc)
-    assert w.graph.n == 60
-    assert w.max_tile == 32
-    assert w.pcm.clock_hz == 1e9
-    out = execute(w)
-    direct = recursive_apsp(g, max_tile=32)
-    assert np.array_equal(out["apsp"].dist, direct.dist)
-
-
-def test_load_descriptor_json_file(tmp_path):
-    from graphdp.graphs import dump_edge_list
-
-    g = gen_er(30, 0.1, seed=12)
-    gpath = tmp_path / "g.edges"
-    dump_edge_list(g, str(gpath))
-    dpath = tmp_path / "w.json"
-    dpath.write_text(json.dumps({"kind": "apsp", "graph": str(gpath)}))
-    w = load_descriptor(str(dpath))
-    assert w.kind == "apsp"
-
-
-def test_load_descriptor_missing_input():
-    with pytest.raises(DescriptorError):
-        load_descriptor({"kind": "apsp", "graph": "/nonexistent/g.edges"})
-    with pytest.raises(DescriptorError):
-        load_descriptor({"kind": "fft"})
-    with pytest.raises(DescriptorError):
-        load_descriptor([1, 2, 3])
-
-
-@pytest.mark.parametrize(
-    "field, value", [("max_tile", 2.5), ("max_tile", True), ("W", 2.5), ("W", "64")]
-)
-def test_load_descriptor_refuses_a_count_that_is_not_an_integer(
-    field, value, tmp_path
-):
-    # a fraction used to be truncated (a tile of 2.5 planned tile 2) and a
-    # string parsed; a count is a JSON integer
-    (tmp_path / "g.edges").write_text("0\t1\t3\n1\t0\t3\n")
-    gfa, _ = gen_genome(300, 0.05, seed=1)
-    (tmp_path / "g.gfa").write_text(gfa)
-    (tmp_path / "r.fa").write_text(">r1\nACGTACGT\n")
-    if field == "max_tile":
-        doc = {"kind": "apsp", "graph": str(tmp_path / "g.edges")}
-    else:
-        doc = {"kind": "s2g", "graph": str(tmp_path / "g.gfa"),
-               "reads": str(tmp_path / "r.fa")}
-    with pytest.raises(DescriptorError, match=f"'{field}' must be an integer"):
-        load_descriptor({**doc, field: value})
-    assert load_descriptor({**doc, field: 64}).__dict__[field] == 64
