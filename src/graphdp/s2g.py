@@ -11,9 +11,11 @@ Three scorers compute it, sharing no kernel code:
   While many nodes are live a position is a dense numpy step over every
   node (gather and OR the predecessors' words, AND with the position's
   base table); once few are, each pending read finishes alone in plain
-  Python from its own set of live nodes, jumping along chains of sole
-  successors by one bytes comparison, so a read costs its live state and
-  the chains it crosses, not the graph.  A read's bit that clears at
+  Python from its own set of live nodes.  It jumps along sole successors,
+  crossing each id run (nodes x, x+1, ..., each but the last with the
+  next id as its only successor) by one bytes comparison and hopping to
+  any other sole successor, so a read costs its live state and the runs
+  and hops it crosses, not the graph.  A read's bit that clears at
   position j gives score j.
 * ``align_windowed`` is the device-fidelity kernel.  It processes one query
   of length m in k = ceil(m/W) windows of W bits, each a single sweep of
@@ -42,6 +44,7 @@ the traversal tile's PEs is the cost model's decision, not this module's.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,46 +253,43 @@ def _base_tables(codes: list) -> np.ndarray:
 _SPARSE_SHARE = 1 / 40
 
 
-def _chain(u, need, ptr, idx, code, chains):
-    """The first ``need`` nodes after ``u`` along sole successor arcs (fewer
-    if a node without exactly one successor comes first) and their codes as
-    one ``bytearray``; memoised per ``u`` in ``chains``, extended when a
-    later read needs more."""
-    nodes, bases = chains.setdefault(u, ([], bytearray()))
-    x = nodes[-1] if nodes else u
-    while len(nodes) < need and ptr[x + 1] - ptr[x] == 1:
-        t = ptr[x]
-        x = idx[t]
-        nodes.append(x)
-        bases.append(code[t])
-    return nodes, bases
-
-
-def _read_step(front, j, q, ptr, idx, code, chains):
+def _read_step(front, j, q, ptr, idx, spelled, stops):
     """One sparse step of one read: from ``front``, the nodes where its
     prefix of length j+1 ends, to (j', the nodes where its prefix of length
     j'+1 ends), empty if none does.
 
-    ``q`` is the read's base codes as bytes; ``ptr``/``idx`` are the
-    successor CSR and ``code`` each arc head's base code ('N' in the graph
-    has a code no read byte has).  A lone node whose one successor matches
-    the next base follows its chain of sole successors as far as one bytes
-    comparison with the read matches; the chain may cross a join, since
-    the read's state is on no other predecessor.  Any other frontier takes
-    one step along every successor arc whose head matches the next base.
+    ``q`` is the read's base codes as bytes, ``ptr``/``idx`` the successor
+    CSR and ``spelled`` each node's base code as bytes ('N' in the graph
+    has a code no read byte has).  ``stops`` lists in order every node x
+    that does not have x+1 as its only successor, so the nodes from x to
+    the first stop at or after x form an id run.  A lone node whose one
+    successor matches the next base jumps along sole successors as far as
+    the read matches: across each id run by one bytes comparison, to a
+    sole successor off the runs by one hop.  The jump may cross a join,
+    since the read's state is on no other predecessor.  Any other frontier
+    takes one step along every successor arc whose head matches the next
+    base.
     """
     c = q[j + 1]
     if len(front) == 1:
         (u,) = front
         t = ptr[u]
-        if ptr[u + 1] - t == 1 and code[t] == c:
-            need = len(q) - j - 1
-            nodes, bases = _chain(u, need, ptr, idx, code, chains)
-            k = min(need, len(nodes))
-            if q[j + 1 : j + 1 + k] != bases[:k]:
-                k = next(i for i, (a, b) in enumerate(zip(q[j + 1 :], bases)) if a != b)
-            return j + k, nodes[k - 1 : k]
-    nxt = {idx[t] for u in front for t in range(ptr[u], ptr[u + 1]) if code[t] == c}
+        if ptr[u + 1] - t == 1 and spelled[idx[t]] == c:
+            while j + 1 < len(q) and ptr[u + 1] - ptr[u] == 1:
+                t = ptr[u]
+                if idx[t] != u + 1:  # a hop off the id run
+                    if spelled[idx[t]] != q[j + 1]:
+                        break
+                    u, j = idx[t], j + 1
+                    continue
+                k = min(stops[bisect_left(stops, u)] - u, len(q) - j - 1)
+                read, run = q[j + 1 : j + 1 + k], spelled[u + 1 : u + 1 + k]
+                if read != run:
+                    k = next(i for i, (a, b) in enumerate(zip(read, run)) if a != b)
+                    return j + k, (u + k,)
+                u, j = u + k, j + k
+            return j, (u,)
+    nxt = {v for u in front for v in idx[ptr[u] : ptr[u + 1]] if spelled[v] == c}
     return j + 1, nxt
 
 
@@ -304,14 +304,16 @@ def align_read_parallel(g: GenomeGraph, queries, W: int) -> list:
     position 8 the live nodes are counted, and once they are at most
     ``_SPARSE_SHARE`` of n the word splits into one frontier (a set of
     nodes) per pending read, and each read finishes alone in plain Python
-    (``_read_step``): a one-node frontier inside a chain of sole successors
-    jumps as far as one bytes comparison matches, any other frontier takes
+    (``_read_step``): a one-node frontier whose sole successor matches
+    jumps along sole successors as far as the read matches, an id run at a
+    time by one bytes comparison (the runs come from one table, built with
+    the successor lists on the first sparse word), any other frontier takes
     one step along its successor arcs.  So a read costs its live nodes and
-    the chains it crosses, not n per position.  A read whose frontier grows
-    past that share again (a homopolymer, a fan of branches) returns to the
-    dense step as a one-read word from its position.  A read whose bit
-    clears at position j scores j, and its end nodes are the nodes holding
-    its bit at position j-1.
+    the runs and hops it crosses, not n per position.  A read whose
+    frontier grows past that share again (a homopolymer, a fan of branches)
+    returns to the dense step as a one-read word from its position.  A
+    read whose bit clears at position j scores j, and its end nodes are the
+    nodes holding its bit at position j-1.
 
     Results are exact (they equal ``align_reference``), and ``windows`` is
     the count ``align_windowed`` reports at width W, derived as the module
@@ -339,7 +341,7 @@ def align_read_parallel(g: GenomeGraph, queries, W: int) -> list:
     rest = g.pred_idx[keep].astype(np.intp)
     rest_starts = np.zeros(multi.size, dtype=np.intp)
     np.cumsum(counts[multi][:-1] - 1, out=rest_starts[1:])
-    sparse = None  # _read_step's successor lists and chain memo, made on first use
+    sparse = None  # _read_step's successor lists and id runs, made on first use
 
     scored = [None] * len(codes)  # (score, end nodes) per query
     # dense words to run: their reads, first position, and the nodes where
@@ -380,9 +382,13 @@ def align_read_parallel(g: GenomeGraph, queries, W: int) -> list:
             continue
         # sparse: one frontier per pending read, each read finished alone
         if sparse is None:
-            head = node_code[g.succ_idx]
-            head[head == 4] = 5  # no read byte has code 5: graph 'N' matches none
-            sparse = (g.succ_ptr.tolist(), g.succ_idx.tolist(), head.tolist(), {})
+            spelled = node_code.astype(np.uint8)
+            spelled[spelled == 4] = 5  # no read byte has code 5: graph 'N' matches none
+            plus = np.diff(g.succ_ptr) == 1  # sole successor, and it is x+1
+            plus[plus] = g.succ_idx[g.succ_ptr[:-1][plus]] == np.flatnonzero(plus) + 1
+            stops = np.flatnonzero(~plus)  # holds n-1, which has no x+1
+            sparse = (g.succ_ptr.tolist(), g.succ_idx.tolist(),
+                      spelled.tobytes(), stops.tolist())
         live = np.flatnonzero(prev[:n])
         bits = np.unpackbits(
             prev[live].astype("<u8").view(np.uint8).reshape(-1, 8),

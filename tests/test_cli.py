@@ -395,7 +395,10 @@ def test_gen_and_sweep_outputs_keep_their_digests(tmp_path, monkeypatch):
 
 # SHA-256 of what apsp, s2g and each plan kind write, run.json included;
 # inputs and --out are relative to the test's directory, because run.json
-# records both
+# records both.  The exact 1,500 bp reads of genome-long reach the scorer's
+# sparse phase and cross whole runs of sole successors there.
+_GEN_LONG = ("gen", "genome", "--bases", 3000, "--bubble-rate", 0.03,
+             "--reads", 3, "--read-len", 1500, "--sub-rate", 0, "--seed", 8)
 _RUN_CMDS = {
     "apsp": ("apsp", "--graph", "er/graph.edges", "--max-tile", 64, "--model"),
     "s2g": ("s2g", "--graph", "genome/graph.gfa", "--reads", "genome/reads.fa",
@@ -403,6 +406,8 @@ _RUN_CMDS = {
     "plan-apsp": ("plan", "apsp", "--graph", "er/graph.edges", "--max-tile", 64),
     "plan-s2g": ("plan", "s2g", "--graph", "genome/graph.gfa",
                  "--reads", "genome/reads.fa"),
+    "s2g-long": ("s2g", "--graph", "genome-long/graph.gfa",
+                 "--reads", "genome-long/reads.fa", "--mode", "long", "--model"),
 }
 _RUN_PINNED = {
     "apsp/cost.csv": "3f9d34df2fc42ec9c4d54151f0d3d4ee44659d213fcc7324e9c227beff2c9e95",
@@ -417,6 +422,9 @@ _RUN_PINNED = {
     "plan-apsp/run.json": "88f2337667fb9d01a26dbf0136e1e0fbf04dfdc4716fc7c2b7668cb35a9a5a85",
     "plan-s2g/plan.json": "9c6dcec38d5b74c7f6c0f1b06c12f8594605075a6105256ae1ceae5954b0b5b5",
     "plan-s2g/run.json": "cec94ec7b01baaa109c2a6d75ae1d559e5f4a9210f9663a84a28a1c906232734",
+    "s2g-long/model.json": "df94bebac64c66059073d6c377c615445d615fe04edcc3069ab06065708bd6a7",
+    "s2g-long/run.json": "c7d2b91dbfebda29daebc798fe7890df33f785061c650875fd9941e0845e5e67",
+    "s2g-long/scores.tsv": "b6d689865712a36fd2902275b43c8485e8f5c03d54e85cd080bca81700bc4b3f",
 }
 
 
@@ -424,6 +432,7 @@ def test_apsp_s2g_and_plan_run_files_keep_their_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in (_GEN_SWEEP_CMDS[0], _GEN_SWEEP_CMDS[2]):  # gen er, gen genome
         assert run(*argv, "--out", argv[1]) == 0, argv
+    assert run(*_GEN_LONG, "--out", "genome-long") == 0
     for out, argv in _RUN_CMDS.items():
         assert run(*argv, "--out", out) == 0, argv
     got = {

@@ -295,7 +295,7 @@ def crossover(request, monkeypatch):
 @pytest.fixture
 def frontier_sizes(monkeypatch):
     """(live nodes in, live nodes out) of every sparse step of a read; a
-    jump along a chain is one step."""
+    jump across id runs and hops of sole successors is one step."""
     sizes = []
     step = s2g._read_step
 
@@ -426,9 +426,7 @@ def spell(n, seed, first=""):
     return first + "".join(rng.choice(list("ACGT"), size=n - len(first)))
 
 
-def test_sparse_jumps_stop_at_n_and_at_read_and_run_ends(
-    crossover, frontier_sizes, monkeypatch
-):
+def test_sparse_jumps_stop_at_n_and_at_read_and_run_ends(crossover, frontier_sizes):
     # a 40-node run with 'N' at node 20 forks after node 39 into two runs
     run = spell(40, 16)
     run = run[:20] + "N" + run[21:]
@@ -439,29 +437,33 @@ def test_sparse_jumps_stop_at_n_and_at_read_and_run_ends(
         + [(39, 40), (39, 50)]
         + [(i, i + 1) for i in (*range(40, 49), *range(50, 59))],
     )
-    entries = []  # (entry node, nodes needed) of each chain lookup
-    chain = s2g._chain
-
-    def chain_spy(u, need, *args):
-        entries.append((u, need))
-        return chain(u, need, *args)
-
-    monkeypatch.setattr(s2g, "_chain", chain_spy)
     after_n = run[21:]
+    off = "ACGT"[("ACGT".index(after_n[12]) + 1) % 4]
     queries = [
         run[:20] + "N" + run[21:30],  # a read 'N' under the graph 'N'
         run[:20] + "A" + run[21:30],
         after_n[:14],  # ends mid-run
         after_n,  # ends on the run's last node
-        after_n + x[:5],  # re-enters node 29's memo needing more of it
+        after_n[:12] + off + after_n[13:],  # leaves the run mid-way
+        after_n + x[:5],  # takes the fork, then part of a second run
         after_n + y,  # to a sink
     ]
     got = assert_matches_oracle(g, queries)
-    assert [r.score_max for r in got] == [20, 20, 14, 19, 24, 29]
-    assert [r.lowest_end for r in got] == [19, 19, 34, 39, 44, 59]
+    assert [r.score_max for r in got] == [20, 20, 14, 19, 12, 24, 29]
+    assert [r.lowest_end for r in got] == [19, 19, 34, 39, 32, 44, 59]
     assert bool(frontier_sizes) == (crossover > 0)
     if crossover:
-        assert (29, 5) in entries and (29, 15) in entries
+        # each read goes sparse on one node at position 8 and crosses what
+        # it matches of each run in one step: after_n nodes 30-39 at once;
+        # a read stopped by a mismatch takes one more step, which clears it,
+        # and the fork is one set step between two jumps
+        steps = []
+        for q in queries:
+            frontier_sizes.clear()
+            assert_matches_oracle(g, [q])
+            steps.append(frontier_sizes.copy())
+        assert [len(s) for s in steps] == [2, 2, 1, 1, 2, 3, 3]
+        assert all(s[0] == (1, 1) for s in steps)
 
 
 def test_sparse_steps_through_one_node_branches(crossover, frontier_sizes):
@@ -493,6 +495,44 @@ def test_sparse_steps_through_one_node_branches(crossover, frontier_sizes):
     assert bool(frontier_sizes) == (crossover > 0)
     if crossover:
         assert (2, 1) in frontier_sizes  # both A branches step to their join
+
+
+def test_results_do_not_depend_on_node_numbering(crossover, frontier_sizes):
+    # Renumbered at random, nearly every sole successor is a hop off the id
+    # runs; with the segments listed in reverse, every join between
+    # segments is.  Scores and end nodes stay the oracle's, and equal the
+    # first numbering's mapped through the renumbering.
+    text = gen_genome(3000, 0.03, seed=24)[0]
+    g = parse_gfa(text)
+    queries = [q for _, q in gen_reads(g, 3, 1500, 0.0, seed=25)]
+    queries += [q for _, q in gen_reads(g, 3, 1500, 0.002, seed=26)]
+    queries += [q for _, q in gen_reads(g, 16, 150, 0.02, seed=27)]
+    want = assert_matches_oracle(g, queries, W=128)
+
+    shuffle = np.random.default_rng(28).permutation(g.n)
+    bases = np.empty(g.n, dtype=np.uint8)
+    bases[shuffle] = g.bases
+    src = np.repeat(np.arange(g.n), np.diff(g.succ_ptr))
+    arcs = np.column_stack((shuffle[src], shuffle[g.succ_idx]))
+    shuffled = genome_graph(bases.tobytes().decode(), arcs)
+
+    lines = text.splitlines()
+    segs = [ln for ln in lines if ln.startswith("S")]
+    links = [ln for ln in lines if ln.startswith("L")]
+    flipped = parse_gfa("\n".join(segs[::-1] + links))
+    lengths = np.array([len(ln.split("\t")[2]) for ln in segs])
+    # each segment's first id once flipped, less its first id before
+    shift = np.cumsum(lengths[::-1])[::-1] - np.cumsum(lengths)
+    flip = np.arange(g.n) + np.repeat(shift, lengths)
+
+    for h, to_h in ((shuffled, shuffle), (flipped, flip)):
+        assert np.array_equal(h.bases[to_h], g.bases)
+        got = assert_matches_oracle(h, queries, W=128)
+        assert [r.score_max for r in got] == [r.score_max for r in want]
+        for r, w in zip(got, want):
+            assert r.end_nodes.tolist() == sorted(to_h[w.end_nodes].tolist())
+    assert sum(r.score_max == 1500 for r in want) >= 3
+    assert bool(frontier_sizes) == (crossover > 0)
 
 
 def test_base_tables_match_a_bitwise_build():
