@@ -205,10 +205,17 @@ def _assemble_level(d: np.ndarray, lv, closure: np.ndarray) -> None:
     It is associated in two products per component with a boundary: per
     column component ``c``, ``y[:, c] = closure[:, b(c)] (x) d[b(c), c]``
     (``y`` is |union| x n), then per row component ``d[c] = min(d[c],
-    d[c, b(c)] (x) y[b(c)])``.  Every product starts from the sentinel, so
-    no stored value exceeds it and no sum of two wraps.  Columns of a
-    component without a boundary stay at the sentinel in ``y``, so its
-    cross blocks, which hold no arc, stay unreachable.
+    d[c, b(c)] (x) y[b(c)])``.  The row step min-accumulates into ``d`` by
+    row id, so no product buffer or full row block is made.  Both steps
+    run through :func:`min_plus_product`, in 16 bits when their operands'
+    largest finite entries sum below 2^15 - 1 and in ``uint32`` otherwise.
+    Saturation holds at either width: ``y`` starts at the sentinel, and
+    every write is the minimum of a stored entry and a candidate, so no
+    stored value exceeds the sentinel.  A candidate sums two stored
+    entries, below 2^32, or two entries clamped to 2^15 - 1, below 2^16,
+    so no sum wraps.  Columns of a component
+    without a boundary stay at the sentinel in ``y``, so its cross blocks,
+    which hold no arc, stay unreachable.
     """
     part, bset = lv.partition, lv.boundaries
     comps = [
@@ -219,9 +226,7 @@ def _assemble_level(d: np.ndarray, lv, closure: np.ndarray) -> None:
     for ids, b, pos in comps:
         y[:, ids] = min_plus_product(closure[:, pos], d[np.ix_(b, ids)])
     for ids, b, pos in comps:
-        rows = d[ids]
-        np.minimum(rows, min_plus_product(rows[:, b], y[pos]), out=rows)
-        d[ids] = rows
+        min_plus_product(d[np.ix_(ids, b)], y[pos], out=d, rows=ids)
 
 
 def recursive_apsp(g: WeightedGraph, max_tile: int) -> ApspResult:

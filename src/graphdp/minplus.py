@@ -1,25 +1,31 @@
 """Min-plus (tropical) kernels over saturating 32-bit distance blocks.
 
-All kernels take and return ``uint32`` dense matrices whose entries lie in
-``[0, INF_SENTINEL]``; the sentinel (2^31-1) means "unreachable".
-``uint32`` arithmetic is exact here: a candidate is the sum of two stored
-values, at most 2 * (2^31-1) = 2^32-2, so it never wraps, and every stored
-entry is the minimum of an in-range incumbent and a candidate, so stored
-values never exceed the sentinel (saturation by construction).  Inputs in
-any other dtype are range-checked in that dtype before the cast, so an
-out-of-range value is rejected instead of wrapping.  Writes follow a
-strict-improvement discipline: an entry changes only when the candidate is
-strictly smaller, so ties keep the incumbent and repeated closure passes
-are byte-stable.
+Both kernels take distance matrices whose entries lie in
+``[0, INF_SENTINEL]`` and return ``uint32`` ones; the sentinel (2^31-1)
+means "unreachable".  ``uint32`` arithmetic is exact here: a candidate is
+the sum of two stored values, at most 2 * (2^31-1) = 2^32-2, so it never
+wraps, and every stored entry is the minimum of an in-range incumbent and
+a candidate, so stored values never exceed the sentinel (saturation by
+construction).  Inputs in any other dtype are range-checked in that dtype
+before the cast, so an out-of-range value is rejected instead of wrapping.
+Writes follow a strict-improvement discipline: an entry changes only when
+the candidate is strictly smaller, so ties keep the incumbent and repeated
+closure passes are byte-stable.
 
-The closure computes in 16 bits when its result provably fits: it clamps
-the input to the narrow sentinel 2^15-1 in a ``uint16`` matrix, where the
-same argument shows no sum wraps, closes that, and widens the result back
-to ``uint32`` with the 2^31-1 sentinel.  When the fit test fails, it
-closes in ``uint32`` (see :func:`floyd_warshall_dense`).  Its results and
-the engine's storage stay ``uint32`` either way.  By default the closure
-returns a new matrix; ``inplace=True`` writes the result into the
-caller's ``uint32`` input.
+Both kernels compute in 16 bits when that is provably exact, clamping
+their operands to the narrow sentinel 2^15-1 in ``uint16``, where the same
+argument shows no sum wraps.  The closure closes the clamped matrix and
+widens the result back to ``uint32`` with the 2^31-1 sentinel when the
+result fits (see :func:`floyd_warshall_dense`); by default it returns a
+new matrix, and ``inplace=True`` writes the result into the caller's
+``uint32`` input.  The product runs narrow when the largest finite entries
+of its operands sum below 2^15-1, and never writes a narrow candidate
+that reaches the narrow sentinel (see :func:`min_plus_product`).  It
+either returns a new matrix that starts at the sentinel or min-accumulates
+into a caller's ``uint32`` matrix, optionally into chosen rows of it, so
+a level correction needs no product buffer.  When a fit test fails, the
+kernel runs in ``uint32``.  Results and the engine's storage stay
+``uint32`` either way.
 
 At either width the closure has two phases.  Floyd-Warshall
 is exact in any pivot order, and pivot ``k`` can improve ``d[i, j]`` only
@@ -43,7 +49,8 @@ from .graphs import INF_SENTINEL
 
 # the strip loop builds each pivot's candidates one strip of rows at a
 # time, in a buffer of this many bytes (256 KiB) that stays in cache; the
-# other passes over the matrix take strips of this many cells
+# other passes over the matrix, and the product, take strips of this many
+# cells
 _FW_STRIP_BYTES = 1 << 18
 _FW_STRIP_CELLS = 1 << 16
 
@@ -53,7 +60,7 @@ _FW_STRIP_CELLS = 1 << 16
 _SPARSE_MIN_DIM = 512
 _SPARSE_SWITCH = 0.2
 
-# the sentinel of the 16-bit closure: a candidate is at most 2 * (2^15 - 1),
+# the sentinel of the 16-bit kernels: a candidate is at most 2 * (2^15 - 1),
 # which fits uint16, so narrow storage saturates as uint32 storage does
 _NARROW_SENTINEL = (1 << 15) - 1
 
@@ -128,7 +135,7 @@ def floyd_warshall_dense(d: np.ndarray, inplace: bool = False) -> np.ndarray:
     # the clamp runs with the scan for w, so it is wasted when w >= S
     for r0 in range(0, n, rows):
         s = d[r0 : r0 + rows]
-        w = max(w, int(s[s < INF_SENTINEL].max(initial=0)))
+        w = max(w, _finite_max(s))
         np.minimum(s, _NARROW_SENTINEL, out=narrow[r0 : r0 + rows], casting="unsafe")
     if w < _NARROW_SENTINEL:
         _close(narrow, _NARROW_SENTINEL)
@@ -235,20 +242,95 @@ def _sparse_pivots(out: np.ndarray, sentinel: int) -> np.ndarray:
     return np.flatnonzero(~done)
 
 
-def min_plus_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tropical matrix product: out[i,j] = min_k a[i,k] + b[k,j].
+def min_plus_product(a, b, out=None, rows=None) -> np.ndarray:
+    """Tropical matrix product: ``(a (x) b)[i, j] = min_k a[i, k] + b[k, j]``.
 
-    Entries of ``a`` and ``b`` must lie in ``[0, INF_SENTINEL]``.  The
-    result is ``uint32``, starts at the sentinel (so it saturates there) and
-    is built through one reused candidate buffer.
+    The one product kernel.  Entries of ``a`` and ``b`` must lie in
+    ``[0, INF_SENTINEL]``.  Without ``out`` the result is a new ``uint32``
+    matrix that starts at the sentinel, so it saturates there.  With
+    ``out``, a ``uint32`` matrix, the product is min-accumulated into it
+    in place and ``out`` is returned: row ``i`` of the product updates
+    ``out[i]``, or ``out[rows[i]]`` when ``rows``, distinct row ids, is
+    given, so a caller can correct chosen rows of a large matrix without
+    gathering them whole.  ``out`` is not scanned, and an entry changes
+    only when a candidate is strictly smaller.
+
+    The product computes in 16 bits when every finite candidate fits: let
+    ``wa`` and ``wb`` be the largest finite entries of ``a`` and ``b``.
+    If ``wa + wb < S`` (``S`` = ``_NARROW_SENTINEL``), both operands are
+    clamped to ``S`` in ``uint16``.  Every finite candidate is then its
+    true sum, below ``S``; a candidate with a sentinel term is at least
+    ``S`` and is never written.  Otherwise the product runs in ``uint32``,
+    where a candidate is at most 2^32 - 2 and never wraps.  See
+    :func:`_accumulate` for the strip loop both widths run.
     """
     a = _as_distances(a)
     b = _as_distances(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise BlockShapeError("inner dimensions differ")
-    out = np.full((a.shape[0], b.shape[1]), INF_SENTINEL, dtype=np.uint32)
-    cand = np.empty_like(out)
-    for k in range(a.shape[1]):
-        np.add(a[:, k, None], b[None, k, :], out=cand)
-        np.minimum(out, cand, out=out)
+    if out is None:
+        if rows is not None:
+            raise BlockShapeError("row ids need an out= matrix to update")
+        out = np.full((a.shape[0], b.shape[1]), INF_SENTINEL, dtype=np.uint32)
+    elif (
+        not isinstance(out, np.ndarray)
+        or out.dtype != np.uint32
+        or out.ndim != 2
+        or out.shape[1] != b.shape[1]
+        or (rows is None and out.shape[0] != a.shape[0])
+        or (rows is not None and len(rows) != a.shape[0])
+    ):
+        raise BlockShapeError("out= must be a uint32 matrix of the product shape")
+    if _finite_max(a) + _finite_max(b) < _NARROW_SENTINEL:
+        a, b = _clamp_narrow(a), _clamp_narrow(b)
+        _accumulate(a, b, out, rows, _NARROW_SENTINEL)
+    else:
+        _accumulate(a, b, out, rows, INF_SENTINEL)
     return out
+
+
+def _finite_max(d: np.ndarray) -> int:
+    """The largest entry of ``d`` below the sentinel, 0 if there is none."""
+    return int(d[d < INF_SENTINEL].max(initial=0))
+
+
+def _clamp_narrow(d: np.ndarray) -> np.ndarray:
+    """``min(d, S)`` as ``uint16``."""
+    narrow = np.empty(d.shape, dtype=np.uint16)
+    np.minimum(d, _NARROW_SENTINEL, out=narrow, casting="unsafe")
+    return narrow
+
+
+def _accumulate(a, b, out, rows, sentinel: int) -> None:
+    """Min-accumulate ``a (x) b`` into ``out`` (or its rows ``rows``) in
+    place, where ``a`` and ``b`` share one unsigned dtype in which no sum of
+    two entries wraps, and no candidate at or above ``sentinel`` is written.
+
+    Each strip of ``_FW_STRIP_CELLS`` product cells takes its best
+    candidate over k in ``a``'s dtype, through two reused buffers, then
+    gathers its rows of ``out``, takes the minimum with the best, only
+    where the best is below the sentinel if any is not, and scatters the
+    rows back, so the gather, the k loop and the scatter stay in cache.
+    """
+    m, inner = a.shape
+    n = b.shape[1]
+    if m == 0 or inner == 0 or n == 0:
+        return
+    step = _strip_rows(n, _FW_STRIP_CELLS)
+    best = np.empty((min(step, m), n), dtype=a.dtype)
+    cand = np.empty_like(best)
+    for r0 in range(0, m, step):
+        ak = a[r0 : r0 + step]
+        bs, c = best[: ak.shape[0]], cand[: ak.shape[0]]
+        np.add(ak[:, 0, None], b[None, 0], out=bs)
+        for k in range(1, inner):
+            np.add(ak[:, k, None], b[None, k], out=c)
+            np.minimum(bs, c, out=bs)
+        ids = slice(r0, r0 + step) if rows is None else rows[r0 : r0 + step]
+        strip = out[ids]
+        if bs.max() < sentinel:
+            np.minimum(strip, bs, out=strip)
+        else:
+            np.minimum(strip, bs, out=strip, where=bs < sentinel)
+        if rows is not None:
+            out[ids] = strip

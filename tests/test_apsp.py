@@ -23,7 +23,8 @@ from graphdp.graphs import (
     gen_er,
     gen_nws,
 )
-from graphdp.minplus import INF_SENTINEL
+import graphdp.minplus as minplus
+from graphdp.minplus import _NARROW_SENTINEL, INF_SENTINEL
 from graphdp.partition import build_hierarchy
 from oracles import dijkstra_oracle as fw_oracle
 from oracles import disjoint_copies
@@ -453,11 +454,11 @@ def test_near_sentinel_bridges_close_exactly(monkeypatch):
     largest = []
     real = engine.min_plus_product
 
-    def product(a, b):
+    def product(a, b, out=None, rows=None):
         # the largest candidate a[i, k] + b[k, j] the product forms
         a64, b64 = a.astype(np.int64), b.astype(np.int64)
         largest.append(int((a64.max(axis=0) + b64.max(axis=1)).max()))
-        return real(a, b)
+        return real(a, b, out=out, rows=rows)
 
     monkeypatch.setattr(engine, "min_plus_product", product)
     res = recursive_apsp(g, max_tile=16)
@@ -467,6 +468,46 @@ def test_near_sentinel_bridges_close_exactly(monkeypatch):
     assert max(largest) == 2 * INF_SENTINEL == 2**32 - 2
     assert np.array_equal(res.dist, fw_oracle(g))
     assert (res.dist > MAX_WEIGHT).any() and (res.dist < INF_SENTINEL).any()
+
+
+def record_product_widths(monkeypatch) -> list:
+    """Log the dtype every min-plus product of the engine computes in."""
+    log = []
+    real = minplus._accumulate
+
+    def accumulate(a, b, out, rows, sentinel):
+        log.append(a.dtype)
+        real(a, b, out, rows, sentinel)
+
+    monkeypatch.setattr(minplus, "_accumulate", accumulate)
+    return log
+
+
+def test_level_distances_past_the_narrow_sentinel_correct_in_32_bits(monkeypatch):
+    # clusters joined by bridges of about 20,000: one bridge fits 16 bits,
+    # and a path over two or more crosses 2^15 - 1, so the correction's
+    # products must fall back to uint32
+    size = 12
+    base = gen_clustered(6, size, seed=6)
+    bridge = base.src // size != base.dst // size
+    w = np.where(bridge, 20_000 + base.w, base.w)
+    g = WeightedGraph(base.n, base.src, base.dst, w)
+    log = record_product_widths(monkeypatch)
+    res = recursive_apsp(g, max_tile=16)
+    assert res.trace.mode == "dense"
+    assert np.uint32 in log
+    want = fw_oracle(g)
+    assert np.array_equal(res.dist, want)
+    assert (want[want < INF_SENTINEL] > _NARROW_SENTINEL).any()
+
+
+def test_benchmark_clustered_graph_corrects_in_16_bits(monkeypatch):
+    # every finite operand of this graph's corrections is far below
+    # 2^15 - 1, so a fall back to 32 bits would only cost time
+    log = record_product_widths(monkeypatch)
+    res = recursive_apsp(gen_clustered(32, 64, 3, groups=4), max_tile=256)
+    assert res.trace.mode == "dense"
+    assert log and set(log) == {np.dtype(np.uint16)}
 
 
 def test_dense_result_is_uint32_and_loads_back_as_int64(tmp_path):

@@ -405,3 +405,104 @@ def test_closure_near_both_sentinels_matches_int64(d):
     out = floyd_warshall_dense(wide, inplace=True)
     assert out is wide and out.dtype == np.uint32
     assert np.array_equal(out, want)
+
+
+# ---------------------------------------------------------------------------
+# The product's accumulate form and its 16-bit path
+# ---------------------------------------------------------------------------
+
+
+def record_product_widths(monkeypatch) -> list:
+    """Log the dtype every product computes in, in call order."""
+    log = []
+    real = minplus._accumulate
+
+    def accumulate(a, b, out, rows, sentinel):
+        log.append(a.dtype)
+        real(a, b, out, rows, sentinel)
+
+    monkeypatch.setattr(minplus, "_accumulate", accumulate)
+    return log
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_accumulate_matches_int64(seed):
+    rng = np.random.default_rng(seed)
+    for m, k, n in ((1, 1, 1), (3, 5, 4), (40, 3, 2000), (7, 6, 33)):
+        for small in (True, False):
+            if small:  # finite entries that fit the 16-bit product
+                pool = np.array([0, 1, 7, 300, S // 4, INF_SENTINEL])
+                a = pool[rng.integers(0, pool.size, (m, k))]
+                b = pool[rng.integers(0, pool.size, (k, n))]
+            else:
+                a, b = _near_sentinel(rng, (m, k)), _near_sentinel(rng, (k, n))
+            start = _near_sentinel(rng, (m, n)).astype(np.uint32)
+            want = np.minimum(start, _product_int64(a, b))
+            out = start.copy()
+            assert min_plus_product(a, b, out=out) is out
+            assert np.array_equal(out, want)
+            # the same rows scattered through a taller matrix, by row id
+            tall = _near_sentinel(rng, (2 * m + 3, n)).astype(np.uint32)
+            rows = rng.permutation(tall.shape[0])[:m]
+            expect = tall.copy()
+            expect[rows] = np.minimum(tall[rows], _product_int64(a, b))
+            assert min_plus_product(a, b, out=tall, rows=rows) is tall
+            assert np.array_equal(tall, expect)
+
+
+@pytest.mark.parametrize("wb, width", [
+    (S - 1 - 1_000, np.uint16),   # wa + wb = S - 1
+    (S - 1_000, np.uint32),       # wa + wb = S
+])
+def test_the_product_fit_test_is_tight(monkeypatch, wb, width):
+    log = record_product_widths(monkeypatch)
+    INF = INF_SENTINEL
+    a = np.array([[1_000, INF, INF], [INF, 5, 2]], dtype=np.int64)
+    b = np.array([[wb, INF, 3], [1, wb, INF], [INF, 4, 0]], dtype=np.int64)
+    assert np.array_equal(min_plus_product(a, b), _product_int64(a, b))
+    out = np.full((2, 3), 40_000, dtype=np.uint32)
+    want = np.minimum(out, _product_int64(a, b))
+    assert np.array_equal(min_plus_product(a, b, out=out), want)
+    assert log == [width, width]
+    assert want[0, 0] == 1_000 + wb
+
+
+def test_narrow_product_leaves_unbeaten_entries_alone(monkeypatch):
+    # every candidate of column 0 has a sentinel term, and column 1's only
+    # finite candidate is 9: entries at or above S, and the sentinel, must
+    # survive where nothing beats them, though the clamped sums reach S
+    log = record_product_widths(monkeypatch)
+    INF = INF_SENTINEL
+    a = np.array([[0, INF], [INF, 3], [2, 2]], dtype=np.int64)
+    b = np.array([[INF, 7], [INF, INF]], dtype=np.int64)
+    out = np.array([[S, S + 1], [40_000, 2], [INF, INF]], dtype=np.uint32)
+    min_plus_product(a, b, out=out)
+    assert log == [np.uint16]
+    assert out.tolist() == [[S, 7], [40_000, 2], [INF, 9]]
+
+
+def test_zero_inner_dimension():
+    a = np.zeros((3, 0), dtype=np.uint32)
+    b = np.zeros((0, 4), dtype=np.uint32)
+    assert np.all(min_plus_product(a, b) == INF_SENTINEL)
+    out = np.arange(12, dtype=np.uint32).reshape(3, 4)
+    assert np.array_equal(min_plus_product(a, b, out=out.copy()), out)
+
+
+def test_a_bad_out_matrix_is_refused():
+    a = np.ones((2, 3), dtype=np.uint32)
+    b = np.ones((3, 4), dtype=np.uint32)
+    for out in (
+        np.zeros((2, 4), dtype=np.int64),
+        np.zeros((2, 4), dtype=np.uint16),
+        np.zeros((2, 5), dtype=np.uint32),
+        np.zeros((3, 4), dtype=np.uint32),
+        np.zeros(8, dtype=np.uint32),
+        [[0] * 4] * 2,
+    ):
+        with pytest.raises(BlockShapeError):
+            min_plus_product(a, b, out=out)
+    with pytest.raises(BlockShapeError):
+        min_plus_product(a, b, out=np.zeros((5, 4), np.uint32), rows=[0, 1, 2])
+    with pytest.raises(BlockShapeError):
+        min_plus_product(a, b, rows=[0, 1])
