@@ -676,40 +676,37 @@ def make_tile_workload(n: int = _TILE_WORKLOAD_N) -> WeightedGraph:
     necks of scales >= N/256 and the boundary set shrinks as tiles grow
     while recursion deepens as they shrink.  Only the arcs matter to the
     sweep, so every arc weighs 0; the arcs come sorted by ``(src, dst)``.
+    The clique arcs are laid out in that order, and the few neck arcs,
+    sorted among themselves, are inserted where they belong.
     """
     cliques = n // _CLIQUE
-    srcs = []
-    dsts = []
+    starts = np.arange(cliques, dtype=np.int64)[:, None] * _CLIQUE
+    ii, jj = np.nonzero(~np.eye(_CLIQUE, dtype=bool))
+    src = (starts + ii).ravel()
+    dst = (starts + jj).ravel()
 
-    base = np.arange(_CLIQUE, dtype=np.int64)
-    ii, jj = np.meshgrid(base, base)
-    mask = ii != jj
-    ci, cj = ii[mask], jj[mask]
-    starts = np.arange(cliques, dtype=np.int64) * _CLIQUE
-    srcs.append((starts[:, None] + ci[None, :]).ravel())
-    dsts.append((starts[:, None] + cj[None, :]).ravel())
-
-    neck_a = []
-    neck_b = []
-    for c in range(1, cliques):
-        tail = (c - 1) * _CLIQUE
-        head = c * _CLIQUE
-        prof = _gateway_profile(c)
-        if prof is None:
-            prof = [(14, 0), (15, 1)]
-        for ta, hb in prof:
-            neck_a.append(tail + ta)
-            neck_b.append(head + hb)
-    a = np.asarray(neck_a, dtype=np.int64)
-    b = np.asarray(neck_b, dtype=np.int64)
-    srcs.extend([a, b])
-    dsts.extend([b, a])
-
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
+    # a plain neck joins tail offsets 14 and 15 of clique c - 1 to head
+    # offsets 0 and 1 of clique c; the scale boundaries follow the profile
+    head = np.arange(1, cliques, dtype=np.int64)
+    head = head[head % 16 != 0] * _CLIQUE
+    grid = np.array(
+        [
+            ((c - 1) * _CLIQUE + ta, c * _CLIQUE + hb)
+            for c in range(16, cliques, 16)
+            for ta, hb in _gateway_profile(c)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    a = np.concatenate([head - 2, head - 1, grid[:, 0]])
+    b = np.concatenate([head, head + 1, grid[:, 1]])
     # no arc repeats: clique arcs stay inside one clique, and each neck pair
     # joins two consecutive cliques once per direction
-    src, dst = np.divmod(np.sort(src * np.int64(n) + dst), n)
+    neck = np.sort(np.concatenate([a * n + b, b * n + a]))
+    s, d = np.divmod(neck, n)
+    # vertex s's 15 clique arcs start at 15 * s; a neck arc to an earlier
+    # clique goes before them, one to a later clique after them
+    at = (_CLIQUE - 1) * (s + (d > s))
+    src, dst = np.insert(src, at, s), np.insert(dst, at, d)
     return WeightedGraph(n, src, dst, np.zeros(src.size, dtype=np.int64))
 
 
@@ -759,8 +756,9 @@ def sweep_tile_size(Ns, g: WeightedGraph | None = None, p: PcmParams | None = No
     counts) and prices it with the occupancy model; results are normalized
     to the N that :func:`tile_reference` picks from ``Ns``.  Every N
     partitions the same level-0 graph, so its structural graph is built
-    once and shared, with the CSR and clusters the partitioner derives
-    from it.
+    once and shared, with the CSR, the clusters and their bundled cluster
+    graph that the partitioner derives from it: an N whose cap does not
+    bind the clusters reuses them, bundles and all.
     """
     if not Ns:
         raise ValidationError("no tile sizes to sweep")

@@ -35,7 +35,7 @@ it can never be strictly smaller.  A large input therefore starts with a
 sparse phase that pivots the vertex with the fewest finite rows times
 finite columns first and updates only that block, as fill-reducing orders
 do in sparse elimination.  Once the cheapest pivot left would cover a
-fifth of the matrix (on a dense input, at once), or for a small input
+twentieth of the matrix (on a dense input, at once), or for a small input
 from the start, the strip loop pivots every row.  The closed distances are
 unique, so the result does not depend on which phase ran.
 """
@@ -56,9 +56,11 @@ _FW_STRIP_CELLS = 1 << 16
 
 # the sparse pivot phase runs on inputs of at least this dimension, and
 # hands its remaining pivots to the strip loop once the cheapest covers the
-# switch share of the n x n cells
+# switch share of the n x n cells; the strip loop streams 2-byte cells on
+# most inputs, while the sparse phase's gather and scatter cost the same
+# per cell at either width, so the switch comes early
 _SPARSE_MIN_DIM = 512
-_SPARSE_SWITCH = 0.2
+_SPARSE_SWITCH = 0.05
 
 # the sentinel of the 16-bit kernels: a candidate is at most 2 * (2^15 - 1),
 # which fits uint16, so narrow storage saturates as uint32 storage does
@@ -203,8 +205,9 @@ def _sparse_pivots(out: np.ndarray, sentinel: int) -> np.ndarray:
     finite columns, the lowest id on a tie, and min-updates only that
     ``np.ix_`` block, in row strips of ``_FW_STRIP_CELLS``.  The counts
     follow the entries the updates make finite.  Once the cheapest pivot
-    covers ``_SPARSE_SWITCH`` * n^2 cells, the rest go to the strip loop,
-    which does not gather and scatter; a dense input pivots nothing here.
+    covers ``_SPARSE_SWITCH`` * n^2 cells, a twentieth of the matrix, the
+    rest go to the strip loop, which does not gather and scatter; a dense
+    input pivots nothing here.
     """
     n = out.shape[0]
     # finite entries per column (the rows pivot k reaches) and per row (its

@@ -205,14 +205,9 @@ def _bundles(x, y, arcs, m: int):
     return *np.divmod(pair, m), np.bincount(inv, arcs[keep]).astype(np.int64)
 
 
-def _merge_clusters(g: _StructuralGraph, lab, limit: int):
-    """Clusters ``c`` numbered ``0..m-1``, ``m``, and their arc bundles.
-
-    Label propagation leaves a cluster in pieces where two labels met in
-    it.  So each round every cluster joins the one it shares the most arcs
-    with, among larger ones (size, then lower id) with room, unless that
-    one moves too or takes a heavier joiner.
-    """
+def _cluster_graph(g: _StructuralGraph, lab):
+    """The clusters of ``lab`` as ``c``, numbered ``0..m-1``, ``m``, and
+    their arc bundles ``x``, ``y``, ``arcs``, both directions of each."""
     _, c = np.unique(lab, return_inverse=True)
     m = int(c.max()) + 1
     ci = c.astype(_index_dtype(m))
@@ -220,7 +215,20 @@ def _merge_clusters(g: _StructuralGraph, lab, limit: int):
     cross = cs != cd
     a, b = cs[cross].astype(np.int64), cd[cross].astype(np.int64)
     del ci, cs, cd, cross
-    x, y, arcs = _bundles(np.r_[a, b], np.r_[b, a], np.ones(2 * a.size), m)
+    return c, m, *_bundles(np.r_[a, b], np.r_[b, a], np.ones(2 * a.size), m)
+
+
+def _merge_clusters(g: _StructuralGraph, lab, limit: int):
+    """Clusters ``c`` numbered ``0..m-1``, ``m``, and their arc bundles.
+
+    Label propagation leaves a cluster in pieces where two labels met in
+    it.  So each round every cluster joins the one it shares the most arcs
+    with, among larger ones (size, then lower id) with room, unless that
+    one moves too or takes a heavier joiner.  The rounds start from
+    ``g.cluster_graph(lab)``, which ``g`` keeps when ``lab`` is its kept
+    labels, and make new arrays rather than write it.
+    """
+    c, m, x, y, arcs = g.cluster_graph(lab)
     for _ in range(_ROUNDS):
         size = np.bincount(c, minlength=m)
         sx, sy = size[x], size[y]
@@ -363,14 +371,18 @@ class _StructuralGraph:
     is built on first use and kept, and so is the last label propagation
     that the size cap never bound, with the smallest cap under which that
     run is the same: a partition under any cap from there up reuses its
-    labels.  The tile sweep partitions one level-0 graph at every tile
-    size, and its clusters stay below every cap but the smallest.
+    labels.  Next to those labels it keeps their bundled cluster graph,
+    which the cluster merge starts from: built on first use, read-only like
+    the labels, and dropped with them.  Labels of a capped run are never
+    kept, so they get fresh bundles.  The tile sweep partitions one level-0
+    graph at every tile size, and its clusters stay below every cap but the
+    smallest, so only a size whose cap binds labels and bundles it again.
     """
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
         self.n, self.src, self.dst = n, src, dst
         self._csr = None
-        self._clusters = (math.inf, None)
+        self._clusters = (math.inf, None, None)
 
     def csr(self):
         if self._csr is None:
@@ -378,13 +390,26 @@ class _StructuralGraph:
         return self._csr
 
     def labels(self, limit: int):
-        need, lab = self._clusters
+        need, lab, _ = self._clusters
         if limit < need:
             lab, need = _label_propagation(*self.csr(), limit)
             if need <= limit:
                 lab.flags.writeable = False
-                self._clusters = (need, lab)
+                self._clusters = (need, lab, None)
         return lab
+
+    def cluster_graph(self, lab):
+        """``_cluster_graph(self, lab)``, kept when ``lab`` is the kept labels."""
+        need, kept, bundled = self._clusters
+        if lab is not kept:
+            return _cluster_graph(self, lab)
+        if bundled is None:
+            bundled = _cluster_graph(self, lab)
+            c, _, x, y, arcs = bundled
+            for a in (c, x, y, arcs):
+                a.flags.writeable = False
+            self._clusters = (need, kept, bundled)
+        return bundled
 
 
 def kway_partition(

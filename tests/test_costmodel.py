@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 from dataclasses import fields
@@ -574,6 +575,14 @@ def test_sram_sweep_regular_constant():
     assert rows[0][1] == rows[1][1]
 
 
+# sha256 of the tile workload's src.tobytes() + dst.tobytes(): the sweep's
+# hierarchies, and so tilesize.csv, rest on these exact arcs
+_TILE_ARC_DIGESTS = {
+    131072: "4034257d4717ebb0427cc7897baf26b33bb4a02b3679d356a61720d0fc2ecfed",
+    8192: "2f3dc78ffb5e7e8b837f4f3a2d4f6e7f5d38c5ab8ad4c70039d7680ab957a48a",
+}
+
+
 def test_tile_workload_shape():
     g = make_tile_workload()
     assert g.n == 131072
@@ -583,6 +592,10 @@ def test_tile_workload_shape():
     key = g.src * g.n + g.dst
     assert np.all(key[1:] > key[:-1])
     assert not g.w.any()
+    for h in (g, make_tile_workload(8192)):
+        assert h.src.dtype == h.dst.dtype == np.int64
+        digest = hashlib.sha256(h.src.tobytes() + h.dst.tobytes()).hexdigest()
+        assert digest == _TILE_ARC_DIGESTS[h.n], h.n
 
 
 @pytest.fixture(scope="module")
@@ -635,12 +648,21 @@ def test_sweep_pricing_matches_the_event_loop(tile_hierarchies, p):
 
 
 def test_sweep_partitions_as_standalone_builds(monkeypatch):
-    # the sweep shares one level-0 graph, its CSR and its clusters across
-    # tile sizes: N = 16 caps label propagation (a fresh run), N = 64 runs
-    # it uncapped, and 256 and 1024 reuse that run's labels
+    # the sweep shares one level-0 graph, its CSR, its clusters and their
+    # bundles across tile sizes: N = 16 caps label propagation (a fresh
+    # run, freshly bundled), N = 64 runs it uncapped, and 256 and 1024
+    # reuse that run's labels and bundled cluster graph
     g = make_tile_workload(8192)
     Ns = [16, 64, 256, 1024]
-    built, calls = [], []
+    built, calls, bundled = [], [], []
+
+    def bundle(level_graph, lab):
+        if level_graph.n == g.n:
+            bundled.append(level_graph)
+        return cluster_graph(level_graph, lab)
+
+    cluster_graph = partition._cluster_graph
+    monkeypatch.setattr(partition, "_cluster_graph", bundle)
 
     def build(*args, **kwargs):
         built.append(build_hierarchy(*args, **kwargs))
@@ -655,6 +677,13 @@ def test_sweep_partitions_as_standalone_builds(monkeypatch):
     sweep_tile_size(Ns, g=g)
     swept, calls[:] = calls[:], []
     assert [h.max_tile for h in built] == Ns
+    assert len(bundled) == 2 and bundled[0] is bundled[1]
+    # the kept labels answer again with the kept, read-only bundles
+    level0 = bundled[0]
+    c, _, x, y, arcs = level0.cluster_graph(level0.labels(g.n))
+    assert level0.cluster_graph(level0.labels(g.n))[0] is c
+    assert len(bundled) == 2
+    assert not any(a.flags.writeable for a in (c, x, y, arcs))
     for N, hier in zip(Ns, built):
         alone = build_hierarchy(
             g, max_tile=N, k_fn=lambda n, N=N: math.ceil(n / N), imbalance=0.0

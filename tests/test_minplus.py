@@ -128,7 +128,7 @@ def test_sparse_phase_switching_partway_matches_oracle():
 
 def test_sparse_phase_finishes_a_tree_alone():
     # a directed binary out-tree: every vertex reaches only its subtree, so
-    # no pivot ever covers a fifth of the matrix
+    # no pivot ever covers a twentieth of the matrix
     n = 700
     rng = np.random.default_rng(1)
     v = np.arange(1, n)
