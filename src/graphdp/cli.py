@@ -703,6 +703,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as e:  # numpy names the size it could not allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -111,6 +111,8 @@ class HbmParams:
         _check_constants(self)
         if self.sram_banks & (self.sram_banks - 1):
             raise ValidationError("sram_banks must be a power of two")
+        if self.sram_banks > 1 << 32:  # the bank hash has 32 bits
+            raise ValidationError("sram_banks must be at most 2^32")
 
     @property
     def bw_per_pu(self) -> float:

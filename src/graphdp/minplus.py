@@ -132,13 +132,7 @@ def floyd_warshall_dense(d: np.ndarray, inplace: bool = False) -> np.ndarray:
         raise BlockShapeError("an in-place closure needs a uint32 matrix")
     n = d.shape[0]
     rows = _strip_rows(n, _FW_STRIP_CELLS)
-    narrow = np.empty((n, n), dtype=np.uint16)
-    w = 0
-    # the clamp runs with the scan for w, so it is wasted when w >= S
-    for r0 in range(0, n, rows):
-        s = d[r0 : r0 + rows]
-        w = max(w, _finite_max(s))
-        np.minimum(s, _NARROW_SENTINEL, out=narrow[r0 : r0 + rows], casting="unsafe")
+    w, narrow = _narrow(d)
     if w < _NARROW_SENTINEL:
         _close(narrow, _NARROW_SENTINEL)
         # a shortest path has at most n - 1 arcs, so no exact entry exceeds
@@ -148,7 +142,7 @@ def floyd_warshall_dense(d: np.ndarray, inplace: bool = False) -> np.ndarray:
             top = 0
             for r0 in range(0, n, rows):
                 s = narrow[r0 : r0 + rows]
-                top = max(top, int(s[s < _NARROW_SENTINEL].max(initial=0)))
+                top = max(top, int(s.max(where=s < _NARROW_SENTINEL, initial=0)))
         if top + w < _NARROW_SENTINEL:
             out = d if inplace else np.empty((n, n), dtype=np.uint32)
             for r0 in range(0, n, rows):
@@ -165,6 +159,19 @@ def floyd_warshall_dense(d: np.ndarray, inplace: bool = False) -> np.ndarray:
 def _strip_rows(n: int, cells: int) -> int:
     """Rows per strip of about ``cells`` cells of an n-column matrix."""
     return max(1, cells // max(n, 1))
+
+
+def _narrow(d: np.ndarray) -> tuple:
+    """``(w, min(d, S) as uint16)`` in one strip pass, where ``w`` is the
+    largest entry of ``d`` below ``INF_SENTINEL`` (0 if none)."""
+    narrow = np.empty(d.shape, dtype=np.uint16)
+    rows = _strip_rows(d.shape[1], _FW_STRIP_CELLS)
+    w = 0
+    for r0 in range(0, d.shape[0], rows):
+        s = d[r0 : r0 + rows]
+        w = max(w, int(s.max(where=s < INF_SENTINEL, initial=0)))
+        np.minimum(s, _NARROW_SENTINEL, out=narrow[r0 : r0 + rows], casting="unsafe")
+    return w, narrow
 
 
 def _close(out: np.ndarray, sentinel: int) -> None:
@@ -284,24 +291,13 @@ def min_plus_product(a, b, out=None, rows=None) -> np.ndarray:
         or (rows is not None and len(rows) != a.shape[0])
     ):
         raise BlockShapeError("out= must be a uint32 matrix of the product shape")
-    if _finite_max(a) + _finite_max(b) < _NARROW_SENTINEL:
-        a, b = _clamp_narrow(a), _clamp_narrow(b)
-        _accumulate(a, b, out, rows, _NARROW_SENTINEL)
+    (wa, na), (wb, nb) = _narrow(a), _narrow(b)
+    if wa + wb < _NARROW_SENTINEL:
+        _accumulate(na, nb, out, rows, _NARROW_SENTINEL)
     else:
+        del na, nb
         _accumulate(a, b, out, rows, INF_SENTINEL)
     return out
-
-
-def _finite_max(d: np.ndarray) -> int:
-    """The largest entry of ``d`` below the sentinel, 0 if there is none."""
-    return int(d[d < INF_SENTINEL].max(initial=0))
-
-
-def _clamp_narrow(d: np.ndarray) -> np.ndarray:
-    """``min(d, S)`` as ``uint16``."""
-    narrow = np.empty(d.shape, dtype=np.uint16)
-    np.minimum(d, _NARROW_SENTINEL, out=narrow, casting="unsafe")
-    return narrow
 
 
 def _accumulate(a, b, out, rows, sentinel: int) -> None:

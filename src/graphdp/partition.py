@@ -503,10 +503,12 @@ class PartitionHierarchy:
 
 
 def _min_feasible_k(n: int, max_tile: int, imbalance: float) -> int:
-    k = max(1, math.ceil(n / max_tile))
-    while _size_cap(n, k, imbalance) > max_tile and k < n:
-        k += 1
-    return k
+    """The fewest parts (one at least, n if none fits) whose size cap fits
+    ``max_tile``.  The cap grows with the part size ``ceil(n/k)``, so bisect
+    for ``b``, the largest size whose cap fits, instead of stepping k."""
+    sizes = range(1, max_tile + 1)
+    b = bisect.bisect_right(sizes, max_tile, key=lambda s: _size_cap(s, 1, imbalance))
+    return max(1, -(-n // b)) if b else max(1, n)
 
 
 def _structural_graph(n, src, dst, groups) -> _StructuralGraph:

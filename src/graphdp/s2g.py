@@ -9,14 +9,14 @@ Three scorers compute it, sharing no kernel code:
   ``batch_align`` for every read.  It packs up to 64 reads into one uint64
   word per node and advances all of them one query position at a time.
   While many nodes are live a position is a dense numpy step over every
-  node (gather and OR the predecessors' words, AND with the position's
-  base table); once few are, each pending read finishes alone in plain
-  Python from its own set of live nodes.  It jumps along sole successors,
-  crossing each id run (nodes x, x+1, ..., each but the last with the
-  next id as its only successor) by one bytes comparison and hopping to
-  any other sole successor, so a read costs its live state and the runs
-  and hops it crosses, not the graph.  A read's bit that clears at
-  position j gives score j.
+  node (gather and OR the predecessors' words, AND with the match row
+  built from the reads' bases at that position); once few are, each
+  pending read finishes alone in plain Python from its own set of live
+  nodes.  It jumps along sole successors, crossing each id run (nodes x,
+  x+1, ..., each but the last with the next id as its only successor) by
+  one bytes comparison and hopping to any other sole successor, so a read
+  costs its live state and the runs and hops it crosses, not the graph.
+  A read's bit that clears at position j gives score j.
 * ``align_windowed`` is the device-fidelity kernel.  It processes one query
   of length m in k = ceil(m/W) windows of W bits, each a single sweep of
   the graph in topological order; a node's word holds, at bit j, whether
@@ -210,8 +210,7 @@ def align_reference(g: GenomeGraph, q: str) -> AlignResult:
 
 WORD_BITS = 64
 
-# byte -> base code: A, C, G, T are 0..3; 'N' (and every other byte) is 4,
-# the code whose base-table column stays empty
+# byte -> base code: A, C, G, T are 0..3; 'N' (and every other byte) is 4
 _BASE_CODE = np.full(256, 4, dtype=np.uint8)
 _BASE_CODE[np.frombuffer(bytes(_ACGT), dtype=np.uint8)] = np.arange(4)
 
@@ -221,24 +220,6 @@ def _query_codes(q: str) -> np.ndarray:
         raise AlignmentError("empty query")
     check_alphabet(q, "query char")
     return _BASE_CODE[np.frombuffer(q.encode("ascii"), dtype=np.uint8)]
-
-
-def _base_tables(codes: list) -> np.ndarray:
-    """(M+1, 5) uint64: bit r of row j, column c is set iff read r has base
-    c at position j.  Row M (past every read's end) and column 4 ('N') stay
-    empty, so every bit clears by position M."""
-    m = max(c.size for c in codes)
-    rows = -(-len(codes) // 8) * 8  # pack whole bytes only
-    q = np.full((rows, m + 1), 4, dtype=np.uint8)
-    for r, c in enumerate(codes):
-        q[r, : c.size] = c
-    eq = q[None, :, :] == np.arange(4, dtype=np.uint8)[:, None, None]
-    packed = np.packbits(eq, axis=1, bitorder="little")  # (4, rows/8, M+1)
-    words = np.zeros((m + 1, 4, WORD_BITS // 8), dtype=np.uint8)
-    words[:, :, : packed.shape[1]] = packed.transpose(2, 0, 1)
-    table = np.zeros((m + 1, 5), dtype=np.uint64)
-    table[:, :4] = words.view("<u8")[..., 0]
-    return table
 
 
 # Live share of nodes at or below which a word leaves the dense step and
@@ -300,7 +281,10 @@ def align_read_parallel(g: GenomeGraph, queries, W: int) -> list:
     Word state S[v] holds bit r iff read r's prefix of the current length
     ends at node v.  While many nodes are live, each query position is a
     dense numpy step over every node: gather and OR the predecessors'
-    words, AND with the position's base table.  Every fourth position from
+    words, AND with the position's match row.  That row ORs each read's
+    bit into the entry of its base there; an 'N', like a position past the
+    read's end, sets the entry no node reads.  So a word builds only the
+    rows it reaches.  Every fourth position from
     position 8 the live nodes are counted, and once they are at most
     ``_SPARSE_SHARE`` of n the word splits into one frontier (a set of
     nodes) per pending read, and each read finishes alone in plain Python
@@ -323,7 +307,10 @@ def align_read_parallel(g: GenomeGraph, queries, W: int) -> list:
         raise AlignmentError("window width must be positive")
     codes = [_query_codes(q) for q in queries]
     n = g.n
+    # each node's base code, with 5 for 'N': no read has code 5, and no node
+    # reads a read's 'N' (code 4), so 'N' matches nothing on either side
     node_code = _BASE_CODE[g.bases].astype(np.intp)
+    node_code[node_code == 4] = 5
     sparse_max = n * _SPARSE_SHARE
 
     # Predecessor OR, split for speed: one gather of every node's first
@@ -352,13 +339,21 @@ def align_read_parallel(g: GenomeGraph, queries, W: int) -> list:
     ]
     while words:
         word, j0, state = words.pop()
-        table = _base_tables([codes[i] for i in word])
+        # one column of base codes per read, padded with 'N' from the read's
+        # end on, so that every bit clears by position m
+        m = max(codes[i].size for i in word)
+        read_codes = np.full((m + 1, len(word)), 4, dtype=np.uint8)
+        for r, i in enumerate(word):
+            read_codes[: codes[i].size, r] = codes[i]
+        bits = np.uint64(1) << np.arange(len(word), dtype=np.uint64)
         prev = np.zeros(n + 1, dtype=np.uint64)
         prev[list(state)] = 1
         cur = np.zeros(n + 1, dtype=np.uint64)
         pending = (1 << len(word)) - 1
-        for j in range(j0, table.shape[0]):
-            match = table[j].take(node_code)
+        for j in range(j0, m + 1):
+            row = np.zeros(6, dtype=np.uint64)
+            np.bitwise_or.at(row, read_codes[j], bits)
+            match = row.take(node_code)
             if j == 0:
                 cur[:n] = match
             else:
@@ -383,7 +378,6 @@ def align_read_parallel(g: GenomeGraph, queries, W: int) -> list:
         # sparse: one frontier per pending read, each read finished alone
         if sparse is None:
             spelled = node_code.astype(np.uint8)
-            spelled[spelled == 4] = 5  # no read byte has code 5: graph 'N' matches none
             plus = np.diff(g.succ_ptr) == 1  # sole successor, and it is x+1
             plus[plus] = g.succ_idx[g.succ_ptr[:-1][plus]] == np.flatnonzero(plus) + 1
             stops = np.flatnonzero(~plus)  # holds n-1, which has no x+1

@@ -123,6 +123,22 @@ def test_gen_bad_params_is_usage_error(tmp_path, capsys):
         assert not any((out / f).exists() for f in ("graph.gfa", "ref.fa")), bad
 
 
+def test_graph_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # both first allocations exceed the 128 TiB x86-64 address space, so
+    # they fail at once on any host; the partitioner's part count comes
+    # first and must not step through the vertex count
+    graph = tmp_path / "huge.edges"
+    graph.write_text("# n=1000000000000000\n0\t1\t1\n")
+    for argv in (
+        ("plan", "apsp", "--graph", graph, "--out", tmp_path / "plan"),
+        ("gen", "er", "--n", 10**12, "--p", 0, "--out", tmp_path / "gen"),
+    ):
+        capsys.readouterr()
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1, argv
+
+
 # ---------------------------------------------------------------------------
 # apsp
 # ---------------------------------------------------------------------------
@@ -844,6 +860,21 @@ def test_config_fractional_count_is_usage_error(
                "--config", cfgp, "--out", tmp_path) == 2
     err = capsys.readouterr().err
     assert err == f"error: bad device.{section} override: {field} must be an integer\n"
+
+
+def test_config_sram_banks_past_the_bank_hash_is_usage_error(tmp_path, capsys):
+    # the bank hash has 32 bits: 2^52 banks would overflow the bank keys
+    gfa, reads = _gen_inputs(tmp_path, bases=600, reads=2)
+    cfgp = tmp_path / "dev.json"
+    cfgp.write_text(json.dumps({"hbm": {"sram_banks": 1 << 52}}))
+    capsys.readouterr()
+    assert run("s2g", "--graph", gfa, "--reads", reads, "--model",
+               "--config", cfgp, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad device.hbm override: sram_banks must be at most 2^32\n"
+    cfgp.write_text(json.dumps({"hbm": {"sram_banks": 1 << 32}}))
+    assert run("s2g", "--graph", gfa, "--reads", reads, "--model",
+               "--config", cfgp, "--out", tmp_path / "o") == 0
 
 
 def test_config_fractional_bank_access_cycles_is_priced(tmp_path):

@@ -45,7 +45,7 @@ from graphdp.graphs import (
     parse_gfa,
 )
 from graphdp.partition import build_hierarchy, kway_partition
-from graphdp.s2g import batch_align
+from graphdp.s2g import batch_align, classify_self_hop
 from oracles import (
     bank_conflict_reference,
     hierarchy_cost_reference,
@@ -511,6 +511,17 @@ def test_bank_conflict_cycles_match_the_node_loop(h):
         graphs.append(genome_graph("A" * n, np.column_stack((u, v))[u < v]))
     for g in graphs:
         assert _bank_conflict_cycles(g, h) == bank_conflict_reference(g, h)
+
+
+def test_sram_banks_stop_at_the_bank_hash_width():
+    # the hash has 32 bits, so 2^32 banks tell every node apart and each
+    # hop node with predecessors pays one bank access; more are refused
+    with pytest.raises(ValidationError):
+        HbmParams(sram_banks=1 << 33)
+    g = parse_gfa(gen_genome(2000, 0.05, seed=2)[0])
+    hop = (np.diff(g.pred_ptr) > 0) & ~classify_self_hop(g)
+    h = HbmParams(sram_banks=1 << 32)
+    assert _bank_conflict_cycles(g, h) == g.n + int(hop.sum()) > g.n
 
 
 def test_synthetic_trace_matches_engine_shape():

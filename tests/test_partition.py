@@ -24,6 +24,7 @@ from graphdp.partition import (
     Partition,
     PartitionError,
     _label_propagation,
+    _min_feasible_k,
     _pack,
     _structural_graph,
     build_hierarchy,
@@ -411,6 +412,21 @@ def test_boundary_graph_skips_unreachable_intra_pairs():
 # ---------------------------------------------------------------------------
 # build_hierarchy
 # ---------------------------------------------------------------------------
+
+
+def test_min_feasible_k_is_the_first_k_whose_cap_fits():
+    # the fewest parts from ceil(n/max_tile) up, stopping at n, whose size
+    # cap fits the tile; a vertex count far past any memory takes no steps
+    for n in range(0, 90):
+        for max_tile in (1, 2, 3, 5, 8, 13, 64):
+            for imbalance in (0.0, 0.03, 0.1, 0.5, 1.0, 2.5):
+                want = max(1, math.ceil(n / max_tile))
+                while _size_cap(n, want, imbalance) > max_tile and want < n:
+                    want += 1
+                got = _min_feasible_k(n, max_tile, imbalance)
+                assert got == want, (n, max_tile, imbalance)
+    # 931 is the largest part whose cap, int(931 * 1.1) = 1024, fits
+    assert _min_feasible_k(10**18, 1024, 0.1) == -(-(10**18) // 931)
 
 
 def test_hierarchy_small_graph_is_single_trivial_level():

@@ -240,10 +240,12 @@ def with_ns_and_sources(g, seed, n_count=3, sources=3):
     return genome_graph(bases.decode(), edges)
 
 
-def test_batch_align_matches_oracle_and_windowed_counts():
-    # word boundaries (63/64/65/129 reads), mixed lengths in one word, N in
-    # reads and nodes, source nodes, zero scores, reads longer than any path
-    for seed, size in enumerate((63, 64, 65, 129)):
+def test_batch_align_matches_oracle_and_windowed_counts(crossover):
+    # word boundaries (63/64/65/129 reads) and small words (1 and 9 reads),
+    # mixed lengths in one word, N in reads and nodes, source nodes, zero
+    # scores, reads longer than any path; dense-only checks the match rows
+    # of every position, past each read's end too
+    for seed, size in enumerate((63, 64, 65, 129, 1, 9)):
         g = with_ns_and_sources(random_genome_dag(40, seed + 300, span=4), seed)
         longest = longest_path_nodes(g)
         rng = np.random.default_rng(seed + 400)
@@ -263,7 +265,7 @@ def test_batch_align_matches_oracle_and_windowed_counts():
             else:
                 q = walk_query(g, length, seed * 1000 + j)[:-1] + "N"
             queries.append(q)
-        assert len({len(q) for q in queries[:64]}) > 1  # mixed in one word
+        assert size == 1 or len({len(q) for q in queries[:64]}) > 1  # mixed
         for W in (1, 7, 64, 128, 256):
             got = batch_results(g, queries, W=W)
             assert len(got) == size
@@ -273,7 +275,7 @@ def test_batch_align_matches_oracle_and_windowed_counts():
                 assert res.end_nodes.tolist() == want.end_nodes.tolist(), (seed, W, q)
                 ref = align_windowed(g, q, W=W)
                 assert res.windows == ref.windows, (seed, W, q)
-        assert any(r.score_max == 0 for r in got)
+        assert size == 1 or any(r.score_max == 0 for r in got)
 
 
 # ---------------------------------------------------------------------------
@@ -533,24 +535,6 @@ def test_results_do_not_depend_on_node_numbering(crossover, frontier_sizes):
             assert r.end_nodes.tolist() == sorted(to_h[w.end_nodes].tolist())
     assert sum(r.score_max == 1500 for r in want) >= 3
     assert bool(frontier_sizes) == (crossover > 0)
-
-
-def test_base_tables_match_a_bitwise_build():
-    rng = np.random.default_rng(15)
-    for count in (1, 7, 8, 9, 63, 64):
-        reads = [
-            "".join(rng.choice(list("ACGTN"), size=int(rng.integers(1, 40))))
-            for _ in range(count)
-        ]
-        m = max(len(q) for q in reads)
-        want = np.zeros((m + 1, 5), dtype=np.uint64)
-        for r, q in enumerate(reads):
-            for j, ch in enumerate(q):
-                if ch != "N":
-                    want[j, "ACGT".index(ch)] |= np.uint64(1 << r)
-        got = s2g._base_tables([s2g._query_codes(q) for q in reads])
-        assert got.dtype == np.uint64
-        assert np.array_equal(got, want), count
 
 
 def test_window_width_invariance():
