@@ -758,9 +758,11 @@ def sweep_tile_size(Ns, g: WeightedGraph | None = None, p: PcmParams | None = No
     counts) and prices it with the occupancy model; results are normalized
     to the N that :func:`tile_reference` picks from ``Ns``.  Every N
     partitions the same level-0 graph, so its structural graph is built
-    once and shared, with the CSR, the clusters and their bundled cluster
-    graph that the partitioner derives from it: an N whose cap does not
-    bind the clusters reuses them, bundles and all.
+    once and shared, with the CSR, the clusters, their bundled cluster
+    graph and their merge that the partitioner derives from it: an N
+    whose cap does not bind the clusters reuses them, bundles and all,
+    and an N whose limit does not bind the merge reuses it and its heavy
+    order.
     """
     if not Ns:
         raise ValidationError("no tile sizes to sweep")

@@ -180,9 +180,14 @@ def _label_propagation(ptr, adj, limit: int):
         for i in range(0, verts.size, step):
             vs = verts[i : i + step]
             lens = ptr[vs + 1] - ptr[vs]
-            at = np.arange(lens.sum()) + np.repeat(ptr[vs] - np.cumsum(lens) + lens, lens)
+            if vs[-1] - vs[0] == vs.size - 1:
+                # one id run: its neighbours are one slice of adj
+                nb = adj[ptr[vs[0]] : ptr[vs[-1] + 1]]
+            else:
+                at = np.repeat(ptr[vs] - np.cumsum(lens) + lens, lens)
+                nb = adj[np.arange(lens.sum()) + at]
             key = np.repeat(np.arange(vs.size, dtype=lab.dtype) * lab.dtype.type(n), lens)
-            key += lab[adj[at]]
+            key += lab[nb]
             key.sort()
             head = _heads(key)
             o, cand = np.divmod(key[head], n)
@@ -219,20 +224,27 @@ def _cluster_graph(g: _StructuralGraph, lab):
 
 
 def _merge_clusters(g: _StructuralGraph, lab, limit: int):
-    """Clusters ``c`` numbered ``0..m-1``, ``m``, and their arc bundles.
+    """Clusters ``c`` numbered ``0..m-1``, ``m``, their arc bundles, and
+    ``need``, the smallest limit under which the merge is the same.
 
     Label propagation leaves a cluster in pieces where two labels met in
     it.  So each round every cluster joins the one it shares the most arcs
     with, among larger ones (size, then lower id) with room, unless that
-    one moves too or takes a heavier joiner.  The rounds start from
-    ``g.cluster_graph(lab)``, which ``g`` keeps when ``lab`` is its kept
-    labels, and make new arrays rather than write it.
+    one moves too or takes a heavier joiner.  ``need`` is the largest
+    joint size of a pair in size order: from there up no limit turns a
+    pair away.  The rounds start from ``g.cluster_graph(lab)``, which
+    ``g`` keeps when ``lab`` is its kept labels, carry the cluster sizes
+    and compose their renumberings, and write none of its arrays.
     """
     c, m, x, y, arcs = g.cluster_graph(lab)
+    size = np.bincount(c, minlength=m)
+    into = np.arange(m)
+    need = 0
     for _ in range(_ROUNDS):
-        size = np.bincount(c, minlength=m)
         sx, sy = size[x], size[y]
-        ok = ((sy > sx) | ((sy == sx) & (y < x))) & (sx + sy <= limit)
+        ok = (sy > sx) | ((sy == sx) & (y < x))
+        need = int(np.max(sx + sy, where=ok, initial=need))
+        ok &= sx + sy <= limit
         a, b, w = x[ok], y[ok], arcs[ok]
         best = np.lexsort((b, -w, a))
         best = best[_heads(a[best])]
@@ -245,9 +257,12 @@ def _merge_clusters(g: _StructuralGraph, lab, limit: int):
         to[a[best]] = b[best]
         _, to = np.unique(to, return_inverse=True)
         m = int(to.max()) + 1
-        c = to[c]
+        size = np.bincount(to, size, minlength=m).astype(np.int64)
+        into = to[into]
         x, y, arcs = _bundles(to[x], to[y], arcs, m)
-    return c, m, x, y, arcs
+    if into.size != m:
+        c = into[c]
+    return c, m, x, y, arcs, need
 
 
 def _heavy_order(m: int, x, y, arcs) -> list:
@@ -281,8 +296,7 @@ def _pack(g: _StructuralGraph, lab, k: int, cap: int, limit: int):
     cluster, at that share itself if no cluster end fits.
     """
     n = lab.size
-    c, m, x, y, arcs = _merge_clusters(g, lab, limit)
-    order = _heavy_order(m, x, y, arcs)
+    c, m, order = g.merged(lab, limit)
     ends = np.cumsum(np.bincount(c, minlength=m)[order]).tolist()
     cuts = [0]
     for rest in range(k - 1, 0, -1):
@@ -302,17 +316,19 @@ def _pack(g: _StructuralGraph, lab, k: int, cap: int, limit: int):
 
 
 def _outside(g: _StructuralGraph | WeightedGraph, assign):
-    """Per vertex, its neighbour entries in another part."""
+    """Per vertex, its neighbour entries in another part, and the mask of
+    the arcs that cross parts."""
     part = assign.astype(_index_dtype(assign.size))
     cross = part[g.src] != part[g.dst]
     n = assign.size
-    return np.bincount(g.src[cross], minlength=n) + np.bincount(
-        g.dst[cross], minlength=n
-    )
+    ext = np.bincount(g.src[cross], minlength=n)
+    ext += np.bincount(g.dst[cross], minlength=n)
+    return ext, cross
 
 
-def _refine(g: _StructuralGraph, ptr, adj, assign, k: int, cap: int) -> None:
-    """Move boundary vertices to shrink the boundary, in place.
+def _refine(g: _StructuralGraph, ptr, adj, assign, k: int, cap: int):
+    """Move boundary vertices to shrink the boundary, in place, and return
+    the mask of the arcs of ``g`` that the final ``assign`` cuts.
 
     Moving ``v`` from part A to part B gains one if all its neighbours are
     in B, one per neighbour in B whose only outside neighbour is ``v``, and
@@ -324,7 +340,7 @@ def _refine(g: _StructuralGraph, ptr, adj, assign, k: int, cap: int) -> None:
     a boundary of nearly every vertex only adds a useless hierarchy level.
     """
     n = assign.size
-    ext = _outside(g, assign)
+    ext, cross = _outside(g, assign)
     for _ in range(_ROUNDS):
         cand = np.flatnonzero(ext)
         lens = ptr[cand + 1] - ptr[cand]
@@ -354,13 +370,14 @@ def _refine(g: _StructuralGraph, ptr, adj, assign, k: int, cap: int) -> None:
         src = assign[mv]
         ok = (prio[mv] > rival[mv]) & _fits(to, cap - sizes) & _fits(src, sizes - 1)
         if not ok.any():
-            return
+            return cross
         assign[mv[ok]] = to[ok]
-        new = _outside(g, assign)
+        new, new_cross = _outside(g, assign)
         if np.count_nonzero(new) > np.count_nonzero(ext) - max(1, n // 100):
             assign[mv[ok]] = src[ok]
-            return
-        ext = new
+            return cross
+        ext, cross = new, new_cross
+    return cross
 
 
 class _StructuralGraph:
@@ -372,17 +389,22 @@ class _StructuralGraph:
     that the size cap never bound, with the smallest cap under which that
     run is the same: a partition under any cap from there up reuses its
     labels.  Next to those labels it keeps their bundled cluster graph,
-    which the cluster merge starts from: built on first use, read-only like
-    the labels, and dropped with them.  Labels of a capped run are never
-    kept, so they get fresh bundles.  The tile sweep partitions one level-0
-    graph at every tile size, and its clusters stay below every cap but the
-    smallest, so only a size whose cap binds labels and bundles it again.
+    which the cluster merge starts from, and the last merge of them that
+    its limit never bound, with its clusters' ``_heavy_order`` and the
+    smallest limit under which it is the same.  Both are built on first
+    use, read-only like the labels, and dropped with them; labels of a
+    capped run are never kept, so they get fresh bundles and merges.  The
+    tile sweep partitions one level-0 graph at every tile size, and its
+    clusters stay below every cap but the smallest, so only a size whose
+    cap binds labels and bundles it again, and only one whose limit binds
+    the merge merges and orders it again.  ``cut`` marks the arcs that the
+    last partition ``kway_partition`` made of the graph cuts.
     """
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
         self.n, self.src, self.dst = n, src, dst
-        self._csr = None
-        self._clusters = (math.inf, None, None)
+        self.cut = self._csr = self._labels = self._bundles = self._merge = None
+        self._need = math.inf
 
     def csr(self):
         if self._csr is None:
@@ -390,26 +412,39 @@ class _StructuralGraph:
         return self._csr
 
     def labels(self, limit: int):
-        need, lab, _ = self._clusters
-        if limit < need:
+        if limit < self._need:
             lab, need = _label_propagation(*self.csr(), limit)
-            if need <= limit:
-                lab.flags.writeable = False
-                self._clusters = (need, lab, None)
-        return lab
+            if need > limit:
+                return lab
+            lab.flags.writeable = False
+            self._need, self._labels = need, lab
+            self._bundles = self._merge = None
+        return self._labels
 
     def cluster_graph(self, lab):
         """``_cluster_graph(self, lab)``, kept when ``lab`` is the kept labels."""
-        need, kept, bundled = self._clusters
-        if lab is not kept:
+        if lab is not self._labels:
             return _cluster_graph(self, lab)
-        if bundled is None:
-            bundled = _cluster_graph(self, lab)
-            c, _, x, y, arcs = bundled
+        if self._bundles is None:
+            self._bundles = _cluster_graph(self, lab)
+            c, _, x, y, arcs = self._bundles
             for a in (c, x, y, arcs):
                 a.flags.writeable = False
-            self._clusters = (need, kept, bundled)
-        return bundled
+        return self._bundles
+
+    def merged(self, lab, limit: int):
+        """The clusters ``c`` and ``m`` of ``_merge_clusters(self, lab,
+        limit)`` and their ``_heavy_order``, kept when ``lab`` is the kept
+        labels and ``limit`` never bound the merge."""
+        kept = lab is self._labels
+        if kept and self._merge is not None and self._merge[0] <= limit:
+            return self._merge[1:]
+        c, m, x, y, arcs, need = _merge_clusters(self, lab, limit)
+        order = np.array(_heavy_order(m, x, y, arcs), dtype=np.int64)
+        if kept and need <= limit:
+            c.flags.writeable = order.flags.writeable = False
+            self._merge = (need, c, m, order)
+        return c, m, order
 
 
 def kway_partition(
@@ -441,7 +476,7 @@ def kway_partition(
     if not isinstance(g, _StructuralGraph):
         g = _StructuralGraph(n, g.src, g.dst)
     assign = _pack(g, g.labels(limit), k, cap, limit)
-    _refine(g, *g.csr(), assign, k, cap)
+    g.cut = _refine(g, *g.csr(), assign, k, cap)
     return Partition(n, k, assign)
 
 
@@ -455,7 +490,7 @@ def _boundary_set(assign: np.ndarray, union: np.ndarray) -> BoundarySet:
 
 def find_boundary(g: WeightedGraph, p: Partition) -> BoundarySet:
     """Vertices incident to at least one cross-component edge, per component."""
-    return _boundary_set(p.assign, np.flatnonzero(_outside(g, p.assign)))
+    return _boundary_set(p.assign, np.flatnonzero(_outside(g, p.assign)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -584,13 +619,21 @@ def build_hierarchy(
         for k in (k, max(k_lo, k // 2)):
             part = kway_partition(struct, k, imbalance=imbalance)
             assign = part.assign
-            cut = assign[src] != assign[dst]
+            if groups:
+                cut = assign[src] != assign[dst]
+                cut_src, cut_dst = src[cut], dst[cut]
+            else:
+                # with no groups the structural graph holds this level's
+                # arcs, up to order and repeats, and the partitioner has
+                # marked the ones it cuts
+                cut_src, cut_dst = struct.src[struct.cut], struct.dst[struct.cut]
+            struct.cut = None
             # a group spanning >= 2 components gives every member a
             # potential virtual edge leaving its own component
             split = [grp for grp in groups if assign[grp].min() != assign[grp].max()]
             mask = np.zeros(n, dtype=bool)
-            mask[src[cut]] = True
-            mask[dst[cut]] = True
+            mask[cut_src] = True
+            mask[cut_dst] = True
             for grp in split:
                 mask[grp] = True
             if mask.sum() < n or k <= k_lo:
@@ -607,7 +650,7 @@ def build_hierarchy(
             break
         lookup = np.full(n, -1, dtype=np.int64)
         lookup[union] = np.arange(union.size)
-        src, dst = lookup[src[cut]], lookup[dst[cut]]
+        src, dst = lookup[cut_src], lookup[cut_dst]
         # a split group keeps live virtual pairs between components (they
         # are real edges of the next boundary graph), so it survives as a
         # group; every member is boundary, hence a next-level vertex

@@ -659,21 +659,37 @@ def test_sweep_pricing_matches_the_event_loop(tile_hierarchies, p):
 
 
 def test_sweep_partitions_as_standalone_builds(monkeypatch):
-    # the sweep shares one level-0 graph, its CSR, its clusters and their
-    # bundles across tile sizes: N = 16 caps label propagation (a fresh
-    # run, freshly bundled), N = 64 runs it uncapped, and 256 and 1024
-    # reuse that run's labels and bundled cluster graph
+    # the sweep shares one level-0 graph, its CSR, its clusters, their
+    # bundles and their merge across tile sizes: N = 16 caps label
+    # propagation (a fresh run, freshly bundled), N = 64 runs it uncapped,
+    # and 256 up reuse that run's labels and bundled cluster graph.  Their
+    # merge needs a limit of 192, so N = 64 and 256 (limits 32 and 128)
+    # merge them afresh, 512 merges them and keeps the merge, and 1024
+    # reuses it with its heavy order
     g = make_tile_workload(8192)
-    Ns = [16, 64, 256, 1024]
-    built, calls, bundled = [], [], []
+    Ns = [16, 64, 256, 512, 1024]
+    built, calls, bundled, merged = [], [], [], []
 
     def bundle(level_graph, lab):
         if level_graph.n == g.n:
             bundled.append(level_graph)
         return cluster_graph(level_graph, lab)
 
+    # a merge's limit, at level 0, or None; then "order" for its heavy order
+    def merge(level_graph, lab, limit):
+        merged.append(limit if level_graph.n == g.n else None)
+        return merge_clusters(level_graph, lab, limit)
+
+    def order(*args):
+        merged.append("order")
+        return heavy_order(*args)
+
     cluster_graph = partition._cluster_graph
+    merge_clusters = partition._merge_clusters
+    heavy_order = partition._heavy_order
     monkeypatch.setattr(partition, "_cluster_graph", bundle)
+    monkeypatch.setattr(partition, "_merge_clusters", merge)
+    monkeypatch.setattr(partition, "_heavy_order", order)
 
     def build(*args, **kwargs):
         built.append(build_hierarchy(*args, **kwargs))
@@ -689,12 +705,25 @@ def test_sweep_partitions_as_standalone_builds(monkeypatch):
     swept, calls[:] = calls[:], []
     assert [h.max_tile for h in built] == Ns
     assert len(bundled) == 2 and bundled[0] is bundled[1]
+    # every merge is ordered, and level 0 merges at four tile sizes
+    assert merged[1::2] == ["order"] * (len(merged) // 2)
+    level0_merges = [limit for limit in merged[::2] if limit is not None]
+    assert level0_merges == [8, 32, 128, 256]
     # the kept labels answer again with the kept, read-only bundles
     level0 = bundled[0]
     c, _, x, y, arcs = level0.cluster_graph(level0.labels(g.n))
     assert level0.cluster_graph(level0.labels(g.n))[0] is c
     assert len(bundled) == 2
     assert not any(a.flags.writeable for a in (c, x, y, arcs))
+    # and with the kept, read-only merge under any limit from its need up
+    before = len(merged)
+    c, m, order = level0.merged(level0.labels(g.n), 192)
+    assert level0.merged(level0.labels(g.n), g.n)[0] is c
+    assert len(merged) == before and order.size == m
+    assert not any(a.flags.writeable for a in (c, order))
+    # and a limit below that need merges afresh
+    assert level0.merged(level0.labels(g.n), 128)[0] is not c
+    assert len(merged) == before + 2
     for N, hier in zip(Ns, built):
         alone = build_hierarchy(
             g, max_tile=N, k_fn=lambda n, N=N: math.ceil(n / N), imbalance=0.0

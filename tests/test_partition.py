@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphdp.partition as partition
 from graphdp.apsp import schedule
 from graphdp.costmodel import make_tile_workload, sweep_tile_size
 from graphdp.graphs import (
@@ -24,6 +25,7 @@ from graphdp.partition import (
     Partition,
     PartitionError,
     _label_propagation,
+    _merge_clusters,
     _min_feasible_k,
     _pack,
     _structural_graph,
@@ -260,9 +262,13 @@ _LP_GRAPHS = {
 
 
 @cache
-def _lp_csr(kind, seed):
+def _lp_graph(kind, seed):
     g = _LP_GRAPHS[kind](seed)
-    return _structural_graph(g.n, g.src, g.dst, []).csr()
+    return _structural_graph(g.n, g.src, g.dst, [])
+
+
+def _lp_csr(kind, seed):
+    return _lp_graph(kind, seed).csr()
 
 
 @cache
@@ -316,6 +322,100 @@ def test_label_propagation_need_on_small_world_graphs(seed):
         lab, need = runs[cap]
         for other in range(max(need, 55), 101):
             assert np.array_equal(runs[other][0], lab), (cap, need, other)
+
+
+# ---------------------------------------------------------------------------
+# the cluster merge's reuse rule, and the cut the partitioner hands back
+# ---------------------------------------------------------------------------
+
+
+def _merge(kind, seed, limit):
+    return _merge_clusters(_lp_graph(kind, seed), _uncapped_labels(kind, seed), limit)
+
+
+@cache
+def _unlimited_merge(kind, seed):
+    return _merge(kind, seed, _lp_graph(kind, seed).n)[:5]
+
+
+def _same_merge(a, b):
+    return all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(sorted(_LP_GRAPHS)),
+    seed=st.integers(1, 6),
+    limit=st.integers(1, 500),
+    extra=st.integers(0, 500),
+)
+def test_cluster_merge_is_the_same_under_every_limit_from_need(kind, seed, limit, extra):
+    *merge, need = _merge(kind, seed, limit)
+    # a merge the limit changed reports a need above its limit
+    if not _same_merge(merge, _unlimited_merge(kind, seed)):
+        assert need > limit
+    if need <= limit:
+        for cap in (need, need + extra):
+            assert _same_merge(_merge(kind, seed, cap)[:5], merge), cap
+
+
+# (kind, seed, tile) whose level-0 refinement keeps two rounds, then undoes
+# its third and last
+_UNDONE = ("clustered", 1, 16)
+
+
+@pytest.mark.parametrize("tile", [16, 64])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(_LP_GRAPHS))
+def test_level0_cut_is_the_cut_of_its_assignment(monkeypatch, kind, seed, tile):
+    # build_hierarchy takes level 0's boundary and the next level's arcs
+    # from the cross-arc mask _refine hands back: they equal the ones a
+    # fresh assign[src] != assign[dst] over the caller's arcs gives, as sets
+    # (level 1's structural graph sorts its arcs and drops repeats)
+    g = _LP_GRAPHS[kind](seed)
+    if kind == "clustered":
+        assert np.any(np.diff(g.src * g.n + g.dst) <= 0)
+    level_arcs, cuts, crossed = [], [], []
+    structural_graph, refine, outside = (
+        partition._structural_graph,
+        partition._refine,
+        partition._outside,
+    )
+
+    def spy_structural_graph(n, src, dst, groups):
+        level_arcs.append((n, src, dst))
+        return structural_graph(n, src, dst, groups)
+
+    def spy_refine(level_graph, *args):
+        crossed.clear()
+        mask = refine(level_graph, *args)
+        cuts.append((mask, crossed[-1], len(crossed), level_graph))
+        return mask
+
+    def spy_outside(level_graph, assign):
+        ext, cross = outside(level_graph, assign)
+        crossed.append(cross)
+        return ext, cross
+
+    monkeypatch.setattr(partition, "_structural_graph", spy_structural_graph)
+    monkeypatch.setattr(partition, "_refine", spy_refine)
+    monkeypatch.setattr(partition, "_outside", spy_outside)
+    h = build_hierarchy(g, tile)
+    assign = h.levels[0].partition.assign
+    cut = assign[g.src] != assign[g.dst]
+    union = np.unique(np.r_[g.src[cut], g.dst[cut]])
+    assert np.array_equal(h.levels[0].boundaries.union, union)
+    # the mask belongs to the final assignment, also after an undone round
+    mask, last, masks, struct = [c for c in cuts if c[3].n == g.n][-1]
+    assert np.array_equal(mask, assign[struct.src] != assign[struct.dst])
+    if (kind, seed, tile) == _UNDONE:
+        assert mask is not last and masks == 4
+    if h.depth > 1:
+        n, src, dst = level_arcs[1]
+        lookup = np.full(g.n, -1)
+        lookup[union] = np.arange(union.size)
+        want = np.unique(lookup[g.src[cut]] * n + lookup[g.dst[cut]])
+        assert np.array_equal(np.unique(src * n + dst), want)
 
 
 def test_kway_rejects_bad_k():
