@@ -139,7 +139,7 @@ def _fits(keys, room):
 
 def _label_propagation(ptr, adj, limit: int):
     """Cluster labels by size-capped label propagation, unit affinities,
-    and ``need``, the smallest cap under which the run is the same.
+    and ``need``, a cap from which up the run is the same.
 
     A vertex takes the label most frequent among its neighbours, of its own
     and those with room: the larger cluster wins ties, then the lower label.
@@ -180,14 +180,9 @@ def _label_propagation(ptr, adj, limit: int):
         for i in range(0, verts.size, step):
             vs = verts[i : i + step]
             lens = ptr[vs + 1] - ptr[vs]
-            if vs[-1] - vs[0] == vs.size - 1:
-                # one id run: its neighbours are one slice of adj
-                nb = adj[ptr[vs[0]] : ptr[vs[-1] + 1]]
-            else:
-                at = np.repeat(ptr[vs] - np.cumsum(lens) + lens, lens)
-                nb = adj[np.arange(lens.sum()) + at]
+            at = np.arange(lens.sum()) + np.repeat(ptr[vs] - np.cumsum(lens) + lens, lens)
             key = np.repeat(np.arange(vs.size, dtype=lab.dtype) * lab.dtype.type(n), lens)
-            key += lab[nb]
+            key += lab[adj[at]]
             key.sort()
             head = _heads(key)
             o, cand = np.divmod(key[head], n)
@@ -225,7 +220,7 @@ def _cluster_graph(g: _StructuralGraph, lab):
 
 def _merge_clusters(g: _StructuralGraph, lab, limit: int):
     """Clusters ``c`` numbered ``0..m-1``, ``m``, their arc bundles, and
-    ``need``, the smallest limit under which the merge is the same.
+    ``need``, a limit from which up the merge is the same.
 
     Label propagation leaves a cluster in pieces where two labels met in
     it.  So each round every cluster joins the one it shares the most arcs
@@ -386,12 +381,12 @@ class _StructuralGraph:
     It holds ``n`` and the ``src``/``dst`` arrays, never weights, and never
     writes the arrays: they may be the caller's own.  The symmetrised CSR
     is built on first use and kept, and so is the last label propagation
-    that the size cap never bound, with the smallest cap under which that
-    run is the same: a partition under any cap from there up reuses its
-    labels.  Next to those labels it keeps their bundled cluster graph,
-    which the cluster merge starts from, and the last merge of them that
-    its limit never bound, with its clusters' ``_heavy_order`` and the
-    smallest limit under which it is the same.  Both are built on first
+    that the size cap never bound, with a cap from which up that run is
+    the same: a partition under any cap from there up reuses its labels.
+    Next to those labels it keeps their bundled cluster graph, which the
+    cluster merge starts from, and the last merge of them that its limit
+    never bound, with its clusters' ``_heavy_order`` and a limit from
+    which up that merge is the same.  Both are built on first
     use, read-only like the labels, and dropped with them; labels of a
     capped run are never kept, so they get fresh bundles and merges.  The
     tile sweep partitions one level-0 graph at every tile size, and its
@@ -626,8 +621,10 @@ def build_hierarchy(
                 # with no groups the structural graph holds this level's
                 # arcs, up to order and repeats, and the partitioner has
                 # marked the ones it cuts
-                cut_src, cut_dst = struct.src[struct.cut], struct.dst[struct.cut]
-            struct.cut = None
+                cut, struct.cut = struct.cut, None
+                if cut is None:
+                    raise HierarchyError("the partitioner left no cut mask")
+                cut_src, cut_dst = struct.src[cut], struct.dst[cut]
             # a group spanning >= 2 components gives every member a
             # potential virtual edge leaving its own component
             split = [grp for grp in groups if assign[grp].min() != assign[grp].max()]

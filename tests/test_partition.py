@@ -418,6 +418,16 @@ def test_level0_cut_is_the_cut_of_its_assignment(monkeypatch, kind, seed, tile):
         assert np.array_equal(np.unique(src * n + dst), want)
 
 
+def test_level0_without_a_cut_mask_fails(monkeypatch):
+    # a partitioner that leaves no cut mask must not read as "every arc cut"
+    def no_mask(g, k, imbalance=0.1):
+        return Partition(g.n, k, np.arange(g.n) % k)
+
+    monkeypatch.setattr(partition, "kway_partition", no_mask)
+    with pytest.raises(HierarchyError, match="no cut mask"):
+        build_hierarchy(gen_er(200, 0.03, seed=1), 64)
+
+
 def test_kway_rejects_bad_k():
     g = gen_er(10, 0.2, seed=0)
     with pytest.raises(PartitionError):
