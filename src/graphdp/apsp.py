@@ -2,20 +2,23 @@
 
 The graph is split into tile-sized components, and every level of the
 recursion is one dense ``uint32`` matrix.  Level 0 is the graph's distance
-seed.  An upward pass closes each component's block of the level matrix
-with Floyd-Warshall and writes it back; the ``[boundary, boundary]`` slice
-of the result, which holds the cross arcs and the closed intra-component
-distances, is the boundary graph and the next level's matrix.  Recursion
-continues until the boundary graph fits a tile (or stops shrinking, in
-which case the oversized top is closed directly).  A downward pass then
-distributes the exact top-level closure back out, level by level, in
-place.  Any path leaves a component through its first exit vertex and
-re-enters the target's component at its last entry vertex, so one
-factored min-plus correction through the boundary closure makes every
-pair of a level exact (see :func:`_assemble_level`).  Level 0's matrix
-becomes the result.
+seed.  An upward pass closes every component's block of the level matrix
+with Floyd-Warshall, the components of each size gathered into one stack
+and closed side by side, as the device's matrix tile closes them, and
+writes the blocks back (see :func:`close_one`); the ``[boundary,
+boundary]`` slice of the result, which holds the cross arcs and the closed
+intra-component distances, is the boundary graph and the next level's
+matrix.  Recursion continues until the boundary graph fits a tile (or
+stops shrinking, in which case the oversized top is closed directly).  A
+downward pass then distributes the exact top-level closure back out,
+level by level, in place.  Any path leaves a component through its first
+exit vertex and re-enters the target's component at its last entry
+vertex, so one factored min-plus correction through the boundary closure
+makes every pair of a level exact (see :func:`_assemble_level`).  Level
+0's matrix becomes the result.
 
-The host runs only the close and top events of :func:`schedule`.  The
+The host runs only the close and top events of :func:`schedule`, a
+level's closes in per-size stacks rather than in schedule order.  The
 schedule's inject, re-close and merge events remain the device's: the
 planner stages them and the cost model prices them, and the host's one
 correction per level computes the same distances.
@@ -42,7 +45,7 @@ import numpy as np
 
 from .graphs import GraphError, WeightedGraph, distance_init
 from .minplus import INF_SENTINEL, floyd_warshall_dense, min_plus_product
-from .partition import PartitionHierarchy, build_hierarchy
+from .partition import Partition, PartitionHierarchy, build_hierarchy
 
 DENSE_LIMIT = 4096
 # recursion ran at about half the ops per second of one large closure, so
@@ -50,6 +53,8 @@ DENSE_LIMIT = 4096
 DIRECT_OPS_SHARE = 0.5
 DIST_MAGIC = b"GDPD"
 TSV_LIMIT = 512
+# the level close gathers at most this many bytes of components per stack
+_STACK_BYTES = 1 << 20
 
 
 class ApspError(GraphError):
@@ -181,12 +186,31 @@ class ApspResult:
     dist: np.ndarray
 
 
-# the Floyd-Warshall call sites are close_one and recursive_apsp (the top
-# closure); tracing files closure time by the caller's name
-def close_one(d: np.ndarray, ids: np.ndarray) -> None:
-    """FW-close the block of the level matrix ``d`` on ``ids`` in place."""
-    ix = np.ix_(ids, ids)
-    d[ix] = floyd_warshall_dense(d[ix], inplace=True)
+# the Floyd-Warshall call sites are close_one (a level's components) and
+# recursive_apsp (the top closure); tracing files closure time by the
+# caller's name
+def close_one(d: np.ndarray, part: Partition) -> None:
+    """Close one level: every component block of the level matrix ``d``,
+    in place, as per-size stacks.
+
+    The components of each size are gathered into one ``(k, s, s)`` stack
+    by one fancy index, from one stable argsort of ``part.assign``, closed
+    by one :func:`floyd_warshall_dense` call and scattered back.  A stack
+    holds at most ``_STACK_BYTES``, or one component when that is larger,
+    so the buffer stays small next to ``d``.  The blocks are disjoint, so
+    the order of the closes does not matter.
+    """
+    order = np.argsort(part.assign, kind="stable")
+    sizes = part.sizes()
+    starts = np.cumsum(sizes) - sizes
+    for s in np.unique(sizes[sizes > 0]).tolist():
+        comps = np.flatnonzero(sizes == s)
+        ids = order[starts[comps, None] + np.arange(s)]
+        per = max(1, _STACK_BYTES // (s * s * d.itemsize))
+        for c0 in range(0, comps.size, per):
+            v = ids[c0 : c0 + per]
+            block = v[:, :, None], v[:, None, :]
+            d[block] = floyd_warshall_dense(d[block], inplace=True)
 
 
 def _assemble_level(d: np.ndarray, lv, closure: np.ndarray) -> None:
@@ -236,9 +260,10 @@ def recursive_apsp(g: WeightedGraph, max_tile: int) -> ApspResult:
     The engine builds ``g``'s partition hierarchy for ``max_tile`` and runs
     the schedule :func:`choose_schedule` returns for it; the result's
     ``trace`` is that device schedule, of whose events the host runs the
-    closes and the top closure.  Components close one after another, in
-    schedule order, and each level is then corrected in one pass through
-    its boundary closure.  Graphs of more than ``DENSE_LIMIT`` vertices
+    closes and the top closure.  Each level's components close as
+    per-size stacks, one kernel call per stack (see :func:`close_one`),
+    and each level is then corrected in one pass through its boundary
+    closure.  Graphs of more than ``DENSE_LIMIT`` vertices
     raise :class:`ApspError` before anything is partitioned.
     """
     if g.n > DENSE_LIMIT:
@@ -256,8 +281,7 @@ def recursive_apsp(g: WeightedGraph, max_tile: int) -> ApspResult:
     # upward: close components in place; the boundary slice is the next level
     mats = [distance_init(g)]
     for lv in levels:
-        for c in range(lv.partition.k):
-            close_one(mats[-1], lv.partition.component(c))
+        close_one(mats[-1], lv.partition)
         u = lv.boundaries.union
         mats.append(mats[-1][np.ix_(u, u)])
 

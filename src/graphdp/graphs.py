@@ -151,9 +151,10 @@ def gen_er(n: int, p: float, seed: int, w_max: int = DEFAULT_W_MAX) -> WeightedG
     return WeightedGraph(n, src.astype(np.int64), dst.astype(np.int64), w)
 
 
-def _undirected(n: int, pairs: set, rng, w_max: int) -> WeightedGraph:
-    """Both arcs of each pair, one weight in [1, w_max] per pair in sorted order."""
-    und = np.array(sorted(pairs), dtype=np.int64)
+def _undirected(n: int, und: np.ndarray, rng, w_max: int) -> WeightedGraph:
+    """Both arcs of each pair, one weight in [1, w_max] per pair, where
+    ``und`` holds distinct ``(u, v)`` pairs, ``u < v``, as rows in sorted
+    order."""
     w = rng.integers(1, w_max + 1, size=und.shape[0], dtype=np.int64)
     src = np.concatenate([und[:, 0], und[:, 1]])
     dst = np.concatenate([und[:, 1], und[:, 0]])
@@ -176,27 +177,29 @@ def gen_nws(
         raise GraphError("n must exceed k")
     _check_edge_params(p, w_max)
     rng = np.random.default_rng(seed)
-    pairs = set()
-    for d in range(1, k // 2 + 1):
-        for i in range(n):
-            j = (i + d) % n
-            pairs.add((min(i, j), max(i, j)))
-    lattice_count = len(pairs)
-    n_short = int(rng.binomial(lattice_count, p))
+    # pair (u, v), u < v, as the key u * n + v; the lattice joins each vertex
+    # to the next k/2 around the ring, n * k/2 distinct pairs as n > k
+    half = k // 2
+    i = np.tile(np.arange(n, dtype=np.int64), half)
+    j = (i + np.repeat(np.arange(1, half + 1), n)) % n
+    lattice = np.minimum(i, j) * n + np.maximum(i, j)
+    n_short = int(rng.binomial(lattice.size, p))
+    shortcuts = set()
     added = 0
     while added < n_short:
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
         if u == v:
             continue
-        key = (min(u, v), max(u, v))
-        if key in pairs:
-            # collision with an existing edge: drop rather than rewire
-            added += 1
-            continue
-        pairs.add(key)
+        u, v = min(u, v), max(u, v)
+        # a pair on the lattice (ring distance at most k/2) or drawn before
+        # collides with an existing edge: drop it rather than rewire
+        if half < v - u < n - half:
+            shortcuts.add(u * n + v)
         added += 1
-    return _undirected(n, pairs, rng, w_max)
+    keys = np.concatenate([lattice, np.fromiter(shortcuts, np.int64, len(shortcuts))])
+    keys.sort()
+    return _undirected(n, np.stack(np.divmod(keys, n), axis=1), rng, w_max)
 
 
 def gen_clustered(
@@ -255,7 +258,7 @@ def gen_clustered(
             if lead < clusters and nxt < clusters and lead != nxt:
                 pairs.add(tuple(sorted((gateway(lead), gateway(nxt)))))
 
-    return _undirected(n, pairs, rng, DEFAULT_W_MAX)
+    return _undirected(n, np.array(sorted(pairs), dtype=np.int64), rng, DEFAULT_W_MAX)
 
 
 # ---------------------------------------------------------------------------

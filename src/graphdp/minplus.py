@@ -12,15 +12,20 @@ Writes follow a strict-improvement discipline: an entry changes only when
 the candidate is strictly smaller, so ties keep the incumbent and repeated
 closure passes are byte-stable.
 
+The closure takes one matrix or a ``(k, s, s)`` stack of them, and
+closes every matrix of a stack independently, so a level's components
+close as one call, as the device's matrix tile closes them side by side.
+
 Both kernels compute in 16 bits when that is provably exact, clamping
 their operands to the narrow sentinel 2^15-1 in ``uint16``, where the same
-argument shows no sum wraps.  The closure closes the clamped matrix and
+argument shows no sum wraps.  The closure closes the clamped input and
 widens the result back to ``uint32`` with the 2^31-1 sentinel when the
-result fits (see :func:`floyd_warshall_dense`); by default it returns a
-new matrix, and ``inplace=True`` writes the result into the caller's
-``uint32`` input.  The product runs narrow when the largest finite entries
-of its operands sum below 2^15-1, and never writes a narrow candidate
-that reaches the narrow sentinel (see :func:`min_plus_product`).  It
+result fits, decided once for a whole stack (see
+:func:`floyd_warshall_dense`); by default it returns a new array, and
+``inplace=True`` writes the result into the caller's ``uint32`` input.
+The product runs narrow when the largest finite entries of its operands
+sum below 2^15-1, and never writes a narrow candidate that reaches the
+narrow sentinel (see :func:`min_plus_product`).  It
 either returns a new matrix that starts at the sentinel or min-accumulates
 into a caller's ``uint32`` matrix, optionally into chosen rows of it, so
 a level correction needs no product buffer.  When a fit test fails, the
@@ -36,8 +41,10 @@ sparse phase that pivots the vertex with the fewest finite rows times
 finite columns first and updates only that block, as fill-reducing orders
 do in sparse elimination.  Once the cheapest pivot left would cover a
 twentieth of the matrix (on a dense input, at once), or for a small input
-from the start, the strip loop pivots every row.  The closed distances are
-unique, so the result does not depend on which phase ran.
+from the start, the strip loop pivots every row; small matrices of a
+stack take each pivot together, a cache-sized chunk of them per add and
+minimum.  The closed distances are unique, so the result does not depend
+on which phase ran.
 """
 
 from __future__ import annotations
@@ -47,10 +54,10 @@ import numpy as np
 from .graphs import INF_SENTINEL
 
 
-# the strip loop builds each pivot's candidates one strip of rows at a
-# time, in a buffer of this many bytes (256 KiB) that stays in cache; the
-# other passes over the matrix, and the product, take strips of this many
-# cells
+# the strip loop builds each pivot's candidates one strip of rows, or one
+# chunk of a stack's small matrices, at a time, in a buffer of this many
+# bytes (256 KiB) that stays in cache; the other passes over the input,
+# and the product, take pieces of this many cells
 _FW_STRIP_BYTES = 1 << 18
 _FW_STRIP_CELLS = 1 << 16
 
@@ -95,65 +102,79 @@ def _as_distances(d) -> np.ndarray:
 
 
 def _check_square_nonneg(d: np.ndarray) -> None:
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+    """``d`` is one square matrix or a ``(k, s, s)`` stack of them, with
+    entries in range and a zero diagonal in every matrix."""
+    if d.ndim not in (2, 3) or d.shape[-1] != d.shape[-2]:
         raise BlockShapeError("distance matrix must be square")
     _check_range(d)
-    if np.any(np.diagonal(d) != 0):
+    if np.any(np.diagonal(d, axis1=-2, axis2=-1) != 0):
         raise BlockShapeError("diagonal must be zero before closure")
 
 
 def floyd_warshall_dense(d: np.ndarray, inplace: bool = False) -> np.ndarray:
-    """Exact all-pairs closure of a dense non-negative distance matrix.
+    """Exact all-pairs closure of a dense non-negative distance matrix, or
+    of every matrix of a ``(k, s, s)`` stack.
 
-    The one closure kernel: the component closes and the top closure both
-    call it.  Entries of ``d`` must lie in ``[0, INF_SENTINEL]``.  The
-    result is ``uint32`` with ``INF_SENTINEL`` for unreachable pairs.  By
-    default it is a new matrix and ``d`` is left as it was.  With
+    The one closure kernel: the level closes and the top closure both call
+    it.  Entries of ``d`` must lie in ``[0, INF_SENTINEL]``.  The result is
+    ``uint32``, of ``d``'s shape, with ``INF_SENTINEL`` for unreachable
+    pairs.  By default it is a new array and ``d`` is left as it was.  With
     ``inplace=True``, ``d`` must be ``uint32``: the closure is written into
     it and ``d`` itself is returned, so a caller that drops its input holds
-    no second full-width matrix.
+    no second full-width copy.  The matrices of a stack are closed
+    independently, as the matrix tile closes a level's components side by
+    side.
 
-    The closure computes in 16 bits when the result provably fits.  Let
-    ``w`` be the largest finite entry of ``d``.  If ``w < S`` (``S`` =
-    ``_NARROW_SENTINEL``), ``d`` is clamped to ``S`` into a ``uint16``
-    matrix and closed there, which returns ``min(D, S)`` for the true
-    closure ``D``.  A pair whose true distance is finite and at least ``S``
-    has a vertex on its shortest path whose exact distance lies in
-    ``[S - w, S)``, as each arc adds at most ``w``.  So when the largest
-    narrow entry below ``S`` plus ``w`` is below ``S``, every entry at
-    ``S`` is unreachable, and the narrow result is widened to ``uint32``
-    with ``S`` written as ``INF_SENTINEL``.  Otherwise, and whenever
-    ``w >= S``, the closure runs in ``uint32`` on the untouched input.
-    See :func:`_close` for the two phases both widths run.
+    The closure computes in 16 bits when the result provably fits, decided
+    once for the whole input.  Let ``w`` be the largest finite entry of
+    ``d`` over all its matrices.  If ``w < S`` (``S`` =
+    ``_NARROW_SENTINEL``), ``d`` is clamped to ``S`` into ``uint16`` and
+    closed there, which returns ``min(D, S)`` for the true closure ``D``.
+    A pair whose true distance is finite and at least ``S`` has a vertex on
+    its shortest path whose exact distance lies in ``[S - w, S)``, as each
+    arc adds at most ``w``.  So when the largest narrow entry below ``S``
+    plus ``w`` is below ``S``, every entry at ``S`` is unreachable, and the
+    narrow result is widened to ``uint32`` with ``S`` written as
+    ``INF_SENTINEL``.  Otherwise, and whenever ``w >= S``, the whole input
+    closes in ``uint32``, untouched.  See :func:`_close` for the two phases
+    both widths run.
     """
     d = np.asarray(d)
     _check_square_nonneg(d)
     if inplace and d.dtype != np.uint32:
         raise BlockShapeError("an in-place closure needs a uint32 matrix")
-    n = d.shape[0]
-    rows = _strip_rows(n, _FW_STRIP_CELLS)
+    s = d.shape[-1]
     w, narrow = _narrow(d)
     if w < _NARROW_SENTINEL:
-        _close(narrow, _NARROW_SENTINEL)
-        # a shortest path has at most n - 1 arcs, so no exact entry exceeds
-        # (n - 1) * w, and while n * w < S the fit needs no scan
-        top = (n - 1) * w
+        closed = _stack(narrow)
+        pieces = _pieces(closed.shape, _FW_STRIP_CELLS)
+        _close(closed, _NARROW_SENTINEL)
+        # a shortest path has at most s - 1 arcs, so no exact entry exceeds
+        # (s - 1) * w, and while s * w < S the fit needs no scan
+        top = (s - 1) * w
         if top + w >= _NARROW_SENTINEL:
             top = 0
-            for r0 in range(0, n, rows):
-                s = narrow[r0 : r0 + rows]
-                top = max(top, int(s.max(where=s < _NARROW_SENTINEL, initial=0)))
+            for ix in pieces:
+                p = closed[ix]
+                top = max(top, int(p.max(where=p < _NARROW_SENTINEL, initial=0)))
         if top + w < _NARROW_SENTINEL:
-            out = d if inplace else np.empty((n, n), dtype=np.uint32)
-            for r0 in range(0, n, rows):
-                s, o = narrow[r0 : r0 + rows], out[r0 : r0 + rows]
-                np.copyto(o, s)
-                np.putmask(o, s == _NARROW_SENTINEL, INF_SENTINEL)
+            out = d if inplace else np.empty(d.shape, dtype=np.uint32)
+            wide = _stack(out)
+            for ix in pieces:
+                p, o = closed[ix], wide[ix]
+                np.copyto(o, p)
+                np.putmask(o, p == _NARROW_SENTINEL, INF_SENTINEL)
             return out
+        del closed
     del narrow  # before the full-width copy, so the two never coexist
     out = d if inplace else np.array(d, dtype=np.uint32)
-    _close(out, INF_SENTINEL)
+    _close(_stack(out), INF_SENTINEL)
     return out
+
+
+def _stack(d: np.ndarray) -> np.ndarray:
+    """``d`` as a ``(k, rows, cols)`` stack: itself, or a one-matrix view."""
+    return d if d.ndim == 3 else d[None]
 
 
 def _strip_rows(n: int, cells: int) -> int:
@@ -161,46 +182,73 @@ def _strip_rows(n: int, cells: int) -> int:
     return max(1, cells // max(n, 1))
 
 
+def _pieces(shape: tuple, cells: int) -> list:
+    """Indices that cut a ``(k, rows, cols)`` stack into pieces of about
+    ``cells`` cells: runs of whole matrices when one fits, and otherwise
+    row strips of one matrix at a time."""
+    k, r, c = shape
+    per = cells // max(r * c, 1)
+    if per:
+        return [slice(m0, m0 + per) for m0 in range(0, k, per)]
+    rows = _strip_rows(c, cells)
+    return [(m, slice(r0, r0 + rows)) for m in range(k) for r0 in range(0, r, rows)]
+
+
 def _narrow(d: np.ndarray) -> tuple:
-    """``(w, min(d, S) as uint16)`` in one strip pass, where ``w`` is the
-    largest entry of ``d`` below ``INF_SENTINEL`` (0 if none)."""
+    """``(w, min(d, S) as uint16)`` in one pass over pieces of ``d``, a
+    matrix or a stack, where ``w`` is the largest entry of ``d`` below
+    ``INF_SENTINEL`` (0 if none)."""
     narrow = np.empty(d.shape, dtype=np.uint16)
-    rows = _strip_rows(d.shape[1], _FW_STRIP_CELLS)
+    src, dst = _stack(d), _stack(narrow)
     w = 0
-    for r0 in range(0, d.shape[0], rows):
-        s = d[r0 : r0 + rows]
-        w = max(w, int(s.max(where=s < INF_SENTINEL, initial=0)))
-        np.minimum(s, _NARROW_SENTINEL, out=narrow[r0 : r0 + rows], casting="unsafe")
+    for ix in _pieces(src.shape, _FW_STRIP_CELLS):
+        p = src[ix]
+        w = max(w, int(p.max(where=p < INF_SENTINEL, initial=0)))
+        np.minimum(p, _NARROW_SENTINEL, out=dst[ix], casting="unsafe")
     return w, narrow
 
 
 def _close(out: np.ndarray, sentinel: int) -> None:
-    """Close the square matrix ``out`` in place, in its own unsigned dtype,
-    where ``sentinel`` means unreachable and no sum of two entries wraps.
+    """Close every matrix of the ``(k, s, s)`` stack ``out`` in place, in
+    its own unsigned dtype, where ``sentinel`` means unreachable and no sum
+    of two entries wraps.
 
-    Pivot ``k`` can improve ``out[i, j]`` only where ``out[i, k]`` and
-    ``out[k, j]`` are both finite: any other candidate is at least the
-    sentinel, and every incumbent is at most the sentinel, so it never
-    strictly improves.  Floyd-Warshall is exact in any pivot order.  So an
-    input of at least ``_SPARSE_MIN_DIM`` vertices first runs a sparse
-    phase (see :func:`_sparse_pivots`): fewest-fill pivots first, each
-    updating only its finite rows and columns.  Smaller inputs, and the
-    pivots the sparse phase leaves, run the strip loop: each pivot
-    min-updates every row, strip by strip through one reused candidate
-    buffer.  Strips change no value: row and column ``k`` are fixed points
-    of pivot ``k``.
+    Pivot ``p`` can improve ``out[m, i, j]`` only where ``out[m, i, p]``
+    and ``out[m, p, j]`` are both finite: any other candidate is at least
+    the sentinel, and every incumbent is at most the sentinel, so it never
+    strictly improves.  Floyd-Warshall is exact in any pivot order.  When a
+    matrix fits the ``_FW_STRIP_BYTES`` candidate buffer, the stack closes
+    in chunks of as many matrices as fit: each pivot is one add and one
+    minimum over the whole chunk, which stays in cache across all ``s``
+    pivots.  A larger matrix closes alone; from ``_SPARSE_MIN_DIM``
+    vertices it first runs a sparse phase (see :func:`_sparse_pivots`):
+    fewest-fill pivots first, each updating only its finite rows and
+    columns.  Then the strip loop min-updates every row for each pivot
+    left, strip by strip through one reused candidate buffer.  Strips
+    change no value: row and column ``p`` are fixed points of pivot ``p``.
     """
-    n = out.shape[0]
-    pivots = _sparse_pivots(out, sentinel) if n >= _SPARSE_MIN_DIM else range(n)
-    rows = _strip_rows(n, _FW_STRIP_BYTES // out.itemsize)
-    cand = np.empty((min(rows, n), n), dtype=out.dtype)
-    for k in pivots:
-        pivot_row = out[None, k, :]
-        for r0 in range(0, n, rows):
-            strip = out[r0 : r0 + rows]
-            c = cand[: strip.shape[0]]
-            np.add(strip[:, k, None], pivot_row, out=c)
-            np.minimum(strip, c, out=strip)
+    k, s = out.shape[0], out.shape[-1]
+    per = _FW_STRIP_BYTES // max(s * s * out.itemsize, 1)
+    if per:
+        cand = np.empty((min(per, k), s, s), dtype=out.dtype)
+        for m0 in range(0, k, per):
+            chunk = out[m0 : m0 + per]
+            c = cand[: chunk.shape[0]]
+            for p in range(s):
+                np.add(chunk[:, :, p, None], chunk[:, None, p, :], out=c)
+                np.minimum(chunk, c, out=chunk)
+        return
+    rows = _strip_rows(s, _FW_STRIP_BYTES // out.itemsize)
+    cand = np.empty((min(rows, s), s), dtype=out.dtype)
+    for m in out:
+        pivots = _sparse_pivots(m, sentinel) if s >= _SPARSE_MIN_DIM else range(s)
+        for p in pivots:
+            pivot_row = m[None, p, :]
+            for r0 in range(0, s, rows):
+                strip = m[r0 : r0 + rows]
+                c = cand[: strip.shape[0]]
+                np.add(strip[:, p, None], pivot_row, out=c)
+                np.minimum(strip, c, out=strip)
 
 
 def _sparse_pivots(out: np.ndarray, sentinel: int) -> np.ndarray:

@@ -210,14 +210,17 @@ FW_SITES = {"close_one": "close", "recursive_apsp": "top"}
 
 
 def record_fw_calls(monkeypatch) -> list:
-    """Wrap the engine's Floyd-Warshall kernel and log its calls, by call
-    site and dimension, in the order the engine makes them."""
+    """Wrap the engine's Floyd-Warshall kernel and log the closes it makes,
+    by call site and dimension, in the order of the engine's calls; a
+    ``(k, s, s)`` stack logs k closes of dimension s."""
     log = []
     real_fw = engine.floyd_warshall_dense
 
     def fw(d, **kw):
         out = real_fw(d, **kw)
-        log.append((FW_SITES[sys._getframe(1).f_code.co_name], out.shape[0]))
+        site = FW_SITES[sys._getframe(1).f_code.co_name]
+        k = out.shape[0] if out.ndim == 3 else 1
+        log.extend([(site, out.shape[-1])] * k)
         return out
 
     monkeypatch.setattr(engine, "floyd_warshall_dense", fw)
@@ -233,11 +236,14 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, runs):
     # the engine runs the dense or the direct schedule, as choose_schedule
     # picks; the lazy one, which the tile sweep and plans past the dense
     # limit price, leaves out the base-level merges.  The host makes the
-    # schedule's close and top closures, in its order; the inject, re-close
-    # and merge events stay the device's, and the host's one correction per
-    # level must give the same distances.  The engine keeps no state
-    # between calls: a second run, on the hierarchy the first one built,
-    # makes the same calls and returns the same result
+    # schedule's close and top closures, level by level; the inject,
+    # re-close and merge events stay the device's, and the host's one
+    # correction per level must give the same distances.  A level's closes
+    # run as stacks, and its blocks are disjoint, so only the multiset of
+    # close dimensions per level is observable, with the top closure last.
+    # The engine keeps no state between calls: a second run, on the
+    # hierarchy the first one built, makes the same calls and returns the
+    # same result
     make, tile, _, shape = SCHEDULE_CASES[case]
     g = make()
     if mode == "lazy":
@@ -259,8 +265,13 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, runs):
     assert shape(res.hierarchy)
     assert res.trace.mode == mode
     want = schedule(res.hierarchy, mode)
-    host = [(ev.kind, ev.dim) for ev in want.fw_events if ev.kind != "reclose"]
-    assert log == host * runs
+    host = [ev for ev in want.fw_events if ev.kind != "reclose"]
+    levels = [ev.level for ev in host]
+    calls = [(ev.kind, ev.dim) for ev in host]
+    assert len(log) == len(calls) * runs
+    for r in range(runs):
+        got = log[r * len(calls) : (r + 1) * len(calls)]
+        assert sorted(zip(levels, got)) == sorted(zip(levels, calls))
     assert res.trace == want
     assert np.array_equal(res.dist, fw_oracle(g))
     if mode == "direct":
@@ -270,6 +281,37 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, runs):
         cost = model_recursive_apsp(res.trace, p)
         assert list(cost.phases) == ["top.fw"]
         assert cost.phases["top.fw"] == _blocked_fw(g.n, p)
+
+
+@pytest.mark.parametrize("stack_bytes", [1, 3 * 17 * 17 * 4, 1 << 20])
+def test_a_level_closes_in_bounded_per_size_stacks(monkeypatch, stack_bytes):
+    # the components of each size close as stacks of at most stack_bytes,
+    # or of one component, and every block comes out as if closed alone
+    monkeypatch.setattr(engine, "_STACK_BYTES", stack_bytes)
+    shapes = []
+    real_fw = engine.floyd_warshall_dense
+
+    def fw(d, **kw):
+        shapes.append(d.shape)
+        return real_fw(d, **kw)
+
+    monkeypatch.setattr(engine, "floyd_warshall_dense", fw)
+    g = gen_clustered(10, 40, seed=2)
+    part = build_hierarchy(g, 32).levels[0].partition
+    d = distance_init(g)
+    want = d.copy()
+    for c in range(part.k):
+        ix = np.ix_(part.component(c), part.component(c))
+        want[ix] = real_fw(want[ix])
+    engine.close_one(d, part)
+    assert np.array_equal(d, want)
+    expect = []
+    for s, count in zip(*np.unique(part.sizes(), return_counts=True)):
+        per = max(1, stack_bytes // (4 * s * s))
+        expect += [(min(per, count - c0), s, s) for c0 in range(0, count, per)]
+    assert sorted(shapes) == sorted(expect)
+    groups = len(set(part.sizes().tolist()))
+    assert len(shapes) == groups if stack_bytes == 1 << 20 else len(shapes) > groups
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +328,7 @@ def test_level_correction_matches_brute_force():
     part, bset = lv.partition, lv.boundaries
     assert part.k >= 3 and len(bset.per_component) == part.k
     d = distance_init(g)
-    for c in range(part.k):
-        engine.close_one(d, part.component(c))
+    engine.close_one(d, part)
     whole = fw_oracle(g)
     closure = whole[np.ix_(bset.union, bset.union)].astype(np.uint32)
     pos = {int(v): i for i, v in enumerate(bset.union)}

@@ -284,7 +284,10 @@ def test_tracer_describes_a_run(tmp_path):
         parse_gfa,
     )
 
-    dump_edge_list(gen_clustered(10, 40, seed=2), str(tmp_path / "g.edges"))
+    from graphdp.partition import build_hierarchy
+
+    g = gen_clustered(10, 40, seed=2)
+    dump_edge_list(g, str(tmp_path / "g.edges"))
     gfa, _ = gen_genome(600, 0.05, seed=2)
     (tmp_path / "g.gfa").write_text(gfa)
     dump_fasta(gen_reads(parse_gfa(gfa), 6, 80, 0.02, seed=2), str(tmp_path / "r.fa"))
@@ -304,10 +307,12 @@ def test_tracer_describes_a_run(tmp_path):
         tr.uninstall()
     assert [rc_apsp, rc_s2g] == [0, 0]
     m = tracer.rep_metrics(apsp_spans, 32)
-    # the engine closes each component and the top, as the schedule lists
+    # the engine closes each component and the top, as the schedule lists;
+    # a level's components of one size close as one stack, one kernel call
     assert m["apsp.fw_events.close"] > 0
-    closes = m["apsp.fw_events.close"] + m["apsp.fw_events.top"]
-    assert m["minplus.fw_calls"] == closes
+    hier = build_hierarchy(g, 32)
+    stacks = sum(len(set(lv.partition.sizes().tolist()) - {0}) for lv in hier.levels)
+    assert m["minplus.fw_calls"] == stacks + m["apsp.fw_events.top"]
     m = tracer.rep_metrics(s2g_spans, None)
     assert m["s2g.node_windows"] > 0
     assert m["s2g.self_updates"] + m["s2g.hop_updates"] > 0

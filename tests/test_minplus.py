@@ -408,6 +408,99 @@ def test_closure_near_both_sentinels_matches_int64(d):
 
 
 # ---------------------------------------------------------------------------
+# Stacks: a (k, s, s) input closes every matrix in one call
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def near_sentinel_stacks(draw) -> np.ndarray:
+    """A ``(k, n, n)`` int64 stack of matrices like those of
+    :func:`near_sentinel_matrices`, each drawn from its own pool, so one
+    matrix of a stack may fit 16 bits while another does not."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 9))
+    mats = []
+    for _ in range(k):
+        pool = _NEAR_S[: draw(st.integers(1, len(_NEAR_S)))] + [INF_SENTINEL] * 3
+        cells = draw(st.lists(st.sampled_from(pool), min_size=n * n, max_size=n * n))
+        m = np.array(cells, dtype=np.int64).reshape(n, n)
+        np.fill_diagonal(m, 0)
+        mats.append(m)
+    return np.stack(mats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_sentinel_stacks())
+def test_a_stack_closes_as_each_of_its_matrices(d):
+    want = np.stack([floyd_warshall_dense(m) for m in d])
+    kept = d.copy()
+    out = floyd_warshall_dense(d)
+    assert out.dtype == np.uint32 and out.shape == d.shape
+    assert out.tobytes() == want.tobytes()
+    assert np.array_equal(d, kept)
+    wide = d.astype(np.uint32)
+    assert floyd_warshall_dense(wide, inplace=True) is wide
+    assert wide.tobytes() == want.tobytes()
+
+
+def test_a_stack_of_large_matrices_runs_the_sparse_phase_in_place(monkeypatch):
+    # matrices past the sparse floor close one at a time, sparse phase
+    # included, after one fit test for the whole stack; a strided view of a
+    # larger stack is written in place
+    log = record_widths(monkeypatch)
+    sparse = []
+    real = minplus._sparse_pivots
+
+    def pivots(out, sentinel):
+        sparse.append(out.shape)
+        return real(out, sentinel)
+
+    monkeypatch.setattr(minplus, "_sparse_pivots", pivots)
+    graphs = [gen_er(600, 0.008, seed=s) for s in (5, 6)]
+    big = np.zeros((3, 600, 600), dtype=np.uint32)
+    big[0], big[2] = (distance_init(g) for g in graphs)
+    view = big[::2]
+    assert floyd_warshall_dense(view, inplace=True) is view
+    assert log == [np.uint16] and sparse == [(600, 600)] * 2
+    for m, g in zip(big[::2], graphs):
+        assert np.array_equal(m, dijkstra_oracle(g))
+    assert not big[1].any()
+
+
+def test_a_stack_that_needs_32_bits_anywhere_closes_wide(monkeypatch):
+    # a short-arc chain fits 16 bits alone; stacked with a chain of
+    # MAX_WEIGHT arcs and arcs at INF - 2 and INF - 1, the whole stack
+    # closes in uint32, and both stay exact and saturate at the sentinel
+    log = record_widths(monkeypatch)
+    small = distance_init(_chain([1, 2, 3, 4, 5]))
+    assert np.array_equal(floyd_warshall_dense(small), _fw_int64(small))
+    assert log == [np.uint16]
+    large = distance_init(_chain([MAX_WEIGHT] * 5)).astype(np.int64)
+    large[5, 0] = INF_SENTINEL - 2
+    large[3, 1] = INF_SENTINEL - 1
+    log.clear()
+    out = floyd_warshall_dense(np.stack([small.astype(np.int64), large]))
+    assert log == [np.uint32]
+    assert np.array_equal(out[0], _fw_int64(small))
+    assert np.array_equal(out[1], _fw_int64(large))
+    assert out[1, 0, 2] == INF_SENTINEL - 1 and out[1, 0, 3] == INF_SENTINEL
+    assert out[1, 4, 0] == INF_SENTINEL and out[1, 5, 1] == INF_SENTINEL
+    assert out.max() == INF_SENTINEL
+
+
+def test_a_bad_stack_is_refused():
+    good = np.zeros((3, 4, 4), dtype=np.int64)
+    bad = good.copy()
+    bad[1, 2, 2] = 1
+    with pytest.raises(BlockShapeError):
+        floyd_warshall_dense(bad)
+    for shape in ((3, 4, 5), (2, 3, 4, 4)):
+        with pytest.raises(BlockShapeError):
+            floyd_warshall_dense(np.zeros(shape, dtype=np.int64))
+    assert floyd_warshall_dense(good).shape == good.shape
+
+
+# ---------------------------------------------------------------------------
 # The product's accumulate form and its 16-bit path
 # ---------------------------------------------------------------------------
 
