@@ -90,24 +90,23 @@ def _index_dtype(n: int):
 def _undirected_csr(g: _StructuralGraph):
     """Symmetrised adjacency: ``ptr`` (int64, ``n + 1`` entries) and ``adj``.
 
-    Vertex ``v``'s neighbours are ``adj[ptr[v]:ptr[v + 1]]``: the heads of
-    its out-arcs, then the tails of its in-arcs, each in arc order.  ``adj``
-    holds ``_index_dtype(n)`` indices, which halves the largest buffers.
+    Vertex ``v``'s row ``adj[ptr[v]:ptr[v + 1]]`` is its arc ends in id
+    order, each out-arc's head and each in-arc's tail: a self-loop gives
+    two.  The ends sort as int64 keys, vertex in the high 32 bits, which
+    are masked off in place before one cast: a masked copy is the peak.
     """
+    if g.n >= 2**31:
+        raise PartitionError(f"cannot partition n={g.n}: ids must fit int32")
     m = g.src.size
-    ends = np.empty(2 * m, dtype=_index_dtype(g.n))
-    ends[:m] = g.src
-    ends[m:] = g.dst
-    order = np.argsort(ends, kind="stable")
-    # the same buffer, refilled with the other endpoint of each arc
-    ends[:m] = g.dst
-    ends[m:] = g.src
-    adj = ends[order]
-    del ends, order
-    ptr = np.zeros(g.n + 1, dtype=np.int64)
+    adj = np.concatenate((g.src, g.dst), dtype=np.int64)
+    adj <<= 32
+    adj[:m] |= g.dst
+    adj[m:] |= g.src
+    adj.sort()
+    adj &= 0xFFFFFFFF
+    adj = adj.astype(np.int32)
     deg = np.bincount(g.src, minlength=g.n) + np.bincount(g.dst, minlength=g.n)
-    np.cumsum(deg, out=ptr[1:])
-    return ptr, adj
+    return np.r_[0, np.cumsum(deg)], adj
 
 
 def _size_cap(n: int, k: int, imbalance: float) -> int:
@@ -144,9 +143,10 @@ def _label_propagation(ptr, adj, limit: int):
     A vertex takes the label most frequent among its neighbours, of its own
     and those with room: the larger cluster wins ties, then the lower label.
     Labels start distinct, so round 1 takes the lowest id of each closed
-    neighbourhood.  Later rounds recount only the neighbours of movers, in
-    chunks whose ``(vertex, label)`` keys fit the label dtype.  A label
-    admits movers lowest id first, up to ``limit`` vertices.
+    neighbourhood, its CSR row's first entry.  Later rounds recount only
+    the neighbours of movers, in chunks whose ``(vertex, label)`` keys fit
+    the label dtype.  A label admits movers lowest id first, up to
+    ``limit`` vertices.
 
     ``need`` bounds each label's size before a round plus the movers it
     admits (a label can lose members in the round it gains them, so its
@@ -158,7 +158,7 @@ def _label_propagation(ptr, adj, limit: int):
     size = np.ones(n, dtype=np.int64)
     need = 1
     verts = has = np.flatnonzero(np.diff(ptr))
-    want = np.minimum(np.minimum.reduceat(adj, ptr[has]), has) if has.size else has
+    want = np.minimum(adj[ptr[has]], has)
     step = max(1, np.iinfo(lab.dtype).max // n)
     for _ in range(_ROUNDS):
         moves = want != lab[verts]
@@ -379,14 +379,14 @@ class _StructuralGraph:
     """A level's arcs as the partitioner reads them, with what it derives.
 
     It holds ``n`` and the ``src``/``dst`` arrays, never weights, and never
-    writes the arrays: they may be the caller's own.  The symmetrised CSR
-    is built on first use and kept, and so is the last label propagation
-    that the size cap never bound, with a cap from which up that run is
-    the same: a partition under any cap from there up reuses its labels.
-    Next to those labels it keeps their bundled cluster graph, which the
-    cluster merge starts from, and the last merge of them that its limit
-    never bound, with its clusters' ``_heavy_order`` and a limit from
-    which up that merge is the same.  Both are built on first
+    writes the arrays: they may be the caller's own.  The symmetrised CSR,
+    each row in id order, is built on first use and kept, and so is the
+    last label propagation that the size cap never bound, with a cap from
+    which up that run is the same: a partition under any cap from there up
+    reuses its labels.  Next to those labels it keeps their bundled cluster
+    graph, which the cluster merge starts from, and the last merge of them
+    that its limit never bound, with its clusters' ``_heavy_order`` and a
+    limit from which up that merge is the same.  Both are built on first
     use, read-only like the labels, and dropped with them; labels of a
     capped run are never kept, so they get fresh bundles and merges.  The
     tile sweep partitions one level-0 graph at every tile size, and its

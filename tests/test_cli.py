@@ -124,19 +124,23 @@ def test_gen_bad_params_is_usage_error(tmp_path, capsys):
 
 
 def test_graph_too_large_to_allocate_exits_2(tmp_path, capsys):
-    # both first allocations exceed the 128 TiB x86-64 address space, so
-    # they fail at once on any host; the partitioner's part count comes
-    # first and must not step through the vertex count
+    # gen's first allocation exceeds the 128 TiB x86-64 address space, so
+    # it fails at once on any host; the partitioner refuses ids past int32
+    # before it allocates, and its part count comes first and must not step
+    # through the vertex count
     graph = tmp_path / "huge.edges"
     graph.write_text("# n=1000000000000000\n0\t1\t1\n")
-    for argv in (
-        ("plan", "apsp", "--graph", graph, "--out", tmp_path / "plan"),
-        ("gen", "er", "--n", 10**12, "--p", 0, "--out", tmp_path / "gen"),
+    for argv, want in (
+        (
+            ("plan", "apsp", "--graph", graph, "--out", tmp_path / "plan"),
+            "error: cannot partition n=1000000000000000: ids must fit int32\n",
+        ),
+        (("gen", "er", "--n", 10**12, "--p", 0, "--out", tmp_path / "gen"), "error: out of memory: "),
     ):
         capsys.readouterr()
         assert run(*argv) == 2, argv
         err = capsys.readouterr().err
-        assert err.startswith("error: out of memory: ") and err.count("\n") == 1, argv
+        assert err.startswith(want) and err.count("\n") == 1, argv
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def test_kway_isolated_vertices_are_fast():
 
 def test_kway_memory_on_tile_workload():
     # the tile sweep's level-0 call at N=1024: the partitioner's own peak
-    # stays within 2.25x the structural graph's arc arrays
+    # stays within 1.75x the structural graph's arc arrays
     g = make_tile_workload()
     struct = _structural_graph(g.n, g.src, g.dst, [])
     del g
@@ -220,7 +220,39 @@ def test_kway_memory_on_tile_workload():
     finally:
         tracemalloc.stop()
     assert np.array_equal(p.sizes(), [1024] * 128)
-    assert peak <= 2.25 * arcs
+    assert peak <= 1.75 * arcs
+
+
+def test_kway_refuses_ids_past_int32():
+    # the CSR packs a vertex and a neighbour into one int64 key and holds
+    # int32 ids: 2**31 vertices fail before anything n-long is made
+    with pytest.raises(PartitionError, match="ids must fit int32"):
+        kway_partition(WeightedGraph(2**31, [0], [1], [0]), 2)
+
+
+def test_undirected_csr_rows_are_sorted_arc_ends(monkeypatch):
+    # each row is the sorted multiset of its vertex's arc ends, a repeated
+    # arc twice and a self-loop's vertex twice, and ptr the cumulative degree
+    built, csr = [], partition._undirected_csr
+
+    def spy(g):
+        built.append(csr(g))
+        return built[-1]
+
+    monkeypatch.setattr(partition, "_undirected_csr", spy)
+    odd = WeightedGraph(
+        6, [4, 0, 2, 5, 0, 3, 1, 2], [1, 3, 2, 0, 3, 5, 4, 0], [1, 2, 0, 1, 2, 3, 1, 1]
+    )
+    for g in (make_tile_workload(8192), odd):
+        built.clear()
+        kway_partition(g, 2)
+        ((ptr, adj),) = built
+        rows = [[] for _ in range(g.n)]
+        for u, v in zip(g.src.tolist(), g.dst.tolist()):
+            rows[u].append(v)
+            rows[v].append(u)
+        assert ptr.tolist() == [0, *np.cumsum([len(r) for r in rows]).tolist()]
+        assert [adj[ptr[v] : ptr[v + 1]].tolist() for v in range(g.n)] == [sorted(r) for r in rows]
 
 
 def test_level0_shares_the_callers_arcs_and_never_writes_them(monkeypatch):
@@ -322,6 +354,49 @@ def test_label_propagation_need_on_small_world_graphs(seed):
         lab, need = runs[cap]
         for other in range(max(need, 55), 101):
             assert np.array_equal(runs[other][0], lab), (cap, need, other)
+
+
+def _shuffled_rows(csr, seed):
+    """``csr`` with every row of its adjacency shuffled, seeded, behind the
+    row's minimum, which stays first."""
+    rng = np.random.default_rng(seed)
+
+    def shuffled(g):
+        ptr, adj = csr(g)
+        row = np.repeat(np.arange(g.n), np.diff(ptr))
+        order = rng.random(adj.size)
+        order[ptr[np.flatnonzero(np.diff(ptr))]] = -1
+        return ptr, adj[np.lexsort((order, row))]
+
+    return shuffled
+
+
+def test_partition_does_not_depend_on_neighbour_order(monkeypatch):
+    # label propagation's first round reads each row's first entry as its
+    # minimum; every other reader of the CSR counts or takes minima per
+    # vertex, so the order behind it moves no label, part, boundary or
+    # sweep row
+    def run():
+        out = {}
+        for kind in sorted(_LP_GRAPHS):
+            g = _LP_GRAPHS[kind](1)
+            ptr, adj = partition._undirected_csr(_structural_graph(g.n, g.src, g.dst, []))
+            runs = [_label_propagation(ptr, adj, cap) for cap in (8, 32, g.n)]
+            h = build_hierarchy(g, 64)
+            out[kind] = (
+                [(lab.tolist(), need) for lab, need in runs],
+                [(lv.partition.assign.tolist(), lv.boundaries.union.tolist()) for lv in h.levels],
+                h.truncated,
+            )
+        out["sweep"] = sweep_tile_size([256, 1024, 2048], g=make_tile_workload(8192))
+        return out
+
+    want = run()
+    shuffled = _shuffled_rows(partition._undirected_csr, 7)
+    tile = _lp_graph("tile", 0)
+    assert not np.array_equal(shuffled(tile)[1], tile.csr()[1])
+    monkeypatch.setattr(partition, "_undirected_csr", shuffled)
+    assert run() == want
 
 
 # ---------------------------------------------------------------------------
