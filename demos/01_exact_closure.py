@@ -23,7 +23,7 @@ print(f"graph: n={g.n} arcs={g.edge_count}")
 
 res = recursive_apsp(g, max_tile=128)
 print(f"closure: mode={res.trace.mode} levels={res.trace.depth} "
-      f"fw_events={len(res.trace.fw_events)} merges={len(res.trace.merge_events)}")
+      f"fw_events={len(res.trace.fw_events)} merges={res.trace.counts()['merges']}")
 
 # the engine is exact, not approximate
 want = floyd_warshall_dense(distance_init(g))
@@ -47,4 +47,4 @@ cg = gen_clustered(16, 40, seed=3, groups=4)
 cres = recursive_apsp(cg, max_tile=128)
 assert np.array_equal(cres.dist, floyd_warshall_dense(distance_init(cg)))
 print(f"clustered n={cg.n}: mode={cres.trace.mode} levels={cres.trace.depth} "
-      f"merges={len(cres.trace.merge_events)}")
+      f"merges={cres.trace.counts()['merges']}")

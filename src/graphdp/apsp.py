@@ -21,7 +21,8 @@ The host runs only the close and top events of :func:`schedule`, a
 level's closes in per-size stacks rather than in schedule order.  The
 schedule's inject, re-close and merge events remain the device's: the
 planner stages them and the cost model prices them, and the host's one
-correction per level computes the same distances.
+correction per level computes the same distances.  A level's merges are
+one record of O(k) ints, read as arrays (:class:`ExecutionTrace`).
 
 Recursion only pays when the graph has small separators.  A random graph
 has none: nearly every vertex is boundary, and the closures and merges cost
@@ -69,33 +70,28 @@ class FwEvent:
 
 
 @dataclass
-class MergeEvent:
-    level: int
-    rows: int
-    cols: int
-    left_boundary: int
-    right_boundary: int
-
-    @property
-    def passes(self) -> tuple:
-        """The merge as two comparator-tree passes, as ``(rows, width)``:
-        its rows through the left boundary, then through the right one."""
-        return (
-            (self.rows * self.right_boundary, self.left_boundary),
-            (self.rows * self.cols, self.right_boundary),
-        )
-
-
-@dataclass
 class ExecutionTrace:
     """The matrix-tile events of one device run, as :func:`schedule` lists
-    them, for planners and cost models."""
+    them, for planners and cost models.  ``merge_levels`` maps each level
+    that merges, in schedule order, to the sizes and the boundary sizes of
+    its components with a boundary, in component order, as two tuples of
+    ints: O(k) ints for the k(k - 1) merges that :meth:`merge_passes` lists."""
 
     depth: int = 0
     mode: str = ""
     fw_events: list = field(default_factory=list)
-    merge_events: list = field(default_factory=list)
+    merge_levels: dict = field(default_factory=dict)
     inject_pairs: int = 0
+
+    def merge_passes(self, level: int) -> tuple:
+        """``level``'s merges, one per ordered pair ``(c1, c2)`` of its
+        components, c1-major, as ``(rows, widths)``, int64 arrays of shape
+        (pairs, 2): each merge's two tree passes, ``s1 * b2`` rows through
+        c1's boundary (width ``b1``), then ``s1 * s2`` through c2's (``b2``)."""
+        s, b = (np.array(v, dtype=np.int64) for v in self.merge_levels[level])
+        c1, c2 = np.nonzero(~np.eye(s.size, dtype=bool))  # c1-major, c1 != c2
+        rows = np.stack([s[c1] * b[c2], s[c1] * s[c2]], 1)
+        return rows, np.stack([b[c1], b[c2]], 1)
 
     def counts(self) -> dict:
         kinds: dict[str, int] = {}
@@ -105,7 +101,7 @@ class ExecutionTrace:
             "depth": self.depth,
             "mode": self.mode,
             "fw": kinds,
-            "merges": len(self.merge_events),
+            "merges": sum(len(s) * (len(s) - 1) for s, _ in self.merge_levels.values()),
             "inject_pairs": self.inject_pairs,
         }
 
@@ -125,7 +121,7 @@ def choose_schedule(hierarchy: PartitionHierarchy) -> ExecutionTrace:
         return schedule(hierarchy, "lazy")
     trace = schedule(hierarchy, "dense")
     ops = sum(ev.dim**3 for ev in trace.fw_events)
-    ops += sum(r * w for ev in trace.merge_events for r, w in ev.passes)
+    ops += sum(int(np.vdot(*trace.merge_passes(li))) for li in trace.merge_levels)
     if base.k > 1 and ops >= DIRECT_OPS_SHARE * base.n**3:
         return schedule(hierarchy, "direct")
     return trace
@@ -141,10 +137,10 @@ def schedule(hierarchy: PartitionHierarchy, mode: str) -> ExecutionTrace:
     level's boundary graph closes as the top, unless it is empty.
     Downward, from the top level to the base, each component with a
     boundary gets its boundary pairs injected and re-closes, in component
-    order, and every ordered pair of such components merges.  The base
-    level merges only in the dense schedule; the lazy schedule leaves them
-    out.  A level without boundary vertices does neither, so an empty top
-    needs no special case.
+    order, and every ordered pair of such components merges (one record
+    in ``merge_levels``).  The base level merges only in the dense
+    schedule; the lazy schedule leaves them out.  A level without boundary
+    vertices does neither, so an empty top needs no special case.
     """
     levels = hierarchy.levels
     if mode == "direct":
@@ -153,26 +149,24 @@ def schedule(hierarchy: PartitionHierarchy, mode: str) -> ExecutionTrace:
     depth = hierarchy.depth
     top = int(levels[-1].boundaries.union.size)
     trace = ExecutionTrace(depth=depth, mode=mode)
-    for li, lv in enumerate(levels):
-        for d in lv.partition.sizes().tolist():
+    level_sizes = [lv.partition.sizes().tolist() for lv in levels]
+    for li, sizes in enumerate(level_sizes):
+        for d in sizes:
             trace.fw_events.append(FwEvent(li, d, "close"))
     if top:
         trace.fw_events.append(FwEvent(depth, top, "top"))
     for li in range(depth - 1, -1, -1):
-        lv = levels[li]
-        sizes = lv.partition.sizes().tolist()
-        per = lv.boundaries.per_component
+        sizes = level_sizes[li]
+        per = levels[li].boundaries.per_component
         bsizes = {c: int(per[c].size) for c in sorted(per)}
         for c, b in bsizes.items():
             trace.fw_events.append(FwEvent(li, sizes[c], "reclose"))
             trace.inject_pairs += b * b
-        if li or mode == "dense":
-            for c1, b1 in bsizes.items():
-                for c2, b2 in bsizes.items():
-                    if c1 != c2 and b1 and b2:
-                        trace.merge_events.append(
-                            MergeEvent(li, sizes[c1], sizes[c2], b1, b2)
-                        )
+        comps = [c for c, b in bsizes.items() if b]
+        if (li or mode == "dense") and len(comps) > 1:
+            trace.merge_levels[li] = (
+                tuple(sizes[c] for c in comps), tuple(bsizes[c] for c in comps)
+            )
     return trace
 
 

@@ -18,7 +18,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, fields, replace
-from functools import cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -331,9 +331,9 @@ def _fold(uniq: list, order: np.ndarray) -> CostReport:
     field adds as Python numbers, so ints stay exact.  A phase folds the
     reports that have it, in the same order."""
     rows = [[getattr(r, f) for f in _SUMMED] for r in uniq]
-    wide = np.array(rows, dtype=np.float64)
+    wide = np.cumsum(np.array(rows, dtype=np.float64)[order], axis=0)[-1].tolist()
     sums = [
-        float(np.cumsum(wide[order, j])[-1]) if type(first) is float
+        wide[j] if type(first) is float
         else reduce(operator.add, np.array([row[j] for row in rows], dtype=object)[order])
         for j, first in enumerate(rows[order[0]])
     ]
@@ -356,15 +356,20 @@ def _makespan(durations: list, workers: int) -> float:
 
 
 def _priced(trace: ExecutionTrace, p: PcmParams) -> tuple:
-    """The report of each fw event, and of each merge event's tree passes
-    (two per event), in schedule order.  Each distinct shape is priced
-    once, so equal shapes share one report."""
-    fw = cache(lambda dim: _fw_cost(dim, p))
-    mp = cache(lambda rows, width: _mp_split(rows, width, p))
-    return (
-        [fw(ev.dim) for ev in trace.fw_events],
-        [mp(*shape) for ev in trace.merge_events for shape in ev.passes],
-    )
+    """Each distinct shape's report, priced once, with the :func:`_fold`
+    order of its uses in schedule order: ``(reports, order)`` over the fw
+    events' dimensions, and per merging level ``(rows, reports, order)``
+    over its passes' shapes, ``rows`` as :meth:`ExecutionTrace.merge_passes`."""
+    dims, fw_order = np.unique([ev.dim for ev in trace.fw_events], return_inverse=True)
+    merges = {}
+    for level in trace.merge_levels:
+        rows, widths = trace.merge_passes(level)
+        # rows are at most tile^2 and widths tile: the key fits below 2^63
+        key = (rows * (int(widths.max()) + 1) + widths).ravel()
+        _, first, order = np.unique(key, return_index=True, return_inverse=True)
+        shapes = zip(rows.ravel()[first].tolist(), widths.ravel()[first].tolist())
+        merges[level] = rows, [_mp_split(r, w, p) for r, w in shapes], order
+    return ([_fw_cost(d, p) for d in dims.tolist()], fw_order), merges
 
 
 def model_recursive_apsp(
@@ -386,16 +391,11 @@ def model_recursive_apsp(
     if not isinstance(trace, ExecutionTrace):
         raise ValidationError("model_recursive_apsp needs an ExecutionTrace")
     U = p.total_units
-    fw_reps, pass_reps = _priced(trace, p)
+    (fw_uniq, fw_order), merges = _priced(trace, p)
     fw_groups: dict = {}
-    for ev, rep in zip(trace.fw_events, fw_reps):
+    for ev, i in zip(trace.fw_events, fw_order.tolist()):
         if ev.dim > 0 or ev.kind == "top":
-            fw_groups.setdefault((ev.level, ev.kind), []).append(rep)
-    merge_groups: dict = {}
-    for i, ev in enumerate(trace.merge_events):
-        reps, staged = merge_groups.setdefault(ev.level, ([], []))
-        reps += pass_reps[2 * i : 2 * i + 2]
-        staged.append(ev.rows * ev.cols * (p.bits // 8))
+            fw_groups.setdefault((ev.level, ev.kind), []).append(fw_uniq[i])
 
     # each phase's report carries its latency as its wall time
     phases = {}
@@ -406,14 +406,16 @@ def model_recursive_apsp(
         span = _makespan([r.wall_time_s for r in reps], U)
         rep = replace(_report_sum([CostReport(), *reps]), wall_time_s=span)
         phases[f"level{level}.{kind}"] = rep
-    for level, (reps, staged) in sorted(merge_groups.items()):
-        span = _makespan([r.wall_time_s for r in reps], U)
+    for level, (rows, reps, order) in sorted(merges.items()):
+        span = _makespan(np.array([r.wall_time_s for r in reps])[order].tolist(), U)
+        reps, order = [CostReport(), *reps], np.concatenate([[0], order + 1])
         if level >= 1:
-            stage_bytes = reduce(operator.add, staged, 0.0)
+            # each merge stages its s1 x s2 result block, added in order
+            stage_bytes = float(np.cumsum(rows[:, 1] * (p.bits // 8), dtype=float)[-1])
             reps.append(CostReport(hbm_bytes_regular=stage_bytes))
+            order = np.append(order, len(reps) - 1)
             span = max(span, stage_bytes / p.hbm_bandwidth)
-        rep = replace(_report_sum([CostReport(), *reps]), wall_time_s=span)
-        phases[f"level{level}.merge"] = rep
+        phases[f"level{level}.merge"] = replace(_fold(reps, order), wall_time_s=span)
     if trace.inject_pairs:
         cyc = math.ceil(trace.inject_pairs / 32) * 10
         phases["inject"] = CostReport(
@@ -727,21 +729,25 @@ def _hierarchy_cost(hier: PartitionHierarchy, N: int, p: PcmParams):
     the clock derated past the 1024 design point.  Boundary assembly
     (cross-component merges at levels above the base) drains through the
     die-level merge lanes, a fixed fixture, so its latency tracks boundary
-    volume rather than unit count.  Events are priced by :func:`_priced`;
-    cycles add per pool and energy over all events, each event by event in
-    schedule order, closures first.
+    volume rather than unit count.  Events are priced by :func:`_priced`
+    and summed by :func:`_fold`: cycles per pool, and energy over all
+    events, each event by event in schedule order, closures first.
     """
     pn = _tile_params(p, N)
-    fw_reps, pass_reps = _priced(schedule(hier, "lazy"), pn)
-
-    def total(reps, name):
-        return reduce(operator.add, [getattr(r, name) for r in reps], 0.0)
-
+    (fw_uniq, fw_order), merges = _priced(schedule(hier, "lazy"), pn)
+    # the sweep reads no phase, so its reports fold without theirs; the
+    # passes add in schedule order, their energy after the closes'
+    bare = [CostReport(), *(replace(r, phases={}) for r in fw_uniq)]
+    closes = _fold(bare, np.concatenate([[0], fw_order + 1]))
+    uniq, passes = [CostReport(energy_j=closes.energy_j)], [[0]]
+    for _, reps, order in merges.values():
+        passes.append(order + len(uniq))
+        uniq += [replace(r, phases={}) for r in reps]
+    merged = _fold(uniq, np.concatenate(passes))
     units = p.total_units * (1024.0 / N) ** 2
     clock = p.clock_hz * pn.derate(N)
-    close_s = total(fw_reps, "cycles") / (units * clock)
-    merge_s = total(pass_reps, "cycles") / (p.merge_drain_lanes * clock)
-    return close_s + merge_s, total(fw_reps + pass_reps, "energy_j")
+    close_s = closes.cycles / (units * clock)
+    return close_s + merged.cycles / (p.merge_drain_lanes * clock), merged.energy_j
 
 
 def tile_reference(Ns) -> int:

@@ -192,7 +192,7 @@ def _lower_apsp(w: ApspWorkload) -> ExecutionPlan:
         elif ev.kind == "top":  # direct: the whole graph in one closure
             add(K_BOUNDARY_FW, 0, "top", ["graph"], ["dist"])
     recloses = Counter(ev.level for ev in trace.fw_events if ev.kind == "reclose")
-    merges = Counter(ev.level for ev in trace.merge_events)
+    merges = {li: len(trace.merge_passes(li)[0]) for li in trace.merge_levels}
     for li in range(trace.depth - 1, -1, -1):
         if not recloses[li]:
             continue
@@ -200,14 +200,14 @@ def _lower_apsp(w: ApspWorkload) -> ExecutionPlan:
         # boundary closure as they stand
         closure = (
             f"closure.L{li}"
-            if li == trace.depth - 1 or merges[li + 1]
+            if li == trace.depth - 1 or li + 1 in merges
             else f"blocks.L{li + 1}"
         )
         add(K_INJECT, li, "inject", [closure, f"blocks.L{li}"], [f"injected.L{li}"])
         for _ in range(recloses[li]):
             add(K_FW_CLOSE, li, "reclose", [f"injected.L{li}"], [f"reclosed.L{li}"])
         merged = f"closure.L{li - 1}" if li else "dist"
-        for _ in range(merges[li]):
+        for _ in range(merges.get(li, 0)):
             add(K_MERGE, li, "merge", [f"reclosed.L{li}", closure], [merged])
     plan = ExecutionPlan(w, stages)
     plan.validate()

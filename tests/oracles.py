@@ -40,10 +40,18 @@ passes; ``costmodel._hierarchy_cost`` must return the same two floats.
 
 ``disjoint_copies`` lays copies of a graph side by side, a disconnected
 input whose hierarchy levels can cut no arc.
+
+``run_schedule`` is the device's dataflow: it runs a trace's events over
+its hierarchy on int64 matrices by plain broadcast min-plus, sharing no
+kernel with ``minplus.py``, and ``check_schedule_run`` grades the run with
+``dijkstra_oracle`` and compares the events it ran with
+``ExecutionTrace.counts()``, so what the cost model prices is an exact
+algorithm.
 """
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -300,6 +308,18 @@ def _merge_pass(rows, width, p):
     return _added(partial, model_mp_merge(rows, parts, p))
 
 
+def _ordered_pairs(sizes, bsizes):
+    """``(s1, b1, s2, b2)`` of every ordered pair of a level's components
+    with a boundary, c1-major, as the device merges them."""
+    comps = list(zip(sizes, bsizes))
+    return [
+        (s1, b1, s2, b2)
+        for c1, (s1, b1) in enumerate(comps)
+        for c2, (s2, b2) in enumerate(comps)
+        if c1 != c2
+    ]
+
+
 def makespan_reference(durations, workers):
     if not durations:
         return 0.0
@@ -321,9 +341,6 @@ def model_recursive_apsp_reference(trace, p=None):
     by_level_fw = {}
     for ev in trace.fw_events:
         by_level_fw.setdefault((ev.level, ev.kind), []).append(ev.dim)
-    merge_by_level = {}
-    for ev in trace.merge_events:
-        merge_by_level.setdefault(ev.level, []).append(ev)
 
     def add_phase(name, rep, wall_s):
         nonlocal total, wall
@@ -345,13 +362,13 @@ def model_recursive_apsp_reference(trace, p=None):
         span = makespan_reference([r.wall_time_s for r in reps], U)
         add_phase(f"level{level}.{kind}", agg, span)
 
-    for level, events in sorted(merge_by_level.items()):
+    for level, (sizes, bsizes) in sorted(trace.merge_levels.items()):
         reps = []
         stage_bytes = 0.0
-        for ev in events:
-            reps.append(_merge_pass(ev.rows * ev.right_boundary, ev.left_boundary, p))
-            reps.append(_merge_pass(ev.rows * ev.cols, ev.right_boundary, p))
-            stage_bytes += ev.rows * ev.cols * (p.bits // 8)
+        for s1, b1, s2, b2 in _ordered_pairs(sizes, bsizes):
+            reps.append(_merge_pass(s1 * b2, b1, p))
+            reps.append(_merge_pass(s1 * s2, b2, p))
+            stage_bytes += s1 * s2 * (p.bits // 8)
         agg = CostReport()
         for r in reps:
             agg = _added(agg, r)
@@ -393,14 +410,150 @@ def hierarchy_cost_reference(hier, N, p):
         rep = _fw_cost(ev.dim, pn)
         close_cycles += rep.cycles
         energy += rep.energy_j
-    for ev in trace.merge_events:
-        for rows, width in (
-            (ev.rows * ev.right_boundary, ev.left_boundary),
-            (ev.rows * ev.cols, ev.right_boundary),
-        ):
+    pairs = [
+        pair
+        for sizes, bsizes in trace.merge_levels.values()
+        for pair in _ordered_pairs(sizes, bsizes)
+    ]
+    for s1, b1, s2, b2 in pairs:
+        for rows, width in ((s1 * b2, b1), (s1 * s2, b2)):
             rep = _merge_pass(rows, width, pn)
             merge_cycles += rep.cycles
             energy += rep.energy_j
     clock = p.clock_hz * pn.derate(N)
     wall = close_cycles / (units * clock) + merge_cycles / (p.merge_drain_lanes * clock)
     return wall, energy
+
+
+def _min_plus(a, b):
+    """``a (x) b`` by broadcast, every entry at most the sentinel."""
+    return (a[:, :, None] + b[None, :, :]).min(axis=1, initial=INF_SENTINEL)
+
+
+def _close_block(d, ids):
+    """Floyd-Warshall over ``d[ids, ids]`` in place, one pivot at a time.
+    Every entry is the minimum of a stored one and a candidate, so none
+    exceeds the sentinel and no int64 sum wraps."""
+    blk = d[np.ix_(ids, ids)]
+    for k in range(ids.size):
+        blk = np.minimum(blk, blk[:, k, None] + blk[None, k, :])
+    d[np.ix_(ids, ids)] = blk
+
+
+def run_schedule(g, hier, trace):
+    """Run ``trace``'s events over ``hier`` in the order the trace lists
+    them; return the level matrices and the events run, counted by
+    ``(kind, level)``.
+
+    Level 0's matrix is ``g``'s distance seed; level ``l``'s is the
+    ``[boundary, boundary]`` slice of level ``l - 1``'s, taken when a
+    level-``l`` event first reads it.  The ``close`` events of a level
+    close its components' blocks in component order, and ``top`` closes
+    its level's whole matrix (the graph's, in the direct schedule).  A
+    run of a level's ``reclose`` events first injects the level above's
+    matrix as it stands, the boundary closure, into every component's
+    boundary pairs, then re-closes one component per event in the
+    boundary set's order; then per ordered pair ``(c1, c2)`` of the
+    components in the level's merge record, c1-major, it runs the pass
+    through c1's boundary into ``s1 x b2`` rows, and the pass through
+    c2's that min-accumulates the ``s1 x s2`` cross block.
+    """
+    levels = hier.levels
+    seed = np.full((g.n, g.n), INF_SENTINEL, dtype=np.int64)
+    np.minimum.at(seed, (g.src, g.dst), g.w)
+    np.fill_diagonal(seed, 0)
+    mats = [seed]
+    ran = Counter()
+
+    def mat(li):
+        if li == len(mats):
+            u = levels[li - 1].boundaries.union
+            mats.append(mats[li - 1][np.ix_(u, u)])
+        return mats[li]
+
+    def boundary(li):
+        bset, part = levels[li].boundaries, levels[li].partition
+        return [
+            (part.component(c), b, np.searchsorted(bset.union, b))
+            for c, b in sorted(bset.per_component.items())
+        ]
+
+    def inject(li):
+        d, closure = mat(li), mat(li + 1)
+        for _, b, pos in boundary(li):
+            d[np.ix_(b, b)] = np.minimum(d[np.ix_(b, b)], closure[np.ix_(pos, pos)])
+            ran["inject_pairs", li] += b.size**2
+
+    def merge(li):
+        d, closure = mat(li), mat(li + 1)
+        comps = [comp for comp in boundary(li) if comp[1].size]
+        sizes, bsizes = trace.merge_levels[li]
+        assert [(ids.size, b.size) for ids, b, _ in comps] == list(zip(sizes, bsizes))
+        for c1, (ids1, b1, pos1) in enumerate(comps):
+            for c2, (ids2, b2, pos2) in enumerate(comps):
+                if c1 == c2:
+                    continue
+                via = _min_plus(d[np.ix_(ids1, b1)], closure[np.ix_(pos1, pos2)])
+                cross = np.ix_(ids1, ids2)
+                d[cross] = np.minimum(d[cross], _min_plus(via, d[np.ix_(b2, ids2)]))
+                ran["merge", li] += 1
+
+    events = trace.fw_events
+    for i, ev in enumerate(events):
+        li, j = ev.level, ran[ev.kind, ev.level]
+        ran[ev.kind, li] += 1
+        if ev.kind == "top":
+            ids = np.arange(mat(li).shape[0])
+        elif ev.kind == "close":
+            ids = levels[li].partition.component(j)
+        else:
+            if not j:
+                inject(li)
+            ids = boundary(li)[j][0]
+        assert ids.size == ev.dim, ev
+        _close_block(mat(li), ids)
+        nxt = events[i + 1] if i + 1 < len(events) else None
+        ends_run = nxt is None or (nxt.kind, nxt.level) != ("reclose", li)
+        if ev.kind == "reclose" and ends_run and li in trace.merge_levels:
+            merge(li)
+    return mats, ran
+
+
+def check_schedule_run(g, hier, trace):
+    """Run ``trace`` in :func:`run_schedule` and grade it.
+
+    The dense and direct schedules must give every distance; the lazy one,
+    which never merges the base level, its component blocks and the
+    closure over its boundary.  Per level, the run must close and
+    re-close one block per component and per boundary component, and
+    merge every ordered pair of boundary components on a level that
+    merges; and the events it ran, summed, must be ``trace.counts()``.
+    """
+    mats, ran = run_schedule(g, hier, trace)
+    want = dijkstra_oracle(g)
+    levels = hier.levels
+    if trace.mode == "lazy":
+        part = levels[0].partition
+        for c in range(part.k):
+            ids = np.ix_(part.component(c), part.component(c))
+            assert np.array_equal(mats[0][ids], want[ids]), c
+        u = levels[0].boundaries.union
+        if u.size:
+            assert np.array_equal(mats[1], want[np.ix_(u, u)])
+    else:
+        assert np.array_equal(mats[0], want)
+    if trace.mode != "direct":
+        for li, lv in enumerate(levels):
+            m = len(lv.boundaries.per_component)
+            merges = m * (m - 1) if li or trace.mode == "dense" else 0
+            assert ran["close", li] == lv.partition.k, li
+            assert (ran["reclose", li], ran["merge", li]) == (m, merges), li
+        assert ran["top", len(levels)] == (levels[-1].boundaries.union.size > 0)
+    summed = Counter()
+    for (kind, _), n in ran.items():
+        summed[kind] += n
+    counts = trace.counts()
+    fw = {kind: summed[kind] for kind in ("close", "top", "reclose") if summed[kind]}
+    assert fw == counts["fw"]
+    assert summed["merge"] == counts["merges"]
+    assert summed["inject_pairs"] == counts["inject_pairs"]

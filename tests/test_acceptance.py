@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 
-from graphdp.apsp import recursive_apsp
+from graphdp.apsp import recursive_apsp, schedule
 from graphdp.cli import main as cli_main
 from graphdp.costmodel import (
     arithmetic_intensity,
@@ -32,9 +32,9 @@ from graphdp.graphs import (
     parse_gfa,
 )
 from graphdp.minplus import floyd_warshall_dense
-from graphdp.partition import find_boundary, kway_partition
+from graphdp.partition import build_hierarchy, find_boundary, kway_partition
 from graphdp.s2g import align_reference, align_windowed
-from oracles import dijkstra_oracle
+from oracles import check_schedule_run, dijkstra_oracle
 
 SEED = 20260816
 
@@ -101,6 +101,24 @@ def test_apsp_exact_equivalence():
     print(f"PASS apsp exact equivalence: {len(cases)} graphs, "
           f"zero mismatches, {modes['dense']} multi-tile recursive, "
           f"{modes['direct']} direct, {dt:.0f}s")
+
+
+def test_device_schedule_runs_exactly_on_a_corpus_slice():
+    # a seeded slice of the small multi-tile corpus graphs at tiles 64 and
+    # 128 (the event oracle's broadcast passes grow as tile^3), the dense
+    # and lazy schedules of each run event by event
+    rng = np.random.default_rng(SEED)
+    small = [(g, t) for g, t in _apsp_cases()[:152] if t < 256 and g.n > t]
+    depths = Counter()
+    for j in rng.choice(len(small), size=12, replace=False).tolist():
+        g, tile = small[j]
+        hier = build_hierarchy(g, tile)
+        depths[hier.depth] += 1
+        for mode in ("dense", "lazy"):
+            check_schedule_run(g, hier, schedule(hier, mode))
+    assert sum(n for depth, n in depths.items() if depth > 1) >= 3, depths
+    print(f"PASS device schedule exact on a corpus slice: 12 of {len(small)} "
+          f"graphs, depths {dict(sorted(depths.items()))}")
 
 
 # ---------------------------------------------------------------------------

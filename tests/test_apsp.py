@@ -25,7 +25,14 @@ from graphdp.graphs import (
 )
 import graphdp.minplus as minplus
 from graphdp.minplus import _NARROW_SENTINEL, INF_SENTINEL
-from graphdp.partition import build_hierarchy
+from graphdp.partition import (
+    BoundarySet,
+    HierarchyLevel,
+    Partition,
+    PartitionHierarchy,
+    build_hierarchy,
+)
+from oracles import check_schedule_run
 from oracles import dijkstra_oracle as fw_oracle
 from oracles import disjoint_copies
 
@@ -159,7 +166,10 @@ def test_trace_reflects_work():
     expect = sum(lv.partition.k for lv in res.hierarchy.levels)
     assert len(closes) == expect
     assert any(ev.kind == "top" for ev in tr.fw_events)
-    assert tr.counts()["merges"] == len(tr.merge_events) > 0
+    # every ordered pair of a level's components with a boundary merges
+    pairs = [len(lv.boundaries.per_component) for lv in res.hierarchy.levels]
+    merges = [len(tr.merge_passes(li)[0]) for li in tr.merge_levels]
+    assert tr.counts()["merges"] == sum(merges) == sum(m * (m - 1) for m in pairs) > 0
     for ev in tr.fw_events:
         assert ev.dim <= max(32, res.hierarchy.levels[-1].boundaries.union.size)
 
@@ -251,8 +261,8 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, runs):
             hier = build_hierarchy(g, tile)
             assert shape(hier)
             dense = schedule(hier, "dense")
-            upper = [ev for ev in dense.merge_events if ev.level]
-            want = replace(dense, mode="lazy", merge_events=upper)
+            upper = {li: comps for li, comps in dense.merge_levels.items() if li}
+            want = replace(dense, mode="lazy", merge_levels=upper)
             assert schedule(hier, "lazy") == want
         return
     log = record_fw_calls(monkeypatch)
@@ -281,6 +291,51 @@ def test_schedule_lists_the_engines_kernel_calls(monkeypatch, case, mode, runs):
         cost = model_recursive_apsp(res.trace, p)
         assert list(cost.phases) == ["top.fw"]
         assert cost.phases["top.fw"] == _blocked_fw(g.n, p)
+
+
+@pytest.mark.parametrize("mode", ["dense", "lazy", "direct"])
+@pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+def test_the_device_schedule_runs_exactly(case, mode):
+    # the host runs only the schedule's closes and top closure; the event
+    # oracle runs all of it, injects, re-closes and merges included, so the
+    # events the cost model prices make an exact algorithm
+    make, tile, _, _ = SCHEDULE_CASES[case]
+    g = make()
+    hier = build_hierarchy(g, tile)
+    check_schedule_run(g, hier, schedule(hier, mode))
+
+
+def test_merge_passes_pair_every_boundary_component_c1_major():
+    hier = build_hierarchy(gen_clustered(32, 16, seed=2, groups=4), 32)
+    trace = schedule(hier, "dense")
+    assert trace.merge_levels
+    for li, (sizes, bsizes) in trace.merge_levels.items():
+        comps = list(zip(sizes, bsizes))
+        want = [
+            ((s1 * b2, s1 * s2), (b1, b2))
+            for c1, (s1, b1) in enumerate(comps)
+            for c2, (s2, b2) in enumerate(comps)
+            if c1 != c2
+        ]
+        rows, widths = trace.merge_passes(li)
+        assert rows.dtype == widths.dtype == np.int64
+        assert list(zip(map(tuple, rows.tolist()), map(tuple, widths.tolist()))) == want
+
+
+def test_a_level_of_2048_boundary_components_schedules_in_o_k_memory():
+    # every component has a boundary, so the level merges 2048 * 2047
+    # ordered pairs; the schedule holds them as one record of 2 * 2048 ints
+    k = 2048
+    part = Partition(2 * k, k, np.arange(2 * k) // 2)
+    per = {c: np.array([2 * c]) for c in range(k)}
+    bset = BoundarySet(per, np.arange(0, 2 * k, 2))
+    hier = PartitionHierarchy([HierarchyLevel(part, bset)], max_tile=2)
+    tracemalloc.start()
+    trace = schedule(hier, "dense")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert trace.counts()["merges"] == k * (k - 1)
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize("stack_bytes", [1, 3 * 17 * 17 * 4, 1 << 20])

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 import graphdp.costmodel as costmodel
 import graphdp.partition as partition
-from graphdp.apsp import ExecutionTrace, FwEvent, MergeEvent, recursive_apsp, schedule
+from graphdp.apsp import (
+    ExecutionTrace,
+    FwEvent,
+    choose_schedule,
+    recursive_apsp,
+    schedule,
+)
 from graphdp.costmodel import (
     MP_TREE_INPUTS,
     CapacityError,
@@ -156,8 +162,8 @@ def knob_outputs():
             FwEvent(0, 600, "reclose"),
             FwEvent(1, 300, "top"),
         ],
-        merge_events=[MergeEvent(0, 600, 600, 40, 40)]
-        + [MergeEvent(1, 2, 2, 1, 1)] * 1000,
+        # 992 merges above the base, whose staging can outlast their passes
+        merge_levels={1: ((2,) * 32, (1,) * 32), 0: ((600, 600), (40, 40))},
         inject_pairs=64,
     )
     n = 700
@@ -309,7 +315,7 @@ def test_recursive_model_sums_hand_trace():
             FwEvent(0, 512, "reclose"),
             FwEvent(2, 64, "top"),
         ],
-        merge_events=[MergeEvent(1, 256, 256, 32, 32)],
+        merge_levels={1: ((256, 256), (32, 32))},  # two ordered merges
         inject_pairs=64,
     )
     rep = model_recursive_apsp(tr)
@@ -319,7 +325,7 @@ def test_recursive_model_sums_hand_trace():
 
     m1 = _mp_split(256 * 32, 32, PcmParams())
     m2 = _mp_split(256 * 256, 32, PcmParams())
-    stage = 256 * 256 * 4
+    stage = 2 * 256 * 256 * 4
     inject = math.ceil(64 / 32) * 10 / 500e6
     want = (
         blk.wall_time_s  # two closes in parallel
@@ -350,8 +356,10 @@ def _pricing_traces():
             FwEvent(1, 40, "close"),
             FwEvent(2, 300, "top"),
         ],
-        merge_events=[MergeEvent(0, 600, 500, wide, 40), MergeEvent(0, 7, 9, 3, wide)]
-        + [MergeEvent(1, 2, 3, 1, 2)] * 50,
+        merge_levels={
+            1: ((2, 3) * 4, (1, 2) * 4),  # 56 merges of four shapes
+            0: ((600, 500, 9), (wide, 40, wide)),
+        },
         inject_pairs=1000,
     )
     return {
@@ -425,15 +433,32 @@ def test_pricing_stays_fast_past_the_die_units():
         depth=1,
         mode="dense",
         fw_events=[FwEvent(0, 1 + i % 997, "close") for i in range(20000)],
-        merge_events=[
-            MergeEvent(0, 1 + i % 31, 1 + i % 37, 1 + i % 13, 1 + i % 11)
-            for i in range(20000)
-        ],
+        # 142 * 141 = 20,022 merges, two passes each
+        merge_levels={
+            0: (
+                tuple(1 + i % 31 for i in range(142)),
+                tuple(1 + i % 13 for i in range(142)),
+            )
+        },
     )
     t0 = time.perf_counter()
     rep = model_recursive_apsp(trace)
     assert time.perf_counter() - t0 < 5
     assert set(rep.phases) == {"level0.close", "level0.merge"}
+
+
+# sha256 of model_recursive_apsp(choose_schedule(h)).to_json() for the
+# n = 4,096 clustered graph at tile 32, as the schedule priced it when it
+# listed one event per ordered merge
+_TILE32_COST_DIGEST = "d9cc04f8df28a6f676ead768d941cce6ea7cb339fba44d364eed5c0508c53442"
+
+
+def test_tile32_schedule_prices_to_its_pinned_digest():
+    hier = build_hierarchy(gen_clustered(64, 64, 1, groups=4), 32)
+    trace = choose_schedule(hier)
+    assert (trace.mode, trace.depth, trace.counts()["merges"]) == ("dense", 6, 150726)
+    cost = model_recursive_apsp(trace).to_json().encode()
+    assert hashlib.sha256(cost).hexdigest() == _TILE32_COST_DIGEST
 
 
 def test_recursive_model_rejects_non_trace():

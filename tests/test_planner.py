@@ -133,7 +133,7 @@ def test_apsp_stage_count_matches_trace(make, tile):
         K_FW_CLOSE: fw["close"] + fw.get("reclose", 0),
         K_BOUNDARY_FW: fw.get("top", 0),
         K_INJECT: len({ev.level for ev in trace.fw_events if ev.kind == "reclose"}),
-        K_MERGE: len(trace.merge_events),
+        K_MERGE: trace.counts()["merges"],
     }
     assert plan.counts() == {kind: n for kind, n in want.items() if n}
 
